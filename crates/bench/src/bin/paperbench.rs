@@ -73,6 +73,8 @@
 //! `<path>` (open in Perfetto / `chrome://tracing`), and the live
 //! subsystem counters as JSON lines to `<path>.metrics.jsonl`.
 
+#![forbid(unsafe_code)]
+
 use ironsafe_bench::*;
 
 fn main() {

@@ -1,15 +1,37 @@
 //! AES-128 block cipher (FIPS 197).
 //!
-//! Straightforward byte-oriented implementation (S-box lookups, `xtime`
-//! MixColumns). IronSafe encrypts 4 KiB database pages in CBC mode and
-//! network records in CTR mode on top of this block primitive — see
-//! [`crate::modes`].
+//! Two back-ends compute the same function:
+//!
+//! * [`soft`] — safe, word-oriented T-table code (four 1 KiB tables per
+//!   direction, built in `const`; decryption runs the equivalent inverse
+//!   cipher over a pre-transformed key schedule). Runs everywhere.
+//! * [`ni`] — x86-64 AES-NI, eight independent blocks in flight.
+//!
+//! [`Aes128::new`] picks the back-end once, from what the CPU reports;
+//! nothing else in the workspace can choose. The bytewise implementation
+//! this module started as survives under `#[cfg(test)]` as the oracle both
+//! back-ends are property-tested against.
+//!
+//! IronSafe encrypts 4 KiB database pages in CBC mode and network records
+//! in CTR mode on top of this block primitive — see [`crate::modes`], which
+//! owns all chaining and feeds the multi-block entry points with blocks
+//! that do not depend on one another (CBC-decrypt inputs, CTR counters).
+
+#[cfg(test)]
+mod bytewise;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
+mod soft;
 
 /// AES block size in bytes.
 pub const BLOCK: usize = 16;
 /// AES-128 key size in bytes.
 pub const KEY_LEN: usize = 16;
 const ROUNDS: usize = 10;
+
+/// The eleven round keys in FIPS 197 byte order.
+type RoundKeys = [[u8; BLOCK]; ROUNDS + 1];
 
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -43,184 +65,127 @@ const INV_SBOX: [u8; 256] = {
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-#[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
-#[inline]
-fn mul(a: u8, mut b: u8) -> u8 {
-    // GF(2^8) multiply, used only in InvMixColumns (small constants).
-    let mut acc = 0u8;
-    let mut a = a;
-    while b != 0 {
-        if b & 1 != 0 {
-            acc ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
+/// FIPS 197 §5.2 key expansion, shared by every back-end.
+fn expand_key(key: &[u8; KEY_LEN]) -> RoundKeys {
+    let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
+    for i in 0..4 {
+        w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
     }
-    acc
+    for i in 4..4 * (ROUNDS + 1) {
+        let mut temp = w[i - 1];
+        if i % 4 == 0 {
+            temp.rotate_left(1);
+            for t in temp.iter_mut() {
+                *t = SBOX[*t as usize];
+            }
+            temp[0] ^= RCON[i / 4 - 1];
+        }
+        for j in 0..4 {
+            w[i][j] = w[i - 4][j] ^ temp[j];
+        }
+    }
+    let mut round_keys = [[0u8; BLOCK]; ROUNDS + 1];
+    for (r, rk) in round_keys.iter_mut().enumerate() {
+        for c in 0..4 {
+            rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+        }
+    }
+    round_keys
+}
+
+#[derive(Clone)]
+enum Backend {
+    Soft(soft::Keys),
+    #[cfg(target_arch = "x86_64")]
+    Ni(ni::Keys),
 }
 
 /// An expanded AES-128 key ready for encryption and decryption.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    backend: Backend,
 }
 
 impl Aes128 {
-    /// Expand a 16-byte key.
+    /// Expand a 16-byte key (encryption and decryption schedules) for the
+    /// fastest back-end this CPU supports.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+        let round_keys = expand_key(key);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(keys) = ni::Keys::new(&round_keys) {
+            return Aes128 { backend: Backend::Ni(keys) };
         }
-        for i in 4..4 * (ROUNDS + 1) {
-            let mut temp = w[i - 1];
-            if i % 4 == 0 {
-                temp.rotate_left(1);
-                for t in temp.iter_mut() {
-                    *t = SBOX[*t as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
-        Aes128 { round_keys }
+        Aes128 { backend: Backend::Soft(soft::Keys::new(&round_keys)) }
+    }
+
+    /// The portable back-end regardless of what the CPU offers, so tests
+    /// cover it on AES-NI machines too.
+    #[cfg(test)]
+    pub(crate) fn new_portable(key: &[u8; KEY_LEN]) -> Self {
+        Aes128 { backend: Backend::Soft(soft::Keys::new(&expand_key(key))) }
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK]) {
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..ROUNDS {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        self.encrypt_blocks(std::slice::from_mut(block));
     }
 
     /// Decrypt one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK]) {
-        add_round_key(block, &self.round_keys[ROUNDS]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for r in (1..ROUNDS).rev() {
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
+        self.decrypt_blocks(std::slice::from_mut(block));
+    }
+
+    /// Encrypt every block of `blocks` in place, each independently of the
+    /// others (ECB); back-ends overlap the work of neighbouring blocks.
+    pub fn encrypt_blocks(&self, blocks: &mut [[u8; BLOCK]]) {
+        match &self.backend {
+            Backend::Soft(keys) => keys.encrypt_blocks(blocks),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(keys) => keys.encrypt_blocks(blocks),
         }
-        add_round_key(block, &self.round_keys[0]);
     }
-}
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State layout: state[4*c + r] is row r, column c (column-major, as FIPS 197).
-#[inline]
-fn shift_rows(s: &mut [u8; 16]) {
-    // Row 1: shift left by 1.
-    let t = s[1];
-    s[1] = s[5];
-    s[5] = s[9];
-    s[9] = s[13];
-    s[13] = t;
-    // Row 2: shift left by 2.
-    s.swap(2, 10);
-    s.swap(6, 14);
-    // Row 3: shift left by 3 (= right by 1).
-    let t = s[15];
-    s[15] = s[11];
-    s[11] = s[7];
-    s[7] = s[3];
-    s[3] = t;
-}
-
-#[inline]
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    // Row 1: shift right by 1.
-    let t = s[13];
-    s[13] = s[9];
-    s[9] = s[5];
-    s[5] = s[1];
-    s[1] = t;
-    // Row 2: shift right by 2.
-    s.swap(2, 10);
-    s.swap(6, 14);
-    // Row 3: shift right by 3 (= left by 1).
-    let t = s[3];
-    s[3] = s[7];
-    s[7] = s[11];
-    s[11] = s[15];
-    s[15] = t;
-}
-
-#[inline]
-fn mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        s[4 * c] = col[0] ^ t ^ xtime(col[0] ^ col[1]);
-        s[4 * c + 1] = col[1] ^ t ^ xtime(col[1] ^ col[2]);
-        s[4 * c + 2] = col[2] ^ t ^ xtime(col[2] ^ col[3]);
-        s[4 * c + 3] = col[3] ^ t ^ xtime(col[3] ^ col[0]);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = mul(col[0], 14) ^ mul(col[1], 11) ^ mul(col[2], 13) ^ mul(col[3], 9);
-        s[4 * c + 1] = mul(col[0], 9) ^ mul(col[1], 14) ^ mul(col[2], 11) ^ mul(col[3], 13);
-        s[4 * c + 2] = mul(col[0], 13) ^ mul(col[1], 9) ^ mul(col[2], 14) ^ mul(col[3], 11);
-        s[4 * c + 3] = mul(col[0], 11) ^ mul(col[1], 13) ^ mul(col[2], 9) ^ mul(col[3], 14);
+    /// Decrypt every block of `blocks` in place, each independently of the
+    /// others.
+    pub fn decrypt_blocks(&self, blocks: &mut [[u8; BLOCK]]) {
+        match &self.backend {
+            Backend::Soft(keys) => keys.decrypt_blocks(blocks),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(keys) => keys.decrypt_blocks(blocks),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    pub(crate) use super::bytewise::Bytewise;
+    use super::bytewise::{inv_mix_columns, inv_shift_rows, mix_columns, shift_rows};
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every back-end this machine can run, labelled: the portable one
+    /// always, plus whatever `Aes128::new` selects when that differs.
+    pub(crate) fn backends(key: &[u8; KEY_LEN]) -> Vec<(&'static str, Aes128)> {
+        let mut all = vec![("portable", Aes128::new_portable(key))];
+        let detected = Aes128::new(key);
+        if !matches!(detected.backend, Backend::Soft(_)) {
+            all.push(("detected", detected));
+        }
+        all
+    }
+
+    const FIPS_KEY: [u8; 16] = [
+        0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
+        0x3c,
+    ];
 
     #[test]
     fn fips197_appendix_b() {
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let mut block = [
+        let plain = [
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
@@ -228,27 +193,37 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
+        for (name, aes) in backends(&FIPS_KEY) {
+            let mut block = plain;
+            aes.encrypt_block(&mut block);
+            assert_eq!(block, expected, "{name}");
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, plain, "{name}");
+        }
+        // The oracle is held to the same vector it judges the others by.
+        let oracle = Bytewise::new(&FIPS_KEY);
+        let mut block = plain;
+        oracle.encrypt_block(&mut block);
         assert_eq!(block, expected);
-        aes.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37, 0x07, 0x34]
-        );
+        oracle.decrypt_block(&mut block);
+        assert_eq!(block, plain);
     }
 
     #[test]
     fn fips197_appendix_c1() {
-        let key: [u8; 16] = (0u8..16).collect::<Vec<_>>().try_into().unwrap();
-        let mut block: [u8; 16] = (0u8..16).map(|i| i * 0x11).collect::<Vec<_>>().try_into().unwrap();
+        let key: [u8; 16] = std::array::from_fn(|i| i as u8);
+        let plain: [u8; 16] = std::array::from_fn(|i| i as u8 * 0x11);
         let expected = [
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expected);
+        for (name, aes) in backends(&key) {
+            let mut block = plain;
+            aes.encrypt_block(&mut block);
+            assert_eq!(block, expected, "{name}");
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, plain, "{name}");
+        }
     }
 
     #[test]
@@ -258,12 +233,13 @@ mod tests {
         for _ in 0..64 {
             let key: [u8; 16] = rng.gen();
             let plain: [u8; 16] = rng.gen();
-            let aes = Aes128::new(&key);
-            let mut block = plain;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, plain, "encryption must change the block");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, plain);
+            for (name, aes) in backends(&key) {
+                let mut block = plain;
+                aes.encrypt_block(&mut block);
+                assert_ne!(block, plain, "{name}: encryption must change the block");
+                aes.decrypt_block(&mut block);
+                assert_eq!(block, plain, "{name}");
+            }
         }
     }
 
@@ -276,7 +252,7 @@ mod tests {
 
     #[test]
     fn mix_columns_roundtrip() {
-        let mut s: [u8; 16] = (0u8..16).map(|i| i.wrapping_mul(37).wrapping_add(3)).collect::<Vec<_>>().try_into().unwrap();
+        let mut s: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(3));
         let orig = s;
         mix_columns(&mut s);
         inv_mix_columns(&mut s);
@@ -285,11 +261,67 @@ mod tests {
 
     #[test]
     fn shift_rows_roundtrip() {
-        let mut s: [u8; 16] = (0u8..16).collect::<Vec<_>>().try_into().unwrap();
+        let mut s: [u8; 16] = std::array::from_fn(|i| i as u8);
         let orig = s;
         shift_rows(&mut s);
         assert_ne!(s, orig);
         inv_shift_rows(&mut s);
         assert_eq!(s, orig);
+    }
+
+    #[test]
+    fn expanded_key_matches_fips197_appendix_a1() {
+        let rk = expand_key(&FIPS_KEY);
+        assert_eq!(rk[0], FIPS_KEY);
+        // w[40..44], the last round key of the Appendix A.1 walk-through.
+        assert_eq!(
+            rk[10],
+            [
+                0xd0, 0x14, 0xf9, 0xa8, 0xc9, 0xee, 0x25, 0x89, 0xe1, 0x3f, 0x0c, 0xc8, 0xb6, 0x63,
+                0x0c, 0xa6
+            ]
+        );
+    }
+
+    proptest! {
+        /// Single blocks: every back-end equals the bytewise oracle in
+        /// both directions.
+        #[test]
+        fn single_blocks_match_the_oracle(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
+            let oracle = Bytewise::new(&key);
+            let (mut enc, mut dec) = (block, block);
+            oracle.encrypt_block(&mut enc);
+            oracle.decrypt_block(&mut dec);
+            for (name, aes) in backends(&key) {
+                let (mut e, mut d) = (block, block);
+                aes.encrypt_block(&mut e);
+                aes.decrypt_block(&mut d);
+                prop_assert_eq!(e, enc, "{} encrypt", name);
+                prop_assert_eq!(d, dec, "{} decrypt", name);
+            }
+        }
+
+        /// Multi-block calls of every length around the 8-block pipeline
+        /// width equal block-at-a-time oracle calls.
+        #[test]
+        fn block_runs_match_the_oracle(key in any::<[u8; 16]>(), seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let oracle = Bytewise::new(&key);
+            for n in 0..=19usize {
+                let blocks: Vec<[u8; 16]> = (0..n).map(|_| rng.gen()).collect();
+                let mut enc = blocks.clone();
+                let mut dec = blocks.clone();
+                enc.iter_mut().for_each(|b| oracle.encrypt_block(b));
+                dec.iter_mut().for_each(|b| oracle.decrypt_block(b));
+                for (name, aes) in backends(&key) {
+                    let (mut e, mut d) = (blocks.clone(), blocks.clone());
+                    aes.encrypt_blocks(&mut e);
+                    aes.decrypt_blocks(&mut d);
+                    prop_assert_eq!(&e, &enc, "{} encrypt, {} blocks", name, n);
+                    prop_assert_eq!(&d, &dec, "{} decrypt, {} blocks", name, n);
+                }
+            }
+        }
     }
 }

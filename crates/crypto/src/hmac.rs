@@ -8,11 +8,17 @@ use crate::ct::ct_eq;
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Streaming HMAC-SHA256.
+///
+/// Keying absorbs the ipad and opad blocks into two hash states once;
+/// `clone()` of a freshly keyed instance is therefore a pre-keyed MAC that
+/// skips both pad compressions — hot paths hold one and clone it per
+/// message.
 #[derive(Clone)]
 pub struct HmacSha256 {
+    /// State after `key ^ ipad`; absorbs the message.
     inner: Sha256,
-    /// Key XORed with the opad, kept to finish the outer hash.
-    opad_key: [u8; BLOCK_LEN],
+    /// State after `key ^ opad`; absorbs the inner digest at the end.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -25,15 +31,11 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 { inner, opad_key: opad }
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -43,10 +45,8 @@ impl HmacSha256 {
 
     /// Produce the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -124,6 +124,16 @@ mod tests {
         let mut h = HmacSha256::new(b"k");
         h.update(b"msg");
         assert!(!h.verify(&tag[..31]), "short tag must be rejected");
+    }
+
+    #[test]
+    fn prekeyed_clone_equals_fresh_keying() {
+        let keyed = HmacSha256::new(b"merkle-key");
+        for msg in [b"".as_slice(), b"leaf", &[0x5a; 200]] {
+            let mut h = keyed.clone();
+            h.update(msg);
+            assert_eq!(h.finalize(), hmac_sha256(b"merkle-key", msg));
+        }
     }
 
     #[test]

@@ -8,10 +8,17 @@ use crate::ct::ct_eq;
 use crate::sha512::{Sha512, BLOCK_LEN, DIGEST_LEN};
 
 /// Streaming HMAC-SHA512.
+///
+/// Keying absorbs the ipad and opad blocks into two hash states once;
+/// `clone()` of a freshly keyed instance is therefore a pre-keyed MAC that
+/// skips both pad compressions — hot paths hold one and clone it per
+/// message.
 #[derive(Clone)]
 pub struct HmacSha512 {
+    /// State after `key ^ ipad`; absorbs the message.
     inner: Sha512,
-    opad_key: [u8; BLOCK_LEN],
+    /// State after `key ^ opad`; absorbs the inner digest at the end.
+    outer: Sha512,
 }
 
 impl HmacSha512 {
@@ -24,15 +31,11 @@ impl HmacSha512 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
         let mut inner = Sha512::new();
-        inner.update(&ipad);
-        HmacSha512 { inner, opad_key: opad }
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha512::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacSha512 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -42,11 +45,18 @@ impl HmacSha512 {
 
     /// Produce the 64-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha512::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
+    }
+
+    /// Produce the tag truncated to its leftmost 32 bytes — the page
+    /// codec's trailer format.
+    pub fn finalize_trunc256(self) -> [u8; 32] {
+        let full = self.finalize();
+        let mut out = [0u8; 32];
+        out.copy_from_slice(&full[..32]);
+        out
     }
 
     /// Verify `tag` (full or truncated ≥ 16 bytes) in constant time.
@@ -73,10 +83,7 @@ pub fn hmac_sha512_trunc256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
     for p in parts {
         h.update(p);
     }
-    let full = h.finalize();
-    let mut out = [0u8; 32];
-    out.copy_from_slice(&full[..32]);
-    out
+    h.finalize_trunc256()
 }
 
 #[cfg(test)]
@@ -132,6 +139,16 @@ mod tests {
         let mut h = HmacSha512::new(b"key");
         h.update(b"pagedata");
         assert!(!h.verify(&bad));
+    }
+
+    #[test]
+    fn prekeyed_clone_equals_fresh_keying() {
+        let keyed = HmacSha512::new(b"page-mac-key");
+        for msg in [b"".as_slice(), b"page", &[0x5a; 300]] {
+            let mut h = keyed.clone();
+            h.update(msg);
+            assert_eq!(h.finalize_trunc256(), hmac_sha512_trunc256(b"page-mac-key", &[msg]));
+        }
     }
 
     #[test]

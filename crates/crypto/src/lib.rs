@@ -17,19 +17,26 @@
 //!   the hardware-unique key and session secrets.
 //! * [`aes`] — AES-128 block cipher with [`modes`] CTR and CBC, used for
 //!   page encryption (CBC + per-page IV, mirroring SQLCipher) and channel
-//!   encryption (CTR).
+//!   encryption (CTR). Two back-ends — portable T-tables and x86-64 AES-NI
+//!   — selected once per key by CPU feature detection; CBC-decrypt and the
+//!   CTR keystream run eight blocks in flight.
 //! * [`bignum`] / [`group`] / [`schnorr`] — a little-endian big-unsigned
 //!   integer with Montgomery multiplication, classic MODP groups, and
 //!   Schnorr signatures used for attestation quotes and certificate chains.
 //! * [`cert`] — a minimal X.509-like certificate chain model rooted in a
 //!   manufacturer key (the TrustZone ROTPK) or an attestation service key.
 //!
-//! None of this code is intended to resist side channels on real silicon —
-//! it is a faithful, correct software model for a simulated platform — but
-//! the algorithms themselves are the real ones, verified against published
-//! test vectors in the unit tests.
+//! None of this code claims to resist side channels on real silicon — it
+//! is a faithful, correct software model for a simulated platform (the
+//! AES-NI path happens to be constant-time; the table-driven one is not) —
+//! but the algorithms themselves are the real ones, verified against
+//! published test vectors in the unit tests.
+//!
+//! The crate denies `unsafe_code` rather than forbidding it so that one
+//! module, `aes::ni` (intrinsics only), can opt in; see DESIGN.md "Crypto
+//! backends" and `tests/unsafe_budget.rs`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

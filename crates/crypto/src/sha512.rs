@@ -67,86 +67,80 @@ impl Sha512 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        // Whole blocks are hashed where they lie; only the tail is copied.
+        let (blocks, tail) = rest.as_chunks::<BLOCK_LEN>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Consume the hasher, producing the 64-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        // Padding in one shot: 0x80, zeros to the length field (spilling
+        // into one more block when fewer than 16 bytes remain), bit length.
+        let used = self.buf_len;
+        self.buf[used] = 0x80;
+        self.buf[used + 1..].fill(0);
+        if used + 1 > BLOCK_LEN - 16 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        let mut block = self.buf;
-        block[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.buf[BLOCK_LEN - 16..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
+        for (bytes, w) in out.chunks_exact_mut(8).zip(self.state) {
+            bytes.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u64; 80];
-        for (i, wi) in w.iter_mut().take(16).enumerate() {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&block[i * 8..i * 8 + 8]);
-            *wi = u64::from_be_bytes(bytes);
-        }
-        for i in 16..80 {
-            let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
-            let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..80 {
-            let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The FIPS 180-4 §6.4.2 compression function.
+fn compress(state: &mut [u64; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u64; 80];
+    for (wi, bytes) in w.iter_mut().zip(block.chunks_exact(8)) {
+        *wi = u64::from_be_bytes(bytes.try_into().expect("8-byte word"));
+    }
+    for i in 16..80 {
+        let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
+        let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..80 {
+        let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -207,6 +201,31 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha512(&data), "split at {split}");
+        }
+    }
+
+    /// Known answers (hashlib) at every length where the one-shot padding
+    /// changes shape: the last length whose padding fits the block (111),
+    /// the first that spills (112), and a full block either side.
+    #[test]
+    fn boundary_length_digests() {
+        let expected = [
+            (111, "3dfde1184fd99f233f98be4250f4edb9b535157909b668334370742204d97e04\
+                   7f1fd6a74bb5ba447f337286f421d9af957811f7ef62a458771457da126cb65e"),
+            (112, "acc96c509e6d01787330a4c6a241e2cda9dcc2529dbe4288dbbcc3812133233c\
+                   4698831127cf6ed0b333632b22715a5ce53a0a1002a684367b71c98aa6d1d900"),
+            (113, "4ede4e315b6ca9754af594de49c76f096a1ff4f52a1f26644c25fb45bce727e4\
+                   28ed971dbdde70738ba0b45eb58c2bc637083626b692e24c0a2396c2b354659c"),
+            (127, "a315910cb7812a8e66d87c0c49a42d93dbe97bf0240ee995792292c529256d93\
+                   f40199a59b3f6266343f302651fea1589e2040a2f3756126d3fe4f421a72079d"),
+            (128, "31f33a52b36dc2e70c83b604fa999a5cabf33bf70e4556fbed7bff10870c1b7b\
+                   241dd3f15d1ade24599f068fc58ab51e0028b0f0c98895c23358e8dee032ce06"),
+            (129, "748fec3280c9165199f8c260e87eea61cbbe1b23ef1567c220df65b37e3fcced\
+                   15fa7f63c9a381fde38ddd4eb2b09b67f77d03c5e0a639b487e8c48343590c97"),
+        ];
+        for (len, digest) in expected {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            assert_eq!(hex(&sha512(&data)), digest, "len {len}");
         }
     }
 

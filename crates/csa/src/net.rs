@@ -12,7 +12,7 @@ use ironsafe_crypto::aes::Aes128;
 use ironsafe_faults::{FaultPlan, FaultSite};
 use ironsafe_obs::{Counter, Registry};
 use ironsafe_crypto::hkdf;
-use ironsafe_crypto::hmac::hmac_sha256_concat;
+use ironsafe_crypto::hmac::HmacSha256;
 use ironsafe_crypto::modes::ctr_xor;
 use ironsafe_sql::value::{decode_value, encode_value};
 use ironsafe_sql::{Row, Schema};
@@ -30,8 +30,10 @@ pub struct Record {
 
 /// One direction of the secure channel.
 pub struct SecureChannel {
-    enc_key: [u8; 16],
-    mac_key: [u8; 32],
+    /// Record cipher, expanded once from the channel encryption key.
+    aes: Aes128,
+    /// HMAC-SHA256 pre-keyed with the channel MAC key; cloned per record.
+    mac: HmacSha256,
     next_seq: u64,
     expect_seq: u64,
     /// Total plaintext bytes carried.
@@ -47,8 +49,8 @@ impl SecureChannel {
     /// Derive channel keys from the monitor's session key.
     pub fn new(session_key: &[u8; 32]) -> Self {
         SecureChannel {
-            enc_key: hkdf::derive_key_128(session_key, b"channel-enc"),
-            mac_key: hkdf::derive_key_256(session_key, b"channel-mac"),
+            aes: Aes128::new(&hkdf::derive_key_128(session_key, b"channel-enc")),
+            mac: HmacSha256::new(&hkdf::derive_key_256(session_key, b"channel-mac")),
             next_seq: 0,
             expect_seq: 0,
             bytes_sent: 0,
@@ -85,14 +87,21 @@ impl SecureChannel {
         n
     }
 
+    /// HMAC over `seq ‖ payload`.
+    fn record_mac(&self, seq: u64, payload: &[u8]) -> [u8; 32] {
+        let mut mac = self.mac.clone();
+        mac.update(&seq.to_be_bytes());
+        mac.update(payload);
+        mac.finalize()
+    }
+
     /// Encrypt raw bytes into a record.
     pub fn seal(&mut self, plain: &[u8]) -> Record {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let aes = Aes128::new(&self.enc_key);
         let mut payload = plain.to_vec();
-        ctr_xor(&aes, &self.nonce(seq), &mut payload);
-        let mac = hmac_sha256_concat(&self.mac_key, &[&seq.to_be_bytes(), &payload]);
+        ctr_xor(&self.aes, &self.nonce(seq), &mut payload);
+        let mac = self.record_mac(seq, &payload);
         let wire_bytes = payload.len() as u64 + 8 + 32;
         self.bytes_sent += wire_bytes;
         self.messages += 1;
@@ -106,14 +115,13 @@ impl SecureChannel {
         if record.seq != self.expect_seq {
             return Err(CsaError::Channel("record out of order or replayed"));
         }
-        let expect = hmac_sha256_concat(&self.mac_key, &[&record.seq.to_be_bytes(), &record.payload]);
+        let expect = self.record_mac(record.seq, &record.payload);
         if !ironsafe_crypto::ct_eq(&expect, &record.mac) {
             return Err(CsaError::Channel("record MAC mismatch"));
         }
         self.expect_seq += 1;
-        let aes = Aes128::new(&self.enc_key);
         let mut plain = record.payload.clone();
-        ctr_xor(&aes, &self.nonce(record.seq), &mut plain);
+        ctr_xor(&self.aes, &self.nonce(record.seq), &mut plain);
         Ok(plain)
     }
 

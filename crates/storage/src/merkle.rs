@@ -27,7 +27,7 @@
 //! paths charging bit-identical [`PagerStats`](crate::pager::PagerStats)
 //! deltas.
 
-use ironsafe_crypto::hmac::{hmac_sha256_concat, HmacSha256};
+use ironsafe_crypto::hmac::HmacSha256;
 use std::collections::HashSet;
 
 /// A 32-byte node hash.
@@ -126,7 +126,8 @@ impl VerifiedNodeCache {
 /// Incremental Merkle tree.
 #[derive(Clone)]
 pub struct MerkleTree {
-    key: [u8; 32],
+    /// HMAC-SHA256 pre-keyed with the tree key; cloned per node hash.
+    mac: HmacSha256,
     arity: usize,
     /// `levels[0]` are the leaves; the last level has exactly one node.
     levels: Vec<Vec<NodeHash>>,
@@ -136,6 +137,19 @@ pub struct MerkleTree {
     /// validity.
     epoch: u64,
     cache: VerifiedNodeCache,
+    scratch: VerifyScratch,
+}
+
+/// Working vectors of the verify paths, kept on the tree so steady-state
+/// reads reuse their capacity instead of allocating per call.
+#[derive(Clone, Default)]
+struct VerifyScratch {
+    /// Distinct unauthenticated node indices at the level being climbed.
+    frontier: Vec<usize>,
+    /// Their parents, the next level's frontier.
+    next: Vec<usize>,
+    /// `(level, start, end)` of every sibling group hashed this call.
+    touched: Vec<(u32, usize, usize)>,
 }
 
 impl std::fmt::Debug for MerkleTree {
@@ -149,7 +163,7 @@ impl MerkleTree {
     pub fn new(key: [u8; 32], arity: usize) -> Self {
         assert!(arity >= 2, "Merkle arity must be at least 2");
         MerkleTree {
-            key,
+            mac: HmacSha256::new(&key),
             arity,
             levels: vec![Vec::new()],
             node_visits: 0,
@@ -159,6 +173,7 @@ impl MerkleTree {
                 capacity: DEFAULT_NODE_CACHE_CAPACITY,
                 ..VerifiedNodeCache::default()
             },
+            scratch: VerifyScratch::default(),
         }
     }
 
@@ -287,11 +302,19 @@ impl MerkleTree {
     }
 
     fn leaf_hash(&self, index: u64, page_mac: &[u8; 32]) -> NodeHash {
-        hmac_sha256_concat(&self.key, &[b"merkle-leaf", &index.to_be_bytes(), page_mac])
+        let mut h = self.mac.clone();
+        h.update(b"merkle-leaf");
+        h.update(&index.to_be_bytes());
+        h.update(page_mac);
+        h.finalize()
     }
 
-    fn node_hash(&self, level: usize, children: &[NodeHash]) -> NodeHash {
-        let mut h = HmacSha256::new(&self.key);
+    fn node_hash<'a>(
+        &self,
+        level: usize,
+        children: impl IntoIterator<Item = &'a NodeHash>,
+    ) -> NodeHash {
+        let mut h = self.mac.clone();
         h.update(b"merkle-node");
         h.update(&(level as u32).to_be_bytes());
         for c in children {
@@ -386,6 +409,20 @@ impl MerkleTree {
     /// `expected_root` bypasses the cache and pays the full climb, so a
     /// stale or forked root is always re-checked from scratch.
     pub fn verify(&mut self, index: u64, page_mac: &[u8; 32], expected_root: &NodeHash) -> bool {
+        let mut touched = std::mem::take(&mut self.scratch.touched);
+        touched.clear();
+        let ok = self.verify_climb(index, page_mac, expected_root, &mut touched);
+        self.scratch.touched = touched;
+        ok
+    }
+
+    fn verify_climb(
+        &mut self,
+        index: u64,
+        page_mac: &[u8; 32],
+        expected_root: &NodeHash,
+        touched: &mut Vec<(u32, usize, usize)>,
+    ) -> bool {
         let i = index as usize;
         if i >= self.levels[0].len() {
             return false;
@@ -404,15 +441,15 @@ impl MerkleTree {
             self.cache.stats.misses += 1;
         }
         let mut idx = i;
-        let mut touched: Vec<(u32, usize, usize)> = Vec::new();
         for level in 0..self.levels.len() - 1 {
             let cur = &self.levels[level];
             let parent = idx / self.arity;
             let start = parent * self.arity;
             let end = (start + self.arity).min(cur.len());
-            let mut children: Vec<NodeHash> = cur[start..end].to_vec();
-            children[idx - start] = hash;
-            hash = self.node_hash(level, &children);
+            // The sibling group as stored, with this path's child recomputed.
+            let at = idx - start;
+            let group = cur[start..end].iter().enumerate();
+            hash = self.node_hash(level, group.map(|(j, c)| if j == at { &hash } else { c }));
             self.node_visits += (end - start) as u64 + 1;
             touched.push((level as u32, start, end));
             idx = parent;
@@ -422,13 +459,13 @@ impl MerkleTree {
                 if self.levels[level + 1][parent] != hash {
                     return false;
                 }
-                self.cache_populate(&touched, expected_root, false);
+                self.cache_populate(touched, expected_root, false);
                 return true;
             }
         }
         let ok = ironsafe_crypto::ct_eq(&hash, expected_root);
         if ok && use_cache {
-            self.cache_populate(&touched, expected_root, true);
+            self.cache_populate(touched, expected_root, true);
         }
         ok
     }
@@ -455,6 +492,19 @@ impl MerkleTree {
         if indices.is_empty() {
             return true;
         }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let ok = self.verify_batch_climb(indices, macs, expected_root, &mut scratch);
+        self.scratch = scratch;
+        ok
+    }
+
+    fn verify_batch_climb(
+        &mut self,
+        indices: &[u64],
+        macs: &[[u8; 32]],
+        expected_root: &NodeHash,
+        scratch: &mut VerifyScratch,
+    ) -> bool {
         // Leaf pass: one visit per entry, duplicates included (each entry
         // models one page read and its MAC recomputation).
         for (&index, mac) in indices.iter().zip(macs) {
@@ -480,17 +530,19 @@ impl MerkleTree {
         }
         // Climb frontier: distinct leaves that are not already
         // authenticated against this root.
-        let mut frontier: Vec<usize> = indices.iter().map(|&i| i as usize).collect();
+        let VerifyScratch { frontier, next, touched } = scratch;
+        frontier.clear();
+        frontier.extend(indices.iter().map(|&i| i as usize));
         frontier.sort_unstable();
         frontier.dedup();
         if use_cache {
             frontier.retain(|&i| !self.cache.contains(0, i as u64));
         }
-        let mut touched: Vec<(u32, usize, usize)> = Vec::new();
+        touched.clear();
         let mut level = 0usize;
         while !frontier.is_empty() && level + 1 < self.levels.len() {
             let cur_len = self.levels[level].len();
-            let mut next: Vec<usize> = Vec::with_capacity(frontier.len());
+            next.clear();
             let mut k = 0;
             while k < frontier.len() {
                 let parent = frontier[k] / self.arity;
@@ -512,12 +564,12 @@ impl MerkleTree {
                     next.push(parent);
                 }
             }
-            frontier = next;
+            std::mem::swap(frontier, next);
             level += 1;
         }
         if !frontier.is_empty() {
             // Reached the top level: the (chained) stored root must match.
-            debug_assert_eq!(frontier, [0]);
+            debug_assert_eq!(*frontier, [0]);
             let top = self.levels[level][0];
             if !ironsafe_crypto::ct_eq(&top, expected_root) {
                 return false;
@@ -527,7 +579,7 @@ impl MerkleTree {
             // A non-empty frontier means the climb reached the top level
             // and the stored root was compared against `expected_root`.
             let reached_top = !frontier.is_empty();
-            self.cache_populate(&touched, expected_root, reached_top);
+            self.cache_populate(touched, expected_root, reached_top);
         }
         true
     }

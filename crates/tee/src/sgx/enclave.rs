@@ -8,7 +8,7 @@
 
 use crate::image::{Measurement, SoftwareImage};
 use crate::sgx::epc::EpcSimulator;
-use crate::sgx::seal::{self, SealedBlob};
+use crate::sgx::seal::{self, SealKey, SealedBlob};
 use crate::{Result, TeeError};
 use ironsafe_crypto::group::Group;
 use ironsafe_crypto::schnorr::KeyPair;
@@ -108,7 +108,10 @@ impl SgxPlatform {
             ecalls: AtomicU64::new(0),
             ocalls: AtomicU64::new(0),
             transitions: ironsafe_obs::Counter::new(),
-            seal_key: seal::derive_seal_key(&self.root_secret, image.measure().as_bytes()),
+            seal_key: SealKey::new(&seal::derive_seal_key(
+                &self.root_secret,
+                image.measure().as_bytes(),
+            )),
             destroyed: AtomicU64::new(0),
             fault_plan,
         }
@@ -125,7 +128,7 @@ pub struct Enclave {
     ecalls: AtomicU64,
     ocalls: AtomicU64,
     transitions: ironsafe_obs::Counter,
-    seal_key: [u8; 32],
+    seal_key: SealKey,
     destroyed: AtomicU64,
     fault_plan: FaultPlan,
 }
@@ -233,12 +236,12 @@ impl Enclave {
     /// Seal `data` so only an enclave with this measurement on this
     /// platform can recover it.
     pub fn seal(&self, data: &[u8], rng: &mut (impl rand::Rng + ?Sized)) -> SealedBlob {
-        seal::seal(&self.seal_key, data, rng)
+        self.seal_key.seal(data, rng)
     }
 
     /// Unseal a blob sealed by [`Enclave::seal`].
     pub fn unseal(&self, blob: &SealedBlob) -> Result<Vec<u8>> {
-        seal::unseal(&self.seal_key, blob)
+        self.seal_key.unseal(blob)
     }
 
     /// Tear down the enclave: wipes EPC residency and refuses further entry.

@@ -7,6 +7,7 @@
 //! database encryption key across reboots.
 
 use crate::image::Measurement;
+use crate::sgx::seal::{SealKey, SealedBlob};
 use crate::trustzone::boot::BootedSystem;
 use crate::trustzone::device::TrustZoneDevice;
 use crate::trustzone::rpmb::{RpmbClient, RPMB_BLOCK};
@@ -203,7 +204,7 @@ impl SecureStorageTa {
         db_key: &[u8; 16],
         rng: &mut (impl rand::Rng + ?Sized),
     ) -> Result<()> {
-        let blob = crate::sgx::seal::seal(&self.task, db_key, rng);
+        let blob = SealKey::new(&self.task).seal(db_key, rng);
         let mut block = [0u8; RPMB_BLOCK];
         block[..16].copy_from_slice(&blob.iv);
         block[16..32].copy_from_slice(&blob.ciphertext);
@@ -220,12 +221,12 @@ impl SecureStorageTa {
         let mut nonce = [0u8; 16];
         rng.fill_bytes(&mut nonce);
         let block = self.rpmb_client.read(&device.rpmb, SLOT_DB_KEY, &nonce)?;
-        let blob = crate::sgx::seal::SealedBlob {
+        let blob = SealedBlob {
             iv: block[..16].try_into().expect("16 bytes"),
             ciphertext: block[16..32].to_vec(),
             mac: block[32..64].try_into().expect("32 bytes"),
         };
-        let plain = crate::sgx::seal::unseal(&self.task, &blob)?;
+        let plain = SealKey::new(&self.task).unseal(&blob)?;
         plain.try_into().map_err(|_| TeeError::UnsealFailed)
     }
 }

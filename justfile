@@ -3,7 +3,7 @@
 # pass --offline.
 
 # Build, test, and lint everything (the pre-merge gate).
-check: serve-smoke par-smoke chaos-smoke fresh-smoke profile-smoke shard-smoke vec-smoke wal-smoke adaptive-smoke
+check: serve-smoke par-smoke chaos-smoke fresh-smoke profile-smoke shard-smoke vec-smoke wal-smoke adaptive-smoke crypto-smoke
     cargo build --release --offline
     cargo test -q --offline
     cargo clippy --offline -- -D warnings
@@ -79,6 +79,18 @@ wal-smoke:
     cargo test -q --offline -p ironsafe-csa --test mvcc_golden
     cargo test -q --offline -p ironsafe --test chaos crash_commit_storms
     cargo run --release --offline -p ironsafe-bench --bin paperbench saturation --check
+
+# Crypto-floor smoke: the cipher back-ends against the bytewise oracle
+# and the NIST vectors (unit + property tests), the pinned on-medium and
+# on-wire bytes, the allocation-free read path, the workspace's unsafe
+# budget, and the wall-clock benchmark's own tests (all four workloads
+# in --smoke size, against the crates as they are now).
+crypto-smoke:
+    cargo test -q --offline -p ironsafe-crypto
+    cargo test -q --offline --test medium_golden
+    cargo test -q --offline -p ironsafe-storage --test zero_alloc
+    cargo test -q --offline -p ironsafe --test unsafe_budget
+    cargo test -q --offline --manifest-path perf/Cargo.toml
 
 # Full chaos sweep through paperbench, with exported fault counters.
 chaos out="chaos-metrics":
