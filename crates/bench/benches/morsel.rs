@@ -1,14 +1,16 @@
 //! Morsel-path microbenches: page codec encrypt/decrypt, heap-page
-//! decode (fresh per-row `Vec`s vs the reused scratch row), batched vs
-//! single-page secure reads, and a Q1-style grouped-aggregation scan at
-//! DOP 1/2/4 through the public `select_with` entry point.
+//! decode (owned rows vs the scan kernel's reused column batch, full and
+//! pruned), batched vs single-page secure reads, and a Q1-style
+//! grouped-aggregation scan at DOP 1/2/4 through the public
+//! `select_with` entry point.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ironsafe_crypto::group::Group;
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::exec::ExecOptions;
-use ironsafe_sql::heap::{decode_page_rows, scan_page_rows, shared, HeapFile};
-use ironsafe_sql::{Database, Row, Value};
+use ironsafe_sql::batch::ColumnBatch;
+use ironsafe_sql::heap::{decode_page_rows, scan_page_columns, shared, HeapFile};
+use ironsafe_sql::{Database, Value};
 use ironsafe_storage::codec::{PageCodec, PAGE_PAYLOAD};
 use ironsafe_storage::pager::{Pager, PlainPager};
 use ironsafe_storage::SecurePager;
@@ -36,9 +38,9 @@ fn bench_page_codec(c: &mut Criterion) {
 }
 
 fn bench_heap_decode(c: &mut Criterion) {
-    // One full heap page of mixed-type rows, decoded two ways: the
-    // allocating row-vector API vs the scratch-row visitor the morsel
-    // workers use.
+    // One full heap page of mixed-type rows, decoded three ways: the
+    // allocating row-vector API vs the reused column batch the scan
+    // kernel uses, with every column and with only two of four.
     let pager = shared(PlainPager::new());
     let mut heap = HeapFile::new();
     heap.append_rows(
@@ -62,18 +64,19 @@ fn bench_heap_decode(c: &mut Criterion) {
     g.bench_function("decode_page_rows_alloc", |b| {
         b.iter(|| black_box(decode_page_rows(&page, 4).unwrap()))
     });
-    let mut scratch: Row = Vec::with_capacity(4);
-    g.bench_function("scan_page_rows_scratch", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            scan_page_rows(&page, 4, &mut scratch, |row| {
-                n += row.len();
-                Ok(())
+    let mut batch = ColumnBatch::new(4);
+    for (name, cols) in [
+        ("scan_page_columns_full", [true; 4]),
+        ("scan_page_columns_pruned", [true, true, false, false]),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                batch.clear();
+                scan_page_columns(&page, &cols, &mut batch).unwrap();
+                black_box(batch.len())
             })
-            .unwrap();
-            black_box(n)
-        })
-    });
+        });
+    }
     g.finish();
 }
 

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ironsafe_crypto::group::Group;
 use ironsafe_sql::batch::ColumnBatch;
-use ironsafe_sql::expr::{bind, eval_bound, filter_vec};
+use ironsafe_sql::expr::{bind, eval_bound, filter_vec, VecScratch};
 use ironsafe_sql::parser::parse_expression;
 use ironsafe_sql::schema::{Column, Schema};
 use ironsafe_sql::value::{DataType, RawValue, Value};
@@ -81,10 +81,11 @@ fn bench_predicates(c: &mut Criterion) {
                 black_box(kept)
             })
         });
+        let mut scratch = VecScratch::default();
         g.bench_function(format!("{name}/vector"), |b| {
             b.iter(|| {
                 let mut sel = vec![true; batch.len()];
-                filter_vec(&bound, &batch, &mut sel).unwrap();
+                filter_vec(&bound, &batch, &mut sel, &mut scratch).unwrap();
                 black_box(sel.iter().filter(|s| **s).count())
             })
         });

@@ -37,15 +37,15 @@
 //! baseline, exiting nonzero on drift (the federation regression gate).
 //! Defaults to SF 0.002 unless `--sf` is given.
 //!
-//! `vectors` (not part of `all`) sweeps vectorized (column-batch)
-//! execution against the scalar baseline and compress-before-encrypt
-//! pages against the raw store, Q1/Q6 on IronSafe: result digests and
-//! physical counters per mode, the per-query encrypted-byte/MAC
-//! dividend of compression, and measured scalar-vs-vector wall-clock
-//! speedup at DOP 1. `--json` writes the snapshot to `BENCH_8.json`;
+//! `vectors` (not part of `all`) sweeps the batch scan kernel over raw
+//! and compress-before-encrypt pages, Q1/Q6 on IronSafe, every cell at
+//! DOP 1 and DOP 4: result digests and physical counters per storage
+//! format (identical across DOPs), the per-query encrypted-byte/MAC
+//! dividend of compression, and measured raw-vs-compressed wall-clock
+//! latency at DOP 1. `--json` writes the snapshot to `BENCH_8.json`;
 //! `--check` regenerates the deterministic invariants block and
 //! compares it byte for byte against the committed baseline, exiting
-//! nonzero on drift (the vectorization regression gate). Defaults to
+//! nonzero on drift (the scan-kernel regression gate). Defaults to
 //! SF 0.002 unless `--sf` is given.
 //!
 //! `adaptive` (not part of `all`) sweeps the telemetry-driven offload
@@ -561,18 +561,17 @@ fn main() {
         let vsf = if sf_given { sf } else { VECTORS_SF };
         let ids = [1u8, 6];
         println!(
-            "== Vectorized execution x page compression: Q1/Q6 on scs (SF {vsf}) ==\n"
+            "== Batch scan kernel x page compression: Q1/Q6 on scs (SF {vsf}) ==\n"
         );
         let (cells, dividends) = vectors_sweep(vsf, &ids);
         println!(
-            "{:>5} {:>7} {:>6} {:>14} {:>8} {:>9} {:>8} {:>6} {:>18}",
-            "query", "mode", "pages", "total (sim)", "reads", "decrypts", "merkle", "rows", "result digest"
+            "{:>5} {:>6} {:>14} {:>8} {:>9} {:>8} {:>6} {:>18}",
+            "query", "pages", "total (sim)", "reads", "decrypts", "merkle", "rows", "result digest"
         );
         for c in &cells {
             println!(
-                "{:>5} {:>7} {:>6} {:>12.0}ns {:>8} {:>9} {:>8} {:>6} {:>18}",
+                "{:>5} {:>6} {:>12.0}ns {:>8} {:>9} {:>8} {:>6} {:>18}",
                 format!("#{}", c.query_id),
-                if c.vectorized { "vector" } else { "scalar" },
                 if c.compressed { "comp" } else { "raw" },
                 c.total_ns,
                 c.pages_read,
@@ -582,7 +581,7 @@ fn main() {
                 c.result_digest
             );
         }
-        println!("(digests identical across all four modes; scalar/vector twins share counters)\n");
+        println!("(digests identical across formats; every cell identical at DOP 1 and DOP 4)\n");
         println!(
             "{:>5} {:>16} {:>16} {:>12}   (compress-before-encrypt dividend)",
             "query", "enc bytes raw", "enc bytes comp", "MACs saved"
@@ -600,16 +599,16 @@ fn main() {
         let wsf = if sf_given { sf } else { VECTORS_WALL_SF };
         let wallclock = vectors_wallclock(wsf, &ids);
         println!(
-            "{:>5} {:>6} {:>11} {:>11} {:>9}   (wall-clock, hons DOP 1, SF {wsf})",
-            "query", "runs", "scalar", "vector", "speedup"
+            "{:>5} {:>6} {:>11} {:>11} {:>9}   (wall-clock, scs DOP 1, SF {wsf})",
+            "query", "runs", "raw", "compressed", "speedup"
         );
         for w in &wallclock {
             println!(
                 "{:>5} {:>6} {:>9.2}ms {:>9.2}ms {:>8.2}x",
                 format!("#{}", w.query_id),
                 w.runs,
-                w.scalar_ms,
-                w.vector_ms,
+                w.raw_ms,
+                w.compressed_ms,
                 w.speedup
             );
         }
@@ -644,7 +643,7 @@ fn main() {
                 "vectors snapshot failed JSON self-check"
             );
             std::fs::write("BENCH_8.json", &json).expect("write BENCH_8.json");
-            println!("vectors: wrote vectorization snapshot to BENCH_8.json");
+            println!("vectors: wrote scan-kernel snapshot to BENCH_8.json");
         }
         return;
     }

@@ -1,19 +1,19 @@
-//! The `paperbench vectors` harness: vectorized execution × page
+//! The `paperbench vectors` harness: the batch scan kernel × page
 //! compression sweep, exported as the `BENCH_8.json` snapshot.
 //!
 //! The snapshot has two sections. `"invariants"` holds only quantities
-//! the engine pins deterministically: one cell per (query, execution
-//! mode, storage format) with the simulated total, physical pager
-//! counters and a result digest — the digest is identical across all
-//! four mode combinations (vectorization and compression never change
-//! the answer), and the scalar/vector pairs share identical physical
-//! counters (vectorization never changes what is read). A `"reductions"`
-//! array derives the compress-before-encrypt dividend per query:
-//! encrypted bytes and MAC verifications saved on the scan path. It is
-//! byte-deterministic, so `--check` regenerates it and compares it byte
-//! for byte against the committed file (the vectorization regression
-//! gate). `"wallclock"` holds measured scalar-vs-vector speedups;
-//! wall-clock numbers vary run to run and are exempt from the gate.
+//! the engine pins deterministically: one cell per (query, storage
+//! format) with the simulated total, physical pager counters and a
+//! result digest — the digest is identical across storage formats
+//! (compression never changes the answer), and every cell is run at DOP
+//! 1 and DOP 4 and must agree on all of them (parallelism never changes
+//! what is read or charged). A `"reductions"` array derives the
+//! compress-before-encrypt dividend per query: encrypted bytes and MAC
+//! verifications saved on the scan path. It is byte-deterministic, so
+//! `--check` regenerates it and compares it byte for byte against the
+//! committed file (the scan-kernel regression gate). `"wallclock"` holds
+//! measured raw-vs-compressed latencies; wall-clock numbers vary run to
+//! run and are exempt from the gate.
 
 use crate::figures::SEED;
 use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
@@ -28,17 +28,14 @@ pub const VECTORS_SF: f64 = 0.002;
 /// execution time dominates fixed per-run overheads).
 pub const VECTORS_WALL_SF: f64 = 0.01;
 
-/// One (query, execution mode, storage format) cell of the sweep.
-#[derive(Debug, Clone)]
+/// One (query, storage format) cell of the sweep.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorCell {
     /// TPC-H query id.
     pub query_id: u8,
-    /// Vectorized (column-batch) operators, or the scalar baseline.
-    pub vectorized: bool,
     /// Compress-before-encrypt pages, or the raw page store.
     pub compressed: bool,
-    /// Simulated total (identical for scalar and vector on the same
-    /// storage format).
+    /// Simulated total (identical at any DOP).
     pub total_ns: f64,
     /// Physical page reads during the query.
     pub pages_read: u64,
@@ -66,18 +63,18 @@ pub struct CompressionDividend {
     pub mac_reduction_pct: f64,
 }
 
-/// Measured scalar-vs-vector serving time for one query at DOP 1.
+/// Measured raw-vs-compressed serving time for one query at DOP 1.
 #[derive(Debug, Clone)]
 pub struct VectorWallclock {
     /// TPC-H query id.
     pub query_id: u8,
-    /// Timed runs per mode.
+    /// Timed runs per storage format.
     pub runs: usize,
-    /// Best-of-runs scalar latency, milliseconds.
-    pub scalar_ms: f64,
-    /// Best-of-runs vectorized latency, milliseconds.
-    pub vector_ms: f64,
-    /// `scalar_ms / vector_ms`.
+    /// Best-of-runs latency over raw pages, milliseconds.
+    pub raw_ms: f64,
+    /// Best-of-runs latency over compressed pages, milliseconds.
+    pub compressed_ms: f64,
+    /// `raw_ms / compressed_ms`.
     pub speedup: f64,
 }
 
@@ -91,34 +88,30 @@ fn paper_query(id: u8) -> PaperQuery {
     ironsafe_tpch::queries::query(id).expect("known query")
 }
 
-/// Run the deterministic sweep on IronSafe (scs): every query id under
-/// {scalar, vector} × {raw, compressed}, asserting the parity contract
-/// as it goes, and derive the per-query compression dividend.
+/// Run the deterministic sweep on IronSafe (scs): every query id over
+/// {raw, compressed} pages at DOP 1 and DOP 4, asserting the parity
+/// contract as it goes, and derive the per-query compression dividend.
 pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDividend>) {
     let data = generate(sf, SEED);
-    let mut cells = Vec::new();
-    let mut payload = 0usize;
-    for compressed in [false, true] {
-        for vectorized in [false, true] {
-            let mut sys = CsaSystem::build_with_compression(
-                SystemConfig::IronSafe,
-                &data,
-                CostParams::default(),
-                compressed,
-            )
-            .expect("system builds");
-            sys.set_vectorized(vectorized);
-            payload = ironsafe_storage::PAGE_PAYLOAD;
-            for &id in ids {
-                let q = paper_query(id);
+    let payload = ironsafe_storage::PAGE_PAYLOAD as u64;
+    let run = |compressed: bool, dop: usize| -> Vec<VectorCell> {
+        let mut sys = CsaSystem::build_with_compression(
+            SystemConfig::IronSafe,
+            &data,
+            CostParams::default(),
+            compressed,
+        )
+        .expect("system builds");
+        sys.set_dop(dop);
+        ids.iter()
+            .map(|&id| {
                 let before = sys.storage_db().pager_stats();
-                let report = sys.run_query(&q).unwrap_or_else(|e| {
-                    panic!("Q{id} vectorized={vectorized} compressed={compressed}: {e}")
-                });
+                let report = sys
+                    .run_query(&paper_query(id))
+                    .unwrap_or_else(|e| panic!("Q{id} dop={dop} compressed={compressed}: {e}"));
                 let after = sys.storage_db().pager_stats();
-                cells.push(VectorCell {
+                VectorCell {
                     query_id: id,
-                    vectorized,
                     compressed,
                     total_ns: report.breakdown.total_ns(),
                     pages_read: after.page_reads - before.page_reads,
@@ -126,83 +119,70 @@ pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDi
                     merkle_nodes: after.merkle_nodes - before.merkle_nodes,
                     rows: report.result.rows().len() as u64,
                     result_digest: digest(&report.result),
-                });
-            }
-        }
+                }
+            })
+            .collect()
+    };
+    // The contract, enforced inside the harness: DOP twins agree on
+    // every field; one digest per query across storage formats.
+    let mut cells = Vec::new();
+    for compressed in [false, true] {
+        let serial = run(compressed, 1);
+        assert_eq!(run(compressed, 4), serial, "compressed={compressed}: DOP 4 drifted from DOP 1");
+        cells.extend(serial);
     }
-
-    // The contract, enforced inside the harness: one digest per query
-    // across all four combinations; scalar and vector twins share the
-    // same physical counters and simulated total.
     let mut dividends = Vec::new();
     for &id in ids {
-        let of = |vectorized: bool, compressed: bool| {
-            cells
-                .iter()
-                .find(|c| c.query_id == id && c.vectorized == vectorized && c.compressed == compressed)
-                .expect("cell")
+        let of = |compressed: bool| {
+            cells.iter().find(|c| c.query_id == id && c.compressed == compressed).expect("cell")
         };
-        let (sr, vr, sc, vc) = (of(false, false), of(true, false), of(false, true), of(true, true));
-        for c in [vr, sc, vc] {
-            assert_eq!(c.result_digest, sr.result_digest, "Q{id}: result drifted across modes");
-        }
-        for (scalar, vector) in [(sr, vr), (sc, vc)] {
-            assert_eq!(vector.total_ns, scalar.total_ns, "Q{id}: vectorization changed sim cost");
-            assert_eq!(vector.pages_read, scalar.pages_read, "Q{id}: vectorization changed reads");
-            assert_eq!(vector.decrypts, scalar.decrypts, "Q{id}: vectorization changed decrypts");
-        }
-        let reduction = 100.0 * (1.0 - sc.decrypts as f64 / sr.decrypts.max(1) as f64);
+        let (raw, comp) = (of(false), of(true));
+        assert_eq!(comp.result_digest, raw.result_digest, "Q{id}: result drifted across formats");
+        let reduction = 100.0 * (1.0 - comp.decrypts as f64 / raw.decrypts.max(1) as f64);
         assert!(
             reduction >= 30.0,
             "Q{id}: compression saved only {reduction:.1}% of MACs (need >= 30%)"
         );
         dividends.push(CompressionDividend {
             query_id: id,
-            encrypted_bytes_raw: sr.decrypts * payload as u64,
-            encrypted_bytes_compressed: sc.decrypts * payload as u64,
+            encrypted_bytes_raw: raw.decrypts * payload,
+            encrypted_bytes_compressed: comp.decrypts * payload,
             mac_reduction_pct: reduction,
         });
     }
     (cells, dividends)
 }
 
-/// Time scalar vs vectorized serving at DOP 1 on the non-secure
-/// host-only configuration (raw pages, no crypto), so the measured
-/// ratio isolates the execution engine. Best-of-`runs` latencies.
+/// Time serving over raw vs compressed pages at DOP 1 on IronSafe (scs),
+/// where every page read pays decrypt + MAC + Merkle — the wall-clock
+/// side of the compress-before-encrypt dividend. Best-of-`runs`
+/// latencies.
 pub fn vectors_wallclock(sf: f64, ids: &[u8]) -> Vec<VectorWallclock> {
     let data = generate(sf, SEED);
     let runs = 5usize;
-    let mut out = Vec::new();
-    let mut scalar_sys =
-        CsaSystem::build(SystemConfig::HostOnlyNonSecure, &data, CostParams::default())
-            .expect("system builds");
-    let mut vector_sys =
-        CsaSystem::build(SystemConfig::HostOnlyNonSecure, &data, CostParams::default())
-            .expect("system builds");
-    vector_sys.set_vectorized(true);
-    for &id in ids {
-        let q = paper_query(id);
-        let time_best = |sys: &mut CsaSystem| {
-            sys.run_query(&q).expect("warmup run");
-            let mut best = f64::INFINITY;
-            for _ in 0..runs {
-                let t = Instant::now();
-                sys.run_query(&q).expect("timed run");
-                best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            }
-            best
-        };
-        let scalar_ms = time_best(&mut scalar_sys);
-        let vector_ms = time_best(&mut vector_sys);
-        out.push(VectorWallclock {
-            query_id: id,
-            runs,
-            scalar_ms,
-            vector_ms,
-            speedup: scalar_ms / vector_ms,
-        });
-    }
-    out
+    let mut systems = [false, true].map(|compressed| {
+        CsaSystem::build_with_compression(
+            SystemConfig::IronSafe,
+            &data,
+            CostParams::default(),
+            compressed,
+        )
+        .expect("system builds")
+    });
+    ids.iter()
+        .map(|&id| {
+            let q = paper_query(id);
+            let [raw_ms, compressed_ms] = systems.each_mut().map(|sys| {
+                sys.run_query(&q).expect("warmup run");
+                (0..runs).fold(f64::INFINITY, |best, _| {
+                    let t = Instant::now();
+                    sys.run_query(&q).expect("timed run");
+                    best.min(t.elapsed().as_secs_f64() * 1e3)
+                })
+            });
+            VectorWallclock { query_id: id, runs, raw_ms, compressed_ms, speedup: raw_ms / compressed_ms }
+        })
+        .collect()
 }
 
 /// The byte-deterministic `"invariants"` JSON block (also embedded
@@ -216,10 +196,9 @@ pub fn vectors_invariants_json(
     s.push_str(&format!("    \"sf\": {sf},\n    \"seed\": {SEED},\n    \"cells\": [\n"));
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
-            "      {{\"query_id\":{},\"vectorized\":{},\"compressed\":{},\"total_ns\":{},\
+            "      {{\"query_id\":{},\"compressed\":{},\"total_ns\":{},\
              \"pages_read\":{},\"decrypts\":{},\"merkle_nodes\":{},\"rows\":{},\"result_digest\":\"{}\"}}{}\n",
             c.query_id,
-            c.vectorized,
             c.compressed,
             c.total_ns,
             c.pages_read,
@@ -259,11 +238,11 @@ pub fn vectors_json(
     s.push_str(",\n  \"wallclock\": [\n");
     for (i, w) in wallclock.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"query_id\":{},\"runs\":{},\"scalar_ms\":{:.3},\"vector_ms\":{:.3},\"speedup\":{:.2}}}{}\n",
+            "    {{\"query_id\":{},\"runs\":{},\"raw_ms\":{:.3},\"compressed_ms\":{:.3},\"speedup\":{:.2}}}{}\n",
             w.query_id,
             w.runs,
-            w.scalar_ms,
-            w.vector_ms,
+            w.raw_ms,
+            w.compressed_ms,
             w.speedup,
             if i + 1 == wallclock.len() { "" } else { "," }
         ));
@@ -287,8 +266,8 @@ mod tests {
         let wall = vec![VectorWallclock {
             query_id: 6,
             runs: 1,
-            scalar_ms: 2.0,
-            vector_ms: 1.0,
+            raw_ms: 2.0,
+            compressed_ms: 1.0,
             speedup: 2.0,
         }];
         let full = vectors_json(VECTORS_SF, &cells_a, &div_a, &wall);

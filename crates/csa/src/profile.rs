@@ -435,7 +435,7 @@ mod tests {
                     },
                     OperatorProfile {
                         depth: 1,
-                        describe: "SeqScan lineitem".into(),
+                        describe: "Values (16 columns)".into(),
                         rows_in: 0,
                         rows_out: 100,
                         leaf: true,
@@ -460,7 +460,7 @@ mod tests {
         let text = sample().render();
         assert!(text.contains("Q6 profile — config=scs dop=1"));
         assert!(text.contains("Filter: x > 1 (rows in=100 out=12) [sel=0.1200]"));
-        assert!(text.contains("SeqScan lineitem (rows out=100)"));
+        assert!(text.contains("Values (16 columns) (rows out=100)"));
         assert!(text.contains("macs_verified=9"));
         assert!(text.contains("storage/device_io"));
         assert!(
@@ -483,7 +483,7 @@ mod tests {
         assert!(ironsafe_obs::export::looks_like_valid_json(&a), "{a}");
         assert!(a.contains("\"query_id\":6"));
         assert!(a.contains("\"macs_verified\":9"));
-        assert!(a.contains("\"describe\":\"SeqScan lineitem\""));
+        assert!(a.contains("\"describe\":\"Values (16 columns)\""));
         assert!(a.contains("\"placement\":\"storage-offload\""), "{a}");
         assert!(a.contains("\"pushdown_filter\":\"x > 1\""));
         assert!(a.contains("\"estimated_selectivity\":0.100000"));

@@ -537,20 +537,11 @@ impl CsaSystem {
 
     /// Set the degree of parallelism for read-only query execution.
     ///
-    /// DOP > 1 runs scans and single-table aggregations on the morsel
-    /// worker pool; results, breakdowns and stats deltas stay
-    /// bit-identical to DOP 1 (parallelism buys wall-clock only).
+    /// DOP > 1 runs the scan kernel on the morsel worker pool; results,
+    /// breakdowns and stats deltas stay bit-identical to DOP 1
+    /// (parallelism buys wall-clock only).
     pub fn set_dop(&mut self, dop: usize) {
         self.exec.dop = ironsafe_sql::exec::Dop::new(dop);
-    }
-
-    /// Switch vectorized (column-batch) execution on or off for
-    /// read-only query fragments.
-    ///
-    /// Like DOP, vectorization buys wall-clock only: rows, breakdowns
-    /// and pager-stats deltas stay bit-identical to scalar execution.
-    pub fn set_vectorized(&mut self, on: bool) {
-        self.exec.vectorized = on;
     }
 
     /// Current morsel-execution options.
@@ -750,7 +741,7 @@ impl CsaSystem {
                 match &stage.into {
                     Some(name) => {
                         self.storage_db.create_table(name, r.schema())?;
-                        self.storage_db.insert_rows(name, r.rows().to_vec())?;
+                        self.storage_db.insert_rows(name, r.into_rows())?;
                         temps.push(name.clone());
                     }
                     None => result = Some(r),
@@ -871,7 +862,7 @@ impl CsaSystem {
                 match &stage.into {
                     Some(name) => {
                         self.storage_db.create_table(name, r.schema())?;
-                        self.storage_db.insert_rows(name, r.rows().to_vec())?;
+                        self.storage_db.insert_rows(name, r.into_rows())?;
                         temps.push(name.clone());
                     }
                     None => result = Some(r),
@@ -1067,8 +1058,7 @@ impl CsaSystem {
                             .selectivity
                     });
                     // Watch per-morsel row counts when this fragment may
-                    // re-plan mid-flight (forces the morsel driver, which
-                    // stays bit-identical to serial execution).
+                    // re-plan mid-flight (telemetry only).
                     let watch = (adaptive_live
                         && self.replan.is_some()
                         && *mode == OffloadDecision::Offload
@@ -1082,7 +1072,7 @@ impl CsaSystem {
                         self.storage_db.select_with_profile(stmt, &frag_exec)?;
                     let pushdown_sql = stmt.where_clause.as_ref().map(expr_to_sql);
                     let schema = frag_result.schema();
-                    let rows = frag_result.rows().to_vec();
+                    let rows = frag_result.into_rows();
                     let frag_rows = rows.len();
                     rows_shipped += frag_rows as u64;
                     fragments += 1;
@@ -1272,7 +1262,7 @@ impl CsaSystem {
                 match &stage.into {
                     Some(name) => {
                         host_db.create_table(name, r.schema())?;
-                        host_db.insert_rows(name, r.rows().to_vec())?;
+                        host_db.insert_rows(name, r.into_rows())?;
                     }
                     None => result = Some(r),
                 }

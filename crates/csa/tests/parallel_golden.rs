@@ -62,18 +62,22 @@ fn dop4_matches_dop1_for_all_configs() {
 }
 
 #[test]
-fn morsel_counters_tick_only_under_parallel_runs() {
+fn morsel_counters_tick_at_every_dop() {
+    // One scan kernel at every DOP: the `exec.morsel.*` counters describe
+    // the same work whether one thread or a pool did it.
     let data = ironsafe_tpch::generate(0.002, 42);
     let q = query(6).unwrap();
-
-    let mut sys = CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).unwrap();
-    sys.run_query(&q).unwrap();
-    assert_eq!(sys.exec_options().metrics.rows.get(), 0, "serial runs bypass the morsel pool");
-
-    sys.set_dop(4);
-    sys.run_query(&q).unwrap();
-    let m = &sys.exec_options().metrics;
-    assert!(m.scans.get() > 0, "parallel run dispatched no scans");
-    assert!(m.morsels.get() > 0, "parallel run claimed no morsels");
-    assert!(m.rows.get() > 0, "parallel run decoded no rows");
+    let mut counts = Vec::new();
+    for dop in [1, 4] {
+        let mut sys =
+            CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).unwrap();
+        sys.set_dop(dop);
+        sys.run_query(&q).unwrap();
+        let m = &sys.exec_options().metrics;
+        assert!(m.scans.get() > 0, "dop {dop} started no scans");
+        assert!(m.morsels.get() > 0, "dop {dop} read no morsels");
+        assert!(m.rows.get() > 0, "dop {dop} decoded no rows");
+        counts.push((m.scans.get(), m.morsels.get(), m.rows.get()));
+    }
+    assert_eq!(counts[0], counts[1], "morsel counters are DOP-invariant");
 }

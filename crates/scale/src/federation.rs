@@ -352,7 +352,6 @@ impl FederatedCsaSystem {
         let shards = self.config.shards;
         let mut exec = ExecOptions::serial();
         exec.dop = Dop::new(dop);
-        exec.vectorized = self.config.vectorized;
 
         let trace = Trace::new();
         let facts = {
@@ -637,7 +636,7 @@ impl FederatedCsaSystem {
             match &stage.into {
                 Some(name) => {
                     host_db.create_table(name, stage_out.schema())?;
-                    host_db.insert_rows(name, stage_out.rows().to_vec())?;
+                    host_db.insert_rows(name, stage_out.into_rows())?;
                 }
                 None => result = Some(stage_out),
             }
@@ -738,21 +737,12 @@ impl FederatedCsaSystem {
             node.with_db(|db| db.select_with(frag_stmt, exec)).map_err(|e| e.to_string())?;
         let schema = result.schema();
         match agg {
-            None => Ok(result.rows().to_vec()),
+            None => Ok(result.into_rows()),
             Some(plan) => {
                 let rows = result.rows();
                 let mut out = Vec::with_capacity(rows.len());
-                // Both halves produce identical tuples (the sql crate's
-                // `batch_partial_matches_row_partial` pins that); the
-                // batch half evaluates each expression once per fragment
-                // instead of re-binding per row.
-                let partials: Vec<Option<Row>> = if exec.vectorized {
-                    plan.eval_partial_batch(&schema, rows).map_err(|e| e.to_string())?
-                } else {
-                    rows.iter()
-                        .map(|row| plan.eval_partial(&schema, row).map_err(|e| e.to_string()))
-                        .collect::<std::result::Result<_, _>>()?
-                };
+                let partials =
+                    plan.eval_partial_batch(&schema, rows).map_err(|e| e.to_string())?;
                 for (row, partial) in rows.iter().zip(partials) {
                     let gid = row
                         .last()

@@ -1,10 +1,10 @@
-//! Golden parity for the vectorized execution path and the
-//! compress-before-encrypt page store.
+//! Golden parity for the batch scan kernel across DOP × compression,
+//! and for the compress-before-encrypt page store.
 //!
-//! Vectorization is a pure execution change, so it must preserve
-//! *everything* the scalar baseline produces: rows, cost breakdowns,
-//! shipped rows/bytes and summed per-shard pager deltas, at any DOP and
-//! any shard count. Compression is a physical-layout change, so it must
+//! Parallelism is a pure execution change, so a DOP-4 run must preserve
+//! *everything* its DOP-1 twin produces: rows, cost breakdowns, shipped
+//! rows/bytes and summed per-shard pager deltas, at any shard count.
+//! Compression is a physical-layout change, so it must
 //! preserve the *answer* (rows bit-identical at any DOP and shard
 //! count) while honestly shrinking the physical counters: strictly
 //! fewer page reads everywhere, strictly fewer decrypts/MAC checks on
@@ -41,13 +41,13 @@ fn summed(report: &FederatedReport) -> (u64, u64, u64, u64) {
     })
 }
 
-/// Run `queries()` × DOP {1, 4} on one federation in a fixed order so
+/// Run `queries()` × `dops` on one federation in a fixed order so
 /// cross-query node state (Merkle caches) evolves identically on every
 /// federation being compared.
-fn run_suite(fed: &FederatedCsaSystem) -> Vec<FederatedReport> {
+fn run_suite(fed: &FederatedCsaSystem, dops: [usize; 2]) -> Vec<FederatedReport> {
     let mut out = Vec::new();
     for q in &queries() {
-        for dop in [1usize, 4] {
+        for dop in dops {
             let (report, _) = fed.run_query_federated(q, KEY, dop).unwrap();
             out.push(report);
         }
@@ -59,16 +59,18 @@ fn check_config(config: SystemConfig) {
     let data = ironsafe_tpch::generate(SF, SEED);
     let base = {
         let fed = FederatedCsaSystem::build(FederationConfig::new(1, config), &data).unwrap();
-        run_suite(&fed)
+        run_suite(&fed, [1, 4])
     };
 
-    // Axis 1 — vectorized, raw pages: bit-identical to scalar on every
-    // observable, at 1 and 2 shards.
+    // Axis 1 — DOP, raw pages: the same suite with the DOPs swapped puts
+    // a DOP-4 run where the baseline ran DOP 1 (same node state, other
+    // DOP) and vice versa; every observable is bit-identical, at 1 and 2
+    // shards.
     for shards in [1usize, 2] {
-        let cfg = FederationConfig::new(shards, config).with_vectorized(true);
+        let cfg = FederationConfig::new(shards, config);
         let fed = FederatedCsaSystem::build(cfg, &data).unwrap();
-        for (run, b) in run_suite(&fed).iter().zip(&base) {
-            let label = format!("{config:?} q{} vec shards={shards}", run.query_id);
+        for (run, b) in run_suite(&fed, [4, 1]).iter().zip(&base) {
+            let label = format!("{config:?} q{} dop-swapped shards={shards}", run.query_id);
             assert_eq!(run.result, b.result, "{label}: rows diverged");
             assert_eq!(run.breakdown, b.breakdown, "{label}: breakdown diverged");
             assert_eq!(run.rows_shipped, b.rows_shipped, "{label}: rows_shipped diverged");
@@ -77,15 +79,15 @@ fn check_config(config: SystemConfig) {
         }
     }
 
-    // Axis 2 — vectorized + compressed pages: the answer is untouched,
-    // the physical counters shrink honestly and are DOP-independent.
+    // Axis 2 — compressed pages: the answer is untouched, the physical
+    // counters shrink honestly and are DOP-independent.
     let mut comp_at_1 = Vec::new();
     for shards in [1usize, 2] {
-        let cfg = FederationConfig::new(shards, config).with_vectorized(true).with_compressed(true);
+        let cfg = FederationConfig::new(shards, config).with_compressed(true);
         let fed = FederatedCsaSystem::build(cfg, &data).unwrap();
-        let runs = run_suite(&fed);
+        let runs = run_suite(&fed, [1, 4]);
         for (run, b) in runs.iter().zip(&base) {
-            let label = format!("{config:?} q{} vec+comp shards={shards}", run.query_id);
+            let label = format!("{config:?} q{} comp shards={shards}", run.query_id);
             assert_eq!(run.result, b.result, "{label}: rows diverged");
             assert_eq!(run.rows_shipped, b.rows_shipped, "{label}: rows_shipped diverged");
             let (reads, _, decrypts, _) = summed(run);
@@ -121,7 +123,7 @@ fn check_config(config: SystemConfig) {
             for (run, one) in runs.iter().zip(&comp_at_1) {
                 let (reads, writes, ..) = summed(run);
                 let (o_reads, o_writes, ..) = summed(one);
-                let label = format!("{config:?} q{} vec+comp", run.query_id);
+                let label = format!("{config:?} q{} comp", run.query_id);
                 assert!(
                     (reads as f64 - o_reads as f64).abs() <= o_reads as f64 * 0.15 + 4.0,
                     "{label}: 2-shard reads {reads} far from 1-shard {o_reads}"

@@ -1,18 +1,21 @@
-//! Column-major batches for vectorized execution.
+//! Column-major batches: the scan kernel's working set.
 //!
 //! A [`ColumnBatch`] holds one morsel's rows decoded **once** from heap
 //! pages into typed column vectors: integers and floats land in flat
-//! `Vec`s, text lands in a shared byte arena with per-cell offsets —
-//! no `String` or `Value` allocation per cell. The vectorized operators
-//! (`crate::exec::morsel`) evaluate predicates and aggregate inputs
-//! column-at-a-time over these vectors (see `crate::expr::filter_vec` /
-//! `crate::expr::eval_vec`), short-circuiting on a selection bitmap.
+//! `Vec`s, text lands in a shared arena with per-cell offsets — no
+//! `String` or `Value` allocation per cell. The scan kernel
+//! (`crate::exec::scan`) decodes only the columns a statement references
+//! (every other column stays empty and must not be read), evaluates
+//! predicates and expressions column-at-a-time over these vectors (see
+//! `crate::expr::filter_vec` / `crate::expr::eval_vec`) under a
+//! selection bitmap, and [`ColumnBatch::clear`]s the batch for the next
+//! morsel, keeping its allocations.
 //!
 //! The batch is a *view*, not a format: pages are decoded through the
-//! same record codec as the row scanners (`crate::heap::for_each_record`),
+//! same record codec as the row decode (`crate::heap::for_each_record`),
 //! and [`ColumnBatch::value_at`] reconstructs each cell bit-identically
-//! to the row decode — which is what lets the vectorized pipeline feed
-//! the exact scalar `GroupAcc` replay.
+//! to it — which is what lets the kernel feed the exact serial
+//! `GroupAcc` replay.
 
 use crate::schema::Row;
 use crate::value::{RawValue, Value};
@@ -102,11 +105,12 @@ pub enum ColumnData {
         /// NULL mask.
         nulls: Vec<bool>,
     },
-    /// Text column: one shared byte arena, cell `i` spans
+    /// Text column: one shared arena, cell `i` spans
     /// `bytes[offsets[i]..offsets[i+1]]`.
     Text {
-        /// UTF-8 arena.
-        bytes: Vec<u8>,
+        /// UTF-8 arena (a `String`, so slicing a cell re-checks two
+        /// char boundaries instead of re-validating its bytes).
+        bytes: String,
         /// Cell boundaries; `offsets.len() == len + 1`.
         offsets: Vec<u32>,
         /// NULL mask.
@@ -134,7 +138,10 @@ impl ColumnData {
     /// View cell `i` in place.
     pub fn lane(&self, i: usize) -> LaneVal<'_> {
         match self {
-            ColumnData::Pending { .. } => LaneVal::Null,
+            ColumnData::Pending { len } => {
+                debug_assert!(i < *len, "read of a column the scan did not decode");
+                LaneVal::Null
+            }
             ColumnData::Int { data, nulls } => {
                 if nulls[i] {
                     LaneVal::Null
@@ -153,8 +160,7 @@ impl ColumnData {
                 if nulls[i] {
                     LaneVal::Null
                 } else {
-                    let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
-                    LaneVal::Str(std::str::from_utf8(s).expect("arena holds validated UTF-8"))
+                    LaneVal::Str(&bytes[offsets[i] as usize..offsets[i + 1] as usize])
                 }
             }
             ColumnData::Mixed(v) => LaneVal::of(&v[i]),
@@ -165,6 +171,27 @@ impl ColumnData {
     fn degrade(&mut self) {
         let values: Vec<Value> = (0..self.len()).map(|i| self.lane(i).to_value()).collect();
         *self = ColumnData::Mixed(values);
+    }
+
+    /// Drop every cell, keeping the typed vectors' allocations.
+    fn clear(&mut self) {
+        match self {
+            ColumnData::Pending { len } => *len = 0,
+            ColumnData::Int { data, nulls } => {
+                data.clear();
+                nulls.clear();
+            }
+            ColumnData::Float { data, nulls } => {
+                data.clear();
+                nulls.clear();
+            }
+            ColumnData::Text { bytes, offsets, nulls } => {
+                bytes.clear();
+                offsets.truncate(1);
+                nulls.clear();
+            }
+            ColumnData::Mixed(_) => *self = ColumnData::new(),
+        }
     }
 
     fn push(&mut self, raw: RawValue<'_>) {
@@ -189,7 +216,7 @@ impl ColumnData {
                     }
                     RawValue::Text(s) => {
                         let mut offsets = vec![0u32; n + 1];
-                        let bytes = s.as_bytes().to_vec();
+                        let bytes = s.to_string();
                         offsets.push(bytes.len() as u32);
                         let mut nulls = vec![true; n];
                         nulls.push(false);
@@ -215,7 +242,7 @@ impl ColumnData {
                 nulls.push(true);
             }
             (ColumnData::Text { bytes, offsets, nulls }, RawValue::Text(s)) => {
-                bytes.extend_from_slice(s.as_bytes());
+                bytes.push_str(s);
                 offsets.push(bytes.len() as u32);
                 nulls.push(false);
             }
@@ -224,9 +251,14 @@ impl ColumnData {
                 nulls.push(true);
             }
             (ColumnData::Mixed(values), raw) => values.push(raw.to_value()),
-            // Type switch mid-column: degrade and retry as Mixed.
+            // Type switch: an emptied column (reused across morsels)
+            // re-types; mid-column it degrades and retries as Mixed.
             (col, raw) => {
-                col.degrade();
+                if col.len() == 0 {
+                    *col = ColumnData::new();
+                } else {
+                    col.degrade();
+                }
                 self.push(raw);
             }
         }
@@ -235,8 +267,10 @@ impl ColumnData {
 
 /// A morsel's rows, column-major. Built by
 /// [`crate::heap::scan_page_columns`]; pages append in order, so lane
-/// order *is* serial row order.
-#[derive(Debug, Clone)]
+/// order *is* serial row order. Columns outside the scan's column set
+/// are never pushed to: they stay empty, and reading one is a bug
+/// (caught by a debug assertion).
+#[derive(Debug, Clone, Default)]
 pub struct ColumnBatch {
     columns: Vec<ColumnData>,
     len: usize,
@@ -282,8 +316,15 @@ impl ColumnBatch {
     /// Seal the row currently being built.
     pub fn finish_row(&mut self) -> crate::Result<()> {
         self.len += 1;
-        debug_assert!(self.columns.iter().all(|c| c.len() == self.len));
+        debug_assert!(self.columns.iter().all(|c| c.len() == self.len || c.len() == 0));
         Ok(())
+    }
+
+    /// Drop every row, keeping the column vectors' allocations for the
+    /// next morsel.
+    pub fn clear(&mut self) {
+        self.columns.iter_mut().for_each(ColumnData::clear);
+        self.len = 0;
     }
 
     /// View cell (`col`, `lane`) in place.
@@ -297,17 +338,15 @@ impl ColumnBatch {
     }
 
     /// Materialize lane `lane` into `row` (cleared first) — the bridge
-    /// back to row-at-a-time fallback evaluation.
+    /// back to row-at-a-time fallback evaluation. Columns the scan did
+    /// not decode read as NULL; nothing bound against the scan's column
+    /// set looks at them.
     pub fn read_row(&self, lane: usize, row: &mut Row) {
         row.clear();
-        for col in 0..self.columns.len() {
-            row.push(self.value_at(col, lane));
-        }
-    }
-
-    /// Owned row for lane `lane`.
-    pub fn owned_row(&self, lane: usize) -> Row {
-        (0..self.columns.len()).map(|c| self.value_at(c, lane)).collect()
+        row.extend(self.columns.iter().map(|c| match c {
+            ColumnData::Pending { .. } => Value::Null,
+            c => c.lane(lane).to_value(),
+        }));
     }
 }
 
@@ -346,7 +385,8 @@ mod tests {
         }
         assert_eq!(batch.len(), 3);
         for (i, r) in rows.iter().enumerate() {
-            let got = batch.owned_row(i);
+            let mut got = Row::new();
+            batch.read_row(i, &mut got);
             // Value's PartialEq is group-eq (NULL == NULL there, NaN != NaN),
             // so compare the encodings bit for bit instead.
             let mut a = Vec::new();

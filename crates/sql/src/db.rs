@@ -38,6 +38,15 @@ impl QueryResult {
         }
     }
 
+    /// Consume the result into its rows (empty for non-SELECT results)
+    /// without copying them.
+    pub fn into_rows(self) -> Vec<Row> {
+        match self {
+            QueryResult::Rows { rows, .. } => rows,
+            _ => Vec::new(),
+        }
+    }
+
     /// The output schema (empty for non-SELECT results).
     pub fn schema(&self) -> Schema {
         match self {
@@ -588,7 +597,9 @@ mod tests {
             "SELECT grp, COUNT(*), SUM(v * 0.9), AVG(v) FROM big WHERE k < 700 GROUP BY grp ORDER BY grp",
             "SELECT label, SUM(v) AS s FROM big, names WHERE grp = g GROUP BY label ORDER BY s DESC",
             "SELECT k FROM big WHERE k % 100 = 3 ORDER BY v DESC, k",
-            "SELECT k FROM big ORDER BY k LIMIT 10", // LIMIT plans stay serial
+            "SELECT k FROM big ORDER BY k LIMIT 10",
+            "SELECT k, grp FROM big WHERE k % 2 = 1 LIMIT 10",
+            "SELECT * FROM big, names WHERE grp = g LIMIT 7",
         ];
         let opts = ExecOptions { oversubscribe: true, ..ExecOptions::with_dop(4) };
         for q in queries {
@@ -605,6 +616,41 @@ mod tests {
             let parallel_stats = db.pager_stats();
             assert_eq!(parallel, serial, "rows diverged for {q}");
             assert_eq!(parallel_stats, serial_stats, "stats diverged for {q}");
+        }
+    }
+
+    #[test]
+    fn streaming_limit_reads_only_the_pages_it_needs_at_any_dop() {
+        // 600 rows of ~120 bytes: 34 rows a page, 18 pages.
+        let mut db = db();
+        db.execute("CREATE TABLE wide (k INT, pad TEXT)").unwrap();
+        let values: Vec<String> =
+            (0..600).map(|i| format!("({i}, '{}')", "p".repeat(100))).collect();
+        db.execute(&format!("INSERT INTO wide VALUES {}", values.join(", "))).unwrap();
+        let pages = db.catalog().table("wide").unwrap().heap.page_count();
+        assert_eq!(pages, 18);
+        // (query, rows returned, pages read) — pinned against the
+        // page-at-a-time volcano scan this kernel replaced.
+        let cases = [
+            ("SELECT k FROM wide LIMIT 5", 5, 1),
+            ("SELECT k FROM wide LIMIT 40", 40, 2),
+            ("SELECT k FROM wide WHERE k >= 100 LIMIT 3", 3, 4),
+            ("SELECT k FROM wide WHERE k < 0 LIMIT 3", 0, 18),
+            ("SELECT k FROM wide ORDER BY k DESC LIMIT 3", 3, 18),
+            ("SELECT COUNT(*) FROM wide LIMIT 1", 1, 18),
+        ];
+        for (q, rows, reads) in cases {
+            let Statement::Select(sel) = crate::parser::parse_statement(q).unwrap() else {
+                unreachable!()
+            };
+            for dop in [1, 4] {
+                let opts = ExecOptions { oversubscribe: true, ..ExecOptions::with_dop(dop) };
+                db.reset_pager_stats();
+                let got = db.select_with(&sel, &opts).unwrap();
+                assert_eq!(got.rows().len(), rows, "{q} at dop {dop}");
+                let want = PagerStats { page_reads: reads, ..PagerStats::default() };
+                assert_eq!(db.pager_stats(), want, "{q} at dop {dop}");
+            }
         }
     }
 
@@ -735,18 +781,34 @@ mod explain_tests {
             )
             .unwrap();
         // Pipeline order: limit over project over sort over aggregate over
-        // join over filtered scans.
+        // join over filtered, column-pruned scans.
         assert!(plan.starts_with("Limit: 5"), "{plan}");
         assert!(plan.contains("Project: d, n"), "{plan}");
         assert!(plan.contains("Sort: __agg0 DESC"), "{plan}");
         assert!(plan.contains("HashAggregate"), "{plan}");
         assert!(plan.contains("HashJoin"), "{plan}");
-        assert!(plan.contains("Filter: (b LIKE 'x%')"), "{plan}");
-        assert!(plan.contains("SeqScan"), "{plan}");
-        // Filter sits below the join (pushdown): deeper indentation.
+        // The filter sits inside its scan, below the join (pushdown).
         let join_line = plan.lines().position(|l| l.contains("HashJoin")).unwrap();
-        let filter_line = plan.lines().position(|l| l.contains("Filter")).unwrap();
+        let filter_line = plan.lines().position(|l| l.contains("filter (b LIKE 'x%')")).unwrap();
         assert!(filter_line > join_line);
+        assert!(plan.lines().nth(filter_line).unwrap().contains("Scan ("), "{plan}");
+        assert!(plan.contains("2/2 cols") && plan.contains("project c, d"), "{plan}");
+    }
+
+    #[test]
+    fn single_table_plans_fuse_into_the_scan() {
+        let mut db = Database::new(PlainPager::new());
+        db.execute("CREATE TABLE t (a INT, b TEXT, c FLOAT)").unwrap();
+        let plan = db.explain("SELECT a + 1 AS n FROM t WHERE c > 0.5").unwrap();
+        assert_eq!(plan.lines().count(), 1, "{plan}");
+        assert!(plan.starts_with("Scan (") && plan.contains("2/3 cols"), "{plan}");
+        assert!(plan.contains("filter (c > 0.5), project n"), "{plan}");
+        let plan = db.explain("SELECT b, SUM(c) FROM t GROUP BY b").unwrap();
+        assert!(plan.contains("ScanAggregate: group by [b]") && plan.contains("2/3 cols"), "{plan}");
+        assert!(!plan.contains("Scan ("), "{plan}");
+        // A sort between scan and projection keeps the projection apart.
+        let plan = db.explain("SELECT a FROM t ORDER BY c").unwrap();
+        assert!(plan.starts_with("Project: a\n  Sort: c\n    Scan ("), "{plan}");
     }
 
     #[test]
@@ -765,13 +827,12 @@ mod explain_tests {
         db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'x'), (4, 'x')").unwrap();
         let plan = db.explain_analyze("SELECT a FROM t WHERE b = 'x' LIMIT 2").unwrap();
-        // Limit passes 2 of the filter's 3 survivors; the scan streams 4.
+        // Limit passes 2 of the 3 survivors of the 4 rows the scan decoded.
         let limit = plan.lines().find(|l| l.contains("Limit")).unwrap();
-        assert!(limit.contains("out=2"), "{plan}");
-        let filter = plan.lines().find(|l| l.contains("Filter")).unwrap();
-        assert!(filter.contains("in=4") || filter.contains("in=3"), "{plan}");
-        let scan = plan.lines().find(|l| l.contains("SeqScan")).unwrap();
-        assert!(scan.contains("rows out="), "{plan}");
+        assert!(limit.contains("(rows in=2 out=2)"), "{plan}");
+        let scan = plan.lines().find(|l| l.contains("Scan (")).unwrap();
+        assert!(scan.contains("filter (b = 'x')"), "{plan}");
+        assert!(scan.contains("(rows in=4 out=2)"), "{plan}");
         // The plain explain stays untouched by the instrumentation.
         let cold = db.explain("SELECT a FROM t WHERE b = 'x' LIMIT 2").unwrap();
         assert!(!cold.contains("rows out="), "{cold}");

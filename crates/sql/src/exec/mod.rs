@@ -1,24 +1,24 @@
 //! Physical operators (volcano iterators).
 //!
-//! Every operator pulls rows from its child via [`Operator::next`]. Scans
-//! stream pages through the shared pager; pipeline breakers (sort, hash
+//! Every operator pulls rows from its child via [`Operator::next`]. Base
+//! tables are read by the one scan kernel ([`scan`]), a morsel at a time
+//! with filter and projection fused in; pipeline breakers (sort, hash
 //! aggregate, hash-join build side) materialize on first pull.
 
 pub mod aggregate;
 pub mod join;
 pub mod morsel;
+#[cfg(test)]
+pub(crate) mod oracle;
 pub mod partial;
 pub mod scan;
 pub mod sort;
 
 pub use aggregate::{AggSpec, HashAggregate};
 pub use join::{HashJoin, NestedLoopJoin};
-pub use morsel::{
-    Dop, ExecMetrics, ExecOptions, Morsel, MorselScan, MorselSource, ParallelHashAggregate,
-    ScanWatch, partition_pages,
-};
+pub use morsel::{partition_pages, Dop, ExecMetrics, ExecOptions, Morsel, ScanWatch};
 pub use partial::AggPlan;
-pub use scan::SeqScan;
+pub use scan::{Scan, ScanAggregate, ScanSource};
 pub use sort::Sort;
 
 use crate::ast::Expr;
@@ -41,6 +41,11 @@ pub trait Operator {
     /// Rows this operator has emitted so far (fuels `EXPLAIN ANALYZE`).
     fn rows_out(&self) -> u64 {
         0
+    }
+    /// Rows a scan has decoded so far, before its fused filter — the
+    /// `rows in` of an operator whose input is pages, not a child.
+    fn rows_scanned(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -69,13 +74,13 @@ pub struct OperatorProfile {
     pub depth: usize,
     /// The operator's `describe()` line.
     pub describe: String,
-    /// Rows pulled from children (sum of the children's `rows_out`;
-    /// 0 for leaves, whose input is pages, not rows).
+    /// Rows pulled from children (sum of the children's `rows_out`), or
+    /// rows decoded from pages for a scan; 0 for other leaves.
     pub rows_in: u64,
     /// Rows this operator emitted.
     pub rows_out: u64,
-    /// True for leaf operators (scans/values) — renderers print only
-    /// `rows out` for these.
+    /// True for leaf operators without a row input (`Values`) —
+    /// renderers print only `rows out` for these.
     pub leaf: bool,
 }
 
@@ -93,12 +98,13 @@ impl OperatorProfile {
 pub fn operator_profiles(op: &BoxOp) -> Vec<OperatorProfile> {
     fn walk(op: &BoxOp, depth: usize, out: &mut Vec<OperatorProfile>) {
         let children = op.children();
+        let scanned = op.rows_scanned();
         out.push(OperatorProfile {
             depth,
             describe: op.describe(),
-            rows_in: children.iter().map(|c| c.rows_out()).sum(),
+            rows_in: scanned.unwrap_or_else(|| children.iter().map(|c| c.rows_out()).sum()),
             rows_out: op.rows_out(),
-            leaf: children.is_empty(),
+            leaf: children.is_empty() && scanned.is_none(),
         });
         for c in children {
             walk(c, depth + 1, out);

@@ -1,53 +1,35 @@
-//! Morsel-driven parallel scan and aggregation.
+//! Morsel-driven execution: options, page partitioning and the worker
+//! pool around the scan kernel ([`crate::exec::scan`]).
 //!
-//! The serial operators pull one row at a time through one core. For
-//! read-only plans over heap tables, this module splits the heap's page
-//! list into fixed-size **morsels**, hands them to a pool of worker
-//! threads (bounded by [`Dop`] and the machine's available
-//! parallelism), and merges per-morsel results in morsel order — which
-//! *is* page order, which *is* the serial row order.
-//!
-//! Each worker claims morsels off a shared atomic cursor, batch-reads
-//! the morsel's pages through [`Pager::read_pages`] (one pager lock per
-//! morsel, pipelined decrypt + verify for secure pagers), then decodes,
-//! filters, and pre-evaluates expressions outside the lock with a reused
-//! scratch row. With [`ExecOptions::vectorized`] set, each morsel is
-//! instead decoded **once** into a column-major
-//! [`ColumnBatch`](crate::batch::ColumnBatch) and predicates/aggregate
-//! inputs run vector-at-a-time over a selection bitmap
-//! ([`crate::expr::filter_vec`] / [`crate::expr::eval_vec`]) — same
-//! rows, same stats, fewer per-row allocations and dispatches.
+//! A heap's page list is split into fixed-size **morsels**. At DOP 1 the
+//! scan kernel pulls them one at a time, in page order, on the calling
+//! thread. At DOP > 1 a pool of worker threads (bounded by [`Dop`] and
+//! the machine's hardware parallelism) claims morsels off a shared
+//! atomic cursor and [`run_ordered`] hands each morsel's result to the
+//! consumer in morsel order — which *is* page order, which *is* the
+//! serial row order.
 //!
 //! **Determinism invariant**: parallel execution buys wall-clock time
 //! only — `QueryResult` rows, `CostBreakdown`s and `PagerStats` deltas
-//! are bit-identical to serial execution at any DOP. Scans preserve row
-//! order by construction. Aggregation is the subtle part: float
-//! accumulation is not associative and group order is first-seen, so
-//! workers only *pre-evaluate* per-row expressions; a single-threaded
-//! merge replays the exact serial [`GroupAcc`] state machine in row
-//! order. Page-level counters commute, so batched out-of-order reads
-//! leave every stats delta unchanged.
+//! are bit-identical at any DOP. Scans preserve row order by
+//! construction. Aggregation is the subtle part: float accumulation is
+//! not associative and group order is first-seen, so workers only
+//! *pre-evaluate* per-row expressions; the single-threaded consumer
+//! replays the exact serial `GroupAcc` state machine in row order.
+//! Page-level counters commute, so batched out-of-order reads leave
+//! every stats delta unchanged.
 
-use crate::ast::Expr;
-use crate::batch::ColumnBatch;
-use crate::exec::aggregate::{agg_output_schema, AggSpec, GroupAcc};
-use crate::exec::{BoxOp, Operator};
-use crate::expr::{bind, eval_bound, eval_vec, filter_vec, BoundExpr};
-use crate::heap::{scan_page_columns, scan_page_rows, HeapFile, SharedPager};
-use crate::schema::{Row, Schema};
-use crate::value::Value;
-use crate::{Result, SqlError};
+use crate::Result;
 use ironsafe_obs::{Counter, Registry, Span, Trace, TraceCtx};
-use ironsafe_storage::pager::PageId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Pages per morsel when [`ExecOptions::morsel_pages`] is not overridden.
 pub const DEFAULT_MORSEL_PAGES: usize = 16;
 
 /// Degree of parallelism for morsel execution. `Dop::new(1)` (the
-/// default) keeps every plan on the serial operators.
+/// default) runs the scan kernel on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dop(usize);
 
@@ -69,14 +51,14 @@ impl Default for Dop {
     }
 }
 
-/// Live `exec.morsel.*` counters bumped by morsel workers.
+/// Live `exec.morsel.*` counters bumped by the scan kernel.
 #[derive(Debug, Clone, Default)]
 pub struct ExecMetrics {
-    /// Parallel scans dispatched (`exec.morsel.scans`).
+    /// Scans started (`exec.morsel.scans`).
     pub scans: Counter,
-    /// Morsels claimed by workers (`exec.morsel.dispatched`).
+    /// Morsels read (`exec.morsel.dispatched`).
     pub morsels: Counter,
-    /// Rows decoded by morsel workers (`exec.morsel.rows`).
+    /// Rows decoded, pre-filter (`exec.morsel.rows`).
     pub rows: Counter,
 }
 
@@ -125,40 +107,27 @@ impl ScanWatch {
     pub fn take(&self) -> Vec<(u64, u64)> {
         std::mem::take(&mut *self.slots.lock())
     }
-
-    /// Copy of the recorded slots without draining them.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.slots.lock().clone()
-    }
 }
 
 /// Knobs for morsel execution, threaded from the session/system down to
 /// the planner.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Worker count; 1 selects the serial operators.
+    /// Worker count; 1 pulls morsels lazily on the calling thread.
     pub dop: Dop,
     /// Pages per morsel.
     pub morsel_pages: usize,
     /// Spawn exactly `dop` workers even beyond the machine's available
     /// parallelism. Off by default: the pool is additionally capped at
-    /// `std::thread::available_parallelism()`, because surplus threads
-    /// on saturated cores cost context switches without buying any
+    /// the machine's hardware parallelism, because surplus threads on
+    /// saturated cores cost context switches without buying any
     /// wall-clock time. Tests force it on to exercise cross-thread
     /// determinism regardless of the host's core count.
     pub oversubscribe: bool,
-    /// Decode morsels into column batches and evaluate predicates and
-    /// aggregate inputs vector-at-a-time ([`crate::expr::eval_vec`])
-    /// instead of row-at-a-time. Output rows, `CostBreakdown`s and
-    /// `PagerStats` deltas stay bit-identical to the scalar operators —
-    /// vectorization, like parallelism, buys wall-clock only.
-    pub vectorized: bool,
     /// Live counters shared by every scan run under these options.
     pub metrics: ExecMetrics,
     /// When set, scans record per-morsel `(rows_in, rows_out)` into the
-    /// watch. Forces the morsel driver even at DOP 1 (the serial morsel
-    /// path is bit-identical to the serial operators, so this changes
-    /// telemetry only, never rows or stats).
+    /// watch (telemetry only, never rows or stats).
     pub watch: Option<Arc<ScanWatch>>,
 }
 
@@ -168,7 +137,6 @@ impl Default for ExecOptions {
             dop: Dop::default(),
             morsel_pages: DEFAULT_MORSEL_PAGES,
             oversubscribe: false,
-            vectorized: false,
             metrics: ExecMetrics::default(),
             watch: None,
         }
@@ -186,21 +154,26 @@ impl ExecOptions {
         ExecOptions { dop: Dop::new(dop), ..Self::default() }
     }
 
-    /// Same options with vectorized execution switched `on`.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
-    }
-
-    /// True when plans should use the morsel operators.
-    pub fn parallel(&self) -> bool {
-        self.dop.get() > 1
-    }
-
     /// Same options with a [`ScanWatch`] attached.
     pub fn with_watch(mut self, watch: Arc<ScanWatch>) -> Self {
         self.watch = Some(watch);
         self
+    }
+
+    /// Threads a scan over `morsels` morsels runs on. DOP 1 answers
+    /// without consulting the machine: `available_parallelism()` reads
+    /// cgroup files (12–15 µs), which a 32-row point select would pay
+    /// on every statement — so the pool's cap is resolved once per
+    /// process, and never on the serial path.
+    pub(crate) fn workers(&self, morsels: usize) -> usize {
+        static HARDWARE: OnceLock<usize> = OnceLock::new();
+        let dop = self.dop.get().min(morsels);
+        if dop <= 1 || self.oversubscribe {
+            return dop.max(1);
+        }
+        dop.min(*HARDWARE.get_or_init(|| {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        }))
     }
 }
 
@@ -228,106 +201,22 @@ pub fn partition_pages(num_pages: usize, morsel_pages: usize) -> Vec<Morsel> {
     morsels
 }
 
-/// One heap scan the morsel engine can parallelize: the table's heap,
-/// the pager it lives on, the scan schema, and an optional pushed-down
-/// predicate evaluated inside the workers.
-#[derive(Clone)]
-pub struct MorselSource {
-    /// Scan output schema (the table's columns).
-    pub schema: Schema,
-    /// The table's page list.
-    pub heap: HeapFile,
-    /// Pager the pages live on.
-    pub pager: SharedPager,
-    /// Pushed-down filter; rows failing it are dropped inside workers
-    /// without being cloned out of the scratch buffer.
-    pub pred: Option<Expr>,
-}
-
-/// Run `per_row` over every row of `source` (post-predicate), folding
-/// each morsel's rows into a fresh `M`, morsels in parallel. Returns the
-/// per-morsel accumulators in morsel order — i.e. in serial row order —
-/// so callers merge without re-sorting. The first error, by morsel
-/// order, is returned. Folding into per-morsel state (rather than
-/// emitting per-row values) lets callers amortize allocations across a
-/// whole morsel.
-fn run_morsels<M, F>(source: &MorselSource, opts: &ExecOptions, per_row: F) -> Result<Vec<M>>
-where
-    M: Default + Send,
-    F: Fn(&Row, &mut M) -> Result<()> + Sync,
-{
-    let payload = source.pager.lock().payload_size();
-    let ncols = source.schema.len();
-    let morsels = partition_pages(source.heap.pages.len(), opts.morsel_pages);
-    opts.metrics.scans.inc();
-
-    // Bind the predicate once: per-row evaluation then skips column-name
-    // resolution entirely (see `crate::expr::bind`).
-    let pred: Option<BoundExpr> = match &source.pred {
-        Some(p) => Some(bind(p, &source.schema)?),
-        None => None,
-    };
-    let pred = pred.as_ref();
-
-    // Per-morsel kernel: one batched read under the pager lock — on a
-    // secure pager the whole morsel shares a single Merkle climb
-    // (`verify_batch`), so contiguous page ids also minimize freshness
-    // hashing — then decode + filter + fold outside it with a reused
-    // scratch row. Each morsel refines the ambient [`TraceCtx`] with its
-    // index and runs inside its own span; a failed morsel (fault
-    // exhaustion, violation) tags the span before it closes, so chaos
-    // traces stay well-formed trees.
-    let work = |i: usize, m: &Morsel, scratch: &mut Row| -> Result<M> {
-        let _ctx = TraceCtx::current().map(|c| c.with_morsel(i as u64).install());
-        let span = Span::enter("exec/morsel");
-        let body = |scratch: &mut Row| -> Result<M> {
-            let ids: Vec<PageId> = source.heap.pages[m.start..m.end].to_vec();
-            let mut buf = vec![0u8; ids.len() * payload];
-            source.pager.lock().read_pages(&ids, &mut buf).map_err(SqlError::from)?;
-            opts.metrics.morsels.inc();
-            let mut acc = M::default();
-            let mut rows_seen = 0u64;
-            let mut rows_kept = 0u64;
-            for page in buf.chunks_exact(payload) {
-                scan_page_rows(page, ncols, scratch, |row| {
-                    rows_seen += 1;
-                    if let Some(pred) = pred {
-                        if !eval_bound(pred, row)?.is_truthy() {
-                            return Ok(());
-                        }
-                    }
-                    rows_kept += 1;
-                    per_row(row, &mut acc)
-                })?;
-            }
-            opts.metrics.rows.add(rows_seen);
-            if let Some(watch) = &opts.watch {
-                watch.record(i, rows_seen, rows_kept);
-            }
-            Ok(acc)
-        };
-        let result = body(scratch);
-        if result.is_err() {
-            span.fail("exec.morsel.failed");
-        }
-        result
-    };
-
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let cap = if opts.oversubscribe { usize::MAX } else { hw };
-    let nworkers = opts.dop.get().min(morsels.len()).min(cap).max(1);
-    if nworkers <= 1 {
-        let mut scratch: Row = Vec::with_capacity(ncols);
-        let mut out = Vec::with_capacity(morsels.len());
-        for (i, m) in morsels.iter().enumerate() {
-            out.push(work(i, m, &mut scratch)?);
-        }
-        return Ok(out);
-    }
-
-    let slots: Vec<Mutex<Option<Result<M>>>> =
-        morsels.iter().map(|_| Mutex::new(None)).collect();
+/// Run `work(i, state)` for every `i` in `0..n` on `nworkers` threads
+/// claiming indexes off a shared cursor (each thread owns one reusable
+/// `S`), and hand the results to `consume` **in index order** on the
+/// calling thread while the workers are still running — so the consumer
+/// holds at most the results that completed out of order, not all `n`.
+/// The first error by index order is returned; workers stop claiming
+/// once it is seen.
+pub(crate) fn run_ordered<S: Default, M: Send>(
+    n: usize,
+    nworkers: usize,
+    work: impl Fn(usize, &mut S) -> Result<M> + Sync,
+    mut consume: impl FnMut(M) -> Result<()>,
+) -> Result<()> {
     let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<M>)>();
     let trace = Trace::current();
     // The trace ctx is thread-local: capture the query's ctx here and
     // re-install it inside each worker so morsel spans stitch into the
@@ -335,424 +224,59 @@ where
     let ctx = TraceCtx::current();
     crossbeam::thread::scope(|s| {
         for w in 0..nworkers {
-            let trace = trace.clone();
-            let (slots, cursor, morsels, work) = (&slots, &cursor, &morsels, &work);
+            let (tx, trace) = (tx.clone(), trace.clone());
+            let (cursor, stop, work) = (&cursor, &stop, &work);
             s.spawn(move |_| {
                 // Workers join the parent's trace so their spans land in
                 // the same timeline; they attribute no simulated time
                 // (parallelism buys wall-clock, not simulated time).
                 let _guard = trace.as_ref().map(|t| t.install());
                 let _ctx_guard = ctx.map(|c| c.install());
-                let name = format!("exec/morsel_worker{w}");
-                let _span = Span::enter(&name);
-                let mut scratch: Row = Vec::with_capacity(ncols);
-                loop {
+                let _span = Span::enter(&format!("exec/morsel_worker{w}"));
+                let mut state = S::default();
+                while !stop.load(Ordering::Relaxed) {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= morsels.len() {
+                    if i >= n || tx.send((i, work(i, &mut state))).is_err() {
                         break;
                     }
-                    *slots[i].lock() = Some(work(i, &morsels[i], &mut scratch));
                 }
             });
         }
+        drop(tx);
+        let mut parked: Vec<Option<Result<M>>> = (0..n).map(|_| None).collect();
+        let mut next = 0;
+        let mut outcome = Ok(());
+        for (i, result) in rx {
+            parked[i] = Some(result);
+            while let Some(result) = parked.get_mut(next).and_then(Option::take) {
+                next += 1;
+                if outcome.is_ok() {
+                    outcome = result.and_then(&mut consume);
+                    if outcome.is_err() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        outcome
     })
-    .expect("morsel workers do not panic");
-
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot.into_inner().expect("every morsel was claimed") {
-            Ok(m) => out.push(m),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
-}
-
-/// Vectorized twin of [`run_morsels`]: each morsel's pages are decoded
-/// **once** into a column-major [`ColumnBatch`], the pushed-down
-/// predicate runs vector-at-a-time over a selection bitmap
-/// ([`filter_vec`]), and `per_batch` folds the surviving lanes into a
-/// fresh `M`. Lane order within a batch is page order, and batches are
-/// returned in morsel order, so callers see serial row order exactly as
-/// with the scalar driver. Spans, trace contexts and `exec.morsel.*`
-/// counters are bumped identically to [`run_morsels`] (rows counts all
-/// decoded lanes, pre-filter).
-fn run_morsels_vec<M, F>(source: &MorselSource, opts: &ExecOptions, per_batch: F) -> Result<Vec<M>>
-where
-    M: Default + Send,
-    F: Fn(&ColumnBatch, &[bool], &mut M) -> Result<()> + Sync,
-{
-    let payload = source.pager.lock().payload_size();
-    let ncols = source.schema.len();
-    let morsels = partition_pages(source.heap.pages.len(), opts.morsel_pages);
-    opts.metrics.scans.inc();
-
-    let pred: Option<BoundExpr> = match &source.pred {
-        Some(p) => Some(bind(p, &source.schema)?),
-        None => None,
-    };
-    let pred = pred.as_ref();
-
-    // Per-morsel kernel: one batched read under the pager lock (same
-    // shared Merkle climb as the scalar driver), then a single columnar
-    // decode and one vectorized predicate pass outside it.
-    let work = |i: usize, m: &Morsel| -> Result<M> {
-        let _ctx = TraceCtx::current().map(|c| c.with_morsel(i as u64).install());
-        let span = Span::enter("exec/morsel");
-        let body = || -> Result<M> {
-            let ids: Vec<PageId> = source.heap.pages[m.start..m.end].to_vec();
-            let mut buf = vec![0u8; ids.len() * payload];
-            source.pager.lock().read_pages(&ids, &mut buf).map_err(SqlError::from)?;
-            opts.metrics.morsels.inc();
-            let mut batch = ColumnBatch::new(ncols);
-            for page in buf.chunks_exact(payload) {
-                scan_page_columns(page, ncols, &mut batch)?;
-            }
-            opts.metrics.rows.add(batch.len() as u64);
-            let mut sel = vec![true; batch.len()];
-            if let Some(pred) = pred {
-                filter_vec(pred, &batch, &mut sel)?;
-            }
-            if let Some(watch) = &opts.watch {
-                let kept = sel.iter().filter(|live| **live).count() as u64;
-                watch.record(i, batch.len() as u64, kept);
-            }
-            let mut acc = M::default();
-            per_batch(&batch, &sel, &mut acc)?;
-            Ok(acc)
-        };
-        let result = body();
-        if result.is_err() {
-            span.fail("exec.morsel.failed");
-        }
-        result
-    };
-
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let cap = if opts.oversubscribe { usize::MAX } else { hw };
-    let nworkers = opts.dop.get().min(morsels.len()).min(cap).max(1);
-    if nworkers <= 1 {
-        let mut out = Vec::with_capacity(morsels.len());
-        for (i, m) in morsels.iter().enumerate() {
-            out.push(work(i, m)?);
-        }
-        return Ok(out);
-    }
-
-    let slots: Vec<Mutex<Option<Result<M>>>> =
-        morsels.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let trace = Trace::current();
-    let ctx = TraceCtx::current();
-    crossbeam::thread::scope(|s| {
-        for w in 0..nworkers {
-            let trace = trace.clone();
-            let (slots, cursor, morsels, work) = (&slots, &cursor, &morsels, &work);
-            s.spawn(move |_| {
-                let _guard = trace.as_ref().map(|t| t.install());
-                let _ctx_guard = ctx.map(|c| c.install());
-                let name = format!("exec/morsel_worker{w}");
-                let _span = Span::enter(&name);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= morsels.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(work(i, &morsels[i]));
-                }
-            });
-        }
-    })
-    .expect("morsel workers do not panic");
-
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot.into_inner().expect("every morsel was claimed") {
-            Ok(m) => out.push(m),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
-}
-
-/// Parallel sequential scan: emits exactly the rows (in exactly the
-/// order) of `SeqScan` + an optional `Filter`, using the morsel pool.
-/// Materializes on first pull.
-pub struct MorselScan {
-    source: MorselSource,
-    opts: ExecOptions,
-    output: std::vec::IntoIter<Row>,
-    started: bool,
-    emitted: u64,
-}
-
-impl MorselScan {
-    /// Build a parallel scan over `source`.
-    pub fn new(source: MorselSource, opts: ExecOptions) -> Self {
-        MorselScan { source, opts, output: Vec::new().into_iter(), started: false, emitted: 0 }
-    }
-}
-
-impl Operator for MorselScan {
-    fn schema(&self) -> &Schema {
-        &self.source.schema
-    }
-
-    fn describe(&self) -> String {
-        let pred = match &self.source.pred {
-            Some(p) => format!(", filter {}", crate::ast::expr_to_sql(p)),
-            None => String::new(),
-        };
-        let vect = if self.opts.vectorized { ", vectorized" } else { "" };
-        format!(
-            "MorselScan ({} pages, {} rows, dop {}{vect}{pred})",
-            self.source.heap.page_count(),
-            self.source.heap.row_count,
-            self.opts.dop.get()
-        )
-    }
-
-    fn rows_out(&self) -> u64 {
-        self.emitted
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        if !self.started {
-            self.started = true;
-            let chunks = if self.opts.vectorized {
-                run_morsels_vec(&self.source, &self.opts, |batch, sel, out: &mut Vec<Row>| {
-                    for (lane, live) in sel.iter().enumerate() {
-                        if *live {
-                            out.push(batch.owned_row(lane));
-                        }
-                    }
-                    Ok(())
-                })?
-            } else {
-                run_morsels(&self.source, &self.opts, |row, out: &mut Vec<Row>| {
-                    out.push(row.clone());
-                    Ok(())
-                })?
-            };
-            let mut rows = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-            for mut c in chunks {
-                rows.append(&mut c);
-            }
-            self.output = rows.into_iter();
-        }
-        let row = self.output.next();
-        self.emitted += row.is_some() as u64;
-        Ok(row)
-    }
-}
-
-/// One morsel's pre-evaluated aggregation inputs, stored flat: group-key
-/// encodings concatenated in `keys` (row boundaries in `key_ends`) and
-/// evaluated values row-major in `vals` (group values then aggregate
-/// inputs, fixed width per row).
-#[derive(Default)]
-struct TupleArena {
-    keys: Vec<u8>,
-    key_ends: Vec<usize>,
-    vals: Vec<Value>,
-}
-
-/// Parallel hash aggregation over a single heap scan.
-///
-/// Workers pre-evaluate the expensive per-row work — page decode,
-/// predicate, group-key encoding, aggregate inputs — and the merge
-/// replays the serial [`GroupAcc`] state machine single-threaded in row
-/// order. Group first-seen order, DISTINCT dedup, NULL gating and float
-/// accumulation order are therefore identical to [`HashAggregate`]
-/// (`crate::exec::HashAggregate`) at any DOP.
-pub struct ParallelHashAggregate {
-    source: MorselSource,
-    opts: ExecOptions,
-    group_exprs: Vec<Expr>,
-    aggs: Vec<AggSpec>,
-    schema: Schema,
-    output: std::vec::IntoIter<Row>,
-    started: bool,
-    emitted: u64,
-}
-
-impl ParallelHashAggregate {
-    /// Build the operator; mirrors `HashAggregate::new` but reads its
-    /// input via the morsel pool instead of a child operator.
-    pub fn new(
-        source: MorselSource,
-        opts: ExecOptions,
-        group_exprs: Vec<Expr>,
-        group_names: Vec<String>,
-        aggs: Vec<AggSpec>,
-    ) -> Self {
-        assert_eq!(group_exprs.len(), group_names.len());
-        let schema = agg_output_schema(&group_names, &aggs);
-        ParallelHashAggregate {
-            source,
-            opts,
-            group_exprs,
-            aggs,
-            schema,
-            output: Vec::new().into_iter(),
-            started: false,
-            emitted: 0,
-        }
-    }
-
-    fn materialize(&mut self) -> Result<()> {
-        let schema = &self.source.schema;
-        // Bind group keys and aggregate inputs once; workers then
-        // evaluate index-resolved expressions per row.
-        let groups: Vec<BoundExpr> =
-            self.group_exprs.iter().map(|e| bind(e, schema)).collect::<Result<_>>()?;
-        let args: Vec<Option<BoundExpr>> = self
-            .aggs
-            .iter()
-            .map(|spec| spec.arg.as_ref().map(|e| bind(e, schema)).transpose())
-            .collect::<Result<_>>()?;
-        // Workers: evaluate group keys and aggregate inputs into flat
-        // per-morsel arenas — scalar row-at-a-time, or vectorized with
-        // one `eval_vec` pass per expression per batch. Both fill the
-        // arena in lane order with bit-identical values, so the merge
-        // below cannot tell them apart.
-        let arenas = if self.opts.vectorized {
-            // Column refs read batch lanes directly (no intermediate
-            // vector, no text copy until the arena needs the value);
-            // computed expressions evaluate once per batch over the
-            // surviving selection.
-            enum Slot<'e> {
-                Col(usize),
-                One,
-                Expr(&'e BoundExpr),
-            }
-            let slots: Vec<Slot> = groups
-                .iter()
-                .map(|e| match e {
-                    BoundExpr::Col(i) => Slot::Col(*i),
-                    e => Slot::Expr(e),
-                })
-                .chain(args.iter().map(|a| match a {
-                    None => Slot::One, // COUNT(*) counts rows
-                    Some(BoundExpr::Col(i)) => Slot::Col(*i),
-                    Some(e) => Slot::Expr(e),
-                }))
-                .collect();
-            let ngroups = groups.len();
-            run_morsels_vec(&self.source, &self.opts, |batch, sel, arena: &mut TupleArena| {
-                let mut vecs: Vec<Option<Vec<Value>>> = Vec::with_capacity(slots.len());
-                for s in &slots {
-                    vecs.push(match s {
-                        Slot::Expr(e) => Some(eval_vec(e, batch, sel)?),
-                        _ => None,
-                    });
-                }
-                for (lane, live) in sel.iter().enumerate() {
-                    if !*live {
-                        continue;
-                    }
-                    for (k, s) in slots.iter().enumerate() {
-                        let v = match s {
-                            Slot::Col(i) => batch.value_at(*i, lane),
-                            Slot::One => Value::Int(1),
-                            Slot::Expr(_) => std::mem::replace(
-                                &mut vecs[k].as_mut().expect("expr slot")[lane],
-                                Value::Null,
-                            ),
-                        };
-                        if k < ngroups {
-                            v.key_bytes(&mut arena.keys);
-                        }
-                        arena.vals.push(v);
-                    }
-                    arena.key_ends.push(arena.keys.len());
-                }
-                Ok(())
-            })?
-        } else {
-            run_morsels(&self.source, &self.opts, |row, arena: &mut TupleArena| {
-                for e in &groups {
-                    let v = eval_bound(e, row)?;
-                    v.key_bytes(&mut arena.keys);
-                    arena.vals.push(v);
-                }
-                for arg in &args {
-                    arena.vals.push(match arg {
-                        None => Value::Int(1), // COUNT(*) counts rows
-                        Some(e) => eval_bound(e, row)?,
-                    });
-                }
-                arena.key_ends.push(arena.keys.len());
-                Ok(())
-            })?
-        };
-        // Merge: replay the serial accumulator in row order.
-        let ngroups = self.group_exprs.len();
-        let width = ngroups + self.aggs.len();
-        let mut acc = GroupAcc::new(&self.aggs, self.group_exprs.is_empty());
-        for arena in arenas {
-            let mut start = 0;
-            for (i, &end) in arena.key_ends.iter().enumerate() {
-                let vals = &arena.vals[i * width..(i + 1) * width];
-                acc.update(&self.aggs, &arena.keys[start..end], &vals[..ngroups], &vals[ngroups..])?;
-                start = end;
-            }
-        }
-        self.output = acc.finish().into_iter();
-        Ok(())
-    }
-}
-
-impl Operator for ParallelHashAggregate {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn describe(&self) -> String {
-        let groups: Vec<String> = self.group_exprs.iter().map(crate::ast::expr_to_sql).collect();
-        let aggs: Vec<String> = self.aggs.iter().map(|a| a.name.clone()).collect();
-        let vect = if self.opts.vectorized { ", vectorized" } else { "" };
-        format!(
-            "ParallelHashAggregate: group by [{}], compute [{}] (dop {}{vect})",
-            groups.join(", "),
-            aggs.join(", "),
-            self.opts.dop.get()
-        )
-    }
-
-    fn rows_out(&self) -> u64 {
-        self.emitted
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        if !self.started {
-            self.started = true;
-            self.materialize()?;
-        }
-        let row = self.output.next();
-        self.emitted += row.is_some() as u64;
-        Ok(row)
-    }
-}
-
-/// Boxed [`MorselScan`] as a plan source.
-pub fn boxed_scan(source: MorselSource, opts: &ExecOptions) -> BoxOp {
-    Box::new(MorselScan::new(source, opts.clone()))
+    .expect("morsel workers do not panic")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::AggFunc;
-    use crate::exec::{collect, Filter, HashAggregate, SeqScan};
-    use crate::heap::shared;
+    use crate::exec::{collect, oracle, AggSpec, Scan, ScanAggregate, ScanSource};
+    use crate::heap::{shared, HeapFile};
     use crate::parser::parse_expression;
-    use crate::schema::Column;
-    use crate::value::DataType;
-    use ironsafe_storage::pager::PlainPager;
+    use crate::schema::{Column, Schema};
+    use crate::value::{DataType, Value};
+    use crate::SqlError;
+    use ironsafe_storage::pager::{PagerStats, PlainPager};
     use proptest::prelude::*;
 
-    fn fixture(nrows: i64) -> (MorselSource, SharedPager) {
+    fn fixture(nrows: i64) -> ScanSource {
         let pager = shared(PlainPager::new());
         let mut heap = HeapFile::new();
         heap.append_rows(
@@ -771,222 +295,202 @@ mod tests {
             Column::new("g", DataType::Text),
             Column::new("x", DataType::Float),
         ]);
-        (MorselSource { schema, heap, pager: pager.clone(), pred: None }, pager)
+        ScanSource { schema, heap, pager, pred: None, cols: vec![true; 3] }
+    }
+
+    fn opts(dop: usize, morsel_pages: usize) -> ExecOptions {
+        ExecOptions { morsel_pages, oversubscribe: true, ..ExecOptions::with_dop(dop) }
+    }
+
+    /// Run `f` and return its result with the pager-stats delta it cost.
+    fn with_stats<T>(source: &ScanSource, f: impl FnOnce() -> T) -> (T, PagerStats) {
+        source.pager.lock().reset_stats();
+        let out = f();
+        (out, source.pager.lock().stats())
+    }
+
+    fn spec(func: AggFunc, arg: Option<&str>, distinct: bool, name: &str) -> AggSpec {
+        AggSpec {
+            func,
+            arg: arg.map(|a| parse_expression(a).unwrap()),
+            distinct,
+            name: name.into(),
+        }
     }
 
     #[test]
     fn parallel_scan_matches_serial_scan_rows_and_stats() {
-        let (mut source, pager) = fixture(2000);
+        let mut source = fixture(2000);
         source.pred = Some(parse_expression("a % 3 = 0").unwrap());
-        pager.lock().reset_stats();
-        let serial = {
-            let scan = Box::new(SeqScan::new(
-                source.schema.clone(),
-                source.heap.clone(),
-                pager.clone(),
-            ));
-            let filtered = Box::new(Filter::new(scan, source.pred.clone().unwrap()));
-            collect(filtered).unwrap().1
-        };
-        let serial_stats = pager.lock().stats();
-        pager.lock().reset_stats();
-        let opts =
-            ExecOptions { morsel_pages: 3, oversubscribe: true, ..ExecOptions::with_dop(4) };
-        let parallel =
-            collect(Box::new(MorselScan::new(source.clone(), opts.clone()))).unwrap().1;
-        let parallel_stats = pager.lock().stats();
-        assert_eq!(parallel, serial, "row stream must be order-identical");
-        assert_eq!(parallel_stats, serial_stats, "stats delta must be identical");
-        assert!(opts.metrics.morsels.get() > 1);
-        assert_eq!(opts.metrics.rows.get(), 2000);
+        let (serial, serial_stats) = with_stats(&source, || oracle::scan_all(&source).unwrap());
+        for dop in [1, 2, 4, 8] {
+            let o = opts(dop, 3);
+            let scan = Scan::columns(source.clone(), o.clone()).unwrap();
+            let (parallel, stats) = with_stats(&source, || collect(Box::new(scan)).unwrap().1);
+            assert_eq!(parallel, serial, "dop {dop}: row stream must be order-identical");
+            assert_eq!(stats, serial_stats, "dop {dop}: stats delta must be identical");
+            assert_eq!(o.metrics.scans.get(), 1);
+            assert!(o.metrics.morsels.get() > 1);
+            assert_eq!(o.metrics.rows.get(), 2000, "rows counter counts pre-filter lanes");
+        }
     }
 
     #[test]
     fn parallel_aggregate_matches_serial_bit_for_bit() {
-        let (source, pager) = fixture(3000);
+        let source = fixture(3000);
         let group_exprs = vec![parse_expression("g").unwrap()];
         let aggs = vec![
-            AggSpec { func: AggFunc::Count, arg: None, distinct: false, name: "cnt".into() },
-            AggSpec {
-                func: AggFunc::Sum,
-                arg: Some(parse_expression("x * 1.1").unwrap()),
-                distinct: false,
-                name: "s".into(),
-            },
-            AggSpec {
-                func: AggFunc::Avg,
-                arg: Some(parse_expression("x").unwrap()),
-                distinct: false,
-                name: "m".into(),
-            },
-            AggSpec {
-                func: AggFunc::Count,
-                arg: Some(parse_expression("a % 11").unwrap()),
-                distinct: true,
-                name: "d".into(),
-            },
+            spec(AggFunc::Count, None, false, "cnt"),
+            spec(AggFunc::Sum, Some("x * 1.1"), false, "s"),
+            spec(AggFunc::Avg, Some("x"), false, "m"),
+            spec(AggFunc::Count, Some("a % 11"), true, "d"),
         ];
-        let serial = {
-            let scan = Box::new(SeqScan::new(
-                source.schema.clone(),
-                source.heap.clone(),
-                pager.clone(),
-            ));
-            let agg = HashAggregate::new(
-                scan,
-                group_exprs.clone(),
-                vec!["g".into()],
-                aggs.clone(),
-            );
-            collect(Box::new(agg)).unwrap()
-        };
-        for dop in [2, 4, 8] {
-            let par = collect(Box::new(ParallelHashAggregate::new(
+        let serial = oracle::aggregate(&source, &group_exprs, &aggs).unwrap();
+        for dop in [1, 2, 4, 8] {
+            let agg = ScanAggregate::new(
                 source.clone(),
-                ExecOptions { morsel_pages: 2, oversubscribe: true, ..ExecOptions::with_dop(dop) },
+                opts(dop, 2),
                 group_exprs.clone(),
                 vec!["g".into()],
                 aggs.clone(),
-            )))
+            )
             .unwrap();
-            assert_eq!(par.1, serial.1, "dop {dop} drifted from serial");
-            assert_eq!(
-                par.0.columns.iter().map(|c| &c.name).collect::<Vec<_>>(),
-                serial.0.columns.iter().map(|c| &c.name).collect::<Vec<_>>()
-            );
+            let (schema, rows) = collect(Box::new(agg)).unwrap();
+            assert_eq!(rows, serial, "dop {dop} drifted from serial");
+            let names: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(names, ["g", "cnt", "s", "m", "d"]);
         }
     }
 
     #[test]
     fn vectorized_scan_matches_serial_rows_and_stats() {
-        let (mut source, pager) = fixture(2000);
+        // Compound predicate, computed projection, and a column mask
+        // that prunes the one column (`g`) the statement never reads.
+        let mut source = fixture(2000);
         source.pred = Some(parse_expression("a % 3 = 0 AND x < 300.0").unwrap());
-        pager.lock().reset_stats();
-        let serial = {
-            let scan = Box::new(SeqScan::new(
-                source.schema.clone(),
-                source.heap.clone(),
-                pager.clone(),
-            ));
-            let filtered = Box::new(Filter::new(scan, source.pred.clone().unwrap()));
-            collect(filtered).unwrap().1
-        };
-        let serial_stats = pager.lock().stats();
+        source.cols = vec![true, false, true];
+        let exprs = [parse_expression("x * 2.0").unwrap(), parse_expression("a").unwrap()];
+        let out = Schema::new(vec![
+            Column::new("twice", DataType::Float),
+            Column::new("a", DataType::Int),
+        ]);
+        let (serial, serial_stats) = with_stats(&source, || oracle::scan(&source, &exprs).unwrap());
+        assert!(!serial.is_empty());
         for dop in [1, 4] {
-            pager.lock().reset_stats();
-            let opts = ExecOptions { morsel_pages: 3, oversubscribe: true, ..ExecOptions::with_dop(dop) }
-                .with_vectorized(true);
-            let vectorized =
-                collect(Box::new(MorselScan::new(source.clone(), opts.clone()))).unwrap().1;
-            let vec_stats = pager.lock().stats();
-            assert_eq!(vectorized, serial, "dop {dop}: row stream must be order-identical");
-            assert_eq!(vec_stats, serial_stats, "dop {dop}: stats delta must be identical");
-            assert_eq!(opts.metrics.rows.get(), 2000, "rows counter counts pre-filter lanes");
+            let scan = Scan::new(source.clone(), &exprs, out.clone(), opts(dop, 3)).unwrap();
+            let (got, stats) = with_stats(&source, || collect(Box::new(scan)).unwrap().1);
+            assert_eq!(got, serial, "dop {dop}: row stream must be order-identical");
+            assert_eq!(stats, serial_stats, "dop {dop}: stats delta must be identical");
         }
     }
 
     #[test]
     fn vectorized_aggregate_matches_serial_bit_for_bit() {
-        let (mut source, pager) = fixture(3000);
+        let mut source = fixture(3000);
         source.pred = Some(parse_expression("x BETWEEN 10.0 AND 600.0").unwrap());
         let group_exprs = vec![parse_expression("g").unwrap()];
         let aggs = vec![
-            AggSpec { func: AggFunc::Count, arg: None, distinct: false, name: "cnt".into() },
-            AggSpec {
-                func: AggFunc::Sum,
-                arg: Some(parse_expression("x * 1.1").unwrap()),
-                distinct: false,
-                name: "s".into(),
-            },
-            AggSpec {
-                func: AggFunc::Avg,
-                arg: Some(parse_expression("x").unwrap()),
-                distinct: false,
-                name: "m".into(),
-            },
-            AggSpec {
-                func: AggFunc::Min,
-                arg: Some(parse_expression("a").unwrap()),
-                distinct: false,
-                name: "lo".into(),
-            },
+            spec(AggFunc::Count, None, false, "cnt"),
+            spec(AggFunc::Sum, Some("x * 1.1"), false, "s"),
+            spec(AggFunc::Avg, Some("x"), false, "m"),
+            spec(AggFunc::Min, Some("a"), false, "lo"),
         ];
-        let serial = {
-            let scan = Box::new(SeqScan::new(
-                source.schema.clone(),
-                source.heap.clone(),
-                pager.clone(),
-            ));
-            let filtered = Box::new(Filter::new(scan, source.pred.clone().unwrap()));
-            let agg =
-                HashAggregate::new(filtered, group_exprs.clone(), vec!["g".into()], aggs.clone());
-            collect(Box::new(agg)).unwrap()
-        };
+        let serial = oracle::aggregate(&source, &group_exprs, &aggs).unwrap();
         for dop in [1, 4] {
-            let opts = ExecOptions { morsel_pages: 2, oversubscribe: true, ..ExecOptions::with_dop(dop) }
-                .with_vectorized(true);
-            let vectorized = collect(Box::new(ParallelHashAggregate::new(
+            let agg = ScanAggregate::new(
                 source.clone(),
-                opts,
+                opts(dop, 2),
                 group_exprs.clone(),
                 vec!["g".into()],
                 aggs.clone(),
-            )))
+            )
             .unwrap();
-            assert_eq!(vectorized.1, serial.1, "dop {dop} vectorized drifted from serial");
+            assert_eq!(collect(Box::new(agg)).unwrap().1, serial, "dop {dop} drifted from serial");
         }
     }
 
     #[test]
-    fn scan_watch_slots_are_dop_and_vectorization_invariant() {
-        let (mut source, _pager) = fixture(2000);
+    fn scan_watch_slots_are_dop_invariant() {
+        let mut source = fixture(2000);
         source.pred = Some(parse_expression("a % 4 = 0").unwrap());
         let mut baseline: Option<Vec<(u64, u64)>> = None;
-        for dop in [1usize, 4] {
-            for vectorized in [false, true] {
-                let watch = Arc::new(ScanWatch::new());
-                let opts = ExecOptions {
-                    morsel_pages: 3,
-                    oversubscribe: true,
-                    ..ExecOptions::with_dop(dop)
-                }
-                .with_vectorized(vectorized)
-                .with_watch(watch.clone());
-                collect(Box::new(MorselScan::new(source.clone(), opts))).unwrap();
-                let slots = watch.take();
-                let total_in: u64 = slots.iter().map(|(i, _)| i).sum();
-                let total_out: u64 = slots.iter().map(|(_, o)| o).sum();
-                assert_eq!(total_in, 2000);
-                assert_eq!(total_out, 500);
-                match &baseline {
-                    None => baseline = Some(slots),
-                    Some(b) => assert_eq!(
-                        &slots, b,
-                        "dop {dop} vectorized {vectorized}: slots drifted"
-                    ),
-                }
+        for dop in [1usize, 2, 4] {
+            let watch = Arc::new(ScanWatch::new());
+            let scan = Scan::columns(source.clone(), opts(dop, 3).with_watch(watch.clone()));
+            collect(Box::new(scan.unwrap())).unwrap();
+            let slots = watch.take();
+            assert_eq!(slots.iter().map(|(i, _)| i).sum::<u64>(), 2000);
+            assert_eq!(slots.iter().map(|(_, o)| o).sum::<u64>(), 500);
+            match &baseline {
+                None => baseline = Some(slots),
+                Some(b) => assert_eq!(&slots, b, "dop {dop}: slots drifted"),
             }
         }
     }
 
     #[test]
     fn empty_heap_parallel_global_aggregate_yields_one_row() {
-        let pager = shared(PlainPager::new());
-        let source = MorselSource {
-            schema: Schema::new(vec![Column::new("a", DataType::Int)]),
-            heap: HeapFile::new(),
-            pager,
-            pred: None,
-        };
-        let agg = ParallelHashAggregate::new(
+        let source = ScanSource { heap: HeapFile::new(), ..fixture(0) };
+        let agg = ScanAggregate::new(
             source,
             ExecOptions::with_dop(4),
             vec![],
             vec![],
-            vec![AggSpec { func: AggFunc::Count, arg: None, distinct: false, name: "c".into() }],
-        );
+            vec![spec(AggFunc::Count, None, false, "c")],
+        )
+        .unwrap();
         let (_, rows) = collect(Box::new(agg)).unwrap();
         assert_eq!(rows, vec![vec![Value::Int(0)]]);
+    }
+
+    #[test]
+    fn run_ordered_consumes_in_index_order_and_reports_the_first_error() {
+        let mut seen = Vec::new();
+        run_ordered(
+            50,
+            4,
+            |i, calls: &mut usize| {
+                *calls += 1;
+                Ok(i * 2)
+            },
+            |v| {
+                seen.push(v);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(seen, (0..50).map(|i| i * 2).collect::<Vec<_>>());
+
+        let mut consumed = 0;
+        let err = run_ordered(
+            50,
+            4,
+            |i, _: &mut ()| {
+                if i == 7 || i == 30 {
+                    Err(SqlError::Eval(format!("morsel {i}")))
+                } else {
+                    Ok(i)
+                }
+            },
+            |_| {
+                consumed += 1;
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, SqlError::Eval("morsel 7".into()), "first error by index order");
+        assert_eq!(consumed, 7, "nothing past the failed index is consumed");
+    }
+
+    #[test]
+    fn serial_scans_never_size_a_pool() {
+        assert_eq!(ExecOptions::serial().workers(1000), 1);
+        assert_eq!(ExecOptions::with_dop(8).workers(0), 1);
+        assert_eq!(ExecOptions::with_dop(8).workers(1), 1);
+        let forced = ExecOptions { oversubscribe: true, ..ExecOptions::with_dop(8) };
+        assert_eq!(forced.workers(1000), 8);
+        assert_eq!(forced.workers(3), 3);
+        assert!(ExecOptions::with_dop(8).workers(1000) >= 1);
     }
 
     proptest! {

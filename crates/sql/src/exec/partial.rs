@@ -25,7 +25,6 @@
 use crate::ast::{Expr, SelectStmt};
 use crate::exec::aggregate::{agg_output_schema, GroupAcc};
 use crate::exec::{collect, AggSpec, BoxOp, Filter, Limit, Project, Sort, Values};
-use crate::expr::eval;
 use crate::plan::{collect_aggs, expand_projections, output_schema, rewrite_post_agg};
 use crate::schema::{Column, Row, Schema};
 use crate::value::{DataType, Value};
@@ -160,41 +159,17 @@ impl AggPlan {
         Schema::new(columns)
     }
 
-    /// Shard-side half: evaluate one fragment row into a partial tuple
-    /// `[group values..., aggregate inputs...]`, or `None` when the
-    /// residual filter rejects the row. `COUNT(*)` inputs materialize as
-    /// `Int(1)`, mirroring the serial operator.
-    pub fn eval_partial(&self, schema: &Schema, row: &Row) -> Result<Option<Row>> {
-        if let Some(p) = &self.residual {
-            if !eval(p, schema, row)?.is_truthy() {
-                return Ok(None);
-            }
-        }
-        let mut tuple = Vec::with_capacity(self.group_by.len() + self.specs.len());
-        for e in &self.group_by {
-            tuple.push(eval(e, schema, row)?);
-        }
-        for spec in &self.specs {
-            tuple.push(match &spec.arg {
-                None => Value::Int(1),
-                Some(e) => eval(e, schema, row)?,
-            });
-        }
-        Ok(Some(tuple))
-    }
-
-    /// Vectorized shard-side half: [`AggPlan::eval_partial`] for a whole
-    /// slice of fragment rows at once. Rows are pivoted into a
-    /// [`ColumnBatch`](crate::batch::ColumnBatch), the residual filter
-    /// runs vector-at-a-time over a selection bitmap, and group keys /
-    /// aggregate inputs evaluate once per expression per batch with
-    /// pre-bound column indexes (the row half re-resolves column names
-    /// on every row). Slot `i` of the output is bit-identical to
-    /// `eval_partial(schema, &rows[i])` — `None` where the residual
-    /// filter rejects the row.
+    /// Shard-side half: evaluate a slice of fragment rows into partial
+    /// tuples `[group values..., aggregate inputs...]`. Rows are pivoted
+    /// into a [`ColumnBatch`](crate::batch::ColumnBatch), the residual
+    /// filter runs vector-at-a-time over a selection bitmap, and group
+    /// keys / aggregate inputs evaluate once per expression per batch
+    /// with pre-bound column indexes. Slot `i` of the output is `None`
+    /// where the residual filter rejects `rows[i]`; `COUNT(*)` inputs
+    /// materialize as `Int(1)`, mirroring the serial operator.
     pub fn eval_partial_batch(&self, schema: &Schema, rows: &[Row]) -> Result<Vec<Option<Row>>> {
         use crate::batch::ColumnBatch;
-        use crate::expr::{bind, eval_vec, filter_vec, BoundExpr};
+        use crate::expr::{bind, eval_vec, filter_vec, BoundExpr, VecScratch};
         use crate::value::RawValue;
 
         let residual = self.residual.as_ref().map(|p| bind(p, schema)).transpose()?;
@@ -214,17 +189,18 @@ impl AggPlan {
             batch.finish_row()?;
         }
         let mut sel = vec![true; batch.len()];
+        let mut scratch = VecScratch::default();
         if let Some(p) = &residual {
-            filter_vec(p, &batch, &mut sel)?;
+            filter_vec(p, &batch, &mut sel, &mut scratch)?;
         }
         let mut vecs: Vec<Vec<Value>> = Vec::with_capacity(groups.len() + args.len());
         for e in &groups {
-            vecs.push(eval_vec(e, &batch, &sel)?);
+            vecs.push(eval_vec(e, &batch, &sel, &mut scratch)?);
         }
         for arg in &args {
             vecs.push(match arg {
                 None => vec![Value::Int(1); batch.len()], // COUNT(*) counts rows
-                Some(e) => eval_vec(e, &batch, &sel)?,
+                Some(e) => eval_vec(e, &batch, &sel, &mut scratch)?,
             });
         }
         let mut out = Vec::with_capacity(batch.len());
@@ -283,7 +259,34 @@ impl AggPlan {
 mod tests {
     use super::*;
     use crate::ast::Statement;
+    use crate::expr::eval;
     use crate::parser::parse_statement;
+
+    impl AggPlan {
+    /// Row-at-a-time oracle for [`AggPlan::eval_partial_batch`]: evaluate
+        /// one fragment row into a partial tuple `[group values...,
+        /// aggregate inputs...]`, or `None` when the residual filter rejects
+        /// the row. `COUNT(*)` inputs materialize as `Int(1)`, mirroring the
+        /// serial operator.
+        pub fn eval_partial(&self, schema: &Schema, row: &Row) -> Result<Option<Row>> {
+            if let Some(p) = &self.residual {
+                if !eval(p, schema, row)?.is_truthy() {
+                    return Ok(None);
+                }
+            }
+            let mut tuple = Vec::with_capacity(self.group_by.len() + self.specs.len());
+            for e in &self.group_by {
+                tuple.push(eval(e, schema, row)?);
+            }
+            for spec in &self.specs {
+                tuple.push(match &spec.arg {
+                    None => Value::Int(1),
+                    Some(e) => eval(e, schema, row)?,
+                });
+            }
+            Ok(Some(tuple))
+        }
+    }
 
     fn select(sql: &str) -> SelectStmt {
         match parse_statement(sql).unwrap() {

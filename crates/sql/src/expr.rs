@@ -1,17 +1,20 @@
-//! Expression evaluation against a row.
+//! Expression evaluation.
 //!
-//! Two evaluators share one set of semantic helpers:
+//! Three evaluators share one set of semantic helpers:
 //!
 //! * [`eval`] walks the parsed [`Expr`] tree, resolving column names
-//!   against the [`Schema`] on every row — simple, and fine for the
-//!   volcano operators.
-//! * [`bind`] + [`eval_bound`] split that work: binding resolves every
-//!   column reference to its row index **once per scan**, so per-row
-//!   evaluation skips name resolution (case folding plus a linear
-//!   column search) entirely. The morsel workers use this path.
+//!   against the [`Schema`] on every row — simple, and what the
+//!   row-at-a-time operators above the scans (joins, sort, post-join
+//!   and post-aggregate filters/projections) and DML still use.
+//! * [`bind`] resolves every column reference to its row index **once**;
+//!   [`eval_bound`] evaluates the resulting [`BoundExpr`] against a row
+//!   without name lookups.
+//! * [`eval_vec`] / [`eval_truth_vec`] / [`filter_vec`] evaluate a
+//!   [`BoundExpr`] over a whole column batch — what the scan kernel
+//!   runs (see the second half of this file).
 //!
 //! All operator semantics (three-valued logic, arithmetic promotion,
-//! built-in functions, `LIKE`) live in shared helpers, so the two
+//! built-in functions, `LIKE`) live in shared helpers, so the
 //! evaluators cannot drift apart.
 
 use crate::ast::{BinOp, Expr, UnaryOp};
@@ -486,48 +489,59 @@ fn eval_func(name: &str, args: &[Value]) -> Result<Value> {
 }
 
 /// SQL `LIKE` matcher: `%` matches any run, `_` matches one character.
+/// Walks both strings in place (no per-call buffers: the scan kernel
+/// calls this once per lane).
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    like_rec(&p, &t)
+    like_rec(pattern.chars(), text.chars())
 }
 
-fn like_rec(p: &[char], t: &[char]) -> bool {
-    match p.first() {
-        None => t.is_empty(),
-        Some('%') => {
-            // Collapse consecutive %.
-            let rest = &p[1..];
-            if rest.is_empty() {
-                return true;
-            }
-            for skip in 0..=t.len() {
-                if like_rec(rest, &t[skip..]) {
+fn like_rec(mut p: std::str::Chars<'_>, mut t: std::str::Chars<'_>) -> bool {
+    loop {
+        match p.next() {
+            None => return t.next().is_none(),
+            Some('%') => {
+                if p.as_str().is_empty() {
                     return true;
                 }
+                // Try the rest of the pattern at every suffix of the text.
+                loop {
+                    if like_rec(p.clone(), t.clone()) {
+                        return true;
+                    }
+                    if t.next().is_none() {
+                        return false;
+                    }
+                }
             }
-            false
+            Some('_') => {
+                if t.next().is_none() {
+                    return false;
+                }
+            }
+            Some(c) => {
+                if t.next() != Some(c) {
+                    return false;
+                }
+            }
         }
-        Some('_') => !t.is_empty() && like_rec(&p[1..], &t[1..]),
-        Some(c) => t.first() == Some(c) && like_rec(&p[1..], &t[1..]),
     }
 }
 
 // ---------------------------------------------------------------------------
 // Vectorized evaluation over column batches.
 //
-// The third evaluator: [`eval_vec`] / [`eval_truth_vec`] run a
-// [`BoundExpr`] over a whole [`ColumnBatch`] at a time, visiting only
-// the lanes an `active` bitmap keeps live. Comparisons, BETWEEN, LIKE
-// and IS NULL read column lanes in place (no `String` clone per text
-// cell — the big win over `eval_bound`'s `row[idx].clone()`); AND/OR
-// propagate shrinking active sets so the right-hand side is only
-// evaluated where the scalar evaluator would have evaluated it,
-// reproducing short-circuit *error* semantics exactly; every remaining
-// node falls back to per-lane [`eval_bound`] on a materialized scratch
-// row. Semantic helpers ([`cmp_holds`], [`unary_value`], [`arith`],
+// [`eval_vec`] / [`eval_truth_vec`] run a [`BoundExpr`] over a whole
+// [`ColumnBatch`] at a time, visiting only the lanes an `active` bitmap
+// keeps live. Comparisons, BETWEEN, LIKE, IS NULL and IN over literals
+// read column lanes in place (no `String` clone per text cell — the big
+// win over `eval_bound`'s `row[idx].clone()`); AND/OR propagate
+// shrinking active sets so the right-hand side is only evaluated where
+// the scalar evaluator would have evaluated it, reproducing
+// short-circuit *error* semantics exactly; every remaining node falls
+// back to per-lane [`eval_bound`] on a materialized scratch row.
+// Semantic helpers ([`cmp_holds`], [`unary_value`], [`arith`],
 // `LaneVal::compare` ≡ `Value::compare`) are shared with the row
-// evaluators, so all three agree value-for-value.
+// evaluators, so all of them agree value-for-value.
 
 use crate::batch::{ColumnBatch, ColumnData, LaneVal};
 
@@ -548,20 +562,59 @@ fn truth_of(v: &Value) -> u8 {
     }
 }
 
+fn truth_if(holds: bool) -> u8 {
+    if holds {
+        T_TRUE
+    } else {
+        T_FALSE
+    }
+}
+
+/// Free lists of the buffers the truth kernels work in. A scan keeps one
+/// per worker and threads it through every morsel, so a predicate made
+/// of comparisons, BETWEEN, LIKE, IS NULL, IN and AND/OR over columns
+/// and literals allocates nothing once the lists are warm (computed
+/// operands such as `a % 3` still build a value vector per morsel).
+#[derive(Debug, Default)]
+pub struct VecScratch {
+    truth: Vec<Vec<u8>>,
+    masks: Vec<Vec<bool>>,
+}
+
+impl VecScratch {
+    /// A truth vector of `n` [`T_FALSE`] lanes.
+    fn take_truth(&mut self, n: usize) -> Vec<u8> {
+        let mut v = self.truth.pop().unwrap_or_default();
+        v.clear();
+        v.resize(n, T_FALSE);
+        v
+    }
+
+    /// Hand a truth vector back once its lanes have been consumed.
+    pub fn give_truth(&mut self, v: Vec<u8>) {
+        self.truth.push(v);
+    }
+}
+
 /// A resolved operand of a vectorized kernel: a borrowed column, a
 /// broadcast constant, or a computed sub-expression vector.
 enum VecOp<'a> {
     Col(&'a ColumnData),
-    Const(Value),
+    Const(&'a Value),
     Owned(Vec<Value>),
 }
 
 impl<'a> VecOp<'a> {
-    fn resolve(e: &BoundExpr, batch: &'a ColumnBatch, active: &[bool]) -> Result<VecOp<'a>> {
+    fn resolve(
+        e: &'a BoundExpr,
+        batch: &'a ColumnBatch,
+        active: &[bool],
+        scratch: &mut VecScratch,
+    ) -> Result<VecOp<'a>> {
         Ok(match e {
             BoundExpr::Col(i) => VecOp::Col(batch.column(*i)),
-            BoundExpr::Literal(v) => VecOp::Const(v.clone()),
-            _ => VecOp::Owned(eval_vec(e, batch, active)?),
+            BoundExpr::Literal(v) => VecOp::Const(v),
+            _ => VecOp::Owned(eval_vec(e, batch, active, scratch)?),
         })
     }
 
@@ -582,53 +635,43 @@ fn incomparable(a: LaneVal<'_>, b: LaneVal<'_>) -> SqlError {
 /// ([`T_FALSE`]/[`T_TRUE`]/[`T_NULL`]) per lane. Only lanes with
 /// `active[i]` set are evaluated (inactive lanes report [`T_FALSE`] and
 /// can never raise an error) — exactly the rows the scalar filter would
-/// have reached.
-pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Result<Vec<u8>> {
+/// have reached. The returned vector comes from `scratch`; hand it back
+/// with [`VecScratch::give_truth`] to keep the kernels allocation-free.
+pub fn eval_truth_vec(
+    e: &BoundExpr,
+    batch: &ColumnBatch,
+    active: &[bool],
+    scratch: &mut VecScratch,
+) -> Result<Vec<u8>> {
     let n = batch.len();
     debug_assert_eq!(active.len(), n);
     match e {
-        BoundExpr::Binary { op: BinOp::And, left, right } => {
-            let l = eval_truth_vec(left, batch, active)?;
-            // The scalar evaluator skips the rhs only when the lhs is
-            // known-false; replicate that with a shrunk active set so
-            // rhs errors surface on exactly the same lanes.
-            let rhs_active: Vec<bool> =
-                (0..n).map(|i| active[i] && l[i] != T_FALSE).collect();
-            let r = eval_truth_vec(right, batch, &rhs_active)?;
-            let mut out = vec![T_FALSE; n];
+        BoundExpr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
+            // The scalar evaluator skips the rhs only when the lhs
+            // already decides the result (false for AND, true for OR);
+            // replicate that with a shrunk active set so rhs errors
+            // surface on exactly the same lanes.
+            let decided = if *op == BinOp::And { T_FALSE } else { T_TRUE };
+            let mut l = eval_truth_vec(left, batch, active, scratch)?;
+            let mut rhs_active = scratch.masks.pop().unwrap_or_default();
+            rhs_active.clear();
+            rhs_active.extend((0..n).map(|i| active[i] && l[i] != decided));
+            let r = eval_truth_vec(right, batch, &rhs_active, scratch);
+            scratch.masks.push(rhs_active);
+            let r = r?;
             for i in 0..n {
-                if !active[i] {
-                    continue;
-                }
-                out[i] = if l[i] == T_FALSE || r[i] == T_FALSE {
+                l[i] = if !active[i] {
                     T_FALSE
+                } else if l[i] == decided || r[i] == decided {
+                    decided
                 } else if l[i] == T_NULL || r[i] == T_NULL {
                     T_NULL
                 } else {
-                    T_TRUE
+                    T_TRUE - decided
                 };
             }
-            Ok(out)
-        }
-        BoundExpr::Binary { op: BinOp::Or, left, right } => {
-            let l = eval_truth_vec(left, batch, active)?;
-            let rhs_active: Vec<bool> =
-                (0..n).map(|i| active[i] && l[i] != T_TRUE).collect();
-            let r = eval_truth_vec(right, batch, &rhs_active)?;
-            let mut out = vec![T_FALSE; n];
-            for i in 0..n {
-                if !active[i] {
-                    continue;
-                }
-                out[i] = if l[i] == T_TRUE || r[i] == T_TRUE {
-                    T_TRUE
-                } else if l[i] == T_NULL || r[i] == T_NULL {
-                    T_NULL
-                } else {
-                    T_FALSE
-                };
-            }
-            Ok(out)
+            scratch.give_truth(r);
+            Ok(l)
         }
         BoundExpr::Binary {
             op:
@@ -636,9 +679,9 @@ pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Re
             left,
             right,
         } => {
-            let l = VecOp::resolve(left, batch, active)?;
-            let r = VecOp::resolve(right, batch, active)?;
-            let mut out = vec![T_FALSE; n];
+            let l = VecOp::resolve(left, batch, active, scratch)?;
+            let r = VecOp::resolve(right, batch, active, scratch)?;
+            let mut out = scratch.take_truth(n);
             for i in 0..n {
                 if !active[i] {
                     continue;
@@ -647,21 +690,16 @@ pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Re
                 out[i] = if a.is_null() || b.is_null() {
                     T_NULL
                 } else {
-                    let ord = a.compare(b).ok_or_else(|| incomparable(a, b))?;
-                    if cmp_holds(*op, ord) {
-                        T_TRUE
-                    } else {
-                        T_FALSE
-                    }
+                    truth_if(cmp_holds(*op, a.compare(b).ok_or_else(|| incomparable(a, b))?))
                 };
             }
             Ok(out)
         }
         BoundExpr::Between { expr, low, high, negated } => {
-            let v = VecOp::resolve(expr, batch, active)?;
-            let lo = VecOp::resolve(low, batch, active)?;
-            let hi = VecOp::resolve(high, batch, active)?;
-            let mut out = vec![T_FALSE; n];
+            let v = VecOp::resolve(expr, batch, active, scratch)?;
+            let lo = VecOp::resolve(low, batch, active, scratch)?;
+            let hi = VecOp::resolve(high, batch, active, scratch)?;
+            let mut out = scratch.take_truth(n);
             for i in 0..n {
                 if !active[i] {
                     continue;
@@ -671,12 +709,7 @@ pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Re
                 // either comparison is undefined.
                 out[i] = match (a.compare(lo.lane(i)), a.compare(hi.lane(i))) {
                     (Some(x), Some(y)) => {
-                        let inside = x != Ordering::Less && y != Ordering::Greater;
-                        if inside ^ negated {
-                            T_TRUE
-                        } else {
-                            T_FALSE
-                        }
+                        truth_if((x != Ordering::Less && y != Ordering::Greater) ^ negated)
                     }
                     _ => T_NULL,
                 };
@@ -684,8 +717,8 @@ pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Re
             Ok(out)
         }
         BoundExpr::IsNull { expr, negated } => {
-            let v = VecOp::resolve(expr, batch, active)?;
-            let mut out = vec![T_FALSE; n];
+            let v = VecOp::resolve(expr, batch, active, scratch)?;
+            let mut out = scratch.take_truth(n);
             for i in 0..n {
                 if active[i] && (v.lane(i).is_null() ^ negated) {
                     out[i] = T_TRUE;
@@ -694,21 +727,15 @@ pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Re
             Ok(out)
         }
         BoundExpr::Like { expr, pattern, negated } => {
-            let v = VecOp::resolve(expr, batch, active)?;
-            let mut out = vec![T_FALSE; n];
+            let v = VecOp::resolve(expr, batch, active, scratch)?;
+            let mut out = scratch.take_truth(n);
             for i in 0..n {
                 if !active[i] {
                     continue;
                 }
                 out[i] = match v.lane(i) {
                     LaneVal::Null => T_NULL,
-                    LaneVal::Str(s) => {
-                        if like_match(pattern, s) ^ negated {
-                            T_TRUE
-                        } else {
-                            T_FALSE
-                        }
-                    }
+                    LaneVal::Str(s) => truth_if(like_match(pattern, s) ^ negated),
                     other => {
                         return Err(SqlError::Eval(format!(
                             "LIKE needs text, got {:?}",
@@ -719,11 +746,39 @@ pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Re
             }
             Ok(out)
         }
+        // `x IN (literal, …)` — `in_list_with` semantics without a value
+        // per lane: NULL in, NULL out; incomparable items never match.
+        BoundExpr::InList { expr, list, negated }
+            if list.iter().all(|item| matches!(item, BoundExpr::Literal(_))) =>
+        {
+            let v = VecOp::resolve(expr, batch, active, scratch)?;
+            let mut out = scratch.take_truth(n);
+            for i in 0..n {
+                if !active[i] {
+                    continue;
+                }
+                let a = v.lane(i);
+                out[i] = if a.is_null() {
+                    T_NULL
+                } else {
+                    let found = list.iter().any(|item| match item {
+                        BoundExpr::Literal(lit) => {
+                            a.compare(LaneVal::of(lit)) == Some(Ordering::Equal)
+                        }
+                        _ => false,
+                    });
+                    truth_if(found ^ negated)
+                };
+            }
+            Ok(out)
+        }
         _ => {
-            let vals = eval_vec(e, batch, active)?;
-            Ok((0..n)
-                .map(|i| if active[i] { truth_of(&vals[i]) } else { T_FALSE })
-                .collect())
+            let vals = eval_vec(e, batch, active, scratch)?;
+            let mut out = scratch.take_truth(n);
+            for i in (0..n).filter(|i| active[*i]) {
+                out[i] = truth_of(&vals[i]);
+            }
+            Ok(out)
         }
     }
 }
@@ -732,7 +787,12 @@ pub fn eval_truth_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Re
 /// `active` lanes (inactive lanes hold unspecified filler and must not
 /// be read). Lane `i`'s value — and whether evaluation errors — is
 /// identical to `eval_bound(e, &row_i)`.
-pub fn eval_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Result<Vec<Value>> {
+pub fn eval_vec(
+    e: &BoundExpr,
+    batch: &ColumnBatch,
+    active: &[bool],
+    scratch: &mut VecScratch,
+) -> Result<Vec<Value>> {
     let n = batch.len();
     debug_assert_eq!(active.len(), n);
     match e {
@@ -741,7 +801,7 @@ pub fn eval_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Result<V
             .collect()),
         BoundExpr::Literal(v) => Ok(vec![v.clone(); n]),
         BoundExpr::Unary { op, expr } => {
-            let mut vals = eval_vec(expr, batch, active)?;
+            let mut vals = eval_vec(expr, batch, active, scratch)?;
             for (i, v) in vals.iter_mut().enumerate() {
                 if active[i] {
                     *v = unary_value(*op, std::mem::replace(v, Value::Null))?;
@@ -754,8 +814,8 @@ pub fn eval_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Result<V
             left,
             right,
         } => {
-            let l = VecOp::resolve(left, batch, active)?;
-            let r = VecOp::resolve(right, batch, active)?;
+            let l = VecOp::resolve(left, batch, active, scratch)?;
+            let r = VecOp::resolve(right, batch, active, scratch)?;
             let mut out = vec![Value::Null; n];
             for (i, slot) in out.iter_mut().enumerate() {
                 if !active[i] {
@@ -776,11 +836,13 @@ pub fn eval_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Result<V
         | BoundExpr::Between { .. }
         | BoundExpr::IsNull { .. }
         | BoundExpr::Like { .. } => {
-            let truth = eval_truth_vec(e, batch, active)?;
-            Ok(truth
-                .into_iter()
-                .map(|t| if t == T_NULL { Value::Null } else { Value::Int(t as i64) })
-                .collect())
+            let truth = eval_truth_vec(e, batch, active, scratch)?;
+            let out = truth
+                .iter()
+                .map(|&t| if t == T_NULL { Value::Null } else { Value::Int(t as i64) })
+                .collect();
+            scratch.give_truth(truth);
+            Ok(out)
         }
         // Lazy-arm and list forms keep scalar evaluation order: fall
         // back to per-lane `eval_bound` on a materialized scratch row.
@@ -801,11 +863,17 @@ pub fn eval_vec(e: &BoundExpr, batch: &ColumnBatch, active: &[bool]) -> Result<V
 /// Apply predicate `pred` to `batch`, clearing every selection lane the
 /// predicate does not evaluate to true on (NULL drops the row, matching
 /// the scalar filter's `is_truthy` test).
-pub fn filter_vec(pred: &BoundExpr, batch: &ColumnBatch, sel: &mut [bool]) -> Result<()> {
-    let truth = eval_truth_vec(pred, batch, sel)?;
-    for (s, t) in sel.iter_mut().zip(truth) {
-        *s = *s && t == T_TRUE;
+pub fn filter_vec(
+    pred: &BoundExpr,
+    batch: &ColumnBatch,
+    sel: &mut [bool],
+    scratch: &mut VecScratch,
+) -> Result<()> {
+    let truth = eval_truth_vec(pred, batch, sel, scratch)?;
+    for (s, t) in sel.iter_mut().zip(&truth) {
+        *s = *s && *t == T_TRUE;
     }
+    scratch.give_truth(truth);
     Ok(())
 }
 
@@ -1150,7 +1218,8 @@ mod vec_tests {
             rows.iter().map(|r| eval_bound(&bound, r)).collect();
         let scalar_err =
             scalar.iter().zip(active).any(|(r, a)| *a && r.is_err());
-        match eval_vec(&bound, &batch, active) {
+        let scratch = &mut VecScratch::default();
+        match eval_vec(&bound, &batch, active, scratch) {
             Err(_) => assert!(
                 scalar_err,
                 "`{src}` errored vectorized but not scalar on {rows:?} ({active:?})"
@@ -1173,7 +1242,7 @@ mod vec_tests {
                     );
                 }
                 // And the truth kernel must agree with scalar truthiness.
-                if let Ok(truth) = eval_truth_vec(&bound, &batch, active) {
+                if let Ok(truth) = eval_truth_vec(&bound, &batch, active, scratch) {
                     for (i, on) in active.iter().enumerate() {
                         if !on {
                             continue;
@@ -1210,8 +1279,9 @@ mod vec_tests {
         ];
         let bound = bind(&parse_expression("a / n").unwrap(), &schema()).unwrap();
         let batch = batch_of(&rows);
-        assert!(eval_vec(&bound, &batch, &[true, true]).is_err());
-        let vals = eval_vec(&bound, &batch, &[true, false]).unwrap();
+        let scratch = &mut VecScratch::default();
+        assert!(eval_vec(&bound, &batch, &[true, true], scratch).is_err());
+        let vals = eval_vec(&bound, &batch, &[true, false], scratch).unwrap();
         assert_eq!(vals[0], Value::Int(5));
     }
 
@@ -1240,7 +1310,7 @@ mod vec_tests {
         let bound = bind(&parse_expression(src).unwrap(), &schema()).unwrap();
         let batch = batch_of(&rows);
         let mut sel = vec![true; rows.len()];
-        filter_vec(&bound, &batch, &mut sel).unwrap();
+        filter_vec(&bound, &batch, &mut sel, &mut VecScratch::default()).unwrap();
         let want: Vec<bool> =
             rows.iter().map(|r| eval_bound(&bound, r).unwrap().is_truthy()).collect();
         assert_eq!(sel, want);

@@ -6,8 +6,9 @@
 //! write per filled page — while single-row appends read-modify-write the
 //! tail page, like SQLite's append path.
 
+use crate::batch::ColumnBatch;
 use crate::schema::Row;
-use crate::value::encode_value;
+use crate::value::{decode_value_raw, encode_value, RawValue};
 use crate::{Result, SqlError};
 use ironsafe_storage::pager::{PageId, Pager};
 use parking_lot::Mutex;
@@ -42,9 +43,9 @@ fn encode_row(row: &Row) -> Vec<u8> {
 
 /// Walk the encoded records of a heap-page payload, handing each
 /// record's encoded bytes to `visit`. This is the **one** page codec:
-/// every decode view — scratch-row scan ([`scan_page_rows`]), owned-row
-/// decode ([`decode_page_rows`]), columnar decode
-/// ([`scan_page_columns`]) — shares these bounds checks. The header is
+/// both decode views — owned rows ([`decode_page_rows`], DML and the
+/// test oracle) and the scan kernel's columnar decode
+/// ([`scan_page_columns`]) — share these bounds checks. The header is
 /// attacker-controlled on a tampered medium, so every field is bounded
 /// before any slicing; corruption is an error, never a panic.
 pub fn for_each_record(payload: &[u8], mut visit: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
@@ -73,16 +74,19 @@ pub fn for_each_record(payload: &[u8], mut visit: impl FnMut(&[u8]) -> Result<()
     Ok(())
 }
 
-/// Decode one encoded record into `ncols` values via `push`, rejecting
-/// trailing bytes (a record that decodes short or long is corrupt).
-fn decode_record(
-    record: &[u8],
+/// Decode one encoded record of `ncols` values, handing each cell to
+/// `cell` with its column index and rejecting trailing bytes (a record
+/// that decodes short or long is corrupt). Every cell is walked through
+/// [`decode_value_raw`] — tag, bounds and UTF-8 checks — whether or not
+/// the caller keeps it.
+fn decode_record<'a>(
+    record: &'a [u8],
     ncols: usize,
-    mut push: impl FnMut(crate::value::RawValue<'_>) -> Result<()>,
+    mut cell: impl FnMut(usize, RawValue<'a>),
 ) -> Result<()> {
     let mut vpos = 0;
-    for _ in 0..ncols {
-        push(crate::value::decode_value_raw(record, &mut vpos)?)?;
+    for col in 0..ncols {
+        cell(col, decode_value_raw(record, &mut vpos)?);
     }
     if vpos != record.len() {
         return Err(SqlError::Eval("corrupt heap page: record length mismatch".into()));
@@ -90,57 +94,34 @@ fn decode_record(
     Ok(())
 }
 
-/// Walk every row of an encoded heap-page payload, reusing `scratch`
-/// for the decoded values so a full-page scan performs no per-row `Vec`
-/// allocation. The visitor borrows each row only until it returns;
-/// callers keep survivors by cloning (the morsel scanner's filter path
-/// clones only rows that pass the predicate).
-pub fn scan_page_rows(
-    payload: &[u8],
-    ncols: usize,
-    scratch: &mut Row,
-    mut visit: impl FnMut(&Row) -> Result<()>,
-) -> Result<()> {
-    for_each_record(payload, |record| {
-        scratch.clear();
-        decode_record(record, ncols, |raw| {
-            scratch.push(raw.to_value());
-            Ok(())
-        })?;
-        visit(&*scratch)
-    })
-}
-
 /// Decode every row of an encoded heap-page payload into freshly
-/// allocated rows. Public for the codec benchmarks, which compare it
-/// against the allocation-free [`scan_page_rows`] path.
+/// allocated rows: the naive full-width decode DML rewrites, the
+/// partitioner and the scan kernel's test oracle use.
 pub fn decode_page_rows(payload: &[u8], ncols: usize) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
-    let mut scratch: Row = Vec::with_capacity(ncols);
-    scan_page_rows(payload, ncols, &mut scratch, |row| {
-        rows.push(row.clone());
+    for_each_record(payload, |record| {
+        let mut row = Vec::with_capacity(ncols);
+        decode_record(record, ncols, |_, raw| row.push(raw.to_value()))?;
+        rows.push(row);
         Ok(())
     })?;
     Ok(rows)
 }
 
-/// Columnar decode view: append every row of an encoded heap-page
-/// payload to `batch`, cell by cell into typed column vectors. Same
-/// codec and bounds checks as [`scan_page_rows`] (both ride
-/// [`for_each_record`]); text cells go straight into the batch's byte
-/// arena without a per-cell `String`.
-pub fn scan_page_columns(
-    payload: &[u8],
-    ncols: usize,
-    batch: &mut crate::batch::ColumnBatch,
-) -> Result<()> {
-    debug_assert_eq!(batch.width(), ncols);
+/// Columnar decode: append every row of an encoded heap-page payload to
+/// `batch`, copying only the cells of columns with `cols[c]` set into
+/// their typed column vectors (text goes straight into the column's
+/// arena, no per-cell `String`). A skipped cell is still decoded and
+/// validated — pruning decides what is *copied*, never what is
+/// *checked* — so a pruned and a full decode agree on `Ok`/`Err` for
+/// any payload.
+pub fn scan_page_columns(payload: &[u8], cols: &[bool], batch: &mut ColumnBatch) -> Result<()> {
+    debug_assert_eq!(batch.width(), cols.len());
     for_each_record(payload, |record| {
-        let mut col = 0;
-        decode_record(record, ncols, |raw| {
-            batch.push_cell(col, raw);
-            col += 1;
-            Ok(())
+        decode_record(record, cols.len(), |col, raw| {
+            if cols[col] {
+                batch.push_cell(col, raw);
+            }
         })?;
         batch.finish_row()
     })
@@ -420,14 +401,76 @@ mod tests {
         let mut payload = vec![0u8; p.lock().payload_size()];
         p.lock().read_page(heap.pages[0], &mut payload).unwrap();
         let decoded = decode_page_rows(&payload, 3).unwrap();
-        let mut visited = Vec::new();
-        let mut scratch = Vec::new();
-        scan_page_rows(&payload, 3, &mut scratch, |r| {
-            visited.push(r.clone());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(visited, decoded);
+        // The columnar view, fully unmasked and reused across calls,
+        // reconstructs exactly the rows the row decode yields.
+        let mut batch = ColumnBatch::new(3);
+        for _ in 0..2 {
+            batch.clear();
+            scan_page_columns(&payload, &[true; 3], &mut batch).unwrap();
+            let mut visited = Vec::new();
+            let mut scratch = Vec::new();
+            for lane in 0..batch.len() {
+                batch.read_row(lane, &mut scratch);
+                visited.push(scratch.clone());
+            }
+            assert_eq!(visited, decoded);
+        }
+    }
+
+    #[test]
+    fn pruned_and_full_decode_agree_on_every_mutant() {
+        // A skipped column is still validated: flipping any byte of a
+        // page (header, record lengths, tags, text lengths, UTF-8)
+        // yields the same `Ok`/`Err` — and, when `Ok`, the same kept
+        // cells — whether the decode copies every column, some, or
+        // none. Corruption is an error, never a panic.
+        let p = pager();
+        let mut heap = HeapFile::new();
+        let rows = (0..12).map(|i| {
+            vec![Value::Int(i), Value::Text(format!("r\u{e9}sum\u{e9}-{i}")), Value::Null, Value::Float(0.5)]
+        });
+        heap.append_rows(&p, rows).unwrap();
+        let mut page = vec![0u8; p.lock().payload_size()];
+        p.lock().read_page(heap.pages[0], &mut page).unwrap();
+        let used = u32::from_be_bytes(page[0..4].try_into().unwrap()) as usize;
+
+        let masks = [[true; 4], [true, false, false, true], [false, true, false, false], [false; 4]];
+        let decode = |page: &[u8], cols: &[bool; 4]| {
+            let mut batch = ColumnBatch::new(4);
+            scan_page_columns(page, cols, &mut batch).map(|()| batch)
+        };
+        let (mut accepted, mut rejected) = (0, 0);
+        for pos in 0..used {
+            for flip in [0x01u8, 0x80, 0xff] {
+                page[pos] ^= flip;
+                let full = decode(&page, &masks[0]);
+                assert_eq!(full.is_ok(), decode_page_rows(&page, 4).is_ok(), "byte {pos}");
+                for cols in &masks[1..] {
+                    match (decode(&page, cols), &full) {
+                        (Ok(pruned), Ok(full)) => {
+                            assert_eq!(pruned.len(), full.len(), "byte {pos} mask {cols:?}");
+                            for c in (0..4).filter(|c| cols[*c]) {
+                                for lane in 0..full.len() {
+                                    assert_eq!(pruned.lane(c, lane), full.lane(c, lane));
+                                }
+                            }
+                        }
+                        (Err(_), Err(_)) => {}
+                        (pruned, _) => panic!(
+                            "byte {pos} ^ {flip:#x} mask {cols:?}: pruned {:?} vs full {:?}",
+                            pruned.map(|b| b.len()),
+                            full.as_ref().map(|b| b.len())
+                        ),
+                    }
+                }
+                match full {
+                    Ok(_) => accepted += 1,
+                    Err(_) => rejected += 1,
+                }
+                page[pos] ^= flip;
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! (SQLite) also follows for these queries:
 //!
 //! ```text
-//! scans → single-table filters → hash joins (equi) → residual filter
-//!       → hash aggregate → having → sort → project → limit
+//! scans (filter + column pruning fused) → hash joins (equi) → residual
+//!       filter → hash aggregate → having → sort → project → limit
 //! ```
 //!
-//! Single-table predicates are pushed below the joins — the same pushdown
-//! the CSA partitioner exploits to ship filters to the storage engine.
+//! Single-table predicates are pushed into the scans — the same pushdown
+//! the CSA partitioner exploits to ship filters to the storage engine —
+//! and a single-table statement fuses its projection or aggregation
+//! into the scan as well.
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt};
 use crate::catalog::Catalog;
 use crate::exec::{
-    AggSpec, BoxOp, ExecOptions, Filter, HashAggregate, HashJoin, Limit, MorselScan, MorselSource,
-    NestedLoopJoin, ParallelHashAggregate, Project, SeqScan, Sort,
+    AggSpec, BoxOp, ExecOptions, Filter, HashAggregate, HashJoin, Limit, NestedLoopJoin, Project,
+    Scan, ScanAggregate, ScanSource, Sort,
 };
 use crate::heap::SharedPager;
 use crate::schema::{Column, Schema};
@@ -105,13 +107,124 @@ pub fn plan_select(catalog: &Catalog, pager: &SharedPager, stmt: &SelectStmt) ->
     plan_select_with(catalog, pager, stmt, &ExecOptions::serial())
 }
 
-/// Plan a `SELECT`, choosing morsel-parallel scan/aggregate operators
-/// when `opts` requests DOP > 1.
+/// Per base table, the columns `stmt` references anywhere — projections,
+/// predicates, join keys, GROUP BY, HAVING, ORDER BY; `*` references
+/// everything. A name marks every table that resolves it (a superset of
+/// what evaluation touches is always safe). The scan kernel decodes only
+/// these.
+fn referenced_columns(stmt: &SelectStmt, schemas: &[Schema]) -> Vec<Vec<bool>> {
+    let star = stmt.projections.iter().any(|p| matches!(p, SelectItem::Star));
+    let mut masks: Vec<Vec<bool>> = schemas.iter().map(|s| vec![star; s.len()]).collect();
+    let mut names = Vec::new();
+    let projected = stmt.projections.iter().filter_map(|p| match p {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Star => None,
+    });
+    for e in projected
+        .chain(&stmt.where_clause)
+        .chain(&stmt.group_by)
+        .chain(&stmt.having)
+        .chain(stmt.order_by.iter().map(|(e, _)| e))
+    {
+        e.referenced_columns(&mut names);
+    }
+    for name in &names {
+        for (schema, mask) in schemas.iter().zip(&mut masks) {
+            if let Ok(i) = schema.resolve(name) {
+                mask[i] = true;
+            }
+        }
+    }
+    masks
+}
+
+/// What sits below a statement's projection/aggregation.
+enum Below {
+    /// One base table, not yet turned into an operator: its scan can
+    /// fuse the projection or the aggregation.
+    Table(ScanSource),
+    /// Joined scans (plus any residual filter).
+    Plan(BoxOp),
+}
+
+/// Column-pruned scans of `sources` under a greedy left-deep join order
+/// following FROM order, with `residual` filtered on top.
+fn plan_joins(
+    sources: Vec<ScanSource>,
+    equi: Vec<(usize, usize, Expr, Expr)>,
+    mut residual: Vec<Expr>,
+    opts: &ExecOptions,
+) -> Result<BoxOp> {
+    let mut scans: Vec<Option<BoxOp>> = sources
+        .into_iter()
+        .map(|source| Ok(Some(Box::new(Scan::columns(source, opts.clone())?) as BoxOp)))
+        .collect::<Result<_>>()?;
+    let mut joined = vec![false; scans.len()];
+    let mut scan = |t: usize| scans[t].take().expect("each table joins once");
+    let mut current = scan(0);
+    joined[0] = true;
+    let mut used = vec![false; equi.len()];
+    for _ in 1..joined.len() {
+        // Find the first unjoined table connected by an equi predicate.
+        let pick = (0..joined.len()).find(|&t| {
+            !joined[t]
+                && equi.iter().enumerate().any(|(k, (a, b, _, _))| {
+                    !used[k] && ((joined[*a] && *b == t) || (joined[*b] && *a == t))
+                })
+        });
+        match pick {
+            Some(t) => {
+                // Gather all usable keys between the joined set and t.
+                let mut cur_keys = Vec::new();
+                let mut new_keys = Vec::new();
+                for (k, (a, b, l, r)) in equi.iter().enumerate() {
+                    if used[k] {
+                        continue;
+                    }
+                    if joined[*a] && *b == t {
+                        cur_keys.push(l.clone());
+                        new_keys.push(r.clone());
+                        used[k] = true;
+                    } else if joined[*b] && *a == t {
+                        cur_keys.push(r.clone());
+                        new_keys.push(l.clone());
+                        used[k] = true;
+                    }
+                }
+                // Build over the newly joined (usually smaller, filtered)
+                // table; probe with the running intermediate.
+                current = Box::new(HashJoin::new(scan(t), current, new_keys, cur_keys));
+                joined[t] = true;
+            }
+            None => {
+                // No connector: cross join the next unjoined table.
+                let t = joined.iter().position(|d| !d).expect("tables remain");
+                current = Box::new(NestedLoopJoin::new(current, scan(t), None)?);
+                joined[t] = true;
+            }
+        }
+    }
+
+    // Equi predicates that never connected (e.g. both tables already
+    // joined via another path) become residual filters.
+    for (k, (_, _, l, r)) in equi.iter().enumerate() {
+        if !used[k] {
+            residual.push(Expr::bin(BinOp::Eq, l.clone(), r.clone()));
+        }
+    }
+    Ok(match join_conjuncts(residual) {
+        Some(p) => Box::new(Filter::new(current, p)),
+        None => current,
+    })
+}
+
+/// Plan a `SELECT` under explicit execution options.
 ///
-/// Parallel plans emit bit-identical rows and identical `PagerStats`
-/// deltas to their serial counterparts; the only plan shape where that
-/// would break — `LIMIT` short-circuiting a scan before it reads every
-/// page — is kept serial.
+/// Every base table is read by the one scan kernel
+/// ([`crate::exec::scan`]) with its single-table predicates pushed in
+/// and only its referenced columns decoded. A single-table statement
+/// additionally fuses its projection (or its aggregation) into the
+/// scan. Rows and `PagerStats` deltas are bit-identical at any DOP.
 pub fn plan_select_with(
     catalog: &Catalog,
     pager: &SharedPager,
@@ -121,18 +234,8 @@ pub fn plan_select_with(
     if stmt.from.is_empty() {
         return plan_projection_only(stmt);
     }
-    // LIMIT lets the serial pipeline stop pulling mid-scan (fewer page
-    // reads); a morsel scan materializes everything, so its stats would
-    // diverge. Conservatively keep any LIMIT plan serial. Vectorized
-    // execution rides the morsel operators, so it routes here too even
-    // at DOP 1, as does a scan with a [`ScanWatch`] attached (per-morsel
-    // telemetry requires the morsel driver; rows and stats stay
-    // bit-identical either way).
-    let par =
-        (opts.parallel() || opts.vectorized || opts.watch.is_some()) && stmt.limit.is_none();
 
-    // 1. Table metadata (scan operators are built after predicate
-    // classification so pushed filters can live inside morsel workers).
+    // 1. Table metadata.
     let mut schemas = Vec::with_capacity(stmt.from.len());
     let mut heaps = Vec::with_capacity(stmt.from.len());
     for tref in &stmt.from {
@@ -159,124 +262,66 @@ pub fn plan_select_with(
         }
     }
 
-    // 3. Filtered scans. Serial: SeqScan under an optional Filter.
-    // Parallel: a MorselScan with the pushed predicate evaluated inside
-    // the workers (same rows, same order, same page reads).
-    let mut filtered: Vec<Option<BoxOp>> = Vec::with_capacity(schemas.len());
-    let mut lone_source: Option<MorselSource> = None;
-    for (i, (schema, heap)) in schemas.iter().zip(heaps.iter()).enumerate() {
-        let preds = std::mem::take(&mut single[i]);
-        let pred = join_conjuncts(preds);
-        let op: BoxOp = if par {
-            let source = MorselSource {
-                schema: schema.clone(),
-                heap: heap.clone(),
-                pager: pager.clone(),
-                pred,
-            };
-            if schemas.len() == 1 {
-                lone_source = Some(source.clone());
-            }
-            Box::new(MorselScan::new(source, opts.clone()))
-        } else {
-            let s: BoxOp = Box::new(SeqScan::new(schema.clone(), heap.clone(), pager.clone()));
-            match pred {
-                Some(p) => Box::new(Filter::new(s, p)),
-                None => s,
-            }
-        };
-        filtered.push(Some(op));
-    }
+    let has_agg = !stmt.group_by.is_empty()
+        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate())
+        || stmt.projections.iter().any(
+            |p| matches!(p, SelectItem::Expr { expr, .. } if expr.contains_aggregate()),
+        );
+    // A LIMIT with no pipeline breaker below it stops pulling mid-scan.
+    // One-page morsels on one worker make the scans under it read exactly
+    // the pages a page-at-a-time scan would (per-morsel telemetry keeps
+    // its `morsel_pages` granularity by sitting such a scan out).
+    let streaming_limit = stmt.limit.is_some() && !has_agg && stmt.order_by.is_empty();
+    let scan_opts = if streaming_limit {
+        ExecOptions { dop: Default::default(), morsel_pages: 1, watch: None, ..opts.clone() }
+    } else {
+        opts.clone()
+    };
 
-    // 4. Greedy left-deep join order following FROM order.
-    let mut joined = vec![false; filtered.len()];
-    let mut current = filtered[0].take().expect("first scan");
-    joined[0] = true;
-    let mut used = vec![false; equi.len()];
-    for _ in 1..filtered.len() {
-        // Find the first unjoined table connected by an equi predicate.
-        let mut pick: Option<usize> = None;
-        for (t, done) in joined.iter().enumerate() {
-            if *done {
-                continue;
-            }
-            let connects = equi.iter().enumerate().any(|(k, (a, b, _, _))| {
-                !used[k] && ((joined[*a] && *b == t) || (joined[*b] && *a == t))
-            });
-            if connects {
-                pick = Some(t);
-                break;
-            }
-        }
-        match pick {
-            Some(t) => {
-                // Gather all usable keys between the joined set and t.
-                let mut cur_keys = Vec::new();
-                let mut new_keys = Vec::new();
-                for (k, (a, b, l, r)) in equi.iter().enumerate() {
-                    if used[k] {
-                        continue;
-                    }
-                    if joined[*a] && *b == t {
-                        cur_keys.push(l.clone());
-                        new_keys.push(r.clone());
-                        used[k] = true;
-                    } else if joined[*b] && *a == t {
-                        cur_keys.push(r.clone());
-                        new_keys.push(l.clone());
-                        used[k] = true;
-                    }
-                }
-                let t_op = filtered[t].take().expect("unjoined scan");
-                // Build over the newly joined (usually smaller, filtered)
-                // table; probe with the running intermediate.
-                current = Box::new(HashJoin::new(t_op, current, new_keys, cur_keys));
-                joined[t] = true;
-            }
-            None => {
-                // No connector: cross join the next unjoined table.
-                let t = joined.iter().position(|d| !d).expect("tables remain");
-                let t_op = filtered[t].take().expect("unjoined scan");
-                current = Box::new(NestedLoopJoin::new(current, t_op, None)?);
-                joined[t] = true;
-            }
-        }
-    }
+    // 3. Scan sources: pushed predicate + referenced columns per table.
+    let masks = referenced_columns(stmt, &schemas);
+    let mut sources: Vec<ScanSource> = (schemas.into_iter().zip(heaps).zip(masks))
+        .zip(single)
+        .map(|(((schema, heap), cols), preds)| ScanSource {
+            schema,
+            heap,
+            pager: pager.clone(),
+            pred: join_conjuncts(preds),
+            cols,
+        })
+        .collect();
 
-    // Equi predicates that never connected (e.g. both tables already joined
-    // via another path) become residual filters.
-    for (k, (_, _, l, r)) in equi.iter().enumerate() {
-        if !used[k] {
-            residual.push(Expr::bin(BinOp::Eq, l.clone(), r.clone()));
-        }
-    }
-    if let Some(p) = join_conjuncts(residual) {
-        current = Box::new(Filter::new(current, p));
-    }
+    // 4. A lone table keeps its source so the scan can fuse what sits on
+    // top of it; several tables become column-pruned scans under joins.
+    let below = match sources.len() {
+        1 => Below::Table(sources.pop().expect("one source")),
+        _ => Below::Plan(plan_joins(sources, equi, residual, &scan_opts)?),
+    };
+    // What the rest of the statement resolves against: the lone table's
+    // full schema, or the joined, pruned columns.
+    let input = match &below {
+        Below::Table(source) => source.schema.clone(),
+        Below::Plan(op) => op.schema().clone(),
+    };
 
     // 5. Projections, aggregation, ordering.
-    let proj_items = expand_projections(stmt, current.schema())?;
-    let has_agg = !stmt.group_by.is_empty()
-        || proj_items.iter().any(|(e, _)| e.contains_aggregate())
-        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate());
-
+    let proj_items = expand_projections(stmt, &input)?;
     let (proj_exprs, proj_names): (Vec<Expr>, Vec<String>) = proj_items.into_iter().unzip();
     let mut order_keys: Vec<(Expr, bool)> = stmt.order_by.clone();
     // ORDER BY may reference projection aliases: substitute them.
     for (e, _) in &mut order_keys {
         if let Expr::Column(name) = e {
             if let Some(i) = proj_names.iter().position(|n| n == name) {
-                if current.schema().resolve(name).is_err() {
+                if input.resolve(name).is_err() {
                     *e = proj_exprs[i].clone();
                 }
             }
         }
     }
 
-    // Validate that every referenced column resolves against the joined
+    // Validate that every referenced column resolves against the input
     // schema (cheap, and turns silent empty results into plan errors).
     {
-        let schema = current.schema();
         let mut cols = Vec::new();
         for e in proj_exprs
             .iter()
@@ -287,10 +332,11 @@ pub fn plan_select_with(
             e.referenced_columns(&mut cols);
         }
         for c in cols {
-            schema.resolve(&c)?;
+            input.resolve(&c)?;
         }
     }
 
+    let mut current: BoxOp;
     if has_agg {
         // Collect aggregates from every post-grouping expression.
         let mut agg_nodes: Vec<Expr> = Vec::new();
@@ -311,18 +357,20 @@ pub fn plan_select_with(
             })
             .collect();
         let group_names: Vec<String> = (0..stmt.group_by.len()).map(|i| format!("__grp{i}")).collect();
-        current = match lone_source {
-            // Single-table aggregation (the TPC-H Q1/Q6 shape): fuse
-            // scan + filter + partial evaluation into the morsel workers
-            // and replay the serial accumulator in the merge.
-            Some(source) => Box::new(ParallelHashAggregate::new(
+        current = match below {
+            // Single-table aggregation (the TPC-H Q1/Q6 shape): the scan
+            // kernel pre-evaluates group keys and aggregate inputs per
+            // morsel and the serial accumulator folds them in row order.
+            Below::Table(source) => Box::new(ScanAggregate::new(
                 source,
-                opts.clone(),
+                scan_opts,
                 stmt.group_by.clone(),
                 group_names,
                 specs,
-            )),
-            None => Box::new(HashAggregate::new(current, stmt.group_by.clone(), group_names, specs)),
+            )?),
+            Below::Plan(op) => {
+                Box::new(HashAggregate::new(op, stmt.group_by.clone(), group_names, specs))
+            }
         };
 
         let rw = |e: &Expr| rewrite_post_agg(e, &stmt.group_by, &agg_nodes);
@@ -340,11 +388,24 @@ pub fn plan_select_with(
         if stmt.having.is_some() {
             return Err(SqlError::Plan("HAVING without aggregation".into()));
         }
-        if !order_keys.is_empty() {
-            current = Box::new(Sort::new(current, order_keys));
-        }
-        let schema = output_schema(&proj_exprs, &proj_names, current.schema());
-        current = Box::new(Project::new(current, proj_exprs, schema));
+        let schema = output_schema(&proj_exprs, &proj_names, &input);
+        current = match below {
+            // Nothing sits between a lone scan and its projection: fuse
+            // it, so output rows are built straight from batch lanes.
+            Below::Table(source) if order_keys.is_empty() => {
+                Box::new(Scan::new(source, &proj_exprs, schema, scan_opts)?)
+            }
+            below => {
+                let mut op: BoxOp = match below {
+                    Below::Table(source) => Box::new(Scan::columns(source, scan_opts)?),
+                    Below::Plan(op) => op,
+                };
+                if !order_keys.is_empty() {
+                    op = Box::new(Sort::new(op, order_keys));
+                }
+                Box::new(Project::new(op, proj_exprs, schema))
+            }
+        };
     }
 
     if let Some(n) = stmt.limit {

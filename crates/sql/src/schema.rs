@@ -48,10 +48,13 @@ impl Schema {
     /// directly. TPC-H column names are globally unique so unqualified
     /// resolution is unambiguous; an ambiguous match is an error.
     pub fn resolve(&self, name: &str) -> Result<usize> {
-        let needle = name.rsplit('.').next().expect("split yields at least one").to_ascii_lowercase();
+        // Column names are stored lowercase; compare case-insensitively
+        // instead of lowercasing the needle into a fresh `String` (the
+        // row-at-a-time operators resolve on every row).
+        let needle = name.rsplit('.').next().expect("split yields at least one");
         let mut found = None;
         for (i, c) in self.columns.iter().enumerate() {
-            if c.name == needle {
+            if c.name.eq_ignore_ascii_case(needle) {
                 if found.is_some() {
                     return Err(SqlError::Plan(format!("ambiguous column `{name}`")));
                 }

@@ -519,15 +519,6 @@ impl MerkleTree {
             }
         }
         let use_cache = self.cache.usable_for(expected_root);
-        if use_cache {
-            for &index in indices {
-                if self.cache.contains(0, index) {
-                    self.cache.stats.hits += 1;
-                } else {
-                    self.cache.stats.misses += 1;
-                }
-            }
-        }
         // Climb frontier: distinct leaves that are not already
         // authenticated against this root.
         let VerifyScratch { frontier, next, touched } = scratch;
@@ -537,6 +528,19 @@ impl MerkleTree {
         frontier.dedup();
         if use_cache {
             frontier.retain(|&i| !self.cache.contains(0, i as u64));
+            // Classify hits and misses as the same entries verified one
+            // at a time would: the first entry to touch an unauthenticated
+            // sibling group misses (and its climb authenticates the whole
+            // group), every other entry hits — so the cache counters, like
+            // the visit count, do not depend on how reads were batched.
+            let mut misses = 0u64;
+            let mut last_group = None;
+            for group in frontier.iter().map(|&i| i / self.arity) {
+                misses += (last_group != Some(group)) as u64;
+                last_group = Some(group);
+            }
+            self.cache.stats.misses += misses;
+            self.cache.stats.hits += indices.len() as u64 - misses;
         }
         touched.clear();
         let mut level = 0usize;
@@ -846,16 +850,49 @@ mod tests {
         let ids: Vec<u64> = (0..64).collect();
         assert!(t.verify_batch(&ids, &macs, &root));
         let warm_visits = t.node_visits();
-        assert_eq!(t.cache_stats().misses, 64);
-        assert_eq!(t.cache_stats().hits, 0);
+        // Classified as 64 single verifies would be: the first leaf of
+        // each sibling pair misses, its sibling rides the same climb.
+        assert_eq!(t.cache_stats().misses, 32);
+        assert_eq!(t.cache_stats().hits, 32);
         // Second pass: every leaf is authenticated — one visit each.
         assert!(t.verify_batch(&ids, &macs, &root));
         assert_eq!(t.node_visits(), warm_visits + 64);
-        assert_eq!(t.cache_stats().hits, 64);
+        assert_eq!(t.cache_stats().hits, 32 + 64);
         // Single reads hit too.
         assert!(t.verify(17, &mac(17), &root));
         assert_eq!(t.node_visits(), warm_visits + 65);
-        assert_eq!(t.cache_stats().hits, 65);
+        assert_eq!(t.cache_stats().hits, 32 + 65);
+        assert_eq!(t.cache_stats().misses, 32);
+    }
+
+    #[test]
+    fn cache_counters_do_not_depend_on_batching() {
+        // Cold, half-warm and shuffled: a batch classifies hits and
+        // misses exactly as the same entries verified one at a time.
+        for arity in [2usize, 4, 16] {
+            let macs: Vec<[u8; 32]> = (0..100).map(|i| mac(i as u8)).collect();
+            let ids: Vec<u64> = (0..100u64).map(|i| (i * 37) % 100).chain([5, 5, 99]).collect();
+            let picked: Vec<[u8; 32]> = ids.iter().map(|&i| macs[i as usize]).collect();
+            let fresh = || {
+                let mut t = MerkleTree::rebuild_from_macs([1; 32], arity, &macs);
+                t.set_cache_enabled(true);
+                let root = t.root().unwrap();
+                // Warm a few groups first so the batch meets a mixed cache.
+                assert!(t.verify(3, &macs[3], &root) && t.verify(64, &macs[64], &root));
+                (t, root)
+            };
+            let (mut looped, root) = fresh();
+            for (&i, m) in ids.iter().zip(&picked) {
+                assert!(looped.verify(i, m, &root));
+            }
+            let (mut batched, root) = fresh();
+            for (chunk, chunk_macs) in ids.chunks(16).zip(picked.chunks(16)) {
+                assert!(batched.verify_batch(chunk, chunk_macs, &root));
+            }
+            let (l, b) = (looped.cache_stats(), batched.cache_stats());
+            assert_eq!((l.hits, l.misses), (b.hits, b.misses), "arity {arity}");
+            assert_eq!(looped.node_visits(), batched.node_visits(), "arity {arity}");
+        }
     }
 
     #[test]

@@ -72,18 +72,19 @@ impl SnapState {
         self.pins.keys().copied().min()
     }
 
-    /// Drop every version no active pin can still see. A version with
-    /// ceiling `c` serves pins with epoch `< c`; with `m` the smallest
-    /// pinned epoch (or none), versions with `c <= m` are dead.
+    /// Drop every version no reader can still see. A version with
+    /// ceiling `c` serves epochs `< c`. The committed epoch counts as an
+    /// implicit pin: a flush retains a pre-image with ceiling
+    /// `committed + 1` *before* it publishes, and a reader may still pin
+    /// the committed epoch in that window — so with `m` the smaller of
+    /// the smallest pinned epoch and the committed epoch, only versions
+    /// with `c <= m` are dead.
     fn collect(&mut self, metrics: &MvccMetrics) {
-        let min = self.min_pinned();
+        let floor = self.min_pinned().map_or(self.committed_epoch, |m| m.min(self.committed_epoch));
         let mut freed = 0u64;
         self.versions.retain(|_, vs| {
             let before = vs.len();
-            match min {
-                Some(m) => vs.retain(|v| v.ceiling > m),
-                None => vs.clear(),
-            }
+            vs.retain(|v| v.ceiling > floor);
             freed += (before - vs.len()) as u64;
             !vs.is_empty()
         });
@@ -288,6 +289,28 @@ mod tests {
         drop(old);
         assert_eq!(snaps.retained_versions(), 1, "only the version mid still needs");
         drop(mid);
+        assert_eq!(snaps.retained_versions(), 0);
+    }
+
+    #[test]
+    fn unpin_during_a_flush_keeps_the_in_flight_pre_image() {
+        // A flush sits between `retain(.., committed + 1)` and
+        // `publish(committed + 1)` when the last reader unpins: the GC
+        // must not free the pre-image, because the next reader still
+        // pins the committed epoch and the base page is already
+        // overwritten.
+        let snaps = Snapshots::new();
+        snaps.publish(1, 4);
+        let pin = snaps.pin();
+        snaps.retain(2, payload(0xaa), PagerStats::default(), 2);
+        drop(pin);
+        let pin = snaps.pin();
+        assert_eq!(pin.epoch(), 1, "the flush has not published yet");
+        let (img, _) = snaps.lookup(2, pin.epoch()).expect("in-flight pre-image kept");
+        assert_eq!(&img[..], &[0xaa; 8]);
+        snaps.publish(2, 4);
+        assert_eq!(snaps.retained_versions(), 1, "the epoch-1 pin still reads it");
+        drop(pin);
         assert_eq!(snaps.retained_versions(), 0);
     }
 

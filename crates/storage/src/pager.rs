@@ -88,10 +88,11 @@ pub trait Pager {
     /// implementations override it to pipeline device I/O, decryption
     /// and Merkle verification across the whole batch (sharing one
     /// Merkle climb across the batch via shared-path verification).
-    /// `merkle_nodes` counts the hashing actually performed; with the
-    /// verified-node cache enabled, per-epoch totals are order- and
-    /// batching-independent, so batched and looped reads of the same
-    /// pages still produce the same [`PagerStats`] delta.
+    /// `merkle_nodes` counts the hashing actually performed; per-epoch
+    /// totals are order- and batching-independent (with the
+    /// verified-node cache disabled a batch climbs page by page), so
+    /// batched and looped reads of the same pages always produce the
+    /// same [`PagerStats`] delta.
     fn read_pages(&mut self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
         let payload = self.payload_size();
         if out.len() != ids.len() * payload {

@@ -3,17 +3,22 @@
 # pass --offline.
 
 # Build, test, and lint everything (the pre-merge gate).
-check: serve-smoke par-smoke chaos-smoke fresh-smoke profile-smoke shard-smoke vec-smoke wal-smoke adaptive-smoke crypto-smoke
+check: serve-smoke exec-smoke chaos-smoke fresh-smoke profile-smoke shard-smoke wal-smoke adaptive-smoke crypto-smoke
     cargo build --release --offline
     cargo test -q --offline
     cargo clippy --offline -- -D warnings
 
-# Parallel-execution smoke: golden parity (rows, cost breakdowns and
-# pager-stats deltas bit-identical at DOP 4 across every Table 2
-# configuration) plus the morsel engine's own unit tests.
-par-smoke:
+# Execution smoke: the one scan kernel against its row oracle (column
+# masks, DOP axis, LIMIT page counts, byte-mutated pages, the batch
+# evaluators, the allocation-free steady state), compression codec
+# round-trips, golden parity at DOP 4 and across DOP x compressed x
+# shards, and the BENCH_8.json invariant gate.
+exec-smoke:
+    cargo test -q --offline -p ironsafe-sql
+    cargo test -q --offline -p ironsafe-storage --test compress_prop
     cargo test -q --offline -p ironsafe-csa --test parallel_golden
-    cargo test -q --offline -p ironsafe-sql morsel
+    cargo test -q --offline -p ironsafe-scale --test vector_parity
+    cargo run --release --offline -p ironsafe-bench --bin paperbench vectors --check
 
 # Serving-layer smoke: run the multi-client example end to end, then
 # the server's own test suite (admission, determinism, drain).
@@ -44,16 +49,6 @@ shard-smoke:
     cargo test -q --offline -p ironsafe-scale
     cargo run --release --offline -p ironsafe-bench --bin paperbench shards --check
 
-# Vectorization + compression smoke: eval_vec/scalar and partial-batch
-# equivalence properties, column-batch units, compression codec
-# round-trip properties, cross-shard/DOP parity of the vectorized +
-# compressed paths, and the BENCH_8.json invariant gate.
-vec-smoke:
-    cargo test -q --offline -p ironsafe-sql -- batch vec
-    cargo test -q --offline -p ironsafe-storage --test compress_prop
-    cargo test -q --offline -p ironsafe-scale --test vector_parity
-    cargo run --release --offline -p ironsafe-bench --bin paperbench vectors --check
-
 # Adaptive-optimizer smoke: cost-model + planner unit and property
 # tests, pinned/primed golden parity against both static policies, and
 # the BENCH_10.json shape x cores x selectivity x pressure sweep gate
@@ -79,6 +74,11 @@ wal-smoke:
     cargo test -q --offline -p ironsafe-csa --test mvcc_golden
     cargo test -q --offline -p ironsafe --test chaos crash_commit_storms
     cargo run --release --offline -p ironsafe-bench --bin paperbench saturation --check
+
+# MVCC GC stress: the concurrent-readers golden test, 200 times over
+# (a pre-image freed mid-flush used to corrupt ~1 run in 100).
+mvcc-stress:
+    for i in $(seq 200); do cargo test -q --offline -p ironsafe-csa --test mvcc_golden concurrent_readers_observe_only_committed_epochs || exit 1; done
 
 # Crypto-floor smoke: the cipher back-ends against the bytewise oracle
 # and the NIST vectors (unit + property tests), the pinned on-medium and
