@@ -1,5 +1,6 @@
 //! Microbenchmarks for the cryptographic primitives (cost-model inputs:
-//! the per-page decrypt/HMAC costs of Figures 8 and 9c derive from these).
+//! the per-page decrypt/HMAC costs of Figures 8 and 9c derive from these)
+//! and for the one layer built directly on them: the sealed row channel.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ironsafe_crypto::aes::Aes128;
@@ -8,6 +9,9 @@ use ironsafe_crypto::hmac::hmac_sha256;
 use ironsafe_crypto::modes::{cbc_decrypt_aligned, cbc_encrypt_aligned, ctr_xor};
 use ironsafe_crypto::schnorr::KeyPair;
 use ironsafe_crypto::sha256::sha256;
+use ironsafe_csa::net::RowLink;
+use ironsafe_sql::{Database, EncodedRows};
+use ironsafe_storage::pager::PlainPager;
 use rand::SeedableRng;
 
 const PAGE: usize = 4096;
@@ -81,5 +85,31 @@ fn bench_schnorr(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_hash, bench_aes, bench_schnorr);
+/// One full record of real `lineitem` rows through the fragment shipper:
+/// encode → seal → authenticate + open in place → validate → append to
+/// the host's temp-table pages.
+fn bench_channel(c: &mut Criterion) {
+    let data = ironsafe_tpch::generate(0.001, 1);
+    let rows = &data.lineitem[..4096];
+    let mut storage = Database::new(PlainPager::new());
+    ironsafe_tpch::load_into(&mut storage, &data).expect("load");
+    let schema = storage.catalog().table("lineitem").expect("lineitem").schema.clone();
+    let wire_bytes = EncodedRows::from_rows(rows).as_slice().bytes().len();
+
+    let mut g = c.benchmark_group("channel");
+    g.throughput(Throughput::Bytes(wire_bytes as u64));
+    g.bench_function("ship_4096_rows", |b| {
+        let mut link = RowLink::new(&[0x61; 32]);
+        b.iter(|| {
+            let encoded = EncodedRows::from_rows(std::hint::black_box(rows));
+            let mut host = Database::new(PlainPager::new());
+            link.ship_table(&mut host, "lineitem", schema.clone(), &encoded, encoded.len())
+                .expect("ship");
+            host
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_hash, bench_aes, bench_schnorr, bench_channel);
 criterion_main!(benches);

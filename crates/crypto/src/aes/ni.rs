@@ -1,10 +1,11 @@
 //! x86-64 AES-NI back-end: one `aesenc`/`aesdec` per round per block, eight
 //! independent blocks interleaved so the unit's latency is hidden.
 //!
-//! This is the only module in the workspace allowed to contain `unsafe`
-//! (`tests/unsafe_budget.rs` holds everyone to that). It contains
-//! intrinsics only: no chaining, no padding, no counters — those stay in
-//! safe code in [`crate::modes`]. Every `unsafe` block is one of two kinds:
+//! With `sha256::ni` this is one of the two modules in the workspace
+//! allowed to contain `unsafe` (`tests/unsafe_budget.rs` holds everyone to
+//! that). It contains intrinsics only: no chaining, no padding, no
+//! counters — those stay in safe code in [`crate::modes`]. Every `unsafe`
+//! block is one of two kinds:
 //!
 //! * an unaligned 16-byte load/store through a pointer derived from a
 //!   `&[u8; 16]` / `&mut [u8; 16]` (SSE2, part of the x86-64 baseline);

@@ -24,16 +24,29 @@ pub struct HmacSha256 {
 impl HmacSha256 {
     /// Create an HMAC instance keyed with `key` (any length).
     pub fn new(key: &[u8]) -> Self {
+        Self::keyed(key, Sha256::new())
+    }
+
+    /// Keyed on the portable SHA-256 back-end regardless of the CPU, so
+    /// tests cover it on SHA-NI machines too.
+    #[cfg(test)]
+    pub(crate) fn new_portable(key: &[u8]) -> Self {
+        Self::keyed(key, Sha256::new_portable())
+    }
+
+    /// Key over clones of `fresh`, an empty hasher.
+    fn keyed(key: &[u8], fresh: Sha256) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let d = crate::sha256::sha256(key);
-            k[..DIGEST_LEN].copy_from_slice(&d);
+            let mut h = fresh.clone();
+            h.update(key);
+            k[..DIGEST_LEN].copy_from_slice(&h.finalize());
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut inner = Sha256::new();
+        let mut inner = fresh.clone();
         inner.update(&k.map(|b| b ^ 0x36));
-        let mut outer = Sha256::new();
+        let mut outer = fresh;
         outer.update(&k.map(|b| b ^ 0x5c));
         HmacSha256 { inner, outer }
     }
@@ -128,12 +141,36 @@ mod tests {
 
     #[test]
     fn prekeyed_clone_equals_fresh_keying() {
-        let keyed = HmacSha256::new(b"merkle-key");
-        for msg in [b"".as_slice(), b"leaf", &[0x5a; 200]] {
-            let mut h = keyed.clone();
-            h.update(msg);
-            assert_eq!(h.finalize(), hmac_sha256(b"merkle-key", msg));
+        // On whichever back-end the CPU selects and on the portable one:
+        // a clone of a keyed instance is that key's MAC, for short and
+        // hashed-down (> block) keys alike, and both back-ends agree.
+        for key in [b"merkle-key".as_slice(), &[0xaa; 131]] {
+            let keyed = [HmacSha256::new(key), HmacSha256::new_portable(key)];
+            for msg in [b"".as_slice(), b"leaf", &[0x5a; 200], &[0x17; 4136]] {
+                for keyed in &keyed {
+                    let mut h = keyed.clone();
+                    h.update(msg);
+                    assert_eq!(h.finalize(), hmac_sha256(key, msg));
+                }
+            }
         }
+    }
+
+    #[test]
+    fn rfc4231_vectors_hold_on_the_portable_backend() {
+        let tag = |key: &[u8], msg: &[u8]| {
+            let mut h = HmacSha256::new_portable(key);
+            h.update(msg);
+            hex(&h.finalize())
+        };
+        assert_eq!(
+            tag(&[0x0b; 20], b"Hi There"),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        );
+        assert_eq!(
+            tag(&[0xaa; 131], b"Test Using Larger Than Block-Size Key - Hash Key First"),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
     }
 
     #[test]

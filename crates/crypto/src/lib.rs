@@ -7,7 +7,8 @@
 //! reproduction self-contained, every primitive the system needs is
 //! implemented here:
 //!
-//! * [`sha256`] — SHA-256 (FIPS 180-4).
+//! * [`sha256`] — SHA-256 (FIPS 180-4). Two back-ends — portable and
+//!   x86-64 SHA-NI — selected per hasher by CPU feature detection.
 //! * [`sha512`] / [`hmac512`] — SHA-512 and HMAC-SHA512; the paper's page
 //!   MACs are HMAC-SHA512 (via SQLCipher), which the page codec stores
 //!   truncated to 32 bytes.
@@ -32,9 +33,9 @@
 //! but the algorithms themselves are the real ones, verified against
 //! published test vectors in the unit tests.
 //!
-//! The crate denies `unsafe_code` rather than forbidding it so that one
-//! module, `aes::ni` (intrinsics only), can opt in; see DESIGN.md "Crypto
-//! backends" and `tests/unsafe_budget.rs`.
+//! The crate denies `unsafe_code` rather than forbidding it so that two
+//! modules, `aes::ni` and `sha256::ni` (intrinsics only), can opt in; see
+//! DESIGN.md "Crypto backends" and `tests/unsafe_budget.rs`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

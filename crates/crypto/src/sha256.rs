@@ -3,6 +3,17 @@
 //! Streaming implementation: feed arbitrary chunks with [`Sha256::update`]
 //! and call [`Sha256::finalize`] for the 32-byte digest. The one-shot
 //! [`sha256`] helper covers the common case.
+//!
+//! Two back-ends compute the compression function: the portable one in
+//! this file, and [`ni`] on x86-64 CPUs with the SHA extensions.
+//! [`Sha256::new`] picks once per hasher, from what the CPU reports;
+//! nothing else in the workspace can choose. Every HMAC-SHA256 user —
+//! channel records, Merkle nodes, the WAL and audit chains, HKDF —
+//! inherits the choice through it.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -24,9 +35,37 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Which code computes the compression function for one hasher.
+#[derive(Clone, Copy)]
+enum Backend {
+    Soft,
+    #[cfg(target_arch = "x86_64")]
+    Ni(ni::Detected),
+}
+
+impl Backend {
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(sha) = ni::Detected::get() {
+            return Backend::Ni(sha);
+        }
+        Backend::Soft
+    }
+
+    /// Fold whole blocks into `state`.
+    fn compress(self, state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+        match self {
+            Backend::Soft => blocks.iter().for_each(|b| compress(state, b)),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(sha) => sha.compress(state, blocks),
+        }
+    }
+}
+
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
+    backend: Backend,
     state: [u32; 8],
     /// Bytes processed so far (for the length suffix).
     len: u64,
@@ -41,9 +80,20 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Create a fresh hasher.
+    /// Create a fresh hasher on the fastest back-end this CPU supports.
     pub fn new() -> Self {
-        Sha256 { state: H0, len: 0, buf: [0; BLOCK_LEN], buf_len: 0 }
+        Self::with_backend(Backend::detect())
+    }
+
+    /// The portable back-end regardless of what the CPU offers, so tests
+    /// cover it on SHA-NI machines too.
+    #[cfg(test)]
+    pub(crate) fn new_portable() -> Self {
+        Self::with_backend(Backend::Soft)
+    }
+
+    fn with_backend(backend: Backend) -> Self {
+        Sha256 { backend, state: H0, len: 0, buf: [0; BLOCK_LEN], buf_len: 0 }
     }
 
     /// Absorb `data` into the hash state.
@@ -58,14 +108,12 @@ impl Sha256 {
             if self.buf_len < BLOCK_LEN {
                 return;
             }
-            compress(&mut self.state, &self.buf);
+            self.backend.compress(&mut self.state, std::slice::from_ref(&self.buf));
             self.buf_len = 0;
         }
         // Whole blocks are hashed where they lie; only the tail is copied.
         let (blocks, tail) = rest.as_chunks::<BLOCK_LEN>();
-        for block in blocks {
-            compress(&mut self.state, block);
-        }
+        self.backend.compress(&mut self.state, blocks);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -79,11 +127,11 @@ impl Sha256 {
         self.buf[used] = 0x80;
         self.buf[used + 1..].fill(0);
         if used + 1 > BLOCK_LEN - 8 {
-            compress(&mut self.state, &self.buf);
+            self.backend.compress(&mut self.state, std::slice::from_ref(&self.buf));
             self.buf.fill(0);
         }
         self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buf);
+        self.backend.compress(&mut self.state, std::slice::from_ref(&self.buf));
         let mut out = [0u8; DIGEST_LEN];
         for (bytes, w) in out.chunks_exact_mut(4).zip(self.state) {
             bytes.copy_from_slice(&w.to_be_bytes());
@@ -92,7 +140,7 @@ impl Sha256 {
     }
 }
 
-/// The FIPS 180-4 §6.2.2 compression function.
+/// The FIPS 180-4 §6.2.2 compression function, portable.
 fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for (wi, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
@@ -156,41 +204,99 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// A fresh hasher per back-end: always the portable one, plus the
+    /// hardware one where the CPU has it (a printed note where not).
+    fn backends() -> Vec<(&'static str, Sha256)> {
+        let mut all = vec![("portable", Sha256::new_portable())];
+        match Sha256::new().backend {
+            Backend::Soft => eprintln!("note: no SHA extensions on this CPU, hardware half skipped"),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(_) => all.push(("sha-ni", Sha256::new())),
+        }
+        all
+    }
+
+    /// Hex digest of `data` on every back-end (asserting they agree).
+    fn digest_on_all(data: &[u8]) -> String {
+        let digests: Vec<String> = backends()
+            .into_iter()
+            .map(|(_, mut h)| {
+                h.update(data);
+                hex(&h.finalize())
+            })
+            .collect();
+        assert!(digests.iter().all(|d| *d == digests[0]), "back-ends disagree: {digests:?}");
+        digests[0].clone()
+    }
+
     #[test]
     fn empty_vector() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        let want = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+        assert_eq!(digest_on_all(b""), want);
+        assert_eq!(hex(&sha256(b"")), want);
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        let want = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+        assert_eq!(digest_on_all(b"abc"), want);
+        assert_eq!(hex(&sha256(b"abc")), want);
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        let msg = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+        let want = "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
+        assert_eq!(digest_on_all(msg), want);
+        assert_eq!(hex(&sha256(msg)), want);
     }
 
     #[test]
     fn million_a_vector() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (name, mut h) in backends() {
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    }
+
+    /// The portable code is the oracle: at every length from nothing to
+    /// a page and a bit (every padding shape, every multi-block run
+    /// length up to 64) the hardware back-end produces its digest.
+    #[test]
+    fn backends_agree_at_every_length() {
+        let data: Vec<u8> = (0..4112u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        for len in 0..=data.len() {
+            digest_on_all(&data[..len]);
+        }
+    }
+
+    /// …and under arbitrary `update` splits (partial-block carry-over in
+    /// front of a multi-block run, runs ending mid-block).
+    #[test]
+    fn backends_agree_under_random_update_splits() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a17);
+        for _ in 0..200 {
+            let len = rng.gen_range(0..3000usize);
+            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let want = hex(&sha256(&data));
+            for (name, mut h) in backends() {
+                let mut rest = data.as_slice();
+                while !rest.is_empty() {
+                    let take = rng.gen_range(0..=rest.len().min(300));
+                    h.update(&rest[..take]);
+                    rest = &rest[take..];
+                }
+                assert_eq!(hex(&h.finalize()), want, "{name}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -28,17 +28,11 @@
 //! changes cost, never answers.
 
 use crate::cost::CostParams;
+use crate::net::{RECORD_OVERHEAD_BYTES, ROWS_PER_RECORD};
 use crate::partition::OffloadDecision;
 use ironsafe_obs::{Counter, Registry};
 use ironsafe_sql::ast::{BinOp, Expr, UnaryOp};
 use std::collections::BTreeMap;
-
-/// Bytes [`crate::net::SecureChannel::seal_rows`] adds per sealed
-/// record: an 8-byte sequence number plus a 32-byte MAC.
-pub const RECORD_OVERHEAD_BYTES: u64 = 40;
-
-/// Rows per sealed channel record (`seal_rows` chunk size).
-pub const ROWS_PER_RECORD: u64 = 4096;
 
 /// Shape-based selectivity prior for a pushed-down predicate — the
 /// "catalog statistics" seed used before any observation exists.

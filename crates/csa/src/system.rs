@@ -9,10 +9,10 @@
 
 use crate::adaptive::{
     choose, divergence_trip, prior_selectivity, AdaptiveState, EpcView, FragmentStats,
-    PlanMetrics, ReplanPolicy, RECORD_OVERHEAD_BYTES, ROWS_PER_RECORD,
+    PlanMetrics, ReplanPolicy,
 };
 use crate::cost::{CostBreakdown, CostParams};
-use crate::net::channel_pair;
+use crate::net::{RowLink, RECORD_OVERHEAD_BYTES, ROWS_PER_RECORD};
 use crate::profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile, ReplanEvent};
 use crate::partition::{partition_select, partition_select_strategic, OffloadDecision, Partition, StorageQuery};
 use crate::Result;
@@ -20,8 +20,8 @@ use ironsafe_crypto::group::Group;
 use ironsafe_sql::ast::{expr_to_sql, SelectItem, SelectStmt, Statement};
 use ironsafe_sql::exec::{ExecOptions, ScanWatch};
 use parking_lot::Mutex;
-use ironsafe_sql::{Database, QueryResult, Schema};
-use ironsafe_faults::{retry_with, FaultPlan, RetryPolicy};
+use ironsafe_sql::{Database, EncodedRows, QueryResult, Schema};
+use ironsafe_faults::{FaultPlan, RetryPolicy};
 use ironsafe_storage::pager::{PagerStats, PlainPager};
 use ironsafe_sql::catalog::Catalog;
 use ironsafe_storage::{PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager};
@@ -963,10 +963,8 @@ impl CsaSystem {
                 // strategy: pressure is environment, not policy.
                 epc.preload_background(self.epc_pressure_pages);
             }
-            let (mut tx, mut rx) = channel_pair(&self.session_key);
-            rx.set_fault_plan(self.fault_plan.clone());
-            let plan = self.fault_plan.clone();
-            let retry = self.retry;
+            let mut link =
+                RowLink::new(&self.session_key).with_faults(self.fault_plan.clone(), self.retry);
 
             let mut scanned_rows = 0u64;
             let mut rows_shipped = 0u64;
@@ -1043,6 +1041,10 @@ impl CsaSystem {
 
                 // Run fragments near the data, ship results.
                 let mut shipped_tables = Vec::new();
+                // One fragment's output, still encoded: reused from
+                // fragment to fragment, released before the host plan
+                // builds its own working set.
+                let mut rows = EncodedRows::new();
                 for StorageQuery { table, stmt, mode, .. } in &storage {
                     let _frag_span = Span::enter(&format!("fragment/{table}"));
                     let info = self.storage_db.catalog().table(table)?;
@@ -1068,11 +1070,10 @@ impl CsaSystem {
                         Some(w) => exec.clone().with_watch(w.clone()),
                         None => exec.clone(),
                     };
-                    let (frag_result, frag_ops) =
-                        self.storage_db.select_with_profile(stmt, &frag_exec)?;
+                    rows.clear();
+                    let (schema, frag_ops) =
+                        self.storage_db.select_encoded(stmt, &frag_exec, &mut rows)?;
                     let pushdown_sql = stmt.where_clause.as_ref().map(expr_to_sql);
-                    let schema = frag_result.schema();
-                    let rows = frag_result.into_rows();
                     let frag_rows = rows.len();
                     rows_shipped += frag_rows as u64;
                     fragments += 1;
@@ -1090,13 +1091,14 @@ impl CsaSystem {
                         operators: frag_ops,
                     });
 
-                    let bytes_before = tx.bytes_sent;
+                    let bytes_before = link.tx.bytes_sent;
                     let mut sealed_rows = frag_rows;
                     match mode {
                         OffloadDecision::ShipPages => {
                             // Raw page transfer: no storage-side serialization,
                             // whole pages cross the wire.
                             page_transfer_bytes += table_pages * 4096;
+                            sealed_rows = 0;
                         }
                         OffloadDecision::Offload => {
                             // Mid-flight re-planning: if the cumulative
@@ -1170,25 +1172,12 @@ impl CsaSystem {
                                 }
                             }
                             rows_serialized += sealed_rows as u64;
-                            // Serialize through the channel (records of ≤4096 rows).
-                            // Each record is sealed once; injected transit faults
-                            // (drop/corrupt/reorder) reject delivery without
-                            // advancing the receive window, and the retransmit of
-                            // the pristine record is accepted under the retry
-                            // budget — so bytes_sent counts each record once.
-                            for chunk in rows[..sealed_rows].chunks(4096) {
-                                let record = tx.seal_rows(&schema, chunk);
-                                let back =
-                                    retry_with(&plan, &retry, || rx.recv_rows(&record))?;
-                                debug_assert_eq!(back.len(), chunk.len());
-                            }
                         }
                     }
-                    if host_db.catalog().has_table(table) {
-                        host_db.execute(&format!("DROP TABLE {table}"))?;
-                    }
-                    host_db.create_table(table, schema)?;
-                    host_db.insert_rows(table, rows)?;
+                    // The sealed prefix crosses the channel and lands in
+                    // the host's temp table from the received frames; the
+                    // rest stands for pages that crossed raw.
+                    link.ship_table(&mut host_db, table, schema, &rows, sealed_rows)?;
                     shipped_tables.push(table.clone());
 
                     // Feedback: fold the fragment's observed statistics
@@ -1200,7 +1189,7 @@ impl CsaSystem {
                     {
                         let obs = frag_rows as f64 / table_rows.max(1) as f64;
                         let records = (sealed_rows as u64).div_ceil(ROWS_PER_RECORD);
-                        let wire = tx.bytes_sent - bytes_before;
+                        let wire = link.tx.bytes_sent - bytes_before;
                         let per_row = wire.saturating_sub(records * RECORD_OVERHEAD_BYTES)
                             as f64
                             / sealed_rows as f64;
@@ -1223,6 +1212,8 @@ impl CsaSystem {
                         }
                     }
                 }
+
+                drop(rows);
 
                 // Host-side execution over the shipped intermediates.
                 host_input_rows += shipped_tables
@@ -1272,6 +1263,7 @@ impl CsaSystem {
             }
 
             let delta = self.pager_delta(before);
+            let tx = &link.tx;
             let bytes = tx.bytes_sent + page_transfer_bytes;
             self.last_extras.epc_faults = epc.faults();
             if secure {

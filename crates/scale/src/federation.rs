@@ -44,7 +44,7 @@ use crate::node::ShardNode;
 use crate::partitioner::{gid_schema, TablePartition, GID_COLUMN};
 use crate::{Result, ScaleError};
 use ironsafe_csa::cost::CostBreakdown;
-use ironsafe_csa::net::channel_pair;
+use ironsafe_csa::net::RowLink;
 use ironsafe_csa::partition::{partition_select, render_select, Partition, StorageQuery};
 use ironsafe_csa::{QueryReport, SystemConfig};
 use ironsafe_faults::{FaultPlan, FaultSite};
@@ -54,7 +54,7 @@ use ironsafe_sql::ast::{Expr, SelectItem, SelectStmt, Statement};
 use ironsafe_sql::exec::{AggPlan, Dop, ExecOptions};
 use ironsafe_sql::schema::{Row, Schema};
 use ironsafe_sql::value::Value;
-use ironsafe_sql::{Database, QueryResult};
+use ironsafe_sql::{Database, EncodedRows, QueryResult};
 use ironsafe_storage::pager::{PagerStats, PlainPager};
 use ironsafe_tee::sgx::epc::EpcSimulator;
 use ironsafe_tpch::queries::{PaperQuery, QueryStage};
@@ -409,7 +409,7 @@ impl FederatedCsaSystem {
         shards: usize,
     ) -> Result<RunFacts> {
         let p = self.config.params.clone();
-        let (mut tx, mut rx) = channel_pair(&session_key);
+        let mut link = RowLink::new(&session_key);
         let mut host_db = Database::new(PlainPager::new());
         let mut epc = EpcSimulator::new(p.epc_limit_bytes);
 
@@ -461,7 +461,7 @@ impl FederatedCsaSystem {
             };
 
             let mut shipped_tables: Vec<String> = Vec::new();
-            let stage_bytes_before = tx.bytes_sent;
+            let stage_bytes_before = link.tx.bytes_sent;
             let mut agg_result: Option<QueryResult> = None;
 
             for frag in &storage {
@@ -571,12 +571,11 @@ impl FederatedCsaSystem {
                         rows_serialized += rows.len() as u64;
                         host_input_rows += rows.len() as u64;
                         self.metrics.partial_tuples.add(rows.len() as u64);
-                        let pschema = plan.partial_schema();
-                        for chunk in rows.chunks(4096) {
-                            let record = tx.seal_rows(&pschema, chunk);
-                            let back = rx.recv_rows(&record).map_err(ScaleError::Csa)?;
-                            debug_assert_eq!(back.len(), chunk.len());
-                        }
+                        // The tuples cross the channel (validated on
+                        // receipt); the replay below folds them as rows.
+                        let width = plan.partial_schema().len();
+                        let tuples = EncodedRows::from_rows(&rows);
+                        link.ship(width, &tuples, rows.len(), |_| Ok(())).map_err(ScaleError::Csa)?;
                         let (schema, out_rows) = {
                             let _host_span = Span::enter("host/replay_aggregate");
                             plan.finish(rows)?
@@ -587,16 +586,9 @@ impl FederatedCsaSystem {
                         rows_shipped += rows.len() as u64;
                         rows_serialized += rows.len() as u64;
                         let schema = self.frag_schema(frag)?;
-                        for chunk in rows.chunks(4096) {
-                            let record = tx.seal_rows(&schema, chunk);
-                            let back = rx.recv_rows(&record).map_err(ScaleError::Csa)?;
-                            debug_assert_eq!(back.len(), chunk.len());
-                        }
-                        if host_db.catalog().has_table(&frag.table) {
-                            host_db.execute(&format!("DROP TABLE {}", frag.table))?;
-                        }
-                        host_db.create_table(&frag.table, schema)?;
-                        host_db.insert_rows(&frag.table, rows)?;
+                        let merged = EncodedRows::from_rows(&rows);
+                        link.ship_table(&mut host_db, &frag.table, schema, &merged, rows.len())
+                            .map_err(ScaleError::Csa)?;
                         shipped_tables.push(frag.table.clone());
                     }
                 }
@@ -607,7 +599,7 @@ impl FederatedCsaSystem {
                 if secure {
                     // The replay's working set is the sealed tuple
                     // stream — conserved bytes, so conserved faults.
-                    let stage_bytes = tx.bytes_sent - stage_bytes_before;
+                    let stage_bytes = link.tx.bytes_sent - stage_bytes_before;
                     epc.access_range(
                         2_000_000 + (stage_no as u64) * 262_144,
                         stage_bytes.div_ceil(4096),
@@ -646,6 +638,7 @@ impl FederatedCsaSystem {
         }
 
         let delta_sum = delta_acc.iter().copied().fold(PagerStats::default(), add_stats);
+        let tx = &link.tx;
         let bytes = tx.bytes_sent;
         // Canonical charges: identical inputs at any shard count, in the
         // same span order the single-node split path uses.

@@ -64,6 +64,16 @@ impl<'a> LaneVal<'a> {
         matches!(self, LaneVal::Null)
     }
 
+    /// The same cell as the record codec's borrowed value.
+    pub fn raw(self) -> RawValue<'a> {
+        match self {
+            LaneVal::Null => RawValue::Null,
+            LaneVal::Int(i) => RawValue::Int(i),
+            LaneVal::Float(f) => RawValue::Float(f),
+            LaneVal::Str(s) => RawValue::Text(s),
+        }
+    }
+
     /// [`Value::compare`] semantics without constructing values: `None`
     /// for NULLs and type-incomparable pairs, numeric cross-type
     /// comparison, byte-lexicographic text.
@@ -359,17 +369,6 @@ mod tests {
             batch.push_cell(c, LaneVal::of(v).raw());
         }
         batch.finish_row().unwrap();
-    }
-
-    impl<'a> LaneVal<'a> {
-        fn raw(self) -> RawValue<'a> {
-            match self {
-                LaneVal::Null => RawValue::Null,
-                LaneVal::Int(i) => RawValue::Int(i),
-                LaneVal::Float(f) => RawValue::Float(f),
-                LaneVal::Str(s) => RawValue::Text(s),
-            }
-        }
     }
 
     #[test]

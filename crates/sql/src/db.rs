@@ -2,6 +2,7 @@
 
 use crate::ast::{SelectStmt, Statement};
 use crate::catalog::Catalog;
+use crate::encoded::{EncodedRows, EncodedSlice};
 use crate::exec::collect;
 use crate::expr::eval;
 use crate::heap::{shared, SharedPager};
@@ -234,6 +235,21 @@ impl Database {
         Ok((QueryResult::Rows { schema, rows }, profiles))
     }
 
+    /// [`Database::select_with_profile`] with the result rows appended
+    /// to `out` still encoded — the same cells in the same order, never
+    /// materialized as values when the plan is a fused scan. Returns the
+    /// output schema in place of a [`QueryResult`].
+    pub fn select_encoded(
+        &mut self,
+        stmt: &SelectStmt,
+        opts: &ExecOptions,
+        out: &mut EncodedRows,
+    ) -> Result<(Schema, Vec<crate::exec::OperatorProfile>)> {
+        let mut op = plan_select_with(&self.catalog, &self.pager, stmt, opts)?;
+        op.drain_encoded(out)?;
+        Ok((op.schema().clone(), crate::exec::operator_profiles(&op)))
+    }
+
     /// [`Database::execute_statement`] under explicit execution options.
     /// Only `SELECT` is affected; DML/DDL always run serially.
     pub fn execute_statement_with(
@@ -301,6 +317,17 @@ impl Database {
         info.heap.append_rows(&self.pager, rows)?;
         self.pager.lock().commit()?;
         Ok(n)
+    }
+
+    /// Bulk-insert rows that are already encoded — the same append as
+    /// [`Database::insert_rows`], minus the encoding. Every row must
+    /// hold exactly the table's columns as [`crate::value::encode_value`]
+    /// cells; the producers (the scan's encoded drain, the channel's
+    /// frame validator) guarantee it.
+    pub fn insert_encoded(&mut self, table: &str, rows: EncodedSlice<'_>) -> Result<()> {
+        let info = self.catalog.table_mut(table)?;
+        info.heap.append_encoded(&self.pager, rows.rows())?;
+        Ok(self.pager.lock().commit()?)
     }
 
     /// Create a table directly from a schema (no SQL round-trip).

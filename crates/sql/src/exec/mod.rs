@@ -22,6 +22,7 @@ pub use scan::{Scan, ScanAggregate, ScanSource};
 pub use sort::Sort;
 
 use crate::ast::Expr;
+use crate::encoded::EncodedRows;
 use crate::expr::eval;
 use crate::schema::{Row, Schema};
 use crate::Result;
@@ -46,6 +47,14 @@ pub trait Operator {
     /// `rows in` of an operator whose input is pages, not a child.
     fn rows_scanned(&self) -> Option<u64> {
         None
+    }
+    /// Drain every remaining row into `out` in encoded form. A fused
+    /// [`Scan`] overrides this to skip the owned rows altogether.
+    fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
+        while let Some(row) = self.next()? {
+            out.push_row(&row);
+        }
+        Ok(())
     }
 }
 

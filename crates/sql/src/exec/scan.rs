@@ -10,7 +10,10 @@
 //! surviving lanes only — output rows for [`Scan`], group keys and
 //! aggregate inputs for [`ScanAggregate`]. Text is copied twice at most:
 //! page → column arena for referenced columns, arena → `String` for
-//! lanes that survive the predicate and reach the output.
+//! lanes that survive the predicate and reach the output. A [`Scan`]
+//! drained through [`Operator::drain_encoded`] skips the second copy's
+//! `String` too: surviving lanes are written straight from the batch
+//! into one [`EncodedRows`] buffer, no `Value` per cell.
 //!
 //! At DOP 1 a [`Scan`] pulls morsels lazily in page order, so it holds
 //! one morsel of rows and stops reading when its parent stops pulling
@@ -21,13 +24,14 @@
 
 use crate::ast::{expr_to_sql, Expr};
 use crate::batch::ColumnBatch;
+use crate::encoded::EncodedRows;
 use crate::exec::aggregate::{agg_output_schema, AggSpec, GroupAcc};
 use crate::exec::morsel::{partition_pages, run_ordered, ExecOptions, Morsel};
 use crate::exec::Operator;
 use crate::expr::{bind, eval_vec, filter_vec, BoundExpr, VecScratch};
 use crate::heap::{scan_page_columns, HeapFile, SharedPager};
 use crate::schema::{Row, Schema};
-use crate::value::Value;
+use crate::value::{RawValue, Value};
 use crate::{Result, SqlError};
 use ironsafe_obs::{Span, TraceCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,6 +63,11 @@ struct MorselBuf {
     scratch: VecScratch,
 }
 
+/// What a scan does with a filtered morsel: append to `M` whatever it
+/// builds from the batch's live lanes.
+trait Sink<M>: Fn(&ColumnBatch, &[bool], &mut VecScratch, &mut M) -> Result<()> {}
+impl<M, F: Fn(&ColumnBatch, &[bool], &mut VecScratch, &mut M) -> Result<()>> Sink<M> for F {}
+
 /// A [`ScanSource`] bound for execution.
 struct Kernel {
     source: ScanSource,
@@ -82,32 +91,28 @@ impl Kernel {
     }
 
     /// Read, decode and filter morsel `i` into `buf`, then let `sink`
-    /// build the morsel's output from the surviving lanes (skipped, for
-    /// `M::default()`, when none survive). The morsel refines the
+    /// append the morsel's output, built from the surviving lanes, to
+    /// `out` (skipped when none survive). The morsel refines the
     /// ambient [`TraceCtx`] with its index and runs inside its own span;
     /// a failed morsel (fault exhaustion, violation) tags the span
     /// before it closes, so chaos traces stay well-formed trees.
-    fn run<M: Default>(
-        &self,
-        i: usize,
-        buf: &mut MorselBuf,
-        sink: &impl Fn(&ColumnBatch, &[bool], &mut VecScratch) -> Result<M>,
-    ) -> Result<M> {
+    fn run<M>(&self, i: usize, buf: &mut MorselBuf, sink: &impl Sink<M>, out: &mut M) -> Result<()> {
         let _ctx = TraceCtx::current().map(|c| c.with_morsel(i as u64).install());
         let span = Span::enter("exec/morsel");
-        let result = self.run_in_span(i, buf, sink);
+        let result = self.run_in_span(i, buf, sink, out);
         if result.is_err() {
             span.fail("exec.morsel.failed");
         }
         result
     }
 
-    fn run_in_span<M: Default>(
+    fn run_in_span<M>(
         &self,
         i: usize,
         buf: &mut MorselBuf,
-        sink: &impl Fn(&ColumnBatch, &[bool], &mut VecScratch) -> Result<M>,
-    ) -> Result<M> {
+        sink: &impl Sink<M>,
+        out: &mut M,
+    ) -> Result<()> {
         let Morsel { start, end } = self.morsels[i];
         let ids = &self.source.heap.pages[start..end];
         let payload = {
@@ -139,31 +144,30 @@ impl Kernel {
             watch.record(i, rows as u64, kept as u64);
         }
         if !buf.sel.contains(&true) {
-            return Ok(M::default());
+            return Ok(());
         }
-        sink(&buf.batch, &buf.sel, &mut buf.scratch)
+        sink(&buf.batch, &buf.sel, &mut buf.scratch, out)
     }
 
     /// Run every morsel and hand the per-morsel outputs to `consume` in
     /// morsel order — on this thread at DOP 1, on the worker pool above.
     fn drive<M: Default + Send>(
         &self,
-        sink: impl Fn(&ColumnBatch, &[bool], &mut VecScratch) -> Result<M> + Sync,
+        sink: impl Sink<M> + Sync,
         mut consume: impl FnMut(M) -> Result<()>,
     ) -> Result<()> {
         self.opts.metrics.scans.inc();
+        let morsel = |i, buf: &mut MorselBuf| {
+            let mut out = M::default();
+            self.run(i, buf, &sink, &mut out)?;
+            Ok(out)
+        };
         let workers = self.workers();
         if workers <= 1 {
             let mut buf = MorselBuf::default();
-            return (0..self.morsels.len())
-                .try_for_each(|i| consume(self.run(i, &mut buf, &sink)?));
+            return (0..self.morsels.len()).try_for_each(|i| consume(morsel(i, &mut buf)?));
         }
-        run_ordered(
-            self.morsels.len(),
-            workers,
-            |i, buf: &mut MorselBuf| self.run(i, buf, &sink),
-            consume,
-        )
+        run_ordered(self.morsels.len(), workers, morsel, consume)
     }
 
     fn describe(&self) -> String {
@@ -280,24 +284,23 @@ impl Scan {
     /// Load the next batch of output rows; `false` when exhausted.
     fn fill(&mut self) -> Result<bool> {
         let Scan { kernel, slots, buf, cursor, rows, .. } = self;
-        let sink = |batch: &ColumnBatch, sel: &[bool], scratch: &mut VecScratch| {
+        let sink = |batch: &ColumnBatch, sel: &[bool], scratch: &mut VecScratch, out: &mut Vec<Row>| {
             let mut vecs = eval_slots(slots, batch, sel, scratch)?;
-            Ok(live_lanes(sel)
-                .map(|lane| {
-                    (0..slots.len()).map(|k| slot_value(slots, &mut vecs, k, batch, lane)).collect()
-                })
-                .collect::<Vec<Row>>())
+            out.extend(live_lanes(sel).map(|lane| {
+                (0..slots.len()).map(|k| slot_value(slots, &mut vecs, k, batch, lane)).collect()
+            }));
+            Ok(())
         };
+        let mut out = Vec::new();
         let next = match *cursor {
             Some(next) => next,
             None if kernel.workers() > 1 => {
-                let mut all = Vec::new();
-                kernel.drive(sink, |mut morsel_rows| {
-                    all.append(&mut morsel_rows);
+                kernel.drive(sink, |mut morsel_rows: Vec<Row>| {
+                    out.append(&mut morsel_rows);
                     Ok(())
                 })?;
                 *cursor = Some(kernel.morsels.len());
-                *rows = all.into_iter();
+                *rows = out.into_iter();
                 return Ok(true);
             }
             None => {
@@ -309,7 +312,8 @@ impl Scan {
             return Ok(false);
         }
         *cursor = Some(next + 1);
-        *rows = kernel.run(next, buf, &sink)?.into_iter();
+        kernel.run(next, buf, &sink, &mut out)?;
+        *rows = out.into_iter();
         Ok(true)
     }
 }
@@ -342,6 +346,46 @@ impl Operator for Scan {
                 return Ok(None);
             }
         }
+    }
+
+    /// Surviving lanes and computed slots go from the batch straight
+    /// into `out`: the same cells, in the same order, [`Scan::next`]
+    /// would have produced as owned rows.
+    fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
+        let before = out.len();
+        let Scan { kernel, slots, buf, cursor, rows, .. } = self;
+        rows.for_each(|row| out.push_row(&row));
+        let sink = |batch: &ColumnBatch, sel: &[bool], scratch: &mut VecScratch, out: &mut EncodedRows| {
+            let vecs = eval_slots(slots, batch, sel, scratch)?;
+            for lane in live_lanes(sel) {
+                for (slot, computed) in slots.iter().zip(&vecs) {
+                    out.push_cell(match slot {
+                        Slot::Col(c) => batch.lane(*c, lane).raw(),
+                        Slot::One => RawValue::Int(1),
+                        Slot::Expr(_) => RawValue::of(&computed[lane]),
+                    });
+                }
+                out.finish_row();
+            }
+            Ok(())
+        };
+        match *cursor {
+            None if kernel.workers() > 1 => kernel.drive(sink, |morsel_rows: EncodedRows| {
+                out.append(&morsel_rows);
+                Ok(())
+            })?,
+            from => {
+                if from.is_none() {
+                    kernel.opts.metrics.scans.inc();
+                }
+                for i in from.unwrap_or(0)..kernel.morsels.len() {
+                    kernel.run(i, buf, &sink, out)?;
+                }
+            }
+        }
+        *cursor = Some(kernel.morsels.len());
+        self.emitted += (out.len() - before) as u64;
+        Ok(())
     }
 }
 
@@ -402,9 +446,8 @@ impl ScanAggregate {
         let ngroups = self.group_exprs.len();
         let mut acc = GroupAcc::new(aggs, ngroups == 0);
         self.kernel.drive(
-            |batch, sel, scratch| {
+            |batch: &ColumnBatch, sel: &[bool], scratch: &mut VecScratch, arena: &mut TupleArena| {
                 let mut vecs = eval_slots(slots, batch, sel, scratch)?;
-                let mut arena = TupleArena::default();
                 for lane in live_lanes(sel) {
                     for k in 0..slots.len() {
                         let v = slot_value(slots, &mut vecs, k, batch, lane);
@@ -415,7 +458,7 @@ impl ScanAggregate {
                     }
                     arena.key_ends.push(arena.keys.len());
                 }
-                Ok(arena)
+                Ok(())
             },
             // Replay the serial accumulator in row order.
             |arena: TupleArena| {
@@ -642,14 +685,32 @@ mod tests {
                 vec![true; schema.len()],
             ];
             for cols in masks {
-                let scan = Scan::new(
-                    ScanSource { cols: cols.clone(), ..src.clone() },
-                    &exprs,
-                    out_schema.clone(),
-                    opts.clone(),
-                )
-                .unwrap();
-                match (collect(Box::new(scan)), &want) {
+                let scan = || {
+                    Scan::new(
+                        ScanSource { cols: cols.clone(), ..src.clone() },
+                        &exprs,
+                        out_schema.clone(),
+                        opts.clone(),
+                    )
+                    .unwrap()
+                };
+                // The encoded drain writes the bytes the owned rows
+                // encode to — from the start, or after a few row pulls.
+                for pulled in [0, 3] {
+                    let (mut scan, mut encoded) = (scan(), EncodedRows::new());
+                    let drained = (0..pulled)
+                        .try_for_each(|_| scan.next().map(|row| row.iter().for_each(|r| encoded.push_row(r))))
+                        .and_then(|()| scan.drain_encoded(&mut encoded));
+                    match (drained, &want) {
+                        (Ok(()), Ok(want)) => {
+                            prop_assert_eq!(&encoded, &EncodedRows::from_rows(want), "mask {:?}", cols);
+                            prop_assert_eq!(scan.rows_out(), want.len() as u64);
+                        }
+                        (Err(_), Err(_)) => {}
+                        (got, want) => prop_assert!(false, "encoded {:?} vs oracle {:?}", got, want),
+                    }
+                }
+                match (collect(Box::new(scan())), &want) {
                     (Ok((_, got)), Ok(want)) => {
                         prop_assert_eq!(bits(&got), bits(want), "mask {:?}", cols)
                     }

@@ -138,68 +138,89 @@ impl HeapFile {
         self.pages.len() as u64
     }
 
-    /// Append many rows, buffering page-at-a-time.
+    /// Append many rows, buffering page-at-a-time: encode, then
+    /// [`HeapFile::append_encoded`].
     pub fn append_rows<I>(&mut self, pager: &SharedPager, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = Row>,
     {
-        let mut pager = pager.lock();
-        let payload_size = pager.payload_size();
-        let mut page = vec![0u8; payload_size];
-        let mut used = HEADER;
-        let mut nrows: u16 = 0;
-        // Start by loading the tail page if it has room.
-        let mut tail_page: Option<PageId> = self.pages.last().copied();
-        if let Some(id) = tail_page {
-            pager.read_page(id, &mut page)?;
-            used = u32::from_be_bytes(page[0..4].try_into().expect("4")) as usize;
-            nrows = u16::from_be_bytes(page[4..6].try_into().expect("2"));
-        }
-        let flush = |pager: &mut dyn Pager, page: &mut [u8], id: PageId, used: usize, nrows: u16| -> Result<()> {
-            page[0..4].copy_from_slice(&(used as u32).to_be_bytes());
-            page[4..6].copy_from_slice(&nrows.to_be_bytes());
-            pager.write_page(id, page)?;
-            Ok(())
-        };
-        for row in rows {
-            let rec = encode_row(&row);
-            if rec.len() + 4 > payload_size - HEADER {
-                return Err(SqlError::Eval(format!(
-                    "row of {} bytes exceeds page payload",
-                    rec.len()
-                )));
-            }
-            if used + 4 + rec.len() > payload_size || nrows == u16::MAX {
-                // Flush current page and start a new one.
-                if let Some(id) = tail_page {
-                    flush(&mut *pager, &mut page, id, used, nrows)?;
-                }
-                tail_page = Some(pager.allocate_page()?);
-                page.iter_mut().for_each(|b| *b = 0);
-                used = HEADER;
-                nrows = 0;
-                if self.pages.last() != tail_page.as_ref() {
-                    self.pages.push(tail_page.expect("just set"));
-                }
-            } else if tail_page.is_none() {
-                tail_page = Some(pager.allocate_page()?);
-                self.pages.push(tail_page.expect("just set"));
-            }
-            page[used..used + 4].copy_from_slice(&(rec.len() as u32).to_be_bytes());
-            page[used + 4..used + 4 + rec.len()].copy_from_slice(&rec);
-            used += 4 + rec.len();
-            nrows += 1;
-            self.row_count += 1;
-        }
-        if let Some(id) = tail_page {
-            flush(&mut *pager, &mut page, id, used, nrows)?;
-        }
-        Ok(())
+        self.append_encoded(pager, rows.into_iter().map(|row| encode_row(&row)))
+    }
+
+    /// Append records that are already encoded (each one row's cells in
+    /// [`encode_value`] form), continuing on the tail page.
+    pub fn append_encoded<R: AsRef<[u8]>>(
+        &mut self,
+        pager: &SharedPager,
+        records: impl IntoIterator<Item = R>,
+    ) -> Result<()> {
+        self.pack(pager, records, std::iter::empty())
     }
 
     /// Append one row.
     pub fn append_row(&mut self, pager: &SharedPager, row: Row) -> Result<()> {
         self.append_rows(pager, std::iter::once(row))
+    }
+
+    /// The one writer of the page layout, whether records come from owned
+    /// rows or arrive already encoded (the cost model prices temp pages,
+    /// so which record lands on which page is a golden). Continues on the
+    /// tail page, if the heap has one (read-modify-write, like SQLite's
+    /// append); new pages are drawn from `spare` before any is allocated,
+    /// and whatever is left of `spare` is zeroed.
+    fn pack<R: AsRef<[u8]>>(
+        &mut self,
+        pager: &SharedPager,
+        records: impl IntoIterator<Item = R>,
+        mut spare: impl Iterator<Item = PageId>,
+    ) -> Result<()> {
+        let mut pager = pager.lock();
+        let mut page = vec![0u8; pager.payload_size()];
+        let (mut used, mut nrows) = (HEADER, 0u16);
+        let mut cur = self.pages.last().copied();
+        if let Some(tail) = cur {
+            pager.read_page(tail, &mut page)?;
+            used = u32::from_be_bytes(page[0..4].try_into().expect("4")) as usize;
+            nrows = u16::from_be_bytes(page[4..6].try_into().expect("2"));
+        }
+        let flush = |pager: &mut dyn Pager, page: &mut [u8], cur, used: usize, nrows: u16| {
+            let Some(id) = cur else { return Ok(()) };
+            page[0..4].copy_from_slice(&(used as u32).to_be_bytes());
+            page[4..6].copy_from_slice(&nrows.to_be_bytes());
+            pager.write_page(id, page)
+        };
+        for record in records {
+            let record = record.as_ref();
+            let need = 4 + record.len();
+            if need > page.len() - HEADER {
+                return Err(SqlError::Eval(format!(
+                    "row of {} bytes exceeds page payload",
+                    record.len()
+                )));
+            }
+            if cur.is_none() || used + need > page.len() || nrows == u16::MAX {
+                flush(&mut *pager, &mut page, cur, used, nrows)?;
+                let id = match spare.next() {
+                    Some(id) => id,
+                    None => pager.allocate_page()?,
+                };
+                self.pages.push(id);
+                cur = Some(id);
+                page.fill(0);
+                (used, nrows) = (HEADER, 0);
+            }
+            page[used..used + 4].copy_from_slice(&(record.len() as u32).to_be_bytes());
+            page[used + 4..used + need].copy_from_slice(record);
+            used += need;
+            nrows += 1;
+            self.row_count += 1;
+        }
+        flush(&mut *pager, &mut page, cur, used, nrows)?;
+        for id in spare {
+            page.fill(0);
+            pager.write_page(id, &page)?;
+        }
+        Ok(())
     }
 
     /// Read every row of one page.
@@ -223,59 +244,12 @@ impl HeapFile {
         Ok(out)
     }
 
-    /// Replace the heap's contents with `rows`, reusing existing pages.
+    /// Replace the heap's contents with `rows`, reusing existing pages
+    /// (leftover ones are zeroed so stale rows are unreachable).
     pub fn rewrite(&mut self, pager: &SharedPager, rows: Vec<Row>) -> Result<()> {
-        // Clear bookkeeping but keep the allocated pages for reuse.
         let old_pages = std::mem::take(&mut self.pages);
         self.row_count = 0;
-        // Write rows through a fresh heap that draws from `old_pages` first.
-        let payload_size = pager.lock().payload_size();
-        let mut page = vec![0u8; payload_size];
-        let mut old_iter = old_pages.into_iter();
-        let mut used = HEADER;
-        let mut nrows: u16 = 0;
-        let mut cur: Option<PageId> = None;
-        {
-            let mut pager = pager.lock();
-            for row in rows {
-                let rec = encode_row(&row);
-                if rec.len() + 4 > payload_size - HEADER {
-                    return Err(SqlError::Eval("row exceeds page payload".into()));
-                }
-                if cur.is_none() || used + 4 + rec.len() > payload_size || nrows == u16::MAX {
-                    if let Some(id) = cur {
-                        page[0..4].copy_from_slice(&(used as u32).to_be_bytes());
-                        page[4..6].copy_from_slice(&nrows.to_be_bytes());
-                        pager.write_page(id, &page)?;
-                    }
-                    let id = match old_iter.next() {
-                        Some(id) => id,
-                        None => pager.allocate_page()?,
-                    };
-                    self.pages.push(id);
-                    cur = Some(id);
-                    page.iter_mut().for_each(|b| *b = 0);
-                    used = HEADER;
-                    nrows = 0;
-                }
-                page[used..used + 4].copy_from_slice(&(rec.len() as u32).to_be_bytes());
-                page[used + 4..used + 4 + rec.len()].copy_from_slice(&rec);
-                used += 4 + rec.len();
-                nrows += 1;
-                self.row_count += 1;
-            }
-            if let Some(id) = cur {
-                page[0..4].copy_from_slice(&(used as u32).to_be_bytes());
-                page[4..6].copy_from_slice(&nrows.to_be_bytes());
-                pager.write_page(id, &page)?;
-            }
-            // Zero any leftover old pages so stale rows are unreachable.
-            for id in old_iter {
-                let zeros = vec![0u8; payload_size];
-                pager.write_page(id, &zeros)?;
-            }
-        }
-        Ok(())
+        self.pack(pager, rows.iter().map(encode_row), old_pages.into_iter())
     }
 }
 
@@ -360,6 +334,34 @@ mod tests {
         heap.rewrite(&p, (0..100).map(big).collect()).unwrap();
         assert_eq!(heap.all_rows(&p, 2).unwrap().len(), 100);
         assert!(heap.page_count() > 1);
+    }
+
+    #[test]
+    fn encoded_appends_lay_out_pages_exactly_like_one_row_append() {
+        // One packer: rows appended whole, and the same rows arriving
+        // already encoded in several batches (each resuming the tail
+        // page, one of them empty), fill byte-identical pages.
+        let big = |i: i64| vec![Value::Int(i), Value::Text("x".repeat((i as usize * 37) % 700)), Value::Null];
+        let rows: Vec<Row> = (0..300).map(big).collect();
+        let (by_rows, by_bytes) = (pager(), pager());
+        let (mut a, mut b) = (HeapFile::new(), HeapFile::new());
+        a.append_rows(&by_rows, rows.clone()).unwrap();
+        let encoded = crate::encoded::EncodedRows::from_rows(&rows);
+        for range in [0..1, 1..1, 1..130, 130..300] {
+            b.append_encoded(&by_bytes, encoded.slice(range).rows()).unwrap();
+        }
+        assert_eq!(a, b, "same page list, same row count");
+        assert!(a.page_count() > 10);
+        let payload = by_rows.lock().payload_size();
+        let (mut pa, mut pb) = (vec![0u8; payload], vec![0u8; payload]);
+        for &id in &a.pages {
+            by_rows.lock().read_page(id, &mut pa).unwrap();
+            by_bytes.lock().read_page(id, &mut pb).unwrap();
+            assert_eq!(pa, pb, "page {id}");
+        }
+        assert_eq!(b.all_rows(&by_bytes, 3).unwrap().len(), 300);
+        // An oversized record is refused on this path too.
+        assert!(b.append_encoded(&by_bytes, [vec![3u8; 5000]]).is_err());
     }
 
     #[test]

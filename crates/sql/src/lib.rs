@@ -26,6 +26,7 @@ pub mod ast;
 pub mod batch;
 pub mod catalog;
 pub mod db;
+pub mod encoded;
 pub mod exec;
 pub mod expr;
 pub mod heap;
@@ -37,6 +38,7 @@ pub mod token;
 pub mod value;
 
 pub use db::{Database, QueryResult};
+pub use encoded::{EncodedRows, EncodedSlice};
 pub use schema::{Column, Row, Schema};
 pub use value::{DataType, Value};
 

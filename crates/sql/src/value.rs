@@ -160,22 +160,7 @@ impl PartialEq for Value {
 
 /// Serialize a value into `out` (length-prefixed, self-describing).
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_be_bytes());
-        }
-        Value::Float(f) => {
-            out.push(2);
-            out.extend_from_slice(&f.to_bits().to_be_bytes());
-        }
-        Value::Text(s) => {
-            out.push(3);
-            out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
+    RawValue::of(v).encode(out);
 }
 
 /// Deserialize one value from `buf` at `pos`, advancing `pos`.
@@ -218,6 +203,27 @@ impl<'a> RawValue<'a> {
             RawValue::Int(i) => Value::Int(i),
             RawValue::Float(f) => Value::Float(f),
             RawValue::Text(s) => Value::Text(s.to_string()),
+        }
+    }
+
+    /// Serialize into `out` — the one cell encoding of heap records and
+    /// wire rows alike; [`decode_value_raw`] is its inverse.
+    pub fn encode(self, out: &mut Vec<u8>) {
+        match self {
+            RawValue::Null => out.push(0),
+            RawValue::Int(i) => {
+                out.push(1);
+                out.extend_from_slice(&i.to_be_bytes());
+            }
+            RawValue::Float(f) => {
+                out.push(2);
+                out.extend_from_slice(&f.to_bits().to_be_bytes());
+            }
+            RawValue::Text(s) => {
+                out.push(3);
+                out.extend_from_slice(&(s.len() as u32).to_be_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
         }
     }
 }

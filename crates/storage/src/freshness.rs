@@ -8,12 +8,13 @@
 
 use crate::merkle::NodeHash;
 use crate::{Result, StorageError};
-use ironsafe_crypto::hmac::hmac_sha256_concat;
+use ironsafe_crypto::hmac::HmacSha256;
 use ironsafe_tee::trustzone::{SecureStorageTa, TrustZoneDevice};
 
 /// Manages the RPMB-backed root MAC.
 pub struct FreshnessManager {
-    root_mac_key: [u8; 32],
+    /// HMAC pre-keyed with the device-bound root-MAC key; cloned per root.
+    root_mac: HmacSha256,
     /// Number of RPMB round-trips (cost-model input).
     pub rpmb_writes: u64,
     /// Number of RPMB reads (cost-model input).
@@ -24,13 +25,16 @@ impl FreshnessManager {
     /// Build over the device's secure-storage TA: the root-MAC key derives
     /// from the TASK so it never leaves the device.
     pub fn new(ta: &SecureStorageTa) -> Self {
-        let root_mac_key = ironsafe_crypto::hkdf::derive_key_256(ta.task(), b"merkle-root-mac");
-        FreshnessManager { root_mac_key, rpmb_writes: 0, rpmb_reads: 0 }
+        let key = ironsafe_crypto::hkdf::derive_key_256(ta.task(), b"merkle-root-mac");
+        FreshnessManager { root_mac: HmacSha256::new(&key), rpmb_writes: 0, rpmb_reads: 0 }
     }
 
     /// MAC a Merkle root with the device-bound key.
     pub fn root_mac(&self, root: &NodeHash) -> [u8; 32] {
-        hmac_sha256_concat(&self.root_mac_key, &[b"fresh-root", root])
+        let mut mac = self.root_mac.clone();
+        mac.update(b"fresh-root");
+        mac.update(root);
+        mac.finalize()
     }
 
     /// Commit `root` as the current authentic state (RPMB write).

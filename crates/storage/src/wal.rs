@@ -20,7 +20,7 @@ use crate::merkle::NodeHash;
 use crate::pager::PageId;
 use crate::{Result, StorageError};
 use ironsafe_crypto::aes::Aes128;
-use ironsafe_crypto::hmac::hmac_sha256_concat;
+use ironsafe_crypto::hmac::HmacSha256;
 use ironsafe_crypto::modes::{cbc_decrypt, cbc_encrypt};
 use ironsafe_faults::{FaultPlan, FaultSite};
 use ironsafe_obs::{Counter, Registry};
@@ -213,21 +213,27 @@ pub struct RecoveryInfo {
     pub tail: TailReport,
 }
 
-fn derive_keys(db_key: &[u8; 16]) -> (Aes128, [u8; 32]) {
+/// The record cipher and the chain HMAC, each keyed once per log handle
+/// (the MAC is cloned per record, skipping both pad compressions).
+fn derive_keys(db_key: &[u8; 16]) -> (Aes128, HmacSha256) {
     let enc = ironsafe_crypto::hkdf::derive_key_128(db_key, b"wal-enc");
     let mac = ironsafe_crypto::hkdf::derive_key_256(db_key, b"wal-mac");
-    (Aes128::new(&enc), mac)
+    (Aes128::new(&enc), HmacSha256::new(&mac))
 }
 
-fn chain_mac(mac_key: &[u8; 32], seq: u64, prev: &[u8; 32], iv: &[u8], ct: &[u8]) -> [u8; 32] {
-    hmac_sha256_concat(mac_key, &[CHAIN_TAG, &seq.to_be_bytes(), prev, iv, ct])
+fn chain_mac(keyed: &HmacSha256, seq: u64, prev: &[u8; 32], iv: &[u8], ct: &[u8]) -> [u8; 32] {
+    let mut mac = keyed.clone();
+    for part in [CHAIN_TAG, &seq.to_be_bytes(), prev, iv, ct] {
+        mac.update(part);
+    }
+    mac.finalize()
 }
 
 /// The writer-side log handle.
 pub struct Wal {
     medium: WalMedium,
     aes: Aes128,
-    mac_key: [u8; 32],
+    mac: HmacSha256,
     next_seq: u64,
     head: [u8; 32],
     rng: rand::rngs::StdRng,
@@ -239,11 +245,11 @@ impl Wal {
     /// Fresh log keyed from the database key. `rng_seed` drives the
     /// record IVs (deterministic for a given seed, like the pager's).
     pub fn new(db_key: &[u8; 16], rng_seed: u64) -> Self {
-        let (aes, mac_key) = derive_keys(db_key);
+        let (aes, mac) = derive_keys(db_key);
         Wal {
             medium: WalMedium::new(),
             aes,
-            mac_key,
+            mac,
             next_seq: 0,
             head: EMPTY_HEAD,
             rng: rand::rngs::StdRng::seed_from_u64(rng_seed),
@@ -351,7 +357,7 @@ impl Wal {
         let mut iv = [0u8; 16];
         self.rng.fill(&mut iv);
         let ct = cbc_encrypt(&self.aes, &iv, plain);
-        let mac = chain_mac(&self.mac_key, self.next_seq, &self.head, &iv, &ct);
+        let mac = chain_mac(&self.mac, self.next_seq, &self.head, &iv, &ct);
         let body_len = FRAME_FIXED + ct.len();
         let mut frame = Vec::with_capacity(4 + body_len);
         frame.extend_from_slice(&(body_len as u32).to_be_bytes());
@@ -393,7 +399,7 @@ impl Wal {
         if committed_head == &EMPTY_HEAD {
             return Err(StorageError::WalCorrupt("RPMB holds no committed WAL head"));
         }
-        let (aes, mac_key) = derive_keys(db_key);
+        let (aes, chain_key) = derive_keys(db_key);
         let bytes = medium.bytes();
         let mut off = 0usize;
         let mut seq = 0u64;
@@ -423,7 +429,7 @@ impl Wal {
             let body = &bytes[off + 4..off + 4 + body_len];
             let (iv, rest) = body.split_at(16);
             let (ct, mac) = rest.split_at(body_len - FRAME_FIXED);
-            let expect = chain_mac(&mac_key, seq, &prev, iv, ct);
+            let expect = chain_mac(&chain_key, seq, &prev, iv, ct);
             if !ironsafe_crypto::ct_eq(&expect, mac) {
                 if reached {
                     tail.verdict = TailVerdict::Corrupt;

@@ -80,15 +80,20 @@ wal-smoke:
 mvcc-stress:
     for i in $(seq 200); do cargo test -q --offline -p ironsafe-csa --test mvcc_golden concurrent_readers_observe_only_committed_epochs || exit 1; done
 
-# Crypto-floor smoke: the cipher back-ends against the bytewise oracle
-# and the NIST vectors (unit + property tests), the pinned on-medium and
-# on-wire bytes, the allocation-free read path, the workspace's unsafe
-# budget, and the wall-clock benchmark's own tests (all four workloads
-# in --smoke size, against the crates as they are now).
+# Crypto-floor smoke: the cipher and hash back-ends against their
+# portable oracles and the NIST vectors (unit + property tests), the
+# pinned on-medium and on-wire bytes, the record layer built on them
+# (frame validation, in-place receive under transit faults, byte path
+# vs row path), the allocation-free read and ship paths, the workspace's
+# unsafe budget, and the wall-clock benchmark's own tests (all four
+# workloads in --smoke size, against the crates as they are now).
 crypto-smoke:
     cargo test -q --offline -p ironsafe-crypto
     cargo test -q --offline --test medium_golden
+    cargo test -q --offline -p ironsafe-csa net::
+    cargo test -q --offline -p ironsafe-csa --test ship_differential
     cargo test -q --offline -p ironsafe-storage --test zero_alloc
+    cargo test -q --offline -p ironsafe-csa --test zero_alloc
     cargo test -q --offline -p ironsafe --test unsafe_budget
     cargo test -q --offline --manifest-path perf/Cargo.toml
 

@@ -1,15 +1,20 @@
 //! The workspace's `unsafe` budget, enforced.
 //!
 //! Every crate root forbids `unsafe_code` outright, except
-//! `ironsafe-crypto`, which *denies* it so that exactly one module — the
-//! AES-NI intrinsics in `crates/crypto/src/aes/ni.rs` — can opt back in.
+//! `ironsafe-crypto`, which *denies* it so that exactly two modules — the
+//! AES-NI intrinsics in `crates/crypto/src/aes/ni.rs` and the SHA-NI
+//! intrinsics in `crates/crypto/src/sha256/ni.rs` — can opt back in.
 //! Outside test targets (which install counting allocators) no other
 //! source file may contain the keyword at all.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const UNSAFE_MODULE: &str = "crates/crypto/src/aes/ni.rs";
+/// The intrinsics modules, each with the file that declares it.
+const UNSAFE_MODULES: [(&str, &str); 2] = [
+    ("crates/crypto/src/aes/ni.rs", "crates/crypto/src/aes.rs"),
+    ("crates/crypto/src/sha256/ni.rs", "crates/crypto/src/sha256.rs"),
+];
 const DENY_ROOT: &str = "crates/crypto/src/lib.rs";
 
 fn workspace_root() -> PathBuf {
@@ -83,7 +88,7 @@ fn every_crate_root_forbids_unsafe_except_crypto() {
 }
 
 #[test]
-fn only_the_aes_ni_module_contains_unsafe() {
+fn only_the_two_intrinsics_modules_contain_unsafe() {
     let root = workspace_root();
     let mut files = Vec::new();
     for package in subdirs(&root.join("crates")).into_iter().chain(subdirs(&root.join("shims"))) {
@@ -92,39 +97,60 @@ fn only_the_aes_ni_module_contains_unsafe() {
     }
     rust_files_under(&root.join("examples"), &mut files);
     assert!(files.len() > 100, "found only {} source files — did the layout move?", files.len());
-    let offenders: Vec<String> = files
+    let mut offenders: Vec<String> = files
         .iter()
         .filter(|p| has_unsafe_token(&fs::read_to_string(p).expect("source file")))
         .map(|p| relative(&root, p))
         .collect();
-    assert_eq!(offenders, [UNSAFE_MODULE], "the unsafe budget is exactly one module");
+    offenders.sort();
+    assert_eq!(offenders, UNSAFE_MODULES.map(|(module, _)| module), "the unsafe budget is exactly two modules");
 
-    // Inside the budget, every block states why it is sound.
-    let ni = fs::read_to_string(root.join(UNSAFE_MODULE)).expect("AES-NI module");
-    let lines: Vec<&str> = ni.lines().collect();
-    for (n, line) in lines.iter().enumerate() {
-        if line.contains("unsafe {") {
-            let justified = lines[..n]
-                .iter()
-                .rev()
-                .take_while(|l| l.trim_start().starts_with("//"))
-                .any(|l| l.contains("SAFETY:"));
-            assert!(
-                justified,
-                "{UNSAFE_MODULE}:{} has an unsafe block without a SAFETY note",
-                n + 1
-            );
+    for (module, parent) in UNSAFE_MODULES {
+        // Inside the budget, every block states why it is sound.
+        let ni = fs::read_to_string(root.join(module)).expect("intrinsics module");
+        let lines: Vec<&str> = ni.lines().collect();
+        for (n, line) in lines.iter().enumerate() {
+            if line.contains("unsafe {") {
+                let justified = lines[..n]
+                    .iter()
+                    .rev()
+                    .take_while(|l| l.trim_start().starts_with("//"))
+                    .any(|l| l.contains("SAFETY:"));
+                assert!(justified, "{module}:{} has an unsafe block without a SAFETY note", n + 1);
+            }
         }
+        // The feature-gated code is private to the module, and the module
+        // asks the CPU for every feature it enables — so the only way in
+        // is the constructor that asked.
+        let mut gated = 0;
+        for (n, line) in lines.iter().enumerate() {
+            let Some(list) = line.trim().strip_prefix("#[target_feature(enable = \"") else {
+                continue;
+            };
+            gated += 1;
+            let next = lines[n + 1].trim_start();
+            assert!(next.starts_with("fn "), "{module}:{} must stay module-private", n + 2);
+            for feature in list.trim_end_matches("\")]").split(',') {
+                assert!(
+                    ni.contains(&format!("is_x86_feature_detected!(\"{feature}\")")),
+                    "{module} enables `{feature}` without detecting it"
+                );
+            }
+        }
+        assert!(gated > 0, "{module} has no feature-gated function — did the layout move?");
+        // And the opt-in sits on that module's declaration.
+        let parent_text = fs::read_to_string(root.join(parent)).expect("parent module");
+        assert!(
+            parent_text.contains("#[allow(unsafe_code)]\nmod ni;"),
+            "{parent} must opt `mod ni` in, and nothing else"
+        );
     }
-    // And the opt-in is a single `#[allow(unsafe_code)]` on that module.
-    let aes = fs::read_to_string(root.join("crates/crypto/src/aes.rs")).expect("aes.rs");
     let allows: usize = files
         .iter()
         .map(|p| fs::read_to_string(p).expect("source file"))
         .map(|text| code_lines(&text).filter(|code| code.contains("allow(unsafe_code)")).count())
         .sum();
-    assert_eq!(allows, 1, "exactly one allow(unsafe_code) in the workspace");
-    assert!(aes.contains("#[allow(unsafe_code)]\nmod ni;"), "…and it sits on `mod ni`");
+    assert_eq!(allows, UNSAFE_MODULES.len(), "one allow(unsafe_code) per intrinsics module");
 }
 
 #[test]
