@@ -6,11 +6,11 @@
 //! (scs) configuration. At every grid point three policies run the same
 //! Q1 selectivity variant on identically prepared systems:
 //!
-//! * **all-host** (`PartitionStrategy::AllHost`) — every fragment ships
+//! * **all-host** (`Pinned(ShipPages)`) — every fragment ships
 //!   raw pages to the host;
-//! * **all-offload** (`PartitionStrategy::Static`) — the paper's static
+//! * **all-offload** (`Pinned(Offload)`) — the paper's static
 //!   partitioner, pushing every select down to storage;
-//! * **adaptive** (`PartitionStrategy::Adaptive`) — the cost-based
+//! * **adaptive** (`PlacementPolicy::CostBased`) — the cost-based
 //!   planner, primed by one prior offload run so its EWMA estimates
 //!   carry the observed selectivity, wire width and temp density.
 //!
@@ -34,7 +34,8 @@
 
 use crate::figures::{q1_with_selectivity, SEED};
 use ironsafe_csa::{
-    CostParams, CsaSystem, Estimate, PartitionStrategy, QueryReport, ReplanPolicy, SystemConfig,
+    CostParams, CsaSystem, Estimate, OffloadDecision, PlacementPolicy, QueryReport, ReplanPolicy,
+    SystemConfig,
 };
 use ironsafe_tpch::generate;
 use ironsafe_tpch::queries::{PaperQuery, QueryStage};
@@ -160,12 +161,12 @@ fn build(data: &TpchData, storage_cores: u32) -> CsaSystem {
 fn run_static(
     data: &TpchData,
     q: &PaperQuery,
-    strategy: PartitionStrategy,
+    pin: OffloadDecision,
     cores: u32,
     pressure: u64,
 ) -> QueryReport {
     let mut sys = build(data, cores);
-    sys.set_partition_strategy(strategy);
+    sys.set_placement(PlacementPolicy::Pinned(pin));
     sys.set_epc_pressure(pressure);
     sys.run_query(q).expect("prime run");
     sys.run_query(q).expect("measured run")
@@ -177,9 +178,8 @@ fn run_static(
 fn run_adaptive(data: &TpchData, q: &PaperQuery, cores: u32, pressure: u64) -> QueryReport {
     let mut sys = build(data, cores);
     sys.set_epc_pressure(pressure);
-    sys.set_partition_strategy(PartitionStrategy::Static);
     sys.run_query(q).expect("priming run");
-    sys.set_partition_strategy(PartitionStrategy::Adaptive);
+    sys.set_placement(PlacementPolicy::CostBased);
     sys.run_query(q).expect("adaptive run")
 }
 
@@ -195,9 +195,9 @@ pub fn adaptive_sweep(sf: f64) -> (Vec<AdaptiveCell>, ReplanDemo) {
                 for &sel in &ADAPTIVE_SELECTIVITIES {
                     let q = shape_query(shape, sel);
                     let allhost =
-                        run_static(&data, &q, PartitionStrategy::AllHost, cores, pressure);
+                        run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
                     let offload =
-                        run_static(&data, &q, PartitionStrategy::Static, cores, pressure);
+                        run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
                     let adaptive = run_adaptive(&data, &q, cores, pressure);
                     let label = format!("{shape} cores={cores} sel={sel}% pressure={pressure}");
                     assert_eq!(digest(&allhost), digest(&offload), "{label}: static digests");
@@ -263,7 +263,7 @@ fn replan_demo(data: &TpchData) -> ReplanDemo {
     let q = q1_with_selectivity(actual_pct);
     let run = |replan: Option<ReplanPolicy>| {
         let mut sys = build(data, 8);
-        sys.set_partition_strategy(PartitionStrategy::Adaptive);
+        sys.set_placement(PlacementPolicy::CostBased);
         sys.pin_table_estimate("lineitem", pinned.clone());
         sys.set_replan(replan);
         let registry = ironsafe_obs::Registry::new();
@@ -298,7 +298,7 @@ fn replan_demo(data: &TpchData) -> ReplanDemo {
 }
 
 /// The byte-deterministic `"invariants"` JSON block (also embedded
-/// verbatim in [`adaptive_json`]) — what the `--check` gate compares.
+/// verbatim in `BENCH_10.json`) — what the `--check` gate compares.
 pub fn adaptive_invariants_json(sf: f64, cells: &[AdaptiveCell], demo: &ReplanDemo) -> String {
     let mut s = String::from("  \"invariants\": {\n");
     s.push_str(&format!("    \"sf\": {sf},\n    \"seed\": {SEED},\n    \"cells\": [\n"));
@@ -334,16 +334,6 @@ pub fn adaptive_invariants_json(sf: f64, cells: &[AdaptiveCell], demo: &ReplanDe
     s
 }
 
-/// The full `BENCH_10.json` snapshot. Every number in it is simulated,
-/// so unlike the other BENCH files there is no run-dependent wall-clock
-/// section — the whole file is the gated invariants block.
-pub fn adaptive_json(sf: f64, cells: &[AdaptiveCell], demo: &ReplanDemo) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&adaptive_invariants_json(sf, cells, demo));
-    s.push_str("\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,8 +349,8 @@ mod tests {
             &[("agg", 8u32, 1u32, 0u64), ("wide", 2, 100, 0), ("agg", 8, 50, 24_420)]
         {
             let q = shape_query(shape, sel);
-            let allhost = run_static(&data, &q, PartitionStrategy::AllHost, cores, pressure);
-            let offload = run_static(&data, &q, PartitionStrategy::Static, cores, pressure);
+            let allhost = run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
+            let offload = run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
             let adaptive = run_adaptive(&data, &q, cores, pressure);
             assert_eq!(digest(&allhost), digest(&adaptive), "{shape} sel={sel}");
             assert_eq!(digest(&offload), digest(&adaptive), "{shape} sel={sel}");
@@ -386,7 +376,7 @@ mod tests {
         let demo_b = replan_demo(&data);
         let b = adaptive_invariants_json(ADAPTIVE_SF, &cells, &demo_b);
         assert_eq!(a, b, "invariants block must be byte-deterministic");
-        let full = adaptive_json(ADAPTIVE_SF, &cells, &demo);
+        let full = crate::snapshot_json(&a);
         assert!(looks_like_valid_json(&full), "{full}");
         assert!(full.contains(&a), "snapshot must embed the invariants block verbatim");
     }

@@ -30,9 +30,8 @@
 //! `shards` (not part of `all`) sweeps the sharded federation
 //! (`ironsafe-scale`) across N ∈ {1, 2, 4, 8} storage nodes: per-cell
 //! shard-count invariants (simulated total, shipped rows/bytes, pages
-//! read, result digest — all bit-identical at any N) plus measured
-//! wall-clock throughput and p95 latency. `--json` writes the snapshot
-//! to `BENCH_7.json`; `--check` regenerates the deterministic
+//! read, result digest — all bit-identical at any N). `--json` writes
+//! the snapshot to `BENCH_7.json`; `--check` regenerates the deterministic
 //! invariants block and compares it byte for byte against the committed
 //! baseline, exiting nonzero on drift (the federation regression gate).
 //! Defaults to SF 0.002 unless `--sf` is given.
@@ -40,9 +39,8 @@
 //! `vectors` (not part of `all`) sweeps the batch scan kernel over raw
 //! and compress-before-encrypt pages, Q1/Q6 on IronSafe, every cell at
 //! DOP 1 and DOP 4: result digests and physical counters per storage
-//! format (identical across DOPs), the per-query encrypted-byte/MAC
-//! dividend of compression, and measured raw-vs-compressed wall-clock
-//! latency at DOP 1. `--json` writes the snapshot to `BENCH_8.json`;
+//! format (identical across DOPs) and the per-query encrypted-byte/MAC
+//! dividend of compression. `--json` writes the snapshot to `BENCH_8.json`;
 //! `--check` regenerates the deterministic invariants block and
 //! compares it byte for byte against the committed baseline, exiting
 //! nonzero on drift (the scan-kernel regression gate). Defaults to
@@ -61,9 +59,8 @@
 //! `saturation` additionally runs the mixed read/write sweep when
 //! invoked directly (not under `all`): snapshot reads pinned while a
 //! group-commit writer streams updates — digests and simulated costs
-//! bit-identical to the quiesced run — a group-size 1 vs 4 WAL/RPMB
-//! amortization block, and measured p50/p95 read latency under a
-//! concurrent writer thread. `--json` writes the snapshot to
+//! bit-identical to the quiesced run — and a group-size 1 vs 4 WAL/RPMB
+//! amortization block. `--json` writes the snapshot to
 //! `BENCH_9.json`; `--check` regenerates the deterministic invariants
 //! block and byte-compares it against the committed baseline, exiting
 //! nonzero on drift (the write-path regression gate).
@@ -76,6 +73,41 @@
 #![forbid(unsafe_code)]
 
 use ironsafe_bench::*;
+
+/// The gate the invariant snapshots share: `--check` byte-compares the
+/// freshly generated block against the committed `file`, `--json`
+/// rewrites `file` with it.
+fn invariants_gate(name: &str, file: &str, inv_block: &str, check: bool, json_out: bool) {
+    if check {
+        let baseline = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("{name} --check needs the committed {file} baseline: {e}"));
+        if baseline.contains(inv_block) {
+            println!("{name}: invariants match {file} byte for byte (gate passes)");
+        } else {
+            eprintln!("{name}: invariants DIVERGE from {file}:");
+            let committed_block = baseline
+                .find("  \"invariants\"")
+                .and_then(|start| {
+                    baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
+                })
+                .unwrap_or("(no invariants block found)");
+            for d in ironsafe_bench::diff_snapshots(committed_block, inv_block) {
+                eprintln!("{d}");
+            }
+            eprintln!("(regenerate with `paperbench {name} --json` if the change is intended)");
+            std::process::exit(1);
+        }
+    }
+    if json_out {
+        let json = ironsafe_bench::snapshot_json(inv_block);
+        assert!(
+            ironsafe_obs::export::looks_like_valid_json(&json),
+            "{name} snapshot failed JSON self-check"
+        );
+        std::fs::write(file, &json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        println!("{name}: wrote snapshot to {file}");
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -282,51 +314,7 @@ fn main() {
             amort.rpmb_g1,
             amort.rpmb_g4
         );
-        let writer_loads = [0usize, 16, 64, 128];
-        let wallclock = mixed_wallclock(msf, &writer_loads);
-        println!(
-            "{:>10} {:>6} {:>10} {:>10}   (wall-clock read latency, 2 readers)",
-            "writer txn", "reads", "p50", "p95"
-        );
-        for w in &wallclock {
-            println!(
-                "{:>10} {:>6} {:>8.2}ms {:>8.2}ms",
-                w.writer_txns, w.reads, w.p50_ms, w.p95_ms
-            );
-        }
-        println!("(non-blocking contract: percentiles flat within noise as write load rises)\n");
-        let inv_block = writes_invariants_json(msf, &cells, &amort);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_9.json")
-                .expect("saturation --check needs the committed BENCH_9.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("saturation: invariants match BENCH_9.json byte for byte (gate passes)");
-            } else {
-                eprintln!("saturation: invariants DIVERGE from BENCH_9.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench saturation --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = writes_json(msf, &cells, &amort, &wallclock);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "saturation snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_9.json", &json).expect("write BENCH_9.json");
-            println!("saturation: wrote mixed read/write snapshot to BENCH_9.json");
-        }
+        invariants_gate("saturation", "BENCH_9.json", &writes_invariants_json(msf, &cells, &amort), check, json_out);
         return;
     }
 
@@ -498,7 +486,7 @@ fn main() {
         println!(
             "== Sharded federation: Q1/Q6 on scs across N storage nodes (SF {ssf}) ==\n"
         );
-        let (invariants, wallclock) = shards_sweep(ssf, &SHARD_COUNTS, &ids);
+        let invariants = shards_sweep(ssf, &SHARD_COUNTS, &ids);
         println!(
             "{:>5} {:>3} {:>14} {:>12} {:>9} {:>10} {:>10} {:>18}",
             "query", "N", "total (sim)", "fanout ovh", "rows", "bytes", "pages", "result digest"
@@ -517,43 +505,7 @@ fn main() {
             );
         }
         println!("(total/rows/bytes/pages/digest bit-identical at every N — asserted above)\n");
-        println!("{:>3} {:>6} {:>10} {:>10}   (wall-clock, Q6 serving loop)", "N", "runs", "qps", "p95");
-        for w in &wallclock {
-            println!("{:>3} {:>6} {:>10.1} {:>8.2}ms", w.shards, w.runs, w.qps, w.p95_ms);
-        }
-        println!();
-        let inv_block = shards_invariants_json(ssf, &invariants);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_7.json")
-                .expect("shards --check needs the committed BENCH_7.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("shards: invariants match BENCH_7.json byte for byte (gate passes)");
-            } else {
-                eprintln!("shards: invariants DIVERGE from BENCH_7.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench shards --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = shards_json(ssf, &invariants, &wallclock);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "shards snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_7.json", &json).expect("write BENCH_7.json");
-            println!("shards: wrote federation snapshot to BENCH_7.json");
-        }
+        invariants_gate("shards", "BENCH_7.json", &shards_invariants_json(ssf, &invariants), check, json_out);
         return;
     }
 
@@ -596,55 +548,7 @@ fn main() {
             );
         }
         println!();
-        let wsf = if sf_given { sf } else { VECTORS_WALL_SF };
-        let wallclock = vectors_wallclock(wsf, &ids);
-        println!(
-            "{:>5} {:>6} {:>11} {:>11} {:>9}   (wall-clock, scs DOP 1, SF {wsf})",
-            "query", "runs", "raw", "compressed", "speedup"
-        );
-        for w in &wallclock {
-            println!(
-                "{:>5} {:>6} {:>9.2}ms {:>9.2}ms {:>8.2}x",
-                format!("#{}", w.query_id),
-                w.runs,
-                w.raw_ms,
-                w.compressed_ms,
-                w.speedup
-            );
-        }
-        println!();
-        let inv_block = vectors_invariants_json(vsf, &cells, &dividends);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_8.json")
-                .expect("vectors --check needs the committed BENCH_8.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("vectors: invariants match BENCH_8.json byte for byte (gate passes)");
-            } else {
-                eprintln!("vectors: invariants DIVERGE from BENCH_8.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench vectors --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = vectors_json(vsf, &cells, &dividends, &wallclock);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "vectors snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_8.json", &json).expect("write BENCH_8.json");
-            println!("vectors: wrote scan-kernel snapshot to BENCH_8.json");
-        }
+        invariants_gate("vectors", "BENCH_8.json", &vectors_invariants_json(vsf, &cells, &dividends), check, json_out);
         return;
     }
 
@@ -686,38 +590,7 @@ fn main() {
             demo.replans,
             if demo.replans == 1 { "" } else { "s" }
         );
-        let inv_block = adaptive_invariants_json(asf, &cells, &demo);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_10.json")
-                .expect("adaptive --check needs the committed BENCH_10.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("adaptive: invariants match BENCH_10.json byte for byte (gate passes)");
-            } else {
-                eprintln!("adaptive: invariants DIVERGE from BENCH_10.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench adaptive --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = adaptive_json(asf, &cells, &demo);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "adaptive snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_10.json", &json).expect("write BENCH_10.json");
-            println!("adaptive: wrote optimizer snapshot to BENCH_10.json");
-        }
+        invariants_gate("adaptive", "BENCH_10.json", &adaptive_invariants_json(asf, &cells, &demo), check, json_out);
         return;
     }
 

@@ -943,13 +943,12 @@ pub struct AblationRow {
 
 /// Compare the paper's static pushdown against the adaptive partitioner.
 pub fn partitioner_ablation(sf: f64) -> Vec<AblationRow> {
-    use ironsafe_csa::system::PartitionStrategy;
     let data = generate(sf, SEED);
     let mut static_sys =
         CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).expect("build");
     let mut adaptive_sys =
         CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).expect("build");
-    adaptive_sys.strategy = PartitionStrategy::Adaptive;
+    adaptive_sys.set_placement(ironsafe_csa::PlacementPolicy::CostBased);
     paper_queries()
         .iter()
         .map(|q| {

@@ -26,19 +26,12 @@ pub mod vectors;
 pub mod writes;
 
 pub use adaptive::{
-    adaptive_invariants_json, adaptive_json, adaptive_sweep, q1_wide_with_selectivity,
+    adaptive_invariants_json, adaptive_sweep, q1_wide_with_selectivity,
     AdaptiveCell, ReplanDemo, ADAPTIVE_PRESSURES, ADAPTIVE_SELECTIVITIES, ADAPTIVE_SF,
     ADAPTIVE_SHAPES, ADAPTIVE_STORAGE_CORES,
 };
 pub use figures::*;
-pub use profiles::{diff_snapshots, profile_matrix, profiles_json, PROFILE_SF};
-pub use shards::{
-    shards_invariants_json, shards_json, shards_sweep, SHARDS_SF, SHARD_COUNTS,
-};
-pub use vectors::{
-    vectors_invariants_json, vectors_json, vectors_sweep, vectors_wallclock, VECTORS_SF,
-    VECTORS_WALL_SF,
-};
-pub use writes::{
-    mixed_sweep, mixed_wallclock, writes_invariants_json, writes_json, WRITES_SF, WRITE_BURSTS,
-};
+pub use profiles::{diff_snapshots, profile_matrix, profiles_json, snapshot_json, PROFILE_SF};
+pub use shards::{shards_invariants_json, shards_sweep, SHARDS_SF, SHARD_COUNTS};
+pub use vectors::{vectors_invariants_json, vectors_sweep, VECTORS_SF};
+pub use writes::{mixed_sweep, writes_invariants_json, WRITES_SF, WRITE_BURSTS};

@@ -52,6 +52,12 @@ pub fn profiles_json(sf: f64, profiles: &[QueryProfile]) -> String {
     s
 }
 
+/// A `BENCH_7…10.json` snapshot: nothing but the gated, byte-deterministic
+/// `"invariants"` block (wall-clock numbers live in `perf/`).
+pub fn snapshot_json(invariants_block: &str) -> String {
+    format!("{{\n{invariants_block}\n}}\n")
+}
+
 /// Regression gate: compare a freshly generated snapshot against the
 /// committed baseline, byte for byte. Returns a human-readable report
 /// of the first few diverging lines (empty = pass).

@@ -1,22 +1,20 @@
 //! The `paperbench shards` harness: federation scaling sweep across
 //! shard counts, exported as the `BENCH_7.json` snapshot.
 //!
-//! The snapshot has two sections. `"invariants"` holds only quantities
-//! the federation pins bit-identical at any shard count — simulated
-//! total, shipped rows/bytes, summed pages read, a result digest — plus
-//! the N-dependent `fanout_overhead_ns` reported per shard count. It is
+//! The snapshot's `"invariants"` block holds only quantities the
+//! federation pins bit-identical at any shard count — simulated total,
+//! shipped rows/bytes, summed pages read, a result digest — plus the
+//! N-dependent `fanout_overhead_ns` reported per shard count. It is
 //! byte-deterministic, so `--check` regenerates it and compares it
 //! byte for byte against the committed file (the federation regression
-//! gate). `"wallclock"` holds measured throughput and p95 latency per
-//! shard count; wall-clock numbers vary run to run and are exempt from
-//! the gate.
+//! gate). Wall-clock serving rates are `perf/`'s job
+//! (`scale.q6_{1,4}shard_ms`).
 
 use crate::figures::SEED;
 use ironsafe_csa::SystemConfig;
 use ironsafe_scale::{FederatedCsaSystem, FederationConfig};
 use ironsafe_tpch::generate;
 use ironsafe_tpch::queries::PaperQuery;
-use std::time::Instant;
 
 /// Default scale factor for the shards gate.
 pub const SHARDS_SF: f64 = 0.002;
@@ -49,19 +47,6 @@ pub struct ShardInvariant {
     pub result_digest: String,
 }
 
-/// Measured serving rate for one shard count.
-#[derive(Debug, Clone)]
-pub struct ShardWallclock {
-    /// Shard count.
-    pub shards: usize,
-    /// Timed runs.
-    pub runs: usize,
-    /// Queries per wall-clock second across the timed runs.
-    pub qps: f64,
-    /// 95th-percentile per-query latency, milliseconds.
-    pub p95_ms: f64,
-}
-
 fn digest(report: &ironsafe_scale::FederatedReport) -> String {
     let rendered = format!("{:?}", report.result);
     let hash = ironsafe_crypto::sha256::sha256(rendered.as_bytes());
@@ -73,16 +58,10 @@ fn paper_query(id: u8) -> PaperQuery {
 }
 
 /// Run the sweep: every query id at every shard count on IronSafe
-/// (scs) federations, asserting the determinism contract as it goes,
-/// then time a wall-clock serving loop per shard count.
-pub fn shards_sweep(
-    sf: f64,
-    counts: &[usize],
-    ids: &[u8],
-) -> (Vec<ShardInvariant>, Vec<ShardWallclock>) {
+/// (scs) federations, asserting the determinism contract as it goes.
+pub fn shards_sweep(sf: f64, counts: &[usize], ids: &[u8]) -> Vec<ShardInvariant> {
     let data = generate(sf, SEED);
     let mut invariants = Vec::new();
-    let mut wallclock = Vec::new();
     for &n in counts {
         let fed = FederatedCsaSystem::build(
             FederationConfig::new(n, SystemConfig::IronSafe),
@@ -105,20 +84,6 @@ pub fn shards_sweep(
                 result_digest: digest(&report),
             });
         }
-        // Wall-clock serving rate: repeated Q6 at this shard count.
-        let q = paper_query(6);
-        let runs = 8usize;
-        let mut latencies_ms = Vec::with_capacity(runs);
-        let sweep_start = Instant::now();
-        for _ in 0..runs {
-            let t = Instant::now();
-            fed.run_query_federated(&q, KEY, 1).expect("timed run");
-            latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        }
-        let elapsed = sweep_start.elapsed().as_secs_f64();
-        latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p95 = latencies_ms[((runs as f64 * 0.95).ceil() as usize - 1).min(runs - 1)];
-        wallclock.push(ShardWallclock { shards: n, runs, qps: runs as f64 / elapsed, p95_ms: p95 });
     }
 
     // Enforce the contract inside the harness too: every invariant cell
@@ -132,11 +97,11 @@ pub fn shards_sweep(
         assert_eq!(inv.result_digest, base.result_digest, "Q{} rows drifted", inv.query_id);
         assert_eq!(inv.pages_read, base.pages_read, "Q{} page reads drifted", inv.query_id);
     }
-    (invariants, wallclock)
+    invariants
 }
 
-/// The byte-deterministic `"invariants"` JSON block (also embedded
-/// verbatim in [`shards_json`]) — what the `--check` gate compares.
+/// The byte-deterministic `"invariants"` JSON block — what the `--check`
+/// gate compares and `BENCH_7.json` wraps.
 pub fn shards_invariants_json(sf: f64, invariants: &[ShardInvariant]) -> String {
     let mut s = String::from("  \"invariants\": {\n");
     s.push_str(&format!("    \"sf\": {sf},\n    \"seed\": {SEED},\n    \"cells\": [\n"));
@@ -159,30 +124,6 @@ pub fn shards_invariants_json(sf: f64, invariants: &[ShardInvariant]) -> String 
     s
 }
 
-/// The full `BENCH_7.json` snapshot: the deterministic invariants block
-/// plus the (run-dependent) wall-clock section.
-pub fn shards_json(
-    sf: f64,
-    invariants: &[ShardInvariant],
-    wallclock: &[ShardWallclock],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&shards_invariants_json(sf, invariants));
-    s.push_str(",\n  \"wallclock\": [\n");
-    for (i, w) in wallclock.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"shards\":{},\"runs\":{},\"qps\":{:.1},\"p95_ms\":{:.3}}}{}\n",
-            w.shards,
-            w.runs,
-            w.qps,
-            w.p95_ms,
-            if i + 1 == wallclock.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,13 +131,10 @@ mod tests {
 
     #[test]
     fn invariants_block_is_deterministic_and_gate_compatible() {
-        let (inv_a, wall) = shards_sweep(SHARDS_SF, &[1, 2], &[6]);
-        let (inv_b, _) = shards_sweep(SHARDS_SF, &[1, 2], &[6]);
-        let a = shards_invariants_json(SHARDS_SF, &inv_a);
-        let b = shards_invariants_json(SHARDS_SF, &inv_b);
+        let a = shards_invariants_json(SHARDS_SF, &shards_sweep(SHARDS_SF, &[1, 2], &[6]));
+        let b = shards_invariants_json(SHARDS_SF, &shards_sweep(SHARDS_SF, &[1, 2], &[6]));
         assert_eq!(a, b, "invariants block must be byte-deterministic");
-        let full = shards_json(SHARDS_SF, &inv_a, &wall);
+        let full = crate::snapshot_json(&a);
         assert!(looks_like_valid_json(&full), "{full}");
-        assert!(full.contains(&a), "snapshot must embed the invariants block verbatim");
     }
 }

@@ -1,8 +1,8 @@
 //! The `paperbench vectors` harness: the batch scan kernel × page
 //! compression sweep, exported as the `BENCH_8.json` snapshot.
 //!
-//! The snapshot has two sections. `"invariants"` holds only quantities
-//! the engine pins deterministically: one cell per (query, storage
+//! The snapshot's `"invariants"` block holds only quantities the
+//! engine pins deterministically: one cell per (query, storage
 //! format) with the simulated total, physical pager counters and a
 //! result digest — the digest is identical across storage formats
 //! (compression never changes the answer), and every cell is run at DOP
@@ -11,22 +11,16 @@
 //! compress-before-encrypt dividend per query: encrypted bytes and MAC
 //! verifications saved on the scan path. It is byte-deterministic, so
 //! `--check` regenerates it and compares it byte for byte against the
-//! committed file (the scan-kernel regression gate). `"wallclock"` holds
-//! measured raw-vs-compressed latencies; wall-clock numbers vary run to
-//! run and are exempt from the gate.
+//! committed file (the scan-kernel regression gate). Wall-clock scan
+//! rates are `perf/`'s job (`scan_cold`).
 
 use crate::figures::SEED;
 use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
 use ironsafe_tpch::generate;
 use ironsafe_tpch::queries::PaperQuery;
-use std::time::Instant;
 
 /// Default scale factor for the deterministic invariants sweep.
 pub const VECTORS_SF: f64 = 0.002;
-
-/// Scale factor for the wall-clock speedup loop (larger, so per-query
-/// execution time dominates fixed per-run overheads).
-pub const VECTORS_WALL_SF: f64 = 0.01;
 
 /// One (query, storage format) cell of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,21 +55,6 @@ pub struct CompressionDividend {
     /// Percentage of MAC verifications (and encrypted bytes — same
     /// physical block size) saved by compression.
     pub mac_reduction_pct: f64,
-}
-
-/// Measured raw-vs-compressed serving time for one query at DOP 1.
-#[derive(Debug, Clone)]
-pub struct VectorWallclock {
-    /// TPC-H query id.
-    pub query_id: u8,
-    /// Timed runs per storage format.
-    pub runs: usize,
-    /// Best-of-runs latency over raw pages, milliseconds.
-    pub raw_ms: f64,
-    /// Best-of-runs latency over compressed pages, milliseconds.
-    pub compressed_ms: f64,
-    /// `raw_ms / compressed_ms`.
-    pub speedup: f64,
 }
 
 fn digest(result: &ironsafe_sql::QueryResult) -> String {
@@ -153,40 +132,8 @@ pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDi
     (cells, dividends)
 }
 
-/// Time serving over raw vs compressed pages at DOP 1 on IronSafe (scs),
-/// where every page read pays decrypt + MAC + Merkle — the wall-clock
-/// side of the compress-before-encrypt dividend. Best-of-`runs`
-/// latencies.
-pub fn vectors_wallclock(sf: f64, ids: &[u8]) -> Vec<VectorWallclock> {
-    let data = generate(sf, SEED);
-    let runs = 5usize;
-    let mut systems = [false, true].map(|compressed| {
-        CsaSystem::build_with_compression(
-            SystemConfig::IronSafe,
-            &data,
-            CostParams::default(),
-            compressed,
-        )
-        .expect("system builds")
-    });
-    ids.iter()
-        .map(|&id| {
-            let q = paper_query(id);
-            let [raw_ms, compressed_ms] = systems.each_mut().map(|sys| {
-                sys.run_query(&q).expect("warmup run");
-                (0..runs).fold(f64::INFINITY, |best, _| {
-                    let t = Instant::now();
-                    sys.run_query(&q).expect("timed run");
-                    best.min(t.elapsed().as_secs_f64() * 1e3)
-                })
-            });
-            VectorWallclock { query_id: id, runs, raw_ms, compressed_ms, speedup: raw_ms / compressed_ms }
-        })
-        .collect()
-}
-
-/// The byte-deterministic `"invariants"` JSON block (also embedded
-/// verbatim in [`vectors_json`]) — what the `--check` gate compares.
+/// The byte-deterministic `"invariants"` JSON block — what the `--check`
+/// gate compares and `BENCH_8.json` wraps.
 pub fn vectors_invariants_json(
     sf: f64,
     cells: &[VectorCell],
@@ -225,32 +172,6 @@ pub fn vectors_invariants_json(
     s
 }
 
-/// The full `BENCH_8.json` snapshot: the deterministic invariants block
-/// plus the (run-dependent) wall-clock section.
-pub fn vectors_json(
-    sf: f64,
-    cells: &[VectorCell],
-    dividends: &[CompressionDividend],
-    wallclock: &[VectorWallclock],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&vectors_invariants_json(sf, cells, dividends));
-    s.push_str(",\n  \"wallclock\": [\n");
-    for (i, w) in wallclock.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"query_id\":{},\"runs\":{},\"raw_ms\":{:.3},\"compressed_ms\":{:.3},\"speedup\":{:.2}}}{}\n",
-            w.query_id,
-            w.runs,
-            w.raw_ms,
-            w.compressed_ms,
-            w.speedup,
-            if i + 1 == wallclock.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,15 +184,7 @@ mod tests {
         let a = vectors_invariants_json(VECTORS_SF, &cells_a, &div_a);
         let b = vectors_invariants_json(VECTORS_SF, &cells_b, &div_b);
         assert_eq!(a, b, "invariants block must be byte-deterministic");
-        let wall = vec![VectorWallclock {
-            query_id: 6,
-            runs: 1,
-            raw_ms: 2.0,
-            compressed_ms: 1.0,
-            speedup: 2.0,
-        }];
-        let full = vectors_json(VECTORS_SF, &cells_a, &div_a, &wall);
+        let full = crate::snapshot_json(&a);
         assert!(looks_like_valid_json(&full), "{full}");
-        assert!(full.contains(&a), "snapshot must embed the invariants block verbatim");
     }
 }

@@ -1,7 +1,7 @@
 //! The mixed read/write `paperbench saturation` harness, exported as
 //! the `BENCH_9.json` snapshot.
 //!
-//! Two sections. `"invariants"` holds only engine-pinned quantities:
+//! The `"invariants"` block holds only engine-pinned quantities:
 //! one cell per writer burst with the snapshot read's result digest and
 //! simulated cost — asserted bit-identical to the quiesced run at the
 //! pinned epoch while the writer commits — plus the fresh reader's
@@ -10,16 +10,14 @@
 //! RPMB binds divide by the group size; that is the write-amplification
 //! dividend). It is byte-deterministic, so `--check` regenerates it and
 //! compares byte for byte against the committed file (the write-path
-//! regression gate). `"wallclock"` holds measured read-latency
-//! percentiles under a concurrent writer stream; wall-clock numbers
-//! vary run to run and are exempt from the gate.
+//! regression gate). Wall-clock read latency under a writer stream is
+//! `perf/`'s job (`write_mix`).
 
 use crate::figures::SEED;
 use ironsafe_csa::{CostParams, CsaSystem, SharedCsaSystem, SystemConfig};
 use ironsafe_obs::Registry;
 use ironsafe_sql::parser::parse_statement;
 use ironsafe_tpch::generate;
-use std::time::Instant;
 
 /// Default scale factor for the deterministic invariants sweep.
 pub const WRITES_SF: f64 = 0.002;
@@ -62,19 +60,6 @@ pub struct Amortization {
     pub rpmb_g1: u64,
     /// RPMB binds at group size 4.
     pub rpmb_g4: u64,
-}
-
-/// Measured read latency under one concurrent writer stream.
-#[derive(Debug, Clone)]
-pub struct MixedWallclock {
-    /// Update transactions the writer thread committed during the window.
-    pub writer_txns: usize,
-    /// Reads timed across the reader threads.
-    pub reads: usize,
-    /// Median read latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile read latency, milliseconds.
-    pub p95_ms: f64,
 }
 
 fn digest(result: &ironsafe_sql::QueryResult) -> String {
@@ -186,66 +171,8 @@ fn amortization(sf: f64, txns: u64) -> Amortization {
     Amortization { txns, appends_g1, appends_g4, bytes_g1, bytes_g4, rpmb_g1, rpmb_g4 }
 }
 
-/// Measure read latency percentiles while a writer thread commits a
-/// stream of updates: the non-blocking contract says the percentiles
-/// stay flat (within noise) as the write load rises.
-pub fn mixed_wallclock(sf: f64, writer_loads: &[usize]) -> Vec<MixedWallclock> {
-    let shared = std::sync::Arc::new({
-        let s = shared_system(sf);
-        s.set_group_size(4);
-        s.attach_wal(0xC9).expect("secure base journals");
-        s
-    });
-    let sel = read_stmt();
-    let reads_per_thread = 40usize;
-    let reader_threads = 2usize;
-
-    let mut out = Vec::new();
-    for &load in writer_loads {
-        let mut latencies_ms: Vec<f64> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let writer = {
-                let shared = std::sync::Arc::clone(&shared);
-                scope.spawn(move |_| {
-                    for k in 0..load {
-                        shared.run_statement(&update_stmt(k), KEY).expect("writer commit");
-                    }
-                })
-            };
-            let mut readers = Vec::new();
-            for _ in 0..reader_threads {
-                let shared = std::sync::Arc::clone(&shared);
-                let sel = sel.clone();
-                readers.push(scope.spawn(move |_| {
-                    let mut lat = Vec::with_capacity(reads_per_thread);
-                    for _ in 0..reads_per_thread {
-                        let t = Instant::now();
-                        shared.run_statement(&sel, KEY).expect("read never blocks");
-                        lat.push(t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    lat
-                }));
-            }
-            writer.join().expect("writer thread");
-            for r in readers {
-                latencies_ms.extend(r.join().expect("reader thread"));
-            }
-        })
-        .expect("scope");
-        latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let pct = |p: f64| latencies_ms[(p * (latencies_ms.len() - 1) as f64).round() as usize];
-        out.push(MixedWallclock {
-            writer_txns: load,
-            reads: latencies_ms.len(),
-            p50_ms: pct(0.50),
-            p95_ms: pct(0.95),
-        });
-    }
-    out
-}
-
-/// The byte-deterministic `"invariants"` JSON block (also embedded
-/// verbatim in [`writes_json`]) — what the `--check` gate compares.
+/// The byte-deterministic `"invariants"` JSON block — what the `--check`
+/// gate compares and `BENCH_9.json` wraps.
 pub fn writes_invariants_json(sf: f64, cells: &[MixedCell], amort: &Amortization) -> String {
     let mut s = String::from("  \"invariants\": {\n");
     s.push_str(&format!("    \"sf\": {sf},\n    \"seed\": {SEED},\n    \"cells\": [\n"));
@@ -277,31 +204,6 @@ pub fn writes_invariants_json(sf: f64, cells: &[MixedCell], amort: &Amortization
     s
 }
 
-/// The full `BENCH_9.json` snapshot: the deterministic invariants block
-/// plus the (run-dependent) wall-clock section.
-pub fn writes_json(
-    sf: f64,
-    cells: &[MixedCell],
-    amort: &Amortization,
-    wallclock: &[MixedWallclock],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&writes_invariants_json(sf, cells, amort));
-    s.push_str(",\n  \"wallclock\": [\n");
-    for (i, w) in wallclock.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"writer_txns\":{},\"reads\":{},\"p50_ms\":{:.3},\"p95_ms\":{:.3}}}{}\n",
-            w.writer_txns,
-            w.reads,
-            w.p50_ms,
-            w.p95_ms,
-            if i + 1 == wallclock.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,9 +223,7 @@ mod tests {
         assert!(amort_a.rpmb_g4 < amort_a.rpmb_g1);
         assert!(amort_a.bytes_g4 < amort_a.bytes_g1, "fewer records, less frame overhead");
 
-        let wall = vec![MixedWallclock { writer_txns: 8, reads: 80, p50_ms: 1.0, p95_ms: 2.0 }];
-        let full = writes_json(WRITES_SF, &cells_a, &amort_a, &wall);
+        let full = crate::snapshot_json(&a);
         assert!(looks_like_valid_json(&full), "{full}");
-        assert!(full.contains(&a), "snapshot must embed the invariants block verbatim");
     }
 }

@@ -37,8 +37,8 @@ pub use federation::{PushdownDepth, QueryBackend};
 pub use net::SecureChannel;
 pub use profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile, ReplanEvent};
 pub use shared::{RecoveryReport, SharedCsaSystem};
-pub use partition::{partition_select, OffloadDecision, Partition, StorageQuery};
-pub use system::{CsaSystem, PartitionStrategy, QueryReport, SystemConfig};
+pub use partition::{partition_select, OffloadDecision, Partition, PlacementPolicy, StorageQuery};
+pub use system::{CsaSystem, QueryReport, SystemConfig};
 
 /// Errors raised by the CSA layer.
 #[derive(Debug)]

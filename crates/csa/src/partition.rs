@@ -66,12 +66,57 @@ fn fully_resolvable(expr: &Expr, schema: &Schema) -> bool {
     !cols.is_empty() && cols.iter().all(|c| schema.resolve(c).is_ok())
 }
 
-/// Partition `stmt`. `lookup` resolves *storage-resident* base tables to
-/// their schemas; FROM entries it does not know (e.g. temp tables from an
-/// earlier stage) stay host-local.
+/// Partition `stmt`, pushing every table's filters down. `lookup`
+/// resolves *storage-resident* base tables to their schemas; FROM entries
+/// it does not know (e.g. temp tables from an earlier stage) stay
+/// host-local.
 pub fn partition_select(
     stmt: &SelectStmt,
     lookup: &dyn Fn(&str) -> Option<Schema>,
+) -> Partition {
+    partition_select_strategic(stmt, lookup, &|_, _| OffloadDecision::Offload)
+}
+
+/// Per-table offload decision for [`partition_select_strategic`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OffloadDecision {
+    /// Push the table's filters + projection to the storage engine.
+    Offload,
+    /// Ship the table's raw pages; the host applies the filters.
+    ShipPages,
+}
+
+/// How split configurations place each table's filter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlacementPolicy {
+    /// The same decision for every fragment: `Pinned(Offload)` is the
+    /// paper's static heuristic (the default), `Pinned(ShipPages)` the
+    /// all-host baseline.
+    Pinned(OffloadDecision),
+    /// Per-fragment cost-based choice ([`crate::adaptive::choose`]) under
+    /// [`CostParams`](crate::CostParams), with selectivity estimates
+    /// from the [`AdaptiveState`](crate::AdaptiveState) EWMA store and the
+    /// live EPC occupancy — the paper's §8 future work.
+    CostBased,
+}
+
+impl Default for PlacementPolicy {
+    fn default() -> Self {
+        PlacementPolicy::Pinned(OffloadDecision::Offload)
+    }
+}
+
+/// Partition `stmt`, consulting `decide` per table: tables the callback
+/// declines keep their predicates on the host and their fragment carries
+/// no pushdown (the runner ships raw pages instead).
+///
+/// This is the hook behind the *adaptive* partitioner — the paper's §8
+/// future work: "a compiler that automatically partitions queries between
+/// the host and storage systems".
+pub fn partition_select_strategic(
+    stmt: &SelectStmt,
+    lookup: &dyn Fn(&str) -> Option<Schema>,
+    decide: &dyn Fn(&str, &SelectStmt) -> OffloadDecision,
 ) -> Partition {
     let mut conjuncts = Vec::new();
     if let Some(w) = &stmt.where_clause {
@@ -81,6 +126,7 @@ pub fn partition_select(
     let all_columns = columns_of(stmt);
     let mut storage = Vec::new();
     let mut pushed = vec![false; conjuncts.len()];
+    let mut declined: Vec<Expr> = Vec::new();
 
     for tref in &stmt.from {
         let Some(schema) = lookup(&tref.name) else { continue };
@@ -112,7 +158,7 @@ pub fn partition_select(
                 pushed[i] = true;
             }
         }
-        let fragment = SelectStmt {
+        let mut fragment = SelectStmt {
             projections: needed
                 .iter()
                 .map(|c| SelectItem::Expr { expr: Expr::Column(c.clone()), alias: None })
@@ -124,20 +170,25 @@ pub fn partition_select(
             order_by: Vec::new(),
             limit: None,
         };
-        storage.push(StorageQuery {
-            table: tref.name.clone(),
-            stmt: fragment,
-            columns: needed,
-            mode: OffloadDecision::Offload,
-        });
+        let mode = decide(&tref.name, &fragment);
+        if mode == OffloadDecision::ShipPages {
+            // Take the pushed conjuncts back to the host.
+            if let Some(w) = fragment.where_clause.take() {
+                split_conjuncts(&w, &mut declined);
+            }
+        }
+        let table = tref.name.clone();
+        storage.push(StorageQuery { table, stmt: fragment, columns: needed, mode });
     }
 
-    // Host statement: original minus pushed-down conjuncts.
+    // Host statement: original minus pushed-down conjuncts, plus the
+    // ones declined tables handed back.
     let residual: Vec<Expr> = conjuncts
         .into_iter()
         .zip(pushed.iter())
         .filter(|(_, p)| !**p)
         .map(|(c, _)| c)
+        .chain(declined)
         .collect();
     let mut host = stmt.clone();
     host.where_clause = join_conjuncts(residual);
@@ -304,57 +355,6 @@ pub fn render_select(stmt: &SelectStmt) -> String {
         sql.push_str(&format!(" LIMIT {n}"));
     }
     sql
-}
-
-/// Per-table offload decision for [`partition_select_strategic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OffloadDecision {
-    /// Push the table's filters + projection to the storage engine.
-    Offload,
-    /// Ship the table's raw pages; the host applies the filters.
-    ShipPages,
-}
-
-/// Like [`partition_select`], but consults `decide` per table: tables the
-/// callback declines keep their predicates on the host and their fragment
-/// carries no pushdown (the runner ships raw pages instead).
-///
-/// This is the hook behind the *adaptive* partitioner — the paper's §8
-/// future work: "a compiler that automatically partitions queries between
-/// the host and storage systems".
-pub fn partition_select_strategic(
-    stmt: &SelectStmt,
-    lookup: &dyn Fn(&str) -> Option<Schema>,
-    decide: &dyn Fn(&str, &SelectStmt) -> OffloadDecision,
-) -> Partition {
-    let base = partition_select(stmt, lookup);
-    let mut declined_preds: Vec<Expr> = Vec::new();
-    let storage = base
-        .storage
-        .into_iter()
-        .map(|mut frag| {
-            if decide(&frag.table, &frag.stmt) == OffloadDecision::ShipPages {
-                frag.mode = OffloadDecision::ShipPages;
-                // Take the pushed conjuncts back to the host.
-                if let Some(w) = frag.stmt.where_clause.take() {
-                    let mut cs = Vec::new();
-                    split_conjuncts(&w, &mut cs);
-                    declined_preds.extend(cs);
-                }
-            }
-            frag
-        })
-        .collect();
-    let mut host = base.host;
-    if !declined_preds.is_empty() {
-        let mut cs = Vec::new();
-        if let Some(w) = host.where_clause.take() {
-            split_conjuncts(&w, &mut cs);
-        }
-        cs.extend(declined_preds);
-        host.where_clause = join_conjuncts(cs);
-    }
-    Partition { storage, host }
 }
 
 #[cfg(test)]

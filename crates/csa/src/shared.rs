@@ -39,7 +39,7 @@
 //! Lock order (outermost first): `write` → `inner` → `published` →
 //! snapshot registry → base pager.
 
-use crate::cost::CostParams;
+use crate::cost::{self, CostParams, Run, Work};
 use crate::system::{CsaSystem, QueryReport, SystemConfig};
 use crate::{CsaError, Result};
 use ironsafe_faults::{retry_with, FaultPlan, FaultSite};
@@ -49,8 +49,7 @@ use ironsafe_sql::catalog::Catalog;
 use ironsafe_sql::Database;
 use ironsafe_storage::wal::{Checkpoint, CommitRecord, Wal, WalMedium};
 use ironsafe_storage::{
-    BlockDevice, PagerStats, PendingTxns, SecurePager, SharedPending, Snapshots, StorageError,
-    TailVerdict, BLOCK_SIZE,
+    BlockDevice, PendingTxns, SecurePager, SharedPending, Snapshots, StorageError, TailVerdict,
 };
 use ironsafe_tee::trustzone::TrustZoneDevice;
 use ironsafe_tpch::queries::PaperQuery;
@@ -120,17 +119,6 @@ pub struct SharedCsaSystem {
     /// Set when a flush died mid-way: the base store may hold a partial
     /// group, so everything fail-stops until recovery.
     poisoned: AtomicBool,
-}
-
-fn stats_delta(before: PagerStats, after: PagerStats) -> PagerStats {
-    PagerStats {
-        page_reads: after.page_reads - before.page_reads,
-        page_writes: after.page_writes - before.page_writes,
-        decrypts: after.decrypts - before.decrypts,
-        encrypts: after.encrypts - before.encrypts,
-        merkle_nodes: after.merkle_nodes - before.merkle_nodes,
-        rpmb_ops: after.rpmb_ops - before.rpmb_ops,
-    }
 }
 
 impl SharedCsaSystem {
@@ -385,7 +373,7 @@ impl SharedCsaSystem {
                         let mut buf = vec![0u8; b.payload_size()];
                         let before = b.stats();
                         b.read_page(*id, &mut buf)?;
-                        let delta = stats_delta(before, b.stats());
+                        let delta = b.stats() - before;
                         self.snapshots.retain(*id, buf.into(), delta, next_epoch);
                     }
                     cache.invalidate(*id);
@@ -444,17 +432,13 @@ impl SharedCsaSystem {
         // report — the flush's base-pager I/O, crypto and freshness costs
         // plus the WAL append, amortized over the group by construction.
         if let Some(report) = report {
-            let d = stats_delta(stats_before, pager.lock().stats());
-            let wal_bytes =
-                w.wal.as_ref().map_or(0, |wal| wal.metrics().bytes.get()) - wal_bytes_before;
-            let p = sys.params();
-            report.breakdown.ndp_ns += (d.page_reads + d.page_writes) as f64
-                * p.device_read_ns_per_page
-                + (wal_bytes as f64 / BLOCK_SIZE as f64) * p.device_read_ns_per_page;
-            report.breakdown.crypto_ns +=
-                (d.decrypts * p.decrypt_ns_per_page + d.encrypts * p.encrypt_ns_per_page) as f64;
-            report.breakdown.freshness_ns +=
-                (d.merkle_nodes * p.merkle_node_ns + d.rpmb_ops * p.rpmb_op_ns) as f64;
+            let work = Work {
+                pages: pager.lock().stats() - stats_before,
+                wal_bytes: w.wal.as_ref().map_or(0, |wal| wal.metrics().bytes.get())
+                    - wal_bytes_before,
+                ..Work::default()
+            };
+            report.breakdown.add_terms(&cost::price(Run::Write, &work, &sys.params));
         }
         Ok(())
     }

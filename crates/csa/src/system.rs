@@ -11,25 +11,27 @@ use crate::adaptive::{
     choose, divergence_trip, prior_selectivity, AdaptiveState, EpcView, FragmentStats,
     PlanMetrics, ReplanPolicy,
 };
-use crate::cost::{CostBreakdown, CostParams};
+use crate::cost::{self, complexity, CostBreakdown, CostParams, Run, Work};
 use crate::net::{RowLink, RECORD_OVERHEAD_BYTES, ROWS_PER_RECORD};
+use crate::partition::{
+    partition_select_strategic, OffloadDecision, Partition, PlacementPolicy, StorageQuery,
+};
 use crate::profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile, ReplanEvent};
-use crate::partition::{partition_select, partition_select_strategic, OffloadDecision, Partition, StorageQuery};
 use crate::Result;
 use ironsafe_crypto::group::Group;
-use ironsafe_sql::ast::{expr_to_sql, SelectItem, SelectStmt, Statement};
-use ironsafe_sql::exec::{ExecOptions, ScanWatch};
-use parking_lot::Mutex;
-use ironsafe_sql::{Database, EncodedRows, QueryResult, Schema};
 use ironsafe_faults::{FaultPlan, RetryPolicy};
-use ironsafe_storage::pager::{PagerStats, PlainPager};
-use ironsafe_sql::catalog::Catalog;
-use ironsafe_storage::{PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager};
 use ironsafe_obs::{Span, Trace, TraceCtx, TraceSnapshot};
+use ironsafe_sql::ast::{expr_to_sql, SelectItem, SelectStmt, Statement};
+use ironsafe_sql::catalog::Catalog;
+use ironsafe_sql::exec::{ExecOptions, ScanWatch};
+use ironsafe_sql::{Database, EncodedRows, QueryResult, Schema};
+use ironsafe_storage::pager::PlainPager;
+use ironsafe_storage::{PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager};
 use ironsafe_tee::sgx::epc::EpcSimulator;
 use ironsafe_tee::trustzone::Manufacturer;
 use ironsafe_tpch::queries::PaperQuery;
 use ironsafe_tpch::TpchData;
+use parking_lot::Mutex;
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -60,17 +62,23 @@ impl SystemConfig {
         }
     }
 
-    /// Does this configuration split queries across host and storage?
-    pub fn split(&self) -> bool {
-        matches!(self, SystemConfig::VanillaCs | SystemConfig::IronSafe)
-    }
-
     /// Does this configuration run the secure storage stack?
     pub fn secure(&self) -> bool {
         matches!(
             self,
             SystemConfig::HostOnlySecure | SystemConfig::IronSafe | SystemConfig::StorageOnlySecure
         )
+    }
+
+    /// How the cost model prices a query under this configuration.
+    pub(crate) fn run(&self) -> Run {
+        match self {
+            SystemConfig::HostOnlyNonSecure => Run::HostOnly { secure: false },
+            SystemConfig::HostOnlySecure => Run::HostOnly { secure: true },
+            SystemConfig::VanillaCs => Run::Split { secure: false, canonical_pages: None },
+            SystemConfig::IronSafe => Run::Split { secure: true, canonical_pages: None },
+            SystemConfig::StorageOnlySecure => Run::StorageOnly,
+        }
     }
 
     /// All five, paper order.
@@ -113,43 +121,14 @@ impl QueryReport {
     }
 }
 
-/// How split configurations decide per-table offloading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Always push filters + projection down (the paper's heuristic).
-    #[default]
-    Static,
-    /// Never push down: every fragment ships raw pages and the host
-    /// applies the filter itself (the all-host static baseline).
-    AllHost,
-    /// Cost-based per-fragment placement: evaluate the offload and
-    /// ship-pages alternatives under [`CostParams`] with selectivity
-    /// estimates from the [`AdaptiveState`] EWMA store (seeded from
-    /// predicate-shape priors) and the live EPC occupancy — the paper's
-    /// §8 future work, implemented.
-    Adaptive,
-}
-
-/// A host+storage deployment in one configuration.
-pub struct CsaSystem {
-    /// Active configuration.
-    pub config: SystemConfig,
-    /// Cost-model parameters.
-    pub params: CostParams,
-    /// Offloading strategy for split configurations.
-    pub strategy: PartitionStrategy,
-    storage_db: Database,
+/// What a view inherits from the system it is opened on.
+#[derive(Clone)]
+struct Settings {
+    /// How split configurations place each table's filter.
+    placement: PlacementPolicy,
     session_key: [u8; 32],
-    last_trace: Option<TraceSnapshot>,
-    /// Per-plan operator profiles captured from every plan the most
-    /// recent run drained (stages, fragments, host joins).
-    last_plans: Vec<PlanProfile>,
-    /// Enclave-side observations of the most recent run (transitions,
-    /// EPC faults, occupancy samples).
-    last_extras: ProfileExtras,
-    /// Shared decrypted-page cache, cloned into every [`read_view`]
-    /// (see [`CsaSystem::read_view`]) so sibling views decrypt each base
-    /// page once while still charging identical per-view costs.
+    /// Shared decrypted-page cache: sibling views decrypt each base page
+    /// once while still charging identical per-view costs.
     read_cache: Arc<PageCache>,
     /// Morsel-execution options for read-only fragments. Parallelism
     /// changes wall-clock only: reports, breakdowns and pager-stats
@@ -161,42 +140,60 @@ pub struct CsaSystem {
     /// Retry budget used when recovering from injected transient faults
     /// on the channel path.
     retry: RetryPolicy,
-    /// Shared EWMA estimate store feeding the adaptive planner. Cloned
-    /// (by `Arc`) into every view so observations made inside a view
-    /// refine the base system's estimates.
+    /// Shared EWMA estimate store feeding the cost-based planner:
+    /// observations made inside a view refine the base system's
+    /// estimates.
     adaptive: Arc<Mutex<AdaptiveState>>,
     /// Live `plan.*` counters (decisions, refinements, re-plans).
     plan_metrics: PlanMetrics,
-    /// When set, the adaptive strategy skips the cost rule and applies
-    /// this decision to every fragment (the golden-parity guard).
-    pinned_decision: Option<OffloadDecision>,
     /// Mid-flight re-planning policy (`None` = disabled).
     replan: Option<ReplanPolicy>,
     /// Simulated background enclave working set (pages) held resident by
     /// concurrent tenants; 0 = calm EPC. Applied identically under every
-    /// strategy — pressure is environment, not policy.
+    /// placement — pressure is environment, not policy.
     epc_pressure_pages: u64,
 }
 
-/// Attribute one simulated cost term to a named accounting span.
-///
-/// Each term gets its own span so [`CostBreakdown::from_trace`] sums
-/// category totals in span-creation order — the exact order the old
-/// inline accumulation added them, preserving bit-identical breakdowns.
-fn charge(name: &str, category: &'static str, ns: f64) {
-    let span = Span::enter(name);
-    span.add_sim_ns(category, ns);
+impl Default for Settings {
+    fn default() -> Self {
+        Settings {
+            placement: PlacementPolicy::default(),
+            session_key: [0x5e; 32],
+            read_cache: Arc::new(PageCache::new()),
+            exec: ExecOptions::serial(),
+            fault_plan: FaultPlan::none(),
+            retry: RetryPolicy::default(),
+            adaptive: Arc::new(Mutex::new(AdaptiveState::new())),
+            plan_metrics: PlanMetrics::new(),
+            replan: None,
+            epc_pressure_pages: 0,
+        }
+    }
 }
 
-fn complexity(stmt: &SelectStmt) -> u64 {
-    let joins = stmt.from.len().saturating_sub(1) as u64;
-    let has_agg = !stmt.group_by.is_empty()
-        || stmt.projections.iter().any(|p| match p {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            SelectItem::Star => false,
-        });
-    let has_sort = !stmt.order_by.is_empty();
-    1 + joins + has_agg as u64 + has_sort as u64
+/// A host+storage deployment in one configuration.
+pub struct CsaSystem {
+    /// Active configuration.
+    pub config: SystemConfig,
+    /// Cost-model parameters.
+    pub params: CostParams,
+    storage_db: Database,
+    set: Settings,
+    last_trace: Option<TraceSnapshot>,
+    /// Per-plan operator profiles captured from every plan the most
+    /// recent run drained (stages, fragments, host joins).
+    last_plans: Vec<PlanProfile>,
+    /// Enclave-side observations of the most recent run (transitions,
+    /// EPC faults, occupancy samples).
+    last_extras: ProfileExtras,
+}
+
+/// What a run body leaves for the shared epilogue.
+struct Ran {
+    result: Option<QueryResult>,
+    pages_read: u64,
+    rows_shipped: u64,
+    bytes_shipped: u64,
 }
 
 impl CsaSystem {
@@ -245,86 +242,50 @@ impl CsaSystem {
         // The flight recorder is TEE-resident too: its ring capacity is
         // derived from the same enclave memory budget.
         storage_db.pager().lock().set_flight_budget(params.epc_limit_bytes as u64);
-        Ok(CsaSystem {
-            config,
-            params,
-            strategy: PartitionStrategy::default(),
-            storage_db,
-            session_key: [0x5e; 32],
-            last_trace: None,
-            last_plans: Vec::new(),
-            last_extras: ProfileExtras::default(),
-            read_cache: Arc::new(PageCache::new()),
-            exec: ExecOptions::serial(),
-            fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            adaptive: Arc::new(Mutex::new(AdaptiveState::new())),
-            plan_metrics: PlanMetrics::new(),
-            pinned_decision: None,
-            replan: None,
-            epc_pressure_pages: 0,
-        })
+        Ok(Self::from_database(config, storage_db, params))
     }
 
     /// Build over an already-populated database (e.g. the GDPR workload).
     pub fn from_database(config: SystemConfig, storage_db: Database, params: CostParams) -> Self {
+        Self::assemble(config, params, storage_db, Settings::default())
+    }
+
+    fn assemble(
+        config: SystemConfig,
+        params: CostParams,
+        storage_db: Database,
+        set: Settings,
+    ) -> CsaSystem {
         CsaSystem {
             config,
             params,
-            strategy: PartitionStrategy::default(),
             storage_db,
-            session_key: [0x5e; 32],
+            set,
             last_trace: None,
             last_plans: Vec::new(),
             last_extras: ProfileExtras::default(),
-            read_cache: Arc::new(PageCache::new()),
-            exec: ExecOptions::serial(),
-            fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            adaptive: Arc::new(Mutex::new(AdaptiveState::new())),
-            plan_metrics: PlanMetrics::new(),
-            pinned_decision: None,
-            replan: None,
-            epc_pressure_pages: 0,
         }
     }
 
-    /// Open an isolated read view of this system for one query run.
-    ///
-    /// The view is a full `CsaSystem` sharing this system's pages
-    /// through a copy-on-write [`ViewPager`]: reads go through the
-    /// shared decrypted-page cache, while temporary tables, catalog
-    /// checkpoints and any other writes stay private to the view and are
-    /// discarded when it drops. Pager stats start at zero and count only
-    /// the view's own work, so concurrent views produce bit-identical
+    /// A full `CsaSystem` over `pager` — a copy-on-write [`ViewPager`] on
+    /// this system's pages — with this system's settings. Temporary
+    /// tables, catalog checkpoints and any other writes stay private to
+    /// the view; pager stats start at zero and count only the view's own
+    /// work, so concurrent views produce bit-identical
     /// [`CostBreakdown`]s to serial execution.
+    fn view(&self, pager: ViewPager, catalog: Catalog) -> CsaSystem {
+        let db = Database::from_parts(ironsafe_sql::heap::shared(pager), catalog);
+        Self::assemble(self.config, self.params.clone(), db, self.set.clone())
+    }
+
+    /// Open an isolated read view of this system for one query run:
+    /// reads go through the shared decrypted-page cache, writes are
+    /// discarded when it drops.
     ///
-    /// The caller must exclude base writes for the view's lifetime
-    /// (the serving layer holds a `RwLock` read guard — see
-    /// [`SharedCsaSystem`](crate::SharedCsaSystem)).
+    /// The caller must exclude base writes for the view's lifetime.
     pub fn read_view(&self) -> CsaSystem {
-        let pager = ViewPager::over(self.storage_db.pager().clone(), self.read_cache.clone());
-        let storage_db =
-            Database::from_parts(ironsafe_sql::heap::shared(pager), self.storage_db.catalog().clone());
-        CsaSystem {
-            config: self.config,
-            params: self.params.clone(),
-            strategy: self.strategy,
-            storage_db,
-            session_key: self.session_key,
-            last_trace: None,
-            last_plans: Vec::new(),
-            last_extras: ProfileExtras::default(),
-            read_cache: self.read_cache.clone(),
-            exec: self.exec.clone(),
-            fault_plan: self.fault_plan.clone(),
-            retry: self.retry,
-            adaptive: self.adaptive.clone(),
-            plan_metrics: self.plan_metrics.clone(),
-            pinned_decision: self.pinned_decision,
-            replan: self.replan,
-            epc_pressure_pages: self.epc_pressure_pages,
-        }
+        let pager = ViewPager::over(self.storage_db.pager().clone(), self.set.read_cache.clone());
+        self.view(pager, self.storage_db.catalog().clone())
     }
 
     /// Open a *snapshot* read view pinned to the epoch captured in `pin`,
@@ -336,28 +297,8 @@ impl CsaSystem {
     /// ([`ironsafe_storage::Snapshots`]), so the view keeps reading the
     /// epoch it opened at while writers commit the next one.
     pub fn read_view_at(&self, pin: SnapshotPin, catalog: Catalog) -> CsaSystem {
-        let pager =
-            ViewPager::over_pinned(self.storage_db.pager().clone(), self.read_cache.clone(), pin);
-        let storage_db = Database::from_parts(ironsafe_sql::heap::shared(pager), catalog);
-        CsaSystem {
-            config: self.config,
-            params: self.params.clone(),
-            strategy: self.strategy,
-            storage_db,
-            session_key: self.session_key,
-            last_trace: None,
-            last_plans: Vec::new(),
-            last_extras: ProfileExtras::default(),
-            read_cache: self.read_cache.clone(),
-            exec: self.exec.clone(),
-            fault_plan: self.fault_plan.clone(),
-            retry: self.retry,
-            adaptive: self.adaptive.clone(),
-            plan_metrics: self.plan_metrics.clone(),
-            pinned_decision: self.pinned_decision,
-            replan: self.replan,
-            epc_pressure_pages: self.epc_pressure_pages,
-        }
+        let base = self.storage_db.pager().clone();
+        self.view(ViewPager::over_pinned(base, self.set.read_cache.clone(), pin), catalog)
     }
 
     /// Open a *writer* view: a copy-on-write view whose reads additionally
@@ -367,49 +308,20 @@ impl CsaSystem {
     /// the buffered transactions). The accumulated overlay is harvested
     /// with `take_txn_pages` after a successful statement.
     pub fn write_view(&self, pending: SharedPending, catalog: Catalog) -> CsaSystem {
-        let pager = ViewPager::over_writer(
-            self.storage_db.pager().clone(),
-            self.read_cache.clone(),
-            pending,
-        );
-        let storage_db = Database::from_parts(ironsafe_sql::heap::shared(pager), catalog);
-        CsaSystem {
-            config: self.config,
-            params: self.params.clone(),
-            strategy: self.strategy,
-            storage_db,
-            session_key: self.session_key,
-            last_trace: None,
-            last_plans: Vec::new(),
-            last_extras: ProfileExtras::default(),
-            read_cache: self.read_cache.clone(),
-            exec: self.exec.clone(),
-            fault_plan: self.fault_plan.clone(),
-            retry: self.retry,
-            adaptive: self.adaptive.clone(),
-            plan_metrics: self.plan_metrics.clone(),
-            pinned_decision: self.pinned_decision,
-            replan: self.replan,
-            epc_pressure_pages: self.epc_pressure_pages,
-        }
+        let base = self.storage_db.pager().clone();
+        self.view(ViewPager::over_writer(base, self.set.read_cache.clone(), pending), catalog)
     }
 
     /// The shared decrypted-page cache (the serving layer clears it when
     /// `with_system_mut` reseeds the store underneath it).
     pub(crate) fn read_cache(&self) -> &Arc<PageCache> {
-        &self.read_cache
+        &self.set.read_cache
     }
 
     /// The active retry budget (the group-commit flush reuses it for the
     /// WAL append).
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// The cost-model parameters (the group-commit flush prices its
-    /// deferred device work with these).
-    pub fn params(&self) -> &CostParams {
-        &self.params
+        self.set.retry
     }
 
     /// Install a deterministic fault-injection plan on this system.
@@ -421,17 +333,17 @@ impl CsaSystem {
     /// this call inherit the plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.storage_db.pager().lock().set_fault_plan(plan.clone());
-        self.fault_plan = plan;
+        self.set.fault_plan = plan;
     }
 
     /// The active fault-injection plan ([`FaultPlan::none`] by default).
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
+        &self.set.fault_plan
     }
 
     /// Set the retry budget used to recover from injected transient faults.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
+        self.set.retry = policy;
         self.storage_db.pager().lock().set_retry_policy(policy);
     }
 
@@ -484,7 +396,7 @@ impl CsaSystem {
         let counters_before = registry.snapshot();
         let stats_before = self.storage_db.pager_stats();
         let report = self.run_query(q)?;
-        let pager = self.pager_delta(stats_before);
+        let pager = self.storage_db.pager_stats() - stats_before;
         let counters_after = registry.snapshot();
         let delta = |name: &str| -> u64 {
             counters_after.counter(name).unwrap_or(0) - counters_before.counter(name).unwrap_or(0)
@@ -493,7 +405,7 @@ impl CsaSystem {
         let profile = QueryProfile {
             config: self.config,
             query_id: q.id,
-            dop: self.exec.dop.get(),
+            dop: self.set.exec.dop.get(),
             breakdown: CostBreakdown::from_trace(trace),
             pager,
             pages_read_storage: report.pages_read_storage,
@@ -532,7 +444,7 @@ impl CsaSystem {
 
     /// Install the per-request session key (from the trusted monitor).
     pub fn set_session_key(&mut self, key: [u8; 32]) {
-        self.session_key = key;
+        self.set.session_key = key;
     }
 
     /// Set the degree of parallelism for read-only query execution.
@@ -541,75 +453,57 @@ impl CsaSystem {
     /// breakdowns and stats deltas stay bit-identical to DOP 1
     /// (parallelism buys wall-clock only).
     pub fn set_dop(&mut self, dop: usize) {
-        self.exec.dop = ironsafe_sql::exec::Dop::new(dop);
+        self.set.exec.dop = ironsafe_sql::exec::Dop::new(dop);
     }
 
     /// Current morsel-execution options.
     pub fn exec_options(&self) -> &ExecOptions {
-        &self.exec
+        &self.set.exec
     }
 
     /// Attach the morsel-execution counters (`exec.morsel.*`) to
     /// `registry`, alongside [`Database::register_metrics`] for the
     /// pager counters.
     pub fn register_exec_metrics(&self, registry: &ironsafe_obs::Registry) {
-        self.exec.metrics.register(registry);
+        self.set.exec.metrics.register(registry);
     }
 
-    /// Select the partitioning strategy used by split configurations.
-    pub fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        self.strategy = strategy;
+    /// Select how split configurations place each table's filter. A
+    /// pinned policy must reproduce the same plan whatever the estimate
+    /// store holds — the golden-parity guard asserts exactly this.
+    pub fn set_placement(&mut self, policy: PlacementPolicy) {
+        self.set.placement = policy;
     }
 
     /// Handle on the shared selectivity-estimate store (survives across
     /// runs and views; feed it by running queries or pin entries).
     pub fn adaptive_state(&self) -> Arc<Mutex<AdaptiveState>> {
-        self.adaptive.clone()
+        self.set.adaptive.clone()
     }
 
     /// Pin a table-level estimate, overriding priors for every fragment
     /// on `table` that has no predicate-specific observation yet (used
     /// to model stale or deliberately wrong catalog statistics).
     pub fn pin_table_estimate(&mut self, table: &str, est: crate::adaptive::Estimate) {
-        self.adaptive.lock().pin_table(table, est);
-    }
-
-    /// Pin the adaptive strategy to a fixed decision for every fragment
-    /// (`None` restores cost-based choice). With a pin in place the
-    /// adaptive path must reproduce the corresponding static plan
-    /// bit-identically — the golden-parity guard asserts exactly this.
-    pub fn pin_adaptive(&mut self, decision: Option<OffloadDecision>) {
-        self.pinned_decision = decision;
+        self.set.adaptive.lock().pin_table(table, est);
     }
 
     /// Enable (`Some`) or disable (`None`, the default) mid-flight
-    /// re-planning for adaptive offloaded fragments.
+    /// re-planning for cost-based offloaded fragments.
     pub fn set_replan(&mut self, policy: Option<ReplanPolicy>) {
-        self.replan = policy;
+        self.set.replan = policy;
     }
 
     /// Simulate background EPC pressure: `pages` enclave pages held
     /// resident by concurrent tenants for the whole run. Applied under
-    /// every strategy (pressure is environment, not policy); 0 disables.
+    /// every placement (pressure is environment, not policy); 0 disables.
     pub fn set_epc_pressure(&mut self, pages: u64) {
-        self.epc_pressure_pages = pages;
+        self.set.epc_pressure_pages = pages;
     }
 
     /// Attach the planner counters (`plan.*`) to `registry`.
     pub fn register_plan_metrics(&self, registry: &ironsafe_obs::Registry) {
-        self.plan_metrics.register(registry);
-    }
-
-    fn pager_delta(&self, before: PagerStats) -> PagerStats {
-        let after = self.storage_db.pager_stats();
-        PagerStats {
-            page_reads: after.page_reads - before.page_reads,
-            page_writes: after.page_writes - before.page_writes,
-            decrypts: after.decrypts - before.decrypts,
-            encrypts: after.encrypts - before.encrypts,
-            merkle_nodes: after.merkle_nodes - before.merkle_nodes,
-            rpmb_ops: after.rpmb_ops - before.rpmb_ops,
-        }
+        self.set.plan_metrics.register(registry);
     }
 
     /// Run a single (possibly monitor-rewritten) statement.
@@ -628,717 +522,482 @@ impl CsaSystem {
                 };
                 self.run_query(&q)
             }
-            other => {
-                self.last_plans.clear();
-                self.last_extras = ProfileExtras::default();
-                let trace = Trace::new();
-                let (result, delta) = {
-                    let _active = trace.install();
-                    let _ctx = TraceCtx::query(0).install();
-                    let _stmt_span = Span::enter("statement/dml");
-                    let before = self.storage_db.pager_stats();
-                    let result = {
-                        let _exec = Span::enter("storage/execute");
-                        self.storage_db.execute_statement(other)?
-                    };
-                    let delta = self.pager_delta(before);
-                    let p = &self.params;
-                    charge(
-                        "storage/device_io",
-                        "ndp",
-                        (delta.page_reads + delta.page_writes) as f64 * p.device_read_ns_per_page,
-                    );
-                    charge(
-                        "crypto/pages",
-                        "crypto",
-                        (delta.decrypts * p.decrypt_ns_per_page
-                            + delta.encrypts * p.encrypt_ns_per_page) as f64,
-                    );
-                    charge(
-                        "freshness/verify",
-                        "freshness",
-                        (delta.merkle_nodes * p.merkle_node_ns + delta.rpmb_ops * p.rpmb_op_ns)
-                            as f64,
-                    );
-                    (result, delta)
-                };
-                let snapshot = trace.snapshot();
-                let breakdown = CostBreakdown::from_trace(&snapshot);
-                self.last_trace = Some(snapshot);
-                Ok(QueryReport {
-                    config: self.config,
-                    query_id: 0,
-                    result,
-                    breakdown,
-                    pages_read_storage: delta.page_reads,
-                    pages_shipped: 0,
-                    rows_shipped: 0,
-                    bytes_shipped: 0,
-                })
-            }
+            other => self.traced(0, "statement/dml", |sys| sys.whole(Run::Write, &[(other, None)])),
         }
     }
 
     /// Run a paper query, producing its report.
     pub fn run_query(&mut self, q: &PaperQuery) -> Result<QueryReport> {
-        match self.config {
-            SystemConfig::StorageOnlySecure => self.run_storage_only(q),
-            SystemConfig::HostOnlyNonSecure | SystemConfig::HostOnlySecure => self.run_host_only(q),
-            SystemConfig::VanillaCs | SystemConfig::IronSafe => self.run_split(q),
+        let root = format!("query/q{}", q.id);
+        match self.config.run() {
+            Run::Split { secure, .. } => self.traced(q.id, &root, |sys| sys.split(q, secure)),
+            run => {
+                let parsed = q
+                    .stages
+                    .iter()
+                    .map(|s| ironsafe_sql::parser::parse_statement(&s.sql))
+                    .collect::<ironsafe_sql::Result<Vec<_>>>()?;
+                let stages: Vec<_> =
+                    parsed.iter().zip(&q.stages).map(|(s, st)| (s, st.into.as_deref())).collect();
+                self.traced(q.id, &root, |sys| sys.whole(run, &stages))
+            }
         }
     }
 
-    // ---------------------------------------------------------------
-    // sos: the whole query runs next to the data, on the weak CPU.
-    // ---------------------------------------------------------------
-    fn run_storage_only(&mut self, q: &PaperQuery) -> Result<QueryReport> {
-        let exec = self.exec.clone();
+    /// The prologue and epilogue every run shares: reset the per-run
+    /// observations, execute `body` under a fresh trace rooted at `root`,
+    /// derive the breakdown from what it charged, keep the trace.
+    fn traced(
+        &mut self,
+        query_id: u8,
+        root: &str,
+        body: impl FnOnce(&mut Self) -> Result<Ran>,
+    ) -> Result<QueryReport> {
         self.last_plans.clear();
         self.last_extras = ProfileExtras::default();
         let trace = Trace::new();
-        let (result, delta) = {
+        let ran = {
             let _active = trace.install();
-            let _ctx = TraceCtx::query(q.id as u64).install();
-            let _query_span = Span::enter(&format!("query/q{}", q.id));
-            let before = self.storage_db.pager_stats();
-            let mut scanned_rows = 0u64;
-            let mut ops_total = 0u64;
-            let mut probe_requests = 0u64;
-            let mut result = None;
-            let mut temps = Vec::new();
-            for (stage_no, stage) in q.stages.iter().enumerate() {
-                let _stage_span = Span::enter(&format!("stage{stage_no}/storage_exec"));
-                let stmt = ironsafe_sql::parser::parse_statement(&stage.sql)?;
-                if let Statement::Select(sel) = &stmt {
-                    let mut stage_rows = 0u64;
-                    for t in &sel.from {
-                        if let Ok(info) = self.storage_db.catalog().table(&t.name) {
-                            stage_rows += info.heap.row_count;
-                        }
-                    }
-                    scanned_rows += stage_rows;
-                    ops_total += complexity(sel);
-                    // SQLite-style access amplification: every join probe
-                    // re-requests an inner page through the pager, and each
-                    // request pays decrypt + freshness (the paper's Q2/Q9
-                    // "request pages ~200K / ~23M times").
-                    if sel.from.len() > 1 {
-                        probe_requests += stage_rows;
-                    }
-                }
-                let r = match &stmt {
-                    Statement::Select(sel) => {
-                        let (r, ops) = self.storage_db.select_with_profile(sel, &exec)?;
-                        self.last_plans.push(PlanProfile::new(
-                            format!("stage{stage_no}/storage_exec"),
-                            Placement::Storage,
-                            ops,
-                        ));
-                        r
-                    }
-                    other => self.storage_db.execute_statement_with(other, &exec)?,
-                };
-                match &stage.into {
-                    Some(name) => {
-                        self.storage_db.create_table(name, r.schema())?;
-                        self.storage_db.insert_rows(name, r.into_rows())?;
-                        temps.push(name.clone());
-                    }
-                    None => result = Some(r),
-                }
-            }
-            for t in temps {
-                self.storage_db.execute(&format!("DROP TABLE {t}"))?;
-            }
-            let delta = self.pager_delta(before);
-            let db_pages = self
-                .storage_db
-                .catalog()
-                .tables()
-                .map(|t| t.heap.pages.len() as u64)
-                .sum::<u64>()
-                .max(2);
-            let p = &self.params;
-            let compute_ns = scanned_rows as f64
-                * ops_total.max(1) as f64
-                * p.host_row_ns
-                * p.storage_cpu_factor;
-            let path_nodes = 2 * db_pages.ilog2() as u64 + 1;
-            charge("storage/compute", "ndp", compute_ns);
-            charge(
-                "storage/device_io",
-                "ndp",
-                delta.page_reads as f64 * p.device_read_ns_per_page,
-            );
-            charge(
-                "freshness/verify",
-                "freshness",
-                ((delta.merkle_nodes + probe_requests * path_nodes) * p.merkle_node_ns
-                    + delta.rpmb_ops * p.rpmb_op_ns) as f64,
-            );
-            charge(
-                "crypto/pages",
-                "crypto",
-                ((delta.decrypts + probe_requests) * p.decrypt_ns_per_page
-                    + delta.encrypts * p.encrypt_ns_per_page) as f64,
-            );
-            (result, delta)
+            let _ctx = TraceCtx::query(query_id as u64).install();
+            let _root_span = Span::enter(root);
+            body(self)?
         };
         let snapshot = trace.snapshot();
         let breakdown = CostBreakdown::from_trace(&snapshot);
         self.last_trace = Some(snapshot);
+        let result = ran.result.ok_or_else(|| {
+            ironsafe_sql::SqlError::Plan("query has no output stage".to_string())
+        })?;
         Ok(QueryReport {
             config: self.config,
-            query_id: q.id,
-            result: result.expect("query has an output stage"),
+            query_id,
+            result,
             breakdown,
-            pages_read_storage: delta.page_reads,
-            pages_shipped: 0,
-            rows_shipped: 0,
-            bytes_shipped: 0,
+            pages_read_storage: ran.pages_read,
+            pages_shipped: ran.bytes_shipped.div_ceil(4096),
+            rows_shipped: ran.rows_shipped,
+            bytes_shipped: ran.bytes_shipped,
         })
     }
 
-    // ---------------------------------------------------------------
-    // hons / hos: all pages cross the network; the host does everything.
-    // hos additionally pays enclave transitions, host-side page crypto +
-    // Merkle freshness, and EPC paging for data pages and tree nodes.
-    // ---------------------------------------------------------------
-    fn run_host_only(&mut self, q: &PaperQuery) -> Result<QueryReport> {
-        let secure = self.config.secure();
-        let exec = self.exec.clone();
-        self.last_plans.clear();
-        self.last_extras = ProfileExtras::default();
-        let trace = Trace::new();
-        let (result, delta, scanned_rows, bytes) = {
-            let _active = trace.install();
-            let _ctx = TraceCtx::query(q.id as u64).install();
-            let _query_span = Span::enter(&format!("query/q{}", q.id));
-            let before = self.storage_db.pager_stats();
-            let mut scanned_rows = 0u64;
-            let mut ops_total = 0u64;
-            let mut probe_requests = 0u64;
+    /// The unsplit runner: every stage executes on the storage-resident
+    /// database, and `run` says whose CPU that models — `sos` (the whole
+    /// query next to the data, on the weak CPU), `hons`/`hos` (all pages
+    /// cross the network and the host does everything; `hos` additionally
+    /// pays enclave transitions, host-side page crypto + Merkle freshness
+    /// and EPC paging), or DML/DDL (writes always land next to the data).
+    fn whole(&mut self, run: Run, stages: &[(&Statement, Option<&str>)]) -> Result<Ran> {
+        let (site, placement) = match run {
+            Run::HostOnly { .. } => ("host_exec", Placement::Host),
+            _ => ("storage_exec", Placement::Storage),
+        };
+        let exec = self.set.exec.clone();
+        let before = self.storage_db.pager_stats();
+        // Total pages of all base tables (Merkle leaf count).
+        let db_pages: u64 =
+            self.storage_db.catalog().tables().map(|t| t.heap.pages.len() as u64).sum();
+        let mut scanned_rows = 0u64;
+        let mut ops_total = 0u64;
+        let mut probe_requests = 0u64;
+        let mut temps: Vec<&str> = Vec::new();
+        let staged = (|| -> Result<Option<QueryResult>> {
             let mut result = None;
-            let mut temps = Vec::new();
-            let db_pages = {
-                // Total pages of all base tables (Merkle leaf count).
-                self.storage_db
-                    .catalog()
-                    .tables()
-                    .map(|t| t.heap.pages.len() as u64)
-                    .sum::<u64>()
-                    .max(2)
-            };
-            for (stage_no, stage) in q.stages.iter().enumerate() {
-                let _stage_span = Span::enter(&format!("stage{stage_no}/host_exec"));
-                let stmt = ironsafe_sql::parser::parse_statement(&stage.sql)?;
-                if let Statement::Select(sel) = &stmt {
-                    ops_total += complexity(sel);
-                    let mut stage_rows = 0u64;
-                    for t in &sel.from {
-                        if let Ok(info) = self.storage_db.catalog().table(&t.name) {
-                            stage_rows += info.heap.row_count;
-                            scanned_rows += info.heap.row_count;
-                        }
-                    }
-                    // Join probes re-request pages through the in-enclave
-                    // SQLCipher pager (same amplification as sos).
-                    if sel.from.len() > 1 {
-                        probe_requests += stage_rows;
-                    }
-                }
-                let r = match &stmt {
+            for (stage_no, (stmt, into)) in stages.iter().enumerate() {
+                let label = match run {
+                    Run::Write => "storage/execute".to_string(),
+                    _ => format!("stage{stage_no}/{site}"),
+                };
+                let _stage_span = Span::enter(&label);
+                let r = match stmt {
                     Statement::Select(sel) => {
+                        let mut stage_rows = 0u64;
+                        for t in &sel.from {
+                            if let Ok(info) = self.storage_db.catalog().table(&t.name) {
+                                stage_rows += info.heap.row_count;
+                            }
+                        }
+                        scanned_rows += stage_rows;
+                        ops_total += complexity(sel);
+                        // Join probes re-request inner pages through the
+                        // (SQLCipher-style) pager of whichever side runs
+                        // the query.
+                        if sel.from.len() > 1 {
+                            probe_requests += stage_rows;
+                        }
                         let (r, ops) = self.storage_db.select_with_profile(sel, &exec)?;
-                        self.last_plans.push(PlanProfile::new(
-                            format!("stage{stage_no}/host_exec"),
-                            Placement::Host,
-                            ops,
-                        ));
+                        self.last_plans.push(PlanProfile::new(label, placement, ops));
                         r
                     }
-                    other => self.storage_db.execute_statement_with(other, &exec)?,
+                    other => self.storage_db.execute_statement(other)?,
                 };
-                match &stage.into {
+                match *into {
                     Some(name) => {
                         self.storage_db.create_table(name, r.schema())?;
+                        temps.push(name);
                         self.storage_db.insert_rows(name, r.into_rows())?;
-                        temps.push(name.clone());
                     }
                     None => result = Some(r),
                 }
             }
-            for t in temps {
-                self.storage_db.execute(&format!("DROP TABLE {t}"))?;
+            Ok(result)
+        })();
+        // Stage temporaries live in the base catalog of an exclusive
+        // system: they go whether or not the stages succeeded, or the
+        // next run of the same query could not create them.
+        let mut dropped = Ok(());
+        for t in temps {
+            if let Err(e) = self.storage_db.execute(&format!("DROP TABLE {t}")) {
+                dropped = Err(e);
             }
-            let delta = self.pager_delta(before);
-            // One OCALL round per fetched page batch (mirrors the
-            // `tee/transitions` charge below).
-            if secure {
-                self.last_extras.enclave_transitions = delta.page_reads * 2;
+        }
+        let result = staged?;
+        dropped?;
+        let delta = self.storage_db.pager_stats() - before;
+        let mut work = Work { pages: delta, probe_requests, db_pages, ..Work::default() };
+        let mut ran =
+            Ran { result, pages_read: delta.page_reads, rows_shipped: 0, bytes_shipped: 0 };
+        match run {
+            Run::HostOnly { secure } => {
+                work.host_rows = scanned_rows;
+                work.host_ops = ops_total;
+                work.bytes = delta.page_reads * 4096;
+                if secure {
+                    // One OCALL round per page batch fetched into the enclave.
+                    work.transitions = delta.page_reads * 2;
+                    self.last_extras.enclave_transitions = work.transitions;
+                }
+                ran.rows_shipped = scanned_rows;
+                ran.bytes_shipped = work.bytes;
             }
-            let p = &self.params;
-            let bytes = delta.page_reads * 4096;
-            // NFS-style page fetches batch ~64 pages per round trip.
-            let messages = delta.page_reads.div_ceil(64).max(1);
-            charge("host/compute", "ndp", p.host_compute_ns(scanned_rows, ops_total.max(1)));
-            charge(
-                "storage/device_io",
-                "ndp",
-                delta.page_reads as f64 * p.device_read_ns_per_page,
-            );
-            charge("net/page_fetch", "ndp", p.net_ns(bytes, messages));
-            if secure {
-                let path_nodes = 2 * db_pages.ilog2() as u64 + 1;
-                charge(
-                    "crypto/pages",
-                    "crypto",
-                    ((delta.decrypts + probe_requests) * p.decrypt_ns_per_page
-                        + delta.encrypts * p.encrypt_ns_per_page) as f64,
-                );
-                charge(
-                    "freshness/verify",
-                    "freshness",
-                    ((delta.merkle_nodes + probe_requests * path_nodes) * p.merkle_node_ns
-                        + delta.rpmb_ops * p.rpmb_op_ns) as f64,
-                );
-                // One OCALL round per page batch fetched into the enclave.
-                charge(
-                    "tee/transitions",
-                    "transitions",
-                    (delta.page_reads * 2 * p.enclave_transition_ns) as f64,
-                );
-                // EPC paging: the in-enclave Merkle tree is the resident
-                // working set (the paper's Figure 9a: 59/78/98 MiB at SF
-                // 3/4/5 against 96 MiB of EPC). While the tree fits, path
-                // verifications hit; once it overflows, the uncached fraction
-                // of every path faults — the paging cliff.
-                let tree_bytes = 2 * db_pages * 32;
-                let overflow = 1.0 - (p.epc_limit_bytes as f64 / tree_bytes as f64).min(1.0);
-                let verifications = delta.page_reads + probe_requests;
-                charge(
-                    "tee/epc_paging",
-                    "epc",
-                    verifications as f64 * path_nodes as f64 * overflow * p.epc_fault_ns as f64,
-                );
+            _ => {
+                work.storage_rows = scanned_rows;
+                work.storage_ops = ops_total;
             }
-            (result, delta, scanned_rows, bytes)
-        };
-        let snapshot = trace.snapshot();
-        let breakdown = CostBreakdown::from_trace(&snapshot);
-        self.last_trace = Some(snapshot);
-        Ok(QueryReport {
-            config: self.config,
-            query_id: q.id,
-            result: result.expect("query has an output stage"),
-            breakdown,
-            pages_read_storage: delta.page_reads,
-            pages_shipped: delta.page_reads,
-            rows_shipped: scanned_rows,
-            bytes_shipped: bytes,
-        })
+        }
+        cost::charge_run(run, &work, &self.params);
+        Ok(ran)
     }
 
     // ---------------------------------------------------------------
     // vcs / scs: per-table filter fragments run near the data; filtered
     // rows ship to the host, which joins/aggregates them.
     // ---------------------------------------------------------------
-    fn run_split(&mut self, q: &PaperQuery) -> Result<QueryReport> {
-        let secure = self.config == SystemConfig::IronSafe;
+    fn split(&mut self, q: &PaperQuery, secure: bool) -> Result<Ran> {
         let p = self.params.clone();
-        let exec = self.exec.clone();
-        self.last_plans.clear();
-        self.last_extras = ProfileExtras::default();
-        let trace = Trace::new();
-        let (result, delta, bytes, rows_shipped) = {
-            let _active = trace.install();
-            let _ctx = TraceCtx::query(q.id as u64).install();
-            let _query_span = Span::enter(&format!("query/q{}", q.id));
-            let before = self.storage_db.pager_stats();
-            let mut host_db = Database::new(PlainPager::new());
-            let mut epc = EpcSimulator::new(p.epc_limit_bytes);
-            if secure && self.epc_pressure_pages > 0 {
-                // Concurrent tenants hold a resident working set before
-                // the query's first temp page lands. Applied under every
-                // strategy: pressure is environment, not policy.
-                epc.preload_background(self.epc_pressure_pages);
-            }
-            let mut link =
-                RowLink::new(&self.session_key).with_faults(self.fault_plan.clone(), self.retry);
+        let exec = self.set.exec.clone();
+        let before = self.storage_db.pager_stats();
+        let mut host_db = Database::new(PlainPager::new());
+        let mut epc = EpcSimulator::new(p.epc_limit_bytes);
+        if secure && self.set.epc_pressure_pages > 0 {
+            // Concurrent tenants hold a resident working set before
+            // the query's first temp page lands. Applied under every
+            // placement: pressure is environment, not policy.
+            epc.preload_background(self.set.epc_pressure_pages);
+        }
+        let mut link =
+            RowLink::new(&self.set.session_key).with_faults(self.set.fault_plan.clone(), self.set.retry);
 
-            let mut scanned_rows = 0u64;
-            let mut rows_shipped = 0u64;
-            let mut rows_serialized = 0u64;
-            let mut page_transfer_bytes = 0u64;
-            let mut host_input_rows = 0u64;
-            let mut host_ops = 0u64;
-            let mut fragments = 0u64;
-            let mut result = None;
+        let mut scanned_rows = 0u64;
+        let mut rows_shipped = 0u64;
+        let mut rows_serialized = 0u64;
+        let mut page_transfer_bytes = 0u64;
+        let mut host_input_rows = 0u64;
+        let mut host_ops = 0u64;
+        let mut fragments = 0u64;
+        let mut result = None;
 
-            for (stage_no, stage) in q.stages.iter().enumerate() {
-                let _stage_span = Span::enter(&format!("stage{stage_no}/split_exec"));
-                let stmt = ironsafe_sql::parser::parse_statement(&stage.sql)?;
-                let sel = match stmt {
-                    Statement::Select(s) => s,
-                    other => {
-                        // Non-SELECT stages run on the host.
-                        host_db.execute_statement(&other)?;
-                        continue;
-                    }
-                };
-                let catalog_lookup = |name: &str| -> Option<Schema> {
-                    self.storage_db.catalog().table(name).ok().map(|t| t.schema.clone())
-                };
-                let host_ops_est = complexity(&sel);
-                let adaptive_live = self.strategy == PartitionStrategy::Adaptive
-                    && self.pinned_decision.is_none();
-                let Partition { storage, host } = match self.strategy {
-                    PartitionStrategy::Static => partition_select(&sel, &catalog_lookup),
-                    PartitionStrategy::AllHost => {
-                        partition_select_strategic(&sel, &catalog_lookup, &|_, _| {
-                            OffloadDecision::ShipPages
-                        })
-                    }
-                    PartitionStrategy::Adaptive => match self.pinned_decision {
-                        Some(pin) => {
-                            partition_select_strategic(&sel, &catalog_lookup, &|_, _| pin)
-                        }
-                        None => {
-                            let state = self.adaptive.lock();
-                            // Occupancy at planning time: background
-                            // pressure plus earlier stages' temp pages —
-                            // so later stages adapt to a filling EPC.
-                            let view = EpcView {
-                                occupied_pages: epc.resident_pages() as u64,
-                                capacity_pages: epc.capacity_pages() as u64,
-                            };
-                            let db = &self.storage_db;
-                            let metrics = &self.plan_metrics;
-                            partition_select_strategic(&sel, &catalog_lookup, &|table, frag| {
-                                let Ok(info) = db.catalog().table(table) else {
-                                    return OffloadDecision::Offload;
-                                };
-                                let shape = TableShape {
-                                    rows: info.heap.row_count,
-                                    pages: info.heap.pages.len() as u64,
-                                    cols: info.schema.len(),
-                                };
-                                let f = fragment_stats(
-                                    &state, table, frag, shape, host_ops_est, secure,
-                                );
-                                let (decision, _, _) = choose(&f, &view, &p);
-                                match decision {
-                                    OffloadDecision::Offload => metrics.decide_offload.inc(),
-                                    OffloadDecision::ShipPages => {
-                                        metrics.decide_ship_pages.inc()
-                                    }
-                                }
-                                decision
-                            })
-                        }
-                    },
-                };
-
-                // Run fragments near the data, ship results.
-                let mut shipped_tables = Vec::new();
-                // One fragment's output, still encoded: reused from
-                // fragment to fragment, released before the host plan
-                // builds its own working set.
-                let mut rows = EncodedRows::new();
-                for StorageQuery { table, stmt, mode, .. } in &storage {
-                    let _frag_span = Span::enter(&format!("fragment/{table}"));
-                    let info = self.storage_db.catalog().table(table)?;
-                    let table_rows = info.heap.row_count;
-                    let table_cols = info.schema.len();
-                    scanned_rows += table_rows;
-                    let table_pages = info.heap.pages.len() as u64;
-                    let shape =
-                        TableShape { rows: table_rows, pages: table_pages, cols: table_cols };
-                    let est_sel = (adaptive_live && stmt.where_clause.is_some()).then(|| {
-                        let state = self.adaptive.lock();
-                        fragment_stats(&state, table, stmt, shape, host_ops_est, secure)
-                            .selectivity
-                    });
-                    // Watch per-morsel row counts when this fragment may
-                    // re-plan mid-flight (telemetry only).
-                    let watch = (adaptive_live
-                        && self.replan.is_some()
-                        && *mode == OffloadDecision::Offload
-                        && est_sel.is_some())
-                    .then(|| Arc::new(ScanWatch::new()));
-                    let frag_exec = match &watch {
-                        Some(w) => exec.clone().with_watch(w.clone()),
-                        None => exec.clone(),
+        for (stage_no, stage) in q.stages.iter().enumerate() {
+            let _stage_span = Span::enter(&format!("stage{stage_no}/split_exec"));
+            let stmt = ironsafe_sql::parser::parse_statement(&stage.sql)?;
+            let sel = match stmt {
+                Statement::Select(s) => s,
+                other => {
+                    // Non-SELECT stages run on the host.
+                    host_db.execute_statement(&other)?;
+                    continue;
+                }
+            };
+            let catalog_lookup = |name: &str| -> Option<Schema> {
+                self.storage_db.catalog().table(name).ok().map(|t| t.schema.clone())
+            };
+            let host_ops_est = complexity(&sel);
+                let adaptive_live = self.set.placement == PlacementPolicy::CostBased;
+            let Partition { storage, host } = match self.set.placement {
+                PlacementPolicy::Pinned(pin) => {
+                    partition_select_strategic(&sel, &catalog_lookup, &|_, _| pin)
+                }
+                PlacementPolicy::CostBased => {
+                    let state = self.set.adaptive.lock();
+                    // Occupancy at planning time: background pressure
+                    // plus earlier stages' temp pages — so later stages
+                    // adapt to a filling EPC.
+                    let view = EpcView {
+                        occupied_pages: epc.resident_pages() as u64,
+                        capacity_pages: epc.capacity_pages() as u64,
                     };
-                    rows.clear();
-                    let (schema, frag_ops) =
-                        self.storage_db.select_encoded(stmt, &frag_exec, &mut rows)?;
-                    let pushdown_sql = stmt.where_clause.as_ref().map(expr_to_sql);
-                    let frag_rows = rows.len();
-                    rows_shipped += frag_rows as u64;
-                    fragments += 1;
-                    let observed_sel = (table_rows > 0 && stmt.where_clause.is_some())
-                        .then(|| frag_rows as f64 / table_rows as f64);
-                    self.last_plans.push(PlanProfile {
-                        label: format!("stage{stage_no}/fragment/{table}"),
-                        placement: match mode {
-                            OffloadDecision::Offload => Placement::StorageOffload,
-                            OffloadDecision::ShipPages => Placement::StorageShipPages,
-                        },
-                        pushdown_filter: pushdown_sql.clone(),
-                        estimated_selectivity: est_sel,
-                        observed_selectivity: observed_sel,
-                        operators: frag_ops,
-                    });
-
-                    let bytes_before = link.tx.bytes_sent;
-                    let mut sealed_rows = frag_rows;
-                    match mode {
-                        OffloadDecision::ShipPages => {
-                            // Raw page transfer: no storage-side serialization,
-                            // whole pages cross the wire.
-                            page_transfer_bytes += table_pages * 4096;
-                            sealed_rows = 0;
+                    let db = &self.storage_db;
+                    let metrics = &self.set.plan_metrics;
+                    partition_select_strategic(&sel, &catalog_lookup, &|table, frag| {
+                        let Ok(info) = db.catalog().table(table) else {
+                            return OffloadDecision::Offload;
+                        };
+                        let shape = TableShape {
+                            rows: info.heap.row_count,
+                            pages: info.heap.pages.len() as u64,
+                            cols: info.schema.len(),
+                        };
+                        let f = fragment_stats(&state, table, frag, shape, host_ops_est, secure);
+                        let (decision, _, _) = choose(&f, &view, &p);
+                        match decision {
+                            OffloadDecision::Offload => metrics.decide_offload.inc(),
+                            OffloadDecision::ShipPages => metrics.decide_ship_pages.inc(),
                         }
-                        OffloadDecision::Offload => {
-                            // Mid-flight re-planning: if the cumulative
-                            // per-morsel selectivity diverged from the
-                            // estimate past the hysteresis band *and* the
-                            // cost rule flips at the observed value, the
-                            // remaining morsels abandon the pushdown —
-                            // their raw pages cross the wire and the host
-                            // filters them itself. Answers are unchanged;
-                            // only the cost accounting moves.
-                            if let (Some(w), Some(policy)) = (&watch, self.replan) {
-                                let slots = w.take();
-                                let est = est_sel.unwrap_or(1.0);
-                                if let Some((m, obs)) = divergence_trip(&slots, est, &policy) {
-                                    let mut f = {
-                                        let state = self.adaptive.lock();
-                                        fragment_stats(
-                                            &state, table, stmt, shape, host_ops_est, secure,
-                                        )
-                                    };
-                                    f.selectivity = obs;
-                                    let view = EpcView {
-                                        occupied_pages: epc.resident_pages() as u64,
-                                        capacity_pages: epc.capacity_pages() as u64,
-                                    };
-                                    let (rechoice, _, _) = choose(&f, &view, &p);
-                                    if rechoice == OffloadDecision::ShipPages {
-                                        let pre_filtered: u64 =
-                                            slots[..m].iter().map(|(_, out)| *out).sum();
-                                        let post_raw: u64 =
-                                            slots[m..].iter().map(|(inp, _)| *inp).sum();
-                                        let post_filtered: u64 =
-                                            slots[m..].iter().map(|(_, out)| *out).sum();
-                                        sealed_rows = pre_filtered as usize;
-                                        let covered = (m * exec.morsel_pages) as u64;
-                                        page_transfer_bytes +=
-                                            table_pages.saturating_sub(covered) * 4096;
-                                        // The host filters the raw remainder
-                                        // itself…
-                                        host_input_rows += post_raw - post_filtered;
-                                        if secure {
-                                            // …and its enclave touches the
-                                            // extra temp pages those raw rows
-                                            // occupy before filtering.
-                                            let density = f.temp_rows_per_page.max(1.0);
-                                            let extra_pages = ((post_raw - post_filtered)
-                                                as f64
-                                                / density)
-                                                .ceil()
-                                                as u64;
-                                            epc.access_range(
-                                                2_000_000_000 + fragments * 1_000_000,
-                                                extra_pages,
-                                            );
-                                        }
-                                        charge(
-                                            "plan/replan",
-                                            "ndp",
-                                            p.fragment_setup_ns as f64,
+                        decision
+                    })
+                }
+            };
+
+            // Run fragments near the data, ship results.
+            let mut shipped_tables = Vec::new();
+            // One fragment's output, still encoded: reused from
+            // fragment to fragment, released before the host plan
+            // builds its own working set.
+            let mut rows = EncodedRows::new();
+            for StorageQuery { table, stmt, mode, .. } in &storage {
+                let _frag_span = Span::enter(&format!("fragment/{table}"));
+                let info = self.storage_db.catalog().table(table)?;
+                let table_rows = info.heap.row_count;
+                let table_cols = info.schema.len();
+                scanned_rows += table_rows;
+                let table_pages = info.heap.pages.len() as u64;
+                let shape =
+                    TableShape { rows: table_rows, pages: table_pages, cols: table_cols };
+                let est_sel = (adaptive_live && stmt.where_clause.is_some()).then(|| {
+                    let state = self.set.adaptive.lock();
+                    fragment_stats(&state, table, stmt, shape, host_ops_est, secure)
+                        .selectivity
+                });
+                // Watch per-morsel row counts when this fragment may
+                // re-plan mid-flight (telemetry only).
+                let watch = (adaptive_live
+                    && self.set.replan.is_some()
+                    && *mode == OffloadDecision::Offload
+                    && est_sel.is_some())
+                .then(|| Arc::new(ScanWatch::new()));
+                let frag_exec = match &watch {
+                    Some(w) => exec.clone().with_watch(w.clone()),
+                    None => exec.clone(),
+                };
+                rows.clear();
+                let (schema, frag_ops) =
+                    self.storage_db.select_encoded(stmt, &frag_exec, &mut rows)?;
+                let pushdown_sql = stmt.where_clause.as_ref().map(expr_to_sql);
+                let frag_rows = rows.len();
+                rows_shipped += frag_rows as u64;
+                fragments += 1;
+                let observed_sel = (table_rows > 0 && stmt.where_clause.is_some())
+                    .then(|| frag_rows as f64 / table_rows as f64);
+                self.last_plans.push(PlanProfile {
+                    label: format!("stage{stage_no}/fragment/{table}"),
+                    placement: match mode {
+                        OffloadDecision::Offload => Placement::StorageOffload,
+                        OffloadDecision::ShipPages => Placement::StorageShipPages,
+                    },
+                    pushdown_filter: pushdown_sql.clone(),
+                    estimated_selectivity: est_sel,
+                    observed_selectivity: observed_sel,
+                    operators: frag_ops,
+                });
+
+                let bytes_before = link.tx.bytes_sent;
+                let mut sealed_rows = frag_rows;
+                match mode {
+                    OffloadDecision::ShipPages => {
+                        // Raw page transfer: no storage-side serialization,
+                        // whole pages cross the wire.
+                        page_transfer_bytes += table_pages * 4096;
+                        sealed_rows = 0;
+                    }
+                    OffloadDecision::Offload => {
+                        // Mid-flight re-planning: if the cumulative
+                        // per-morsel selectivity diverged from the
+                        // estimate past the hysteresis band *and* the
+                        // cost rule flips at the observed value, the
+                        // remaining morsels abandon the pushdown —
+                        // their raw pages cross the wire and the host
+                        // filters them itself. Answers are unchanged;
+                        // only the cost accounting moves.
+                        if let (Some(w), Some(policy)) = (&watch, self.set.replan) {
+                            let slots = w.take();
+                            let est = est_sel.unwrap_or(1.0);
+                            if let Some((m, obs)) = divergence_trip(&slots, est, &policy) {
+                                let mut f = {
+                                    let state = self.set.adaptive.lock();
+                                    fragment_stats(
+                                        &state, table, stmt, shape, host_ops_est, secure,
+                                    )
+                                };
+                                f.selectivity = obs;
+                                let view = EpcView {
+                                    occupied_pages: epc.resident_pages() as u64,
+                                    capacity_pages: epc.capacity_pages() as u64,
+                                };
+                                let (rechoice, _, _) = choose(&f, &view, &p);
+                                if rechoice == OffloadDecision::ShipPages {
+                                    let pre_filtered: u64 =
+                                        slots[..m].iter().map(|(_, out)| *out).sum();
+                                    let post_raw: u64 =
+                                        slots[m..].iter().map(|(inp, _)| *inp).sum();
+                                    let post_filtered: u64 =
+                                        slots[m..].iter().map(|(_, out)| *out).sum();
+                                    sealed_rows = pre_filtered as usize;
+                                    let covered = (m * exec.morsel_pages) as u64;
+                                    page_transfer_bytes +=
+                                        table_pages.saturating_sub(covered) * 4096;
+                                    // The host filters the raw remainder
+                                    // itself…
+                                    host_input_rows += post_raw - post_filtered;
+                                    if secure {
+                                        // …and its enclave touches the
+                                        // extra temp pages those raw rows
+                                        // occupy before filtering.
+                                        let density = f.temp_rows_per_page.max(1.0);
+                                        let extra_pages = ((post_raw - post_filtered)
+                                            as f64
+                                            / density)
+                                            .ceil()
+                                            as u64;
+                                        epc.access_range(
+                                            2_000_000_000 + fragments * 1_000_000,
+                                            extra_pages,
                                         );
-                                        self.plan_metrics.replans.inc();
-                                        self.last_extras.replans.push(ReplanEvent {
-                                            label: format!("stage{stage_no}/fragment/{table}"),
-                                            from: Placement::StorageOffload,
-                                            to: Placement::StorageShipPages,
-                                            at_morsel: m,
-                                            estimated: est,
-                                            observed: obs,
-                                        });
                                     }
+                                    cost::charge_replan(&p);
+                                    self.set.plan_metrics.replans.inc();
+                                    self.last_extras.replans.push(ReplanEvent {
+                                        label: format!("stage{stage_no}/fragment/{table}"),
+                                        from: Placement::StorageOffload,
+                                        to: Placement::StorageShipPages,
+                                        at_morsel: m,
+                                        estimated: est,
+                                        observed: obs,
+                                    });
                                 }
                             }
-                            rows_serialized += sealed_rows as u64;
                         }
-                    }
-                    // The sealed prefix crosses the channel and lands in
-                    // the host's temp table from the received frames; the
-                    // rest stands for pages that crossed raw.
-                    link.ship_table(&mut host_db, table, schema, &rows, sealed_rows)?;
-                    shipped_tables.push(table.clone());
-
-                    // Feedback: fold the fragment's observed statistics
-                    // into the shared EWMA store (under every strategy —
-                    // static runs prime the adaptive planner too).
-                    if *mode == OffloadDecision::Offload
-                        && stmt.where_clause.is_some()
-                        && sealed_rows > 0
-                    {
-                        let obs = frag_rows as f64 / table_rows.max(1) as f64;
-                        let records = (sealed_rows as u64).div_ceil(ROWS_PER_RECORD);
-                        let wire = link.tx.bytes_sent - bytes_before;
-                        let per_row = wire.saturating_sub(records * RECORD_OVERHEAD_BYTES)
-                            as f64
-                            / sealed_rows as f64;
-                        let temp_pages = host_db
-                            .catalog()
-                            .table(table)
-                            .map(|i| i.heap.pages.len())
-                            .unwrap_or(1)
-                            .max(1);
-                        let density = frag_rows as f64 / temp_pages as f64;
-                        let refined = self.adaptive.lock().observe(
-                            table,
-                            pushdown_sql.as_deref(),
-                            obs,
-                            per_row,
-                            density,
-                        );
-                        if refined {
-                            self.plan_metrics.estimate_refined.inc();
-                        }
+                        rows_serialized += sealed_rows as u64;
                     }
                 }
+                // The sealed prefix crosses the channel and lands in
+                // the host's temp table from the received frames; the
+                // rest stands for pages that crossed raw.
+                link.ship_table(&mut host_db, table, schema, &rows, sealed_rows)?;
+                shipped_tables.push(table.clone());
 
-                drop(rows);
-
-                // Host-side execution over the shipped intermediates.
-                host_input_rows += shipped_tables
-                    .iter()
-                    .map(|t| host_db.catalog().table(t).map(|i| i.heap.row_count).unwrap_or(0))
-                    .sum::<u64>();
-                host_ops += complexity(&host);
-                if secure {
-                    // The host engine's enclave touches every temp page.
-                    for t in &shipped_tables {
-                        if let Ok(info) = host_db.catalog().table(t) {
-                            for &page in &info.heap.pages {
-                                epc.access(1_000_000 + page);
-                            }
-                        }
+                // Feedback: fold the fragment's observed statistics
+                // into the shared EWMA store (under every strategy —
+                // static runs prime the adaptive planner too).
+                if *mode == OffloadDecision::Offload
+                    && stmt.where_clause.is_some()
+                    && sealed_rows > 0
+                {
+                    let obs = frag_rows as f64 / table_rows.max(1) as f64;
+                    let records = (sealed_rows as u64).div_ceil(ROWS_PER_RECORD);
+                    let wire = link.tx.bytes_sent - bytes_before;
+                    let per_row = wire.saturating_sub(records * RECORD_OVERHEAD_BYTES)
+                        as f64
+                        / sealed_rows as f64;
+                    let temp_pages = host_db
+                        .catalog()
+                        .table(table)
+                        .map(|i| i.heap.pages.len())
+                        .unwrap_or(1)
+                        .max(1);
+                    let density = frag_rows as f64 / temp_pages as f64;
+                    let refined = self.set.adaptive.lock().observe(
+                        table,
+                        pushdown_sql.as_deref(),
+                        obs,
+                        per_row,
+                        density,
+                    );
+                    if refined {
+                        self.set.plan_metrics.estimate_refined.inc();
                     }
-                    // Sample EPC occupancy once per stage, after the
-                    // stage's working set landed.
-                    self.last_extras.epc_occupancy_pages.push(epc.resident_pages() as u64);
-                    // The background tenants re-touch their working set
-                    // while the host stage computes; against a full EPC
-                    // this faults (and cascades) deterministically.
-                    if self.epc_pressure_pages > 0 {
-                        epc.touch_background(self.epc_pressure_pages);
-                    }
-                }
-                let r = {
-                    let _host_span = Span::enter("host/join_aggregate");
-                    let (r, host_ops_profile) = host_db.select_with_profile(&host, &exec)?;
-                    self.last_plans.push(PlanProfile::new(
-                        format!("stage{stage_no}/host"),
-                        Placement::Host,
-                        host_ops_profile,
-                    ));
-                    r
-                };
-                match &stage.into {
-                    Some(name) => {
-                        host_db.create_table(name, r.schema())?;
-                        host_db.insert_rows(name, r.into_rows())?;
-                    }
-                    None => result = Some(r),
-                }
-                for t in shipped_tables {
-                    host_db.execute(&format!("DROP TABLE {t}"))?;
                 }
             }
 
-            let delta = self.pager_delta(before);
-            let tx = &link.tx;
-            let bytes = tx.bytes_sent + page_transfer_bytes;
-            self.last_extras.epc_faults = epc.faults();
+            drop(rows);
+
+            // Host-side execution over the shipped intermediates.
+            host_input_rows += shipped_tables
+                .iter()
+                .map(|t| host_db.catalog().table(t).map(|i| i.heap.row_count).unwrap_or(0))
+                .sum::<u64>();
+            host_ops += complexity(&host);
             if secure {
-                // Two transitions per shipped record batch (mirrors the
-                // `tee/transitions` charge below).
-                self.last_extras.enclave_transitions = tx.messages * 2;
+                // The host engine's enclave touches every temp page.
+                for t in &shipped_tables {
+                    if let Ok(info) = host_db.catalog().table(t) {
+                        for &page in &info.heap.pages {
+                            epc.access(1_000_000 + page);
+                        }
+                    }
+                }
+                // Sample EPC occupancy once per stage, after the
+                // stage's working set landed.
+                self.last_extras.epc_occupancy_pages.push(epc.resident_pages() as u64);
+                // The background tenants re-touch their working set
+                // while the host stage computes; against a full EPC
+                // this faults (and cascades) deterministically.
+                if self.set.epc_pressure_pages > 0 {
+                    epc.touch_background(self.set.epc_pressure_pages);
+                }
             }
-            // The storage-side application buffers the intermediates it ships.
-            let mem_penalty = p.storage_mem_penalty(bytes);
-            charge(
-                "storage/compute",
-                "ndp",
-                p.storage_compute_ns(scanned_rows, 1) * mem_penalty,
-            );
-            // Serializing shipped rows and instantiating the per-fragment CS
-            // service are storage-side costs vanilla CS also pays — this is
-            // why weakly-selective queries regress under CS (paper Figure 6).
-            charge(
-                "storage/serialize",
-                "ndp",
-                rows_serialized as f64 * p.serialize_row_ns as f64 * p.storage_cpu_factor
-                    / p.storage_parallel(),
-            );
-            charge("storage/fragment_setup", "ndp", fragments as f64 * p.fragment_setup_ns as f64);
-            charge(
-                "host/compute",
-                "ndp",
-                p.host_compute_ns(host_input_rows, host_ops.max(1)),
-            );
-            charge(
-                "storage/device_io",
-                "ndp",
-                delta.page_reads as f64 * p.device_read_ns_per_page,
-            );
-            charge("net/ship_rows", "ndp", p.net_ns(bytes, tx.messages.max(1)));
-            if secure {
-                // No probe amplification here: the host side of scs joins
-                // in-memory temp tables (no SQLCipher pager on that path).
-                charge(
-                    "crypto/pages",
-                    "crypto",
-                    (delta.decrypts * p.decrypt_ns_per_page + delta.encrypts * p.encrypt_ns_per_page)
-                        as f64,
-                );
-                charge(
-                    "freshness/verify",
-                    "freshness",
-                    (delta.merkle_nodes * p.merkle_node_ns + delta.rpmb_ops * p.rpmb_op_ns) as f64,
-                );
-                // A couple of transitions per shipped record batch.
-                charge(
-                    "tee/transitions",
-                    "transitions",
-                    (tx.messages * 2 * p.enclave_transition_ns) as f64,
-                );
-                charge("tee/epc_paging", "epc", epc.faults() as f64 * p.epc_fault_ns as f64);
-                let other = Span::enter("channel/other");
-                other.add_sim_ns("other", p.session_setup_ns as f64);
-                other.add_sim_ns("other", bytes as f64 * 0.05);
+            let r = {
+                let _host_span = Span::enter("host/join_aggregate");
+                let (r, host_ops_profile) = host_db.select_with_profile(&host, &exec)?;
+                self.last_plans.push(PlanProfile::new(
+                    format!("stage{stage_no}/host"),
+                    Placement::Host,
+                    host_ops_profile,
+                ));
+                r
+            };
+            match &stage.into {
+                Some(name) => {
+                    host_db.create_table(name, r.schema())?;
+                    host_db.insert_rows(name, r.into_rows())?;
+                }
+                None => result = Some(r),
             }
-            (result, delta, bytes, rows_shipped)
+            for t in shipped_tables {
+                host_db.execute(&format!("DROP TABLE {t}"))?;
+            }
+        }
+
+        let delta = self.storage_db.pager_stats() - before;
+        let tx = &link.tx;
+        let bytes = tx.bytes_sent + page_transfer_bytes;
+        self.last_extras.epc_faults = epc.faults();
+        // Two transitions per shipped record batch.
+        let transitions = if secure { tx.messages * 2 } else { 0 };
+        self.last_extras.enclave_transitions = transitions;
+        let work = Work {
+            pages: delta,
+            storage_rows: scanned_rows,
+            host_rows: host_input_rows,
+            host_ops,
+            rows_serialized,
+            fragments,
+            bytes,
+            messages: tx.messages,
+            transitions,
+            epc_faults: epc.faults(),
+            ..Work::default()
         };
-        let snapshot = trace.snapshot();
-        let breakdown = CostBreakdown::from_trace(&snapshot);
-        self.last_trace = Some(snapshot);
-        Ok(QueryReport {
-            config: self.config,
-            query_id: q.id,
-            result: result.expect("query has an output stage"),
-            breakdown,
-            pages_read_storage: delta.page_reads,
-            pages_shipped: bytes.div_ceil(4096),
-            rows_shipped,
-            bytes_shipped: bytes,
-        })
+        cost::charge_run(self.config.run(), &work, &p);
+        Ok(Ran { result, pages_read: delta.page_reads, rows_shipped, bytes_shipped: bytes })
     }
 }
 
@@ -1505,6 +1164,70 @@ mod tests {
         assert!(r.breakdown.freshness_ns > 0.0);
     }
 
+    /// A whole-query run that dies after an earlier stage materialised
+    /// its temp table must not leave it in the base catalog: the next run
+    /// of the same query would fail with "table already exists".
+    #[test]
+    fn failed_whole_query_run_drops_its_temp_tables() {
+        use ironsafe_faults::FaultSite;
+        let d = data();
+        let q = query(18).unwrap();
+        assert!(q.stages[0].into.is_some(), "q18 materialises a stage");
+        for config in [SystemConfig::StorageOnlySecure, SystemConfig::HostOnlySecure] {
+            let build = || {
+                let sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
+                // A run that died one read short of the end has verified
+                // fewer Merkle nodes than one that finished: compare with
+                // the verified-node cache off.
+                sys.storage_db().pager().lock().set_merkle_cache_enabled(false);
+                sys
+            };
+            // Count the device reads of a clean run, then fail the last
+            // one (in the final stage) on every attempt of the retry budget.
+            let mut clean = build();
+            clean.set_fault_plan(FaultPlan::seeded(1));
+            clean.run_query(&q).unwrap();
+            let last = clean.fault_plan().arrivals(FaultSite::DeviceRead);
+            let mut sys = build();
+            let plan = (0..4).fold(FaultPlan::seeded(1), |plan, retry| {
+                plan.with_nth(FaultSite::DeviceRead, last + retry)
+            });
+            sys.set_fault_plan(plan);
+            sys.run_query(&q).expect_err("retry budget exhausted in the last stage");
+            sys.set_fault_plan(FaultPlan::none());
+            let rerun = sys.run_query(&q).unwrap_or_else(|e| panic!("{}: {e}", config.abbrev()));
+            // Dropped temps keep their pager pages, so a second run's
+            // temps sit deeper in the Merkle tree than a first run's: the
+            // reference is the second run of the system that never failed.
+            let second = clean.run_query(&q).unwrap();
+            assert_eq!(rerun.result, second.result, "{}", config.abbrev());
+            assert_eq!(rerun.breakdown, second.breakdown, "{}", config.abbrev());
+        }
+    }
+
+    #[test]
+    fn query_without_an_output_stage_is_a_typed_error() {
+        let d = data();
+        let q = PaperQuery {
+            id: 0,
+            name: "all-into",
+            stages: vec![ironsafe_tpch::QueryStage {
+                sql: "SELECT r_name FROM region".to_string(),
+                into: Some("only_stage".to_string()),
+            }],
+        };
+        for config in SystemConfig::all() {
+            let mut sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
+            for _ in 0..2 {
+                let err = sys.run_query(&q).expect_err("no stage returns rows");
+                let crate::CsaError::Sql(ironsafe_sql::SqlError::Plan(m)) = &err else {
+                    panic!("{}: {err}", config.abbrev());
+                };
+                assert!(m.contains("output stage"), "{m}");
+            }
+        }
+    }
+
     #[test]
     fn multi_stage_query_runs_split() {
         let d = data();
@@ -1523,9 +1246,12 @@ mod adaptive_tests {
         ironsafe_tpch::generate(0.002, 42)
     }
 
-    fn run_with(strategy: PartitionStrategy, qid: u8, data: &TpchData) -> QueryReport {
+    const STATIC: PlacementPolicy = PlacementPolicy::Pinned(OffloadDecision::Offload);
+    const ADAPTIVE: PlacementPolicy = PlacementPolicy::CostBased;
+
+    fn run_with(placement: PlacementPolicy, qid: u8, data: &TpchData) -> QueryReport {
         let mut sys = CsaSystem::build(SystemConfig::IronSafe, data, CostParams::default()).unwrap();
-        sys.strategy = strategy;
+        sys.set_placement(placement);
         sys.run_query(&query(qid).unwrap()).unwrap()
     }
 
@@ -1533,8 +1259,8 @@ mod adaptive_tests {
     fn adaptive_matches_static_results() {
         let d = data();
         for qid in [1u8, 3, 6, 13, 18] {
-            let a = run_with(PartitionStrategy::Static, qid, &d);
-            let b = run_with(PartitionStrategy::Adaptive, qid, &d);
+            let a = run_with(STATIC, qid, &d);
+            let b = run_with(ADAPTIVE, qid, &d);
             assert_eq!(a.result, b.result, "Q{qid}: strategy must never change answers");
         }
     }
@@ -1543,8 +1269,8 @@ mod adaptive_tests {
     fn adaptive_keeps_selective_pushdowns() {
         // Q6's filter is brutal: the adaptive partitioner must keep it.
         let d = data();
-        let a = run_with(PartitionStrategy::Adaptive, 6, &d);
-        let s = run_with(PartitionStrategy::Static, 6, &d);
+        let a = run_with(ADAPTIVE, 6, &d);
+        let s = run_with(STATIC, 6, &d);
         assert_eq!(a.bytes_shipped, s.bytes_shipped, "Q6 still offloads fully");
     }
 
@@ -1553,8 +1279,8 @@ mod adaptive_tests {
         // Q13's NOT LIKE keeps nearly every order: the adaptive strategy
         // withdraws the pushdown; the host applies the filter instead.
         let d = data();
-        let a = run_with(PartitionStrategy::Adaptive, 13, &d);
-        let s = run_with(PartitionStrategy::Static, 13, &d);
+        let a = run_with(ADAPTIVE, 13, &d);
+        let s = run_with(STATIC, 13, &d);
         assert!(
             a.rows_shipped >= s.rows_shipped,
             "withdrawn pushdown ships at least as many rows ({} vs {})",

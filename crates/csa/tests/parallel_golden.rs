@@ -3,23 +3,11 @@
 //!
 //! For each Table 2 configuration, running the same queries at DOP 1 and
 //! DOP 4 must produce bit-identical rows, bit-identical simulated
-//! [`CostBreakdown`]s, and field-wise identical [`PagerStats`] deltas.
+//! [`CostBreakdown`]s, and field-wise identical `PagerStats` deltas.
 //! Parallelism buys wall-clock time only.
 
 use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
-use ironsafe_storage::pager::PagerStats;
 use ironsafe_tpch::queries::query;
-
-fn stats_delta(before: PagerStats, after: PagerStats) -> PagerStats {
-    PagerStats {
-        page_reads: after.page_reads - before.page_reads,
-        page_writes: after.page_writes - before.page_writes,
-        decrypts: after.decrypts - before.decrypts,
-        encrypts: after.encrypts - before.encrypts,
-        merkle_nodes: after.merkle_nodes - before.merkle_nodes,
-        rpmb_ops: after.rpmb_ops - before.rpmb_ops,
-    }
-}
 
 #[test]
 fn dop4_matches_dop1_for_all_configs() {
@@ -31,13 +19,13 @@ fn dop4_matches_dop1_for_all_configs() {
             let mut serial = CsaSystem::build(config, &data, CostParams::default()).unwrap();
             let before = serial.storage_db().pager_stats();
             let serial_report = serial.run_query(&q).unwrap();
-            let serial_delta = stats_delta(before, serial.storage_db().pager_stats());
+            let serial_delta = serial.storage_db().pager_stats() - before;
 
             let mut parallel = CsaSystem::build(config, &data, CostParams::default()).unwrap();
             parallel.set_dop(4);
             let before = parallel.storage_db().pager_stats();
             let parallel_report = parallel.run_query(&q).unwrap();
-            let parallel_delta = stats_delta(before, parallel.storage_db().pager_stats());
+            let parallel_delta = parallel.storage_db().pager_stats() - before;
 
             let tag = format!("{} q{qid}", config.abbrev());
             assert_eq!(

@@ -7,7 +7,7 @@
 //! ones a plain `run_query` produces on an identically-prepared system.
 //! Profiling is observation, not perturbation.
 
-use ironsafe_csa::{CostParams, CsaSystem, OffloadDecision, PartitionStrategy, SystemConfig};
+use ironsafe_csa::{CostParams, CsaSystem, OffloadDecision, PlacementPolicy, SystemConfig};
 use ironsafe_obs::export::looks_like_valid_json;
 use ironsafe_tpch::queries::query;
 use ironsafe_tpch::TpchData;
@@ -125,57 +125,55 @@ fn profile_json_and_render_are_deterministic() {
     assert!(text_a.contains("(rows in="), "scans report rows decoded and emitted: {text_a}");
 }
 
-/// Golden-parity guard for the adaptive planner: with the decision
-/// pinned (adaptivity disabled), the adaptive strategy must reproduce
-/// the corresponding static plan *bit-identically* — breakdown, pager
-/// delta, shipped counters, rows. Adaptivity is a planning change, never
-/// an execution change.
+/// `(config, pin, query, total_ns, rows_shipped, bytes_shipped,
+/// pages_shipped, page_reads, merkle_nodes)` of the two static
+/// partitioners, captured on the commit before they became pins of the
+/// one planner (q1 then q6 on one system, SF 0.002, seed 42).
+type PinnedGolden = (SystemConfig, OffloadDecision, u8, f64, u64, u64, u64, u64, u64);
+
+#[rustfmt::skip]
+const PINNED_GOLDEN: [PinnedGolden; 8] = [
+    (SystemConfig::VanillaCs, OffloadDecision::Offload, 1, 12300295.12, 11956, 753384, 184, 573, 0),
+    (SystemConfig::VanillaCs, OffloadDecision::Offload, 6, 2152483.92, 226, 9544, 3, 573, 0),
+    (SystemConfig::VanillaCs, OffloadDecision::ShipPages, 1, 11231331.44, 11956, 2347008, 573, 573, 0),
+    (SystemConfig::VanillaCs, OffloadDecision::ShipPages, 6, 9079251.44, 11956, 2347008, 573, 573, 0),
+    (SystemConfig::IronSafe, OffloadDecision::Offload, 1, 18653214.319999997, 11956, 753384, 184, 573, 2305),
+    (SystemConfig::IronSafe, OffloadDecision::Offload, 6, 4552411.12, 226, 9544, 3, 573, 573),
+    (SystemConfig::IronSafe, OffloadDecision::ShipPages, 1, 17615931.839999996, 11956, 2347008, 573, 573, 2305),
+    (SystemConfig::IronSafe, OffloadDecision::ShipPages, 6, 13470051.84, 11956, 2347008, 573, 573, 573),
+];
+
+/// Golden-parity guard for the placement policy: a pinned decision must
+/// reproduce the static plan it replaced *bit-identically* — cost,
+/// shipped counters, pager delta — at any DOP and whatever the estimate
+/// store holds. Placement is a planning change, never an execution
+/// change.
 #[test]
 fn pinned_adaptive_reproduces_static_plans_bit_identically() {
     let d = data();
-    for config in [SystemConfig::VanillaCs, SystemConfig::IronSafe] {
-        for dop in [1usize, 4] {
-            for (pin, baseline) in [
-                (OffloadDecision::Offload, PartitionStrategy::Static),
-                (OffloadDecision::ShipPages, PartitionStrategy::AllHost),
-            ] {
-                let mut want_sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
-                want_sys.set_partition_strategy(baseline);
-                want_sys.set_dop(dop);
-                let mut got_sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
-                got_sys.set_partition_strategy(PartitionStrategy::Adaptive);
-                got_sys.pin_adaptive(Some(pin));
-                got_sys.set_dop(dop);
-                for qid in [1u8, 6] {
-                    let q = query(qid).unwrap();
-                    let before_want = want_sys.storage_db().pager_stats();
-                    let want = want_sys.run_query(&q).unwrap();
-                    let after_want = want_sys.storage_db().pager_stats();
-                    let before_got = got_sys.storage_db().pager_stats();
-                    let got = got_sys.run_query(&q).unwrap();
-                    let after_got = got_sys.storage_db().pager_stats();
-                    let tag = format!("{} q{qid} dop{dop} pin={pin:?}", config.abbrev());
-                    assert_eq!(got.result, want.result, "{tag}: rows");
-                    assert_eq!(got.breakdown, want.breakdown, "{tag}: breakdown");
-                    assert_eq!(
-                        (got.rows_shipped, got.bytes_shipped, got.pages_shipped),
-                        (want.rows_shipped, want.bytes_shipped, want.pages_shipped),
-                        "{tag}: shipped counters"
-                    );
-                    assert_eq!(
-                        (
-                            after_got.page_reads - before_got.page_reads,
-                            after_got.decrypts - before_got.decrypts,
-                            after_got.merkle_nodes - before_got.merkle_nodes,
-                        ),
-                        (
-                            after_want.page_reads - before_want.page_reads,
-                            after_want.decrypts - before_want.decrypts,
-                            after_want.merkle_nodes - before_want.merkle_nodes,
-                        ),
-                        "{tag}: pager delta"
-                    );
-                }
+    for dop in [1usize, 4] {
+        // One system per (config, pin): its q1 row, then its q6 row.
+        for runs in PINNED_GOLDEN.chunks(2) {
+            let (config, pin, ..) = runs[0];
+            let mut sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
+            sys.set_placement(PlacementPolicy::Pinned(pin));
+            sys.set_dop(dop);
+            for &(_, _, qid, total_ns, rows, bytes, pages, reads, merkle) in runs {
+                let before = sys.storage_db().pager_stats();
+                let got = sys.run_query(&query(qid).unwrap()).unwrap();
+                let delta = sys.storage_db().pager_stats() - before;
+                let tag = format!("{} q{qid} dop{dop} pin={pin:?}", config.abbrev());
+                assert_eq!(got.total_ns(), total_ns, "{tag}: simulated cost");
+                assert_eq!(
+                    (got.rows_shipped, got.bytes_shipped, got.pages_shipped),
+                    (rows, bytes, pages),
+                    "{tag}: shipped counters"
+                );
+                assert_eq!(
+                    (delta.page_reads, delta.merkle_nodes),
+                    (reads, merkle),
+                    "{tag}: pager delta"
+                );
             }
         }
     }
@@ -189,23 +187,22 @@ fn primed_adaptive_equals_one_static_policy_bit_identically() {
     let d = data();
     for qid in [1u8, 6] {
         let q = query(qid).unwrap();
-        let run_static = |strategy: PartitionStrategy| {
+        let run_static = |pin: OffloadDecision| {
             let mut sys =
                 CsaSystem::build(SystemConfig::IronSafe, &d, CostParams::default()).unwrap();
-            sys.set_partition_strategy(strategy);
+            sys.set_placement(PlacementPolicy::Pinned(pin));
             sys.run_query(&q).unwrap(); // warm-up run (Merkle caches)
             sys.run_query(&q).unwrap()
         };
-        let offload = run_static(PartitionStrategy::Static);
-        let allhost = run_static(PartitionStrategy::AllHost);
+        let offload = run_static(OffloadDecision::Offload);
+        let allhost = run_static(OffloadDecision::ShipPages);
         let adaptive = {
             let mut sys =
                 CsaSystem::build(SystemConfig::IronSafe, &d, CostParams::default()).unwrap();
             // Prime: a static offload run feeds exact observed statistics
             // into the shared EWMA store (same warm-up schedule as above).
-            sys.set_partition_strategy(PartitionStrategy::Static);
             sys.run_query(&q).unwrap();
-            sys.set_partition_strategy(PartitionStrategy::Adaptive);
+            sys.set_placement(PlacementPolicy::CostBased);
             sys.run_query(&q).unwrap()
         };
         let matches_offload = adaptive.breakdown == offload.breakdown

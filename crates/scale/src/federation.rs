@@ -43,7 +43,7 @@ use crate::metrics::ScaleMetrics;
 use crate::node::ShardNode;
 use crate::partitioner::{gid_schema, TablePartition, GID_COLUMN};
 use crate::{Result, ScaleError};
-use ironsafe_csa::cost::CostBreakdown;
+use ironsafe_csa::cost::{self, complexity, CostBreakdown, Run, Work};
 use ironsafe_csa::net::RowLink;
 use ironsafe_csa::partition::{partition_select, render_select, Partition, StorageQuery};
 use ironsafe_csa::{QueryReport, SystemConfig};
@@ -554,7 +554,7 @@ impl FederatedCsaSystem {
                 // Account each serving node's work for this fragment.
                 for shard in 0..shards {
                     let cur = self.active_node(shard).stats();
-                    delta_acc[shard] = add_stats(delta_acc[shard], sub_stats(cur, base[shard]));
+                    delta_acc[shard] += cur - base[shard];
                     base[shard] = cur;
                 }
 
@@ -637,55 +637,27 @@ impl FederatedCsaSystem {
             }
         }
 
-        let delta_sum = delta_acc.iter().copied().fold(PagerStats::default(), add_stats);
+        let delta_sum =
+            delta_acc.iter().copied().fold(PagerStats::default(), |acc, d| acc + d);
         let tx = &link.tx;
         let bytes = tx.bytes_sent;
-        // Canonical charges: identical inputs at any shard count, in the
-        // same span order the single-node split path uses.
-        let mem_penalty = p.storage_mem_penalty(bytes);
-        charge("storage/compute", "ndp", p.storage_compute_ns(scanned_rows, 1) * mem_penalty);
-        charge(
-            "storage/serialize",
-            "ndp",
-            rows_serialized as f64 * p.serialize_row_ns as f64 * p.storage_cpu_factor
-                / p.storage_parallel(),
-        );
-        charge("storage/fragment_setup", "ndp", frag_logical as f64 * p.fragment_setup_ns as f64);
-        charge("host/compute", "ndp", p.host_compute_ns(host_input_rows, host_ops.max(1)));
-        charge(
-            "storage/device_io",
-            "ndp",
-            delta_sum.page_reads as f64 * p.device_read_ns_per_page,
-        );
-        charge("net/ship_rows", "ndp", p.net_ns(bytes, tx.messages.max(1)));
-        if secure {
-            charge(
-                "crypto/pages",
-                "crypto",
-                (delta_sum.decrypts * p.decrypt_ns_per_page
-                    + delta_sum.encrypts * p.encrypt_ns_per_page) as f64,
-            );
-            // Canonical freshness: every verified page walks the depth
-            // of the *single-node* Merkle tree, plus one RPMB round per
-            // logical fragment. Real per-shard trees are shallower, so
-            // this is conservative at N > 1.
-            let depth = ceil_log2(self.canonical_pages.max(2));
-            charge(
-                "freshness/verify",
-                "freshness",
-                (delta_sum.page_reads * depth * p.merkle_node_ns
-                    + frag_logical * p.rpmb_op_ns) as f64,
-            );
-            charge(
-                "tee/transitions",
-                "transitions",
-                (tx.messages * 2 * p.enclave_transition_ns) as f64,
-            );
-            charge("tee/epc_paging", "epc", epc.faults() as f64 * p.epc_fault_ns as f64);
-            let other = Span::enter("channel/other");
-            other.add_sim_ns("other", p.session_setup_ns as f64);
-            other.add_sim_ns("other", bytes as f64 * 0.05);
-        }
+        // Canonical charges: identical inputs at any shard count, priced
+        // and ordered exactly as the single-node split path.
+        let work = Work {
+            pages: delta_sum,
+            storage_rows: scanned_rows,
+            host_rows: host_input_rows,
+            host_ops,
+            rows_serialized,
+            fragments: frag_logical,
+            bytes,
+            messages: tx.messages,
+            transitions: tx.messages * 2,
+            epc_faults: epc.faults(),
+            ..Work::default()
+        };
+        let run = Run::Split { secure, canonical_pages: Some(self.canonical_pages) };
+        cost::charge_run(run, &work, &p);
         let fanout_overhead_ns = (frag_physical.saturating_sub(frag_logical)) as f64
             * p.fragment_setup_ns as f64
             + shards.saturating_sub(1) as f64 * p.session_setup_ns as f64
@@ -768,52 +740,6 @@ impl FederatedCsaSystem {
             columns.push(base.columns[i].clone());
         }
         Ok(Schema::new(columns))
-    }
-}
-
-/// Attribute one simulated cost term to a named accounting span (same
-/// span-per-term shape the single-node system uses, so
-/// [`CostBreakdown::from_trace`] sums categories in charge order).
-fn charge(name: &str, category: &'static str, ns: f64) {
-    let span = Span::enter(name);
-    span.add_sim_ns(category, ns);
-}
-
-fn complexity(stmt: &SelectStmt) -> u64 {
-    let joins = stmt.from.len().saturating_sub(1) as u64;
-    let has_agg = !stmt.group_by.is_empty()
-        || stmt.projections.iter().any(|p| match p {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            SelectItem::Star => false,
-        });
-    let has_sort = !stmt.order_by.is_empty();
-    1 + joins + has_agg as u64 + has_sort as u64
-}
-
-fn ceil_log2(n: u64) -> u64 {
-    debug_assert!(n >= 2);
-    (64 - (n - 1).leading_zeros()) as u64
-}
-
-fn add_stats(a: PagerStats, b: PagerStats) -> PagerStats {
-    PagerStats {
-        page_reads: a.page_reads + b.page_reads,
-        page_writes: a.page_writes + b.page_writes,
-        decrypts: a.decrypts + b.decrypts,
-        encrypts: a.encrypts + b.encrypts,
-        merkle_nodes: a.merkle_nodes + b.merkle_nodes,
-        rpmb_ops: a.rpmb_ops + b.rpmb_ops,
-    }
-}
-
-fn sub_stats(after: PagerStats, before: PagerStats) -> PagerStats {
-    PagerStats {
-        page_reads: after.page_reads - before.page_reads,
-        page_writes: after.page_writes - before.page_writes,
-        decrypts: after.decrypts - before.decrypts,
-        encrypts: after.encrypts - before.encrypts,
-        merkle_nodes: after.merkle_nodes - before.merkle_nodes,
-        rpmb_ops: after.rpmb_ops - before.rpmb_ops,
     }
 }
 

@@ -30,6 +30,41 @@ pub struct PagerStats {
     pub rpmb_ops: u64,
 }
 
+impl PagerStats {
+    fn zip(self, o: PagerStats, f: impl Fn(u64, u64) -> u64) -> PagerStats {
+        PagerStats {
+            page_reads: f(self.page_reads, o.page_reads),
+            page_writes: f(self.page_writes, o.page_writes),
+            decrypts: f(self.decrypts, o.decrypts),
+            encrypts: f(self.encrypts, o.encrypts),
+            merkle_nodes: f(self.merkle_nodes, o.merkle_nodes),
+            rpmb_ops: f(self.rpmb_ops, o.rpmb_ops),
+        }
+    }
+}
+
+impl std::ops::Add for PagerStats {
+    type Output = PagerStats;
+    fn add(self, d: PagerStats) -> PagerStats {
+        self.zip(d, |a, b| a + b)
+    }
+}
+
+impl std::ops::AddAssign for PagerStats {
+    fn add_assign(&mut self, d: PagerStats) {
+        *self = *self + d;
+    }
+}
+
+/// `after - before`: the work done between two readings of one pager's
+/// (monotonic) counters.
+impl std::ops::Sub for PagerStats {
+    type Output = PagerStats;
+    fn sub(self, before: PagerStats) -> PagerStats {
+        self.zip(before, |a, b| a - b)
+    }
+}
+
 /// A page-granular storage interface.
 pub trait Pager {
     /// Size of every page payload in bytes.
@@ -267,6 +302,24 @@ mod tests {
         assert_eq!(p.stats().page_reads, 1);
         assert_eq!(p.stats().page_writes, 1);
         assert_eq!(p.stats().decrypts, 0);
+    }
+
+    #[test]
+    fn stats_deltas_add_back() {
+        let of = |r, w, d, e, m, o| PagerStats {
+            page_reads: r,
+            page_writes: w,
+            decrypts: d,
+            encrypts: e,
+            merkle_nodes: m,
+            rpmb_ops: o,
+        };
+        let (a, b) = (of(7, 1, 7, 1, 40, 2), of(3, 5, 2, 5, 9, 1));
+        assert_eq!(a + b, of(10, 6, 9, 6, 49, 3));
+        assert_eq!((a + b) - b, a);
+        let mut acc = a;
+        acc += b;
+        assert_eq!(acc, a + b);
     }
 
     #[test]

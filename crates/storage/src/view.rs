@@ -45,7 +45,7 @@ use std::sync::Arc;
 pub type SharedDynPager = Arc<Mutex<dyn Pager + Send>>;
 
 /// One decrypted base page plus the counter delta its first read cost.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CachedPage {
     payload: Box<[u8]>,
     delta: PagerStats,
@@ -118,8 +118,13 @@ impl PageCache {
         self.inner.lock().pages.get(&id).map(|p| (p.payload.to_vec(), p.delta))
     }
 
-    fn get(&self, id: PageId) -> Option<CachedPage> {
-        self.inner.lock().pages.get(&id).cloned()
+    /// Copy a cached payload straight into `buf`; returns the recorded
+    /// first-read delta on a hit.
+    fn copy_into(&self, id: PageId, buf: &mut [u8]) -> Option<PagerStats> {
+        let st = self.inner.lock();
+        let page = st.pages.get(&id)?;
+        buf.copy_from_slice(&page.payload);
+        Some(page.delta)
     }
 
     fn put(&self, id: PageId, page: CachedPage) {
@@ -206,26 +211,6 @@ pub struct ViewPager {
     next_id: u64,
     stats: PagerStats,
     mode: ViewMode,
-}
-
-fn stats_delta(before: PagerStats, after: PagerStats) -> PagerStats {
-    PagerStats {
-        page_reads: after.page_reads - before.page_reads,
-        page_writes: after.page_writes - before.page_writes,
-        decrypts: after.decrypts - before.decrypts,
-        encrypts: after.encrypts - before.encrypts,
-        merkle_nodes: after.merkle_nodes - before.merkle_nodes,
-        rpmb_ops: after.rpmb_ops - before.rpmb_ops,
-    }
-}
-
-fn stats_add(into: &mut PagerStats, d: &PagerStats) {
-    into.page_reads += d.page_reads;
-    into.page_writes += d.page_writes;
-    into.decrypts += d.decrypts;
-    into.encrypts += d.encrypts;
-    into.merkle_nodes += d.merkle_nodes;
-    into.rpmb_ops += d.rpmb_ops;
 }
 
 impl ViewPager {
@@ -328,9 +313,8 @@ impl ViewPager {
             pin_buf.copy_from_slice(&img);
             return Ok(delta);
         }
-        if let Some(hit) = self.cache.get(id) {
-            pin_buf.copy_from_slice(&hit.payload);
-            return Ok(hit.delta);
+        if let Some(delta) = self.cache.copy_into(id, pin_buf) {
+            return Ok(delta);
         }
         // Miss: under the base lock, re-check the retained store (a
         // flush that beat us to the lock retained before overwriting),
@@ -345,7 +329,7 @@ impl ViewPager {
         }
         let before = b.stats();
         b.read_page(id, pin_buf)?;
-        let delta = stats_delta(before, b.stats());
+        let delta = b.stats() - before;
         self.cache.put(id, CachedPage { payload: pin_buf.to_vec().into_boxed_slice(), delta });
         Ok(delta)
     }
@@ -394,12 +378,11 @@ impl Pager for ViewPager {
         }
         if matches!(self.mode, ViewMode::Pinned(_)) {
             let delta = self.read_base_pinned(buf, id)?;
-            stats_add(&mut self.stats, &delta);
+            self.stats += delta;
             return Ok(());
         }
-        if let Some(hit) = self.cache.get(id) {
-            buf.copy_from_slice(&hit.payload);
-            stats_add(&mut self.stats, &hit.delta);
+        if let Some(delta) = self.cache.copy_into(id, buf) {
+            self.stats += delta;
             return Ok(());
         }
         // Miss: read through the base pager, capturing its counter delta
@@ -408,10 +391,10 @@ impl Pager for ViewPager {
             let mut b = self.base.lock();
             let before = b.stats();
             b.read_page(id, buf)?;
-            stats_delta(before, b.stats())
+            b.stats() - before
         };
         self.cache.put(id, CachedPage { payload: buf.to_vec().into_boxed_slice(), delta });
-        stats_add(&mut self.stats, &delta);
+        self.stats += delta;
         Ok(())
     }
 
@@ -461,9 +444,8 @@ impl Pager for ViewPager {
                 staged.page_reads += 1;
             } else if id >= self.base_pages {
                 return Err(StorageError::PageOutOfRange(id));
-            } else if let Some(hit) = self.cache.get(id) {
-                chunk.copy_from_slice(&hit.payload);
-                stats_add(&mut staged, &hit.delta);
+            } else if let Some(delta) = self.cache.copy_into(id, chunk) {
+                staged += delta;
             } else {
                 misses.push((i, id));
             }
@@ -475,13 +457,13 @@ impl Pager for ViewPager {
                 let chunk = &mut out[i * self.payload..(i + 1) * self.payload];
                 let before = b.stats();
                 b.read_page(id, chunk)?;
-                let delta = stats_delta(before, b.stats());
+                let delta = b.stats() - before;
                 puts.push((id, CachedPage { payload: chunk.to_vec().into_boxed_slice(), delta }));
-                stats_add(&mut staged, &delta);
+                staged += delta;
             }
         }
         // Commit point: the whole batch succeeded.
-        stats_add(&mut self.stats, &staged);
+        self.stats += staged;
         for (id, page) in puts {
             self.cache.put(id, page);
         }
