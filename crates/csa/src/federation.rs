@@ -36,29 +36,6 @@ pub enum PushdownDepth {
     Rows,
 }
 
-/// Pick a pushdown depth from the planner's estimates: partial
-/// aggregation pays off exactly when the shard-side filter still lets
-/// many rows through (the fan-in would otherwise re-scan them all);
-/// when almost nothing survives, shipping the few qualifying rows and
-/// re-aggregating at the fan-in skips the partial-state machinery for
-/// the same wire traffic.
-pub fn choose_pushdown_depth(
-    estimated_selectivity: f64,
-    table_rows: u64,
-    aggregates: bool,
-) -> PushdownDepth {
-    let surviving = estimated_selectivity.clamp(0.0, 1.0) * table_rows as f64;
-    if aggregates && surviving > ROWS_PER_FANIN_BATCH {
-        PushdownDepth::PartialAggregate
-    } else {
-        PushdownDepth::Rows
-    }
-}
-
-/// Fan-in batch size under which re-aggregating shipped rows is cheaper
-/// than managing shard-partial states.
-const ROWS_PER_FANIN_BATCH: f64 = 256.0;
-
 /// An execution engine the serving layer can run queries against.
 pub trait QueryBackend: Send + Sync {
     /// Run one paper query under a per-request session key at the given

@@ -6,14 +6,16 @@
 //! joins, group-bys and aggregations over the shipped, already-filtered
 //! intermediates. This module implements exactly that split:
 //!
-//! * every single-table conjunct of the WHERE clause is pushed to that
-//!   table's storage fragment;
+//! * every conjunct of the WHERE clause whose columns all belong to one
+//!   storage-resident table is pushed to that table's fragment — "belong"
+//!   as the SQL planner means it ([`owned_column`]): a qualified `q.c`
+//!   only to the FROM entry named or aliased `q`;
 //! * each fragment projects only the columns the rest of the query needs;
 //! * the host statement keeps the original shape, minus the pushed-down
 //!   conjuncts, reading from same-named temp tables.
 
 use ironsafe_sql::ast::{Expr, SelectItem, SelectStmt, TableRef};
-use ironsafe_sql::plan::{join_conjuncts, split_conjuncts};
+use ironsafe_sql::plan::{join_conjuncts, owned_column, split_conjuncts, tables_of};
 use ironsafe_sql::schema::Schema;
 
 /// A per-table storage-side fragment.
@@ -57,13 +59,6 @@ fn columns_of(stmt: &SelectStmt) -> Vec<String> {
     cols.sort();
     cols.dedup();
     cols
-}
-
-/// Does `schema` own every column referenced by `expr`?
-fn fully_resolvable(expr: &Expr, schema: &Schema) -> bool {
-    let mut cols = Vec::new();
-    expr.referenced_columns(&mut cols);
-    !cols.is_empty() && cols.iter().all(|c| schema.resolve(c).is_ok())
 }
 
 /// Partition `stmt`, pushing every table's filters down. `lookup`
@@ -124,46 +119,51 @@ pub fn partition_select_strategic(
     }
 
     let all_columns = columns_of(stmt);
+    // The storage-resident FROM entries, and per conjunct the one of them
+    // that owns every column in it. An ambiguous column, or one none of
+    // them owns (it may be a host-local table's), leaves the conjunct in
+    // the host statement, whose planner raises the typed error.
+    let (known, schemas): (Vec<TableRef>, Vec<Schema>) =
+        stmt.from.iter().filter_map(|tref| Some((tref.clone(), lookup(&tref.name)?))).unzip();
+    let owners: Vec<Option<usize>> = conjuncts
+        .iter()
+        .map(|c| match tables_of(c, &known, &schemas).as_deref() {
+            Ok([t]) => Some(*t),
+            _ => None,
+        })
+        .collect();
     let mut storage = Vec::new();
-    let mut pushed = vec![false; conjuncts.len()];
     let mut declined: Vec<Expr> = Vec::new();
 
-    for tref in &stmt.from {
-        let Some(schema) = lookup(&tref.name) else { continue };
+    for (t, (tref, schema)) in known.iter().zip(&schemas).enumerate() {
         // Columns of this table the query touches.
-        let needed: Vec<String> = all_columns
-            .iter()
-            .filter(|c| schema.resolve(c).is_ok())
-            .map(|c| {
-                let idx = schema.resolve(c).expect("checked");
-                schema.columns[idx].name.clone()
-            })
-            .collect();
-        let needed = {
-            let mut n = needed;
-            n.dedup();
-            if n.is_empty() {
-                // Referenced by nothing (degenerate cross join): ship the
-                // first column so row multiplicity is preserved.
-                vec![schema.columns[0].name.clone()]
-            } else {
-                n
-            }
-        };
-        // Conjuncts that live entirely on this table.
-        let mut table_preds = Vec::new();
-        for (i, c) in conjuncts.iter().enumerate() {
-            if !pushed[i] && fully_resolvable(c, &schema) {
-                table_preds.push(c.clone());
-                pushed[i] = true;
+        let mut needed: Vec<String> = Vec::new();
+        for c in &all_columns {
+            if let Some(i) = owned_column(c, tref, schema) {
+                let name = &schema.columns[i].name;
+                if !needed.contains(name) {
+                    needed.push(name.clone());
+                }
             }
         }
+        if needed.is_empty() {
+            // Referenced by nothing (degenerate cross join): ship the
+            // first column so row multiplicity is preserved.
+            needed.push(schema.columns[0].name.clone());
+        }
+        // Conjuncts that live entirely on this table.
+        let table_preds: Vec<Expr> = conjuncts
+            .iter()
+            .zip(&owners)
+            .filter(|(_, owner)| **owner == Some(t))
+            .map(|(c, _)| c.clone())
+            .collect();
         let mut fragment = SelectStmt {
             projections: needed
                 .iter()
                 .map(|c| SelectItem::Expr { expr: Expr::Column(c.clone()), alias: None })
                 .collect(),
-            from: vec![TableRef { name: tref.name.clone(), alias: tref.alias.clone() }],
+            from: vec![tref.clone()],
             where_clause: join_conjuncts(table_preds),
             group_by: Vec::new(),
             having: None,
@@ -185,8 +185,8 @@ pub fn partition_select_strategic(
     // ones declined tables handed back.
     let residual: Vec<Expr> = conjuncts
         .into_iter()
-        .zip(pushed.iter())
-        .filter(|(_, p)| !**p)
+        .zip(&owners)
+        .filter(|(_, owner)| owner.is_none())
         .map(|(c, _)| c)
         .chain(declined)
         .collect();
@@ -265,6 +265,38 @@ mod tests {
         let p = partition_select(&stmt, &lookup);
         assert_eq!(p.storage.len(), 1);
         assert_eq!(p.storage[0].table, "orders");
+    }
+
+    #[test]
+    fn conjuncts_are_pushed_only_to_the_table_they_name() {
+        // A qualifier naming a host-local table keeps the conjunct on the
+        // host even though `orders` has a column of that name.
+        let stmt = select(
+            "SELECT o_totalprice FROM tmp, orders \
+             WHERE tmp.o_orderkey > 5 AND orders.o_orderkey = tmp.o_orderkey",
+        );
+        let p = partition_select(&stmt, &lookup);
+        assert_eq!(p.storage.len(), 1);
+        assert!(p.storage[0].stmt.where_clause.is_none(), "{:?}", p.storage[0].stmt);
+        assert_eq!(p.host.where_clause, stmt.where_clause);
+        assert_eq!(p.storage[0].columns, vec!["o_totalprice", "o_orderkey"]);
+
+        // Two storage tables sharing column names: each conjunct goes to
+        // the fragment its qualifier (name or alias) picks, the join key
+        // and the ambiguous bare name to neither.
+        let both = |name: &str| {
+            matches!(name, "a" | "b").then(|| {
+                Schema::new(vec![Column::new("x", DataType::Int), Column::new("k", DataType::Int)])
+            })
+        };
+        let stmt = select("SELECT COUNT(*) FROM a, b r WHERE a.k = r.k AND a.x < 3 AND r.x > 1 AND k > 0");
+        let p = partition_select(&stmt, &both);
+        let pushed: Vec<String> =
+            p.storage.iter().map(|f| f.stmt.where_clause.as_ref().map(expr_to_sql).unwrap_or_default()).collect();
+        assert_eq!(pushed, ["(a.x < 3)", "(r.x > 1)"]);
+        assert_eq!(expr_to_sql(p.host.where_clause.as_ref().unwrap()), "((a.k = r.k) AND (k > 0))");
+        assert_eq!(p.storage[0].columns, vec!["k", "x"]);
+        assert_eq!(p.storage[1].columns, vec!["k", "x"]);
     }
 
     #[test]

@@ -1135,6 +1135,39 @@ mod tests {
     }
 
     #[test]
+    fn split_runs_never_push_a_predicate_to_a_table_it_does_not_name() {
+        use ironsafe_sql::{parser::parse_statement, Value};
+        let d = data();
+        for config in [SystemConfig::VanillaCs, SystemConfig::IronSafe] {
+            let mut sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
+            let db = sys.storage_db_mut();
+            db.execute("CREATE TABLE a (x INT, k INT); CREATE TABLE b (x INT, k INT)").unwrap();
+            db.execute("INSERT INTO a VALUES (1, 1), (5, 2)").unwrap();
+            db.execute("INSERT INTO b VALUES (9, 1), (0, 2)").unwrap();
+            let run = |sys: &mut CsaSystem, sql: &str| {
+                let report = sys.run_statement(&parse_statement(sql).unwrap())?;
+                Ok::<_, crate::CsaError>(report.result.rows()[0][0].clone())
+            };
+            let join = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k";
+            assert_eq!(run(&mut sys, join).unwrap(), Value::Int(2), "{}", config.abbrev());
+            let filtered = format!("{join} AND b.x > 1");
+            assert_eq!(run(&mut sys, &filtered).unwrap(), Value::Int(1), "{}", config.abbrev());
+            let pushed = |sys: &CsaSystem, table: &str| {
+                let label = format!("stage0/fragment/{table}");
+                let plan = sys.last_plans().iter().find(|p| p.label == label).unwrap();
+                plan.pushdown_filter.clone()
+            };
+            assert_eq!(pushed(&sys, "a"), None, "nothing names a alone");
+            assert_eq!(pushed(&sys, "b").as_deref(), Some("(b.x > 1)"));
+            let ambiguous = run(&mut sys, &format!("{join} AND x > 1"));
+            assert!(
+                matches!(&ambiguous, Err(crate::CsaError::Sql(ironsafe_sql::SqlError::Plan(_)))),
+                "{ambiguous:?}"
+            );
+        }
+    }
+
+    #[test]
     fn storage_cores_speed_up_split_execution() {
         let d = data();
         let p1 = CostParams { storage_cores: 1, ..CostParams::default() };

@@ -4,21 +4,6 @@ use crate::{Result, ScaleError};
 use ironsafe_csa::{CostParams, PushdownDepth, SystemConfig};
 use std::collections::HashMap;
 
-/// How a table's rows map to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionMode {
-    /// `fnv1a(key) % shards`. Placement-oblivious, so summed per-shard
-    /// page counts are *not* conserved versus one node (row boundaries
-    /// fall mid-page); result rows remain bit-identical.
-    Hash,
-    /// Contiguous key ranges with boundaries snapped to canonical heap
-    /// page starts. On key-sorted data (the TPC-H generator emits every
-    /// table in partition-key order) each shard's greedy heap packing
-    /// reproduces the canonical page splits exactly, so summed per-shard
-    /// page reads/writes/decrypts/encrypts are conserved at any N.
-    Range,
-}
-
 /// Configuration for a [`FederatedCsaSystem`](crate::FederatedCsaSystem).
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
@@ -29,8 +14,6 @@ pub struct FederationConfig {
     /// `shards` nodes cannot hold more copies of a partition than it
     /// has distinct nodes.
     pub replicas: usize,
-    /// Row-to-shard mapping.
-    pub mode: PartitionMode,
     /// Per-node system configuration (Table 2 row). Secure
     /// configurations give every node its own `SecurePager`, Merkle
     /// tree, RPMB root and attestation record.
@@ -57,7 +40,6 @@ impl FederationConfig {
         FederationConfig {
             shards,
             replicas: 0,
-            mode: PartitionMode::Range,
             system,
             params: CostParams::default(),
             partition_keys: tpch_partition_keys(),
@@ -78,27 +60,9 @@ impl FederationConfig {
         self
     }
 
-    /// Set the partitioning mode.
-    pub fn with_mode(mut self, mode: PartitionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Set the shard pushdown depth.
     pub fn with_pushdown(mut self, depth: PushdownDepth) -> Self {
         self.pushdown = depth;
-        self
-    }
-
-    /// Set the cost-model parameters.
-    pub fn with_params(mut self, params: CostParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Override one table's partition key.
-    pub fn with_partition_key(mut self, table: &str, key: &str) -> Self {
-        self.partition_keys.insert(table.to_string(), key.to_string());
         self
     }
 
@@ -119,8 +83,8 @@ impl FederationConfig {
 }
 
 /// Default partition keys: each TPC-H table's generation-order key (the
-/// generator emits rows in ascending key order, which is what lets
-/// [`PartitionMode::Range`] snap boundaries to canonical page starts).
+/// generator emits rows in ascending key order, which is what lets the
+/// partitioner snap shard boundaries to canonical page starts).
 pub fn tpch_partition_keys() -> HashMap<String, String> {
     [
         ("region", "r_regionkey"),

@@ -201,14 +201,7 @@ impl FederatedCsaSystem {
         let mut partitions = Vec::with_capacity(loaded.len());
         for ((name, rows), (_, schema)) in loaded.iter().zip(&schemas) {
             let key = &config.partition_keys[*name];
-            partitions.push(TablePartition::build(
-                name,
-                schema,
-                rows,
-                key,
-                config.mode,
-                config.shards,
-            )?);
+            partitions.push(TablePartition::build(name, schema, rows, key, config.shards)?);
         }
         let canonical_pages = partitions.iter().map(|p| p.canonical_pages).sum();
 

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates one host against one computational-storage device
 //! (§9); this crate scales that architecture out: TPC-H tables split
-//! across N simulated storage nodes (hash or range partitioning layered
-//! on the `csa` partitioner's filter+project fragments), each node owning
+//! across N simulated storage nodes (range partitioning layered on the
+//! `csa` partitioner's filter+project fragments), each node owning
 //! its **own** `SecurePager`, Merkle tree, RPMB root, attestation record
 //! and fault plan. The host fans fragments out shard-parallel, pushes
 //! partial aggregation down to the shards, and merges partial results in
@@ -26,7 +26,7 @@ pub mod node;
 pub mod partitioner;
 pub mod shared;
 
-pub use config::{tpch_partition_keys, FederationConfig, PartitionMode};
+pub use config::{tpch_partition_keys, FederationConfig};
 pub use federation::{FederatedCsaSystem, FederatedReport, ShardDelta};
 pub use metrics::ScaleMetrics;
 pub use node::{AttestationRecord, ShardNode};

@@ -9,8 +9,10 @@
 //! first-seen order and non-associative float accumulation bit-identical
 //! between one shard and N.
 //!
-//! Range mode additionally snaps shard boundaries to *canonical heap
-//! page starts*: the heap packs greedily and statelessly, so a shard
+//! Tables are split into contiguous key ranges whose boundaries are
+//! snapped to *canonical heap page starts*: the heap packs greedily and
+//! statelessly, and the TPC-H generator emits every table in
+//! partition-key order, so a shard
 //! whose rows are a contiguous canonical run starting at a page boundary
 //! packs into byte-identical pages. Summed per-shard page reads, writes,
 //! decrypts and encrypts are then conserved versus a single node. A
@@ -35,23 +37,6 @@ pub fn gid_schema(base: &Schema) -> Schema {
     Schema::new(columns)
 }
 
-/// FNV-1a over the value's order-preserving key encoding, finalized
-/// with a splitmix64 avalanche so low-entropy integer keys spread over
-/// small shard counts.
-fn hash_key(key: &Value) -> u64 {
-    let mut bytes = Vec::new();
-    key.key_bytes(&mut bytes);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in &bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One upper range boundary: the first key owned by the *next* shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RangeBound {
@@ -72,56 +57,29 @@ impl RangeBound {
     }
 }
 
-/// The row-routing function for one table.
+/// The row-routing function for one table: `shards - 1` ascending
+/// range boundaries.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ShardSpec {
-    /// `hash(key) % shards`.
-    Hash {
-        /// Shard count.
-        shards: usize,
-    },
-    /// Binary search over `shards - 1` ascending boundaries;
+pub struct ShardSpec {
     /// `boundaries[i]` is the lowest key shard `i + 1` owns.
-    Range {
-        /// Ascending shard boundaries.
-        boundaries: Vec<RangeBound>,
-    },
+    pub boundaries: Vec<RangeBound>,
 }
 
 impl ShardSpec {
-    /// The shard that owns `key`.
+    /// The shard that owns `key` (binary search).
     pub fn shard_of(&self, key: &Value) -> usize {
-        match self {
-            ShardSpec::Hash { shards } => (hash_key(key) % *shards as u64) as usize,
-            ShardSpec::Range { boundaries } => {
-                boundaries.partition_point(|b| b.le(key))
-            }
-        }
+        self.boundaries.partition_point(|b| b.le(key))
     }
 
     /// Linear-scan reference implementation of [`ShardSpec::shard_of`]
     /// (the proptest oracle the binary search is checked against).
     pub fn shard_of_oracle(&self, key: &Value) -> usize {
-        match self {
-            ShardSpec::Hash { shards } => (hash_key(key) % *shards as u64) as usize,
-            ShardSpec::Range { boundaries } => {
-                let mut shard = 0;
-                for b in boundaries {
-                    if b.le(key) {
-                        shard += 1;
-                    }
-                }
-                shard
-            }
-        }
+        self.boundaries.iter().filter(|b| b.le(key)).count()
     }
 
     /// Shard count this spec routes into.
     pub fn shards(&self) -> usize {
-        match self {
-            ShardSpec::Hash { shards } => *shards,
-            ShardSpec::Range { boundaries } => boundaries.len() + 1,
-        }
+        self.boundaries.len() + 1
     }
 }
 
@@ -154,13 +112,12 @@ struct PageFacts {
 
 impl TablePartition {
     /// Split `rows` (base-schema order = canonical order) into `shards`
-    /// partitions on `key` under `mode`.
+    /// key-range partitions on `key`.
     pub fn build(
         table: &str,
         schema: &Schema,
         rows: &[Row],
         key: &str,
-        mode: crate::PartitionMode,
         shards: usize,
     ) -> Result<TablePartition> {
         let key_index = schema.resolve(key).map_err(|_| ScaleError::MissingPartitionKey {
@@ -182,29 +139,16 @@ impl TablePartition {
         let sorted = rows
             .windows(2)
             .all(|w| !matches!(w[0][key_index].compare(&w[1][key_index]), Some(Ordering::Greater)));
-        let spec = match mode {
-            crate::PartitionMode::Hash => ShardSpec::Hash { shards },
-            crate::PartitionMode::Range => {
-                if sorted {
-                    ShardSpec::Range {
-                        boundaries: page_aligned_boundaries(
-                            &pages,
-                            key_index,
-                            rows.len() as u64,
-                            shards,
-                        ),
-                    }
-                } else {
-                    // Without key-sorted canonical order a page-aligned
-                    // cut cannot be a key boundary; fall back to even
-                    // cuts over the sorted key set (rows still route
-                    // correctly, page conservation is forfeited).
-                    ShardSpec::Range {
-                        boundaries: sorted_key_boundaries(rows, key_index, shards),
-                    }
-                }
-            }
+        let boundaries = if sorted {
+            page_aligned_boundaries(&pages, key_index, rows.len() as u64, shards)
+        } else {
+            // Without key-sorted canonical order a page-aligned cut
+            // cannot be a key boundary; fall back to even cuts over the
+            // sorted key set (rows still route correctly, page
+            // conservation is forfeited).
+            sorted_key_boundaries(rows, key_index, shards)
         };
+        let spec = ShardSpec { boundaries };
 
         let mut shard_rows: Vec<Vec<Row>> = vec![Vec::new(); shards];
         for row in gid_rows {
@@ -314,7 +258,6 @@ fn sorted_key_boundaries(rows: &[Row], key_index: usize, shards: usize) -> Vec<R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PartitionMode;
 
     fn schema() -> Schema {
         Schema::new(vec![Column::new("k", DataType::Int), Column::new("v", DataType::Text)])
@@ -326,41 +269,36 @@ mod tests {
 
     #[test]
     fn missing_key_is_a_typed_error() {
-        let err = TablePartition::build("t", &schema(), &rows(10), "nope", PartitionMode::Hash, 2)
+        let err = TablePartition::build("t", &schema(), &rows(10), "nope", 2)
             .unwrap_err();
         assert!(matches!(err, ScaleError::MissingPartitionKey { .. }));
     }
 
     #[test]
     fn every_row_lands_on_exactly_one_shard() {
-        for mode in [PartitionMode::Hash, PartitionMode::Range] {
-            for shards in [1usize, 2, 3, 4, 8] {
-                let part =
-                    TablePartition::build("t", &schema(), &rows(500), "k", mode, shards).unwrap();
-                assert_eq!(part.shard_rows.len(), shards);
-                let total: usize = part.shard_rows.iter().map(Vec::len).sum();
-                assert_eq!(total, 500);
-                // gids across all shards form exactly 0..500
-                let mut gids: Vec<i64> = part
-                    .shard_rows
-                    .iter()
-                    .flatten()
-                    .map(|r| match r.last() {
-                        Some(Value::Int(g)) => *g,
-                        other => panic!("gid must be Int, got {other:?}"),
-                    })
-                    .collect();
-                gids.sort_unstable();
-                assert_eq!(gids, (0..500).collect::<Vec<i64>>());
-            }
+        for shards in [1usize, 2, 3, 4, 8] {
+            let part = TablePartition::build("t", &schema(), &rows(500), "k", shards).unwrap();
+            assert_eq!(part.shard_rows.len(), shards);
+            let total: usize = part.shard_rows.iter().map(Vec::len).sum();
+            assert_eq!(total, 500);
+            // gids across all shards form exactly 0..500
+            let mut gids: Vec<i64> = part
+                .shard_rows
+                .iter()
+                .flatten()
+                .map(|r| match r.last() {
+                    Some(Value::Int(g)) => *g,
+                    other => panic!("gid must be Int, got {other:?}"),
+                })
+                .collect();
+            gids.sort_unstable();
+            assert_eq!(gids, (0..500).collect::<Vec<i64>>());
         }
     }
 
     #[test]
     fn range_shards_hold_contiguous_runs_on_sorted_data() {
-        let part =
-            TablePartition::build("t", &schema(), &rows(500), "k", PartitionMode::Range, 4)
-                .unwrap();
+        let part = TablePartition::build("t", &schema(), &rows(500), "k", 4).unwrap();
         let mut expected_next = 0i64;
         for shard in &part.shard_rows {
             for row in shard {
@@ -374,9 +312,7 @@ mod tests {
 
     #[test]
     fn binary_search_matches_linear_oracle() {
-        let part =
-            TablePartition::build("t", &schema(), &rows(500), "k", PartitionMode::Range, 4)
-                .unwrap();
+        let part = TablePartition::build("t", &schema(), &rows(500), "k", 4).unwrap();
         for k in -5..505 {
             let key = Value::Int(k);
             assert_eq!(part.spec.shard_of(&key), part.spec.shard_of_oracle(&key));

@@ -1,9 +1,8 @@
-//! Partitioner properties: every row lands on exactly one shard under
-//! both modes (sorted or not, duplicate keys or not), and the
-//! binary-search router always agrees with a brute-force oracle —
-//! including exactly on boundary keys.
+//! Partitioner properties: every row lands on exactly one shard (sorted
+//! or not, duplicate keys or not), and the binary-search router always
+//! agrees with a brute-force oracle — including exactly on boundary keys.
 
-use ironsafe_scale::{PartitionMode, ShardSpec, TablePartition, GID_COLUMN};
+use ironsafe_scale::{ShardSpec, TablePartition, GID_COLUMN};
 use ironsafe_sql::schema::{Column, Schema};
 use ironsafe_sql::value::{DataType, Value};
 use proptest::prelude::*;
@@ -23,22 +22,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Exactly-one-shard: the gid multisets of the shard partitions are
-    /// a disjoint cover of 0..n under both modes, for arbitrary
-    /// (possibly duplicated, possibly unsorted) keys.
+    /// a disjoint cover of 0..n, for arbitrary (possibly duplicated,
+    /// possibly unsorted) keys.
     #[test]
     fn every_row_lands_on_exactly_one_shard(
         keys in proptest::collection::vec(-1000i64..1000, 1..400),
         shards in 1usize..9,
         sort in any::<bool>(),
-        mode_is_hash in any::<bool>(),
     ) {
         let mut keys = keys;
         if sort {
             keys.sort_unstable();
         }
-        let mode = if mode_is_hash { PartitionMode::Hash } else { PartitionMode::Range };
         let part =
-            TablePartition::build("t", &schema(), &rows_from(&keys), "k", mode, shards).unwrap();
+            TablePartition::build("t", &schema(), &rows_from(&keys), "k", shards).unwrap();
         prop_assert_eq!(part.shard_rows.len(), shards);
         let gid_col = part.schema.resolve(GID_COLUMN).is_ok();
         prop_assert!(!gid_col, "base schema must stay gid-free");
@@ -73,7 +70,7 @@ proptest! {
         let mut sorted = boundaries;
         sorted.sort_unstable();
         sorted.dedup();
-        let spec = ShardSpec::Range {
+        let spec = ShardSpec {
             boundaries: sorted
                 .iter()
                 .map(|b| ironsafe_scale::RangeBound::Key(Value::Int(*b)))
@@ -82,23 +79,6 @@ proptest! {
         for p in probes.iter().chain(sorted.iter()) {
             let key = Value::Int(*p);
             prop_assert_eq!(spec.shard_of(&key), spec.shard_of_oracle(&key));
-        }
-    }
-
-    /// Hash routing is a pure function of the key: the router and the
-    /// oracle agree, and equal keys always land together.
-    #[test]
-    fn hash_routing_is_stable(
-        probes in proptest::collection::vec(-600i64..600, 1..100),
-        shards in 1usize..9,
-    ) {
-        let spec = ShardSpec::Hash { shards };
-        for p in &probes {
-            let key = Value::Int(*p);
-            let s = spec.shard_of(&key);
-            prop_assert_eq!(s, spec.shard_of_oracle(&key));
-            prop_assert_eq!(s, spec.shard_of(&Value::Int(*p)));
-            prop_assert!(s < shards);
         }
     }
 }

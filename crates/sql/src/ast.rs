@@ -227,6 +227,55 @@ pub enum Expr {
     },
 }
 
+/// Call `$f` on every direct child of `$e`, in source order — the one
+/// place that knows which variant holds which sub-expressions. A macro
+/// so the same `match` serves `&Expr` and `&mut Expr`: the bindings are
+/// references of whichever kind `$e` is.
+macro_rules! each_child {
+    ($e:expr, $f:expr) => {
+        match $e {
+            Expr::Column(_) | Expr::Literal(_) => {}
+            Expr::Unary { expr, .. } | Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => {
+                $f(expr)
+            }
+            Expr::Binary { left, right, .. } => {
+                $f(left);
+                $f(right);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                $f(expr);
+                $f(low);
+                $f(high);
+            }
+            Expr::InList { expr, list, .. } => {
+                $f(expr);
+                for e in list {
+                    $f(e);
+                }
+            }
+            Expr::Case { when_then, else_expr } => {
+                for (c, v) in when_then {
+                    $f(c);
+                    $f(v);
+                }
+                if let Some(e) = else_expr {
+                    $f(e);
+                }
+            }
+            Expr::Func { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            Expr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    $f(a);
+                }
+            }
+        }
+    };
+}
+
 impl Expr {
     /// Shorthand for a column reference.
     pub fn col(name: &str) -> Expr {
@@ -248,70 +297,30 @@ impl Expr {
         Expr::Binary { op, left: Box::new(left), right: Box::new(right) }
     }
 
+    /// Call `f` on every direct child of this node, in source order.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        each_child!(self, f)
+    }
+
+    /// [`Expr::for_each_child`] with the children handed out mutably, to
+    /// rewrite an expression in place.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        each_child!(self, f)
+    }
+
     /// Does this expression (transitively) contain an aggregate call?
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Agg { .. } => true,
-            Expr::Column(_) | Expr::Literal(_) => false,
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Binary { left, right, .. } => left.contains_aggregate() || right.contains_aggregate(),
-            Expr::Between { expr, low, high, .. } => {
-                expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate()
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(|e| e.contains_aggregate())
-            }
-            Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::Func { args, .. } => args.iter().any(|e| e.contains_aggregate()),
-            Expr::Case { when_then, else_expr } => {
-                when_then.iter().any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_expr.as_ref().is_some_and(|e| e.contains_aggregate())
-            }
-        }
+        let mut found = matches!(self, Expr::Agg { .. });
+        self.for_each_child(&mut |c| found = found || c.contains_aggregate());
+        found
     }
 
     /// Collect the names of all referenced columns.
     pub fn referenced_columns(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Column(c) => out.push(c.clone()),
-            Expr::Literal(_) => {}
-            Expr::Unary { expr, .. } => expr.referenced_columns(out),
-            Expr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            Expr::Between { expr, low, high, .. } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                for e in list {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => expr.referenced_columns(out),
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
-            }
-            Expr::Case { when_then, else_expr } => {
-                for (c, v) in when_then {
-                    c.referenced_columns(out);
-                    v.referenced_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    a.referenced_columns(out);
-                }
-            }
+        if let Expr::Column(c) = self {
+            out.push(c.clone());
         }
+        self.for_each_child(&mut |c| c.referenced_columns(out));
     }
 }
 
@@ -404,6 +413,26 @@ pub fn expr_to_sql(e: &Expr) -> String {
 mod tests {
     use super::*;
 
+    /// One expression per variant, each holding column `c` and an
+    /// aggregate over `g` in its *last* child, so a walker that skips a
+    /// variant or stops early misses them.
+    fn every_variant() -> Vec<Expr> {
+        [
+            "-(c + SUM(g))",
+            "1 * (c + SUM(g))",
+            "0 BETWEEN 1 AND c + SUM(g)",
+            "0 IN (1, c + SUM(g))",
+            "(c + SUM(g)) LIKE 'x%'",
+            "(c + SUM(g)) IS NULL",
+            "CASE WHEN 1 THEN 2 WHEN c + SUM(g) THEN 3 END",
+            "CASE WHEN 1 THEN 2 ELSE c + SUM(g) END",
+            "ROUND(1, c + SUM(g))",
+        ]
+        .iter()
+        .map(|src| crate::parser::parse_expression(src).unwrap())
+        .collect()
+    }
+
     #[test]
     fn contains_aggregate_walks_tree() {
         let e = Expr::bin(
@@ -413,6 +442,7 @@ mod tests {
         );
         assert!(e.contains_aggregate());
         assert!(!Expr::col("x").contains_aggregate());
+        assert!(every_variant().iter().all(Expr::contains_aggregate));
     }
 
     #[test]
@@ -421,6 +451,23 @@ mod tests {
         let mut cols = Vec::new();
         e.referenced_columns(&mut cols);
         assert_eq!(cols, vec!["a".to_string(), "b".to_string()]);
+        // The visitor reaches every child of every variant, inside
+        // aggregates too, in source order; the in-place one reaches the
+        // same children and leaves the rest of the node alone.
+        fn rename(e: &mut Expr) {
+            if let Expr::Column(n) = e {
+                n.push('2');
+            }
+            e.for_each_child_mut(&mut rename);
+        }
+        for mut e in every_variant() {
+            let mut cols = Vec::new();
+            e.referenced_columns(&mut cols);
+            assert_eq!(cols, ["c", "g"], "{e:?}");
+            let sql = expr_to_sql(&e);
+            rename(&mut e);
+            assert_eq!(expr_to_sql(&e), sql.replace("c +", "c2 +").replace("(g)", "(g2)"));
+        }
     }
 
     #[test]

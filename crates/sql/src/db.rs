@@ -1,10 +1,11 @@
 //! The `Database` façade: SQL text in, rows out.
 
-use crate::ast::{SelectStmt, Statement};
+use crate::ast::{Expr, SelectStmt, Statement};
 use crate::catalog::Catalog;
 use crate::encoded::{EncodedRows, EncodedSlice};
 use crate::exec::collect;
-use crate::expr::eval;
+use crate::exec::bind_all;
+use crate::expr::{bind, eval_bound};
 use crate::heap::{shared, SharedPager};
 use crate::exec::ExecOptions;
 use crate::parser::parse;
@@ -267,7 +268,7 @@ impl Database {
         &mut self,
         table: &str,
         columns: Option<&[String]>,
-        values: &[Vec<crate::ast::Expr>],
+        values: &[Vec<Expr>],
     ) -> Result<QueryResult> {
         let info = self.catalog.table(table)?;
         let schema = info.schema.clone();
@@ -276,7 +277,8 @@ impl Database {
             None => (0..schema.len()).collect(),
             Some(cols) => cols.iter().map(|c| schema.resolve(c)).collect::<Result<_>>()?,
         };
-        let empty = Schema::default();
+        // VALUES expressions see no columns.
+        let (no_columns, no_row) = (Schema::default(), Row::new());
         let mut rows = Vec::with_capacity(values.len());
         for value_exprs in values {
             if value_exprs.len() != positions.len() {
@@ -288,7 +290,7 @@ impl Database {
             }
             let mut row = vec![Value::Null; schema.len()];
             for (expr, &pos) in value_exprs.iter().zip(positions.iter()) {
-                row[pos] = eval(expr, &empty, &Vec::new())?;
+                row[pos] = eval_bound(&bind(expr, &no_columns)?, &no_row)?;
             }
             rows.push(row);
         }
@@ -338,52 +340,50 @@ impl Database {
     fn update(
         &mut self,
         table: &str,
-        sets: &[(String, crate::ast::Expr)],
-        where_clause: Option<&crate::ast::Expr>,
+        sets: &[(String, Expr)],
+        where_clause: Option<&Expr>,
     ) -> Result<QueryResult> {
-        let info = self.catalog.table(table)?;
-        let schema = info.schema.clone();
-        let rows = info.heap.all_rows(&self.pager, schema.len())?;
-        let set_positions: Vec<usize> = sets.iter().map(|(c, _)| schema.resolve(c)).collect::<Result<_>>()?;
-        let mut changed = 0u64;
-        let mut new_rows = Vec::with_capacity(rows.len());
-        for mut row in rows {
-            let hit = match where_clause {
-                None => true,
-                Some(w) => eval(w, &schema, &row)?.is_truthy(),
-            };
-            if hit {
-                // Evaluate all assignments against the *old* row.
-                let mut new_vals = Vec::with_capacity(sets.len());
-                for (_, e) in sets {
-                    new_vals.push(eval(e, &schema, &row)?);
-                }
-                for (&pos, v) in set_positions.iter().zip(new_vals) {
-                    row[pos] = v;
-                }
-                changed += 1;
+        let schema = &self.catalog.table(table)?.schema;
+        let positions: Vec<usize> =
+            sets.iter().map(|(c, _)| schema.resolve(c)).collect::<Result<_>>()?;
+        let values = bind_all(sets.iter().map(|(_, e)| e), schema)?;
+        self.rewrite_where(table, where_clause, |mut row| {
+            // Evaluate all assignments against the *old* row.
+            let new_vals: Vec<Value> =
+                values.iter().map(|e| eval_bound(e, &row)).collect::<Result<_>>()?;
+            for (&pos, v) in positions.iter().zip(new_vals) {
+                row[pos] = v;
             }
-            new_rows.push(row);
-        }
-        let info = self.catalog.table_mut(table)?;
-        info.heap.rewrite(&self.pager, new_rows)?;
-        self.pager.lock().commit()?;
-        Ok(QueryResult::Count(changed))
+            Ok(Some(row))
+        })
     }
 
-    fn delete(&mut self, table: &str, where_clause: Option<&crate::ast::Expr>) -> Result<QueryResult> {
+    fn delete(&mut self, table: &str, where_clause: Option<&Expr>) -> Result<QueryResult> {
+        self.rewrite_where(table, where_clause, |_| Ok(None))
+    }
+
+    /// Rewrite `table`, replacing every row `where_clause` selects (bound
+    /// once, before the first row is read) by `change(row)` — `None`
+    /// deletes it. Counts the rows selected.
+    fn rewrite_where(
+        &mut self,
+        table: &str,
+        where_clause: Option<&Expr>,
+        mut change: impl FnMut(Row) -> Result<Option<Row>>,
+    ) -> Result<QueryResult> {
         let info = self.catalog.table(table)?;
-        let schema = info.schema.clone();
-        let rows = info.heap.all_rows(&self.pager, schema.len())?;
+        let predicate = where_clause.map(|w| bind(w, &info.schema)).transpose()?;
+        let rows = info.heap.all_rows(&self.pager, info.schema.len())?;
         let mut kept = Vec::with_capacity(rows.len());
-        let mut deleted = 0u64;
+        let mut selected = 0u64;
         for row in rows {
-            let hit = match where_clause {
+            let hit = match &predicate {
                 None => true,
-                Some(w) => eval(w, &schema, &row)?.is_truthy(),
+                Some(w) => eval_bound(w, &row)?.is_truthy(),
             };
             if hit {
-                deleted += 1;
+                selected += 1;
+                kept.extend(change(row)?);
             } else {
                 kept.push(row);
             }
@@ -391,7 +391,7 @@ impl Database {
         let info = self.catalog.table_mut(table)?;
         info.heap.rewrite(&self.pager, kept)?;
         self.pager.lock().commit()?;
-        Ok(QueryResult::Count(deleted))
+        Ok(QueryResult::Count(selected))
     }
 }
 
@@ -679,6 +679,71 @@ mod tests {
                 assert_eq!(db.pager_stats(), want, "{q} at dop {dop}");
             }
         }
+    }
+
+    #[test]
+    fn predicates_run_on_the_table_they_name() {
+        let mut db = db();
+        db.execute("CREATE TABLE a (x INT, k INT)").unwrap();
+        db.execute("CREATE TABLE b (x INT, k INT)").unwrap();
+        db.execute("INSERT INTO a VALUES (1, 1), (5, 2)").unwrap();
+        db.execute("INSERT INTO b VALUES (9, 1), (0, 2)").unwrap();
+        let count = |db: &mut Database, sql: &str| db.execute(sql).map(|r| r.rows()[0][0].clone());
+        let join = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k";
+        // `a.k = b.k` is a join key, not a filter on `a`.
+        assert_eq!(count(&mut db, join), Ok(Value::Int(2)));
+        assert!(db.explain(join).unwrap().contains("HashJoin: b.k = a.k"));
+        // `b.x > 1` filters b (keeps (9,1)), whatever a.x holds; aliases
+        // qualify like names.
+        assert_eq!(count(&mut db, &format!("{join} AND b.x > 1")), Ok(Value::Int(1)));
+        let aliased = "SELECT COUNT(*) FROM a l, b r WHERE l.k = r.k AND r.x > 1";
+        assert_eq!(count(&mut db, aliased), Ok(Value::Int(1)));
+        // A bare `x` is two tables' column; a qualifier naming no FROM
+        // entry is nobody's.
+        let ambiguous = count(&mut db, &format!("{join} AND x > 1"));
+        assert!(matches!(&ambiguous, Err(SqlError::Plan(m)) if m.contains("ambiguous")), "{ambiguous:?}");
+        for sql in ["SELECT COUNT(*) FROM a WHERE b.x > 1", "SELECT b.x FROM a"] {
+            assert!(matches!(db.execute(sql), Err(SqlError::Plan(_))), "{sql}");
+        }
+        // Above the join only b.k, a.x and a.k are left, so `a.x` is a's.
+        let r = db.execute("SELECT a.x FROM a, b WHERE a.k = b.k ORDER BY a.x").unwrap();
+        assert_eq!(r.rows(), [[Value::Int(1)], [Value::Int(5)]]);
+        // With both `x`s decoded the joined schema cannot tell them
+        // apart: a typed error, not a guess.
+        let post_join = db.execute("SELECT a.x, b.x FROM a, b WHERE a.k = b.k");
+        assert!(matches!(post_join, Err(SqlError::Plan(_))), "{post_join:?}");
+    }
+
+    #[test]
+    fn bad_names_are_rejected_at_plan_time_whatever_the_data() {
+        let mut db = db();
+        db.execute("CREATE TABLE t (a INT, b INT, c INT)").unwrap();
+        let bad = [
+            "SELECT SUM(a) FROM t GROUP BY b HAVING c > 1",
+            "SELECT c, SUM(a) FROM t GROUP BY b",
+            "SELECT b, SUM(a) FROM t GROUP BY b ORDER BY a",
+            "SELECT SUM(a) AS s FROM t GROUP BY b ORDER BY c",
+            "UPDATE t SET a = nope",
+            "DELETE FROM t WHERE nope = 1",
+        ];
+        let reject_all = |db: &mut Database| -> Vec<SqlError> {
+            let reject = |sql: &&str| {
+                let err = db.execute(sql).expect_err(sql);
+                assert!(matches!(err, SqlError::Plan(_)), "{sql}: {err:?}");
+                if sql.starts_with("SELECT") {
+                    assert_eq!(db.explain(sql), Err(err.clone()), "{sql}");
+                }
+                err
+            };
+            bad.iter().map(reject).collect()
+        };
+        // On the empty table, then with rows: the same errors.
+        let on_empty = reject_all(&mut db);
+        db.execute("INSERT INTO t VALUES (1, 2, 3), (4, 5, 6)").unwrap();
+        assert_eq!(reject_all(&mut db), on_empty);
+        // The rejected DML changed nothing.
+        let r = db.execute("SELECT COUNT(*), SUM(a) FROM t").unwrap();
+        assert_eq!(r.rows()[0], [Value::Int(2), Value::Int(5)]);
     }
 
     #[test]

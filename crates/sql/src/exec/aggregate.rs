@@ -1,8 +1,8 @@
 //! Hash aggregation.
 
 use crate::ast::{AggFunc, Expr};
-use crate::exec::{BoxOp, Operator};
-use crate::expr::eval;
+use crate::exec::{bind_all, BoxOp, Operator};
+use crate::expr::{bind, eval_bound, BoundExpr};
 use crate::schema::{Column, Row, Schema};
 use crate::value::{DataType, Value};
 use crate::Result;
@@ -221,26 +221,44 @@ impl GroupAcc {
 /// aggregate semantics).
 pub struct HashAggregate {
     input: Option<BoxOp>,
+    /// Group keys as written, for `describe`.
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
+    /// Group keys and aggregate inputs (`None` for `COUNT(*)`), bound
+    /// against the input schema.
+    group_bound: Vec<BoundExpr>,
+    arg_bound: Vec<Option<BoundExpr>>,
     schema: Schema,
     output: std::vec::IntoIter<Row>,
     emitted: u64,
 }
 
 impl HashAggregate {
-    /// Build the operator. `group_names` label the group-by outputs.
-    pub fn new(input: BoxOp, group_exprs: Vec<Expr>, group_names: Vec<String>, aggs: Vec<AggSpec>) -> Self {
+    /// Build the operator, binding group keys and aggregate inputs
+    /// against `input`'s schema. `group_names` label the group-by outputs.
+    pub fn new(
+        input: BoxOp,
+        group_exprs: Vec<Expr>,
+        group_names: Vec<String>,
+        aggs: Vec<AggSpec>,
+    ) -> Result<Self> {
         assert_eq!(group_exprs.len(), group_names.len());
+        let group_bound = bind_all(&group_exprs, input.schema())?;
+        let arg_bound = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(|e| bind(e, input.schema())).transpose())
+            .collect::<Result<_>>()?;
         let schema = agg_output_schema(&group_names, &aggs);
-        HashAggregate {
+        Ok(HashAggregate {
             input: Some(input),
             group_exprs,
             aggs,
+            group_bound,
+            arg_bound,
             schema,
             output: Vec::new().into_iter(),
             emitted: 0,
-        }
+        })
     }
 
     fn materialize(&mut self) -> Result<()> {
@@ -250,19 +268,18 @@ impl HashAggregate {
         let mut key = Vec::new();
         let mut key_vals = Vec::with_capacity(self.group_exprs.len());
         while let Some(row) = input.next()? {
-            let schema = input.schema();
             key.clear();
             key_vals.clear();
-            for e in &self.group_exprs {
-                let v = eval(e, schema, &row)?;
+            for e in &self.group_bound {
+                let v = eval_bound(e, &row)?;
                 v.key_bytes(&mut key);
                 key_vals.push(v);
             }
             agg_vals.clear();
-            for spec in &self.aggs {
-                agg_vals.push(match &spec.arg {
+            for arg in &self.arg_bound {
+                agg_vals.push(match arg {
                     None => Value::Int(1), // COUNT(*) counts rows
-                    Some(e) => eval(e, schema, &row)?,
+                    Some(e) => eval_bound(e, &row)?,
                 });
             }
             acc.update(&self.aggs, &key, &key_vals, &agg_vals)?;
@@ -350,7 +367,7 @@ mod tests {
                 spec(AggFunc::Max, Some("x"), false, "hi"),
             ],
         );
-        let (schema, rows) = collect(Box::new(agg)).unwrap();
+        let (schema, rows) = collect(Box::new(agg.unwrap())).unwrap();
         assert_eq!(schema.columns.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(), vec!["grp", "cnt", "total", "mean", "lo", "hi"]);
         assert_eq!(rows.len(), 2);
         // First-seen order: a then b.
@@ -373,7 +390,7 @@ mod tests {
             vec![],
             vec![spec(AggFunc::Count, None, false, "cnt"), spec(AggFunc::Sum, Some("x"), false, "s")],
         );
-        let (_, rows) = collect(Box::new(agg)).unwrap();
+        let (_, rows) = collect(Box::new(agg.unwrap())).unwrap();
         assert_eq!(rows.len(), 1, "global aggregate always yields one row");
         assert_eq!(rows[0][0], Value::Int(0));
         assert!(rows[0][1].is_null(), "SUM of nothing is NULL");
@@ -389,7 +406,7 @@ mod tests {
             vec!["g".into()],
             vec![spec(AggFunc::Count, None, false, "cnt")],
         );
-        let (_, rows) = collect(Box::new(agg)).unwrap();
+        let (_, rows) = collect(Box::new(agg.unwrap())).unwrap();
         assert!(rows.is_empty());
     }
 
@@ -412,7 +429,7 @@ mod tests {
                 spec(AggFunc::Count, Some("x"), false, "all_x"),
             ],
         );
-        let (_, out) = collect(Box::new(agg)).unwrap();
+        let (_, out) = collect(Box::new(agg.unwrap())).unwrap();
         assert_eq!(out[0][0], Value::Int(2));
         assert_eq!(out[0][1], Value::Int(3), "plain COUNT(x) skips NULL");
     }
@@ -425,7 +442,7 @@ mod tests {
             vec![],
             vec![spec(AggFunc::Sum, Some("x * 2"), false, "s")],
         );
-        let (_, rows) = collect(Box::new(agg)).unwrap();
+        let (_, rows) = collect(Box::new(agg.unwrap())).unwrap();
         assert_eq!(rows[0][0], Value::Int(72));
     }
 
@@ -435,7 +452,7 @@ mod tests {
         let rows = vec![vec![Value::Int(1)], vec![Value::Float(2.5)]];
         let v = Box::new(Values::new(schema, rows));
         let agg = HashAggregate::new(v, vec![], vec![], vec![spec(AggFunc::Sum, Some("x"), false, "s")]);
-        let (_, out) = collect(Box::new(agg)).unwrap();
+        let (_, out) = collect(Box::new(agg.unwrap())).unwrap();
         assert_eq!(out[0][0], Value::Float(3.5));
     }
 
@@ -454,7 +471,7 @@ mod tests {
             vec![],
             vec![spec(AggFunc::Min, Some("d"), false, "lo"), spec(AggFunc::Max, Some("d"), false, "hi")],
         );
-        let (_, out) = collect(Box::new(agg)).unwrap();
+        let (_, out) = collect(Box::new(agg.unwrap())).unwrap();
         assert_eq!(out[0][0].as_str().unwrap(), "1994-01-01");
         assert_eq!(out[0][1].as_str().unwrap(), "1996-06-30");
     }
@@ -470,7 +487,7 @@ mod tests {
             vec!["g".into()],
             vec![spec(AggFunc::Count, None, false, "cnt")],
         );
-        let (_, out) = collect(Box::new(agg)).unwrap();
+        let (_, out) = collect(Box::new(agg.unwrap())).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0][1], Value::Int(2), "two NULL-keyed rows in one group");
     }

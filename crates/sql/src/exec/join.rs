@@ -1,8 +1,8 @@
 //! Join operators: hash join (equi) and nested-loop join (general).
 
 use crate::ast::Expr;
-use crate::exec::{BoxOp, Operator};
-use crate::expr::eval;
+use crate::exec::{bind_all, BoxOp, Operator};
+use crate::expr::{bind, eval_bound, BoundExpr};
 use crate::schema::{Row, Schema};
 use crate::Result;
 use std::collections::HashMap;
@@ -15,8 +15,12 @@ use std::collections::HashMap;
 pub struct HashJoin {
     left: Option<BoxOp>,
     right: BoxOp,
+    /// Keys as written, for `describe`.
     left_keys: Vec<Expr>,
     right_keys: Vec<Expr>,
+    /// The same keys, each side bound against its own input.
+    left_bound: Vec<BoundExpr>,
+    right_bound: Vec<BoundExpr>,
     schema: Schema,
     table: HashMap<Vec<u8>, Vec<Row>>,
     /// Matches pending for the current probe row.
@@ -26,29 +30,39 @@ pub struct HashJoin {
 }
 
 impl HashJoin {
-    /// Join `left` and `right` on `left_keys[i] = right_keys[i]`.
-    pub fn new(left: BoxOp, right: BoxOp, left_keys: Vec<Expr>, right_keys: Vec<Expr>) -> Self {
+    /// Join `left` and `right` on `left_keys[i] = right_keys[i]`; each
+    /// side's keys are bound against that side's schema.
+    pub fn new(
+        left: BoxOp,
+        right: BoxOp,
+        left_keys: Vec<Expr>,
+        right_keys: Vec<Expr>,
+    ) -> Result<Self> {
         assert_eq!(left_keys.len(), right_keys.len());
         assert!(!left_keys.is_empty(), "hash join needs at least one key");
+        let left_bound = bind_all(&left_keys, left.schema())?;
+        let right_bound = bind_all(&right_keys, right.schema())?;
         let schema = left.schema().join(right.schema());
-        HashJoin {
+        Ok(HashJoin {
             left: Some(left),
             right,
             left_keys,
             right_keys,
+            left_bound,
+            right_bound,
             schema,
             table: HashMap::new(),
             pending: Vec::new(),
             pending_right: None,
             emitted: 0,
-        }
+        })
     }
 
     /// Compute the hash key; `None` when any key value is NULL.
-    fn key_of(exprs: &[Expr], schema: &Schema, row: &Row) -> Result<Option<Vec<u8>>> {
+    fn key_of(exprs: &[BoundExpr], row: &Row) -> Result<Option<Vec<u8>>> {
         let mut key = Vec::with_capacity(exprs.len() * 9);
         for e in exprs {
-            let v = eval(e, schema, row)?;
+            let v = eval_bound(e, row)?;
             if v.is_null() {
                 return Ok(None);
             }
@@ -60,7 +74,7 @@ impl HashJoin {
     fn build(&mut self) -> Result<()> {
         let mut left = self.left.take().expect("build called once");
         while let Some(row) = left.next()? {
-            if let Some(key) = Self::key_of(&self.left_keys, left.schema(), &row)? {
+            if let Some(key) = Self::key_of(&self.left_bound, &row)? {
                 self.table.entry(key).or_default().push(row);
             }
         }
@@ -111,7 +125,7 @@ impl Operator for HashJoin {
             match self.right.next()? {
                 None => return Ok(None),
                 Some(r) => {
-                    if let Some(key) = Self::key_of(&self.right_keys, self.right.schema(), &r)? {
+                    if let Some(key) = Self::key_of(&self.right_bound, &r)? {
                         if let Some(matches) = self.table.get(&key) {
                             self.pending = matches.clone();
                             self.pending_right = Some(r);
@@ -130,16 +144,20 @@ pub struct NestedLoopJoin {
     left: BoxOp,
     right_rows: Vec<Row>,
     schema: Schema,
+    /// As written, for `describe`.
     predicate: Option<Expr>,
+    bound: Option<BoundExpr>,
     current_left: Option<Row>,
     right_index: usize,
     emitted: u64,
 }
 
 impl NestedLoopJoin {
-    /// Join `left` against materialized `right` under `predicate`.
+    /// Join `left` against materialized `right` under `predicate`, bound
+    /// against the joined schema.
     pub fn new(left: BoxOp, mut right: BoxOp, predicate: Option<Expr>) -> Result<Self> {
         let schema = left.schema().join(right.schema());
+        let bound = predicate.as_ref().map(|p| bind(p, &schema)).transpose()?;
         let mut right_rows = Vec::new();
         while let Some(r) = right.next()? {
             right_rows.push(r);
@@ -149,6 +167,7 @@ impl NestedLoopJoin {
             right_rows,
             schema,
             predicate,
+            bound,
             current_left: None,
             right_index: 0,
             emitted: 0,
@@ -191,17 +210,13 @@ impl Operator for NestedLoopJoin {
                 self.right_index += 1;
                 let mut out = l.clone();
                 out.extend(r.iter().cloned());
-                match &self.predicate {
-                    None => {
-                        self.emitted += 1;
-                        return Ok(Some(out));
-                    }
-                    Some(p) => {
-                        if eval(p, &self.schema, &out)?.is_truthy() {
-                            self.emitted += 1;
-                            return Ok(Some(out));
-                        }
-                    }
+                let keep = match &self.bound {
+                    None => true,
+                    Some(p) => eval_bound(p, &out)?.is_truthy(),
+                };
+                if keep {
+                    self.emitted += 1;
+                    return Ok(Some(out));
                 }
             }
             self.current_left = None;
@@ -252,7 +267,8 @@ mod tests {
             orders(),
             vec![parse_expression("c_id").unwrap()],
             vec![parse_expression("o_cust").unwrap()],
-        );
+        )
+        .unwrap();
         let (schema, rows) = collect(Box::new(j)).unwrap();
         assert_eq!(schema.len(), 4);
         // alice matches orders 1 and 3; bob matches order 2; carol none.
@@ -269,7 +285,8 @@ mod tests {
             orders(),
             vec![parse_expression("c_id").unwrap()],
             vec![parse_expression("o_cust").unwrap()],
-        );
+        )
+        .unwrap();
         let (_, rows) = collect(Box::new(j)).unwrap();
         assert!(rows.iter().all(|r| !r[0].is_null() && !r[3].is_null()));
     }
@@ -278,9 +295,9 @@ mod tests {
     fn hash_join_empty_sides() {
         let empty_schema = Schema::new(vec![Column::new("x", DataType::Int)]);
         let empty = || Box::new(Values::new(empty_schema.clone(), vec![])) as BoxOp;
-        let j = HashJoin::new(empty(), orders(), vec![parse_expression("x").unwrap()], vec![parse_expression("o_cust").unwrap()]);
+        let j = HashJoin::new(empty(), orders(), vec![parse_expression("x").unwrap()], vec![parse_expression("o_cust").unwrap()]).unwrap();
         assert!(collect(Box::new(j)).unwrap().1.is_empty());
-        let j = HashJoin::new(customers(), empty(), vec![parse_expression("c_id").unwrap()], vec![parse_expression("x").unwrap()]);
+        let j = HashJoin::new(customers(), empty(), vec![parse_expression("c_id").unwrap()], vec![parse_expression("x").unwrap()]).unwrap();
         assert!(collect(Box::new(j)).unwrap().1.is_empty());
     }
 
@@ -324,7 +341,8 @@ mod tests {
             r,
             vec![parse_expression("a1").unwrap(), parse_expression("b1").unwrap()],
             vec![parse_expression("a2").unwrap(), parse_expression("b2").unwrap()],
-        );
+        )
+        .unwrap();
         let (_, rows) = collect(Box::new(j)).unwrap();
         assert_eq!(rows.len(), 1, "only (1, x) pairs");
     }

@@ -3,7 +3,10 @@
 //! Every operator pulls rows from its child via [`Operator::next`]. Base
 //! tables are read by the one scan kernel ([`scan`]), a morsel at a time
 //! with filter and projection fused in; pipeline breakers (sort, hash
-//! aggregate, hash-join build side) materialize on first pull.
+//! aggregate, hash-join build side) materialize on first pull. An
+//! operator that evaluates expressions binds them against its input
+//! schema when it is built — its constructor returns the unknown-column
+//! error — and reads columns by index from then on.
 
 pub mod aggregate;
 pub mod join;
@@ -23,7 +26,7 @@ pub use sort::Sort;
 
 use crate::ast::Expr;
 use crate::encoded::EncodedRows;
-use crate::expr::eval;
+use crate::expr::{bind, eval_bound, BoundExpr};
 use crate::schema::{Row, Schema};
 use crate::Result;
 
@@ -148,6 +151,14 @@ pub fn explain_analyze(op: &BoxOp) -> String {
 /// Boxed operator (the tree's edge type).
 pub type BoxOp = Box<dyn Operator + Send>;
 
+/// [`bind`] each of `exprs` against `schema`.
+pub(crate) fn bind_all<'a>(
+    exprs: impl IntoIterator<Item = &'a Expr>,
+    schema: &Schema,
+) -> Result<Vec<BoundExpr>> {
+    exprs.into_iter().map(|e| bind(e, schema)).collect()
+}
+
 /// Materialized input rows (used for policy tests and for tables shipped
 /// from the storage engine to the host).
 pub struct Values {
@@ -186,14 +197,17 @@ impl Operator for Values {
 /// Filter: passes rows whose predicate is truthy.
 pub struct Filter {
     input: BoxOp,
+    /// As written, for `describe`.
     predicate: Expr,
+    bound: BoundExpr,
     emitted: u64,
 }
 
 impl Filter {
-    /// Wrap `input` with `predicate`.
-    pub fn new(input: BoxOp, predicate: Expr) -> Self {
-        Filter { input, predicate, emitted: 0 }
+    /// Wrap `input` with `predicate`, bound against `input`'s schema.
+    pub fn new(input: BoxOp, predicate: Expr) -> Result<Self> {
+        let bound = bind(&predicate, input.schema())?;
+        Ok(Filter { input, predicate, bound, emitted: 0 })
     }
 }
 
@@ -216,7 +230,7 @@ impl Operator for Filter {
 
     fn next(&mut self) -> Result<Option<Row>> {
         while let Some(row) = self.input.next()? {
-            if eval(&self.predicate, self.input.schema(), &row)?.is_truthy() {
+            if eval_bound(&self.bound, &row)?.is_truthy() {
                 self.emitted += 1;
                 return Ok(Some(row));
             }
@@ -228,16 +242,18 @@ impl Operator for Filter {
 /// Projection: computes output expressions per row.
 pub struct Project {
     input: BoxOp,
-    exprs: Vec<Expr>,
+    exprs: Vec<BoundExpr>,
     schema: Schema,
     emitted: u64,
 }
 
 impl Project {
-    /// Project `exprs` out of `input`, naming outputs per `schema`.
-    pub fn new(input: BoxOp, exprs: Vec<Expr>, schema: Schema) -> Self {
+    /// Project `exprs` (bound against `input`'s schema) out of `input`,
+    /// naming outputs per `schema`.
+    pub fn new(input: BoxOp, exprs: &[Expr], schema: Schema) -> Result<Self> {
         debug_assert_eq!(exprs.len(), schema.len());
-        Project { input, exprs, schema, emitted: 0 }
+        let exprs = bind_all(exprs, input.schema())?;
+        Ok(Project { input, exprs, schema, emitted: 0 })
     }
 }
 
@@ -265,7 +281,7 @@ impl Operator for Project {
             Some(row) => {
                 let mut out = Vec::with_capacity(self.exprs.len());
                 for e in &self.exprs {
-                    out.push(eval(e, self.input.schema(), &row)?);
+                    out.push(eval_bound(e, &row)?);
                 }
                 self.emitted += 1;
                 Ok(Some(out))
@@ -354,7 +370,7 @@ mod tests {
     #[test]
     fn filter_keeps_matching() {
         let v = Box::new(Values::new(test_schema(), test_rows(10)));
-        let f = Box::new(Filter::new(v, parse_expression("a >= 7").unwrap()));
+        let f = Box::new(Filter::new(v, parse_expression("a >= 7").unwrap()).unwrap());
         let (_, rows) = collect(f).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][0], Value::Int(7));
@@ -364,7 +380,8 @@ mod tests {
     fn project_computes_expressions() {
         let v = Box::new(Values::new(test_schema(), test_rows(3)));
         let out_schema = Schema::new(vec![Column::new("double_a", DataType::Int)]);
-        let p = Box::new(Project::new(v, vec![parse_expression("a * 2").unwrap()], out_schema));
+        let p =
+            Box::new(Project::new(v, &[parse_expression("a * 2").unwrap()], out_schema).unwrap());
         let (schema, rows) = collect(p).unwrap();
         assert_eq!(schema.columns[0].name, "double_a");
         assert_eq!(rows[2][0], Value::Int(4));

@@ -43,6 +43,6 @@ pub(crate) fn aggregate(
 ) -> Result<Vec<Row>> {
     let input = Values::new(source.schema.clone(), scan_all(source)?);
     let names = (0..group_exprs.len()).map(|i| format!("g{i}")).collect();
-    let agg = HashAggregate::new(Box::new(input), group_exprs.to_vec(), names, aggs.to_vec());
+    let agg = HashAggregate::new(Box::new(input), group_exprs.to_vec(), names, aggs.to_vec())?;
     Ok(collect(Box::new(agg))?.1)
 }

@@ -9,12 +9,12 @@
 //! (group first-seen order, NULL gating, DISTINCT dedup and the
 //! non-associative float accumulation order are all properties of the
 //! replay order). This module exposes that same split across *process
-//! boundaries*: a storage shard evaluates [`AggPlan::eval_partial`] over
-//! its local rows and ships the resulting tuples; the coordinator feeds
-//! every shard's tuples — merged back into canonical row order — through
-//! [`AggPlan::finish`], which replays the accumulator and applies the
-//! post-aggregation pipeline (HAVING → ORDER BY → projection → LIMIT)
-//! exactly as the single-node planner would.
+//! boundaries*: a storage shard evaluates [`AggPlan::eval_partial_batch`]
+//! over its local rows and ships the resulting tuples; the coordinator
+//! feeds every shard's tuples — merged back into canonical row order —
+//! through [`AggPlan::finish`], which replays the accumulator and puts
+//! the single-node planner's own post-aggregation pipeline
+//! (`plan::Tail`: HAVING → ORDER BY → projection → LIMIT) on top.
 //!
 //! Because the replay consumes raw per-row inputs rather than merged
 //! per-shard partial states, the result is bit-identical to a
@@ -24,8 +24,8 @@
 
 use crate::ast::{Expr, SelectStmt};
 use crate::exec::aggregate::{agg_output_schema, GroupAcc};
-use crate::exec::{collect, AggSpec, BoxOp, Filter, Limit, Project, Sort, Values};
-use crate::plan::{collect_aggs, expand_projections, output_schema, rewrite_post_agg};
+use crate::exec::{bind_all, collect, Values};
+use crate::plan::{group_name, Aggregation, Tail};
 use crate::schema::{Column, Row, Schema};
 use crate::value::{DataType, Value};
 use crate::Result;
@@ -37,126 +37,55 @@ use crate::Result;
 /// fragment's output schema, the coordinator replays them.
 #[derive(Debug, Clone)]
 pub struct AggPlan {
-    /// Group-by expressions, evaluated against the fragment schema.
-    group_by: Vec<Expr>,
-    /// One spec per distinct aggregate node, named `__agg{i}`.
-    specs: Vec<AggSpec>,
-    /// The original aggregate nodes, for post-agg rewriting.
-    agg_nodes: Vec<Expr>,
+    /// Group keys and aggregate specs, evaluated against the fragment
+    /// schema.
+    agg: Aggregation,
     /// Residual row filter (predicates the partitioner left on the
     /// coordinator statement), applied before tuple evaluation.
     residual: Option<Expr>,
-    /// Final projection expressions (pre-rewrite).
-    proj_exprs: Vec<Expr>,
-    /// Final projection output names.
-    proj_names: Vec<String>,
-    /// HAVING predicate (pre-rewrite).
-    having: Option<Expr>,
-    /// ORDER BY keys with descending flags (pre-rewrite, aliases
-    /// already substituted).
-    order_keys: Vec<(Expr, bool)>,
-    /// LIMIT row count.
-    limit: Option<u64>,
+    /// Everything above the aggregation, as the planner planned it.
+    tail: Tail,
 }
 
 impl AggPlan {
     /// Decompose `stmt` for distributed aggregation, or `None` when the
     /// statement is not a single-table aggregation fully resolvable
     /// against `input` (the fragment's output schema) — callers fall
-    /// back to shipping raw rows.
+    /// back to shipping raw rows, and the host plan that path runs
+    /// reports the name that did not resolve.
     pub fn from_select(stmt: &SelectStmt, input: &Schema) -> Result<Option<AggPlan>> {
         if stmt.from.len() != 1 {
             return Ok(None);
         }
-        let proj_items = expand_projections(stmt, input)?;
-        let has_agg = !stmt.group_by.is_empty()
-            || proj_items.iter().any(|(e, _)| e.contains_aggregate())
-            || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate());
-        if !has_agg {
+        let (Some(agg), tail) = Tail::plan(stmt, input)? else {
+            return Ok(None);
+        };
+        // What the shards evaluate must bind against what they are sent.
+        let args = agg.specs.iter().filter_map(|spec| spec.arg.as_ref());
+        if bind_all(agg.group_by.iter().chain(args).chain(&stmt.where_clause), input).is_err() {
             return Ok(None);
         }
-        let (proj_exprs, proj_names): (Vec<Expr>, Vec<String>) = proj_items.into_iter().unzip();
-        // ORDER BY may reference projection aliases: substitute them the
-        // way the planner does.
-        let mut order_keys: Vec<(Expr, bool)> = stmt.order_by.clone();
-        for (e, _) in &mut order_keys {
-            if let Expr::Column(name) = e {
-                if let Some(i) = proj_names.iter().position(|n| n == name) {
-                    if input.resolve(name).is_err() {
-                        *e = proj_exprs[i].clone();
-                    }
-                }
-            }
-        }
-        // Every referenced column must resolve against the fragment
-        // schema, or the shards cannot evaluate the tuples.
-        let mut cols = Vec::new();
-        for e in proj_exprs
-            .iter()
-            .chain(stmt.group_by.iter())
-            .chain(stmt.having.iter())
-            .chain(stmt.where_clause.iter())
-            .chain(order_keys.iter().map(|(e, _)| e))
-        {
-            e.referenced_columns(&mut cols);
-        }
-        for c in &cols {
-            if input.resolve(c).is_err() {
-                return Ok(None);
-            }
-        }
-        let mut agg_nodes: Vec<Expr> = Vec::new();
-        for e in proj_exprs.iter().chain(stmt.having.iter()).chain(order_keys.iter().map(|(e, _)| e)) {
-            collect_aggs(e, &mut agg_nodes);
-        }
-        let specs: Vec<AggSpec> = agg_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, e)| match e {
-                Expr::Agg { func, arg, distinct } => AggSpec {
-                    func: *func,
-                    arg: arg.as_deref().cloned(),
-                    distinct: *distinct,
-                    name: format!("__agg{i}"),
-                },
-                _ => unreachable!("collect_aggs yields Agg nodes"),
-            })
-            .collect();
-        Ok(Some(AggPlan {
-            group_by: stmt.group_by.clone(),
-            specs,
-            agg_nodes,
-            residual: stmt.where_clause.clone(),
-            proj_exprs,
-            proj_names,
-            having: stmt.having.clone(),
-            order_keys,
-            limit: stmt.limit,
-        }))
+        Ok(Some(AggPlan { agg, residual: stmt.where_clause.clone(), tail }))
     }
 
     /// Number of group-by expressions (tuple prefix width).
     pub fn group_width(&self) -> usize {
-        self.group_by.len()
+        self.agg.group_by.len()
     }
 
     /// Number of aggregate input values (tuple suffix width).
     pub fn agg_width(&self) -> usize {
-        self.specs.len()
+        self.agg.specs.len()
     }
 
     /// Schema of the shipped partial tuples: the evaluated group keys
     /// followed by the evaluated aggregate inputs. Declared types are
     /// metadata only (values carry their own tags on the wire).
     pub fn partial_schema(&self) -> Schema {
-        let mut columns = Vec::with_capacity(self.group_by.len() + self.specs.len());
-        for i in 0..self.group_by.len() {
-            columns.push(Column::new(format!("__grp{i}"), DataType::Text));
-        }
-        for (i, _) in self.specs.iter().enumerate() {
-            columns.push(Column::new(format!("__aggin{i}"), DataType::Float));
-        }
-        Schema::new(columns)
+        let groups = (0..self.group_width()).map(|i| Column::new(group_name(i), DataType::Text));
+        let inputs =
+            (0..self.agg_width()).map(|i| Column::new(format!("__aggin{i}"), DataType::Float));
+        Schema::new(groups.chain(inputs).collect())
     }
 
     /// Shard-side half: evaluate a slice of fragment rows into partial
@@ -173,9 +102,9 @@ impl AggPlan {
         use crate::value::RawValue;
 
         let residual = self.residual.as_ref().map(|p| bind(p, schema)).transpose()?;
-        let groups: Vec<BoundExpr> =
-            self.group_by.iter().map(|e| bind(e, schema)).collect::<Result<_>>()?;
+        let groups: Vec<BoundExpr> = bind_all(&self.agg.group_by, schema)?;
         let args: Vec<Option<BoundExpr>> = self
+            .agg
             .specs
             .iter()
             .map(|spec| spec.arg.as_ref().map(|e| bind(e, schema)).transpose())
@@ -224,34 +153,19 @@ impl AggPlan {
     /// rows — bit-identical to running the original statement over the
     /// undivided table.
     pub fn finish(&self, tuples: impl IntoIterator<Item = Row>) -> Result<(Schema, Vec<Row>)> {
-        let gw = self.group_by.len();
-        let mut acc = GroupAcc::new(&self.specs, gw == 0);
+        let specs = &self.agg.specs;
+        let gw = self.group_width();
+        let mut acc = GroupAcc::new(specs, gw == 0);
         let mut key = Vec::new();
         for tuple in tuples {
             key.clear();
             for v in &tuple[..gw] {
                 v.key_bytes(&mut key);
             }
-            acc.update(&self.specs, &key, &tuple[..gw], &tuple[gw..])?;
+            acc.update(specs, &key, &tuple[..gw], &tuple[gw..])?;
         }
-        let group_names: Vec<String> = (0..gw).map(|i| format!("__grp{i}")).collect();
-        let grouped_schema = agg_output_schema(&group_names, &self.specs);
-        let mut current: BoxOp = Box::new(Values::new(grouped_schema, acc.finish()));
-        let rw = |e: &Expr| rewrite_post_agg(e, &self.group_by, &self.agg_nodes);
-        if let Some(h) = &self.having {
-            current = Box::new(Filter::new(current, rw(h)));
-        }
-        if !self.order_keys.is_empty() {
-            let keys = self.order_keys.iter().map(|(e, d)| (rw(e), *d)).collect();
-            current = Box::new(Sort::new(current, keys));
-        }
-        let exprs: Vec<Expr> = self.proj_exprs.iter().map(rw).collect();
-        let schema = output_schema(&exprs, &self.proj_names, current.schema());
-        current = Box::new(Project::new(current, exprs, schema));
-        if let Some(n) = self.limit {
-            current = Box::new(Limit::new(current, n));
-        }
-        collect(current)
+        let grouped = agg_output_schema(&self.agg.group_names(), specs);
+        collect(self.tail.clone().over(Box::new(Values::new(grouped, acc.finish())))?)
     }
 }
 
@@ -274,11 +188,11 @@ mod tests {
                     return Ok(None);
                 }
             }
-            let mut tuple = Vec::with_capacity(self.group_by.len() + self.specs.len());
-            for e in &self.group_by {
+            let mut tuple = Vec::with_capacity(self.group_width() + self.agg_width());
+            for e in &self.agg.group_by {
                 tuple.push(eval(e, schema, row)?);
             }
-            for spec in &self.specs {
+            for spec in &self.agg.specs {
                 tuple.push(match &spec.arg {
                     None => Value::Int(1),
                     Some(e) => eval(e, schema, row)?,

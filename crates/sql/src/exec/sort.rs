@@ -1,8 +1,8 @@
 //! Sort operator.
 
 use crate::ast::Expr;
-use crate::exec::{BoxOp, Operator};
-use crate::expr::eval;
+use crate::exec::{bind_all, BoxOp, Operator};
+use crate::expr::{eval_bound, BoundExpr};
 use crate::schema::{Row, Schema};
 use crate::Result;
 use std::cmp::Ordering;
@@ -11,16 +11,22 @@ use std::cmp::Ordering;
 pub struct Sort {
     input: Option<BoxOp>,
     schema: Schema,
+    /// Keys as written (`true` = descending); the expressions are kept
+    /// for `describe` only.
     keys: Vec<(Expr, bool)>,
+    bound: Vec<BoundExpr>,
     sorted: std::vec::IntoIter<Row>,
     emitted: u64,
 }
 
 impl Sort {
-    /// Sort `input` by `keys` (`true` = descending).
-    pub fn new(input: BoxOp, keys: Vec<(Expr, bool)>) -> Self {
+    /// Sort `input` by `keys` (`true` = descending), bound against
+    /// `input`'s schema.
+    pub fn new(input: BoxOp, keys: Vec<(Expr, bool)>) -> Result<Self> {
         let schema = input.schema().clone();
-        Sort { input: Some(input), schema, keys, sorted: Vec::new().into_iter(), emitted: 0 }
+        let bound = bind_all(keys.iter().map(|(e, _)| e), &schema)?;
+        let sorted = Vec::new().into_iter();
+        Ok(Sort { input: Some(input), schema, keys, bound, sorted, emitted: 0 })
     }
 
     fn materialize(&mut self) -> Result<()> {
@@ -32,9 +38,9 @@ impl Sort {
         // Precompute key values per row, then sort stably.
         let mut keyed: Vec<(Vec<crate::value::Value>, Row)> = Vec::with_capacity(rows.len());
         for row in rows {
-            let mut kv = Vec::with_capacity(self.keys.len());
-            for (e, _) in &self.keys {
-                kv.push(eval(e, &self.schema, &row)?);
+            let mut kv = Vec::with_capacity(self.bound.len());
+            for e in &self.bound {
+                kv.push(eval_bound(e, &row)?);
             }
             keyed.push((kv, row));
         }
@@ -106,11 +112,11 @@ mod tests {
     #[test]
     fn sorts_ascending_and_descending() {
         let rows = vec![row(3, "c"), row(1, "a"), row(2, "b")];
-        let s = Box::new(Sort::new(input(rows.clone()), vec![(parse_expression("a").unwrap(), false)]));
+        let s = Box::new(Sort::new(input(rows.clone()), vec![(parse_expression("a").unwrap(), false)]).unwrap());
         let (_, got) = collect(s).unwrap();
         assert_eq!(got, vec![row(1, "a"), row(2, "b"), row(3, "c")]);
 
-        let s = Box::new(Sort::new(input(rows), vec![(parse_expression("a").unwrap(), true)]));
+        let s = Box::new(Sort::new(input(rows), vec![(parse_expression("a").unwrap(), true)]).unwrap());
         let (_, got) = collect(s).unwrap();
         assert_eq!(got[0], row(3, "c"));
     }
@@ -122,7 +128,7 @@ mod tests {
             (parse_expression("a").unwrap(), true),
             (parse_expression("b").unwrap(), false),
         ];
-        let (_, got) = collect(Box::new(Sort::new(input(rows), keys))).unwrap();
+        let (_, got) = collect(Box::new(Sort::new(input(rows), keys).unwrap())).unwrap();
         assert_eq!(got, vec![row(2, "m"), row(1, "a"), row(1, "z")]);
     }
 
@@ -131,7 +137,7 @@ mod tests {
         let rows = vec![row(5, "x"), row(-10, "y"), row(2, "z")];
         // Sort by a*a: 4, 25, 100.
         let keys = vec![(parse_expression("a * a").unwrap(), false)];
-        let (_, got) = collect(Box::new(Sort::new(input(rows), keys))).unwrap();
+        let (_, got) = collect(Box::new(Sort::new(input(rows), keys).unwrap())).unwrap();
         assert_eq!(got.iter().map(|r| r[0].as_i64().unwrap()).collect::<Vec<_>>(), vec![2, 5, -10]);
     }
 
@@ -139,14 +145,14 @@ mod tests {
     fn nulls_sort_first() {
         let rows = vec![row(2, "b"), vec![Value::Null, Value::Text("n".into())], row(1, "a")];
         let keys = vec![(parse_expression("a").unwrap(), false)];
-        let (_, got) = collect(Box::new(Sort::new(input(rows), keys))).unwrap();
+        let (_, got) = collect(Box::new(Sort::new(input(rows), keys).unwrap())).unwrap();
         assert!(got[0][0].is_null());
     }
 
     #[test]
     fn empty_input() {
         let keys = vec![(parse_expression("a").unwrap(), false)];
-        let (_, got) = collect(Box::new(Sort::new(input(vec![]), keys))).unwrap();
+        let (_, got) = collect(Box::new(Sort::new(input(vec![]), keys).unwrap())).unwrap();
         assert!(got.is_empty());
     }
 }

@@ -1,19 +1,17 @@
 //! Expression evaluation.
 //!
-//! Three evaluators share one set of semantic helpers:
+//! [`bind`] looks every column name up once, against the schema of
+//! whatever feeds the expression, and product code runs two evaluators
+//! over the resulting [`BoundExpr`]:
 //!
-//! * [`eval`] walks the parsed [`Expr`] tree, resolving column names
-//!   against the [`Schema`] on every row — simple, and what the
-//!   row-at-a-time operators above the scans (joins, sort, post-join
-//!   and post-aggregate filters/projections) and DML still use.
-//! * [`bind`] resolves every column reference to its row index **once**;
-//!   [`eval_bound`] evaluates the resulting [`BoundExpr`] against a row
-//!   without name lookups.
-//! * [`eval_vec`] / [`eval_truth_vec`] / [`filter_vec`] evaluate a
-//!   [`BoundExpr`] over a whole column batch — what the scan kernel
-//!   runs (see the second half of this file).
+//! * [`eval_bound`] — a row at a time: every operator above the scans
+//!   and DML, each binding its expressions when it is built.
+//! * [`eval_vec`] / [`eval_truth_vec`] / [`filter_vec`] — a column batch
+//!   at a time: the scan kernel (second half of this file).
 //!
-//! All operator semantics (three-valued logic, arithmetic promotion,
+//! `eval`, which walks the parsed [`Expr`] and resolves names per row,
+//! is compiled for tests only, as the oracle for the other two. All
+//! operator semantics (three-valued logic, arithmetic promotion,
 //! built-in functions, `LIKE`) live in shared helpers, so the
 //! evaluators cannot drift apart.
 
@@ -22,38 +20,6 @@ use crate::schema::{Row, Schema};
 use crate::value::Value;
 use crate::{Result, SqlError};
 use std::cmp::Ordering;
-
-/// Evaluate `expr` against `row` described by `schema`.
-///
-/// Aggregate calls are *not* valid here — the aggregation operator
-/// replaces them with computed columns before evaluation.
-pub fn eval(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
-    let ev = |e: &Expr| eval(e, schema, row);
-    match expr {
-        Expr::Column(name) => {
-            let idx = schema.resolve(name)?;
-            Ok(row[idx].clone())
-        }
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Unary { op, expr } => unary_value(*op, ev(expr)?),
-        Expr::Binary { op, left, right } => eval_binary_with(*op, &**left, &**right, &ev),
-        Expr::Between { expr, low, high, negated } => {
-            Ok(between_values(ev(expr)?, ev(low)?, ev(high)?, *negated))
-        }
-        Expr::InList { expr, list, negated } => in_list_with(ev(expr)?, list, *negated, &ev),
-        Expr::Like { expr, pattern, negated } => like_value(ev(expr)?, pattern, *negated),
-        Expr::IsNull { expr, negated } => Ok(Value::Int((ev(expr)?.is_null() ^ negated) as i64)),
-        Expr::Case { when_then, else_expr } => case_with(when_then, else_expr.as_deref(), &ev),
-        Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(ev(a)?);
-            }
-            eval_func(name, &vals)
-        }
-        Expr::Agg { .. } => Err(SqlError::Eval("aggregate outside aggregation context".into())),
-    }
-}
 
 /// An [`Expr`] with every column reference pre-resolved to its row
 /// index. Built by [`bind`], evaluated by [`eval_bound`].
@@ -134,8 +100,8 @@ pub enum BoundExpr {
 /// Resolve every column reference in `expr` against `schema`, producing
 /// a [`BoundExpr`] that evaluates without per-row name lookups.
 ///
-/// Errors on unknown or ambiguous columns and on aggregate calls — the
-/// same conditions [`eval`] would report, just surfaced at bind time.
+/// Errors on unknown or ambiguous columns and on aggregate calls, so a
+/// bad name is rejected when the plan is built, whatever the data.
 pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
     Ok(match expr {
         Expr::Column(name) => BoundExpr::Col(schema.resolve(name)?),
@@ -187,9 +153,8 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
     })
 }
 
-/// Evaluate a [`BoundExpr`] against `row`. Semantically identical to
-/// [`eval`] on the expression it was bound from (shared helpers), minus
-/// the per-row column-name resolution.
+/// Evaluate a [`BoundExpr`] against `row`: a column is `row[idx]`, no
+/// name is looked up.
 pub fn eval_bound(expr: &BoundExpr, row: &Row) -> Result<Value> {
     let ev = |e: &BoundExpr| eval_bound(e, row);
     match expr {
@@ -240,7 +205,8 @@ fn unary_value(op: UnaryOp, v: Value) -> Result<Value> {
 /// Binary operator over lazily-evaluated operands — `AND`/`OR` apply SQL
 /// three-valued logic with short-circuiting; everything else evaluates
 /// both sides and defers to [`binary_values`]. Generic over the node
-/// type so [`eval`] and [`eval_bound`] share one implementation.
+/// type so [`eval_bound`] and the unbound test oracle share one
+/// implementation.
 fn eval_binary_with<E>(
     op: BinOp,
     left: &E,
@@ -875,6 +841,38 @@ pub fn filter_vec(
     }
     scratch.give_truth(truth);
     Ok(())
+}
+
+#[cfg(test)]
+/// Test oracle: evaluate the unbound `expr` against `row`, resolving
+/// column names through `schema` on every call. Aggregate calls are not
+/// valid here, as in [`bind`].
+pub(crate) fn eval(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
+    let ev = |e: &Expr| eval(e, schema, row);
+    match expr {
+        Expr::Column(name) => {
+            let idx = schema.resolve(name)?;
+            Ok(row[idx].clone())
+        }
+        Expr::Literal(v) => Ok(v.clone()),
+        Expr::Unary { op, expr } => unary_value(*op, ev(expr)?),
+        Expr::Binary { op, left, right } => eval_binary_with(*op, &**left, &**right, &ev),
+        Expr::Between { expr, low, high, negated } => {
+            Ok(between_values(ev(expr)?, ev(low)?, ev(high)?, *negated))
+        }
+        Expr::InList { expr, list, negated } => in_list_with(ev(expr)?, list, *negated, &ev),
+        Expr::Like { expr, pattern, negated } => like_value(ev(expr)?, pattern, *negated),
+        Expr::IsNull { expr, negated } => Ok(Value::Int((ev(expr)?.is_null() ^ negated) as i64)),
+        Expr::Case { when_then, else_expr } => case_with(when_then, else_expr.as_deref(), &ev),
+        Expr::Func { name, args } => {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(ev(a)?);
+            }
+            eval_func(name, &vals)
+        }
+        Expr::Agg { .. } => Err(SqlError::Eval("aggregate outside aggregation context".into())),
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! and a single-table statement fuses its projection or aggregation
 //! into the scan as well.
 
-use crate::ast::{BinOp, Expr, SelectItem, SelectStmt};
+use crate::ast::{BinOp, Expr, SelectItem, SelectStmt, TableRef};
 use crate::catalog::Catalog;
 use crate::exec::{
     AggSpec, BoxOp, ExecOptions, Filter, HashAggregate, HashJoin, Limit, NestedLoopJoin, Project,
@@ -43,25 +43,39 @@ pub fn join_conjuncts(mut conjuncts: Vec<Expr>) -> Option<Expr> {
     Some(acc)
 }
 
-/// Which of `schemas` can resolve every column of `expr`? Returns the set
-/// of table indices whose schemas own at least one referenced column.
-fn tables_of(expr: &Expr, schemas: &[Schema]) -> Result<Vec<usize>> {
+/// The column of FROM entry `tref` (whose columns are `schema`) that the
+/// reference `name` denotes, or `None` when the entry does not own it: a
+/// qualified `q.c` belongs only to the entry whose name or alias is `q`,
+/// a bare `c` to every entry whose schema has it. The one place a
+/// qualifier is interpreted — the planner and the CSA partitioner both
+/// decide "whose column is this" here.
+pub fn owned_column(name: &str, tref: &TableRef, schema: &Schema) -> Option<usize> {
+    if let Some((q, _)) = name.rsplit_once('.') {
+        if !q.eq_ignore_ascii_case(&tref.alias) && !q.eq_ignore_ascii_case(&tref.name) {
+            return None;
+        }
+    }
+    schema.resolve(name).ok()
+}
+
+/// The FROM entries (ascending indexes into `from`, whose columns are
+/// `schemas`) that own the columns of `expr`. Every column must have
+/// exactly one owner: none is an unknown column, two an ambiguous one.
+pub fn tables_of(expr: &Expr, from: &[TableRef], schemas: &[Schema]) -> Result<Vec<usize>> {
     let mut cols = Vec::new();
     expr.referenced_columns(&mut cols);
     let mut tabs = Vec::new();
     for c in &cols {
-        let mut found = false;
-        for (i, s) in schemas.iter().enumerate() {
-            if s.resolve(c).is_ok() {
-                if !tabs.contains(&i) {
-                    tabs.push(i);
-                }
-                found = true;
-                break;
-            }
-        }
-        if !found {
+        let mut owners =
+            (0..from.len()).filter(|&t| owned_column(c, &from[t], &schemas[t]).is_some());
+        let Some(t) = owners.next() else {
             return Err(SqlError::Plan(format!("unknown column `{c}`")));
+        };
+        if owners.next().is_some() {
+            return Err(SqlError::Plan(format!("ambiguous column `{c}`")));
+        }
+        if !tabs.contains(&t) {
+            tabs.push(t);
         }
     }
     tabs.sort_unstable();
@@ -78,15 +92,15 @@ enum Pred {
     Residual(Expr),
 }
 
-fn classify(expr: Expr, schemas: &[Schema]) -> Result<Pred> {
-    let tabs = tables_of(&expr, schemas)?;
+fn classify(expr: Expr, from: &[TableRef], schemas: &[Schema]) -> Result<Pred> {
+    let tabs = tables_of(&expr, from, schemas)?;
     match tabs.len() {
         0 => Ok(Pred::Single { table: 0, expr }),
         1 => Ok(Pred::Single { table: tabs[0], expr }),
         2 => {
             if let Expr::Binary { op: BinOp::Eq, left, right } = &expr {
-                let lt = tables_of(left, schemas)?;
-                let rt = tables_of(right, schemas)?;
+                let lt = tables_of(left, from, schemas)?;
+                let rt = tables_of(right, from, schemas)?;
                 if lt.len() == 1 && rt.len() == 1 && lt[0] != rt[0] {
                     return Ok(Pred::EquiJoin {
                         left_table: lt[0],
@@ -109,10 +123,12 @@ pub fn plan_select(catalog: &Catalog, pager: &SharedPager, stmt: &SelectStmt) ->
 
 /// Per base table, the columns `stmt` references anywhere — projections,
 /// predicates, join keys, GROUP BY, HAVING, ORDER BY; `*` references
-/// everything. A name marks every table that resolves it (a superset of
-/// what evaluation touches is always safe). The scan kernel decodes only
-/// these.
-fn referenced_columns(stmt: &SelectStmt, schemas: &[Schema]) -> Vec<Vec<bool>> {
+/// everything. A name marks every FROM entry that owns it
+/// ([`owned_column`]; a superset of what evaluation touches is always
+/// safe). The scan kernel decodes only these, so a qualified name no
+/// entry owns is rejected here: the binder above the scans drops the
+/// qualifier and would read a column that was never decoded.
+fn referenced_columns(stmt: &SelectStmt, schemas: &[Schema]) -> Result<Vec<Vec<bool>>> {
     let star = stmt.projections.iter().any(|p| matches!(p, SelectItem::Star));
     let mut masks: Vec<Vec<bool>> = schemas.iter().map(|s| vec![star; s.len()]).collect();
     let mut names = Vec::new();
@@ -129,13 +145,18 @@ fn referenced_columns(stmt: &SelectStmt, schemas: &[Schema]) -> Vec<Vec<bool>> {
         e.referenced_columns(&mut names);
     }
     for name in &names {
-        for (schema, mask) in schemas.iter().zip(&mut masks) {
-            if let Ok(i) = schema.resolve(name) {
+        let mut owned = false;
+        for ((tref, schema), mask) in stmt.from.iter().zip(schemas).zip(&mut masks) {
+            if let Some(i) = owned_column(name, tref, schema) {
                 mask[i] = true;
+                owned = true;
             }
         }
+        if !owned && name.contains('.') {
+            return Err(SqlError::Plan(format!("unknown column `{name}`")));
+        }
     }
-    masks
+    Ok(masks)
 }
 
 /// What sits below a statement's projection/aggregation.
@@ -193,7 +214,7 @@ fn plan_joins(
                 }
                 // Build over the newly joined (usually smaller, filtered)
                 // table; probe with the running intermediate.
-                current = Box::new(HashJoin::new(scan(t), current, new_keys, cur_keys));
+                current = Box::new(HashJoin::new(scan(t), current, new_keys, cur_keys)?);
                 joined[t] = true;
             }
             None => {
@@ -213,7 +234,7 @@ fn plan_joins(
         }
     }
     Ok(match join_conjuncts(residual) {
-        Some(p) => Box::new(Filter::new(current, p)),
+        Some(p) => Box::new(Filter::new(current, p)?),
         None => current,
     })
 }
@@ -224,7 +245,9 @@ fn plan_joins(
 /// ([`crate::exec::scan`]) with its single-table predicates pushed in
 /// and only its referenced columns decoded. A single-table statement
 /// additionally fuses its projection (or its aggregation) into the
-/// scan. Rows and `PagerStats` deltas are bit-identical at any DOP.
+/// scan. Every operator binds its expressions as it is built, so a name
+/// that does not resolve fails here, whatever the tables hold. Rows and
+/// `PagerStats` deltas are bit-identical at any DOP.
 pub fn plan_select_with(
     catalog: &Catalog,
     pager: &SharedPager,
@@ -252,7 +275,7 @@ pub fn plan_select_with(
         let mut conjuncts = Vec::new();
         split_conjuncts(w, &mut conjuncts);
         for c in conjuncts {
-            match classify(c, &schemas)? {
+            match classify(c, &stmt.from, &schemas)? {
                 Pred::Single { table, expr } => single[table].push(expr),
                 Pred::EquiJoin { left_table, right_table, left, right } => {
                     equi.push((left_table, right_table, left, right));
@@ -262,16 +285,11 @@ pub fn plan_select_with(
         }
     }
 
-    let has_agg = !stmt.group_by.is_empty()
-        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate())
-        || stmt.projections.iter().any(
-            |p| matches!(p, SelectItem::Expr { expr, .. } if expr.contains_aggregate()),
-        );
     // A LIMIT with no pipeline breaker below it stops pulling mid-scan.
     // One-page morsels on one worker make the scans under it read exactly
     // the pages a page-at-a-time scan would (per-morsel telemetry keeps
     // its `morsel_pages` granularity by sitting such a scan out).
-    let streaming_limit = stmt.limit.is_some() && !has_agg && stmt.order_by.is_empty();
+    let streaming_limit = stmt.limit.is_some() && !aggregates(stmt) && stmt.order_by.is_empty();
     let scan_opts = if streaming_limit {
         ExecOptions { dop: Default::default(), morsel_pages: 1, watch: None, ..opts.clone() }
     } else {
@@ -279,7 +297,7 @@ pub fn plan_select_with(
     };
 
     // 3. Scan sources: pushed predicate + referenced columns per table.
-    let masks = referenced_columns(stmt, &schemas);
+    let masks = referenced_columns(stmt, &schemas)?;
     let mut sources: Vec<ScanSource> = (schemas.into_iter().zip(heaps).zip(masks))
         .zip(single)
         .map(|(((schema, heap), cols), preds)| ScanSource {
@@ -300,118 +318,35 @@ pub fn plan_select_with(
     // What the rest of the statement resolves against: the lone table's
     // full schema, or the joined, pruned columns.
     let input = match &below {
-        Below::Table(source) => source.schema.clone(),
-        Below::Plan(op) => op.schema().clone(),
+        Below::Table(source) => &source.schema,
+        Below::Plan(op) => op.schema(),
     };
 
-    // 5. Projections, aggregation, ordering.
-    let proj_items = expand_projections(stmt, &input)?;
-    let (proj_exprs, proj_names): (Vec<Expr>, Vec<String>) = proj_items.into_iter().unzip();
-    let mut order_keys: Vec<(Expr, bool)> = stmt.order_by.clone();
-    // ORDER BY may reference projection aliases: substitute them.
-    for (e, _) in &mut order_keys {
-        if let Expr::Column(name) = e {
-            if let Some(i) = proj_names.iter().position(|n| n == name) {
-                if input.resolve(name).is_err() {
-                    *e = proj_exprs[i].clone();
-                }
-            }
+    // 5. Aggregation, then HAVING → Sort → Project → Limit.
+    let (agg, tail) = Tail::plan(stmt, input)?;
+    let rows: BoxOp = match (agg, below) {
+        // Single-table aggregation (the TPC-H Q1/Q6 shape): the scan
+        // kernel pre-evaluates group keys and aggregate inputs per
+        // morsel and the serial accumulator folds them in row order.
+        (Some(agg), Below::Table(source)) => {
+            let names = agg.group_names();
+            Box::new(ScanAggregate::new(source, scan_opts, agg.group_by, names, agg.specs)?)
         }
-    }
-
-    // Validate that every referenced column resolves against the input
-    // schema (cheap, and turns silent empty results into plan errors).
-    {
-        let mut cols = Vec::new();
-        for e in proj_exprs
-            .iter()
-            .chain(stmt.group_by.iter())
-            .chain(stmt.having.iter())
-            .chain(order_keys.iter().map(|(e, _)| e))
-        {
-            e.referenced_columns(&mut cols);
+        (Some(agg), Below::Plan(op)) => {
+            let names = agg.group_names();
+            Box::new(HashAggregate::new(op, agg.group_by, names, agg.specs)?)
         }
-        for c in cols {
-            input.resolve(&c)?;
+        // Nothing sits between a lone scan and its projection: fuse
+        // it, so output rows are built straight from batch lanes.
+        (None, Below::Table(source)) if tail.order_keys.is_empty() => {
+            let schema = output_schema(&tail.proj_exprs, &tail.proj_names, &source.schema);
+            let scan = Scan::new(source, &tail.proj_exprs, schema, scan_opts)?;
+            return Ok(limited(Box::new(scan), tail.limit));
         }
-    }
-
-    let mut current: BoxOp;
-    if has_agg {
-        // Collect aggregates from every post-grouping expression.
-        let mut agg_nodes: Vec<Expr> = Vec::new();
-        for e in proj_exprs.iter().chain(stmt.having.iter()).chain(order_keys.iter().map(|(e, _)| e)) {
-            collect_aggs(e, &mut agg_nodes);
-        }
-        let specs: Vec<AggSpec> = agg_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, e)| match e {
-                Expr::Agg { func, arg, distinct } => AggSpec {
-                    func: *func,
-                    arg: arg.as_deref().cloned(),
-                    distinct: *distinct,
-                    name: format!("__agg{i}"),
-                },
-                _ => unreachable!("collect_aggs yields Agg nodes"),
-            })
-            .collect();
-        let group_names: Vec<String> = (0..stmt.group_by.len()).map(|i| format!("__grp{i}")).collect();
-        current = match below {
-            // Single-table aggregation (the TPC-H Q1/Q6 shape): the scan
-            // kernel pre-evaluates group keys and aggregate inputs per
-            // morsel and the serial accumulator folds them in row order.
-            Below::Table(source) => Box::new(ScanAggregate::new(
-                source,
-                scan_opts,
-                stmt.group_by.clone(),
-                group_names,
-                specs,
-            )?),
-            Below::Plan(op) => {
-                Box::new(HashAggregate::new(op, stmt.group_by.clone(), group_names, specs))
-            }
-        };
-
-        let rw = |e: &Expr| rewrite_post_agg(e, &stmt.group_by, &agg_nodes);
-        if let Some(h) = &stmt.having {
-            current = Box::new(Filter::new(current, rw(h)));
-        }
-        if !order_keys.is_empty() {
-            let keys = order_keys.iter().map(|(e, d)| (rw(e), *d)).collect();
-            current = Box::new(Sort::new(current, keys));
-        }
-        let exprs: Vec<Expr> = proj_exprs.iter().map(rw).collect();
-        let schema = output_schema(&exprs, &proj_names, current.schema());
-        current = Box::new(Project::new(current, exprs, schema));
-    } else {
-        if stmt.having.is_some() {
-            return Err(SqlError::Plan("HAVING without aggregation".into()));
-        }
-        let schema = output_schema(&proj_exprs, &proj_names, &input);
-        current = match below {
-            // Nothing sits between a lone scan and its projection: fuse
-            // it, so output rows are built straight from batch lanes.
-            Below::Table(source) if order_keys.is_empty() => {
-                Box::new(Scan::new(source, &proj_exprs, schema, scan_opts)?)
-            }
-            below => {
-                let mut op: BoxOp = match below {
-                    Below::Table(source) => Box::new(Scan::columns(source, scan_opts)?),
-                    Below::Plan(op) => op,
-                };
-                if !order_keys.is_empty() {
-                    op = Box::new(Sort::new(op, order_keys));
-                }
-                Box::new(Project::new(op, proj_exprs, schema))
-            }
-        };
-    }
-
-    if let Some(n) = stmt.limit {
-        current = Box::new(Limit::new(current, n));
-    }
-    Ok(current)
+        (None, Below::Table(source)) => Box::new(Scan::columns(source, scan_opts)?),
+        (None, Below::Plan(op)) => op,
+    };
+    tail.over(rows)
 }
 
 /// `SELECT 1 + 1` style statements without FROM.
@@ -420,11 +355,139 @@ fn plan_projection_only(stmt: &SelectStmt) -> Result<BoxOp> {
     let (exprs, names): (Vec<Expr>, Vec<String>) = items.into_iter().unzip();
     let schema = output_schema(&exprs, &names, &Schema::default());
     let one_row: BoxOp = Box::new(crate::exec::Values::new(Schema::default(), vec![Vec::new()]));
-    Ok(Box::new(Project::new(one_row, exprs, schema)))
+    Ok(Box::new(Project::new(one_row, &exprs, schema)?))
+}
+
+/// Does `stmt` aggregate — a GROUP BY, or an aggregate call in its
+/// projections or HAVING?
+fn aggregates(stmt: &SelectStmt) -> bool {
+    !stmt.group_by.is_empty()
+        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate())
+        || stmt.projections.iter().any(
+            |p| matches!(p, SelectItem::Expr { expr, .. } if expr.contains_aggregate()),
+        )
+}
+
+/// Output column of the aggregate operator holding group key `i`.
+pub(crate) fn group_name(i: usize) -> String {
+    format!("__grp{i}")
+}
+
+/// Output column of the aggregate operator holding aggregate `i`.
+fn agg_name(i: usize) -> String {
+    format!("__agg{i}")
+}
+
+/// What a statement's aggregate operator computes over its input.
+#[derive(Debug, Clone)]
+pub(crate) struct Aggregation {
+    /// Group-by expressions; output columns [`group_name`]`(i)`.
+    pub(crate) group_by: Vec<Expr>,
+    /// One spec per distinct aggregate call in the statement, named
+    /// `__agg{i}`.
+    pub(crate) specs: Vec<AggSpec>,
+}
+
+impl Aggregation {
+    /// Names of the group-key output columns.
+    pub(crate) fn group_names(&self) -> Vec<String> {
+        (0..self.group_by.len()).map(group_name).collect()
+    }
+}
+
+/// What a statement does with the rows its FROM/WHERE (and aggregation,
+/// when it has one) produce: `HAVING → Sort → Project → Limit`. The
+/// single-node planner puts it over its aggregate operator, the
+/// federation's replay ([`crate::exec::AggPlan`]) over the rows its
+/// accumulator emits — the same code, so the two cannot disagree.
+#[derive(Debug, Clone)]
+pub(crate) struct Tail {
+    having: Option<Expr>,
+    /// ORDER BY keys (`true` = descending), aliases substituted.
+    order_keys: Vec<(Expr, bool)>,
+    proj_exprs: Vec<Expr>,
+    proj_names: Vec<String>,
+    limit: Option<u64>,
+}
+
+impl Tail {
+    /// Plan everything above `stmt`'s FROM/WHERE against `input`, the
+    /// schema those produce. For an aggregating statement the
+    /// [`Aggregation`] comes back beside the tail, and the tail's
+    /// expressions are rewritten to read the aggregate's output columns.
+    /// Names are checked when [`Tail::over`] binds them.
+    pub(crate) fn plan(stmt: &SelectStmt, input: &Schema) -> Result<(Option<Aggregation>, Tail)> {
+        let (mut proj_exprs, proj_names): (Vec<Expr>, Vec<String>) =
+            expand_projections(stmt, input)?.into_iter().unzip();
+        // ORDER BY may reference projection aliases: substitute them.
+        let mut order_keys: Vec<(Expr, bool)> = stmt.order_by.clone();
+        for (e, _) in &mut order_keys {
+            if let Expr::Column(name) = e {
+                if let Some(i) = proj_names.iter().position(|n| n == name) {
+                    if input.resolve(name).is_err() {
+                        *e = proj_exprs[i].clone();
+                    }
+                }
+            }
+        }
+        let mut having = stmt.having.clone();
+
+        let agg = if aggregates(stmt) {
+            // Collect aggregates from every post-grouping expression,
+            // then point those expressions at the aggregate's output.
+            let mut post: Vec<&mut Expr> = proj_exprs
+                .iter_mut()
+                .chain(&mut having)
+                .chain(order_keys.iter_mut().map(|(e, _)| e))
+                .collect();
+            let mut agg_nodes: Vec<Expr> = Vec::new();
+            post.iter().for_each(|e| collect_aggs(e, &mut agg_nodes));
+            post.iter_mut().for_each(|e| rewrite_post_agg(e, &stmt.group_by, &agg_nodes));
+            let specs = agg_nodes
+                .into_iter()
+                .enumerate()
+                .map(|(i, e)| match e {
+                    Expr::Agg { func, arg, distinct } => {
+                        AggSpec { func, arg: arg.map(|a| *a), distinct, name: agg_name(i) }
+                    }
+                    _ => unreachable!("collect_aggs yields Agg nodes"),
+                })
+                .collect();
+            Some(Aggregation { group_by: stmt.group_by.clone(), specs })
+        } else if having.is_some() {
+            return Err(SqlError::Plan("HAVING without aggregation".into()));
+        } else {
+            None
+        };
+        Ok((agg, Tail { having, order_keys, proj_exprs, proj_names, limit: stmt.limit }))
+    }
+
+    /// Build the tail's operators over `rows`, binding each against the
+    /// schema below it.
+    pub(crate) fn over(self, rows: BoxOp) -> Result<BoxOp> {
+        let mut current = rows;
+        if let Some(h) = self.having {
+            current = Box::new(Filter::new(current, h)?);
+        }
+        if !self.order_keys.is_empty() {
+            current = Box::new(Sort::new(current, self.order_keys)?);
+        }
+        let schema = output_schema(&self.proj_exprs, &self.proj_names, current.schema());
+        current = Box::new(Project::new(current, &self.proj_exprs, schema)?);
+        Ok(limited(current, self.limit))
+    }
+}
+
+/// `op` under the statement's `LIMIT`, when it has one.
+fn limited(op: BoxOp, limit: Option<u64>) -> BoxOp {
+    match limit {
+        Some(n) => Box::new(Limit::new(op, n)),
+        None => op,
+    }
 }
 
 /// Expand `*` and derive output names.
-pub(crate) fn expand_projections(stmt: &SelectStmt, input: &Schema) -> Result<Vec<(Expr, String)>> {
+fn expand_projections(stmt: &SelectStmt, input: &Schema) -> Result<Vec<(Expr, String)>> {
     let mut out = Vec::new();
     for (i, item) in stmt.projections.iter().enumerate() {
         match item {
@@ -451,104 +514,30 @@ pub(crate) fn expand_projections(stmt: &SelectStmt, input: &Schema) -> Result<Ve
     Ok(out)
 }
 
-/// Collect distinct aggregate nodes (structural equality).
-pub(crate) fn collect_aggs(expr: &Expr, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Agg { .. } => {
-            if !out.contains(expr) {
-                out.push(expr.clone());
-            }
-        }
-        Expr::Column(_) | Expr::Literal(_) => {}
-        Expr::Unary { expr, .. } | Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => {
-            collect_aggs(expr, out)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_aggs(left, out);
-            collect_aggs(right, out);
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(low, out);
-            collect_aggs(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggs(expr, out);
-            for e in list {
-                collect_aggs(e, out);
-            }
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_aggs(a, out);
-            }
-        }
-        Expr::Case { when_then, else_expr } => {
-            for (c, v) in when_then {
-                collect_aggs(c, out);
-                collect_aggs(v, out);
-            }
-            if let Some(e) = else_expr {
-                collect_aggs(e, out);
-            }
-        }
+/// Collect distinct aggregate calls (structural equality), outermost
+/// first; an aggregate's own argument is not searched.
+fn collect_aggs(expr: &Expr, out: &mut Vec<Expr>) {
+    if !matches!(expr, Expr::Agg { .. }) {
+        expr.for_each_child(&mut |c| collect_aggs(c, out));
+    } else if !out.contains(expr) {
+        out.push(expr.clone());
     }
 }
 
-/// Rewrite a post-grouping expression against the aggregate's output:
-/// group-by expressions become `__grpN`, aggregate nodes become `__aggN`.
-pub(crate) fn rewrite_post_agg(expr: &Expr, group_by: &[Expr], aggs: &[Expr]) -> Expr {
+/// Rewrite a post-grouping expression, in place, against the aggregate's
+/// output: group-by expressions become `__grpN`, aggregate nodes `__aggN`.
+fn rewrite_post_agg(expr: &mut Expr, group_by: &[Expr], aggs: &[Expr]) {
     if let Some(i) = group_by.iter().position(|g| g == expr) {
-        return Expr::Column(format!("__grp{i}"));
-    }
-    if let Some(i) = aggs.iter().position(|a| a == expr) {
-        return Expr::Column(format!("__agg{i}"));
-    }
-    match expr {
-        Expr::Column(_) | Expr::Literal(_) => expr.clone(),
-        Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: Box::new(rewrite_post_agg(expr, group_by, aggs)) },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rewrite_post_agg(left, group_by, aggs)),
-            right: Box::new(rewrite_post_agg(right, group_by, aggs)),
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(rewrite_post_agg(expr, group_by, aggs)),
-            low: Box::new(rewrite_post_agg(low, group_by, aggs)),
-            high: Box::new(rewrite_post_agg(high, group_by, aggs)),
-            negated: *negated,
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_post_agg(expr, group_by, aggs)),
-            list: list.iter().map(|e| rewrite_post_agg(e, group_by, aggs)).collect(),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(rewrite_post_agg(expr, group_by, aggs)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_post_agg(expr, group_by, aggs)),
-            negated: *negated,
-        },
-        Expr::Case { when_then, else_expr } => Expr::Case {
-            when_then: when_then
-                .iter()
-                .map(|(c, v)| (rewrite_post_agg(c, group_by, aggs), rewrite_post_agg(v, group_by, aggs)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|e| Box::new(rewrite_post_agg(e, group_by, aggs))),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| rewrite_post_agg(a, group_by, aggs)).collect(),
-        },
-        Expr::Agg { .. } => expr.clone(), // unmatched aggregate: caught at eval
+        *expr = Expr::Column(group_name(i));
+    } else if let Some(i) = aggs.iter().position(|a| a == expr) {
+        *expr = Expr::Column(agg_name(i));
+    } else {
+        expr.for_each_child_mut(&mut |c| rewrite_post_agg(c, group_by, aggs));
     }
 }
 
 /// Derive the projected output schema (types are best-effort metadata).
-pub(crate) fn output_schema(exprs: &[Expr], names: &[String], input: &Schema) -> Schema {
+fn output_schema(exprs: &[Expr], names: &[String], input: &Schema) -> Schema {
     let columns = exprs
         .iter()
         .zip(names.iter())
@@ -616,12 +605,13 @@ mod tests {
     fn rewrite_replaces_group_and_agg_nodes() {
         let group = vec![parse_expression("flag").unwrap()];
         let aggs = vec![parse_expression("SUM(qty)").unwrap()];
-        let e = parse_expression("SUM(qty) / 2 + 1").unwrap();
-        let rw = rewrite_post_agg(&e, &group, &aggs);
-        let expect = parse_expression("__agg0 / 2 + 1").unwrap();
-        assert_eq!(rw, expect);
-        let e = parse_expression("flag").unwrap();
-        assert_eq!(rewrite_post_agg(&e, &group, &aggs), parse_expression("__grp0").unwrap());
+        let rw = |src: &str| {
+            let mut e = parse_expression(src).unwrap();
+            rewrite_post_agg(&mut e, &group, &aggs);
+            e
+        };
+        assert_eq!(rw("SUM(qty) / 2 + 1"), parse_expression("__agg0 / 2 + 1").unwrap());
+        assert_eq!(rw("flag"), parse_expression("__grp0").unwrap());
     }
 
     // End-to-end planning is exercised through `Database` tests in `db`.

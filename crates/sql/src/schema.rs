@@ -49,8 +49,8 @@ impl Schema {
     /// resolution is unambiguous; an ambiguous match is an error.
     pub fn resolve(&self, name: &str) -> Result<usize> {
         // Column names are stored lowercase; compare case-insensitively
-        // instead of lowercasing the needle into a fresh `String` (the
-        // row-at-a-time operators resolve on every row).
+        // instead of lowercasing the needle into a fresh `String`. Called
+        // at plan time only: `expr::bind` turns names into row indexes.
         let needle = name.rsplit('.').next().expect("split yields at least one");
         let mut found = None;
         for (i, c) in self.columns.iter().enumerate() {

@@ -10,7 +10,7 @@
 check:
     cargo build --release --offline
     cargo test -q --offline
-    cargo clippy --offline -- -D warnings
+    cargo clippy --offline --workspace --all-targets -- -D warnings
     cargo run --release --offline -p ironsafe-bench --bin paperbench profile --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench shards --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench vectors --check
@@ -18,6 +18,12 @@ check:
     cargo run --release --offline -p ironsafe-bench --bin paperbench adaptive --check
     cargo run --release --offline --example multi_client
     cargo test -q --offline --manifest-path perf/Cargo.toml
+
+# Non-test lines per crate: every line of `crates/*/src/**/*.rs` before
+# the file's first `#[cfg(test)]` attribute. The count "net-negative"
+# issues gate on.
+loc:
+    @for c in crates/*/; do printf '%-8s %s\n' "$(basename $c)" "$(find ${c}src -name '*.rs' | xargs awk 'FNR==1{t=0} /^[[:space:]]*#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}')"; done
 
 # Freshness fast-path sweep at a reduced SF, end to end (per-page climbs
 # vs shared-path batches vs the warm verified-node cache).
