@@ -38,10 +38,45 @@ fn bench_operators(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // The same scan and count with and without a group key: a global
+    // aggregate must not cost more than a grouped one.
+    g.bench_function("global_count", |b| {
+        b.iter(|| db.execute("SELECT COUNT(*) FROM lineitem").unwrap())
+    });
+    g.bench_function("count_group_by", |b| {
+        b.iter(|| {
+            db.execute("SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag").unwrap()
+        })
+    });
     g.bench_function("hash_join_orders", |b| {
         b.iter(|| {
             db.execute("SELECT COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey")
                 .unwrap()
+        })
+    });
+    g.bench_function("hash_join_text_composite_key", |b| {
+        b.iter(|| {
+            db.execute(
+                "SELECT COUNT(*) FROM orders, lineitem \
+                 WHERE o_orderstatus = l_linestatus AND o_orderkey = l_orderkey",
+            )
+            .unwrap()
+        })
+    });
+    // Q9's shape without its `part` filter: lineitem through four joins,
+    // a computed group key and a float sum on top.
+    g.bench_function("hash_join_five_way_q9", |b| {
+        b.iter(|| {
+            db.execute(
+                "SELECT n_name, YEAR(o_orderdate), \
+                   SUM(l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity) \
+                 FROM supplier, lineitem, partsupp, orders, nation \
+                 WHERE s_suppkey = l_suppkey AND ps_suppkey = l_suppkey \
+                   AND ps_partkey = l_partkey AND o_orderkey = l_orderkey \
+                   AND s_nationkey = n_nationkey \
+                 GROUP BY n_name, YEAR(o_orderdate)",
+            )
+            .unwrap()
         })
     });
     g.bench_function("sort_limit", |b| {

@@ -1,21 +1,24 @@
-//! Column-major batches: the scan kernel's working set.
+//! Column-major batches: what every operator hands the next.
 //!
-//! A [`ColumnBatch`] holds one morsel's rows decoded **once** from heap
-//! pages into typed column vectors: integers and floats land in flat
-//! `Vec`s, text lands in a shared arena with per-cell offsets — no
-//! `String` or `Value` allocation per cell. The scan kernel
-//! (`crate::exec::scan`) decodes only the columns a statement references
-//! (every other column stays empty and must not be read), evaluates
-//! predicates and expressions column-at-a-time over these vectors (see
-//! `crate::expr::filter_vec` / `crate::expr::eval_vec`) under a
-//! selection bitmap, and [`ColumnBatch::clear`]s the batch for the next
-//! morsel, keeping its allocations.
+//! A [`ColumnBatch`] holds rows as typed column vectors: integers and
+//! floats land in flat `Vec`s, text lands in a shared arena with per-cell
+//! offsets — no `String` or `Value` allocation per cell. The scan kernel
+//! (`crate::exec::scan`) decodes a morsel's pages **once** into one,
+//! copying only the columns a statement references (every other column
+//! stays empty and must not be read); every operator above it consumes a
+//! batch plus a selection bitmap and lends one in turn (see
+//! `crate::exec::Operator`), evaluating predicates and expressions
+//! column-at-a-time (`crate::expr::filter_vec` / `crate::expr::eval_vec`).
+//! An operator that must keep lanes — join build side, sort, the compacted
+//! output of a join or a projection — [`gather`](ColumnData::gather)s them
+//! into a batch of its own; [`ColumnBatch::clear`] keeps the allocations
+//! for the next fill.
 //!
 //! The batch is a *view*, not a format: pages are decoded through the
 //! same record codec as the row decode (`crate::heap::for_each_record`),
 //! and [`ColumnBatch::value_at`] reconstructs each cell bit-identically
-//! to it — which is what lets the kernel feed the exact serial
-//! `GroupAcc` replay.
+//! to it — which is what lets batch operators return the rows, float
+//! bits included, that row-at-a-time evaluation would.
 
 use crate::schema::Row;
 use crate::value::{RawValue, Value};
@@ -71,6 +74,44 @@ impl<'a> LaneVal<'a> {
             LaneVal::Int(i) => RawValue::Int(i),
             LaneVal::Float(f) => RawValue::Float(f),
             LaneVal::Str(s) => RawValue::Text(s),
+        }
+    }
+
+    /// [`Value::as_f64`] on the lane (and its error for a non-number).
+    pub fn as_f64(self) -> crate::Result<f64> {
+        match self {
+            LaneVal::Int(i) => Ok(i as f64),
+            LaneVal::Float(f) => Ok(f),
+            other => other.to_value().as_f64(),
+        }
+    }
+
+    /// [`Value::as_i64`] on the lane.
+    pub fn as_i64(self) -> crate::Result<i64> {
+        match self {
+            LaneVal::Int(i) => Ok(i),
+            LaneVal::Float(f) => Ok(f as i64),
+            other => other.to_value().as_i64(),
+        }
+    }
+
+    /// [`Value::as_str`] on the lane.
+    pub fn as_str(self) -> crate::Result<&'a str> {
+        match self {
+            LaneVal::Str(s) => Ok(s),
+            other => Err(other.to_value().as_str().expect_err("not text")),
+        }
+    }
+
+    /// [`Value::sort_cmp`] semantics: NULLs first, incomparable pairs
+    /// equal.
+    pub fn sort_cmp(self, other: LaneVal<'_>) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        match (self.is_null(), other.is_null()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Less,
+            (false, true) => Ordering::Greater,
+            (false, false) => self.compare(other).unwrap_or(Ordering::Equal),
         }
     }
 
@@ -204,7 +245,59 @@ impl ColumnData {
         }
     }
 
-    fn push(&mut self, raw: RawValue<'_>) {
+    /// Append the cells of `src` at `lanes`, in that order. Same-typed
+    /// columns copy vector to vector (text arena to arena); anything else
+    /// — a NULL-only or mixed source, a type switch — goes cell by cell
+    /// through [`ColumnData::push`], which re-types or degrades as a
+    /// decode would.
+    pub(crate) fn gather(&mut self, src: &ColumnData, lanes: &[u32]) {
+        if self.len() == 0 {
+            self.retype_like(src);
+        }
+        let at = |l: &u32| *l as usize;
+        match (&mut *self, src) {
+            (ColumnData::Int { data, nulls }, ColumnData::Int { data: sd, nulls: sn }) => {
+                data.extend(lanes.iter().map(|l| sd[at(l)]));
+                nulls.extend(lanes.iter().map(|l| sn[at(l)]));
+            }
+            (ColumnData::Float { data, nulls }, ColumnData::Float { data: sd, nulls: sn }) => {
+                data.extend(lanes.iter().map(|l| sd[at(l)]));
+                nulls.extend(lanes.iter().map(|l| sn[at(l)]));
+            }
+            (
+                ColumnData::Text { bytes, offsets, nulls },
+                ColumnData::Text { bytes: sb, offsets: so, nulls: sn },
+            ) => {
+                for l in lanes.iter().map(at) {
+                    bytes.push_str(&sb[so[l] as usize..so[l + 1] as usize]);
+                    offsets.push(bytes.len() as u32);
+                }
+                nulls.extend(lanes.iter().map(|l| sn[at(l)]));
+                assert!(bytes.len() <= u32::MAX as usize, "text column arena exceeds 4 GiB");
+            }
+            (dst, src) => lanes.iter().for_each(|l| dst.push(src.lane(at(l)).raw())),
+        }
+    }
+
+    /// Give an empty column `src`'s representation, keeping the vectors
+    /// it already has when the type does not change.
+    fn retype_like(&mut self, src: &ColumnData) {
+        if std::mem::discriminant(self) == std::mem::discriminant(src) {
+            return;
+        }
+        *self = match src {
+            ColumnData::Int { .. } => ColumnData::Int { data: Vec::new(), nulls: Vec::new() },
+            ColumnData::Float { .. } => ColumnData::Float { data: Vec::new(), nulls: Vec::new() },
+            ColumnData::Text { .. } => {
+                ColumnData::Text { bytes: String::new(), offsets: vec![0], nulls: Vec::new() }
+            }
+            ColumnData::Pending { .. } | ColumnData::Mixed(_) => return,
+        };
+    }
+
+    /// Append one cell, typing, re-typing or degrading the column as
+    /// needed.
+    pub(crate) fn push(&mut self, raw: RawValue<'_>) {
         match (&mut *self, raw) {
             (ColumnData::Pending { len }, RawValue::Null) => *len += 1,
             (ColumnData::Pending { len }, typed) => {
@@ -317,6 +410,43 @@ impl ColumnBatch {
         &self.columns[col]
     }
 
+    /// Column `col`, to fill column-wise ([`ColumnData::gather`],
+    /// [`ColumnData::push`]); [`ColumnBatch::set_len`] seals the lanes.
+    pub(crate) fn column_mut(&mut self, col: usize) -> &mut ColumnData {
+        &mut self.columns[col]
+    }
+
+    /// Exchange column `col` with column `other_col` of `other` — how a
+    /// scan lends a decoded column, allocation and all, without copying it
+    /// (and takes it back before the next morsel).
+    pub(crate) fn swap_column(&mut self, col: usize, other: &mut ColumnBatch, other_col: usize) {
+        std::mem::swap(&mut self.columns[col], &mut other.columns[other_col]);
+    }
+
+    /// Declare the lane count after the columns were filled column-wise.
+    pub(crate) fn set_len(&mut self, len: usize) {
+        self.len = len;
+        debug_assert!(self.columns.iter().all(|c| c.len() == len || c.len() == 0));
+    }
+
+    /// Append the `lanes` of `src` (all its columns) to the columns of
+    /// `self` starting at `first_col`; the caller seals the lanes with
+    /// [`ColumnBatch::set_len`] once every column has its cells.
+    pub(crate) fn gather_columns(&mut self, first_col: usize, src: &ColumnBatch, lanes: &[u32]) {
+        for (dst, src) in self.columns[first_col..].iter_mut().zip(&src.columns) {
+            dst.gather(src, lanes);
+        }
+    }
+
+    /// Append one row of owned values.
+    pub fn push_row(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.columns.len());
+        for (col, v) in self.columns.iter_mut().zip(row) {
+            col.push(RawValue::of(v));
+        }
+        self.len += 1;
+    }
+
     /// Append one cell of the row being built (cells arrive in column
     /// order; see [`crate::heap::scan_page_columns`]).
     pub fn push_cell(&mut self, col: usize, raw: RawValue<'_>) {
@@ -347,10 +477,9 @@ impl ColumnBatch {
         self.lane(col, lane).to_value()
     }
 
-    /// Materialize lane `lane` into `row` (cleared first) — the bridge
-    /// back to row-at-a-time fallback evaluation. Columns the scan did
-    /// not decode read as NULL; nothing bound against the scan's column
-    /// set looks at them.
+    /// Materialize lane `lane` into `row` (cleared first) — how the
+    /// result cursor turns a lane into an owned row. A NULL-only column
+    /// reads as NULL.
     pub fn read_row(&self, lane: usize, row: &mut Row) {
         row.clear();
         row.extend(self.columns.iter().map(|c| match c {

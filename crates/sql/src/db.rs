@@ -3,11 +3,9 @@
 use crate::ast::{Expr, SelectStmt, Statement};
 use crate::catalog::Catalog;
 use crate::encoded::{EncodedRows, EncodedSlice};
-use crate::exec::collect;
-use crate::exec::bind_all;
+use crate::exec::{bind_all, collect, ExecOptions, RowCursor};
 use crate::expr::{bind, eval_bound};
 use crate::heap::{shared, SharedPager};
-use crate::exec::ExecOptions;
 use crate::parser::parse;
 use crate::plan::{plan_select, plan_select_with};
 use crate::schema::{Column, Row, Schema};
@@ -188,7 +186,7 @@ impl Database {
         match stmt {
             Statement::Select(sel) => {
                 let mut op = plan_select(&self.catalog, &self.pager, &sel)?;
-                while op.next()?.is_some() {}
+                while op.next_batch()? {}
                 Ok(crate::exec::explain_analyze(&op))
             }
             other => Ok(format!("{other:?}\n")),
@@ -226,29 +224,25 @@ impl Database {
         stmt: &SelectStmt,
         opts: &ExecOptions,
     ) -> Result<(QueryResult, Vec<crate::exec::OperatorProfile>)> {
-        let mut op = plan_select_with(&self.catalog, &self.pager, stmt, opts)?;
-        let schema = op.schema().clone();
-        let mut rows = Vec::new();
-        while let Some(r) = op.next()? {
-            rows.push(r);
-        }
-        let profiles = crate::exec::operator_profiles(&op);
-        Ok((QueryResult::Rows { schema, rows }, profiles))
+        let mut cursor = RowCursor::new(plan_select_with(&self.catalog, &self.pager, stmt, opts)?);
+        let rows = cursor.drain_rows()?;
+        let schema = cursor.op().schema().clone();
+        Ok((QueryResult::Rows { schema, rows }, crate::exec::operator_profiles(cursor.op())))
     }
 
     /// [`Database::select_with_profile`] with the result rows appended
-    /// to `out` still encoded — the same cells in the same order, never
-    /// materialized as values when the plan is a fused scan. Returns the
-    /// output schema in place of a [`QueryResult`].
+    /// to `out` still encoded — the same cells in the same order, written
+    /// straight from the root's batch lanes, never materialized as
+    /// values. Returns the output schema in place of a [`QueryResult`].
     pub fn select_encoded(
         &mut self,
         stmt: &SelectStmt,
         opts: &ExecOptions,
         out: &mut EncodedRows,
     ) -> Result<(Schema, Vec<crate::exec::OperatorProfile>)> {
-        let mut op = plan_select_with(&self.catalog, &self.pager, stmt, opts)?;
-        op.drain_encoded(out)?;
-        Ok((op.schema().clone(), crate::exec::operator_profiles(&op)))
+        let mut cursor = RowCursor::new(plan_select_with(&self.catalog, &self.pager, stmt, opts)?);
+        cursor.drain_encoded(out)?;
+        Ok((cursor.op().schema().clone(), crate::exec::operator_profiles(cursor.op())))
     }
 
     /// [`Database::execute_statement`] under explicit execution options.
@@ -682,6 +676,42 @@ mod tests {
     }
 
     #[test]
+    fn a_join_under_a_streaming_limit_pulls_probe_morsels_only_as_its_output_is_consumed() {
+        let mut db = db();
+        db.execute("CREATE TABLE wide (k INT, g INT, pad TEXT)").unwrap();
+        let values: Vec<String> =
+            (0..600).map(|i| format!("({i}, {}, '{}')", i % 5, "p".repeat(100))).collect();
+        db.execute(&format!("INSERT INTO wide VALUES {}", values.join(", "))).unwrap();
+        db.execute("CREATE TABLE dim (dk INT, d TEXT)").unwrap();
+        db.execute("INSERT INTO dim VALUES (0, 'a'), (1, 'b'), (2, 'c'), (3, 'd'), (4, 'e')").unwrap();
+        assert_eq!(db.catalog().table("wide").unwrap().heap.page_count(), 20);
+        // (query, rows returned, pages read) — pinned against the
+        // row-at-a-time join this operator replaced: the build side in
+        // full, then exactly the one-page probe morsels whose matches the
+        // limit consumed.
+        let cases = [
+            ("SELECT k, d FROM wide, dim WHERE g = dk LIMIT 5", 5, 2),
+            ("SELECT k, d FROM wide, dim WHERE g = dk LIMIT 40", 40, 3),
+            ("SELECT k, d FROM wide, dim WHERE g = dk AND k + dk > 300 LIMIT 3", 3, 11),
+            ("SELECT k, d FROM dim, wide WHERE g = dk LIMIT 5", 5, 21),
+            ("SELECT k, d FROM wide, dim WHERE k < dk LIMIT 2", 2, 2),
+        ];
+        for (q, rows, reads) in cases {
+            let Statement::Select(sel) = crate::parser::parse_statement(q).unwrap() else {
+                unreachable!()
+            };
+            for dop in [1, 4] {
+                let opts = ExecOptions { oversubscribe: true, ..ExecOptions::with_dop(dop) };
+                db.reset_pager_stats();
+                let got = db.select_with(&sel, &opts).unwrap();
+                assert_eq!(got.rows().len(), rows, "{q} at dop {dop}");
+                let want = PagerStats { page_reads: reads, ..PagerStats::default() };
+                assert_eq!(db.pager_stats(), want, "{q} at dop {dop}");
+            }
+        }
+    }
+
+    #[test]
     fn predicates_run_on_the_table_they_name() {
         let mut db = db();
         db.execute("CREATE TABLE a (x INT, k INT)").unwrap();
@@ -911,6 +941,17 @@ mod explain_tests {
         db.reset_pager_stats();
         let _ = db.explain("SELECT a FROM t WHERE a = 1").unwrap();
         assert_eq!(db.pager_stats().page_reads, 0, "planning reads no pages");
+        // A non-equi join materializes its right side when it first runs,
+        // not when it is planned: no page read, and both scans in the tree.
+        db.execute("CREATE TABLE u (b INT)").unwrap();
+        db.execute("INSERT INTO u VALUES (1), (2), (3)").unwrap();
+        db.reset_pager_stats();
+        let plan = db.explain("SELECT a, b FROM t, u WHERE a < b").unwrap();
+        assert_eq!(db.pager_stats().page_reads, 0, "{plan}");
+        assert!(plan.contains("NestedLoopJoin: cross\n"), "{plan}");
+        assert_eq!(plan.matches("Scan (").count(), 2, "{plan}");
+        let r = db.execute("SELECT a, b FROM t, u WHERE a < b").unwrap();
+        assert_eq!(r.rows(), [[Value::Int(1), Value::Int(2)], [Value::Int(1), Value::Int(3)], [Value::Int(2), Value::Int(3)]]);
     }
 
     #[test]
@@ -919,12 +960,14 @@ mod explain_tests {
         db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'x'), (4, 'x')").unwrap();
         let plan = db.explain_analyze("SELECT a FROM t WHERE b = 'x' LIMIT 2").unwrap();
-        // Limit passes 2 of the 3 survivors of the 4 rows the scan decoded.
+        // Limit passes 2 of the 3 survivors of the 4 rows the scan decoded:
+        // an operator counts the lanes it emits, and the scan emitted its
+        // morsel's three survivors whatever the limit then kept of them.
         let limit = plan.lines().find(|l| l.contains("Limit")).unwrap();
-        assert!(limit.contains("(rows in=2 out=2)"), "{plan}");
+        assert!(limit.contains("(rows in=3 out=2)"), "{plan}");
         let scan = plan.lines().find(|l| l.contains("Scan (")).unwrap();
         assert!(scan.contains("filter (b = 'x')"), "{plan}");
-        assert!(scan.contains("(rows in=4 out=2)"), "{plan}");
+        assert!(scan.contains("(rows in=4 out=3)"), "{plan}");
         // The plain explain stays untouched by the instrumentation.
         let cold = db.explain("SELECT a FROM t WHERE b = 'x' LIMIT 2").unwrap();
         assert!(!cold.contains("rows out="), "{cold}");

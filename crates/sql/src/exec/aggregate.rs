@@ -1,12 +1,16 @@
-//! Hash aggregation.
+//! Hash aggregation: the serial accumulator every aggregating plan folds
+//! its batches into, and the operator that does so over a child.
 
 use crate::ast::{AggFunc, Expr};
-use crate::exec::{bind_all, BoxOp, Operator};
-use crate::expr::{bind, eval_bound, BoundExpr};
+use crate::batch::{ColumnBatch, LaneVal};
+use crate::exec::hash::{ChainIndex, KeyLane, HASH_SEED, NIL};
+use crate::exec::{bind_all, live_lanes, Batch, BoxOp, Operator, Values};
+use crate::expr::{bind, BoundExpr, VecOp, VecScratch};
 use crate::schema::{Column, Row, Schema};
 use crate::value::{DataType, Value};
 use crate::Result;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashSet;
 
 /// One aggregate to compute.
 #[derive(Debug, Clone)]
@@ -21,9 +25,8 @@ pub struct AggSpec {
     pub name: String,
 }
 
-/// Accumulator for one aggregate in one group. `pub(crate)` so the
-/// morsel-parallel aggregate replays the exact same state machine.
-pub(crate) enum AggState {
+/// Accumulator for one aggregate in one group.
+enum AggState {
     Count(i64),
     Sum { int: i64, float: f64, all_int: bool, seen: bool },
     Avg { sum: f64, count: i64 },
@@ -32,7 +35,7 @@ pub(crate) enum AggState {
 }
 
 impl AggState {
-    pub(crate) fn new(func: AggFunc) -> Self {
+    fn new(func: AggFunc) -> Self {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum { int: 0, float: 0.0, all_int: true, seen: false },
@@ -42,18 +45,19 @@ impl AggState {
         }
     }
 
-    pub(crate) fn update(&mut self, v: &Value) -> Result<()> {
-        if v.is_null() {
-            return Ok(()); // aggregates skip NULLs
-        }
+    /// Fold one non-NULL input.
+    fn update(&mut self, v: LaneVal<'_>) -> Result<()> {
+        let beats = |cur: &Option<Value>, wins: Ordering| {
+            cur.as_ref().is_none_or(|c| v.sort_cmp(LaneVal::of(c)) == wins)
+        };
         match self {
             AggState::Count(c) => *c += 1,
             AggState::Sum { int, float, all_int, seen } => {
                 *seen = true;
                 match v {
-                    Value::Int(i) => {
-                        *int = int.wrapping_add(*i);
-                        *float += *i as f64;
+                    LaneVal::Int(i) => {
+                        *int = int.wrapping_add(i);
+                        *float += i as f64;
                     }
                     _ => {
                         *all_int = false;
@@ -66,20 +70,20 @@ impl AggState {
                 *count += 1;
             }
             AggState::Min(cur) => {
-                if cur.as_ref().is_none_or(|c| v.sort_cmp(c) == std::cmp::Ordering::Less) {
-                    *cur = Some(v.clone());
+                if beats(cur, Ordering::Less) {
+                    *cur = Some(v.to_value());
                 }
             }
             AggState::Max(cur) => {
-                if cur.as_ref().is_none_or(|c| v.sort_cmp(c) == std::cmp::Ordering::Greater) {
-                    *cur = Some(v.clone());
+                if beats(cur, Ordering::Greater) {
+                    *cur = Some(v.to_value());
                 }
             }
         }
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Value {
+    fn finish(self) -> Value {
         match self {
             AggState::Count(c) => Value::Int(c),
             AggState::Sum { int, float, all_int, seen } => {
@@ -104,7 +108,7 @@ impl AggState {
 }
 
 /// Output schema of an aggregation: the group columns followed by the
-/// aggregate columns. Shared by [`HashAggregate`] and the morsel-parallel
+/// aggregate columns. Shared by [`HashAggregate`] and the scan-fused
 /// aggregate so both plans expose identical schemas.
 pub(crate) fn agg_output_schema(group_names: &[String], aggs: &[AggSpec]) -> Schema {
     let mut columns = Vec::with_capacity(group_names.len() + aggs.len());
@@ -124,73 +128,77 @@ pub(crate) fn agg_output_schema(group_names: &[String], aggs: &[AggSpec]) -> Sch
 }
 
 struct Group {
+    /// The group's key values, as its first row had them.
     keys: Row,
     states: Vec<AggState>,
     distinct_seen: Vec<Option<HashSet<Vec<u8>>>>,
 }
 
 /// Grouping accumulator: the single-threaded core of hash aggregation,
-/// fed one row at a time in input order. Both the serial operator and
-/// the morsel-parallel merge drive this same state machine, which is
-/// what makes parallel aggregation bit-identical to serial — group
-/// first-seen order, NULL gating, DISTINCT dedup order and the exact
-/// (non-associative) float accumulation order are all decided here.
+/// fed batches in input order and folding their live lanes in lane order.
+/// Every aggregating plan — over a child, fused onto a scan at any DOP,
+/// or the federation's replay — drives this same state machine, which is
+/// what makes them bit-identical: group first-seen order, NULL gating,
+/// DISTINCT dedup order and the exact (non-associative) float
+/// accumulation order are all decided here.
+///
+/// Groups live in a `Vec` in first-seen order under a [`ChainIndex`]: one
+/// lookup per row, hashed and compared from the lanes against the key
+/// values the group already holds for its output row — no key is encoded
+/// or stored twice. With no group keys there is nothing to look up: every
+/// row folds into group 0.
 pub(crate) struct GroupAcc {
-    groups: HashMap<Vec<u8>, Group>,
-    order: Vec<Vec<u8>>, // first-seen group order
+    /// Per aggregate: the function and whether it dedups its inputs.
+    funcs: Vec<(AggFunc, bool)>,
+    nkeys: usize,
+    groups: Vec<Group>,
+    index: ChainIndex,
+    /// Scratch for a DISTINCT input's key encoding.
+    distinct_key: Vec<u8>,
 }
 
 impl GroupAcc {
-    /// `global` (no GROUP BY) pre-seeds the single output group so empty
-    /// input still yields one row.
-    pub(crate) fn new(aggs: &[AggSpec], global: bool) -> Self {
-        let mut acc = GroupAcc { groups: HashMap::new(), order: Vec::new() };
-        if global {
-            acc.groups.insert(
-                Vec::new(),
-                Group {
-                    keys: Vec::new(),
-                    states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    distinct_seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
-                },
-            );
-            acc.order.push(Vec::new());
+    /// An accumulator for `aggs` under `nkeys` group keys; none (no GROUP
+    /// BY) pre-seeds the single output group so empty input still yields
+    /// one row.
+    pub(crate) fn new(aggs: &[AggSpec], nkeys: usize) -> Self {
+        let funcs = aggs.iter().map(|a| (a.func, a.distinct)).collect();
+        let mut acc =
+            GroupAcc { funcs, nkeys, groups: Vec::new(), index: ChainIndex::default(), distinct_key: Vec::new() };
+        if nkeys == 0 {
+            acc.groups.push(acc.new_group(Vec::new()));
         }
         acc
     }
 
-    /// Fold one input row: `key` is the concatenated group-key encoding,
-    /// `key_vals` the evaluated group expressions (cloned on first sight
-    /// of the group only), `agg_vals` one evaluated input per aggregate
-    /// (`COUNT(*)` rows pass `Int(1)`).
-    pub(crate) fn update(
-        &mut self,
-        aggs: &[AggSpec],
-        key: &[u8],
-        key_vals: &[Value],
-        agg_vals: &[Value],
-    ) -> Result<()> {
-        if !self.groups.contains_key(key) {
-            self.order.push(key.to_vec());
-            self.groups.insert(
-                key.to_vec(),
-                Group {
-                    keys: key_vals.to_vec(),
-                    states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    distinct_seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
-                },
-            );
+    fn new_group(&self, keys: Row) -> Group {
+        Group {
+            keys,
+            states: self.funcs.iter().map(|(func, _)| AggState::new(*func)).collect(),
+            distinct_seen: self.funcs.iter().map(|(_, distinct)| distinct.then(HashSet::new)).collect(),
         }
-        let group = self.groups.get_mut(key).expect("just ensured");
-        for (i, spec) in aggs.iter().enumerate() {
-            let v = &agg_vals[i];
-            if spec.arg.is_none() || !v.is_null() {
+    }
+
+    /// Fold the live lanes of `sel`, in lane order: `inputs` holds one
+    /// operand per group key, then one per aggregate (`COUNT(*)` reads a
+    /// constant 1). NULL inputs are skipped, NULL keys group together.
+    fn fold(&mut self, inputs: &[VecOp<'_>], sel: &[bool]) -> Result<()> {
+        let (keys, args) = inputs.split_at(self.nkeys);
+        for lane in live_lanes(sel) {
+            let group = if keys.is_empty() { 0 } else { self.group_of(keys, lane) };
+            let group = &mut self.groups[group];
+            for (i, arg) in args.iter().enumerate() {
+                let v = arg.lane(lane);
+                if v.is_null() {
+                    continue;
+                }
                 if let Some(seen) = &mut group.distinct_seen[i] {
-                    let mut kb = Vec::new();
-                    v.key_bytes(&mut kb);
-                    if !seen.insert(kb) {
+                    self.distinct_key.clear();
+                    KeyLane::of(v).write(&mut self.distinct_key);
+                    if seen.contains(&self.distinct_key) {
                         continue;
                     }
+                    seen.insert(self.distinct_key.clone());
                 }
                 group.states[i].update(v)?;
             }
@@ -198,19 +206,61 @@ impl GroupAcc {
         Ok(())
     }
 
-    /// Emit one output row per group, in first-seen order.
-    pub(crate) fn finish(mut self) -> Vec<Row> {
-        let mut rows = Vec::with_capacity(self.order.len());
-        for key in self.order {
-            let g = self.groups.remove(&key).expect("tracked key");
-            let mut row = g.keys;
-            for s in g.states {
-                row.push(s.finish());
+    /// The group `lane`'s keys belong to, created on first sight.
+    fn group_of(&mut self, keys: &[VecOp<'_>], lane: usize) -> usize {
+        let h = keys.iter().fold(HASH_SEED, |h, k| KeyLane::of(k.lane(lane)).hash(h));
+        let mut e = self.index.matching(self.index.first(h), h);
+        while e != NIL {
+            let held = &self.groups[e as usize].keys;
+            if keys.iter().zip(held).all(|(k, v)| KeyLane::of(k.lane(lane)) == KeyLane::of(LaneVal::of(v))) {
+                return e as usize;
             }
-            rows.push(row);
+            e = self.index.matching(self.index.next(e), h);
         }
-        rows
+        self.index.insert(h);
+        self.groups.push(self.new_group(keys.iter().map(|k| k.lane(lane).to_value()).collect()));
+        self.groups.len() - 1
     }
+
+    /// Evaluate `exprs` ([`bind_agg_inputs`]) over `input` and fold its
+    /// live lanes.
+    pub(crate) fn fold_batch(&mut self, exprs: &[BoundExpr], input: Batch<'_>, scratch: &mut VecScratch) -> Result<()> {
+        let inputs = exprs
+            .iter()
+            .map(|e| VecOp::resolve(e, input.cols, input.sel, scratch))
+            .collect::<Result<Vec<_>>>()?;
+        self.fold(&inputs, input.sel)
+    }
+
+    /// [`GroupAcc::fold`] over pre-evaluated tuples: a batch whose
+    /// columns are the group keys then the aggregate inputs, every lane
+    /// live.
+    pub(crate) fn fold_tuples(&mut self, tuples: &ColumnBatch) -> Result<()> {
+        let inputs: Vec<VecOp<'_>> = tuples.columns().iter().map(VecOp::Col).collect();
+        self.fold(&inputs, &vec![true; tuples.len()])
+    }
+
+    /// Emit one output row per group, in first-seen order.
+    pub(crate) fn finish(self) -> Vec<Row> {
+        let row = |g: Group| -> Row {
+            g.keys.into_iter().chain(g.states.into_iter().map(AggState::finish)).collect()
+        };
+        self.groups.into_iter().map(row).collect()
+    }
+}
+
+/// What an aggregating operator evaluates per input batch: the group keys
+/// then the aggregate inputs, bound against the input schema. A
+/// `COUNT(*)` input is the constant 1, so every aggregate has one.
+pub(crate) fn bind_agg_inputs(group_exprs: &[Expr], aggs: &[AggSpec], input: &Schema) -> Result<Vec<BoundExpr>> {
+    let mut exprs = bind_all(group_exprs, input)?;
+    for a in aggs {
+        exprs.push(match &a.arg {
+            Some(e) => bind(e, input)?,
+            None => BoundExpr::Literal(Value::Int(1)),
+        });
+    }
+    Ok(exprs)
 }
 
 /// Hash aggregate: groups by `group_exprs`, computes `aggs` per group.
@@ -224,13 +274,10 @@ pub struct HashAggregate {
     /// Group keys as written, for `describe`.
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
-    /// Group keys and aggregate inputs (`None` for `COUNT(*)`), bound
-    /// against the input schema.
-    group_bound: Vec<BoundExpr>,
-    arg_bound: Vec<Option<BoundExpr>>,
+    /// Group keys then aggregate inputs, bound against the input schema.
+    inputs: Vec<BoundExpr>,
     schema: Schema,
-    output: std::vec::IntoIter<Row>,
-    emitted: u64,
+    output: Option<Values>,
 }
 
 impl HashAggregate {
@@ -243,49 +290,18 @@ impl HashAggregate {
         aggs: Vec<AggSpec>,
     ) -> Result<Self> {
         assert_eq!(group_exprs.len(), group_names.len());
-        let group_bound = bind_all(&group_exprs, input.schema())?;
-        let arg_bound = aggs
-            .iter()
-            .map(|a| a.arg.as_ref().map(|e| bind(e, input.schema())).transpose())
-            .collect::<Result<_>>()?;
+        let inputs = bind_agg_inputs(&group_exprs, &aggs, input.schema())?;
         let schema = agg_output_schema(&group_names, &aggs);
-        Ok(HashAggregate {
-            input: Some(input),
-            group_exprs,
-            aggs,
-            group_bound,
-            arg_bound,
-            schema,
-            output: Vec::new().into_iter(),
-            emitted: 0,
-        })
+        Ok(HashAggregate { input: Some(input), group_exprs, aggs, inputs, schema, output: None })
     }
 
-    fn materialize(&mut self) -> Result<()> {
-        let mut input = self.input.take().expect("materialize called once");
-        let mut acc = GroupAcc::new(&self.aggs, self.group_exprs.is_empty());
-        let mut agg_vals = Vec::with_capacity(self.aggs.len());
-        let mut key = Vec::new();
-        let mut key_vals = Vec::with_capacity(self.group_exprs.len());
-        while let Some(row) = input.next()? {
-            key.clear();
-            key_vals.clear();
-            for e in &self.group_bound {
-                let v = eval_bound(e, &row)?;
-                v.key_bytes(&mut key);
-                key_vals.push(v);
-            }
-            agg_vals.clear();
-            for arg in &self.arg_bound {
-                agg_vals.push(match arg {
-                    None => Value::Int(1), // COUNT(*) counts rows
-                    Some(e) => eval_bound(e, &row)?,
-                });
-            }
-            acc.update(&self.aggs, &key, &key_vals, &agg_vals)?;
+    fn materialize(&mut self, mut input: BoxOp) -> Result<Values> {
+        let mut acc = GroupAcc::new(&self.aggs, self.group_exprs.len());
+        let mut scratch = VecScratch::default();
+        while input.next_batch()? {
+            acc.fold_batch(&self.inputs, input.batch(), &mut scratch)?;
         }
-        self.output = acc.finish().into_iter();
-        Ok(())
+        Ok(Values::new(self.schema.clone(), acc.finish()))
     }
 }
 
@@ -309,16 +325,18 @@ impl Operator for HashAggregate {
     }
 
     fn rows_out(&self) -> u64 {
-        self.emitted
+        self.output.as_ref().map_or(0, Values::rows_out)
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.input.is_some() {
-            self.materialize()?;
+    fn next_batch(&mut self) -> Result<bool> {
+        if let Some(input) = self.input.take() {
+            self.output = Some(self.materialize(input)?);
         }
-        let row = self.output.next();
-        self.emitted += row.is_some() as u64;
-        Ok(row)
+        self.output.as_mut().map_or(Ok(false), Values::next_batch)
+    }
+
+    fn batch(&self) -> Batch<'_> {
+        self.output.as_ref().expect("a batch was produced").batch()
     }
 }
 

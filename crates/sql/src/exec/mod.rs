@@ -1,14 +1,23 @@
-//! Physical operators (volcano iterators).
+//! Physical operators: batches above the scan.
 //!
-//! Every operator pulls rows from its child via [`Operator::next`]. Base
-//! tables are read by the one scan kernel ([`scan`]), a morsel at a time
-//! with filter and projection fused in; pipeline breakers (sort, hash
-//! aggregate, hash-join build side) materialize on first pull. An
-//! operator that evaluates expressions binds them against its input
-//! schema when it is built — its constructor returns the unknown-column
-//! error — and reads columns by index from then on.
+//! Operators exchange [`ColumnBatch`]es, never rows. A parent pulls with
+//! [`Operator::next_batch`] and reads what the child then *lends* through
+//! [`Operator::batch`]: a batch plus a selection bitmap over its lanes,
+//! valid until the next pull. Base tables are read by the one scan kernel
+//! ([`scan`]), a morsel at a time with filter and projection fused in;
+//! [`Filter`] narrows the selection it was lent and lends the same
+//! columns on; operators that must keep lanes (hash-join build side,
+//! sort, the compacted output of a join or projection) gather them into a
+//! batch of their own; pipeline breakers (sort, hash aggregate, join
+//! build side) materialize on first pull. Owned [`Row`]s are built in
+//! exactly one place, the [`RowCursor`] at the root. An operator that
+//! evaluates expressions binds them against its input schema when it is
+//! built — its constructor returns the unknown-column error — and runs
+//! them through the vector kernels (`crate::expr::filter_vec` /
+//! `crate::expr::eval_vec`) from then on.
 
 pub mod aggregate;
+mod hash;
 pub mod join;
 pub mod morsel;
 #[cfg(test)]
@@ -25,24 +34,43 @@ pub use scan::{Scan, ScanAggregate, ScanSource};
 pub use sort::Sort;
 
 use crate::ast::Expr;
+use crate::batch::ColumnBatch;
 use crate::encoded::EncodedRows;
-use crate::expr::{bind, eval_bound, BoundExpr};
+use crate::expr::{bind, filter_vec, BoundExpr, VecOp, VecScratch};
 use crate::schema::{Row, Schema};
 use crate::Result;
+
+/// Lanes per batch an operator builds for itself (join and sort output).
+/// A scan's batches are a morsel long instead.
+pub(crate) const BATCH_ROWS: usize = 1024;
+
+/// What an operator lends its parent: columns and the lanes of them that
+/// are live. `sel.len() == cols.len()`.
+#[derive(Clone, Copy)]
+pub struct Batch<'a> {
+    /// The columns, one per schema column.
+    pub cols: &'a ColumnBatch,
+    /// `sel[i]` is true while lane `i` is part of the result.
+    pub sel: &'a [bool],
+}
 
 /// A pull-based physical operator.
 pub trait Operator {
     /// Output schema.
     fn schema(&self) -> &Schema;
-    /// Produce the next row, or `None` when exhausted.
-    fn next(&mut self) -> Result<Option<Row>>;
+    /// Produce the next batch; `false` when exhausted (and on every call
+    /// after that). A batch has at least one live lane.
+    fn next_batch(&mut self) -> Result<bool>;
+    /// The batch the last [`Operator::next_batch`] produced, lent until
+    /// the next one. Only meaningful after a call that returned `true`.
+    fn batch(&self) -> Batch<'_>;
     /// One-line description for `EXPLAIN`.
     fn describe(&self) -> String;
     /// Child operators (for `EXPLAIN`), when still attached.
     fn children(&self) -> Vec<&BoxOp> {
         Vec::new()
     }
-    /// Rows this operator has emitted so far (fuels `EXPLAIN ANALYZE`).
+    /// Lanes this operator has emitted so far (fuels `EXPLAIN ANALYZE`).
     fn rows_out(&self) -> u64 {
         0
     }
@@ -50,14 +78,6 @@ pub trait Operator {
     /// `rows in` of an operator whose input is pages, not a child.
     fn rows_scanned(&self) -> Option<u64> {
         None
-    }
-    /// Drain every remaining row into `out` in encoded form. A fused
-    /// [`Scan`] overrides this to skip the owned rows altogether.
-    fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
-        while let Some(row) = self.next()? {
-            out.push_row(&row);
-        }
-        Ok(())
     }
 }
 
@@ -159,18 +179,62 @@ pub(crate) fn bind_all<'a>(
     exprs.into_iter().map(|e| bind(e, schema)).collect()
 }
 
-/// Materialized input rows (used for policy tests and for tables shipped
-/// from the storage engine to the host).
+/// Indexes of the live lanes of `sel`.
+pub(crate) fn live_lanes(sel: &[bool]) -> impl Iterator<Item = usize> + '_ {
+    sel.iter().enumerate().filter_map(|(lane, live)| live.then_some(lane))
+}
+
+/// How many lanes of `sel` are live.
+pub(crate) fn count_live(sel: &[bool]) -> usize {
+    sel.iter().filter(|live| **live).count()
+}
+
+/// Make `sel` select all of `lanes` lanes (what a compacted batch is lent
+/// under).
+pub(crate) fn select_all(sel: &mut Vec<bool>, lanes: usize) {
+    sel.clear();
+    sel.resize(lanes, true);
+}
+
+/// The live lanes of `sel` as gather indexes, written over `out`.
+pub(crate) fn gather_list(sel: &[bool], out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(live_lanes(sel).map(|lane| lane as u32));
+}
+
+/// Evaluate `exprs` over the live lanes of `input` and append the results,
+/// compacted, to `out`, one column per expression.
+pub(crate) fn project_into(
+    exprs: &[BoundExpr],
+    input: Batch<'_>,
+    scratch: &mut VecScratch,
+    lanes: &mut Vec<u32>,
+    out: &mut ColumnBatch,
+) -> Result<()> {
+    gather_list(input.sel, lanes);
+    for (k, e) in exprs.iter().enumerate() {
+        VecOp::resolve(e, input.cols, input.sel, scratch)?.gather_into(out.column_mut(k), lanes);
+    }
+    out.set_len(out.len() + lanes.len());
+    Ok(())
+}
+
+/// Materialized input rows (policy tests, the federation's replayed
+/// groups, an aggregate's output), pivoted into one batch when built.
 pub struct Values {
     schema: Schema,
-    rows: std::vec::IntoIter<Row>,
-    emitted: u64,
+    batch: ColumnBatch,
+    sel: Vec<bool>,
+    done: bool,
 }
 
 impl Values {
     /// Wrap rows with their schema.
     pub fn new(schema: Schema, rows: Vec<Row>) -> Self {
-        Values { schema, rows: rows.into_iter(), emitted: 0 }
+        let mut batch = ColumnBatch::new(schema.len());
+        rows.iter().for_each(|row| batch.push_row(row));
+        let sel = vec![true; batch.len()];
+        Values { schema, batch, sel, done: false }
     }
 }
 
@@ -179,10 +243,13 @@ impl Operator for Values {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        let row = self.rows.next();
-        self.emitted += row.is_some() as u64;
-        Ok(row)
+    fn next_batch(&mut self) -> Result<bool> {
+        let first = !std::mem::replace(&mut self.done, true);
+        Ok(first && !self.batch.is_empty())
+    }
+
+    fn batch(&self) -> Batch<'_> {
+        Batch { cols: &self.batch, sel: &self.sel }
     }
 
     fn describe(&self) -> String {
@@ -190,16 +257,23 @@ impl Operator for Values {
     }
 
     fn rows_out(&self) -> u64 {
-        self.emitted
+        if self.done {
+            self.batch.len() as u64
+        } else {
+            0
+        }
     }
 }
 
-/// Filter: passes rows whose predicate is truthy.
+/// Filter: keeps the lanes whose predicate is truthy, lending its input's
+/// columns on under a narrower selection.
 pub struct Filter {
     input: BoxOp,
     /// As written, for `describe`.
     predicate: Expr,
     bound: BoundExpr,
+    sel: Vec<bool>,
+    scratch: VecScratch,
     emitted: u64,
 }
 
@@ -207,7 +281,7 @@ impl Filter {
     /// Wrap `input` with `predicate`, bound against `input`'s schema.
     pub fn new(input: BoxOp, predicate: Expr) -> Result<Self> {
         let bound = bind(&predicate, input.schema())?;
-        Ok(Filter { input, predicate, bound, emitted: 0 })
+        Ok(Filter { input, predicate, bound, sel: Vec::new(), scratch: VecScratch::default(), emitted: 0 })
     }
 }
 
@@ -228,22 +302,36 @@ impl Operator for Filter {
         self.emitted
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next()? {
-            if eval_bound(&self.bound, &row)?.is_truthy() {
-                self.emitted += 1;
-                return Ok(Some(row));
+    fn next_batch(&mut self) -> Result<bool> {
+        while self.input.next_batch()? {
+            let input = self.input.batch();
+            self.sel.clear();
+            self.sel.extend_from_slice(input.sel);
+            filter_vec(&self.bound, input.cols, &mut self.sel, &mut self.scratch)?;
+            let kept = count_live(&self.sel);
+            if kept > 0 {
+                self.emitted += kept as u64;
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
+    }
+
+    fn batch(&self) -> Batch<'_> {
+        Batch { cols: self.input.batch().cols, sel: &self.sel }
     }
 }
 
-/// Projection: computes output expressions per row.
+/// Projection: computes output expressions over each input batch's live
+/// lanes into a compacted batch of its own.
 pub struct Project {
     input: BoxOp,
     exprs: Vec<BoundExpr>,
     schema: Schema,
+    out: ColumnBatch,
+    sel: Vec<bool>,
+    lanes: Vec<u32>,
+    scratch: VecScratch,
     emitted: u64,
 }
 
@@ -253,7 +341,17 @@ impl Project {
     pub fn new(input: BoxOp, exprs: &[Expr], schema: Schema) -> Result<Self> {
         debug_assert_eq!(exprs.len(), schema.len());
         let exprs = bind_all(exprs, input.schema())?;
-        Ok(Project { input, exprs, schema, emitted: 0 })
+        let out = ColumnBatch::new(exprs.len());
+        Ok(Project {
+            input,
+            exprs,
+            schema,
+            out,
+            sel: Vec::new(),
+            lanes: Vec::new(),
+            scratch: VecScratch::default(),
+            emitted: 0,
+        })
     }
 }
 
@@ -275,32 +373,35 @@ impl Operator for Project {
         self.emitted
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        match self.input.next()? {
-            None => Ok(None),
-            Some(row) => {
-                let mut out = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(eval_bound(e, &row)?);
-                }
-                self.emitted += 1;
-                Ok(Some(out))
-            }
+    fn next_batch(&mut self) -> Result<bool> {
+        if !self.input.next_batch()? {
+            return Ok(false);
         }
+        let Project { input, exprs, out, sel, lanes, scratch, emitted, .. } = self;
+        out.clear();
+        project_into(exprs, input.batch(), scratch, lanes, out)?;
+        select_all(sel, lanes.len());
+        *emitted += lanes.len() as u64;
+        Ok(true)
+    }
+
+    fn batch(&self) -> Batch<'_> {
+        Batch { cols: &self.out, sel: &self.sel }
     }
 }
 
-/// Limit: stops after `n` rows.
+/// Limit: stops after `n` lanes.
 pub struct Limit {
     input: BoxOp,
-    remaining: u64,
+    limit: u64,
+    sel: Vec<bool>,
     emitted: u64,
 }
 
 impl Limit {
     /// Pass at most `n` rows of `input`.
     pub fn new(input: BoxOp, n: u64) -> Self {
-        Limit { input, remaining: n, emitted: 0 }
+        Limit { input, limit: n, sel: Vec::new(), emitted: 0 }
     }
 }
 
@@ -310,25 +411,31 @@ impl Operator for Limit {
     }
 
     fn describe(&self) -> String {
-        format!("Limit: {}", self.remaining)
+        format!("Limit: {}", self.limit)
     }
 
     fn children(&self) -> Vec<&BoxOp> {
         vec![&self.input]
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
+    fn next_batch(&mut self) -> Result<bool> {
+        if self.emitted == self.limit || !self.input.next_batch()? {
+            return Ok(false);
         }
-        match self.input.next()? {
-            Some(row) => {
-                self.remaining -= 1;
+        self.sel.clear();
+        self.sel.extend_from_slice(self.input.batch().sel);
+        for live in self.sel.iter_mut().filter(|live| **live) {
+            if self.emitted == self.limit {
+                *live = false;
+            } else {
                 self.emitted += 1;
-                Ok(Some(row))
             }
-            None => Ok(None),
         }
+        Ok(true)
+    }
+
+    fn batch(&self) -> Batch<'_> {
+        Batch { cols: self.input.batch().cols, sel: &self.sel }
     }
 
     fn rows_out(&self) -> u64 {
@@ -336,14 +443,85 @@ impl Operator for Limit {
     }
 }
 
-/// Drain an operator into a row vector.
-pub fn collect(mut op: BoxOp) -> Result<(Schema, Vec<Row>)> {
-    let schema = op.schema().clone();
-    let mut rows = Vec::new();
-    while let Some(r) = op.next()? {
-        rows.push(r);
+/// The result cursor at the root of a plan: pulls batches and builds one
+/// owned row (or one encoded row) per live lane — the only place above
+/// the scans where a lane becomes a [`Row`].
+pub struct RowCursor {
+    op: BoxOp,
+    /// Next lane of the current batch; `None` when no batch is current.
+    lane: Option<usize>,
+}
+
+impl RowCursor {
+    /// A cursor over the rows `op` produces.
+    pub fn new(op: BoxOp) -> Self {
+        RowCursor { op, lane: None }
     }
-    Ok((schema, rows))
+
+    /// The plan being drained (for its schema and `EXPLAIN ANALYZE`).
+    pub fn op(&self) -> &BoxOp {
+        &self.op
+    }
+
+    /// Hand `visit` every remaining live lane, batch by batch.
+    fn for_each_lane(&mut self, mut visit: impl FnMut(&ColumnBatch, usize)) -> Result<()> {
+        loop {
+            let from = match self.lane.take() {
+                Some(lane) => lane,
+                None if self.op.next_batch()? => 0,
+                None => return Ok(()),
+            };
+            let batch = self.op.batch();
+            (from..batch.sel.len()).filter(|lane| batch.sel[*lane]).for_each(|lane| visit(batch.cols, lane));
+        }
+    }
+
+    /// The next row, or `None` when the plan is exhausted. Pulls a batch
+    /// only when the current one has no live lane left.
+    pub fn next_row(&mut self) -> Result<Option<Row>> {
+        loop {
+            let Some(from) = self.lane else {
+                if !self.op.next_batch()? {
+                    return Ok(None);
+                }
+                self.lane = Some(0);
+                continue;
+            };
+            let batch = self.op.batch();
+            self.lane = (from..batch.sel.len()).find(|lane| batch.sel[*lane]).map(|lane| lane + 1);
+            if let Some(next) = self.lane {
+                return Ok(Some(row_at(batch.cols, next - 1)));
+            }
+        }
+    }
+
+    /// Every remaining row, owned.
+    pub fn drain_rows(&mut self) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.for_each_lane(|cols, lane| rows.push(row_at(cols, lane)))?;
+        Ok(rows)
+    }
+
+    /// Append every remaining row to `out` in encoded form, cells written
+    /// straight from the lanes: the bytes the owned rows would encode to.
+    pub fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
+        self.for_each_lane(|cols, lane| {
+            cols.columns().iter().for_each(|col| out.push_cell(col.lane(lane).raw()));
+            out.finish_row();
+        })
+    }
+}
+
+fn row_at(cols: &ColumnBatch, lane: usize) -> Row {
+    let mut row = Row::with_capacity(cols.width());
+    cols.read_row(lane, &mut row);
+    row
+}
+
+/// Drain an operator into a row vector.
+pub fn collect(op: BoxOp) -> Result<(Schema, Vec<Row>)> {
+    let schema = op.schema().clone();
+    Ok((schema, RowCursor::new(op).drain_rows()?))
 }
 
 #[cfg(test)]
@@ -395,5 +573,37 @@ mod tests {
         let v = Box::new(Values::new(test_schema(), test_rows(2)));
         let (_, rows) = collect(Box::new(Limit::new(v, 100))).unwrap();
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn limit_describes_itself_as_written_and_stops_pulling() {
+        let v = Box::new(Values::new(test_schema(), test_rows(10)));
+        let mut cursor = RowCursor::new(Box::new(Limit::new(v, 4)));
+        assert_eq!(cursor.op().describe(), "Limit: 4");
+        assert_eq!(cursor.drain_rows().unwrap().len(), 4);
+        assert_eq!(cursor.op().describe(), "Limit: 4", "not the countdown");
+        assert_eq!(explain_analyze(cursor.op()), "Limit: 4 (rows in=10 out=4)\n  Values (2 columns) (rows out=10)\n");
+        // A limit of nothing never pulls its input.
+        let v = Box::new(Values::new(test_schema(), test_rows(3)));
+        let mut cursor = RowCursor::new(Box::new(Limit::new(v, 0)));
+        assert!(cursor.next_row().unwrap().is_none());
+        assert_eq!(explain_analyze(cursor.op()), "Limit: 0 (rows in=0 out=0)\n  Values (2 columns) (rows out=0)\n");
+    }
+
+    #[test]
+    fn cursor_encodes_what_it_would_have_returned_as_rows() {
+        let rows = test_rows(7);
+        let plan = || {
+            let v = Box::new(Values::new(test_schema(), rows.clone()));
+            Box::new(Filter::new(v, parse_expression("a <> 2").unwrap()).unwrap())
+        };
+        let mut cursor = RowCursor::new(plan());
+        let mut encoded = EncodedRows::new();
+        encoded.push_row(&cursor.next_row().unwrap().unwrap());
+        encoded.push_row(&cursor.next_row().unwrap().unwrap());
+        cursor.drain_encoded(&mut encoded).unwrap();
+        assert!(cursor.next_row().unwrap().is_none());
+        assert_eq!(encoded, EncodedRows::from_rows(&collect(plan()).unwrap().1));
+        assert_eq!(encoded.len(), 6);
     }
 }

@@ -2,9 +2,9 @@
 //! inputs anywhere, replay the serial accumulator in one place.
 //!
 //! The morsel-parallel aggregate already splits aggregation into two
-//! halves: workers *pre-evaluate* each row (group-key bytes, group
-//! values, aggregate inputs) and a single-threaded merge replays the
-//! serial [`GroupAcc`](super::aggregate::GroupAcc) state machine in row
+//! halves: workers *pre-evaluate* each row (group values, aggregate
+//! inputs) and a single-threaded merge folds them into the serial
+//! [`GroupAcc`](super::aggregate::GroupAcc) state machine in row
 //! order, which is what keeps parallel results bit-identical to serial
 //! (group first-seen order, NULL gating, DISTINCT dedup and the
 //! non-associative float accumulation order are all properties of the
@@ -23,8 +23,9 @@
 //! order is the global first-seen order.
 
 use crate::ast::{Expr, SelectStmt};
+use crate::batch::ColumnBatch;
 use crate::exec::aggregate::{agg_output_schema, GroupAcc};
-use crate::exec::{bind_all, collect, Values};
+use crate::exec::{bind_all, collect, Values, BATCH_ROWS};
 use crate::plan::{group_name, Aggregation, Tail};
 use crate::schema::{Column, Row, Schema};
 use crate::value::{DataType, Value};
@@ -97,9 +98,7 @@ impl AggPlan {
     /// where the residual filter rejects `rows[i]`; `COUNT(*)` inputs
     /// materialize as `Int(1)`, mirroring the serial operator.
     pub fn eval_partial_batch(&self, schema: &Schema, rows: &[Row]) -> Result<Vec<Option<Row>>> {
-        use crate::batch::ColumnBatch;
         use crate::expr::{bind, eval_vec, filter_vec, BoundExpr, VecScratch};
-        use crate::value::RawValue;
 
         let residual = self.residual.as_ref().map(|p| bind(p, schema)).transpose()?;
         let groups: Vec<BoundExpr> = bind_all(&self.agg.group_by, schema)?;
@@ -111,12 +110,7 @@ impl AggPlan {
             .collect::<Result<_>>()?;
 
         let mut batch = ColumnBatch::new(schema.len());
-        for row in rows {
-            for (c, v) in row.iter().enumerate() {
-                batch.push_cell(c, RawValue::of(v));
-            }
-            batch.finish_row()?;
-        }
+        rows.iter().for_each(|row| batch.push_row(row));
         let mut sel = vec![true; batch.len()];
         let mut scratch = VecScratch::default();
         if let Some(p) = &residual {
@@ -154,16 +148,16 @@ impl AggPlan {
     /// undivided table.
     pub fn finish(&self, tuples: impl IntoIterator<Item = Row>) -> Result<(Schema, Vec<Row>)> {
         let specs = &self.agg.specs;
-        let gw = self.group_width();
-        let mut acc = GroupAcc::new(specs, gw == 0);
-        let mut key = Vec::new();
+        let mut acc = GroupAcc::new(specs, self.group_width());
+        let mut batch = ColumnBatch::new(self.group_width() + self.agg_width());
         for tuple in tuples {
-            key.clear();
-            for v in &tuple[..gw] {
-                v.key_bytes(&mut key);
+            batch.push_row(&tuple);
+            if batch.len() == BATCH_ROWS {
+                acc.fold_tuples(&batch)?;
+                batch.clear();
             }
-            acc.update(specs, &key, &tuple[..gw], &tuple[gw..])?;
         }
+        acc.fold_tuples(&batch)?;
         let grouped = agg_output_schema(&self.agg.group_names(), specs);
         collect(self.tail.clone().over(Box::new(Values::new(grouped, acc.finish())))?)
     }

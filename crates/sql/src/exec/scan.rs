@@ -5,33 +5,33 @@
 //! pager lock per morsel; on a secure pager the morsel shares one Merkle
 //! climb), a columnar decode of **only the columns the statement
 //! references** into a reused [`ColumnBatch`] (every other cell is still
-//! validated, never copied), the bound predicate over the batch
-//! ([`filter_vec`]), and a *sink* that builds owned values for the
-//! surviving lanes only — output rows for [`Scan`], group keys and
-//! aggregate inputs for [`ScanAggregate`]. Text is copied twice at most:
-//! page → column arena for referenced columns, arena → `String` for
-//! lanes that survive the predicate and reach the output. A [`Scan`]
-//! drained through [`Operator::drain_encoded`] skips the second copy's
-//! `String` too: surviving lanes are written straight from the batch
-//! into one [`EncodedRows`] buffer, no `Value` per cell.
+//! validated, never copied), and the bound predicate over the batch
+//! ([`filter_vec`]). What survives is handed on as a batch plus its
+//! selection — output columns for [`Scan`], group keys and aggregate
+//! inputs folded straight into the accumulator for [`ScanAggregate`].
+//! Text is copied once, page → column arena, for referenced columns; a
+//! [`Scan`] *lends* its decoded columns to its parent (they are swapped
+//! into its output batch and back, never copied), and a second copy
+//! happens only where an operator above keeps a lane (a join's build
+//! side, a sort) or the root turns one into an owned or encoded row.
 //!
 //! At DOP 1 a [`Scan`] pulls morsels lazily in page order, so it holds
-//! one morsel of rows and stops reading when its parent stops pulling
+//! one morsel of lanes and stops reading when its parent stops pulling
 //! (with one-page morsels, which is how `LIMIT` plans are built, it
 //! reads exactly the pages a page-at-a-time scan would). At DOP > 1 the
-//! same kernel runs on the worker pool ([`run_ordered`]) and results
+//! same kernel runs on the worker pool ([`run_ordered`]), each morsel's
+//! survivors are compacted into a batch of their own, and the batches
 //! are consumed in morsel order.
 
 use crate::ast::{expr_to_sql, Expr};
 use crate::batch::ColumnBatch;
-use crate::encoded::EncodedRows;
-use crate::exec::aggregate::{agg_output_schema, AggSpec, GroupAcc};
+use crate::exec::aggregate::{agg_output_schema, bind_agg_inputs, AggSpec, GroupAcc};
 use crate::exec::morsel::{partition_pages, run_ordered, ExecOptions, Morsel};
-use crate::exec::Operator;
+use crate::exec::{bind_all, count_live, project_into, select_all, Batch, Operator, Values};
 use crate::expr::{bind, eval_vec, filter_vec, BoundExpr, VecScratch};
 use crate::heap::{scan_page_columns, HeapFile, SharedPager};
-use crate::schema::{Row, Schema};
-use crate::value::{RawValue, Value};
+use crate::schema::Schema;
+use crate::value::RawValue;
 use crate::{Result, SqlError};
 use ironsafe_obs::{Span, TraceCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,12 +61,8 @@ struct MorselBuf {
     batch: ColumnBatch,
     sel: Vec<bool>,
     scratch: VecScratch,
+    lanes: Vec<u32>,
 }
-
-/// What a scan does with a filtered morsel: append to `M` whatever it
-/// builds from the batch's live lanes.
-trait Sink<M>: Fn(&ColumnBatch, &[bool], &mut VecScratch, &mut M) -> Result<()> {}
-impl<M, F: Fn(&ColumnBatch, &[bool], &mut VecScratch, &mut M) -> Result<()>> Sink<M> for F {}
 
 /// A [`ScanSource`] bound for execution.
 struct Kernel {
@@ -90,29 +86,22 @@ impl Kernel {
         self.opts.workers(self.morsels.len())
     }
 
-    /// Read, decode and filter morsel `i` into `buf`, then let `sink`
-    /// append the morsel's output, built from the surviving lanes, to
-    /// `out` (skipped when none survive). The morsel refines the
-    /// ambient [`TraceCtx`] with its index and runs inside its own span;
-    /// a failed morsel (fault exhaustion, violation) tags the span
-    /// before it closes, so chaos traces stay well-formed trees.
-    fn run<M>(&self, i: usize, buf: &mut MorselBuf, sink: &impl Sink<M>, out: &mut M) -> Result<()> {
+    /// Read, decode and filter morsel `i` into `buf`; returns how many
+    /// lanes survive. The morsel refines the ambient [`TraceCtx`] with
+    /// its index and runs inside its own span; a failed morsel (fault
+    /// exhaustion, violation) tags the span before it closes, so chaos
+    /// traces stay well-formed trees.
+    fn run(&self, i: usize, buf: &mut MorselBuf) -> Result<usize> {
         let _ctx = TraceCtx::current().map(|c| c.with_morsel(i as u64).install());
         let span = Span::enter("exec/morsel");
-        let result = self.run_in_span(i, buf, sink, out);
+        let result = self.run_in_span(i, buf);
         if result.is_err() {
             span.fail("exec.morsel.failed");
         }
         result
     }
 
-    fn run_in_span<M>(
-        &self,
-        i: usize,
-        buf: &mut MorselBuf,
-        sink: &impl Sink<M>,
-        out: &mut M,
-    ) -> Result<()> {
+    fn run_in_span(&self, i: usize, buf: &mut MorselBuf) -> Result<usize> {
         let Morsel { start, end } = self.morsels[i];
         let ids = &self.source.heap.pages[start..end];
         let payload = {
@@ -134,40 +123,38 @@ impl Kernel {
         let rows = buf.batch.len();
         self.opts.metrics.rows.add(rows as u64);
         self.scanned.fetch_add(rows as u64, Ordering::Relaxed);
-        buf.sel.clear();
-        buf.sel.resize(rows, true);
+        select_all(&mut buf.sel, rows);
         if let Some(pred) = &self.pred {
             filter_vec(pred, &buf.batch, &mut buf.sel, &mut buf.scratch)?;
         }
+        let kept = count_live(&buf.sel);
         if let Some(watch) = &self.opts.watch {
-            let kept = buf.sel.iter().filter(|live| **live).count();
             watch.record(i, rows as u64, kept as u64);
         }
-        if !buf.sel.contains(&true) {
-            return Ok(());
-        }
-        sink(&buf.batch, &buf.sel, &mut buf.scratch, out)
+        Ok(kept)
     }
 
-    /// Run every morsel and hand the per-morsel outputs to `consume` in
-    /// morsel order — on this thread at DOP 1, on the worker pool above.
-    fn drive<M: Default + Send>(
+    /// Run every morsel on the worker pool, compact each one's survivors
+    /// through `exprs` into a batch of its own (one column per
+    /// expression), and hand the non-empty batches to `consume` in morsel
+    /// order.
+    fn drive_compacted(
         &self,
-        sink: impl Sink<M> + Sync,
-        mut consume: impl FnMut(M) -> Result<()>,
+        exprs: &[BoundExpr],
+        mut consume: impl FnMut(ColumnBatch) -> Result<()>,
     ) -> Result<()> {
-        self.opts.metrics.scans.inc();
         let morsel = |i, buf: &mut MorselBuf| {
-            let mut out = M::default();
-            self.run(i, buf, &sink, &mut out)?;
-            Ok(out)
+            if self.run(i, buf)? == 0 {
+                return Ok(None);
+            }
+            let mut out = ColumnBatch::new(exprs.len());
+            let input = Batch { cols: &buf.batch, sel: &buf.sel };
+            project_into(exprs, input, &mut buf.scratch, &mut buf.lanes, &mut out)?;
+            Ok(Some(out))
         };
-        let workers = self.workers();
-        if workers <= 1 {
-            let mut buf = MorselBuf::default();
-            return (0..self.morsels.len()).try_for_each(|i| consume(morsel(i, &mut buf)?));
-        }
-        run_ordered(self.morsels.len(), workers, morsel, consume)
+        run_ordered(self.morsels.len(), self.workers(), morsel, |out: Option<ColumnBatch>| {
+            out.map_or(Ok(()), &mut consume)
+        })
     }
 
     fn describe(&self) -> String {
@@ -187,71 +174,26 @@ impl Kernel {
     }
 }
 
-/// Output expressions bound against the table schema. Column references
-/// read batch lanes directly (no intermediate vector, no text copy until
-/// the output needs the value); computed expressions evaluate once per
-/// morsel over the surviving selection.
-enum Slot {
-    Col(usize),
-    /// `COUNT(*)` input: counts rows.
-    One,
-    Expr(BoundExpr),
-}
-
-impl Slot {
-    fn bind(e: &Expr, schema: &Schema) -> Result<Slot> {
-        Ok(match bind(e, schema)? {
-            BoundExpr::Col(i) => Slot::Col(i),
-            e => Slot::Expr(e),
-        })
-    }
-}
-
-/// Evaluate the computed slots over the batch's live lanes.
-fn eval_slots(
-    slots: &[Slot],
-    batch: &ColumnBatch,
-    sel: &[bool],
-    scratch: &mut VecScratch,
-) -> Result<Vec<Vec<Value>>> {
-    slots
-        .iter()
-        .map(|s| match s {
-            Slot::Expr(e) => eval_vec(e, batch, sel, scratch),
-            _ => Ok(Vec::new()),
-        })
-        .collect()
-}
-
-/// Owned value of slot `k` for `lane` (moves computed values out).
-fn slot_value(
-    slots: &[Slot],
-    vecs: &mut [Vec<Value>],
-    k: usize,
-    batch: &ColumnBatch,
-    lane: usize,
-) -> Value {
-    match &slots[k] {
-        Slot::Col(c) => batch.value_at(*c, lane),
-        Slot::One => Value::Int(1),
-        Slot::Expr(_) => std::mem::replace(&mut vecs[k][lane], Value::Null),
-    }
-}
-
-fn live_lanes(sel: &[bool]) -> impl Iterator<Item = usize> + '_ {
-    sel.iter().enumerate().filter_map(|(lane, live)| live.then_some(lane))
-}
-
 /// Table scan with the pushed-down filter and the projection fused in:
-/// emits one output row per surviving lane, in heap order.
+/// emits one lane per surviving row, in heap order.
 pub struct Scan {
     kernel: Kernel,
-    slots: Vec<Slot>,
+    /// Output expressions, bound against the table schema.
+    exprs: Vec<BoundExpr>,
+    /// `lend[k]` names the table column output `k` is lent from: the
+    /// first output that is exactly that column. Every other output is
+    /// computed into a column of its own.
+    lend: Vec<Option<usize>>,
     schema: Schema,
     buf: MorselBuf,
+    /// The batch lent to the parent; shares `buf.sel`.
+    out: ColumnBatch,
+    /// `buf.batch`'s lent columns currently sit in `out`.
+    lent: bool,
     /// Next morsel to pull (DOP 1); `None` before the first pull.
     cursor: Option<usize>,
-    rows: std::vec::IntoIter<Row>,
+    /// Compacted morsels still to hand over (DOP > 1).
+    ready: std::vec::IntoIter<ColumnBatch>,
     emitted: u64,
 }
 
@@ -260,14 +202,24 @@ impl Scan {
     /// named per `schema`) for every row that passes its predicate.
     pub fn new(source: ScanSource, exprs: &[Expr], schema: Schema, opts: ExecOptions) -> Result<Self> {
         debug_assert_eq!(exprs.len(), schema.len());
-        let slots = exprs.iter().map(|e| Slot::bind(e, &source.schema)).collect::<Result<_>>()?;
+        let exprs = bind_all(exprs, &source.schema)?;
+        let column = |e: &BoundExpr| match e {
+            BoundExpr::Col(c) => Some(*c),
+            _ => None,
+        };
+        let lend = (0..exprs.len())
+            .map(|k| column(&exprs[k]).filter(|c| !exprs[..k].iter().any(|e| column(e) == Some(*c))))
+            .collect();
         Ok(Scan {
             kernel: Kernel::new(source, opts)?,
-            slots,
+            out: ColumnBatch::new(exprs.len()),
+            exprs,
+            lend,
             schema,
             buf: MorselBuf::default(),
+            lent: false,
             cursor: None,
-            rows: Vec::new().into_iter(),
+            ready: Vec::new().into_iter(),
             emitted: 0,
         })
     }
@@ -281,40 +233,29 @@ impl Scan {
         Scan::new(source, &exprs, schema, opts)
     }
 
-    /// Load the next batch of output rows; `false` when exhausted.
-    fn fill(&mut self) -> Result<bool> {
-        let Scan { kernel, slots, buf, cursor, rows, .. } = self;
-        let sink = |batch: &ColumnBatch, sel: &[bool], scratch: &mut VecScratch, out: &mut Vec<Row>| {
-            let mut vecs = eval_slots(slots, batch, sel, scratch)?;
-            out.extend(live_lanes(sel).map(|lane| {
-                (0..slots.len()).map(|k| slot_value(slots, &mut vecs, k, batch, lane)).collect()
-            }));
-            Ok(())
-        };
-        let mut out = Vec::new();
-        let next = match *cursor {
-            Some(next) => next,
-            None if kernel.workers() > 1 => {
-                kernel.drive(sink, |mut morsel_rows: Vec<Row>| {
-                    out.append(&mut morsel_rows);
-                    Ok(())
-                })?;
-                *cursor = Some(kernel.morsels.len());
-                *rows = out.into_iter();
-                return Ok(true);
+    /// Exchange the lent columns between the morsel batch and `out`.
+    fn swap_lent(&mut self) {
+        for (k, col) in self.lend.iter().enumerate() {
+            if let Some(col) = col {
+                self.out.swap_column(k, &mut self.buf.batch, *col);
             }
-            None => {
-                kernel.opts.metrics.scans.inc();
-                0
-            }
-        };
-        if next >= kernel.morsels.len() {
-            return Ok(false);
         }
-        *cursor = Some(next + 1);
-        kernel.run(next, buf, &sink, &mut out)?;
-        *rows = out.into_iter();
-        Ok(true)
+        self.lent = !self.lent;
+    }
+
+    /// Turn the filtered morsel in `buf` into `out`: computed outputs are
+    /// evaluated into their own columns, lane for lane, then the plain
+    /// columns are swapped in.
+    fn lend_morsel(&mut self) -> Result<()> {
+        let Scan { exprs, lend, buf, out, .. } = self;
+        for (k, e) in exprs.iter().enumerate().filter(|(k, _)| lend[*k].is_none()) {
+            let vals = eval_vec(e, &buf.batch, &buf.sel, &mut buf.scratch)?;
+            let col = out.column_mut(k);
+            vals.iter().for_each(|v| col.push(RawValue::of(v)));
+        }
+        self.swap_lent();
+        self.out.set_len(self.buf.sel.len());
+        Ok(())
     }
 }
 
@@ -336,87 +277,64 @@ impl Operator for Scan {
         Some(self.kernel.scanned.load(Ordering::Relaxed))
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.rows.next() {
-                self.emitted += 1;
-                return Ok(Some(row));
-            }
-            if !self.fill()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Surviving lanes and computed slots go from the batch straight
-    /// into `out`: the same cells, in the same order, [`Scan::next`]
-    /// would have produced as owned rows.
-    fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
-        let before = out.len();
-        let Scan { kernel, slots, buf, cursor, rows, .. } = self;
-        rows.for_each(|row| out.push_row(&row));
-        let sink = |batch: &ColumnBatch, sel: &[bool], scratch: &mut VecScratch, out: &mut EncodedRows| {
-            let vecs = eval_slots(slots, batch, sel, scratch)?;
-            for lane in live_lanes(sel) {
-                for (slot, computed) in slots.iter().zip(&vecs) {
-                    out.push_cell(match slot {
-                        Slot::Col(c) => batch.lane(*c, lane).raw(),
-                        Slot::One => RawValue::Int(1),
-                        Slot::Expr(_) => RawValue::of(&computed[lane]),
-                    });
-                }
-                out.finish_row();
-            }
-            Ok(())
-        };
-        match *cursor {
-            None if kernel.workers() > 1 => kernel.drive(sink, |morsel_rows: EncodedRows| {
-                out.append(&morsel_rows);
-                Ok(())
-            })?,
-            from => {
-                if from.is_none() {
-                    kernel.opts.metrics.scans.inc();
-                }
-                for i in from.unwrap_or(0)..kernel.morsels.len() {
-                    kernel.run(i, buf, &sink, out)?;
-                }
+    fn next_batch(&mut self) -> Result<bool> {
+        if self.cursor.is_none() {
+            self.kernel.opts.metrics.scans.inc();
+            self.cursor = Some(0);
+            if self.kernel.workers() > 1 {
+                let mut ready = Vec::new();
+                self.kernel.drive_compacted(&self.exprs, |out| {
+                    ready.push(out);
+                    Ok(())
+                })?;
+                self.ready = ready.into_iter();
+                self.cursor = Some(self.kernel.morsels.len());
             }
         }
-        *cursor = Some(kernel.morsels.len());
-        self.emitted += (out.len() - before) as u64;
-        Ok(())
+        if let Some(out) = self.ready.next() {
+            select_all(&mut self.buf.sel, out.len());
+            self.emitted += out.len() as u64;
+            self.out = out;
+            return Ok(true);
+        }
+        if self.lent {
+            self.swap_lent();
+        }
+        self.out.clear();
+        while let Some(next) = self.cursor.filter(|next| *next < self.kernel.morsels.len()) {
+            self.cursor = Some(next + 1);
+            let kept = self.kernel.run(next, &mut self.buf)?;
+            if kept > 0 {
+                self.lend_morsel()?;
+                self.emitted += kept as u64;
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
-}
 
-/// One morsel's pre-evaluated aggregation inputs, stored flat: group-key
-/// encodings concatenated in `keys` (row boundaries in `key_ends`) and
-/// evaluated values row-major in `vals` (group values then aggregate
-/// inputs, fixed width per row).
-#[derive(Default)]
-struct TupleArena {
-    keys: Vec<u8>,
-    key_ends: Vec<usize>,
-    vals: Vec<Value>,
+    fn batch(&self) -> Batch<'_> {
+        Batch { cols: &self.out, sel: &self.buf.sel }
+    }
 }
 
 /// Hash aggregation fused onto a table scan.
 ///
-/// The kernel pre-evaluates the expensive per-row work — page decode,
-/// predicate, group-key encoding, aggregate inputs — per morsel (on the
-/// worker pool at DOP > 1), and each morsel is folded into the serial
-/// [`GroupAcc`] state machine as it arrives, in row order. Group
+/// Each morsel's group keys and aggregate inputs are evaluated as
+/// vectors and folded into the serial [`GroupAcc`] in row order — at
+/// DOP 1 straight from the decoded batch, at DOP > 1 from the compacted
+/// tuple batch a worker pre-evaluated, consumed in morsel order. Group
 /// first-seen order, DISTINCT dedup, NULL gating and float accumulation
 /// order are therefore identical to [`HashAggregate`]
-/// (`crate::exec::HashAggregate`) at any DOP.
+/// (`crate::exec::HashAggregate`), which runs the same fold, at any DOP.
 pub struct ScanAggregate {
     kernel: Kernel,
     group_exprs: Vec<Expr>,
     aggs: Vec<AggSpec>,
-    slots: Vec<Slot>,
+    /// Group keys then aggregate inputs, bound against the table schema.
+    inputs: Vec<BoundExpr>,
     schema: Schema,
-    output: Option<std::vec::IntoIter<Row>>,
-    emitted: u64,
+    output: Option<Values>,
 }
 
 impl ScanAggregate {
@@ -430,47 +348,28 @@ impl ScanAggregate {
         aggs: Vec<AggSpec>,
     ) -> Result<Self> {
         assert_eq!(group_exprs.len(), group_names.len());
-        let table = &source.schema;
-        let slots = group_exprs
-            .iter()
-            .map(|e| Slot::bind(e, table))
-            .chain(aggs.iter().map(|a| a.arg.as_ref().map_or(Ok(Slot::One), |e| Slot::bind(e, table))))
-            .collect::<Result<_>>()?;
+        let inputs = bind_agg_inputs(&group_exprs, &aggs, &source.schema)?;
         let schema = agg_output_schema(&group_names, &aggs);
         let kernel = Kernel::new(source, opts)?;
-        Ok(ScanAggregate { kernel, group_exprs, aggs, slots, schema, output: None, emitted: 0 })
+        Ok(ScanAggregate { kernel, group_exprs, aggs, inputs, schema, output: None })
     }
 
-    fn materialize(&self) -> Result<Vec<Row>> {
-        let (slots, aggs) = (&self.slots, &self.aggs);
-        let ngroups = self.group_exprs.len();
-        let mut acc = GroupAcc::new(aggs, ngroups == 0);
-        self.kernel.drive(
-            |batch: &ColumnBatch, sel: &[bool], scratch: &mut VecScratch, arena: &mut TupleArena| {
-                let mut vecs = eval_slots(slots, batch, sel, scratch)?;
-                for lane in live_lanes(sel) {
-                    for k in 0..slots.len() {
-                        let v = slot_value(slots, &mut vecs, k, batch, lane);
-                        if k < ngroups {
-                            v.key_bytes(&mut arena.keys);
-                        }
-                        arena.vals.push(v);
-                    }
-                    arena.key_ends.push(arena.keys.len());
+    fn materialize(&self) -> Result<Values> {
+        let mut acc = GroupAcc::new(&self.aggs, self.group_exprs.len());
+        self.kernel.opts.metrics.scans.inc();
+        if self.kernel.workers() > 1 {
+            // Workers pre-evaluate; the fold replays in morsel order.
+            self.kernel.drive_compacted(&self.inputs, |tuples| acc.fold_tuples(&tuples))?;
+        } else {
+            let mut buf = MorselBuf::default();
+            for i in 0..self.kernel.morsels.len() {
+                if self.kernel.run(i, &mut buf)? > 0 {
+                    let morsel = Batch { cols: &buf.batch, sel: &buf.sel };
+                    acc.fold_batch(&self.inputs, morsel, &mut buf.scratch)?;
                 }
-                Ok(())
-            },
-            // Replay the serial accumulator in row order.
-            |arena: TupleArena| {
-                let mut start = 0;
-                for (vals, &end) in arena.vals.chunks_exact(slots.len()).zip(&arena.key_ends) {
-                    acc.update(aggs, &arena.keys[start..end], &vals[..ngroups], &vals[ngroups..])?;
-                    start = end;
-                }
-                Ok(())
-            },
-        )?;
-        Ok(acc.finish())
+            }
+        }
+        Ok(Values::new(self.schema.clone(), acc.finish()))
     }
 }
 
@@ -491,31 +390,34 @@ impl Operator for ScanAggregate {
     }
 
     fn rows_out(&self) -> u64 {
-        self.emitted
+        self.output.as_ref().map_or(0, Values::rows_out)
     }
 
     fn rows_scanned(&self) -> Option<u64> {
         Some(self.kernel.scanned.load(Ordering::Relaxed))
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
+    fn next_batch(&mut self) -> Result<bool> {
         if self.output.is_none() {
-            self.output = Some(self.materialize()?.into_iter());
+            self.output = Some(self.materialize()?);
         }
-        let row = self.output.as_mut().and_then(Iterator::next);
-        self.emitted += row.is_some() as u64;
-        Ok(row)
+        self.output.as_mut().expect("materialized above").next_batch()
+    }
+
+    fn batch(&self) -> Batch<'_> {
+        self.output.as_ref().expect("a batch was produced").batch()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, oracle};
+    use crate::encoded::EncodedRows;
+    use crate::exec::{collect, oracle, RowCursor};
     use crate::heap::shared;
     use crate::parser::parse_expression;
-    use crate::schema::Column;
-    use crate::value::{encode_value, DataType};
+    use crate::schema::{Column, Row};
+    use crate::value::{encode_value, DataType, Value};
     use ironsafe_storage::pager::PlainPager;
     use proptest::prelude::*;
 
@@ -540,17 +442,17 @@ mod tests {
 
         // Pulled lazily: the first row costs one morsel, not the table.
         let opts = ExecOptions { morsel_pages: 2, ..ExecOptions::serial() };
-        let mut scan = Scan::columns(src, opts).unwrap();
-        assert_eq!(scan.next().unwrap(), Some(rows[0].clone()));
+        let mut scan = RowCursor::new(Box::new(Scan::columns(src, opts).unwrap()));
+        assert_eq!(scan.next_row().unwrap(), Some(rows[0].clone()));
         assert_eq!(pager.lock().stats().page_reads, 2, "one morsel read so far");
 
         let mut got = vec![rows[0].clone()];
-        while let Some(r) = scan.next().unwrap() {
+        while let Some(r) = scan.next_row().unwrap() {
             got.push(r);
         }
         assert_eq!(got, rows);
         assert_eq!(pager.lock().stats().page_reads, pages, "every page read exactly once");
-        assert_eq!(scan.rows_scanned(), Some(300));
+        assert_eq!(scan.op().rows_scanned(), Some(300));
     }
 
     #[test]
@@ -559,8 +461,8 @@ mod tests {
         for dop in [1, 4] {
             let mut scan = Scan::columns(source(schema.clone(), vec![]), ExecOptions::with_dop(dop))
                 .unwrap();
-            assert!(scan.next().unwrap().is_none());
-            assert!(scan.next().unwrap().is_none(), "stays exhausted");
+            assert!(!scan.next_batch().unwrap());
+            assert!(!scan.next_batch().unwrap(), "stays exhausted");
         }
     }
 
@@ -686,31 +588,33 @@ mod tests {
             ];
             for cols in masks {
                 let scan = || {
-                    Scan::new(
-                        ScanSource { cols: cols.clone(), ..src.clone() },
-                        &exprs,
-                        out_schema.clone(),
-                        opts.clone(),
+                    Box::new(
+                        Scan::new(
+                            ScanSource { cols: cols.clone(), ..src.clone() },
+                            &exprs,
+                            out_schema.clone(),
+                            opts.clone(),
+                        )
+                        .unwrap(),
                     )
-                    .unwrap()
                 };
                 // The encoded drain writes the bytes the owned rows
                 // encode to — from the start, or after a few row pulls.
                 for pulled in [0, 3] {
-                    let (mut scan, mut encoded) = (scan(), EncodedRows::new());
+                    let (mut scan, mut encoded) = (RowCursor::new(scan()), EncodedRows::new());
                     let drained = (0..pulled)
-                        .try_for_each(|_| scan.next().map(|row| row.iter().for_each(|r| encoded.push_row(r))))
+                        .try_for_each(|_| scan.next_row().map(|row| row.iter().for_each(|r| encoded.push_row(r))))
                         .and_then(|()| scan.drain_encoded(&mut encoded));
                     match (drained, &want) {
                         (Ok(()), Ok(want)) => {
                             prop_assert_eq!(&encoded, &EncodedRows::from_rows(want), "mask {:?}", cols);
-                            prop_assert_eq!(scan.rows_out(), want.len() as u64);
+                            prop_assert_eq!(scan.op().rows_out(), want.len() as u64);
                         }
                         (Err(_), Err(_)) => {}
                         (got, want) => prop_assert!(false, "encoded {:?} vs oracle {:?}", got, want),
                     }
                 }
-                match (collect(Box::new(scan())), &want) {
+                match (collect(scan()), &want) {
                     (Ok((_, got)), Ok(want)) => {
                         prop_assert_eq!(bits(&got), bits(want), "mask {:?}", cols)
                     }

@@ -1,13 +1,18 @@
 //! Sort operator.
 
 use crate::ast::Expr;
-use crate::exec::{bind_all, BoxOp, Operator};
-use crate::expr::{eval_bound, BoundExpr};
-use crate::schema::{Row, Schema};
+use crate::batch::ColumnBatch;
+use crate::exec::{bind_all, gather_list, select_all, Batch, BoxOp, Operator, BATCH_ROWS};
+use crate::expr::{BoundExpr, VecOp, VecScratch};
+use crate::schema::Schema;
 use crate::Result;
 use std::cmp::Ordering;
 
-/// Materializing sort over expression keys.
+/// Materializing sort over expression keys: the input's live lanes are
+/// gathered into one column arena, the keys evaluated over it as
+/// vectors, a permutation of the lanes sorted **stably** by them, and the
+/// arena gathered back out through the permutation, [`BATCH_ROWS`] lanes
+/// at a time.
 pub struct Sort {
     input: Option<BoxOp>,
     schema: Schema,
@@ -15,8 +20,12 @@ pub struct Sort {
     /// for `describe` only.
     keys: Vec<(Expr, bool)>,
     bound: Vec<BoundExpr>,
-    sorted: std::vec::IntoIter<Row>,
-    emitted: u64,
+    arena: ColumnBatch,
+    /// Arena lanes in output order, and how many have been emitted.
+    order: Vec<u32>,
+    emitted: usize,
+    out: ColumnBatch,
+    sel: Vec<bool>,
 }
 
 impl Sort {
@@ -25,37 +34,47 @@ impl Sort {
     pub fn new(input: BoxOp, keys: Vec<(Expr, bool)>) -> Result<Self> {
         let schema = input.schema().clone();
         let bound = bind_all(keys.iter().map(|(e, _)| e), &schema)?;
-        let sorted = Vec::new().into_iter();
-        Ok(Sort { input: Some(input), schema, keys, bound, sorted, emitted: 0 })
+        let (arena, out) = (ColumnBatch::new(schema.len()), ColumnBatch::new(schema.len()));
+        Ok(Sort {
+            input: Some(input),
+            schema,
+            keys,
+            bound,
+            arena,
+            order: Vec::new(),
+            emitted: 0,
+            out,
+            sel: Vec::new(),
+        })
     }
 
-    fn materialize(&mut self) -> Result<()> {
-        let mut input = self.input.take().expect("materialize called once");
-        let mut rows = Vec::new();
-        while let Some(r) = input.next()? {
-            rows.push(r);
+    fn materialize(&mut self, mut input: BoxOp) -> Result<()> {
+        let mut lanes = Vec::new();
+        while input.next_batch()? {
+            let batch = input.batch();
+            gather_list(batch.sel, &mut lanes);
+            self.arena.gather_columns(0, batch.cols, &lanes);
+            self.arena.set_len(self.arena.len() + lanes.len());
         }
-        // Precompute key values per row, then sort stably.
-        let mut keyed: Vec<(Vec<crate::value::Value>, Row)> = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut kv = Vec::with_capacity(self.bound.len());
-            for e in &self.bound {
-                kv.push(eval_bound(e, &row)?);
-            }
-            keyed.push((kv, row));
-        }
-        let descs: Vec<bool> = self.keys.iter().map(|(_, d)| *d).collect();
-        keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, desc) in descs.iter().enumerate() {
-                let ord = ka[i].sort_cmp(&kb[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
+        let all = vec![true; self.arena.len()];
+        let scratch = &mut VecScratch::default();
+        let keys = self
+            .bound
+            .iter()
+            .map(|e| VecOp::resolve(e, &self.arena, &all, scratch))
+            .collect::<Result<Vec<_>>>()?;
+        self.order = (0..self.arena.len() as u32).collect();
+        self.order.sort_by(|a, b| {
+            let by_key = |(key, (_, desc)): (&VecOp<'_>, &(Expr, bool))| {
+                let ord = key.lane(*a as usize).sort_cmp(key.lane(*b as usize));
+                if *desc {
+                    ord.reverse()
+                } else {
+                    ord
                 }
-            }
-            Ordering::Equal
+            };
+            keys.iter().zip(&self.keys).map(by_key).find(|ord| *ord != Ordering::Equal).unwrap_or(Ordering::Equal)
         });
-        self.sorted = keyed.into_iter().map(|(_, r)| r).collect::<Vec<_>>().into_iter();
         Ok(())
     }
 }
@@ -79,16 +98,25 @@ impl Operator for Sort {
     }
 
     fn rows_out(&self) -> u64 {
-        self.emitted
+        self.emitted as u64
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.input.is_some() {
-            self.materialize()?;
+    fn next_batch(&mut self) -> Result<bool> {
+        if let Some(input) = self.input.take() {
+            self.materialize(input)?;
         }
-        let row = self.sorted.next();
-        self.emitted += row.is_some() as u64;
-        Ok(row)
+        let chunk = &self.order[self.emitted..self.order.len().min(self.emitted + BATCH_ROWS)];
+        let lanes = chunk.len();
+        self.out.clear();
+        self.out.gather_columns(0, &self.arena, chunk);
+        self.out.set_len(lanes);
+        select_all(&mut self.sel, lanes);
+        self.emitted += lanes;
+        Ok(lanes > 0)
+    }
+
+    fn batch(&self) -> Batch<'_> {
+        Batch { cols: &self.out, sel: &self.sel }
     }
 }
 
@@ -97,7 +125,7 @@ mod tests {
     use super::*;
     use crate::exec::{collect, Values};
     use crate::parser::parse_expression;
-    use crate::schema::Column;
+    use crate::schema::{Column, Row};
     use crate::value::{DataType, Value};
 
     fn input(rows: Vec<Row>) -> BoxOp {
@@ -154,5 +182,20 @@ mod tests {
         let keys = vec![(parse_expression("a").unwrap(), false)];
         let (_, got) = collect(Box::new(Sort::new(input(vec![]), keys).unwrap())).unwrap();
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn equal_keys_keep_input_order_across_output_batches() {
+        // 3 000 rows under three key values: each key's rows come out in
+        // the order they went in (the sort is stable), over three batches.
+        let rows: Vec<Row> = (0..3000).map(|i| row(i % 3, &format!("{i:04}"))).collect();
+        let keys = vec![(parse_expression("a").unwrap(), true)];
+        let mut cursor = crate::exec::RowCursor::new(Box::new(Sort::new(input(rows), keys).unwrap()));
+        let got = cursor.drain_rows().unwrap();
+        let want: Vec<Row> =
+            [2, 1, 0].iter().flat_map(|k| (0..3000).filter(move |i| i % 3 == *k).map(|i| row(i % 3, &format!("{i:04}")))).collect();
+        assert_eq!(got, want);
+        assert_eq!(cursor.op().rows_out(), 3000);
+        assert!(cursor.op().children().is_empty(), "the drained input is gone");
     }
 }

@@ -4,10 +4,11 @@
 //! whatever feeds the expression, and product code runs two evaluators
 //! over the resulting [`BoundExpr`]:
 //!
-//! * [`eval_bound`] — a row at a time: every operator above the scans
-//!   and DML, each binding its expressions when it is built.
+//! * [`eval_bound`] — a row at a time: DML and constants.
 //! * [`eval_vec`] / [`eval_truth_vec`] / [`filter_vec`] — a column batch
-//!   at a time: the scan kernel (second half of this file).
+//!   at a time: the scan kernel and every operator above it, each
+//!   binding its expressions when it is built (second half of this
+//!   file).
 //!
 //! `eval`, which walks the parsed [`Expr`] and resolves names per row,
 //! is compiled for tests only, as the oracle for the other two. All
@@ -174,11 +175,7 @@ pub fn eval_bound(expr: &BoundExpr, row: &Row) -> Result<Value> {
             case_with(when_then, else_expr.as_deref(), &ev)
         }
         BoundExpr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(ev(a)?);
-            }
-            eval_func(name, &vals)
+            eval_func_owned(name, &args.iter().map(ev).collect::<Result<Vec<_>>>()?)
         }
     }
 }
@@ -252,7 +249,9 @@ fn binary_values(op: BinOp, l: Value, r: Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, &l, &r),
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+            arith(op, LaneVal::of(&l), LaneVal::of(&r))
+        }
         BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
             let ord = l
                 .compare(&r)
@@ -338,24 +337,25 @@ fn case_with<E>(
     }
 }
 
-fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+/// Arithmetic over two non-NULL operands, viewed in place.
+fn arith(op: BinOp, l: LaneVal<'_>, r: LaneVal<'_>) -> Result<Value> {
     // Int op Int stays Int (except division, which is exact only when even).
-    if let (Value::Int(a), Value::Int(b)) = (l, r) {
+    if let (LaneVal::Int(a), LaneVal::Int(b)) = (l, r) {
         return match op {
-            BinOp::Add => Ok(Value::Int(a.wrapping_add(*b))),
-            BinOp::Sub => Ok(Value::Int(a.wrapping_sub(*b))),
-            BinOp::Mul => Ok(Value::Int(a.wrapping_mul(*b))),
+            BinOp::Add => Ok(Value::Int(a.wrapping_add(b))),
+            BinOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
+            BinOp::Mul => Ok(Value::Int(a.wrapping_mul(b))),
             BinOp::Div => {
-                if *b == 0 {
+                if b == 0 {
                     Err(SqlError::Eval("division by zero".into()))
                 } else if a % b == 0 {
                     Ok(Value::Int(a / b))
                 } else {
-                    Ok(Value::Float(*a as f64 / *b as f64))
+                    Ok(Value::Float(a as f64 / b as f64))
                 }
             }
             BinOp::Mod => {
-                if *b == 0 {
+                if b == 0 {
                     Err(SqlError::Eval("modulo by zero".into()))
                 } else {
                     Ok(Value::Int(a % b))
@@ -388,10 +388,17 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-/// Evaluate a built-in scalar function over already-evaluated arguments.
-fn eval_func(name: &str, args: &[Value]) -> Result<Value> {
+/// [`eval_func`] over owned arguments (the row evaluators).
+fn eval_func_owned(name: &str, args: &[Value]) -> Result<Value> {
+    eval_func(name, &args.iter().map(LaneVal::of).collect::<Vec<_>>())
+}
+
+/// Evaluate a built-in scalar function over already-evaluated arguments,
+/// viewed in place (an owned value, a batch lane or a computed vector's
+/// cell alike).
+fn eval_func(name: &str, args: &[LaneVal<'_>]) -> Result<Value> {
     // NULL in, NULL out for every built-in.
-    if args.iter().any(Value::is_null) {
+    if args.iter().any(|a| a.is_null()) {
         return Ok(Value::Null);
     }
     match name {
@@ -432,8 +439,8 @@ fn eval_func(name: &str, args: &[Value]) -> Result<Value> {
             if args.len() != 1 {
                 return Err(SqlError::Eval("ABS takes 1 argument".into()));
             }
-            match &args[0] {
-                Value::Int(i) => Ok(Value::Int(i.abs())),
+            match args[0] {
+                LaneVal::Int(i) => Ok(Value::Int(i.abs())),
                 v => Ok(Value::Float(v.as_f64()?.abs())),
             }
         }
@@ -500,11 +507,12 @@ fn like_rec(mut p: std::str::Chars<'_>, mut t: std::str::Chars<'_>) -> bool {
 // [`ColumnBatch`] at a time, visiting only the lanes an `active` bitmap
 // keeps live. Comparisons, BETWEEN, LIKE, IS NULL and IN over literals
 // read column lanes in place (no `String` clone per text cell — the big
-// win over `eval_bound`'s `row[idx].clone()`); AND/OR propagate
-// shrinking active sets so the right-hand side is only evaluated where
-// the scalar evaluator would have evaluated it, reproducing
-// short-circuit *error* semantics exactly; every remaining node falls
-// back to per-lane [`eval_bound`] on a materialized scratch row.
+// win over `eval_bound`'s `row[idx].clone()`); AND/OR, `CASE` arms and
+// `IN` items propagate shrinking active sets, so a sub-expression is
+// only evaluated on the lanes where the scalar evaluator would have
+// evaluated it and an error can only come from a lane that raises it
+// there too; function arguments are evaluated as vectors and the
+// built-in applied per lane to views of them — no row is materialized.
 // Semantic helpers ([`cmp_holds`], [`unary_value`], [`arith`],
 // `LaneVal::compare` ≡ `Value::compare`) are shared with the row
 // evaluators, so all of them agree value-for-value.
@@ -563,15 +571,18 @@ impl VecScratch {
 }
 
 /// A resolved operand of a vectorized kernel: a borrowed column, a
-/// broadcast constant, or a computed sub-expression vector.
-enum VecOp<'a> {
+/// broadcast constant, or a computed sub-expression vector. Operators
+/// resolve their bound expressions to these once per batch and read
+/// lanes through [`VecOp::lane`], so a plain column reference never
+/// becomes a vector of owned values.
+pub(crate) enum VecOp<'a> {
     Col(&'a ColumnData),
     Const(&'a Value),
     Owned(Vec<Value>),
 }
 
 impl<'a> VecOp<'a> {
-    fn resolve(
+    pub(crate) fn resolve(
         e: &'a BoundExpr,
         batch: &'a ColumnBatch,
         active: &[bool],
@@ -584,11 +595,19 @@ impl<'a> VecOp<'a> {
         })
     }
 
-    fn lane(&self, i: usize) -> LaneVal<'_> {
+    pub(crate) fn lane(&self, i: usize) -> LaneVal<'_> {
         match self {
             VecOp::Col(c) => c.lane(i),
             VecOp::Const(v) => LaneVal::of(v),
             VecOp::Owned(v) => LaneVal::of(&v[i]),
+        }
+    }
+
+    /// Append this operand's cells at `lanes` to `dst`.
+    pub(crate) fn gather_into(&self, dst: &mut ColumnData, lanes: &[u32]) {
+        match self {
+            VecOp::Col(c) => dst.gather(c, lanes),
+            _ => lanes.iter().for_each(|l| dst.push(self.lane(*l as usize).raw())),
         }
     }
 }
@@ -789,9 +808,7 @@ pub fn eval_vec(
                 }
                 let (a, b) = (l.lane(i), r.lane(i));
                 if !a.is_null() && !b.is_null() {
-                    // Int/Float lanes convert without allocating; text
-                    // reaches `arith` only to produce its type error.
-                    *slot = arith(*op, &a.to_value(), &b.to_value())?;
+                    *slot = arith(*op, a, b)?;
                 }
             }
             Ok(out)
@@ -810,19 +827,68 @@ pub fn eval_vec(
             scratch.give_truth(truth);
             Ok(out)
         }
-        // Lazy-arm and list forms keep scalar evaluation order: fall
-        // back to per-lane `eval_bound` on a materialized scratch row.
-        BoundExpr::InList { .. } | BoundExpr::Case { .. } | BoundExpr::Func { .. } => {
-            let mut out = vec![Value::Null; n];
-            let mut row = Row::new();
-            for (i, slot) in out.iter_mut().enumerate() {
-                if active[i] {
-                    batch.read_row(i, &mut row);
-                    *slot = eval_bound(e, &row)?;
+        // `in_list_with` semantics: a NULL operand is NULL without looking
+        // at the list, and an item is evaluated only on the lanes no
+        // earlier item matched.
+        BoundExpr::InList { expr, list, negated } => {
+            let v = VecOp::resolve(expr, batch, active, scratch)?;
+            let mut pending: Vec<bool> = (0..n).map(|i| active[i] && !v.lane(i).is_null()).collect();
+            let mut out: Vec<Value> =
+                pending.iter().map(|p| if *p { Value::Int(*negated as i64) } else { Value::Null }).collect();
+            for item in list {
+                let iv = VecOp::resolve(item, batch, &pending, scratch)?;
+                for i in 0..n {
+                    if pending[i] && v.lane(i).compare(iv.lane(i)) == Some(Ordering::Equal) {
+                        pending[i] = false;
+                        out[i] = Value::Int(!*negated as i64);
+                    }
                 }
             }
             Ok(out)
         }
+        // `case_with` semantics: an arm's condition is evaluated on the
+        // lanes no earlier arm took, its result on the lanes it takes.
+        BoundExpr::Case { when_then, else_expr } => {
+            let mut out = vec![Value::Null; n];
+            let mut rest = active.to_vec();
+            let mut take = vec![false; n];
+            for (cond, val) in when_then {
+                let truth = eval_truth_vec(cond, batch, &rest, scratch)?;
+                for i in 0..n {
+                    take[i] = rest[i] && truth[i] == T_TRUE;
+                    rest[i] &= !take[i];
+                }
+                scratch.give_truth(truth);
+                move_lanes(eval_vec(val, batch, &take, scratch)?, &take, &mut out);
+            }
+            if let Some(e) = else_expr {
+                move_lanes(eval_vec(e, batch, &rest, scratch)?, &rest, &mut out);
+            }
+            Ok(out)
+        }
+        BoundExpr::Func { name, args } => {
+            let ops = args
+                .iter()
+                .map(|a| VecOp::resolve(a, batch, active, scratch))
+                .collect::<Result<Vec<_>>>()?;
+            let mut out = vec![Value::Null; n];
+            let mut lanes = Vec::with_capacity(ops.len());
+            for (i, slot) in out.iter_mut().enumerate() {
+                if active[i] {
+                    lanes.clear();
+                    lanes.extend(ops.iter().map(|op| op.lane(i)));
+                    *slot = eval_func(name, &lanes)?;
+                }
+            }
+            Ok(out)
+        }
+    }
+}
+
+/// Move the `lanes` of `from` into `out`.
+fn move_lanes(from: Vec<Value>, lanes: &[bool], out: &mut [Value]) {
+    for ((v, slot), _) in from.into_iter().zip(out).zip(lanes).filter(|(_, take)| **take) {
+        *slot = v;
     }
 }
 
@@ -865,11 +931,7 @@ pub(crate) fn eval(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
         Expr::IsNull { expr, negated } => Ok(Value::Int((ev(expr)?.is_null() ^ negated) as i64)),
         Expr::Case { when_then, else_expr } => case_with(when_then, else_expr.as_deref(), &ev),
         Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(ev(a)?);
-            }
-            eval_func(name, &vals)
+            eval_func_owned(name, &args.iter().map(ev).collect::<Result<Vec<_>>>()?)
         }
         Expr::Agg { .. } => Err(SqlError::Eval("aggregate outside aggregation context".into())),
     }
@@ -1179,6 +1241,18 @@ mod vec_tests {
         "ABS(0 - a)",
         "ROUND(b * 1.337, 2)",
         "YEAR(s)",
+        // Functions, CASE and IN over computed arguments, some of which
+        // fail on some rows.
+        "ABS(10 / a)",
+        "ROUND(b / n, 1)",
+        "SUBSTR(s, a % 3, 10 / n)",
+        "YEAR(SUBSTR(s, 1, 4))",
+        "LENGTH(CASE WHEN a > 0 THEN s ELSE b END)",
+        "CASE WHEN 10 / a > 1 THEN s WHEN n IS NULL THEN LENGTH(s) ELSE 10 / n END",
+        "CASE WHEN n IS NULL THEN 0 WHEN a > 0 THEN 10 / n ELSE YEAR(s) END",
+        "CASE WHEN s LIKE 'h%' THEN a / 2 END + 1",
+        "a IN (n, 10 / a, 3)",
+        "b NOT IN (a, n / a)",
     ];
 
     fn batch_of(rows: &[Row]) -> ColumnBatch {
@@ -1208,12 +1282,19 @@ mod vec_tests {
     /// Core equivalence check: on every active lane, `eval_vec` must
     /// produce the bit-identical value `eval_bound` produces on the
     /// materialized row — and if any active lane errors under the
-    /// scalar evaluator, the vectorized call must error too.
+    /// scalar evaluator, the vectorized call must error too. An error
+    /// belongs to its lane: evaluating a lane alone fails exactly when
+    /// the scalar evaluator fails on that row.
     fn assert_vec_matches_scalar(src: &str, rows: &[Row], active: &[bool]) {
         let bound = bind(&parse_expression(src).unwrap(), &schema()).unwrap();
         let batch = batch_of(rows);
         let scalar: Vec<Result<Value>> =
             rows.iter().map(|r| eval_bound(&bound, r)).collect();
+        for (lane, want) in scalar.iter().enumerate() {
+            let alone: Vec<bool> = (0..rows.len()).map(|i| i == lane).collect();
+            let got = eval_vec(&bound, &batch, &alone, &mut VecScratch::default());
+            assert_eq!(got.is_err(), want.is_err(), "`{src}` lane {lane} of {rows:?}: {got:?} vs {want:?}");
+        }
         let scalar_err =
             scalar.iter().zip(active).any(|(r, a)| *a && r.is_err());
         let scratch = &mut VecScratch::default();

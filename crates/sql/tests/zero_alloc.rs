@@ -1,9 +1,11 @@
-//! Proves the scan kernel allocates nothing per morsel in steady state.
+//! Proves the scan kernel allocates nothing per morsel, and a hash-join
+//! probe nothing per batch, in steady state.
 //!
 //! Uses a counting global allocator (the pattern of
-//! `crates/storage/tests/zero_alloc.rs`) that counts only the measuring
-//! thread: the test harness's own main thread allocates a few times while
-//! it waits, at a moment that can fall inside the measured window.
+//! `crates/storage/tests/zero_alloc.rs`) that counts per thread, and only
+//! inside a measured window: the test harness's own main thread allocates
+//! a few times while it waits, at a moment that can fall inside the
+//! window, and the two tests here run side by side.
 
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::exec::ExecOptions;
@@ -13,22 +15,25 @@ use ironsafe_sql::{Database, Value};
 use ironsafe_storage::pager::PlainPager;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Set on the thread inside the measured window (const-initialised
-    /// and without a destructor, so touching it never allocates).
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations inside its measured window; `None`
+    /// outside one (const-initialised and without a destructor, so
+    /// touching it never allocates).
+    static MEASURED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn count() {
-    if MEASURING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-    }
+    let _ = MEASURED.try_with(|m| m.set(m.get().map(|n| n + 1)));
+}
+
+/// Run `work` and return what it returned with how often it allocated.
+fn measured<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    MEASURED.set(Some(0));
+    let out = work();
+    (out, MEASURED.replace(None).expect("window open"))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -54,7 +59,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// number of lanes, so buffers sized by the first morsel fit the rest).
 fn table(rows: i64) -> Database {
     let mut db = Database::new(PlainPager::new());
-    db.execute("CREATE TABLE t (k INT, day TEXT, price FLOAT, note TEXT)").unwrap();
+    db.execute("CREATE TABLE t (k INT, day TEXT, price FLOAT, note TEXT, pos INT)").unwrap();
     let rows = (0..rows)
         .map(|i| {
             vec![
@@ -62,6 +67,7 @@ fn table(rows: i64) -> Database {
                 Value::Text(format!("1995-{:02}-{:02}", i % 12 + 1, i % 28 + 1)),
                 Value::Float(i as f64 * 0.25),
                 Value::Text("x".repeat(60)),
+                Value::Int(i % 50),
             ]
         })
         .collect();
@@ -78,12 +84,9 @@ fn drain_rejecting_scan(db: &Database) -> (u64, u64) {
     let Statement::Select(sel) = parse_statement(sql).unwrap() else { unreachable!() };
     let opts = ExecOptions { morsel_pages: 4, ..ExecOptions::serial() };
     let mut plan = plan_select_with(db.catalog(), db.pager(), &sel, &opts).unwrap();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    MEASURING.set(true);
-    let drained = plan.next();
-    MEASURING.set(false);
-    assert!(drained.unwrap().is_none(), "the predicate rejects every row");
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, opts.metrics.morsels.get())
+    let (drained, allocations) = measured(|| plan.next_batch());
+    assert!(!drained.unwrap(), "the predicate rejects every row");
+    (allocations, opts.metrics.morsels.get())
 }
 
 #[test]
@@ -98,6 +101,49 @@ fn a_scan_that_rejects_every_row_allocates_nothing_per_morsel_after_the_first() 
     assert_eq!(
         large_allocs, small_allocs,
         "{large_morsels} morsels allocated {large_allocs} times, {small_morsels} morsels {small_allocs}"
+    );
+    assert!(small_allocs > 0, "the counting allocator is live");
+}
+
+/// Plan (outside the count) and drain (inside it) a join that probes
+/// `t` — every row of which meets exactly one of the 50 build rows — and
+/// projects both sides; returns (allocations while draining, lanes out).
+fn drain_join(db: &mut Database) -> (u64, u64) {
+    if db.catalog().table("dim").is_err() {
+        db.execute("CREATE TABLE dim (d_k INT, d_name TEXT)").unwrap();
+        let dims = (0..50).map(|i| vec![Value::Int(i), Value::Text(format!("dim-{i:04}"))]).collect();
+        db.insert_rows("dim", dims).unwrap();
+    }
+    let sql = "SELECT price, day, d_name FROM t, dim WHERE pos = d_k";
+    let Statement::Select(sel) = parse_statement(sql).unwrap() else { unreachable!() };
+    let opts = ExecOptions { morsel_pages: 4, ..ExecOptions::serial() };
+    let mut plan = plan_select_with(db.catalog(), db.pager(), &sel, &opts).unwrap();
+    let (drained, allocations) = measured(|| {
+        let mut more = Ok(true);
+        while matches!(more, Ok(true)) {
+            more = plan.next_batch();
+        }
+        more
+    });
+    drained.unwrap();
+    (allocations, plan.rows_out())
+}
+
+#[test]
+fn a_join_probe_allocates_nothing_per_batch_once_its_buffers_are_warm() {
+    let (mut small, mut large) = (table(3_000), table(30_000));
+    let (small_allocs, small_rows) = drain_join(&mut small);
+    let (large_allocs, large_rows) = drain_join(&mut large);
+    assert_eq!((small_rows, large_rows), (3_000, 30_000));
+    // The build side (arena, index), the first probe morsel (page buffer,
+    // batch, selection), the first full output batch (pair lists, output
+    // columns and text arenas) and the projection over it size every
+    // buffer; after that a probe batch is hashed from its lanes, matched
+    // along `u32` chains and gathered into the same vectors — ten times
+    // the probe rows, not one allocation more.
+    assert_eq!(
+        large_allocs, small_allocs,
+        "{large_rows} probe rows allocated {large_allocs} times, {small_rows} rows {small_allocs}"
     );
     assert!(small_allocs > 0, "the counting allocator is live");
 }
