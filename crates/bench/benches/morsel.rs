@@ -1,6 +1,6 @@
 //! Morsel-path microbenches: page codec encrypt/decrypt, heap-page
-//! decode (owned rows vs the scan kernel's reused column batch, full and
-//! pruned), batched vs single-page secure reads, and a Q1-style
+//! decode (the scan kernel's reused column batch, full and pruned),
+//! batched vs single-page secure reads, and a Q1-style
 //! grouped-aggregation scan at DOP 1/2/4 through the public
 //! `select_with` entry point.
 
@@ -9,7 +9,7 @@ use ironsafe_crypto::group::Group;
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::exec::ExecOptions;
 use ironsafe_sql::batch::ColumnBatch;
-use ironsafe_sql::heap::{decode_page_rows, scan_page_columns, shared, HeapFile};
+use ironsafe_sql::heap::{scan_page_columns, shared, HeapFile};
 use ironsafe_sql::{Database, Value};
 use ironsafe_storage::codec::{PageCodec, PAGE_PAYLOAD};
 use ironsafe_storage::pager::{Pager, PlainPager};
@@ -38,32 +38,28 @@ fn bench_page_codec(c: &mut Criterion) {
 }
 
 fn bench_heap_decode(c: &mut Criterion) {
-    // One full heap page of mixed-type rows, decoded three ways: the
-    // allocating row-vector API vs the reused column batch the scan
-    // kernel uses, with every column and with only two of four.
+    // One full heap page of mixed-type rows, decoded into the reused
+    // column batch the scan kernel uses: every column, and only two of
+    // four.
     let pager = shared(PlainPager::new());
     let mut heap = HeapFile::new();
-    heap.append_rows(
-        &pager,
-        (0..2000i64).map(|i| {
+    let rows = (0..2000i64)
+        .map(|i| {
             vec![
                 Value::Int(i),
                 Value::Float(i as f64 * 0.125),
                 Value::Text(format!("row-{i:05}")),
                 Value::Int(i % 7),
             ]
-        }),
-    )
-    .unwrap();
+        })
+        .collect();
+    heap.append_rows(&pager, rows).unwrap();
     let payload_size = pager.lock().payload_size();
     let mut page = vec![0u8; payload_size];
     pager.lock().read_page(heap.pages[0], &mut page).unwrap();
 
     let mut g = c.benchmark_group("morsel_heap_decode");
     g.throughput(Throughput::Bytes(payload_size as u64));
-    g.bench_function("decode_page_rows_alloc", |b| {
-        b.iter(|| black_box(decode_page_rows(&page, 4).unwrap()))
-    });
     let mut batch = ColumnBatch::new(4);
     for (name, cols) in [
         ("scan_page_columns_full", [true; 4]),

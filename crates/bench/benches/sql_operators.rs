@@ -1,11 +1,11 @@
-//! SQL engine operator benchmarks: scan, filter, hash join, aggregate
-//! and the end-to-end partitioner.
+//! SQL engine operator benchmarks: scan, filter, hash join, aggregate,
+//! one-row DML and the end-to-end partitioner.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ironsafe_csa::partition::partition_select;
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::parser::parse_statement;
-use ironsafe_sql::{Database, Schema};
+use ironsafe_sql::{Database, Schema, Value};
 use ironsafe_storage::pager::PlainPager;
 use ironsafe_tpch::{generate, load_into};
 
@@ -88,6 +88,37 @@ fn bench_operators(c: &mut Criterion) {
     g.finish();
 }
 
+/// One-row `UPDATE` / `DELETE` over tables of 10 / 100 / 1 000 pages.
+/// Both rewrite the whole table today, so they are linear in pages: the
+/// baseline for ROADMAP item 3 ("DML touches the pages it changes").
+fn bench_dml(c: &mut Criterion) {
+    // 31 rows of 127 bytes fill one 4 048-byte page.
+    const ROWS_PER_PAGE: i64 = 31;
+    let row = |k: i64| vec![Value::Int(k), Value::Int(k % 97), Value::Text("p".repeat(100))];
+    let mut g = c.benchmark_group("dml");
+    g.sample_size(20);
+    for pages in [10i64, 100, 1_000] {
+        let mut db = Database::new(PlainPager::new());
+        db.execute("CREATE TABLE t (k INT, v INT, pad TEXT)").unwrap();
+        db.insert_rows("t", (0..pages * ROWS_PER_PAGE).map(row).collect()).unwrap();
+        assert_eq!(db.catalog().table("t").unwrap().heap.page_count(), pages as u64);
+        let mid = pages * ROWS_PER_PAGE / 2;
+        g.bench_function(format!("update_one_row/{pages}_pages"), |b| {
+            b.iter(|| db.execute(&format!("UPDATE t SET v = v + 1 WHERE k = {mid}")).unwrap())
+        });
+        // The deleted row is put back, untimed, at the tail.
+        let db = std::cell::RefCell::new(db);
+        g.bench_function(format!("delete_one_row/{pages}_pages"), |b| {
+            b.iter_batched(
+                || db.borrow_mut().insert_rows("t", vec![row(-1)]).unwrap(),
+                |_| db.borrow_mut().execute("DELETE FROM t WHERE k = -1").unwrap(),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+}
+
 fn bench_parse_and_partition(c: &mut Criterion) {
     let q3 = "SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, \
               o_orderdate, o_shippriority FROM customer, orders, lineitem \
@@ -111,5 +142,5 @@ fn bench_parse_and_partition(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_operators, bench_parse_and_partition);
+criterion_group!(benches, bench_operators, bench_dml, bench_parse_and_partition);
 criterion_main!(benches);

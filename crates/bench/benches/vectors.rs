@@ -1,11 +1,11 @@
-//! Vectorization microbenches: Q1/Q6-style predicate evaluation per-row
-//! vs over a column batch, and secure page reads through the raw store
-//! vs the compress-before-encrypt store at equal logical byte volume.
+//! Vectorization microbenches: Q1/Q6-style predicate evaluation over a
+//! column batch, and secure page reads through the raw store vs the
+//! compress-before-encrypt store at equal logical byte volume.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ironsafe_crypto::group::Group;
 use ironsafe_sql::batch::ColumnBatch;
-use ironsafe_sql::expr::{bind, eval_bound, filter_vec, VecScratch};
+use ironsafe_sql::expr::{bind, filter_vec, VecScratch};
 use ironsafe_sql::parser::parse_expression;
 use ironsafe_sql::schema::{Column, Schema};
 use ironsafe_sql::value::{DataType, RawValue, Value};
@@ -70,17 +70,6 @@ fn bench_predicates(c: &mut Criterion) {
     g.throughput(Throughput::Elements(ROWS as u64));
     for (name, sql) in preds {
         let bound = bind(&parse_expression(sql).unwrap(), &schema).unwrap();
-        g.bench_function(format!("{name}/scalar"), |b| {
-            b.iter(|| {
-                let mut kept = 0usize;
-                for row in &rows {
-                    if eval_bound(&bound, row).unwrap().is_truthy() {
-                        kept += 1;
-                    }
-                }
-                black_box(kept)
-            })
-        });
         let mut scratch = VecScratch::default();
         g.bench_function(format!("{name}/vector"), |b| {
             b.iter(|| {

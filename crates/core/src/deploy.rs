@@ -3,13 +3,14 @@
 use crate::{IronSafeError, Result};
 use ironsafe_crypto::group::Group;
 use ironsafe_crypto::schnorr::KeyPair;
-use ironsafe_csa::{CostParams, CsaSystem, QueryReport, SharedCsaSystem, SystemConfig};
+use ironsafe_csa::{
+    storage_pager, CostParams, CsaSystem, QueryReport, SharedCsaSystem, SystemConfig,
+};
 use ironsafe_monitor::monitor::{MonitorConfig, QueryRequest};
 use ironsafe_monitor::{ProofOfCompliance, TrustedMonitor};
 use ironsafe_policy::parse_policy;
 use ironsafe_serve::{QueryServer, ServeConfig};
 use ironsafe_sql::{Database, QueryResult};
-use ironsafe_storage::SecurePager;
 use ironsafe_faults::FaultPlan;
 use ironsafe_tee::image::SoftwareImage;
 use ironsafe_tee::sgx::{AttestationService, EnclaveConfig, EnclaveSupervisor, Quote, SgxPlatform};
@@ -178,17 +179,12 @@ impl DeploymentBuilder {
         monitor.attest_storage("storage-0", &self.region, &response)?;
 
         // --- Query processing system (scs: split + secure). -------------
-        let storage_db = Database::new(
-            SecurePager::create(
-                {
-                    let mut d = mfr.make_device("storage-0-medium", 8, &mut rng);
-                    let _ = &mut d;
-                    d
-                },
-                self.seed,
-            )
-            .map_err(|e| IronSafeError::Csa(ironsafe_csa::CsaError::Storage(e)))?,
-        );
+        let medium = (mfr.make_device("storage-0-medium", 8, &mut rng), self.seed);
+        let storage_db = Database::with_shared(storage_pager(
+            Some(medium),
+            false,
+            self.params.epc_limit_bytes,
+        )?);
         let mut system = CsaSystem::from_database(SystemConfig::IronSafe, storage_db, self.params);
         system.set_fault_plan(self.fault_plan.clone());
 
@@ -347,6 +343,47 @@ mod tests {
         let resp = dep.submit(&bob, "db", "SELECT b FROM t WHERE a >= 2 ORDER BY a", "").unwrap();
         assert_eq!(resp.result.rows().len(), 2);
         assert!(resp.verify_proof(&dep));
+    }
+
+    /// The storage pager's verified-node cache and flight ring live in
+    /// the storage TEE, so the enclave budget a deployment is built with
+    /// sizes them, as it does for a `CsaSystem` or a shard.
+    #[test]
+    fn the_storage_pager_is_sized_by_the_enclave_budget() {
+        use ironsafe_faults::{FaultPlan, FaultSite};
+        let build = |epc_limit_bytes| {
+            let params = CostParams { epc_limit_bytes, ..CostParams::default() };
+            Deployment::builder().cost_params(params).build().unwrap()
+        };
+        // 64 bytes an event: 8 KiB keep the last 128 failed attempts, the
+        // default 96 MiB keep all of a few hundred.
+        let events_kept = |dep: &Deployment| {
+            let mut pager = dep.system().storage_db().pager().lock();
+            pager.set_fault_plan(FaultPlan::seeded(1).with_rate(FaultSite::DeviceRead, 1.0));
+            let mut page = vec![0u8; pager.payload_size()];
+            let attempts = (0..300).filter(|_| pager.read_page(0, &mut page).is_err()).count();
+            assert_eq!(attempts, 300);
+            pager.take_flight_dump().len()
+        };
+        assert_eq!(events_kept(&build(8 * 1024)), 128);
+        assert!(events_kept(&build(CostParams::default().epc_limit_bytes)) >= 300);
+
+        // 16 bytes a verified node, floored at 1 024: reading back 1 500
+        // pages overflows a 16 KiB budget's cache (which then evicts
+        // wholesale) and not the default one.
+        let evictions = |dep: &Deployment| {
+            let registry = ironsafe_obs::Registry::new();
+            let mut pager = dep.system().storage_db().pager().lock();
+            pager.register_metrics(&registry);
+            let page = vec![7u8; pager.payload_size()];
+            let ids: Vec<u64> = (0..1_500).map(|_| pager.allocate_page().unwrap()).collect();
+            ids.iter().for_each(|id| pager.write_page(*id, &page).unwrap());
+            let mut out = vec![0u8; page.len()];
+            ids.iter().for_each(|id| pager.read_page(*id, &mut out).unwrap());
+            registry.snapshot().counter("storage.merkle.cache.evict").unwrap()
+        };
+        assert!(evictions(&build(16 * 1024)) > 0);
+        assert_eq!(evictions(&build(CostParams::default().epc_limit_bytes)), 0);
     }
 
     #[test]

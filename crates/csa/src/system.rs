@@ -24,11 +24,14 @@ use ironsafe_obs::{Span, Trace, TraceCtx, TraceSnapshot};
 use ironsafe_sql::ast::{expr_to_sql, SelectItem, SelectStmt, Statement};
 use ironsafe_sql::catalog::Catalog;
 use ironsafe_sql::exec::{ExecOptions, ScanWatch};
+use ironsafe_sql::heap::{shared, SharedPager};
 use ironsafe_sql::{Database, EncodedRows, QueryResult, Schema};
 use ironsafe_storage::pager::PlainPager;
-use ironsafe_storage::{PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager};
-use ironsafe_tee::sgx::epc::EpcSimulator;
-use ironsafe_tee::trustzone::Manufacturer;
+use ironsafe_storage::{
+    CompressedPager, PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager,
+};
+use ironsafe_tee::sgx::epc::{verified_node_cache_capacity, EpcSimulator};
+use ironsafe_tee::trustzone::{Manufacturer, TrustZoneDevice};
 use ironsafe_tpch::queries::PaperQuery;
 use ironsafe_tpch::TpchData;
 use parking_lot::Mutex;
@@ -171,6 +174,38 @@ impl Default for Settings {
     }
 }
 
+/// A storage node's pager stack under an enclave budget of
+/// `epc_limit_bytes`: a [`SecurePager`] on `medium` — a TrustZone device
+/// and the seed its database key is drawn from — or, without one, a
+/// plain pager; `compressed` layers per-page compression *under* the
+/// page crypto (compress, then encrypt + MAC). The verified-node cache
+/// and the flight-recorder ring are TEE-resident and compete with the
+/// query working set for EPC, so both are bounded by the budget the cost
+/// model assumes. Everything that builds a storage node — [`CsaSystem`],
+/// a shard, a `Deployment` — gets its pager here.
+pub fn storage_pager(
+    medium: Option<(TrustZoneDevice, u64)>,
+    compressed: bool,
+    epc_limit_bytes: usize,
+) -> Result<SharedPager> {
+    let secure = medium
+        .map(|(device, seed)| SecurePager::create(device, seed))
+        .transpose()
+        .map_err(crate::CsaError::Storage)?;
+    let pager = match (secure, compressed) {
+        (Some(secure), true) => shared(CompressedPager::new(secure)),
+        (Some(secure), false) => shared(secure),
+        (None, true) => shared(CompressedPager::new(PlainPager::new())),
+        (None, false) => shared(PlainPager::new()),
+    };
+    {
+        let (mut tee_resident, budget) = (pager.lock(), epc_limit_bytes as u64);
+        tee_resident.set_merkle_cache_capacity(verified_node_cache_capacity(budget));
+        tee_resident.set_flight_budget(budget);
+    }
+    Ok(pager)
+}
+
 /// A host+storage deployment in one configuration.
 pub struct CsaSystem {
     /// Active configuration.
@@ -215,33 +250,16 @@ impl CsaSystem {
         params: CostParams,
         compressed: bool,
     ) -> Result<CsaSystem> {
-        let mut storage_db = if config.secure() {
+        let medium = config.secure().then(|| {
             let group = Group::modp_1024();
             let mfr = Manufacturer::from_seed(&group, b"ironsafe-storage-vendor");
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xC5A);
-            let device = mfr.make_device("storage-0", 8, &mut rng);
-            let pager = SecurePager::create(device, 0xC5A).map_err(crate::CsaError::Storage)?;
-            if compressed {
-                Database::new(ironsafe_storage::CompressedPager::new(pager))
-            } else {
-                Database::new(pager)
-            }
-        } else if compressed {
-            Database::new(ironsafe_storage::CompressedPager::new(PlainPager::new()))
-        } else {
-            Database::new(PlainPager::new())
-        };
+            (mfr.make_device("storage-0", 8, &mut rng), 0xC5A)
+        });
+        let mut storage_db =
+            Database::with_shared(storage_pager(medium, compressed, params.epc_limit_bytes)?);
         ironsafe_tpch::load_into(&mut storage_db, data)?;
         storage_db.reset_pager_stats();
-        // Bound the verified-node cache by the enclave memory budget the
-        // cost model assumes — the cache is TEE-resident, so it competes
-        // with the query working set for EPC.
-        storage_db.pager().lock().set_merkle_cache_capacity(
-            ironsafe_tee::sgx::epc::verified_node_cache_capacity(params.epc_limit_bytes as u64),
-        );
-        // The flight recorder is TEE-resident too: its ring capacity is
-        // derived from the same enclave memory budget.
-        storage_db.pager().lock().set_flight_budget(params.epc_limit_bytes as u64);
         Ok(Self::from_database(config, storage_db, params))
     }
 
@@ -600,7 +618,8 @@ impl CsaSystem {
         let mut ops_total = 0u64;
         let mut probe_requests = 0u64;
         let mut temps: Vec<&str> = Vec::new();
-        let staged = (|| -> Result<Option<QueryResult>> {
+        let mut staged = EncodedRows::new();
+        let outcome = (|| -> Result<Option<QueryResult>> {
             let mut result = None;
             for (stage_no, (stmt, into)) in stages.iter().enumerate() {
                 let label = match run {
@@ -608,7 +627,7 @@ impl CsaSystem {
                     _ => format!("stage{stage_no}/{site}"),
                 };
                 let _stage_span = Span::enter(&label);
-                let r = match stmt {
+                match stmt {
                     Statement::Select(sel) => {
                         let mut stage_rows = 0u64;
                         for t in &sel.from {
@@ -624,19 +643,27 @@ impl CsaSystem {
                         if sel.from.len() > 1 {
                             probe_requests += stage_rows;
                         }
-                        let (r, ops) = self.storage_db.select_with_profile(sel, &exec)?;
+                        let ops = match *into {
+                            // A staged result lands in its temp table as
+                            // the plan's root encoded it.
+                            Some(name) => {
+                                staged.clear();
+                                let (schema, ops) =
+                                    self.storage_db.select_encoded(sel, &exec, &mut staged)?;
+                                self.storage_db.create_table(name, schema)?;
+                                temps.push(name);
+                                self.storage_db.insert_encoded(name, staged.as_slice())?;
+                                ops
+                            }
+                            None => {
+                                let (r, ops) = self.storage_db.select_with_profile(sel, &exec)?;
+                                result = Some(r);
+                                ops
+                            }
+                        };
                         self.last_plans.push(PlanProfile::new(label, placement, ops));
-                        r
                     }
-                    other => self.storage_db.execute_statement(other)?,
-                };
-                match *into {
-                    Some(name) => {
-                        self.storage_db.create_table(name, r.schema())?;
-                        temps.push(name);
-                        self.storage_db.insert_rows(name, r.into_rows())?;
-                    }
-                    None => result = Some(r),
+                    other => result = Some(self.storage_db.execute_statement(other)?),
                 }
             }
             Ok(result)
@@ -650,7 +677,7 @@ impl CsaSystem {
                 dropped = Err(e);
             }
         }
-        let result = staged?;
+        let result = outcome?;
         dropped?;
         let delta = self.storage_db.pager_stats() - before;
         let mut work = Work { pages: delta, probe_requests, db_pages, ..Work::default() };
@@ -954,22 +981,28 @@ impl CsaSystem {
                     epc.touch_background(self.set.epc_pressure_pages);
                 }
             }
-            let r = {
-                let _host_span = Span::enter("host/join_aggregate");
-                let (r, host_ops_profile) = host_db.select_with_profile(&host, &exec)?;
-                self.last_plans.push(PlanProfile::new(
-                    format!("stage{stage_no}/host"),
-                    Placement::Host,
-                    host_ops_profile,
-                ));
-                r
-            };
-            match &stage.into {
-                Some(name) => {
-                    host_db.create_table(name, r.schema())?;
-                    host_db.insert_rows(name, r.into_rows())?;
+            let host_span = Span::enter("host/join_aggregate");
+            let (staged, host_ops_profile) = match &stage.into {
+                Some(_) => {
+                    let mut rows = EncodedRows::new();
+                    let (schema, ops) = host_db.select_encoded(&host, &exec, &mut rows)?;
+                    (Some((schema, rows)), ops)
                 }
-                None => result = Some(r),
+                None => {
+                    let (r, ops) = host_db.select_with_profile(&host, &exec)?;
+                    result = Some(r);
+                    (None, ops)
+                }
+            };
+            drop(host_span);
+            self.last_plans.push(PlanProfile::new(
+                format!("stage{stage_no}/host"),
+                Placement::Host,
+                host_ops_profile,
+            ));
+            if let (Some(name), Some((schema, rows))) = (&stage.into, staged) {
+                host_db.create_table(name, schema)?;
+                host_db.insert_encoded(name, rows.as_slice())?;
             }
             for t in shipped_tables {
                 host_db.execute(&format!("DROP TABLE {t}"))?;
@@ -1165,6 +1198,44 @@ mod tests {
                 "{ambiguous:?}"
             );
         }
+    }
+
+    /// An exclusive system writes straight to its base pager — no writer
+    /// view to discard — so a statement that fails while re-packing must
+    /// itself leave the table as it found it.
+    #[test]
+    fn a_write_that_fails_in_the_repack_leaves_an_exclusive_systems_table_as_it_was() {
+        use ironsafe_sql::{parser::parse_statement, Value};
+        let group = Group::modp_1024();
+        let mfr = Manufacturer::from_seed(&group, b"ironsafe-storage-vendor");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let medium = (mfr.make_device("storage-0", 8, &mut rng), 3);
+        let params = CostParams::default();
+        let pager = storage_pager(Some(medium), false, params.epc_limit_bytes).unwrap();
+        let mut db = Database::with_shared(pager);
+        db.execute("CREATE TABLE u (a INT, s TEXT)").unwrap();
+        let rows = (0..40).map(|a| vec![Value::Int(a), Value::Text("r".repeat(480))]).collect();
+        db.insert_rows("u", rows).unwrap();
+        let mut sys = CsaSystem::from_database(SystemConfig::IronSafe, db, params);
+        let run = |sys: &mut CsaSystem, sql: &str| {
+            sys.run_statement(&parse_statement(sql).unwrap()).map(|report| report.result)
+        };
+        let heap = |sys: &CsaSystem| sys.storage_db().catalog().table("u").unwrap().heap.clone();
+        let before = heap(&sys);
+        assert_eq!((before.pages.len(), before.row_count), (5, 40));
+        let big = "x".repeat(5000);
+        for sql in [
+            format!("UPDATE u SET s = '{big}' WHERE a = 10"),
+            format!("INSERT INTO u VALUES (2, 'ok'), (3, '{big}')"),
+        ] {
+            let err = run(&mut sys, &sql).unwrap_err().to_string();
+            assert!(err.contains("exceeds page payload"), "{err}");
+            assert_eq!(heap(&sys), before, "{sql:.40}");
+            let totals = run(&mut sys, "SELECT COUNT(*), SUM(a) FROM u").unwrap();
+            assert_eq!(totals.rows()[0], [Value::Int(40), Value::Int(780)], "{sql:.40}");
+        }
+        let next = run(&mut sys, "UPDATE u SET s = 'short' WHERE a = 10").unwrap();
+        assert_eq!(next, QueryResult::Count(1));
     }
 
     #[test]

@@ -208,10 +208,12 @@ impl FederatedCsaSystem {
         let secure = config.system.secure();
         let mut nodes = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
-            let tables: Vec<(String, Schema, Vec<Row>)> = partitions
+            // Encoded once per shard; every replica appends the same records.
+            let tables: Vec<(String, Schema, EncodedRows)> = partitions
                 .iter()
                 .map(|part| {
-                    (part.table.clone(), gid_schema(&part.schema), part.shard_rows[shard].clone())
+                    let rows = EncodedRows::from_rows(&part.shard_rows[shard]);
+                    (part.table.clone(), gid_schema(&part.schema), rows)
                 })
                 .collect();
             let mut chain = Vec::with_capacity(config.replicas + 1);
@@ -598,8 +600,10 @@ impl FederatedCsaSystem {
                         stage_bytes.div_ceil(4096),
                     );
                 }
-                agg_result
-                    .ok_or(ScaleError::Unsupported("aggregate stage produced no result"))?
+                Some(
+                    agg_result
+                        .ok_or(ScaleError::Unsupported("aggregate stage produced no result"))?,
+                )
             } else {
                 host_input_rows += shipped_tables
                     .iter()
@@ -615,15 +619,29 @@ impl FederatedCsaSystem {
                         }
                     }
                 }
-                let _host_span = Span::enter("host/join_aggregate");
-                host_db.select_with(&host, exec)?
-            };
-            match &stage.into {
-                Some(name) => {
-                    host_db.create_table(name, stage_out.schema())?;
-                    host_db.insert_rows(name, stage_out.into_rows())?;
+                let host_span = Span::enter("host/join_aggregate");
+                match &stage.into {
+                    // Staged: the temp table takes the rows as the
+                    // plan's root encoded them.
+                    Some(name) => {
+                        let mut rows = EncodedRows::new();
+                        let (schema, _) = host_db.select_encoded(&host, exec, &mut rows)?;
+                        drop(host_span);
+                        host_db.create_table(name, schema)?;
+                        host_db.insert_encoded(name, rows.as_slice())?;
+                        None
+                    }
+                    None => Some(host_db.select_with(&host, exec)?),
                 }
-                None => result = Some(stage_out),
+            };
+            match (stage_out, &stage.into) {
+                // A replayed aggregate's rows were built by the fan-in.
+                (Some(rows), Some(name)) => {
+                    host_db.create_table(name, rows.schema())?;
+                    host_db.insert_rows(name, rows.into_rows())?;
+                }
+                (Some(rows), None) => result = Some(rows),
+                (None, _) => {}
             }
             for t in shipped_tables {
                 host_db.execute(&format!("DROP TABLE {t}"))?;

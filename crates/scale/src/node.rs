@@ -1,25 +1,25 @@
 //! One simulated storage node: its own pager stack, trust root and
 //! fault plan.
 //!
-//! Every node in the federation is built exactly the way a single-node
-//! [`CsaSystem`](ironsafe_csa::CsaSystem) builds its storage side —
-//! secure configurations get a fresh TrustZone device from a
-//! per-federation manufacturer (own HUK, own RPMB, own device
-//! certificate) under a [`SecurePager`] with its own Merkle tree; the
-//! non-secure baselines get a [`PlainPager`]. A node's attestation
+//! Every node in the federation gets its pager where a single-node
+//! [`CsaSystem`](ironsafe_csa::CsaSystem) gets its storage side's
+//! ([`storage_pager`]) — secure configurations on a fresh TrustZone
+//! device from a per-federation manufacturer (own HUK, own RPMB, own
+//! device certificate) with its own Merkle tree; the non-secure
+//! baselines on a plain pager. A node's attestation
 //! record is the verification of its device certificate against the
 //! manufacturer root, checked at build time and re-checked before a
 //! replica is promoted.
 
-use crate::{Result, ScaleError};
+use crate::Result;
 use ironsafe_crypto::group::Group;
-use ironsafe_csa::CostParams;
+use ironsafe_csa::{storage_pager, CostParams};
 use ironsafe_faults::FaultPlan;
 use ironsafe_sql::db::Database;
-use ironsafe_sql::schema::{Row, Schema};
+use ironsafe_sql::schema::Schema;
 use ironsafe_sql::value::Value;
-use ironsafe_storage::pager::{PagerStats, PlainPager};
-use ironsafe_storage::SecurePager;
+use ironsafe_sql::EncodedRows;
+use ironsafe_storage::pager::PagerStats;
 use ironsafe_tee::trustzone::Manufacturer;
 use parking_lot::Mutex;
 use rand::SeedableRng;
@@ -51,8 +51,9 @@ pub struct ShardNode {
 
 impl ShardNode {
     /// Build and load a node. `tables` holds the shard's gid-augmented
-    /// partition of every table, in load order. With `compressed` set,
-    /// pages are compressed before encrypt+MAC (see
+    /// partition of every table, in load order, already encoded — every
+    /// replica of a shard appends the same records. With `compressed`
+    /// set, pages are compressed before encrypt+MAC (see
     /// [`ironsafe_storage::CompressedPager`]) — result rows are
     /// unchanged, physical page/crypto counters shrink honestly.
     pub fn build(
@@ -61,45 +62,29 @@ impl ShardNode {
         secure: bool,
         compressed: bool,
         params: &CostParams,
-        tables: &[(String, Schema, Vec<Row>)],
+        tables: &[(String, Schema, EncodedRows)],
     ) -> Result<ShardNode> {
         let id = format!("shard{shard}-node{replica}");
         let seed = 0x5CA1_E000u64 + (shard as u64) * 64 + replica as u64;
-        let (mut db, attestation) = if secure {
+        let mut attestation = AttestationRecord { device_id: id.clone(), verified: true };
+        let medium = secure.then(|| {
             let group = Group::modp_1024();
             let mfr = Manufacturer::from_seed(&group, b"ironsafe-scale-vendor");
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let device = mfr.make_device(&id, 8, &mut rng);
-            let verified = device.device_cert.verify(&group, &mfr.root_public()).is_ok();
-            let record = AttestationRecord { device_id: device.device_id.clone(), verified };
-            let pager = SecurePager::create(device, seed)
-                .map_err(|e| ScaleError::Csa(ironsafe_csa::CsaError::Storage(e)))?;
-            let db = if compressed {
-                Database::new(ironsafe_storage::CompressedPager::new(pager))
-            } else {
-                Database::new(pager)
-            };
-            (db, record)
-        } else {
-            let record = AttestationRecord { device_id: id.clone(), verified: true };
-            let db = if compressed {
-                Database::new(ironsafe_storage::CompressedPager::new(PlainPager::new()))
-            } else {
-                Database::new(PlainPager::new())
-            };
-            (db, record)
-        };
+            attestation.device_id = device.device_id.clone();
+            attestation.verified = device.device_cert.verify(&group, &mfr.root_public()).is_ok();
+            (device, seed)
+        });
+        let mut db =
+            Database::with_shared(storage_pager(medium, compressed, params.epc_limit_bytes)?);
         let mut row_counts = Vec::with_capacity(tables.len());
         for (name, schema, rows) in tables {
             db.create_table(name, schema.clone())?;
-            db.insert_rows(name, rows.clone())?;
+            db.insert_encoded(name, rows.as_slice())?;
             row_counts.push((name.clone(), rows.len() as u64));
         }
         db.reset_pager_stats();
-        db.pager().lock().set_merkle_cache_capacity(
-            ironsafe_tee::sgx::epc::verified_node_cache_capacity(params.epc_limit_bytes as u64),
-        );
-        db.pager().lock().set_flight_budget(params.epc_limit_bytes as u64);
         Ok(ShardNode {
             id,
             shard,

@@ -21,7 +21,9 @@
 //! cut); the chooser walks forward until that holds.
 
 use crate::{Result, ScaleError};
+use ironsafe_sql::batch::ColumnBatch;
 use ironsafe_sql::db::Database;
+use ironsafe_sql::heap::scan_page_columns;
 use ironsafe_sql::schema::{Column, Row, Schema};
 use ironsafe_sql::value::{DataType, Value};
 use ironsafe_storage::pager::PlainPager;
@@ -135,12 +137,13 @@ impl TablePartition {
             })
             .collect();
 
-        let (pages, canonical_pages) = canonical_packing(table, &with_gid, &gid_rows)?;
+        let pages = canonical_packing(table, &with_gid, &gid_rows, key_index)?;
+        let canonical_pages = pages.len() as u64;
         let sorted = rows
             .windows(2)
             .all(|w| !matches!(w[0][key_index].compare(&w[1][key_index]), Some(Ordering::Greater)));
         let boundaries = if sorted {
-            page_aligned_boundaries(&pages, key_index, rows.len() as u64, shards)
+            page_aligned_boundaries(&pages, rows.len() as u64, shards)
         } else {
             // Without key-sorted canonical order a page-aligned cut
             // cannot be a key boundary; fall back to even cuts over the
@@ -167,53 +170,45 @@ impl TablePartition {
     }
 }
 
-/// One packed heap page: starting canonical row index plus the page's
-/// first and last row (the boundary chooser extracts partition keys).
-type PackedPage = (u64, Row, Row);
-
 /// Pack the gid-augmented table once on a scratch in-memory pager and
-/// record, per heap page, its starting canonical row index and its
-/// first/last row (the boundary chooser extracts the partition keys).
+/// record, per heap page, what the boundary chooser uses: its starting
+/// canonical row index and its first and last partition key (read with
+/// the columnar decode, the key column only).
 fn canonical_packing(
     table: &str,
     with_gid: &Schema,
     gid_rows: &[Row],
-) -> Result<(Vec<PackedPage>, u64)> {
+    key_index: usize,
+) -> Result<Vec<PageFacts>> {
     let mut db = Database::new(PlainPager::new());
     db.create_table(table, with_gid.clone())?;
     db.insert_rows(table, gid_rows.to_vec())?;
-    let info = db.catalog().table(table)?;
-    let npages = info.heap.pages.len();
-    let mut pages = Vec::with_capacity(npages);
-    let mut start = 0u64;
-    for p in 0..npages {
-        let rows = info.heap.read_page_rows(db.pager(), p, with_gid.len())?;
-        let first = rows.first().expect("heap pages are never empty").clone();
-        let last = rows.last().expect("heap pages are never empty").clone();
-        pages.push((start, first, last));
-        start += rows.len() as u64;
+    let heap = &db.catalog().table(table)?.heap;
+    let key_only: Vec<bool> = (0..with_gid.len()).map(|c| c == key_index).collect();
+    let mut batch = ColumnBatch::new(with_gid.len());
+    let mut payload = vec![0u8; db.pager().lock().payload_size()];
+    let mut pages = Vec::with_capacity(heap.pages.len());
+    let mut start_row = 0u64;
+    for &id in &heap.pages {
+        db.pager().lock().read_page(id, &mut payload)?;
+        batch.clear();
+        scan_page_columns(&payload, &key_only, &mut batch)?;
+        let last = batch.len().checked_sub(1).expect("heap pages are never empty");
+        pages.push(PageFacts {
+            start_row,
+            first_key: batch.value_at(key_index, 0),
+            last_key: batch.value_at(key_index, last),
+        });
+        start_row += batch.len() as u64;
     }
-    Ok((pages, npages as u64))
+    Ok(pages)
 }
 
 /// Choose `shards - 1` ascending boundaries snapped to canonical page
 /// starts, each a *clean* cut (the boundary page's first key strictly
 /// exceeds the previous page's last key, so duplicate keys never
 /// straddle it).
-fn page_aligned_boundaries(
-    pages: &[(u64, Row, Row)],
-    key_index: usize,
-    total: u64,
-    shards: usize,
-) -> Vec<RangeBound> {
-    let facts: Vec<PageFacts> = pages
-        .iter()
-        .map(|(start, first, last)| PageFacts {
-            start_row: *start,
-            first_key: first[key_index].clone(),
-            last_key: last[key_index].clone(),
-        })
-        .collect();
+fn page_aligned_boundaries(facts: &[PageFacts], total: u64, shards: usize) -> Vec<RangeBound> {
     let npages = facts.len();
     let mut boundaries = Vec::with_capacity(shards.saturating_sub(1));
     let mut last_p = 0usize;

@@ -15,10 +15,11 @@
 //! for the next fill.
 //!
 //! The batch is a *view*, not a format: pages are decoded through the
-//! same record codec as the row decode (`crate::heap::for_each_record`),
-//! and [`ColumnBatch::value_at`] reconstructs each cell bit-identically
-//! to it — which is what lets batch operators return the rows, float
-//! bits included, that row-at-a-time evaluation would.
+//! record codec (`crate::heap::for_each_record`) the test-only row decode
+//! shares, and [`ColumnBatch::value_at`] reconstructs each cell
+//! bit-identically to it — which is what lets batch operators return the
+//! rows, and DML write the records, float bits included, that
+//! row-at-a-time evaluation would.
 
 use crate::schema::Row;
 use crate::value::{RawValue, Value};
@@ -472,7 +473,8 @@ impl ColumnBatch {
         self.columns[col].lane(lane)
     }
 
-    /// Owned cell value, bit-identical to what the row decode produces.
+    /// Owned cell value, bit-identical to what a row decode of the same
+    /// record produces.
     pub fn value_at(&self, col: usize, lane: usize) -> Value {
         self.lane(col, lane).to_value()
     }

@@ -1,10 +1,12 @@
 //! The `Database` façade: SQL text in, rows out.
 
 use crate::ast::{Expr, SelectStmt, Statement};
+use crate::batch::ColumnBatch;
 use crate::catalog::Catalog;
 use crate::encoded::{EncodedRows, EncodedSlice};
-use crate::exec::{bind_all, collect, ExecOptions, RowCursor};
-use crate::expr::{bind, eval_bound};
+use crate::exec::scan::{rewrite_records, ScanSource};
+use crate::exec::{collect, ExecOptions, RowCursor};
+use crate::expr::{bind, eval_vec, BoundExpr, VecScratch};
 use crate::heap::{shared, SharedPager};
 use crate::parser::parse;
 use crate::plan::{plan_select, plan_select_with};
@@ -245,35 +247,25 @@ impl Database {
         Ok((cursor.op().schema().clone(), crate::exec::operator_profiles(cursor.op())))
     }
 
-    /// [`Database::execute_statement`] under explicit execution options.
-    /// Only `SELECT` is affected; DML/DDL always run serially.
-    pub fn execute_statement_with(
-        &mut self,
-        stmt: &Statement,
-        opts: &ExecOptions,
-    ) -> Result<QueryResult> {
-        match stmt {
-            Statement::Select(sel) => self.select_with(sel, opts),
-            other => self.execute_statement(other),
-        }
-    }
-
     fn insert(
         &mut self,
         table: &str,
         columns: Option<&[String]>,
         values: &[Vec<Expr>],
     ) -> Result<QueryResult> {
-        let info = self.catalog.table(table)?;
-        let schema = info.schema.clone();
+        let schema = &self.catalog.table(table)?.schema;
         // Map provided columns to schema positions.
         let positions: Vec<usize> = match columns {
             None => (0..schema.len()).collect(),
             Some(cols) => cols.iter().map(|c| schema.resolve(c)).collect::<Result<_>>()?,
         };
-        // VALUES expressions see no columns.
-        let (no_columns, no_row) = (Schema::default(), Row::new());
-        let mut rows = Vec::with_capacity(values.len());
+        // VALUES expressions see no columns: they run through the batch
+        // evaluator over one lane of a batch without any.
+        let (no_columns, mut one_lane) = (Schema::default(), ColumnBatch::new(0));
+        one_lane.finish_row()?;
+        let mut scratch = VecScratch::default();
+        let mut rows = EncodedRows::new();
+        let mut row = vec![Value::Null; schema.len()];
         for value_exprs in values {
             if value_exprs.len() != positions.len() {
                 return Err(SqlError::Plan(format!(
@@ -282,21 +274,19 @@ impl Database {
                     positions.len()
                 )));
             }
-            let mut row = vec![Value::Null; schema.len()];
             for (expr, &pos) in value_exprs.iter().zip(positions.iter()) {
-                row[pos] = eval_bound(&bind(expr, &no_columns)?, &no_row)?;
+                let constant = eval_vec(&bind(expr, &no_columns)?, &one_lane, &[true], &mut scratch)?;
+                row[pos] = constant.into_iter().next().expect("one lane");
             }
-            rows.push(row);
+            rows.push_row(&row);
         }
-        let n = rows.len() as u64;
-        let info = self.catalog.table_mut(table)?;
-        info.heap.append_rows(&self.pager, rows)?;
-        self.pager.lock().commit()?;
-        Ok(QueryResult::Count(n))
+        self.insert_encoded(table, rows.as_slice())?;
+        Ok(QueryResult::Count(rows.len() as u64))
     }
 
-    /// Bulk-insert pre-built rows (bypasses SQL parsing; used by loaders and
-    /// by the CSA host engine when materializing shipped intermediates).
+    /// Bulk-insert pre-built rows (bypasses SQL parsing): the load
+    /// boundary, where rows arrive from outside the engine. Rows the engine
+    /// itself produced go through [`Database::insert_encoded`].
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
         let info = self.catalog.table_mut(table)?;
         for r in &rows {
@@ -338,52 +328,40 @@ impl Database {
         where_clause: Option<&Expr>,
     ) -> Result<QueryResult> {
         let schema = &self.catalog.table(table)?.schema;
-        let positions: Vec<usize> =
-            sets.iter().map(|(c, _)| schema.resolve(c)).collect::<Result<_>>()?;
-        let values = bind_all(sets.iter().map(|(_, e)| e), schema)?;
-        self.rewrite_where(table, where_clause, |mut row| {
-            // Evaluate all assignments against the *old* row.
-            let new_vals: Vec<Value> =
-                values.iter().map(|e| eval_bound(e, &row)).collect::<Result<_>>()?;
-            for (&pos, v) in positions.iter().zip(new_vals) {
-                row[pos] = v;
-            }
-            Ok(Some(row))
-        })
+        let sets: Vec<(usize, BoundExpr)> = sets
+            .iter()
+            .map(|(c, e)| Ok((schema.resolve(c)?, bind(e, schema)?)))
+            .collect::<Result<_>>()?;
+        self.rewrite_where(table, where_clause, Some(&sets))
     }
 
     fn delete(&mut self, table: &str, where_clause: Option<&Expr>) -> Result<QueryResult> {
-        self.rewrite_where(table, where_clause, |_| Ok(None))
+        self.rewrite_where(table, where_clause, None)
     }
 
-    /// Rewrite `table`, replacing every row `where_clause` selects (bound
-    /// once, before the first row is read) by `change(row)` — `None`
-    /// deletes it. Counts the rows selected.
+    /// Rewrite `table` without the rows `where_clause` selects (`sets` is
+    /// `None`) or with `sets` assigned on them: the scan kernel produces
+    /// the table's next contents as encoded records
+    /// ([`rewrite_records`]), then the heap re-packs them over its own
+    /// pages, all or nothing. Counts the rows selected.
     fn rewrite_where(
         &mut self,
         table: &str,
         where_clause: Option<&Expr>,
-        mut change: impl FnMut(Row) -> Result<Option<Row>>,
+        sets: Option<&[(usize, BoundExpr)]>,
     ) -> Result<QueryResult> {
         let info = self.catalog.table(table)?;
-        let predicate = where_clause.map(|w| bind(w, &info.schema)).transpose()?;
-        let rows = info.heap.all_rows(&self.pager, info.schema.len())?;
-        let mut kept = Vec::with_capacity(rows.len());
-        let mut selected = 0u64;
-        for row in rows {
-            let hit = match &predicate {
-                None => true,
-                Some(w) => eval_bound(w, &row)?.is_truthy(),
-            };
-            if hit {
-                selected += 1;
-                kept.extend(change(row)?);
-            } else {
-                kept.push(row);
-            }
-        }
+        let source = ScanSource {
+            schema: info.schema.clone(),
+            heap: info.heap.clone(),
+            pager: self.pager.clone(),
+            pred: where_clause.cloned(),
+            cols: vec![true; info.schema.len()],
+        };
+        let mut kept = EncodedRows::new();
+        let selected = rewrite_records(source, sets, &mut kept)?;
         let info = self.catalog.table_mut(table)?;
-        info.heap.rewrite(&self.pager, kept)?;
+        info.heap.rewrite(&self.pager, kept.as_slice().rows())?;
         self.pager.lock().commit()?;
         Ok(QueryResult::Count(selected))
     }
@@ -391,6 +369,9 @@ impl Database {
 
 // Re-exported for the partitioner, which manipulates WHERE conjuncts.
 pub use crate::plan::{join_conjuncts as and_join, split_conjuncts as and_split};
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 //! can leave the scan kernel, cross the channel and land in the host's
 //! temp-table pages without ever becoming a `Vec<Value>`.
 
+use crate::batch::ColumnBatch;
 use crate::schema::Row;
 use crate::value::{RawValue, Value};
 use std::ops::Range;
@@ -56,6 +57,13 @@ impl EncodedRows {
     /// Seal the row being built.
     pub fn finish_row(&mut self) {
         self.ends.push(self.bytes.len());
+    }
+
+    /// Append lane `lane` of `cols` as one row, cells written straight
+    /// from the lanes: the bytes the owned row would encode to.
+    pub fn push_lane(&mut self, cols: &ColumnBatch, lane: usize) {
+        cols.columns().iter().for_each(|col| self.push_cell(col.lane(lane).raw()));
+        self.finish_row();
     }
 
     /// Append one row of owned values.
@@ -118,7 +126,7 @@ impl<'a> EncodedSlice<'a> {
     }
 
     /// Each row's encoded cells, in order.
-    pub fn rows(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+    pub fn rows(&self) -> impl Iterator<Item = &'a [u8]> + Clone + 'a {
         let (bytes, mut start) = (self.bytes, self.first);
         self.ends.iter().map(move |&end| {
             let row = &bytes[start..end];

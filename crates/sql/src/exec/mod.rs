@@ -502,13 +502,10 @@ impl RowCursor {
         Ok(rows)
     }
 
-    /// Append every remaining row to `out` in encoded form, cells written
-    /// straight from the lanes: the bytes the owned rows would encode to.
+    /// Append every remaining row to `out` in encoded form
+    /// ([`EncodedRows::push_lane`]).
     pub fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
-        self.for_each_lane(|cols, lane| {
-            cols.columns().iter().for_each(|col| out.push_cell(col.lane(lane).raw()));
-            out.finish_row();
-        })
+        self.for_each_lane(|cols, lane| out.push_lane(cols, lane))
     }
 }
 

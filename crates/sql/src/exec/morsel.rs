@@ -279,17 +279,10 @@ mod tests {
     fn fixture(nrows: i64) -> ScanSource {
         let pager = shared(PlainPager::new());
         let mut heap = HeapFile::new();
-        heap.append_rows(
-            &pager,
-            (0..nrows).map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::Text(format!("grp{}", i % 7)),
-                    Value::Float(i as f64 * 0.25),
-                ]
-            }),
-        )
-        .unwrap();
+        let row = |i| {
+            vec![Value::Int(i), Value::Text(format!("grp{}", i % 7)), Value::Float(i as f64 * 0.25)]
+        };
+        heap.append_rows(&pager, (0..nrows).map(row).collect()).unwrap();
         let schema = Schema::new(vec![
             Column::new("a", DataType::Int),
             Column::new("g", DataType::Text),

@@ -1,4 +1,5 @@
-//! The scan kernel: the one way rows leave a heap.
+//! The scan kernel: the one way rows leave a heap, and the one way they
+//! are rewritten.
 //!
 //! Every plan reads its base tables through [`Kernel::run`], one morsel
 //! at a time: a batched `read_pages` into a reused byte buffer (one
@@ -8,7 +9,9 @@
 //! validated, never copied), and the bound predicate over the batch
 //! ([`filter_vec`]). What survives is handed on as a batch plus its
 //! selection — output columns for [`Scan`], group keys and aggregate
-//! inputs folded straight into the accumulator for [`ScanAggregate`].
+//! inputs folded straight into the accumulator for [`ScanAggregate`],
+//! the table's next contents as encoded records for `UPDATE` / `DELETE`
+//! ([`rewrite_records`]).
 //! Text is copied once, page → column arena, for referenced columns; a
 //! [`Scan`] *lends* its decoded columns to its parent (they are swapped
 //! into its output batch and back, never copied), and a second copy
@@ -25,6 +28,7 @@
 
 use crate::ast::{expr_to_sql, Expr};
 use crate::batch::ColumnBatch;
+use crate::encoded::EncodedRows;
 use crate::exec::aggregate::{agg_output_schema, bind_agg_inputs, AggSpec, GroupAcc};
 use crate::exec::morsel::{partition_pages, run_ordered, ExecOptions, Morsel};
 use crate::exec::{bind_all, count_live, project_into, select_all, Batch, Operator, Values};
@@ -172,6 +176,60 @@ impl Kernel {
         }
         out
     }
+}
+
+/// `UPDATE` / `DELETE` as a driver of the kernel: run `source` (every
+/// column, the statement's `WHERE` as its predicate) morsel by morsel and
+/// append to `out`, as encoded records in heap order, the rows the table
+/// holds after the statement — for a `DELETE` (`sets` is `None`) every
+/// lane the predicate did not select, for an `UPDATE` every lane, a
+/// selected one with its assigned cells (`(column, value)`, the last
+/// assignment to a column winning) replaced by the `SET` expressions'
+/// values. Those are evaluated over the selected lanes only and all read
+/// the *old* row. Returns how many lanes the predicate selected; nothing
+/// is written — the caller re-packs `out` once every page has been read.
+/// Morsels are the default size, in page order on the calling thread:
+/// every pager charges a batch of pages what it charges the same pages
+/// read one by one, so the statement's counters are those of the
+/// page-at-a-time read this replaced.
+pub(crate) fn rewrite_records(
+    source: ScanSource,
+    sets: Option<&[(usize, BoundExpr)]>,
+    out: &mut EncodedRows,
+) -> Result<u64> {
+    // Which `SET` writes each column, if any.
+    let assigned: Vec<Option<usize>> = (0..source.schema.len())
+        .map(|c| sets.and_then(|sets| sets.iter().rposition(|(at, _)| *at == c)))
+        .collect();
+    let kernel = Kernel::new(source, ExecOptions::serial())?;
+    let mut buf = MorselBuf::default();
+    let mut selected = 0;
+    for i in 0..kernel.morsels.len() {
+        let hits = kernel.run(i, &mut buf)?;
+        selected += hits as u64;
+        let MorselBuf { batch, sel, scratch, .. } = &mut buf;
+        let values = match sets {
+            Some(sets) if hits > 0 => sets
+                .iter()
+                .map(|(_, e)| eval_vec(e, batch, sel, scratch))
+                .collect::<Result<Vec<_>>>()?,
+            _ => Vec::new(),
+        };
+        for lane in 0..sel.len() {
+            if !sel[lane] {
+                out.push_lane(batch, lane);
+            } else if sets.is_some() {
+                for (col, set) in batch.columns().iter().zip(&assigned) {
+                    out.push_cell(match set {
+                        Some(k) => RawValue::of(&values[*k][lane]),
+                        None => col.lane(lane).raw(),
+                    });
+                }
+                out.finish_row();
+            }
+        }
+    }
+    Ok(selected)
 }
 
 /// Table scan with the pushed-down filter and the projection fused in:

@@ -1,29 +1,28 @@
 //! Expression evaluation.
 //!
 //! [`bind`] looks every column name up once, against the schema of
-//! whatever feeds the expression, and product code runs two evaluators
-//! over the resulting [`BoundExpr`]:
+//! whatever feeds the expression, and product code runs one evaluator
+//! over the resulting [`BoundExpr`]: [`eval_vec`] / [`eval_truth_vec`] /
+//! [`filter_vec`], a column batch at a time — the scan kernel, every
+//! operator above it and every DML statement, each binding its
+//! expressions when it is built (`INSERT … VALUES` constants are a
+//! one-lane batch with no columns).
 //!
-//! * [`eval_bound`] — a row at a time: DML and constants.
-//! * [`eval_vec`] / [`eval_truth_vec`] / [`filter_vec`] — a column batch
-//!   at a time: the scan kernel and every operator above it, each
-//!   binding its expressions when it is built (second half of this
-//!   file).
-//!
-//! `eval`, which walks the parsed [`Expr`] and resolves names per row,
-//! is compiled for tests only, as the oracle for the other two. All
-//! operator semantics (three-valued logic, arithmetic promotion,
-//! built-in functions, `LIKE`) live in shared helpers, so the
-//! evaluators cannot drift apart.
+//! The row-at-a-time evaluators — one over a [`BoundExpr`], one over the
+//! parsed [`Expr`] with names resolved per row — are compiled for tests
+//! only (`mod scalar`, at the bottom), as the oracle for the vector
+//! kernels. Operator semantics (arithmetic promotion,
+//! built-in functions, `LIKE`, what a comparison operator holds for)
+//! live in helpers both share.
 
 use crate::ast::{BinOp, Expr, UnaryOp};
-use crate::schema::{Row, Schema};
+use crate::schema::Schema;
 use crate::value::Value;
 use crate::{Result, SqlError};
 use std::cmp::Ordering;
 
 /// An [`Expr`] with every column reference pre-resolved to its row
-/// index. Built by [`bind`], evaluated by [`eval_bound`].
+/// index. Built by [`bind`], evaluated by [`eval_vec`].
 #[derive(Debug, Clone)]
 pub enum BoundExpr {
     /// Column reference, resolved to a row index.
@@ -154,32 +153,6 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
     })
 }
 
-/// Evaluate a [`BoundExpr`] against `row`: a column is `row[idx]`, no
-/// name is looked up.
-pub fn eval_bound(expr: &BoundExpr, row: &Row) -> Result<Value> {
-    let ev = |e: &BoundExpr| eval_bound(e, row);
-    match expr {
-        BoundExpr::Col(idx) => Ok(row[*idx].clone()),
-        BoundExpr::Literal(v) => Ok(v.clone()),
-        BoundExpr::Unary { op, expr } => unary_value(*op, ev(expr)?),
-        BoundExpr::Binary { op, left, right } => eval_binary_with(*op, &**left, &**right, &ev),
-        BoundExpr::Between { expr, low, high, negated } => {
-            Ok(between_values(ev(expr)?, ev(low)?, ev(high)?, *negated))
-        }
-        BoundExpr::InList { expr, list, negated } => in_list_with(ev(expr)?, list, *negated, &ev),
-        BoundExpr::Like { expr, pattern, negated } => like_value(ev(expr)?, pattern, *negated),
-        BoundExpr::IsNull { expr, negated } => {
-            Ok(Value::Int((ev(expr)?.is_null() ^ negated) as i64))
-        }
-        BoundExpr::Case { when_then, else_expr } => {
-            case_with(when_then, else_expr.as_deref(), &ev)
-        }
-        BoundExpr::Func { name, args } => {
-            eval_func_owned(name, &args.iter().map(ev).collect::<Result<Vec<_>>>()?)
-        }
-    }
-}
-
 /// Apply a unary operator to an already-evaluated operand.
 fn unary_value(op: UnaryOp, v: Value) -> Result<Value> {
     match op {
@@ -199,72 +172,9 @@ fn unary_value(op: UnaryOp, v: Value) -> Result<Value> {
     }
 }
 
-/// Binary operator over lazily-evaluated operands — `AND`/`OR` apply SQL
-/// three-valued logic with short-circuiting; everything else evaluates
-/// both sides and defers to [`binary_values`]. Generic over the node
-/// type so [`eval_bound`] and the unbound test oracle share one
-/// implementation.
-fn eval_binary_with<E>(
-    op: BinOp,
-    left: &E,
-    right: &E,
-    ev: &impl Fn(&E) -> Result<Value>,
-) -> Result<Value> {
-    match op {
-        BinOp::And => {
-            let l = ev(left)?;
-            if !l.is_null() && !l.is_truthy() {
-                return Ok(Value::Int(0));
-            }
-            let r = ev(right)?;
-            if !r.is_null() && !r.is_truthy() {
-                return Ok(Value::Int(0));
-            }
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Int(1))
-        }
-        BinOp::Or => {
-            let l = ev(left)?;
-            if !l.is_null() && l.is_truthy() {
-                return Ok(Value::Int(1));
-            }
-            let r = ev(right)?;
-            if !r.is_null() && r.is_truthy() {
-                return Ok(Value::Int(1));
-            }
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Int(0))
-        }
-        _ => binary_values(op, ev(left)?, ev(right)?),
-    }
-}
-
-/// Non-logical binary operator over already-evaluated operands.
-fn binary_values(op: BinOp, l: Value, r: Value) -> Result<Value> {
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            arith(op, LaneVal::of(&l), LaneVal::of(&r))
-        }
-        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-            let ord = l
-                .compare(&r)
-                .ok_or_else(|| SqlError::Eval(format!("cannot compare {l:?} and {r:?}")))?;
-            Ok(Value::Int(cmp_holds(op, ord) as i64))
-        }
-        BinOp::And | BinOp::Or => unreachable!("short-circuited by eval_binary_with"),
-    }
-}
-
 /// Does comparison operator `op` hold for ordering `ord`? Shared by the
-/// row evaluators ([`binary_values`]) and the vectorized comparison
-/// kernels so the two cannot disagree.
+/// vectorized comparison kernels and the test-only row evaluators, so the
+/// two cannot disagree.
 fn cmp_holds(op: BinOp, ord: Ordering) -> bool {
     match op {
         BinOp::Eq => ord == Ordering::Equal,
@@ -274,66 +184,6 @@ fn cmp_holds(op: BinOp, ord: Ordering) -> bool {
         BinOp::Gt => ord == Ordering::Greater,
         BinOp::GtEq => ord != Ordering::Less,
         _ => unreachable!("not a comparison operator"),
-    }
-}
-
-/// `BETWEEN` over already-evaluated operands (NULL if any side is
-/// incomparable).
-fn between_values(v: Value, lo: Value, hi: Value, negated: bool) -> Value {
-    match (v.compare(&lo), v.compare(&hi)) {
-        (Some(a), Some(b)) => {
-            let inside = a != Ordering::Less && b != Ordering::Greater;
-            Value::Int((inside ^ negated) as i64)
-        }
-        _ => Value::Null,
-    }
-}
-
-/// `IN (list…)` with short-circuit on the first match; generic over the
-/// node type for the same reason as [`eval_binary_with`].
-fn in_list_with<E>(
-    v: Value,
-    list: &[E],
-    negated: bool,
-    ev: &impl Fn(&E) -> Result<Value>,
-) -> Result<Value> {
-    if v.is_null() {
-        return Ok(Value::Null);
-    }
-    let mut found = false;
-    for item in list {
-        let iv = ev(item)?;
-        if v.compare(&iv) == Some(Ordering::Equal) {
-            found = true;
-            break;
-        }
-    }
-    Ok(Value::Int((found ^ negated) as i64))
-}
-
-/// `LIKE` over an already-evaluated operand.
-fn like_value(v: Value, pattern: &str, negated: bool) -> Result<Value> {
-    match v {
-        Value::Null => Ok(Value::Null),
-        Value::Text(s) => Ok(Value::Int((like_match(pattern, &s) ^ negated) as i64)),
-        other => Err(SqlError::Eval(format!("LIKE needs text, got {other:?}"))),
-    }
-}
-
-/// `CASE` with lazily-evaluated arms.
-fn case_with<E>(
-    when_then: &[(E, E)],
-    else_expr: Option<&E>,
-    ev: &impl Fn(&E) -> Result<Value>,
-) -> Result<Value> {
-    for (cond, val) in when_then {
-        if ev(cond)?.is_truthy() {
-            return ev(val);
-        }
-    }
-    match else_expr {
-        Some(e) => ev(e),
-        None => Ok(Value::Null),
     }
 }
 
@@ -386,11 +236,6 @@ fn arith(op: BinOp, l: LaneVal<'_>, r: LaneVal<'_>) -> Result<Value> {
         }
         _ => unreachable!(),
     }
-}
-
-/// [`eval_func`] over owned arguments (the row evaluators).
-fn eval_func_owned(name: &str, args: &[Value]) -> Result<Value> {
-    eval_func(name, &args.iter().map(LaneVal::of).collect::<Vec<_>>())
 }
 
 /// Evaluate a built-in scalar function over already-evaluated arguments,
@@ -506,16 +351,16 @@ fn like_rec(mut p: std::str::Chars<'_>, mut t: std::str::Chars<'_>) -> bool {
 // [`eval_vec`] / [`eval_truth_vec`] run a [`BoundExpr`] over a whole
 // [`ColumnBatch`] at a time, visiting only the lanes an `active` bitmap
 // keeps live. Comparisons, BETWEEN, LIKE, IS NULL and IN over literals
-// read column lanes in place (no `String` clone per text cell — the big
-// win over `eval_bound`'s `row[idx].clone()`); AND/OR, `CASE` arms and
-// `IN` items propagate shrinking active sets, so a sub-expression is
-// only evaluated on the lanes where the scalar evaluator would have
-// evaluated it and an error can only come from a lane that raises it
-// there too; function arguments are evaluated as vectors and the
-// built-in applied per lane to views of them — no row is materialized.
-// Semantic helpers ([`cmp_holds`], [`unary_value`], [`arith`],
-// `LaneVal::compare` ≡ `Value::compare`) are shared with the row
-// evaluators, so all of them agree value-for-value.
+// read column lanes in place (no `String` clone per text cell); AND/OR,
+// `CASE` arms and `IN` items propagate shrinking active sets, so a
+// sub-expression is only evaluated on the lanes where a row-at-a-time
+// evaluator would have evaluated it and an error can only come from a
+// lane that raises it there too; function arguments are evaluated as
+// vectors and the built-in applied per lane to views of them — no row is
+// materialized. Semantic helpers ([`cmp_holds`], [`unary_value`],
+// [`arith`], `LaneVal::compare` ≡ `Value::compare`) are shared with the
+// test-only row evaluators (`mod scalar`), so all of them agree
+// value-for-value.
 
 use crate::batch::{ColumnBatch, ColumnData, LaneVal};
 
@@ -771,7 +616,7 @@ pub fn eval_truth_vec(
 /// Evaluate `e` to one [`Value`] per lane of `batch`, visiting only
 /// `active` lanes (inactive lanes hold unspecified filler and must not
 /// be read). Lane `i`'s value — and whether evaluation errors — is
-/// identical to `eval_bound(e, &row_i)`.
+/// identical to the test-only row evaluator's on row `i`.
 pub fn eval_vec(
     e: &BoundExpr,
     batch: &ColumnBatch,
@@ -910,30 +755,198 @@ pub fn filter_vec(
 }
 
 #[cfg(test)]
-/// Test oracle: evaluate the unbound `expr` against `row`, resolving
-/// column names through `schema` on every call. Aggregate calls are not
-/// valid here, as in [`bind`].
-pub(crate) fn eval(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
-    let ev = |e: &Expr| eval(e, schema, row);
-    match expr {
-        Expr::Column(name) => {
-            let idx = schema.resolve(name)?;
-            Ok(row[idx].clone())
+pub(crate) use scalar::{eval, eval_bound};
+
+/// The row-at-a-time evaluators, compiled for tests only: the reference
+/// [`eval_vec`] and [`filter_vec`] are property-tested against (and what
+/// the DML oracle, `crate::db::oracle`, runs). They share `unary_value`,
+/// `arith`, `cmp_holds`, `eval_func` and `like_match` with the vector
+/// kernels, so what they check is the kernels' lane bookkeeping — active
+/// sets, short-circuits, which lane an error belongs to.
+#[cfg(test)]
+mod scalar {
+    use super::*;
+    use crate::schema::Row;
+
+    /// Evaluate a [`BoundExpr`] against `row`: a column is `row[idx]`, no
+    /// name is looked up.
+    pub(crate) fn eval_bound(expr: &BoundExpr, row: &Row) -> Result<Value> {
+        let ev = |e: &BoundExpr| eval_bound(e, row);
+        match expr {
+            BoundExpr::Col(idx) => Ok(row[*idx].clone()),
+            BoundExpr::Literal(v) => Ok(v.clone()),
+            BoundExpr::Unary { op, expr } => unary_value(*op, ev(expr)?),
+            BoundExpr::Binary { op, left, right } => eval_binary_with(*op, &**left, &**right, &ev),
+            BoundExpr::Between { expr, low, high, negated } => {
+                Ok(between_values(ev(expr)?, ev(low)?, ev(high)?, *negated))
+            }
+            BoundExpr::InList { expr, list, negated } => in_list_with(ev(expr)?, list, *negated, &ev),
+            BoundExpr::Like { expr, pattern, negated } => like_value(ev(expr)?, pattern, *negated),
+            BoundExpr::IsNull { expr, negated } => {
+                Ok(Value::Int((ev(expr)?.is_null() ^ negated) as i64))
+            }
+            BoundExpr::Case { when_then, else_expr } => {
+                case_with(when_then, else_expr.as_deref(), &ev)
+            }
+            BoundExpr::Func { name, args } => {
+                eval_func_owned(name, &args.iter().map(ev).collect::<Result<Vec<_>>>()?)
+            }
         }
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Unary { op, expr } => unary_value(*op, ev(expr)?),
-        Expr::Binary { op, left, right } => eval_binary_with(*op, &**left, &**right, &ev),
-        Expr::Between { expr, low, high, negated } => {
-            Ok(between_values(ev(expr)?, ev(low)?, ev(high)?, *negated))
+    }
+
+    /// Binary operator over lazily-evaluated operands — `AND`/`OR` apply SQL
+    /// three-valued logic with short-circuiting; everything else evaluates
+    /// both sides and defers to [`binary_values`]. Generic over the node
+    /// type so [`eval_bound`] and the unbound test oracle share one
+    /// implementation.
+    fn eval_binary_with<E>(
+        op: BinOp,
+        left: &E,
+        right: &E,
+        ev: &impl Fn(&E) -> Result<Value>,
+    ) -> Result<Value> {
+        match op {
+            BinOp::And => {
+                let l = ev(left)?;
+                if !l.is_null() && !l.is_truthy() {
+                    return Ok(Value::Int(0));
+                }
+                let r = ev(right)?;
+                if !r.is_null() && !r.is_truthy() {
+                    return Ok(Value::Int(0));
+                }
+                if l.is_null() || r.is_null() {
+                    return Ok(Value::Null);
+                }
+                Ok(Value::Int(1))
+            }
+            BinOp::Or => {
+                let l = ev(left)?;
+                if !l.is_null() && l.is_truthy() {
+                    return Ok(Value::Int(1));
+                }
+                let r = ev(right)?;
+                if !r.is_null() && r.is_truthy() {
+                    return Ok(Value::Int(1));
+                }
+                if l.is_null() || r.is_null() {
+                    return Ok(Value::Null);
+                }
+                Ok(Value::Int(0))
+            }
+            _ => binary_values(op, ev(left)?, ev(right)?),
         }
-        Expr::InList { expr, list, negated } => in_list_with(ev(expr)?, list, *negated, &ev),
-        Expr::Like { expr, pattern, negated } => like_value(ev(expr)?, pattern, *negated),
-        Expr::IsNull { expr, negated } => Ok(Value::Int((ev(expr)?.is_null() ^ negated) as i64)),
-        Expr::Case { when_then, else_expr } => case_with(when_then, else_expr.as_deref(), &ev),
-        Expr::Func { name, args } => {
-            eval_func_owned(name, &args.iter().map(ev).collect::<Result<Vec<_>>>()?)
+    }
+
+    /// Non-logical binary operator over already-evaluated operands.
+    fn binary_values(op: BinOp, l: Value, r: Value) -> Result<Value> {
+        if l.is_null() || r.is_null() {
+            return Ok(Value::Null);
         }
-        Expr::Agg { .. } => Err(SqlError::Eval("aggregate outside aggregation context".into())),
+        match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+                arith(op, LaneVal::of(&l), LaneVal::of(&r))
+            }
+            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
+                let ord = l
+                    .compare(&r)
+                    .ok_or_else(|| SqlError::Eval(format!("cannot compare {l:?} and {r:?}")))?;
+                Ok(Value::Int(cmp_holds(op, ord) as i64))
+            }
+            BinOp::And | BinOp::Or => unreachable!("short-circuited by eval_binary_with"),
+        }
+    }
+
+    /// `BETWEEN` over already-evaluated operands (NULL if any side is
+    /// incomparable).
+    fn between_values(v: Value, lo: Value, hi: Value, negated: bool) -> Value {
+        match (v.compare(&lo), v.compare(&hi)) {
+            (Some(a), Some(b)) => {
+                let inside = a != Ordering::Less && b != Ordering::Greater;
+                Value::Int((inside ^ negated) as i64)
+            }
+            _ => Value::Null,
+        }
+    }
+
+    /// `IN (list…)` with short-circuit on the first match; generic over the
+    /// node type for the same reason as [`eval_binary_with`].
+    fn in_list_with<E>(
+        v: Value,
+        list: &[E],
+        negated: bool,
+        ev: &impl Fn(&E) -> Result<Value>,
+    ) -> Result<Value> {
+        if v.is_null() {
+            return Ok(Value::Null);
+        }
+        let mut found = false;
+        for item in list {
+            let iv = ev(item)?;
+            if v.compare(&iv) == Some(Ordering::Equal) {
+                found = true;
+                break;
+            }
+        }
+        Ok(Value::Int((found ^ negated) as i64))
+    }
+
+    /// `LIKE` over an already-evaluated operand.
+    fn like_value(v: Value, pattern: &str, negated: bool) -> Result<Value> {
+        match v {
+            Value::Null => Ok(Value::Null),
+            Value::Text(s) => Ok(Value::Int((like_match(pattern, &s) ^ negated) as i64)),
+            other => Err(SqlError::Eval(format!("LIKE needs text, got {other:?}"))),
+        }
+    }
+
+    /// `CASE` with lazily-evaluated arms.
+    fn case_with<E>(
+        when_then: &[(E, E)],
+        else_expr: Option<&E>,
+        ev: &impl Fn(&E) -> Result<Value>,
+    ) -> Result<Value> {
+        for (cond, val) in when_then {
+            if ev(cond)?.is_truthy() {
+                return ev(val);
+            }
+        }
+        match else_expr {
+            Some(e) => ev(e),
+            None => Ok(Value::Null),
+        }
+    }
+
+    /// [`eval_func`] over owned arguments (the row evaluators).
+    fn eval_func_owned(name: &str, args: &[Value]) -> Result<Value> {
+        eval_func(name, &args.iter().map(LaneVal::of).collect::<Vec<_>>())
+    }
+
+    /// Evaluate the unbound `expr` against `row`, resolving column names
+    /// through `schema` on every call. Aggregate calls are not valid here,
+    /// as in [`bind`].
+    pub(crate) fn eval(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
+        let ev = |e: &Expr| eval(e, schema, row);
+        match expr {
+            Expr::Column(name) => {
+                let idx = schema.resolve(name)?;
+                Ok(row[idx].clone())
+            }
+            Expr::Literal(v) => Ok(v.clone()),
+            Expr::Unary { op, expr } => unary_value(*op, ev(expr)?),
+            Expr::Binary { op, left, right } => eval_binary_with(*op, &**left, &**right, &ev),
+            Expr::Between { expr, low, high, negated } => {
+                Ok(between_values(ev(expr)?, ev(low)?, ev(high)?, *negated))
+            }
+            Expr::InList { expr, list, negated } => in_list_with(ev(expr)?, list, *negated, &ev),
+            Expr::Like { expr, pattern, negated } => like_value(ev(expr)?, pattern, *negated),
+            Expr::IsNull { expr, negated } => Ok(Value::Int((ev(expr)?.is_null() ^ negated) as i64)),
+            Expr::Case { when_then, else_expr } => case_with(when_then, else_expr.as_deref(), &ev),
+            Expr::Func { name, args } => {
+                eval_func_owned(name, &args.iter().map(ev).collect::<Result<Vec<_>>>()?)
+            }
+            Expr::Agg { .. } => Err(SqlError::Eval("aggregate outside aggregation context".into())),
+        }
     }
 }
 
@@ -941,7 +954,7 @@ pub(crate) fn eval(expr: &Expr, schema: &Schema, row: &Row) -> Result<Value> {
 mod tests {
     use super::*;
     use crate::parser::parse_expression;
-    use crate::schema::Column;
+    use crate::schema::{Column, Row};
     use crate::value::DataType;
 
     fn schema() -> Schema {
@@ -1060,6 +1073,9 @@ mod tests {
         assert_eq!(eval(&e, &schema, &row).unwrap(), Value::Int(1));
     }
 
+    /// The two test-only row evaluators agree — which is what lets
+    /// either serve as the reference for `eval_vec`, the one evaluator
+    /// the release build ships (`vec_tests`).
     #[test]
     fn bound_eval_matches_tree_eval_on_every_form() {
         // One expression per variant family, evaluated both ways over
@@ -1189,7 +1205,7 @@ mod vec_tests {
     use super::*;
     use crate::batch::ColumnBatch;
     use crate::parser::parse_expression;
-    use crate::schema::{Column, Schema};
+    use crate::schema::{Column, Row, Schema};
     use crate::value::{encode_value, DataType};
     use proptest::prelude::*;
 
@@ -1395,6 +1411,38 @@ mod vec_tests {
         assert_eq!(sel, want);
     }
 
+    /// `INSERT … VALUES` evaluates its constants over one lane of a batch
+    /// with no columns: same value, or same error, as the row evaluator
+    /// over an empty row.
+    #[test]
+    fn constants_over_one_lane_of_no_columns_match_the_row_evaluator() {
+        let (no_columns, mut one_lane) = (Schema::default(), ColumnBatch::new(0));
+        one_lane.finish_row().unwrap();
+        for src in [
+            "-5",
+            "1 + 2 * 3",
+            "7 / 2",
+            "NULL",
+            "CASE WHEN 1 < 2 THEN 'a' ELSE 'b' END",
+            "SUBSTR('abcdef', 2, 3)",
+            "ROUND(2.5)",
+            "ABS(-3)",
+            "1 / 0",
+            "-'x'",
+        ] {
+            let bound = bind(&parse_expression(src).unwrap(), &no_columns).unwrap();
+            let lane = eval_vec(&bound, &one_lane, &[true], &mut VecScratch::default());
+            match (lane, eval_bound(&bound, &Row::new())) {
+                (Ok(lane), Ok(want)) => {
+                    assert_eq!(lane.len(), 1, "`{src}`");
+                    assert_eq!(bits(&lane[0]), bits(&want), "`{src}`: {:?} vs {want:?}", lane[0]);
+                }
+                (Err(got), Err(want)) => assert_eq!(got, want, "`{src}`"),
+                (got, want) => panic!("`{src}`: vector {got:?} vs row {want:?}"),
+            }
+        }
+    }
+
     fn value_strategy() -> impl Strategy<Value = Value> {
         prop_oneof![
             Just(Value::Null),
@@ -1411,7 +1459,10 @@ mod vec_tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// `eval_vec` ≡ `eval_bound` on arbitrary batches and
-        /// selections, for every expression form.
+        /// selections, for every expression form. `eval_vec` is the only
+        /// evaluator in the release build — scans, operators and DML all
+        /// run it — and this comparison against the row-at-a-time
+        /// reference is what keeps it honest.
         #[test]
         fn prop_eval_vec_equals_eval_bound(
             cells in proptest::collection::vec((value_strategy(), value_strategy(), value_strategy(), value_strategy()), 1..12),

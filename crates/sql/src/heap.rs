@@ -43,9 +43,9 @@ fn encode_row(row: &Row) -> Vec<u8> {
 
 /// Walk the encoded records of a heap-page payload, handing each
 /// record's encoded bytes to `visit`. This is the **one** page codec:
-/// both decode views — owned rows ([`decode_page_rows`], DML and the
-/// test oracle) and the scan kernel's columnar decode
-/// ([`scan_page_columns`]) — share these bounds checks. The header is
+/// the scan kernel's columnar decode ([`scan_page_columns`]) — the only
+/// decode the release build has — and the test-only row decode share
+/// these bounds checks. The header is
 /// attacker-controlled on a tampered medium, so every field is bounded
 /// before any slicing; corruption is an error, never a panic.
 pub fn for_each_record(payload: &[u8], mut visit: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
@@ -94,20 +94,6 @@ fn decode_record<'a>(
     Ok(())
 }
 
-/// Decode every row of an encoded heap-page payload into freshly
-/// allocated rows: the naive full-width decode DML rewrites, the
-/// partitioner and the scan kernel's test oracle use.
-pub fn decode_page_rows(payload: &[u8], ncols: usize) -> Result<Vec<Row>> {
-    let mut rows = Vec::new();
-    for_each_record(payload, |record| {
-        let mut row = Vec::with_capacity(ncols);
-        decode_record(record, ncols, |_, raw| row.push(raw.to_value()))?;
-        rows.push(row);
-        Ok(())
-    })?;
-    Ok(rows)
-}
-
 /// Columnar decode: append every row of an encoded heap-page payload to
 /// `batch`, copying only the cells of columns with `cols[c]` set into
 /// their typed column vectors (text goes straight into the column's
@@ -138,28 +124,42 @@ impl HeapFile {
         self.pages.len() as u64
     }
 
-    /// Append many rows, buffering page-at-a-time: encode, then
-    /// [`HeapFile::append_encoded`].
-    pub fn append_rows<I>(&mut self, pager: &SharedPager, rows: I) -> Result<()>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        self.append_encoded(pager, rows.into_iter().map(|row| encode_row(&row)))
+    /// Append owned rows — the load boundary, where rows arrive from
+    /// outside the engine: each is encoded, packed and dropped in turn,
+    /// once all of them are known to fit.
+    pub fn append_rows(&mut self, pager: &SharedPager, rows: Vec<Row>) -> Result<()> {
+        let len = |row: &Row| row.iter().map(|v| RawValue::of(v).encoded_len()).sum();
+        let lens: Vec<usize> = rows.iter().map(len).collect();
+        self.pack(pager, lens, rows.into_iter().map(|row| encode_row(&row)), std::iter::empty())
     }
 
     /// Append records that are already encoded (each one row's cells in
-    /// [`encode_value`] form), continuing on the tail page.
+    /// [`encode_value`] form), continuing on the tail page. All or
+    /// nothing: a record too large for a page fails the call before any
+    /// page is written.
     pub fn append_encoded<R: AsRef<[u8]>>(
         &mut self,
         pager: &SharedPager,
-        records: impl IntoIterator<Item = R>,
+        records: impl IntoIterator<Item = R, IntoIter: Clone>,
     ) -> Result<()> {
-        self.pack(pager, records, std::iter::empty())
+        let records = records.into_iter();
+        self.pack(pager, records.clone().map(|r| r.as_ref().len()), records, std::iter::empty())
     }
 
-    /// Append one row.
-    pub fn append_row(&mut self, pager: &SharedPager, row: Row) -> Result<()> {
-        self.append_rows(pager, std::iter::once(row))
+    /// Replace the heap's contents with `records`, reusing its pages in
+    /// order (leftover ones are zeroed so stale rows are unreachable).
+    /// All or nothing, like [`HeapFile::append_encoded`]: on a record
+    /// that fits no page the heap and its pages are as they were.
+    pub fn rewrite<R: AsRef<[u8]>>(
+        &mut self,
+        pager: &SharedPager,
+        records: impl IntoIterator<Item = R, IntoIter: Clone>,
+    ) -> Result<()> {
+        let (records, mut packed) = (records.into_iter(), HeapFile::new());
+        let lens = records.clone().map(|r| r.as_ref().len());
+        packed.pack(pager, lens, records, self.pages.iter().copied())?;
+        *self = packed;
+        Ok(())
     }
 
     /// The one writer of the page layout, whether records come from owned
@@ -167,15 +167,23 @@ impl HeapFile {
     /// so which record lands on which page is a golden). Continues on the
     /// tail page, if the heap has one (read-modify-write, like SQLite's
     /// append); new pages are drawn from `spare` before any is allocated,
-    /// and whatever is left of `spare` is zeroed.
+    /// and whatever is left of `spare` is zeroed. `lens` — every record's
+    /// length, ahead of the records themselves — is checked against the
+    /// page payload before the first page is touched, and `pages` /
+    /// `row_count` change only when the whole call succeeded.
     fn pack<R: AsRef<[u8]>>(
         &mut self,
         pager: &SharedPager,
-        records: impl IntoIterator<Item = R>,
+        lens: impl IntoIterator<Item = usize>,
+        records: impl Iterator<Item = R>,
         mut spare: impl Iterator<Item = PageId>,
     ) -> Result<()> {
         let mut pager = pager.lock();
         let mut page = vec![0u8; pager.payload_size()];
+        let fits = page.len() - HEADER - 4;
+        if let Some(len) = lens.into_iter().find(|len| *len > fits) {
+            return Err(SqlError::Eval(format!("row of {len} bytes exceeds page payload")));
+        }
         let (mut used, mut nrows) = (HEADER, 0u16);
         let mut cur = self.pages.last().copied();
         if let Some(tail) = cur {
@@ -189,22 +197,18 @@ impl HeapFile {
             page[4..6].copy_from_slice(&nrows.to_be_bytes());
             pager.write_page(id, page)
         };
+        let (mut drawn, mut added) = (Vec::new(), 0u64);
         for record in records {
             let record = record.as_ref();
             let need = 4 + record.len();
-            if need > page.len() - HEADER {
-                return Err(SqlError::Eval(format!(
-                    "row of {} bytes exceeds page payload",
-                    record.len()
-                )));
-            }
+            debug_assert!(record.len() <= fits, "`lens` vouched for every record");
             if cur.is_none() || used + need > page.len() || nrows == u16::MAX {
                 flush(&mut *pager, &mut page, cur, used, nrows)?;
                 let id = match spare.next() {
                     Some(id) => id,
                     None => pager.allocate_page()?,
                 };
-                self.pages.push(id);
+                drawn.push(id);
                 cur = Some(id);
                 page.fill(0);
                 (used, nrows) = (HEADER, 0);
@@ -213,14 +217,41 @@ impl HeapFile {
             page[used + 4..used + need].copy_from_slice(record);
             used += need;
             nrows += 1;
-            self.row_count += 1;
+            added += 1;
         }
         flush(&mut *pager, &mut page, cur, used, nrows)?;
         for id in spare {
             page.fill(0);
             pager.write_page(id, &page)?;
         }
+        self.pages.extend(drawn);
+        self.row_count += added;
         Ok(())
+    }
+}
+
+/// Decode every row of an encoded heap-page payload into freshly
+/// allocated rows: the naive full-width decode, kept for tests as the
+/// reference the columnar decode, the scan kernel and DML are compared
+/// against. The release build has no `Vec<Row>` page reader.
+#[cfg(test)]
+pub fn decode_page_rows(payload: &[u8], ncols: usize) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    for_each_record(payload, |record| {
+        let mut row = Vec::with_capacity(ncols);
+        decode_record(record, ncols, |_, raw| row.push(raw.to_value()))?;
+        rows.push(row);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// Row-at-a-time heap access, for tests and the oracles only.
+#[cfg(test)]
+impl HeapFile {
+    /// Append one row.
+    pub fn append_row(&mut self, pager: &SharedPager, row: Row) -> Result<()> {
+        self.append_rows(pager, vec![row])
     }
 
     /// Read every row of one page.
@@ -235,7 +266,7 @@ impl HeapFile {
         decode_page_rows(&payload, ncols)
     }
 
-    /// Materialize all rows (test/debug convenience; scans stream instead).
+    /// Materialize all rows.
     pub fn all_rows(&self, pager: &SharedPager, ncols: usize) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(self.row_count as usize);
         for i in 0..self.pages.len() {
@@ -243,19 +274,12 @@ impl HeapFile {
         }
         Ok(out)
     }
-
-    /// Replace the heap's contents with `rows`, reusing existing pages
-    /// (leftover ones are zeroed so stale rows are unreachable).
-    pub fn rewrite(&mut self, pager: &SharedPager, rows: Vec<Row>) -> Result<()> {
-        let old_pages = std::mem::take(&mut self.pages);
-        self.row_count = 0;
-        self.pack(pager, rows.iter().map(encode_row), old_pages.into_iter())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoded::EncodedRows;
     use crate::value::Value;
     use ironsafe_storage::pager::PlainPager;
 
@@ -267,11 +291,15 @@ mod tests {
         vec![Value::Int(i), Value::Text(format!("row-{i}")), Value::Float(i as f64 / 2.0)]
     }
 
+    fn rows(ids: std::ops::Range<i64>, make: impl Fn(i64) -> Row) -> Vec<Row> {
+        ids.map(make).collect()
+    }
+
     #[test]
     fn append_and_scan_roundtrip() {
         let p = pager();
         let mut heap = HeapFile::new();
-        heap.append_rows(&p, (0..100).map(row)).unwrap();
+        heap.append_rows(&p, rows(0..100, row)).unwrap();
         assert_eq!(heap.row_count, 100);
         let rows = heap.all_rows(&p, 3).unwrap();
         assert_eq!(rows.len(), 100);
@@ -284,7 +312,7 @@ mod tests {
         let mut heap = HeapFile::new();
         // Rows with ~500-byte strings force several per-page boundaries.
         let big = |i: i64| vec![Value::Int(i), Value::Text("x".repeat(500))];
-        heap.append_rows(&p, (0..50).map(big)).unwrap();
+        heap.append_rows(&p, rows(0..50, big)).unwrap();
         assert!(heap.page_count() > 1, "got {} pages", heap.page_count());
         let rows = heap.all_rows(&p, 2).unwrap();
         assert_eq!(rows.len(), 50);
@@ -315,11 +343,11 @@ mod tests {
         let p = pager();
         let mut heap = HeapFile::new();
         let big = |i: i64| vec![Value::Int(i), Value::Text("x".repeat(500))];
-        heap.append_rows(&p, (0..50).map(big)).unwrap();
+        heap.append_rows(&p, rows(0..50, big)).unwrap();
         let pages_before = p.lock().num_pages();
 
         // Delete all but 3 rows.
-        heap.rewrite(&p, (0..3).map(big).collect()).unwrap();
+        heap.rewrite(&p, EncodedRows::from_rows(&rows(0..3, big)).as_slice().rows()).unwrap();
         assert_eq!(heap.row_count, 3);
         assert_eq!(heap.all_rows(&p, 2).unwrap().len(), 3);
         assert_eq!(p.lock().num_pages(), pages_before, "no new pages allocated");
@@ -329,9 +357,9 @@ mod tests {
     fn rewrite_grows_when_needed() {
         let p = pager();
         let mut heap = HeapFile::new();
-        heap.append_rows(&p, (0..5).map(row)).unwrap();
+        heap.append_rows(&p, rows(0..5, row)).unwrap();
         let big = |i: i64| vec![Value::Int(i), Value::Text("x".repeat(500))];
-        heap.rewrite(&p, (0..100).map(big).collect()).unwrap();
+        heap.rewrite(&p, EncodedRows::from_rows(&rows(0..100, big)).as_slice().rows()).unwrap();
         assert_eq!(heap.all_rows(&p, 2).unwrap().len(), 100);
         assert!(heap.page_count() > 1);
     }
@@ -346,7 +374,7 @@ mod tests {
         let (by_rows, by_bytes) = (pager(), pager());
         let (mut a, mut b) = (HeapFile::new(), HeapFile::new());
         a.append_rows(&by_rows, rows.clone()).unwrap();
-        let encoded = crate::encoded::EncodedRows::from_rows(&rows);
+        let encoded = EncodedRows::from_rows(&rows);
         for range in [0..1, 1..1, 1..130, 130..300] {
             b.append_encoded(&by_bytes, encoded.slice(range).rows()).unwrap();
         }
@@ -399,7 +427,7 @@ mod tests {
     fn scratch_scan_visits_same_rows_as_decode() {
         let p = pager();
         let mut heap = HeapFile::new();
-        heap.append_rows(&p, (0..40).map(row)).unwrap();
+        heap.append_rows(&p, rows(0..40, row)).unwrap();
         let mut payload = vec![0u8; p.lock().payload_size()];
         p.lock().read_page(heap.pages[0], &mut payload).unwrap();
         let decoded = decode_page_rows(&payload, 3).unwrap();
@@ -428,7 +456,7 @@ mod tests {
         // none. Corruption is an error, never a panic.
         let p = pager();
         let mut heap = HeapFile::new();
-        let rows = (0..12).map(|i| {
+        let rows = rows(0..12, |i| {
             vec![Value::Int(i), Value::Text(format!("r\u{e9}sum\u{e9}-{i}")), Value::Null, Value::Float(0.5)]
         });
         heap.append_rows(&p, rows).unwrap();
@@ -487,7 +515,7 @@ mod tests {
         let dev = mfr.make_device("s0", 8, &mut rng);
         let p = shared(SecurePager::create(dev, 42).unwrap());
         let mut heap = HeapFile::new();
-        heap.append_rows(&p, (0..200).map(row)).unwrap();
+        heap.append_rows(&p, rows(0..200, row)).unwrap();
         let rows = heap.all_rows(&p, 3).unwrap();
         assert_eq!(rows.len(), 200);
         assert_eq!(rows[123], row(123));

@@ -206,6 +206,15 @@ impl<'a> RawValue<'a> {
         }
     }
 
+    /// How many bytes [`RawValue::encode`] writes.
+    pub fn encoded_len(self) -> usize {
+        match self {
+            RawValue::Null => 1,
+            RawValue::Int(_) | RawValue::Float(_) => 9,
+            RawValue::Text(s) => 5 + s.len(),
+        }
+    }
+
     /// Serialize into `out` — the one cell encoding of heap records and
     /// wire rows alike; [`decode_value_raw`] is its inverse.
     pub fn encode(self, out: &mut Vec<u8>) {
@@ -305,7 +314,9 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for v in &vals {
+            let before = buf.len();
             encode_value(v, &mut buf);
+            assert_eq!(RawValue::of(v).encoded_len(), buf.len() - before, "{v:?}");
         }
         let mut pos = 0;
         for v in &vals {

@@ -1,17 +1,18 @@
-//! Proves the scan kernel allocates nothing per morsel, and a hash-join
-//! probe nothing per batch, in steady state.
+//! Proves the scan kernel allocates nothing per morsel, a hash-join
+//! probe nothing per batch, and a one-row `UPDATE` nothing per row, in
+//! steady state.
 //!
 //! Uses a counting global allocator (the pattern of
 //! `crates/storage/tests/zero_alloc.rs`) that counts per thread, and only
 //! inside a measured window: the test harness's own main thread allocates
 //! a few times while it waits, at a moment that can fall inside the
-//! window, and the two tests here run side by side.
+//! window, and the tests here run side by side.
 
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::exec::ExecOptions;
 use ironsafe_sql::parser::parse_statement;
 use ironsafe_sql::plan::plan_select_with;
-use ironsafe_sql::{Database, Value};
+use ironsafe_sql::{Database, QueryResult, Value};
 use ironsafe_storage::pager::PlainPager;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -144,6 +145,27 @@ fn a_join_probe_allocates_nothing_per_batch_once_its_buffers_are_warm() {
     assert_eq!(
         large_allocs, small_allocs,
         "{large_rows} probe rows allocated {large_allocs} times, {small_rows} rows {small_allocs}"
+    );
+    assert!(small_allocs > 0, "the counting allocator is live");
+}
+
+#[test]
+fn a_one_row_update_allocates_nothing_per_row_or_per_text_cell() {
+    let (mut small, mut large) = (table(2_000), table(20_000));
+    let update = "UPDATE t SET pos = pos + 1 WHERE k = 17";
+    let (small_result, small_allocs) = measured(|| small.execute(update));
+    let (large_result, large_allocs) = measured(|| large.execute(update));
+    assert_eq!(small_result.unwrap(), QueryResult::Count(1));
+    assert_eq!(large_result.unwrap(), QueryResult::Count(1));
+    // Parsing, binding, the first morsel's buffers, one `SET` vector for
+    // the one morsel with a hit and one page image to pack into are paid
+    // once whatever the table's size; every row is decoded into the same
+    // column batch and re-encoded into one `EncodedRows`. Ten times the
+    // rows only double three vectors (its bytes, its row ends, the page
+    // list) a few more times each: log2(10) < 4.
+    assert!(
+        large_allocs <= small_allocs + 3 * 4,
+        "20 000 rows allocated {large_allocs} times, 2 000 rows {small_allocs}"
     );
     assert!(small_allocs > 0, "the counting allocator is live");
 }

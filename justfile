@@ -19,11 +19,12 @@ check:
     cargo run --release --offline --example multi_client
     cargo test -q --offline --manifest-path perf/Cargo.toml
 
-# Non-test lines per crate: every line of `crates/*/src/**/*.rs` before
-# the file's first `#[cfg(test)]` attribute. The count "net-negative"
-# issues gate on.
+# Non-test lines per crate (the count "net-negative" issues gate on):
+# every line of `crates/*/src/**/*.rs` outside `#[cfg(test)]` items — the
+# attribute skips the item it decorates, wherever in the file it sits, and
+# a file whose `mod` line carries it counts as zero (scripts/loc.awk).
 loc:
-    @for c in crates/*/; do printf '%-8s %s\n' "$(basename $c)" "$(find ${c}src -name '*.rs' | xargs awk 'FNR==1{t=0} /^[[:space:]]*#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}')"; done
+    @for c in crates/*/; do f=$(find ${c}src -name '*.rs' | sort); printf '%-8s %s\n' "$(basename $c)" "$(awk -f scripts/loc.awk pass=1 $f pass=2 $f)"; done
 
 # Freshness fast-path sweep at a reduced SF, end to end (per-page climbs
 # vs shared-path batches vs the warm verified-node cache).
