@@ -82,6 +82,13 @@ fn bench_schnorr(c: &mut Criterion) {
     g.bench_function("verify", |b| {
         b.iter(|| kp.public.verify(&group, b"attestation quote", std::hint::black_box(&sig)).unwrap())
     });
+    let exp = group.random_scalar(&mut rng);
+    let base = group.pow_g(&group.random_scalar(&mut rng));
+    g.bench_function("pow_g", |b| b.iter(|| group.pow_g(std::hint::black_box(&exp))));
+    g.bench_function("pow_var_base_160", |b| {
+        b.iter(|| group.pow(std::hint::black_box(&base), std::hint::black_box(&exp)))
+    });
+    g.bench_function("keygen", |b| b.iter(|| KeyPair::generate(&group, &mut rng)));
     g.finish();
 }
 

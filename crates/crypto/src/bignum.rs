@@ -1,9 +1,11 @@
-//! Arbitrary-precision unsigned integers with modular arithmetic.
+//! Arbitrary-precision unsigned integers: the serialization and API
+//! boundary type of the Schnorr code.
 //!
 //! Little-endian `u64` limbs, always normalized (no trailing zero limbs;
-//! zero is the empty limb vector). Provides exactly the operations the
-//! Schnorr signature scheme needs: add/sub/mul, binary division,
-//! and Montgomery-accelerated modular exponentiation.
+//! zero is the empty limb vector). All arithmetic happens in fixed-width
+//! limbs ([`crate::mont`]); a `BigUint` only carries values across the
+//! public API and to and from bytes. The parent's allocating arithmetic
+//! survives under `#[cfg(test)]` as the oracle ([`oracle`]).
 
 use std::cmp::Ordering;
 
@@ -142,274 +144,25 @@ impl BigUint {
         Ordering::Equal
     }
 
-    /// `self + other`.
-    pub fn add(&self, other: &Self) -> Self {
-        let (long, short) = if self.limbs.len() >= other.limbs.len() {
-            (&self.limbs, &other.limbs)
-        } else {
-            (&other.limbs, &self.limbs)
-        };
-        let mut out = Vec::with_capacity(long.len() + 1);
-        let mut carry = 0u64;
-        for (i, &l) in long.iter().enumerate() {
-            let b = short.get(i).copied().unwrap_or(0);
-            let (s1, c1) = l.overflowing_add(b);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.push(s2);
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        if carry != 0 {
-            out.push(carry);
-        }
-        let mut n = BigUint { limbs: out };
+    /// The little-endian limbs (normalized: empty for zero).
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
+    /// From little-endian limbs (any trailing zeros are dropped).
+    pub(crate) fn from_limbs(limbs: &[u64]) -> Self {
+        let mut n = BigUint { limbs: limbs.to_vec() };
         n.normalize();
         n
-    }
-
-    /// `self - other`; panics on underflow.
-    pub fn sub(&self, other: &Self) -> Self {
-        assert!(self.cmp_mag(other) != Ordering::Less, "BigUint subtraction underflow");
-        let mut out = Vec::with_capacity(self.limbs.len());
-        let mut borrow = 0u64;
-        for i in 0..self.limbs.len() {
-            let b = other.limbs.get(i).copied().unwrap_or(0);
-            let (d1, b1) = self.limbs[i].overflowing_sub(b);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out.push(d2);
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-        debug_assert_eq!(borrow, 0);
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
-    }
-
-    /// Schoolbook multiplication.
-    pub fn mul(&self, other: &Self) -> Self {
-        if self.is_zero() || other.is_zero() {
-            return Self::zero();
-        }
-        let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            let mut carry = 0u128;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let t = out[i + j] as u128 + a as u128 * b as u128 + carry;
-                out[i + j] = t as u64;
-                carry = t >> 64;
-            }
-            let mut k = i + other.limbs.len();
-            while carry != 0 {
-                let t = out[k] as u128 + carry;
-                out[k] = t as u64;
-                carry = t >> 64;
-                k += 1;
-            }
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
-    }
-
-    /// Shift left by one bit.
-    pub fn shl1(&self) -> Self {
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u64;
-        for &l in &self.limbs {
-            out.push((l << 1) | carry);
-            carry = l >> 63;
-        }
-        if carry != 0 {
-            out.push(carry);
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
-    }
-
-    /// Binary long division: returns `(quotient, remainder)`.
-    ///
-    /// Panics on division by zero. O(bits(self) · limbs(divisor)) — fine for
-    /// the sizes used by the signature scheme.
-    pub fn div_rem(&self, divisor: &Self) -> (Self, Self) {
-        assert!(!divisor.is_zero(), "division by zero");
-        if self.cmp_mag(divisor) == Ordering::Less {
-            return (Self::zero(), self.clone());
-        }
-        let bits = self.bit_len();
-        let mut quotient_limbs = vec![0u64; self.limbs.len()];
-        let mut rem = Self::zero();
-        for i in (0..bits).rev() {
-            rem = rem.shl1();
-            if self.bit(i) {
-                if rem.limbs.is_empty() {
-                    rem.limbs.push(1);
-                } else {
-                    rem.limbs[0] |= 1;
-                }
-            }
-            if rem.cmp_mag(divisor) != Ordering::Less {
-                rem = rem.sub(divisor);
-                quotient_limbs[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        let mut q = BigUint { limbs: quotient_limbs };
-        q.normalize();
-        (q, rem)
-    }
-
-    /// `self mod m`.
-    pub fn rem(&self, m: &Self) -> Self {
-        self.div_rem(m).1
-    }
-
-    /// `(self + other) mod m`; inputs must already be `< m`.
-    pub fn mod_add(&self, other: &Self, m: &Self) -> Self {
-        debug_assert!(self.cmp_mag(m) == Ordering::Less && other.cmp_mag(m) == Ordering::Less);
-        let s = self.add(other);
-        if s.cmp_mag(m) == Ordering::Less {
-            s
-        } else {
-            s.sub(m)
-        }
-    }
-
-    /// `(self * other) mod m` via full multiply + reduce.
-    pub fn mod_mul(&self, other: &Self, m: &Self) -> Self {
-        self.mul(other).rem(m)
-    }
-
-    /// `self^exp mod m` using Montgomery multiplication (m must be odd).
-    pub fn mod_exp(&self, exp: &Self, m: &Self) -> Self {
-        let ctx = Montgomery::new(m);
-        ctx.pow(&self.rem(m), exp)
-    }
-}
-
-/// Montgomery-multiplication context for a fixed odd modulus.
-pub struct Montgomery {
-    n: Vec<u64>,
-    n0_inv_neg: u64,
-    /// R^2 mod n, where R = 2^(64·len).
-    r2: Vec<u64>,
-    modulus: BigUint,
-}
-
-impl Montgomery {
-    /// Build a context; panics if the modulus is even or zero.
-    pub fn new(modulus: &BigUint) -> Self {
-        assert!(!modulus.is_zero(), "Montgomery modulus must be nonzero");
-        assert!(modulus.limbs[0] & 1 == 1, "Montgomery modulus must be odd");
-        let n = modulus.limbs.clone();
-        let n0 = n[0];
-        // Newton iteration for n0^{-1} mod 2^64.
-        let mut inv = 1u64;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        let n0_inv_neg = inv.wrapping_neg();
-        // R^2 mod n computed with plain shifting arithmetic (one-time cost).
-        let len = n.len();
-        let mut r2 = BigUint::one();
-        for _ in 0..(2 * 64 * len) {
-            r2 = r2.shl1();
-            if r2.cmp_mag(modulus) != Ordering::Less {
-                r2 = r2.sub(modulus);
-            }
-        }
-        let mut r2_limbs = r2.limbs;
-        r2_limbs.resize(len, 0);
-        Montgomery { n, n0_inv_neg, r2: r2_limbs, modulus: modulus.clone() }
-    }
-
-    /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &BigUint {
-        &self.modulus
-    }
-
-    fn montmul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let len = self.n.len();
-        debug_assert_eq!(a.len(), len);
-        debug_assert_eq!(b.len(), len);
-        // CIOS (coarsely integrated operand scanning).
-        let mut t = vec![0u64; len + 2];
-        for &ai in a.iter() {
-            let mut carry = 0u128;
-            for j in 0..len {
-                let v = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = v as u64;
-                carry = v >> 64;
-            }
-            let v = t[len] as u128 + carry;
-            t[len] = v as u64;
-            t[len + 1] = (v >> 64) as u64;
-
-            let m = t[0].wrapping_mul(self.n0_inv_neg);
-            let v = t[0] as u128 + m as u128 * self.n[0] as u128;
-            let mut carry = v >> 64;
-            for j in 1..len {
-                let v = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = v as u64;
-                carry = v >> 64;
-            }
-            let v = t[len] as u128 + carry;
-            t[len - 1] = v as u64;
-            t[len] = t[len + 1] + ((v >> 64) as u64);
-            t[len + 1] = 0;
-        }
-        t.truncate(len + 1);
-        // Conditional final subtraction.
-        let mut result = BigUint { limbs: t };
-        result.normalize();
-        if result.cmp_mag(&self.modulus) != Ordering::Less {
-            result = result.sub(&self.modulus);
-        }
-        let mut limbs = result.limbs;
-        limbs.resize(len, 0);
-        limbs
-    }
-
-    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        let mut limbs = a.rem(&self.modulus).limbs;
-        limbs.resize(self.n.len(), 0);
-        self.montmul(&limbs, &self.r2)
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    fn from_mont(&self, a: &[u64]) -> BigUint {
-        let mut one = vec![0u64; self.n.len()];
-        one[0] = 1;
-        let mut out = BigUint { limbs: self.montmul(a, &one) };
-        out.normalize();
-        out
-    }
-
-    /// `base^exp mod n` (left-to-right square and multiply).
-    pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one().rem(&self.modulus);
-        }
-        let base_m = self.to_mont(base);
-        let mut acc = base_m.clone();
-        let bits = exp.bit_len();
-        for i in (0..bits - 1).rev() {
-            acc = self.montmul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.montmul(&acc, &base_m);
-            }
-        }
-        self.from_mont(&acc)
-    }
-
-    /// `(a * b) mod n` through Montgomery representation.
-    pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.montmul(&am, &bm))
     }
 }
 
 #[cfg(test)]
+pub(crate) mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::Montgomery;
     use super::*;
 
     fn n(v: u64) -> BigUint {

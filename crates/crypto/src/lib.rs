@@ -22,16 +22,23 @@
 //!   — selected once per key by CPU feature detection; CBC-decrypt and the
 //!   CTR keystream run eight blocks in flight.
 //! * [`bignum`] / [`group`] / [`schnorr`] — a little-endian big-unsigned
-//!   integer with Montgomery multiplication, classic MODP groups, and
-//!   Schnorr signatures used for attestation quotes and certificate chains.
+//!   integer at the API boundary, classic MODP groups, and Schnorr
+//!   signatures used for attestation quotes, proofs of compliance and
+//!   certificate chains; all arithmetic is fixed-width Montgomery
+//!   (`mont`): a comb table for `g`, fixed windows for other bases.
 //! * [`cert`] — a minimal X.509-like certificate chain model rooted in a
 //!   manufacturer key (the TrustZone ROTPK) or an attestation service key.
 //!
 //! None of this code claims to resist side channels on real silicon — it
-//! is a faithful, correct software model for a simulated platform (the
-//! AES-NI path happens to be constant-time; the table-driven one is not) —
-//! but the algorithms themselves are the real ones, verified against
-//! published test vectors in the unit tests.
+//! is a faithful, correct software model for a simulated platform — but
+//! the algorithms themselves are the real ones, verified against published
+//! test vectors in the unit tests. Within the model, two paths are built to
+//! have an input-independent operation sequence: the AES-NI back-end, and
+//! the Schnorr secret-exponent path (key generation and signing: the comb
+//! for `g`, fixed 4-bit windows, masked table reads and masked final
+//! subtractions, no branch on a limb of the key or the nonce — checked by
+//! an operation-count test). The table-driven AES back-end and signature
+//! verification (public inputs only) are variable-time.
 //!
 //! The crate denies `unsafe_code` rather than forbidding it so that two
 //! modules, `aes::ni` and `sha256::ni` (intrinsics only), can opt in; see
@@ -49,6 +56,7 @@ pub mod hkdf;
 pub mod hmac;
 pub mod hmac512;
 pub mod modes;
+mod mont;
 pub mod schnorr;
 pub mod sha256;
 pub mod sha512;

@@ -124,6 +124,23 @@ mod tests {
         assert!(proof.verify(&g, &kp.public, "SELECT 1", "exec :- hostLocIs(EU)"));
     }
 
+    /// `issue_and_verify`'s proof, captured at the parent commit `1986c8c`
+    /// (before fixed-width signing): the signature bytes must not move.
+    #[test]
+    fn proof_signature_matches_the_parent_golden() {
+        const GOLDEN: &str = "354ccc7d9c0a38cdf8bc0337ee9e7f2301b3bdaa5c7f8784a9fc4feade30fd40\
+            571dc8c73f1e55b8e94d9cab59460d362a19398ad75dcd109ff327239cdfd116\
+            0bcbfe52fa4643a1f65fe2275e6c7f9ace10beea234fadf070035a4060241457\
+            1198654a5f3a4a34e8abf963c0a837f60ffa4b6f921e25a1e14f3ddd23574ffb\
+            499da800b9a46e5457b7d0805d7b80f771e677c3";
+        let (g, kp, mut rng) = setup();
+        let proof = ProofOfCompliance::issue(
+            &kp.secret, "SELECT 1", "exec :- hostLocIs(EU)", "host-0", "storage-0", 42, [7; 32], &mut rng,
+        );
+        let hex: String = proof.signature.to_bytes(&g).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN.split_whitespace().collect::<String>());
+    }
+
     #[test]
     fn wrong_query_or_policy_rejected() {
         let (g, kp, mut rng) = setup();

@@ -425,6 +425,50 @@ mod tests {
         assert_eq!(row[4], Value::Float(50.0));
     }
 
+    /// Integer overflow is a value of the right type or an error, never a
+    /// wrapped integer: `+ - *` past i64 are REAL (as in SQLite), and an
+    /// all-integer `SUM` whose exact total leaves i64 fails at every DOP.
+    #[test]
+    fn integer_overflow_is_real_or_an_error() {
+        let mut db = db();
+        let mut one = |sql: &str| db.execute(sql).unwrap().rows()[0][0].clone();
+        let (max, min) = (i64::MAX as f64, i64::MIN as f64);
+        assert_eq!(one("SELECT 9223372036854775807 + 1"), Value::Float(max + 1.0));
+        assert_eq!(one("SELECT (-9223372036854775807 - 1) - 1"), Value::Float(min - 1.0));
+        assert_eq!(one("SELECT 9223372036854775807 * 2"), Value::Float(max * 2.0));
+        assert_eq!(one("SELECT (-9223372036854775807 - 1) * 2"), Value::Float(min * 2.0));
+        assert_eq!(one("SELECT -(-9223372036854775807 - 1)"), Value::Float(-min));
+        assert_eq!(one("SELECT (-9223372036854775807 - 1) / -1"), Value::Float(-min));
+        assert_eq!(one("SELECT (-9223372036854775807 - 1) % -1"), Value::Int(0));
+        assert_eq!(one("SELECT -9223372036854775807 - 1"), Value::Int(i64::MIN), "in range stays INTEGER");
+        assert_eq!(one("SELECT 9223372036854775806 + 1"), Value::Int(i64::MAX));
+
+        db.execute("CREATE TABLE big (k INT, a INT)").unwrap();
+        // Two i64::MAX rows far apart (different morsels at DOP 4) among
+        // zeros, and a group whose running sum leaves i64 but whose total
+        // does not.
+        let rows = (0..2000i64).map(|i| {
+            let a = match i {
+                10 | 1901 => i64::MAX,
+                1000 => 1,
+                1002 => -1,
+                _ => 0,
+            };
+            vec![Value::Int(i % 2), Value::Int(a)]
+        });
+        db.insert_rows("big", rows.collect()).unwrap();
+        let sum_all = crate::parser::parse_statement("SELECT SUM(a) FROM big").unwrap();
+        let sum_fits = crate::parser::parse_statement("SELECT SUM(a) FROM big WHERE k = 0").unwrap();
+        let (Statement::Select(sum_all), Statement::Select(sum_fits)) = (sum_all, sum_fits) else { unreachable!() };
+        for dop in [1, 4] {
+            let opts = ExecOptions { morsel_pages: 1, oversubscribe: true, ..ExecOptions::with_dop(dop) };
+            let err = db.select_with(&sum_all, &opts).unwrap_err();
+            assert!(err.to_string().contains("integer overflow"), "dop {dop}: {err}");
+            let fits = db.select_with(&sum_fits, &opts).unwrap();
+            assert_eq!(fits.rows()[0][0], Value::Int(i64::MAX), "dop {dop}: MAX + 1 − 1");
+        }
+    }
+
     #[test]
     fn group_by_having_order_limit() {
         let mut db = db();

@@ -8,7 +8,7 @@ use crate::exec::{bind_all, live_lanes, Batch, BoxOp, Operator, Values};
 use crate::expr::{bind, BoundExpr, VecOp, VecScratch};
 use crate::schema::{Column, Row, Schema};
 use crate::value::{DataType, Value};
-use crate::Result;
+use crate::{Result, SqlError};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -28,7 +28,8 @@ pub struct AggSpec {
 /// Accumulator for one aggregate in one group.
 enum AggState {
     Count(i64),
-    Sum { int: i64, float: f64, all_int: bool, seen: bool },
+    /// `int` is exact: an i128 cannot overflow on fewer than 2^64 rows.
+    Sum { int: i128, float: f64, all_int: bool, seen: bool },
     Avg { sum: f64, count: i64 },
     Min(Option<Value>),
     Max(Option<Value>),
@@ -56,7 +57,7 @@ impl AggState {
                 *seen = true;
                 match v {
                     LaneVal::Int(i) => {
-                        *int = int.wrapping_add(i);
+                        *int += i as i128;
                         *float += i as f64;
                     }
                     _ => {
@@ -83,14 +84,17 @@ impl AggState {
         Ok(())
     }
 
-    fn finish(self) -> Value {
-        match self {
+    /// The aggregate's value. An all-integer `SUM` whose exact total does
+    /// not fit i64 is SQLite's `integer overflow` error — decided by the
+    /// total alone, so by no row order (SQLite checks each partial sum).
+    fn finish(self) -> Result<Value> {
+        Ok(match self {
             AggState::Count(c) => Value::Int(c),
             AggState::Sum { int, float, all_int, seen } => {
                 if !seen {
                     Value::Null
                 } else if all_int {
-                    Value::Int(int)
+                    Value::Int(i64::try_from(int).map_err(|_| SqlError::Eval("integer overflow".into()))?)
                 } else {
                     Value::Float(float)
                 }
@@ -103,7 +107,7 @@ impl AggState {
                 }
             }
             AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-        }
+        })
     }
 }
 
@@ -241,9 +245,10 @@ impl GroupAcc {
     }
 
     /// Emit one output row per group, in first-seen order.
-    pub(crate) fn finish(self) -> Vec<Row> {
-        let row = |g: Group| -> Row {
-            g.keys.into_iter().chain(g.states.into_iter().map(AggState::finish)).collect()
+    pub(crate) fn finish(self) -> Result<Vec<Row>> {
+        let row = |g: Group| -> Result<Row> {
+            let values = g.states.into_iter().map(AggState::finish).collect::<Result<Vec<_>>>()?;
+            Ok(g.keys.into_iter().chain(values).collect())
         };
         self.groups.into_iter().map(row).collect()
     }
@@ -301,7 +306,7 @@ impl HashAggregate {
         while input.next_batch()? {
             acc.fold_batch(&self.inputs, input.batch(), &mut scratch)?;
         }
-        Ok(Values::new(self.schema.clone(), acc.finish()))
+        Ok(Values::new(self.schema.clone(), acc.finish()?))
     }
 }
 

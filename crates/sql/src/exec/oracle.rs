@@ -203,7 +203,8 @@ fn aggregate_one(spec: &AggSpec, schema: &Schema, rows: &[&Row]) -> Result<Value
         AggFunc::Count => Value::Int(inputs.len() as i64),
         AggFunc::Sum if inputs.is_empty() => Value::Null,
         AggFunc::Sum if inputs.iter().all(|v| matches!(v, Value::Int(_))) => {
-            Value::Int(inputs.iter().fold(0i64, |sum, v| sum.wrapping_add(v.as_i64().expect("int"))))
+            let total: i128 = inputs.iter().map(|v| v.as_i64().expect("int") as i128).sum();
+            Value::Int(i64::try_from(total).map_err(|_| crate::SqlError::Eval("integer overflow".into()))?)
         }
         AggFunc::Sum => Value::Float(float_sum()?),
         AggFunc::Avg if inputs.is_empty() => Value::Null,

@@ -159,7 +159,7 @@ impl AggPlan {
         }
         acc.fold_tuples(&batch)?;
         let grouped = agg_output_schema(&self.agg.group_names(), specs);
-        collect(self.tail.clone().over(Box::new(Values::new(grouped, acc.finish())))?)
+        collect(self.tail.clone().over(Box::new(Values::new(grouped, acc.finish()?)))?)
     }
 }
 

@@ -427,7 +427,7 @@ impl ScanAggregate {
                 }
             }
         }
-        Ok(Values::new(self.schema.clone(), acc.finish()))
+        Ok(Values::new(self.schema.clone(), acc.finish()?))
     }
 }
 

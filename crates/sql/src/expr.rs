@@ -158,7 +158,8 @@ fn unary_value(op: UnaryOp, v: Value) -> Result<Value> {
     match op {
         UnaryOp::Neg => match v {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            // -i64::MIN does not fit: REAL, as SQLite does.
+            Value::Int(i) => Ok(i.checked_neg().map_or(Value::Float(-(i as f64)), Value::Int)),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(SqlError::Eval(format!("cannot negate {other:?}"))),
         },
@@ -189,30 +190,31 @@ fn cmp_holds(op: BinOp, ord: Ordering) -> bool {
 
 /// Arithmetic over two non-NULL operands, viewed in place.
 fn arith(op: BinOp, l: LaneVal<'_>, r: LaneVal<'_>) -> Result<Value> {
-    // Int op Int stays Int (except division, which is exact only when even).
+    // Int op Int stays Int (except division, which is exact only when
+    // even). A result outside i64 is REAL, as in SQLite — never a wrapped
+    // integer.
     if let (LaneVal::Int(a), LaneVal::Int(b)) = (l, r) {
-        return match op {
-            BinOp::Add => Ok(Value::Int(a.wrapping_add(b))),
-            BinOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
-            BinOp::Mul => Ok(Value::Int(a.wrapping_mul(b))),
+        let (exact, approx) = match op {
+            BinOp::Add => (a.checked_add(b), a as f64 + b as f64),
+            BinOp::Sub => (a.checked_sub(b), a as f64 - b as f64),
+            BinOp::Mul => (a.checked_mul(b), a as f64 * b as f64),
             BinOp::Div => {
                 if b == 0 {
-                    Err(SqlError::Eval("division by zero".into()))
-                } else if a % b == 0 {
-                    Ok(Value::Int(a / b))
-                } else {
-                    Ok(Value::Float(a as f64 / b as f64))
+                    return Err(SqlError::Eval("division by zero".into()));
                 }
+                // Not exact unless even; i64::MIN / -1 does not fit.
+                (a.checked_rem(b).filter(|&r| r == 0).and_then(|_| a.checked_div(b)), a as f64 / b as f64)
             }
             BinOp::Mod => {
                 if b == 0 {
-                    Err(SqlError::Eval("modulo by zero".into()))
-                } else {
-                    Ok(Value::Int(a % b))
+                    return Err(SqlError::Eval("modulo by zero".into()));
                 }
+                // i64::MIN % -1 is 0, which fits.
+                (Some(a.wrapping_rem(b)), 0.0)
             }
             _ => unreachable!(),
         };
+        return Ok(exact.map_or(Value::Float(approx), Value::Int));
     }
     let a = l.as_f64()?;
     let b = r.as_f64()?;
