@@ -61,7 +61,6 @@ pub const METRIC_MANIFEST: &[MetricDef] = &[
     m("scale.failover.promoted", "counter", "Replica promotions completed after a quarantine"),
     m("scale.failover.reverified_pages", "counter", "Pages re-read verifying a promoted replica's partition"),
     m("scale.merge.rows", "counter", "Rows fed through the deterministic gid merge"),
-    m("scale.partial.tuples", "counter", "Partial-aggregation tuples shipped by shards"),
     m("scale.shard.fragments", "counter", "Physical fragment executions (logical fragments × shards)"),
     m("scale.shard.quarantined", "counter", "Shard nodes quarantined after attestation/crash/freshness failures"),
     m("serve.flight.dumps", "counter", "Flight-recorder dumps appended to the audit trail"),

@@ -1,7 +1,7 @@
 //! Federation topology and partitioning configuration.
 
 use crate::{Result, ScaleError};
-use ironsafe_csa::{CostParams, PushdownDepth, SystemConfig};
+use ironsafe_csa::{CostParams, SystemConfig};
 use std::collections::HashMap;
 
 /// Configuration for a [`FederatedCsaSystem`](crate::FederatedCsaSystem).
@@ -26,11 +26,6 @@ pub struct FederationConfig {
     /// rows are unchanged; physical page/crypto counters drop with the
     /// achieved compression ratio (honest accounting).
     pub compressed: bool,
-    /// How far single-table work pushes down into the shards: partial
-    /// aggregation (when the query shape allows it) or qualifying rows
-    /// only. Depth changes fan-in traffic and cost, never the merged
-    /// answer.
-    pub pushdown: PushdownDepth,
 }
 
 impl FederationConfig {
@@ -44,7 +39,6 @@ impl FederationConfig {
             params: CostParams::default(),
             partition_keys: tpch_partition_keys(),
             compressed: false,
-            pushdown: PushdownDepth::default(),
         }
     }
 
@@ -57,12 +51,6 @@ impl FederationConfig {
     /// Set the replica count (extra copies per shard).
     pub fn with_replicas(mut self, replicas: usize) -> Self {
         self.replicas = replicas;
-        self
-    }
-
-    /// Set the shard pushdown depth.
-    pub fn with_pushdown(mut self, depth: PushdownDepth) -> Self {
-        self.pushdown = depth;
         self
     }
 

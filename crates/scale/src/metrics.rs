@@ -11,8 +11,6 @@ pub struct ScaleMetrics {
     pub failover_reverified_pages: Counter,
     /// Rows fed through the deterministic gid merge.
     pub merge_rows: Counter,
-    /// Partial-aggregation tuples shipped by shards.
-    pub partial_tuples: Counter,
     /// Physical fragment executions (logical fragments × serving shards).
     pub shard_fragments: Counter,
     /// Nodes quarantined (attestation, freshness or crash failures).
@@ -31,7 +29,6 @@ impl ScaleMetrics {
         registry
             .register_counter("scale.failover.reverified_pages", &self.failover_reverified_pages);
         registry.register_counter("scale.merge.rows", &self.merge_rows);
-        registry.register_counter("scale.partial.tuples", &self.partial_tuples);
         registry.register_counter("scale.shard.fragments", &self.shard_fragments);
         registry.register_counter("scale.shard.quarantined", &self.shard_quarantined);
     }

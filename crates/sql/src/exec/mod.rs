@@ -22,14 +22,12 @@ pub mod join;
 pub mod morsel;
 #[cfg(test)]
 pub(crate) mod oracle;
-pub mod partial;
 pub mod scan;
 pub mod sort;
 
 pub use aggregate::{AggSpec, HashAggregate};
 pub use join::{HashJoin, NestedLoopJoin};
 pub use morsel::{partition_pages, Dop, ExecMetrics, ExecOptions, Morsel, ScanWatch};
-pub use partial::AggPlan;
 pub use scan::{Scan, ScanAggregate, ScanSource};
 pub use sort::Sort;
 

@@ -396,11 +396,9 @@ impl Aggregation {
 }
 
 /// What a statement does with the rows its FROM/WHERE (and aggregation,
-/// when it has one) produce: `HAVING → Sort → Project → Limit`. The
-/// single-node planner puts it over its aggregate operator, the
-/// federation's replay ([`crate::exec::AggPlan`]) over the rows its
-/// accumulator emits — the same code, so the two cannot disagree.
-#[derive(Debug, Clone)]
+/// when it has one) produce: `HAVING → Sort → Project → Limit`, put over
+/// the aggregate operator or straight over the scan.
+#[derive(Debug)]
 pub(crate) struct Tail {
     having: Option<Expr>,
     /// ORDER BY keys (`true` = descending), aliases substituted.
