@@ -32,6 +32,7 @@
 //! compares it against the committed `BENCH_10.json` byte for byte (the
 //! optimizer regression gate).
 
+use crate::digest;
 use crate::figures::{q1_with_selectivity, SEED};
 use ironsafe_csa::{
     CostParams, CsaSystem, Estimate, OffloadDecision, PlacementPolicy, QueryReport, ReplanPolicy,
@@ -142,12 +143,6 @@ pub struct ReplanDemo {
     pub result_digest: String,
 }
 
-fn digest(report: &QueryReport) -> String {
-    let rendered = format!("{:?}", report.result);
-    let hash = ironsafe_crypto::sha256::sha256(rendered.as_bytes());
-    hash[..8].iter().map(|b| format!("{b:02x}")).collect()
-}
-
 fn params(storage_cores: u32) -> CostParams {
     CostParams { storage_cores, ..CostParams::default() }
 }
@@ -200,8 +195,8 @@ pub fn adaptive_sweep(sf: f64) -> (Vec<AdaptiveCell>, ReplanDemo) {
                         run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
                     let adaptive = run_adaptive(&data, &q, cores, pressure);
                     let label = format!("{shape} cores={cores} sel={sel}% pressure={pressure}");
-                    assert_eq!(digest(&allhost), digest(&offload), "{label}: static digests");
-                    assert_eq!(digest(&allhost), digest(&adaptive), "{label}: adaptive digest");
+                    assert_eq!(digest(&allhost.result), digest(&offload.result), "{label}: static digests");
+                    assert_eq!(digest(&allhost.result), digest(&adaptive.result), "{label}: adaptive digest");
                     let chosen = if adaptive.breakdown == offload.breakdown {
                         "offload"
                     } else if adaptive.breakdown == allhost.breakdown {
@@ -225,7 +220,7 @@ pub fn adaptive_sweep(sf: f64) -> (Vec<AdaptiveCell>, ReplanDemo) {
                         offload_ns: offload.total_ns(),
                         adaptive_ns: adaptive.total_ns(),
                         chosen,
-                        result_digest: digest(&adaptive),
+                        result_digest: digest(&adaptive.result),
                     });
                 }
             }
@@ -277,8 +272,8 @@ fn replan_demo(data: &TpchData) -> ReplanDemo {
     assert_eq!(stubborn_replans, 0, "re-planning disabled must charge no re-plans");
     assert!(replans >= 1, "the mis-estimate must trip at least one re-plan");
     assert_eq!(
-        digest(&stubborn),
-        digest(&replanned),
+        digest(&stubborn.result),
+        digest(&replanned.result),
         "re-planning must never change the answer"
     );
     assert!(
@@ -293,7 +288,7 @@ fn replan_demo(data: &TpchData) -> ReplanDemo {
         stubborn_ns: stubborn.total_ns(),
         replanned_ns: replanned.total_ns(),
         replans,
-        result_digest: digest(&replanned),
+        result_digest: digest(&replanned.result),
     }
 }
 
@@ -352,8 +347,8 @@ mod tests {
             let allhost = run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
             let offload = run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
             let adaptive = run_adaptive(&data, &q, cores, pressure);
-            assert_eq!(digest(&allhost), digest(&adaptive), "{shape} sel={sel}");
-            assert_eq!(digest(&offload), digest(&adaptive), "{shape} sel={sel}");
+            assert_eq!(digest(&allhost.result), digest(&adaptive.result), "{shape} sel={sel}");
+            assert_eq!(digest(&offload.result), digest(&adaptive.result), "{shape} sel={sel}");
             assert!(
                 adaptive.total_ns()
                     <= offload.total_ns().min(allhost.total_ns()) * (1.0 + 1e-9),
@@ -368,7 +363,7 @@ mod tests {
                 offload_ns: offload.total_ns(),
                 adaptive_ns: adaptive.total_ns(),
                 chosen: "offload",
-                result_digest: digest(&adaptive),
+                result_digest: digest(&adaptive.result),
             });
         }
         let demo = replan_demo(&data);

@@ -35,3 +35,10 @@ pub use profiles::{diff_snapshots, profile_matrix, profiles_json, snapshot_json,
 pub use shards::{shards_invariants_json, shards_sweep, SHARDS_SF, SHARD_COUNTS};
 pub use vectors::{vectors_invariants_json, vectors_sweep, VECTORS_SF};
 pub use writes::{mixed_sweep, writes_invariants_json, WRITES_SF, WRITE_BURSTS};
+
+/// The result digest the `BENCH_*.json` snapshots pin: SHA-256 over the
+/// rendered result, first 8 bytes in hex.
+pub fn digest(result: &ironsafe_sql::QueryResult) -> String {
+    let hash = ironsafe_crypto::sha256::sha256(format!("{result:?}").as_bytes());
+    hash[..8].iter().map(|b| format!("{b:02x}")).collect()
+}

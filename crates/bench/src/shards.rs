@@ -10,11 +10,12 @@
 //! gate). Wall-clock serving rates are `perf/`'s job
 //! (`scale.q6_{1,4}shard_ms`).
 
+use crate::digest;
 use crate::figures::SEED;
 use ironsafe_csa::SystemConfig;
 use ironsafe_scale::{FederatedCsaSystem, FederationConfig};
 use ironsafe_tpch::generate;
-use ironsafe_tpch::queries::PaperQuery;
+use ironsafe_tpch::queries::query;
 
 /// Default scale factor for the shards gate.
 pub const SHARDS_SF: f64 = 0.002;
@@ -47,16 +48,6 @@ pub struct ShardInvariant {
     pub result_digest: String,
 }
 
-fn digest(report: &ironsafe_scale::FederatedReport) -> String {
-    let rendered = format!("{:?}", report.result);
-    let hash = ironsafe_crypto::sha256::sha256(rendered.as_bytes());
-    hash[..8].iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn paper_query(id: u8) -> PaperQuery {
-    ironsafe_tpch::queries::query(id).expect("known query")
-}
-
 /// Run the sweep: every query id at every shard count on IronSafe
 /// (scs) federations, asserting the determinism contract as it goes.
 pub fn shards_sweep(sf: f64, counts: &[usize], ids: &[u8]) -> Vec<ShardInvariant> {
@@ -69,7 +60,7 @@ pub fn shards_sweep(sf: f64, counts: &[usize], ids: &[u8]) -> Vec<ShardInvariant
         )
         .expect("federation builds");
         for &id in ids {
-            let q = paper_query(id);
+            let q = query(id).expect("known query");
             let (report, _) = fed
                 .run_query_federated(&q, KEY, 1)
                 .unwrap_or_else(|e| panic!("shards={n} Q{id}: {e}"));
@@ -81,7 +72,7 @@ pub fn shards_sweep(sf: f64, counts: &[usize], ids: &[u8]) -> Vec<ShardInvariant
                 rows_shipped: report.rows_shipped,
                 bytes_shipped: report.bytes_shipped,
                 pages_read: report.pages_read_storage,
-                result_digest: digest(&report),
+                result_digest: digest(&report.result),
             });
         }
     }

@@ -14,10 +14,11 @@
 //! committed file (the scan-kernel regression gate). Wall-clock scan
 //! rates are `perf/`'s job (`scan_cold`).
 
+use crate::digest;
 use crate::figures::SEED;
 use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
 use ironsafe_tpch::generate;
-use ironsafe_tpch::queries::PaperQuery;
+use ironsafe_tpch::queries::query;
 
 /// Default scale factor for the deterministic invariants sweep.
 pub const VECTORS_SF: f64 = 0.002;
@@ -57,16 +58,6 @@ pub struct CompressionDividend {
     pub mac_reduction_pct: f64,
 }
 
-fn digest(result: &ironsafe_sql::QueryResult) -> String {
-    let rendered = format!("{result:?}");
-    let hash = ironsafe_crypto::sha256::sha256(rendered.as_bytes());
-    hash[..8].iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn paper_query(id: u8) -> PaperQuery {
-    ironsafe_tpch::queries::query(id).expect("known query")
-}
-
 /// Run the deterministic sweep on IronSafe (scs): every query id over
 /// {raw, compressed} pages at DOP 1 and DOP 4, asserting the parity
 /// contract as it goes, and derive the per-query compression dividend.
@@ -86,7 +77,7 @@ pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDi
             .map(|&id| {
                 let before = sys.storage_db().pager_stats();
                 let report = sys
-                    .run_query(&paper_query(id))
+                    .run_query(&query(id).expect("known query"))
                     .unwrap_or_else(|e| panic!("Q{id} dop={dop} compressed={compressed}: {e}"));
                 let after = sys.storage_db().pager_stats();
                 VectorCell {

@@ -13,6 +13,7 @@
 //! regression gate). Wall-clock read latency under a writer stream is
 //! `perf/`'s job (`write_mix`).
 
+use crate::digest;
 use crate::figures::SEED;
 use ironsafe_csa::{CostParams, CsaSystem, SharedCsaSystem, SystemConfig};
 use ironsafe_obs::Registry;
@@ -60,12 +61,6 @@ pub struct Amortization {
     pub rpmb_g1: u64,
     /// RPMB binds at group size 4.
     pub rpmb_g4: u64,
-}
-
-fn digest(result: &ironsafe_sql::QueryResult) -> String {
-    let rendered = format!("{result:?}");
-    let hash = ironsafe_crypto::sha256::sha256(rendered.as_bytes());
-    hash[..8].iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn shared_system(sf: f64) -> SharedCsaSystem {

@@ -25,8 +25,6 @@ pub struct StorageQuery {
     pub table: String,
     /// Fragment: `SELECT needed_cols FROM table WHERE pushed_conjuncts`.
     pub stmt: SelectStmt,
-    /// Names of the projected columns (the host temp table's schema).
-    pub columns: Vec<String>,
     /// How this table's data reaches the host.
     pub mode: OffloadDecision,
 }
@@ -160,8 +158,8 @@ pub fn partition_select_strategic(
             .collect();
         let mut fragment = SelectStmt {
             projections: needed
-                .iter()
-                .map(|c| SelectItem::Expr { expr: Expr::Column(c.clone()), alias: None })
+                .into_iter()
+                .map(|c| SelectItem::Expr { expr: Expr::Column(c), alias: None })
                 .collect(),
             from: vec![tref.clone()],
             where_clause: join_conjuncts(table_preds),
@@ -178,7 +176,7 @@ pub fn partition_select_strategic(
             }
         }
         let table = tref.name.clone();
-        storage.push(StorageQuery { table, stmt: fragment, columns: needed, mode });
+        storage.push(StorageQuery { table, stmt: fragment, mode });
     }
 
     // Host statement: original minus pushed-down conjuncts, plus the
@@ -228,6 +226,15 @@ mod tests {
         }
     }
 
+    /// The columns a fragment projects.
+    fn columns(frag: &StorageQuery) -> Vec<String> {
+        let column = |item: &SelectItem| match item {
+            SelectItem::Expr { expr: Expr::Column(c), alias: None } => c.clone(),
+            other => panic!("fragments project plain columns, got {other:?}"),
+        };
+        frag.stmt.projections.iter().map(column).collect()
+    }
+
     #[test]
     fn single_table_filter_pushed_down() {
         let stmt = select("SELECT SUM(l_extendedprice) FROM lineitem WHERE l_shipdate < '1995-01-01'");
@@ -239,7 +246,7 @@ mod tests {
         assert!(w.contains("l_shipdate"), "{w}");
         assert!(p.host.where_clause.is_none(), "conjunct fully pushed");
         // Fragment projects only what the query needs.
-        assert_eq!(frag.columns, vec!["l_extendedprice", "l_shipdate"]);
+        assert_eq!(columns(frag), vec!["l_extendedprice", "l_shipdate"]);
     }
 
     #[test]
@@ -279,7 +286,7 @@ mod tests {
         assert_eq!(p.storage.len(), 1);
         assert!(p.storage[0].stmt.where_clause.is_none(), "{:?}", p.storage[0].stmt);
         assert_eq!(p.host.where_clause, stmt.where_clause);
-        assert_eq!(p.storage[0].columns, vec!["o_totalprice", "o_orderkey"]);
+        assert_eq!(columns(&p.storage[0]), vec!["o_totalprice", "o_orderkey"]);
 
         // Two storage tables sharing column names: each conjunct goes to
         // the fragment its qualifier (name or alias) picks, the join key
@@ -295,8 +302,8 @@ mod tests {
             p.storage.iter().map(|f| f.stmt.where_clause.as_ref().map(expr_to_sql).unwrap_or_default()).collect();
         assert_eq!(pushed, ["(a.x < 3)", "(r.x > 1)"]);
         assert_eq!(expr_to_sql(p.host.where_clause.as_ref().unwrap()), "((a.k = r.k) AND (k > 0))");
-        assert_eq!(p.storage[0].columns, vec!["k", "x"]);
-        assert_eq!(p.storage[1].columns, vec!["k", "x"]);
+        assert_eq!(columns(&p.storage[0]), vec!["k", "x"]);
+        assert_eq!(columns(&p.storage[1]), vec!["k", "x"]);
     }
 
     #[test]
@@ -305,7 +312,7 @@ mod tests {
         let p = partition_select(&stmt, &lookup);
         let frag = &p.storage[0];
         assert!(frag.stmt.where_clause.is_none());
-        assert_eq!(frag.columns, vec!["l_orderkey"]);
+        assert_eq!(columns(frag), vec!["l_orderkey"]);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::adaptive::{
     PlanMetrics, ReplanPolicy,
 };
 use crate::cost::{self, complexity, CostBreakdown, CostParams, Run, Work};
+use crate::federation::{FragmentSource, TableShape};
 use crate::net::{RowLink, RECORD_OVERHEAD_BYTES, ROWS_PER_RECORD};
 use crate::partition::{
     partition_select_strategic, OffloadDecision, Partition, PlacementPolicy, StorageQuery,
@@ -25,7 +26,7 @@ use ironsafe_sql::ast::{expr_to_sql, SelectItem, SelectStmt, Statement};
 use ironsafe_sql::catalog::Catalog;
 use ironsafe_sql::exec::{ExecOptions, ScanWatch};
 use ironsafe_sql::heap::{shared, SharedPager};
-use ironsafe_sql::{Database, EncodedRows, QueryResult, Schema};
+use ironsafe_sql::{Database, EncodedRows, QueryResult};
 use ironsafe_storage::pager::PlainPager;
 use ironsafe_storage::{
     CompressedPager, PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager,
@@ -229,6 +230,8 @@ struct Ran {
     pages_read: u64,
     rows_shipped: u64,
     bytes_shipped: u64,
+    plans: Vec<PlanProfile>,
+    extras: ProfileExtras,
 }
 
 impl CsaSystem {
@@ -548,7 +551,9 @@ impl CsaSystem {
     pub fn run_query(&mut self, q: &PaperQuery) -> Result<QueryReport> {
         let root = format!("query/q{}", q.id);
         match self.config.run() {
-            Run::Split { secure, .. } => self.traced(q.id, &root, |sys| sys.split(q, secure)),
+            run @ Run::Split { .. } => self.traced(q.id, &root, |sys| {
+                Self::split(&sys.set, &sys.params, q, run, &mut sys.storage_db)
+            }),
             run => {
                 let parsed = q
                     .stages
@@ -560,6 +565,19 @@ impl CsaSystem {
                 self.traced(q.id, &root, |sys| sys.whole(run, &stages))
             }
         }
+    }
+
+    /// Run `q` split with its fragments on `source` instead of this
+    /// system's storage database, priced as `run` (a [`Run::Split`]). A
+    /// sharded federation's coordinator runs every query this way.
+    pub fn run_split(
+        &mut self,
+        q: &PaperQuery,
+        run: Run,
+        source: &mut dyn FragmentSource,
+    ) -> Result<QueryReport> {
+        let root = format!("query/q{}", q.id);
+        self.traced(q.id, &root, |sys| Self::split(&sys.set, &sys.params, q, run, source))
     }
 
     /// The prologue and epilogue every run shares: reset the per-run
@@ -583,6 +601,8 @@ impl CsaSystem {
         let snapshot = trace.snapshot();
         let breakdown = CostBreakdown::from_trace(&snapshot);
         self.last_trace = Some(snapshot);
+        self.last_plans = ran.plans;
+        self.last_extras = ran.extras;
         let result = ran.result.ok_or_else(|| {
             ironsafe_sql::SqlError::Plan("query has no output stage".to_string())
         })?;
@@ -619,6 +639,7 @@ impl CsaSystem {
         let mut probe_requests = 0u64;
         let mut temps: Vec<&str> = Vec::new();
         let mut staged = EncodedRows::new();
+        let mut plans = Vec::new();
         let outcome = (|| -> Result<Option<QueryResult>> {
             let mut result = None;
             for (stage_no, (stmt, into)) in stages.iter().enumerate() {
@@ -661,7 +682,7 @@ impl CsaSystem {
                                 ops
                             }
                         };
-                        self.last_plans.push(PlanProfile::new(label, placement, ops));
+                        plans.push(PlanProfile::new(label, placement, ops));
                     }
                     other => result = Some(self.storage_db.execute_statement(other)?),
                 }
@@ -681,8 +702,14 @@ impl CsaSystem {
         dropped?;
         let delta = self.storage_db.pager_stats() - before;
         let mut work = Work { pages: delta, probe_requests, db_pages, ..Work::default() };
-        let mut ran =
-            Ran { result, pages_read: delta.page_reads, rows_shipped: 0, bytes_shipped: 0 };
+        let mut ran = Ran {
+            result,
+            pages_read: delta.page_reads,
+            rows_shipped: 0,
+            bytes_shipped: 0,
+            plans,
+            extras: ProfileExtras::default(),
+        };
         match run {
             Run::HostOnly { secure } => {
                 work.host_rows = scanned_rows;
@@ -691,7 +718,7 @@ impl CsaSystem {
                 if secure {
                     // One OCALL round per page batch fetched into the enclave.
                     work.transitions = delta.page_reads * 2;
-                    self.last_extras.enclave_transitions = work.transitions;
+                    ran.extras.enclave_transitions = work.transitions;
                 }
                 ran.rows_shipped = scanned_rows;
                 ran.bytes_shipped = work.bytes;
@@ -706,23 +733,31 @@ impl CsaSystem {
     }
 
     // ---------------------------------------------------------------
-    // vcs / scs: per-table filter fragments run near the data; filtered
-    // rows ship to the host, which joins/aggregates them.
+    // vcs / scs: per-table filter fragments run near the data — on
+    // `source` — and their filtered rows ship to the host, which
+    // joins/aggregates them.
     // ---------------------------------------------------------------
-    fn split(&mut self, q: &PaperQuery, secure: bool) -> Result<Ran> {
-        let p = self.params.clone();
-        let exec = self.set.exec.clone();
-        let before = self.storage_db.pager_stats();
+    fn split(
+        set: &Settings,
+        p: &CostParams,
+        q: &PaperQuery,
+        run: Run,
+        source: &mut dyn FragmentSource,
+    ) -> Result<Ran> {
+        let secure = matches!(run, Run::Split { secure: true, .. });
+        let exec = set.exec.clone();
+        let before = source.pager_work();
         let mut host_db = Database::new(PlainPager::new());
         let mut epc = EpcSimulator::new(p.epc_limit_bytes);
-        if secure && self.set.epc_pressure_pages > 0 {
+        if secure && set.epc_pressure_pages > 0 {
             // Concurrent tenants hold a resident working set before
             // the query's first temp page lands. Applied under every
             // placement: pressure is environment, not policy.
-            epc.preload_background(self.set.epc_pressure_pages);
+            epc.preload_background(set.epc_pressure_pages);
         }
-        let mut link =
-            RowLink::new(&self.set.session_key).with_faults(self.set.fault_plan.clone(), self.set.retry);
+        let mut link = RowLink::new(&set.session_key).with_faults(set.fault_plan.clone(), set.retry);
+        let mut plans = Vec::new();
+        let mut extras = ProfileExtras::default();
 
         let mut scanned_rows = 0u64;
         let mut rows_shipped = 0u64;
@@ -744,17 +779,15 @@ impl CsaSystem {
                     continue;
                 }
             };
-            let catalog_lookup = |name: &str| -> Option<Schema> {
-                self.storage_db.catalog().table(name).ok().map(|t| t.schema.clone())
-            };
+            let catalog_lookup = |name: &str| source.schema(name);
             let host_ops_est = complexity(&sel);
-                let adaptive_live = self.set.placement == PlacementPolicy::CostBased;
-            let Partition { storage, host } = match self.set.placement {
+            let adaptive_live = set.placement == PlacementPolicy::CostBased;
+            let Partition { storage, host } = match set.placement {
                 PlacementPolicy::Pinned(pin) => {
                     partition_select_strategic(&sel, &catalog_lookup, &|_, _| pin)
                 }
                 PlacementPolicy::CostBased => {
-                    let state = self.set.adaptive.lock();
+                    let state = set.adaptive.lock();
                     // Occupancy at planning time: background pressure
                     // plus earlier stages' temp pages — so later stages
                     // adapt to a filling EPC.
@@ -762,19 +795,13 @@ impl CsaSystem {
                         occupied_pages: epc.resident_pages() as u64,
                         capacity_pages: epc.capacity_pages() as u64,
                     };
-                    let db = &self.storage_db;
-                    let metrics = &self.set.plan_metrics;
+                    let metrics = &set.plan_metrics;
                     partition_select_strategic(&sel, &catalog_lookup, &|table, frag| {
-                        let Ok(info) = db.catalog().table(table) else {
+                        let Ok(shape) = source.shape(table) else {
                             return OffloadDecision::Offload;
                         };
-                        let shape = TableShape {
-                            rows: info.heap.row_count,
-                            pages: info.heap.pages.len() as u64,
-                            cols: info.schema.len(),
-                        };
                         let f = fragment_stats(&state, table, frag, shape, host_ops_est, secure);
-                        let (decision, _, _) = choose(&f, &view, &p);
+                        let (decision, _, _) = choose(&f, &view, p);
                         match decision {
                             OffloadDecision::Offload => metrics.decide_offload.inc(),
                             OffloadDecision::ShipPages => metrics.decide_ship_pages.inc(),
@@ -790,24 +817,20 @@ impl CsaSystem {
             // fragment to fragment, released before the host plan
             // builds its own working set.
             let mut rows = EncodedRows::new();
-            for StorageQuery { table, stmt, mode, .. } in &storage {
+            for StorageQuery { table, stmt, mode } in &storage {
                 let _frag_span = Span::enter(&format!("fragment/{table}"));
-                let info = self.storage_db.catalog().table(table)?;
-                let table_rows = info.heap.row_count;
-                let table_cols = info.schema.len();
+                let shape = source.shape(table)?;
+                let TableShape { rows: table_rows, pages: table_pages, .. } = shape;
                 scanned_rows += table_rows;
-                let table_pages = info.heap.pages.len() as u64;
-                let shape =
-                    TableShape { rows: table_rows, pages: table_pages, cols: table_cols };
                 let est_sel = (adaptive_live && stmt.where_clause.is_some()).then(|| {
-                    let state = self.set.adaptive.lock();
+                    let state = set.adaptive.lock();
                     fragment_stats(&state, table, stmt, shape, host_ops_est, secure)
                         .selectivity
                 });
                 // Watch per-morsel row counts when this fragment may
                 // re-plan mid-flight (telemetry only).
                 let watch = (adaptive_live
-                    && self.set.replan.is_some()
+                    && set.replan.is_some()
                     && *mode == OffloadDecision::Offload
                     && est_sel.is_some())
                 .then(|| Arc::new(ScanWatch::new()));
@@ -816,15 +839,14 @@ impl CsaSystem {
                     None => exec.clone(),
                 };
                 rows.clear();
-                let (schema, frag_ops) =
-                    self.storage_db.select_encoded(stmt, &frag_exec, &mut rows)?;
+                let (schema, frag_ops) = source.run_fragment(stmt, &frag_exec, &mut rows)?;
                 let pushdown_sql = stmt.where_clause.as_ref().map(expr_to_sql);
                 let frag_rows = rows.len();
                 rows_shipped += frag_rows as u64;
                 fragments += 1;
                 let observed_sel = (table_rows > 0 && stmt.where_clause.is_some())
                     .then(|| frag_rows as f64 / table_rows as f64);
-                self.last_plans.push(PlanProfile {
+                plans.push(PlanProfile {
                     label: format!("stage{stage_no}/fragment/{table}"),
                     placement: match mode {
                         OffloadDecision::Offload => Placement::StorageOffload,
@@ -854,12 +876,12 @@ impl CsaSystem {
                         // their raw pages cross the wire and the host
                         // filters them itself. Answers are unchanged;
                         // only the cost accounting moves.
-                        if let (Some(w), Some(policy)) = (&watch, self.set.replan) {
+                        if let (Some(w), Some(policy)) = (&watch, set.replan) {
                             let slots = w.take();
                             let est = est_sel.unwrap_or(1.0);
                             if let Some((m, obs)) = divergence_trip(&slots, est, &policy) {
                                 let mut f = {
-                                    let state = self.set.adaptive.lock();
+                                    let state = set.adaptive.lock();
                                     fragment_stats(
                                         &state, table, stmt, shape, host_ops_est, secure,
                                     )
@@ -869,7 +891,7 @@ impl CsaSystem {
                                     occupied_pages: epc.resident_pages() as u64,
                                     capacity_pages: epc.capacity_pages() as u64,
                                 };
-                                let (rechoice, _, _) = choose(&f, &view, &p);
+                                let (rechoice, _, _) = choose(&f, &view, p);
                                 if rechoice == OffloadDecision::ShipPages {
                                     let pre_filtered: u64 =
                                         slots[..m].iter().map(|(_, out)| *out).sum();
@@ -899,9 +921,9 @@ impl CsaSystem {
                                             extra_pages,
                                         );
                                     }
-                                    cost::charge_replan(&p);
-                                    self.set.plan_metrics.replans.inc();
-                                    self.last_extras.replans.push(ReplanEvent {
+                                    cost::charge_replan(p);
+                                    set.plan_metrics.replans.inc();
+                                    extras.replans.push(ReplanEvent {
                                         label: format!("stage{stage_no}/fragment/{table}"),
                                         from: Placement::StorageOffload,
                                         to: Placement::StorageShipPages,
@@ -941,7 +963,7 @@ impl CsaSystem {
                         .unwrap_or(1)
                         .max(1);
                     let density = frag_rows as f64 / temp_pages as f64;
-                    let refined = self.set.adaptive.lock().observe(
+                    let refined = set.adaptive.lock().observe(
                         table,
                         pushdown_sql.as_deref(),
                         obs,
@@ -949,7 +971,7 @@ impl CsaSystem {
                         density,
                     );
                     if refined {
-                        self.set.plan_metrics.estimate_refined.inc();
+                        set.plan_metrics.estimate_refined.inc();
                     }
                 }
             }
@@ -973,12 +995,12 @@ impl CsaSystem {
                 }
                 // Sample EPC occupancy once per stage, after the
                 // stage's working set landed.
-                self.last_extras.epc_occupancy_pages.push(epc.resident_pages() as u64);
+                extras.epc_occupancy_pages.push(epc.resident_pages() as u64);
                 // The background tenants re-touch their working set
                 // while the host stage computes; against a full EPC
                 // this faults (and cascades) deterministically.
-                if self.set.epc_pressure_pages > 0 {
-                    epc.touch_background(self.set.epc_pressure_pages);
+                if set.epc_pressure_pages > 0 {
+                    epc.touch_background(set.epc_pressure_pages);
                 }
             }
             let host_span = Span::enter("host/join_aggregate");
@@ -995,7 +1017,7 @@ impl CsaSystem {
                 }
             };
             drop(host_span);
-            self.last_plans.push(PlanProfile::new(
+            plans.push(PlanProfile::new(
                 format!("stage{stage_no}/host"),
                 Placement::Host,
                 host_ops_profile,
@@ -1009,13 +1031,13 @@ impl CsaSystem {
             }
         }
 
-        let delta = self.storage_db.pager_stats() - before;
+        let delta = source.pager_work() - before;
         let tx = &link.tx;
         let bytes = tx.bytes_sent + page_transfer_bytes;
-        self.last_extras.epc_faults = epc.faults();
+        extras.epc_faults = epc.faults();
         // Two transitions per shipped record batch.
         let transitions = if secure { tx.messages * 2 } else { 0 };
-        self.last_extras.enclave_transitions = transitions;
+        extras.enclave_transitions = transitions;
         let work = Work {
             pages: delta,
             storage_rows: scanned_rows,
@@ -1029,17 +1051,16 @@ impl CsaSystem {
             epc_faults: epc.faults(),
             ..Work::default()
         };
-        cost::charge_run(self.config.run(), &work, &p);
-        Ok(Ran { result, pages_read: delta.page_reads, rows_shipped, bytes_shipped: bytes })
+        cost::charge_run(run, &work, p);
+        Ok(Ran {
+            result,
+            pages_read: delta.page_reads,
+            rows_shipped,
+            bytes_shipped: bytes,
+            plans,
+            extras,
+        })
     }
-}
-
-/// Catalog shape of one table, as the planner sees it.
-#[derive(Clone, Copy)]
-struct TableShape {
-    rows: u64,
-    pages: u64,
-    cols: usize,
 }
 
 /// Assemble the planner's view of one storage fragment: EWMA-refined

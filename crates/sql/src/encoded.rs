@@ -72,6 +72,12 @@ impl EncodedRows {
         self.finish_row();
     }
 
+    /// Append one row whose cells are already encoded.
+    pub fn push_encoded(&mut self, cells: &[u8]) {
+        self.bytes.extend_from_slice(cells);
+        self.finish_row();
+    }
+
     /// Append every row of `other`.
     pub fn append(&mut self, other: &EncodedRows) {
         let base = self.bytes.len();

@@ -163,15 +163,10 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     RawValue::of(v).encode(out);
 }
 
-/// Deserialize one value from `buf` at `pos`, advancing `pos`.
-pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
-    Ok(decode_value_raw(buf, pos)?.to_value())
-}
-
 /// A decoded value borrowing its text from the page buffer. The
 /// columnar decode path appends these straight into typed column
-/// vectors without allocating a `String` per text cell; [`decode_value`]
-/// wraps this with an owned conversion.
+/// vectors without allocating a `String` per text cell;
+/// [`RawValue::to_value`] converts to an owned value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RawValue<'a> {
     /// SQL NULL.
@@ -238,7 +233,7 @@ impl<'a> RawValue<'a> {
 }
 
 /// Decode one value from `buf` at `pos`, borrowing text in place. The
-/// single codec both row decode ([`decode_value`]) and columnar decode
+/// single codec row decode and columnar decode
 /// (`crate::batch::ColumnBatch`) are built on.
 pub fn decode_value_raw<'a>(buf: &'a [u8], pos: &mut usize) -> Result<RawValue<'a>> {
     let err = || SqlError::Eval("corrupt value encoding".into());
@@ -271,6 +266,11 @@ pub fn decode_value_raw<'a>(buf: &'a [u8], pos: &mut usize) -> Result<RawValue<'
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deserialize one value from `buf` at `pos`, advancing `pos`.
+    fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
+        Ok(decode_value_raw(buf, pos)?.to_value())
+    }
 
     #[test]
     fn compare_numeric_cross_type() {

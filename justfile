@@ -22,9 +22,10 @@ check:
 # Non-test lines per crate (the count "net-negative" issues gate on):
 # every line of `crates/*/src/**/*.rs` outside `#[cfg(test)]` items — the
 # attribute skips the item it decorates, wherever in the file it sits, and
-# a file whose `mod` line carries it counts as zero (scripts/loc.awk).
+# a file whose `mod` line carries it counts as zero (scripts/loc.awk). The
+# last line is the workspace total.
 loc:
-    @for c in crates/*/; do f=$(find ${c}src -name '*.rs' | sort); printf '%-8s %s\n' "$(basename $c)" "$(awk -f scripts/loc.awk pass=1 $f pass=2 $f)"; done
+    @for c in crates/*/; do f=$(find ${c}src -name '*.rs' | sort); printf '%-8s %s\n' "$(basename $c)" "$(awk -f scripts/loc.awk pass=1 $f pass=2 $f)"; done | awk '{ print; total += $2 } END { printf "%-8s %s\n", "total", total }'
 
 # Freshness fast-path sweep at a reduced SF, end to end (per-page climbs
 # vs shared-path batches vs the warm verified-node cache).
