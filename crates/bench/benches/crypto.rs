@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use ironsafe_crypto::aes::Aes128;
 use ironsafe_crypto::group::Group;
 use ironsafe_crypto::hmac::hmac_sha256;
+use ironsafe_crypto::hmac512::HmacSha512;
 use ironsafe_crypto::modes::{cbc_decrypt_aligned, cbc_encrypt_aligned, ctr_xor};
 use ironsafe_crypto::schnorr::KeyPair;
 use ironsafe_crypto::sha256::sha256;
@@ -15,6 +16,8 @@ use ironsafe_storage::pager::PlainPager;
 use rand::SeedableRng;
 
 const PAGE: usize = 4096;
+/// IV ‖ ciphertext: the stored block without its 32-byte MAC trailer.
+const PAGE_MAC_BODY: usize = PAGE - 32;
 
 fn bench_hash(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -32,12 +35,36 @@ fn bench_hash(c: &mut Criterion) {
     });
     g.finish();
 
+    // The page MAC as the codec computes it: a pre-keyed MAC over
+    // "page" ‖ id (12 bytes) ‖ IV ‖ ciphertext (4 064 bytes, in place),
+    // one page at a time and as a read batch of 8 and 16 pages.
     let mut g = c.benchmark_group("hmac_sha512");
-    let page = vec![0xabu8; PAGE];
-    g.throughput(Throughput::Bytes(PAGE as u64));
-    g.bench_function("page_4k", |b| {
-        b.iter(|| ironsafe_crypto::hmac512::hmac_sha512(b"key", std::hint::black_box(&page)))
+    let mac = HmacSha512::new(&[0x17; 32]);
+    let blocks = vec![0xabu8; 16 * PAGE];
+    let (blocks, _) = blocks.as_chunks::<PAGE>();
+    let head = |id: usize| {
+        let mut head = [0u8; 12];
+        head[..4].copy_from_slice(b"page");
+        head[4..].copy_from_slice(&(id as u64).to_be_bytes());
+        head
+    };
+    let body = |id: usize| &std::hint::black_box(&blocks[id])[..PAGE_MAC_BODY];
+    g.throughput(Throughput::Bytes(12 + PAGE_MAC_BODY as u64));
+    g.bench_function("page", |b| {
+        b.iter(|| {
+            let mut h = mac.clone();
+            h.update(&head(7));
+            h.update(body(7));
+            h.finalize_trunc256()
+        })
     });
+    for pages in [8, 16] {
+        let mut tags = vec![[0u8; 32]; pages];
+        g.throughput(Throughput::Bytes(pages as u64 * (12 + PAGE_MAC_BODY as u64)));
+        g.bench_function(format!("batch_{pages}"), |b| {
+            b.iter(|| mac.tags_trunc256(|i| (head(i), body(i)), &mut tags))
+        });
+    }
     g.finish();
 }
 

@@ -53,6 +53,21 @@ fn bench_read_paths(c: &mut Criterion) {
         })
     });
 
+    // A scan morsel: 16 consecutive pages through one `read_pages`, whose
+    // page MACs run as two passes of eight SIMD lanes where the CPU can.
+    let mut morsel = vec![0u8; 16 * PAGE_PAYLOAD];
+    let mut ids: Vec<u64> = Vec::with_capacity(16);
+    g.throughput(Throughput::Bytes(16 * PAGE_PAYLOAD as u64));
+    g.bench_function("secure_batch_16", |b| {
+        b.iter(|| {
+            i = (i + 97) % (PAGES - 16);
+            ids.clear();
+            ids.extend(i..i + 16);
+            secure.read_pages(&ids, &mut morsel).unwrap();
+        })
+    });
+    g.throughput(Throughput::Bytes(PAGE_PAYLOAD as u64));
+
     // Ablation: skip per-read Merkle verification.
     secure.verify_freshness_on_read = false;
     g.bench_function("secure_no_freshness", |b| {

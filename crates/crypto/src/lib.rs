@@ -11,7 +11,9 @@
 //!   x86-64 SHA-NI — selected per hasher by CPU feature detection.
 //! * [`sha512`] / [`hmac512`] — SHA-512 and HMAC-SHA512; the paper's page
 //!   MACs are HMAC-SHA512 (via SQLCipher), which the page codec stores
-//!   truncated to 32 bytes.
+//!   truncated to 32 bytes. A batch of equal-length messages runs eight
+//!   streams per pass in AVX-512 lanes where the CPU has AVX-512F/BW,
+//!   selected once per key by CPU feature detection.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104) used for Merkle nodes and
 //!   RPMB authentication.
 //! * [`hkdf`] — HKDF-SHA256 (RFC 5869) used to derive per-purpose keys from
@@ -32,17 +34,19 @@
 //! None of this code claims to resist side channels on real silicon — it
 //! is a faithful, correct software model for a simulated platform — but
 //! the algorithms themselves are the real ones, verified against published
-//! test vectors in the unit tests. Within the model, two paths are built to
-//! have an input-independent operation sequence: the AES-NI back-end, and
+//! test vectors in the unit tests. Within the model, three paths are built
+//! to have an input-independent operation sequence: the AES-NI back-end,
+//! the AVX-512 SHA-512 lanes (adds, rotates, shifts and `vpternlogq`), and
 //! the Schnorr secret-exponent path (key generation and signing: the comb
 //! for `g`, fixed 4-bit windows, masked table reads and masked final
 //! subtractions, no branch on a limb of the key or the nonce — checked by
 //! an operation-count test). The table-driven AES back-end and signature
 //! verification (public inputs only) are variable-time.
 //!
-//! The crate denies `unsafe_code` rather than forbidding it so that two
-//! modules, `aes::ni` and `sha256::ni` (intrinsics only), can opt in; see
-//! DESIGN.md "Crypto backends" and `tests/unsafe_budget.rs`.
+//! The crate denies `unsafe_code` rather than forbidding it so that three
+//! modules, `aes::ni`, `sha256::ni` and `sha512::avx512` (intrinsics
+//! only), can opt in; see DESIGN.md "Crypto backends" and
+//! `tests/unsafe_budget.rs`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

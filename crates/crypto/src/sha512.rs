@@ -3,6 +3,43 @@
 //! The paper's page MACs are HMAC-SHA512 (via SQLCipher/OpenSSL); the
 //! secure page codec uses [`crate::hmac512`] built on this, truncated to
 //! its 32-byte trailer slot (HMAC truncation per RFC 2104 §5).
+//!
+//! One stream runs the portable compression function in this file. A batch
+//! of equal-length messages can also run eight streams per pass in
+//! `avx512` on x86-64 CPUs with AVX-512F and AVX-512BW
+//! (`Sha512::finalize_lanes`); `Backend::detect` is the only way to choose
+//! it, and [`crate::hmac512::HmacSha512::new`] asks once per key.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use avx512::Detected as Avx512;
+
+/// Streams one multi-buffer pass hashes at once.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const LANES: usize = 8;
+
+/// Which code hashes a batch of equal-length messages.
+#[derive(Clone, Copy)]
+pub(crate) enum Backend {
+    /// One message after another.
+    Scalar,
+    /// [`LANES`] messages per pass, one per AVX-512 lane.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(avx512::Detected),
+}
+
+impl Backend {
+    /// The fastest batch back-end this CPU supports.
+    pub(crate) fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(simd) = avx512::Detected::get() {
+            return Backend::Avx512(simd);
+        }
+        Backend::Scalar
+    }
+}
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 64;
@@ -101,6 +138,86 @@ impl Sha512 {
             bytes.copy_from_slice(&w.to_be_bytes());
         }
         out
+    }
+
+    /// True when no partial block is buffered, so every later byte starts
+    /// a stream that [`Sha512::finalize_lanes`] can continue.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn on_block_boundary(&self) -> bool {
+        self.buf_len == 0
+    }
+
+    /// Finish [`LANES`] streams that continue this hasher: lane `l` absorbs
+    /// `lanes[l][0] ‖ lanes[l][1]` and yields the digest `clone()`, two
+    /// `update`s and `finalize` would. Every lane's message has the same
+    /// length, and the hasher is [on a block
+    /// boundary](Sha512::on_block_boundary). Blocks that lie whole inside
+    /// one part are hashed where they lie; only a block that straddles the
+    /// two parts or holds the padding is staged.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn finalize_lanes(
+        &self,
+        simd: avx512::Detected,
+        lanes: &[[&[u8]; 2]; LANES],
+    ) -> [[u8; DIGEST_LEN]; LANES] {
+        let len = lanes[0][0].len() + lanes[0][1].len();
+        debug_assert!(self.on_block_boundary());
+        debug_assert!(lanes.iter().all(|[head, body]| head.len() + body.len() == len));
+        let bit_len = self.len.wrapping_add(len as u128).wrapping_mul(8);
+        let blocks = (len + 1 + 16).div_ceil(BLOCK_LEN);
+        let mut state = self.state.map(|w| [w; LANES]);
+        let mut staged = [[0u8; BLOCK_LEN]; LANES];
+        for k in 0..blocks {
+            for ([head, body], out) in lanes.iter().zip(&mut staged) {
+                if block_in_place(head, body, k).is_none() {
+                    stage_block(head, body, k, (k + 1 == blocks).then_some(bit_len), out);
+                }
+            }
+            let refs = std::array::from_fn(|l| {
+                let [head, body] = lanes[l];
+                block_in_place(head, body, k).unwrap_or(&staged[l])
+            });
+            simd.compress(&mut state, refs);
+        }
+        std::array::from_fn(|l| {
+            let mut out = [0u8; DIGEST_LEN];
+            for (bytes, w) in out.chunks_exact_mut(8).zip(&state) {
+                bytes.copy_from_slice(&w[l].to_be_bytes());
+            }
+            out
+        })
+    }
+}
+
+/// Block `k` of `head ‖ body` where it lies, if it lies whole in one part.
+#[cfg(target_arch = "x86_64")]
+fn block_in_place<'a>(head: &'a [u8], body: &'a [u8], k: usize) -> Option<&'a [u8; BLOCK_LEN]> {
+    let start = k * BLOCK_LEN;
+    let part = match start.checked_sub(head.len()) {
+        Some(from) => body.get(from..)?,
+        None => &head[start..],
+    };
+    part.first_chunk()
+}
+
+/// Copy block `k` of `head ‖ body` into `out`, padded: the bytes the
+/// message has there, `0x80` where it ends, zeros, and — in the `last`
+/// block — the message's total bit length.
+#[cfg(target_arch = "x86_64")]
+fn stage_block(head: &[u8], body: &[u8], k: usize, last: Option<u128>, out: &mut [u8; BLOCK_LEN]) {
+    let start = k * BLOCK_LEN;
+    out.fill(0);
+    let from_head = head.get(start..).unwrap_or_default();
+    let n = from_head.len().min(BLOCK_LEN);
+    out[..n].copy_from_slice(&from_head[..n]);
+    let from_body = body.get((start + n).saturating_sub(head.len())..).unwrap_or_default();
+    let m = from_body.len().min(BLOCK_LEN - n);
+    out[n..n + m].copy_from_slice(&from_body[..m]);
+    if n + m < BLOCK_LEN && start + n + m == head.len() + body.len() {
+        out[n + m] = 0x80;
+    }
+    if let Some(bit_len) = last {
+        out[BLOCK_LEN - 16..].copy_from_slice(&bit_len.to_be_bytes());
     }
 }
 

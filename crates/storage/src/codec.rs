@@ -76,35 +76,74 @@ impl PageCodec {
 
     /// Verify and decrypt a stored block into `out` (exactly
     /// [`PAGE_PAYLOAD`] bytes). Returns the page MAC for Merkle checking.
+    /// This is [`PageCodec::decrypt_pages`] on a batch of one.
     pub fn decrypt_page(
         &mut self,
         page_id: u64,
         block: &[u8; BLOCK_SIZE],
         out: &mut [u8],
     ) -> Result<[u8; 32]> {
-        if out.len() != PAGE_PAYLOAD {
-            return Err(StorageError::BadBufferSize { expected: PAGE_PAYLOAD, got: out.len() });
+        let mut mac = [[0u8; 32]];
+        self.decrypt_pages(&[page_id], block, out, &mut mac)?;
+        Ok(mac[0])
+    }
+
+    /// Verify and decrypt a batch: `blocks` holds the stored blocks of
+    /// `ids` back to back, `out` receives their payloads the same way, and
+    /// `macs[i]` the MAC of page `ids[i]` for Merkle checking. Every MAC is
+    /// computed first, in one [`HmacSha512::tags_trunc256`] call; then each
+    /// page's stored tag is compared in constant time before its CBC
+    /// decrypt. The first mismatch stops the batch; pages before it are
+    /// decrypted and counted, as a caller that rolls back expects.
+    pub fn decrypt_pages(
+        &mut self,
+        ids: &[u64],
+        blocks: &[u8],
+        out: &mut [u8],
+        macs: &mut [[u8; 32]],
+    ) -> Result<()> {
+        let n = ids.len();
+        for (expected, got) in
+            [(n * BLOCK_SIZE, blocks.len()), (n * PAGE_PAYLOAD, out.len()), (n, macs.len())]
+        {
+            if got != expected {
+                return Err(StorageError::BadBufferSize { expected, got });
+            }
         }
-        let expect = self.page_mac(page_id, block);
-        let stored: &[u8] = &block[IV_LEN + PAGE_PAYLOAD..];
-        if !ironsafe_crypto::ct_eq(&expect, stored) {
-            return Err(StorageError::IntegrityViolation("page MAC mismatch"));
+        let (blocks, _) = blocks.as_chunks::<BLOCK_SIZE>();
+        self.page_macs(ids, blocks, macs);
+        let pages = blocks.iter().zip(&*macs).zip(out.chunks_exact_mut(PAGE_PAYLOAD));
+        for ((block, mac), buf) in pages {
+            if !ironsafe_crypto::ct_eq(mac, &block[IV_LEN + PAGE_PAYLOAD..]) {
+                return Err(StorageError::IntegrityViolation("page MAC mismatch"));
+            }
+            let iv: [u8; IV_LEN] = block[..IV_LEN].try_into().expect("fixed split");
+            buf.copy_from_slice(&block[IV_LEN..IV_LEN + PAGE_PAYLOAD]);
+            cbc_decrypt_aligned(&self.aes, &iv, buf)
+                .map_err(|_| StorageError::IntegrityViolation("page decryption failed"))?;
+            self.decrypt_count += 1;
         }
-        let iv: [u8; IV_LEN] = block[..IV_LEN].try_into().expect("fixed split");
-        out.copy_from_slice(&block[IV_LEN..IV_LEN + PAGE_PAYLOAD]);
-        cbc_decrypt_aligned(&self.aes, &iv, out)
-            .map_err(|_| StorageError::IntegrityViolation("page decryption failed"))?;
-        self.decrypt_count += 1;
-        Ok(expect)
+        Ok(())
     }
 
     /// HMAC-SHA512/256 over `page_id ‖ IV ‖ ciphertext`.
     pub fn page_mac(&self, page_id: u64, block: &[u8; BLOCK_SIZE]) -> [u8; 32] {
-        let mut mac = self.mac.clone();
-        mac.update(b"page");
-        mac.update(&page_id.to_be_bytes());
-        mac.update(&block[..IV_LEN + PAGE_PAYLOAD]);
-        mac.finalize_trunc256()
+        let mut mac = [[0u8; 32]];
+        self.page_macs(&[page_id], std::slice::from_ref(block), &mut mac);
+        mac[0]
+    }
+
+    /// [`PageCodec::page_mac`] of every `(ids[i], blocks[i])`, in one
+    /// batch: `"page" ‖ page_id` is built per page, `IV ‖ ciphertext` is
+    /// hashed where it lies in the stored block.
+    fn page_macs(&self, ids: &[u64], blocks: &[[u8; BLOCK_SIZE]], macs: &mut [[u8; 32]]) {
+        let head = |id: u64| {
+            let mut head = [0u8; 12];
+            head[..4].copy_from_slice(b"page");
+            head[4..].copy_from_slice(&id.to_be_bytes());
+            head
+        };
+        self.mac.tags_trunc256(|i| (head(ids[i]), &blocks[i][..IV_LEN + PAGE_PAYLOAD]), macs);
     }
 }
 
@@ -452,6 +491,42 @@ mod tests {
         assert!(matches!(
             c.decrypt_page(0, &block, &mut small),
             Err(StorageError::BadBufferSize { .. })
+        ));
+    }
+
+    /// A batch of any size decrypts to what its pages decrypt to one by
+    /// one, with the same MACs (`page_mac`, as the Merkle leaves hold) and
+    /// the same decrypt count.
+    #[test]
+    fn batch_decrypt_equals_page_by_page() {
+        let mut c = codec();
+        let mut r = rng();
+        let pages: Vec<(u64, [u8; BLOCK_SIZE])> = (0..17u64)
+            .map(|id| {
+                let payload: Vec<u8> =
+                    (0..PAGE_PAYLOAD).map(|i| (i as u64 * 7 + id) as u8).collect();
+                (id * 3, c.encrypt_page(id * 3, &payload, &mut r).unwrap().0)
+            })
+            .collect();
+        for n in 0..=pages.len() {
+            let ids: Vec<u64> = pages[..n].iter().map(|(id, _)| *id).collect();
+            let blocks: Vec<u8> = pages[..n].iter().flat_map(|(_, b)| b.iter().copied()).collect();
+            let mut out = vec![0u8; n * PAGE_PAYLOAD];
+            let mut macs = vec![[0u8; 32]; n];
+            let before = c.decrypt_count;
+            c.decrypt_pages(&ids, &blocks, &mut out, &mut macs).unwrap();
+            assert_eq!(c.decrypt_count - before, n as u64);
+            for (i, (id, block)) in pages[..n].iter().enumerate() {
+                let mut one = vec![0u8; PAGE_PAYLOAD];
+                assert_eq!(c.decrypt_page(*id, block, &mut one).unwrap(), macs[i], "{n} pages");
+                assert_eq!(macs[i], c.page_mac(*id, block));
+                assert_eq!(out[i * PAGE_PAYLOAD..(i + 1) * PAGE_PAYLOAD], one[..], "{n} pages");
+            }
+        }
+        let mut out = vec![0u8; PAGE_PAYLOAD];
+        assert!(matches!(
+            c.decrypt_pages(&[0], &pages[0].1, &mut out, &mut []),
+            Err(StorageError::BadBufferSize { expected: 1, got: 0 })
         ));
     }
 

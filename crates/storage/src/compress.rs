@@ -16,9 +16,10 @@
 //! The logical→physical block map is deterministic: writes reuse a
 //! page's existing blocks in order, allocate extra blocks at the inner
 //! tail only when the page grew, and orphan surplus blocks (never
-//! reused, never read) when it shrank. Reads of one logical page issue
-//! a single inner `read_pages` batch, so the verified-node Merkle cache
-//! collapses the freshness climb exactly as it does for morsel batches.
+//! reused, never read) when it shrank. A read batch of logical pages
+//! issues a single inner `read_pages` over all their stripes, so the
+//! secure pager MACs the whole batch in SIMD lanes and the verified-node
+//! Merkle cache collapses the freshness climb as it does for morsels.
 
 use crate::codec::{compress_page, decompress_page, Compression, COMPRESS_HEADER};
 use crate::pager::{PageId, Pager, PagerStats};
@@ -66,6 +67,8 @@ pub struct CompressedPager<P: Pager> {
     map: Vec<Vec<PageId>>,
     /// Staging buffer for physical stripes (reused across calls).
     scratch: Vec<u8>,
+    /// The physical block ids of one read batch (reused across calls).
+    stripes: Vec<PageId>,
     metrics: CompressMetrics,
     /// Cumulative logical bytes stored (for the ratio gauge).
     logical_bytes: u64,
@@ -86,6 +89,7 @@ impl<P: Pager> CompressedPager<P> {
             inner,
             map: Vec::new(),
             scratch: Vec::new(),
+            stripes: Vec::new(),
             metrics: CompressMetrics::default(),
             logical_bytes: 0,
             physical_bytes: 0,
@@ -198,21 +202,32 @@ impl<P: Pager> Pager for CompressedPager<P> {
     }
 
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        if buf.len() != self.payload {
-            return Err(StorageError::BadBufferSize { expected: self.payload, got: buf.len() });
+        self.read_pages(&[id], buf)
+    }
+
+    /// One inner `read_pages` over the stripes of the whole batch, in
+    /// order, then each logical page decompressed from its own stripe.
+    fn read_pages(&mut self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
+        if out.len() != ids.len() * self.payload {
+            return Err(StorageError::BadBufferSize {
+                expected: ids.len() * self.payload,
+                got: out.len(),
+            });
         }
-        let blocks = self
-            .map
-            .get(id as usize)
-            .cloned()
-            .ok_or(StorageError::PageOutOfRange(id))?;
+        self.stripes.clear();
+        for &id in ids {
+            let blocks = self.map.get(id as usize).ok_or(StorageError::PageOutOfRange(id))?;
+            self.stripes.extend_from_slice(blocks);
+        }
         self.scratch.clear();
-        self.scratch.resize(blocks.len() * self.inner_payload, 0);
-        // One batched inner read per logical page: the secure pager
-        // shares a single Merkle climb across the stripe.
-        self.inner.read_pages(&blocks, &mut self.scratch)?;
-        let payload = decompress_page(&self.scratch, self.payload)?;
-        buf.copy_from_slice(&payload);
+        self.scratch.resize(self.stripes.len() * self.inner_payload, 0);
+        self.inner.read_pages(&self.stripes, &mut self.scratch)?;
+        let mut stripe = self.scratch.as_slice();
+        for (&id, buf) in ids.iter().zip(out.chunks_exact_mut(self.payload)) {
+            let (framed, rest) = stripe.split_at(self.map[id as usize].len() * self.inner_payload);
+            buf.copy_from_slice(&decompress_page(framed, self.payload)?);
+            stripe = rest;
+        }
         Ok(())
     }
 
@@ -378,6 +393,56 @@ mod tests {
         let stats = p.stats();
         assert_eq!(stats.decrypts, blocks as u64, "decrypts are per physical block");
         assert_eq!(stats.page_reads, blocks as u64);
+    }
+
+    /// A batch of logical pages is one inner batch over all their stripes:
+    /// same bytes and same counters as reading the pages one by one, in
+    /// any order and with repeats, and an unknown page anywhere in the
+    /// batch is refused before anything is read.
+    #[test]
+    fn batched_reads_match_looped_reads_and_charge_the_same() {
+        let fill = |p: &mut CompressedPager<SecurePager>| {
+            let payload = p.payload_size();
+            for k in 0..5usize {
+                let id = p.allocate_page().unwrap();
+                // A noisy head of (k + 1) sixths of the page, then zeros:
+                // stripes of two to seven blocks.
+                let noisy = (k + 1) * payload / 6;
+                let mut x = k as u64 + 1;
+                let data: Vec<u8> = (0..payload)
+                    .map(|i| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        if i < noisy {
+                            (x >> 56) as u8
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
+                p.write_page(id, &data).unwrap();
+            }
+            p.reset_stats();
+        };
+        let mut batched = CompressedPager::new(secure());
+        let mut looped = CompressedPager::new(secure());
+        fill(&mut batched);
+        fill(&mut looped);
+        let payload = batched.payload_size();
+        let ids = [4, 0, 2, 2, 1, 3];
+        let mut out = vec![0u8; ids.len() * payload];
+        batched.read_pages(&ids, &mut out).unwrap();
+        let mut one = vec![0u8; payload];
+        for (&id, want) in ids.iter().zip(out.chunks_exact(payload)) {
+            looped.read_page(id, &mut one).unwrap();
+            assert_eq!(one, want, "page {id}");
+        }
+        assert_eq!(batched.stats(), looped.stats());
+        assert!(batched.stats().page_reads > ids.len() as u64, "multi-block stripes");
+
+        let before = batched.stats();
+        let unknown = batched.read_pages(&[1, 9, 2], &mut out[..3 * payload]);
+        assert_eq!(unknown, Err(StorageError::PageOutOfRange(9)));
+        assert_eq!(batched.stats(), before);
     }
 
     #[test]

@@ -363,6 +363,7 @@ impl SecurePager {
         blocks.clear();
         blocks.resize(ids.len() * BLOCK_SIZE, 0);
         macs.clear();
+        macs.resize(ids.len(), [0; 32]);
         let result = self.try_read_pages_inner(ids, out, &mut blocks, &mut macs);
         self.scratch_blocks = blocks;
         self.scratch_macs = macs;
@@ -382,7 +383,7 @@ impl SecurePager {
         ids: &[PageId],
         out: &mut [u8],
         blocks: &mut [u8],
-        macs: &mut Vec<[u8; 32]>,
+        macs: &mut [[u8; 32]],
     ) -> Result<()> {
         // Pass 1: device I/O.
         for (id, block) in ids.iter().zip(blocks.chunks_exact_mut(BLOCK_SIZE)) {
@@ -397,12 +398,9 @@ impl SecurePager {
                 block[BLOCK_SIZE - 1] ^= 0x01;
             }
         }
-        // Pass 2: decryption (collect the page MACs for verification).
-        for ((id, block), buf) in
-            ids.iter().zip(blocks.chunks_exact(BLOCK_SIZE)).zip(out.chunks_exact_mut(PAGE_PAYLOAD))
-        {
-            macs.push(self.codec.decrypt_page(*id, block.try_into().expect("BLOCK_SIZE chunk"), buf)?);
-        }
+        // Pass 2: every page MAC of the batch at once, then each page's
+        // tag check and decryption (the MACs are kept for verification).
+        self.codec.decrypt_pages(ids, blocks, out, macs)?;
         // Pass 3: shared-path freshness verification against the trusted
         // root. The per-page stale-read faults are drawn up front (one per
         // entry, exactly as the per-page loop drew them) so seeded fault
@@ -910,6 +908,43 @@ mod tests {
             pager.read_pages(&ids, &mut out),
             Err(StorageError::IntegrityViolation(_))
         ));
+    }
+
+    /// Every byte of a stored block × three flips, on the batched path:
+    /// every byte of the page in lane 0 of an 8-page batch, and a sampled
+    /// byte in each lane 0..8. Each case is a typed `IntegrityViolation`
+    /// (IV, ciphertext and trailer are all under the MAC), never a panic,
+    /// and charges nothing.
+    #[test]
+    fn every_flipped_byte_of_a_batched_page_is_a_typed_violation() {
+        let mut pager = SecurePager::create(fresh_device("s0"), 1).unwrap();
+        for i in 0..8u8 {
+            let id = pager.allocate_page().unwrap();
+            pager.write_page(id, &payload(i)).unwrap();
+        }
+        pager.commit().unwrap();
+        let ids: Vec<PageId> = (0..8).collect();
+        let mut out = vec![0u8; ids.len() * PAGE_PAYLOAD];
+        pager.read_pages(&ids, &mut out).unwrap();
+        let (stats, decrypts) = (pager.stats(), pager.metrics().decrypts.get());
+        let cases = (0..BLOCK_SIZE)
+            .map(|at| (0, at))
+            .chain((0..8).map(|lane| (lane, (lane as usize * 1543 + 7) % BLOCK_SIZE)));
+        for (lane, at) in cases {
+            for flip in [0x01u8, 0x80, 0xff] {
+                pager.device_mut().raw_tamper(lane, at, flip);
+                let result = pager.read_pages(&ids, &mut out);
+                pager.device_mut().raw_tamper(lane, at, flip);
+                assert_eq!(
+                    result,
+                    Err(StorageError::IntegrityViolation("page MAC mismatch")),
+                    "lane {lane}, byte {at}, flip {flip:#04x}"
+                );
+                assert_eq!(pager.stats(), stats, "lane {lane}, byte {at}: no charge");
+            }
+        }
+        assert_eq!(pager.metrics().decrypts.get(), decrypts);
+        pager.read_pages(&ids, &mut out).unwrap();
     }
 
     #[test]

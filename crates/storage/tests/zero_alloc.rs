@@ -57,7 +57,10 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 }
 
 const PAGES: u64 = 24;
-const BATCH: usize = 8;
+/// Batch sizes read back to back: a 16-page morsel, 16 plus a 3-page
+/// tail, one full pass of lanes, a short group of 3 and lone pages (each
+/// size also leaves a shorter tail window of the 24 pages).
+const BATCHES: [usize; 5] = [16, 19, 8, 3, 1];
 
 #[test]
 fn steady_state_secure_reads_are_allocation_free() {
@@ -75,15 +78,19 @@ fn steady_state_secure_reads_are_allocation_free() {
     pager.commit().unwrap();
 
     let ids: Vec<u64> = (0..PAGES).collect();
-    let mut batch = vec![0u8; BATCH * PAGE_PAYLOAD];
+    let mut batch = vec![0u8; PAGES as usize * PAGE_PAYLOAD];
     let mut read_everything = |pager: &mut SecurePager| {
         for id in 0..PAGES {
             pager.read_page(id, &mut page).unwrap();
             assert_eq!(page[0], id as u8 + 1);
         }
-        for window in ids.chunks(BATCH) {
-            pager.read_pages(window, &mut batch).unwrap();
-            assert_eq!(batch[PAGE_PAYLOAD], window[1] as u8 + 1);
+        for size in BATCHES {
+            for window in ids.chunks(size) {
+                let out = &mut batch[..window.len() * PAGE_PAYLOAD];
+                pager.read_pages(window, out).unwrap();
+                let last = window.len() - 1;
+                assert_eq!(out[last * PAGE_PAYLOAD], window[last] as u8 + 1);
+            }
         }
     };
 
@@ -91,8 +98,9 @@ fn steady_state_secure_reads_are_allocation_free() {
     // verified-node cache and sizes the pager's batch scratch buffers.
     read_everything(&mut pager);
 
-    // Steady state: device read, MAC check, CBC decrypt and the freshness
-    // check of every page, single and batched — no heap traffic.
+    // Steady state: device read, MAC check (in lanes or scalar), CBC
+    // decrypt and the freshness check of every page, single and batched —
+    // no heap traffic.
     let allocs = allocations_during(|| {
         for _ in 0..20 {
             read_everything(&mut pager);
