@@ -9,7 +9,7 @@ use ironsafe_crypto::group::Group;
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::exec::ExecOptions;
 use ironsafe_sql::batch::ColumnBatch;
-use ironsafe_sql::heap::{scan_page_columns, shared, HeapFile};
+use ironsafe_sql::heap::{scan_page_columns, shared, CellTable, HeapFile};
 use ironsafe_sql::{Database, Value};
 use ironsafe_storage::codec::{PageCodec, PAGE_PAYLOAD};
 use ironsafe_storage::pager::{Pager, PlainPager};
@@ -60,7 +60,7 @@ fn bench_heap_decode(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("morsel_heap_decode");
     g.throughput(Throughput::Bytes(payload_size as u64));
-    let mut batch = ColumnBatch::new(4);
+    let (mut batch, mut cells) = (ColumnBatch::new(4), CellTable::default());
     for (name, cols) in [
         ("scan_page_columns_full", [true; 4]),
         ("scan_page_columns_pruned", [true, true, false, false]),
@@ -68,7 +68,8 @@ fn bench_heap_decode(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 batch.clear();
-                scan_page_columns(&page, &cols, &mut batch).unwrap();
+                cells.clear();
+                scan_page_columns(&page, payload_size, &cols, &mut batch, &mut cells).unwrap();
                 black_box(batch.len())
             })
         });

@@ -1,12 +1,16 @@
 //! SQL engine operator benchmarks: scan, filter, hash join, aggregate,
-//! one-row DML and the end-to-end partitioner.
+//! one-row DML, the storage-side fragments of a split query and the
+//! end-to-end partitioner.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use ironsafe_csa::net::{validate_frame, ROWS_PER_RECORD};
 use ironsafe_csa::partition::partition_select;
 use ironsafe_sql::ast::Statement;
+use ironsafe_sql::exec::ExecOptions;
 use ironsafe_sql::parser::parse_statement;
-use ironsafe_sql::{Database, Schema, Value};
+use ironsafe_sql::{Database, EncodedRows, Schema, Value};
 use ironsafe_storage::pager::PlainPager;
+use ironsafe_tpch::queries::query;
 use ironsafe_tpch::{generate, load_into};
 
 fn loaded_db() -> Database {
@@ -119,6 +123,51 @@ fn bench_dml(c: &mut Criterion) {
     g.finish();
 }
 
+/// The storage side of a split query: the partitioner's `lineitem`
+/// fragments of TPC-H Q1 and Q6 (`SELECT needed_cols FROM lineitem WHERE
+/// pushed`) drained encoded, as a storage node ships them, and the
+/// receiver's validation of one full frame of Q1's fragment rows.
+fn bench_fragments(c: &mut Criterion) {
+    let mut db = loaded_db();
+    let rows = db.catalog().table("lineitem").unwrap().heap.row_count;
+    let lookup = |name: &str| db.catalog().table(name).ok().map(|t| t.schema.clone());
+    let fragment = |q: u8| {
+        let Statement::Select(sel) = parse_statement(&query(q).unwrap().stages[0].sql).unwrap() else {
+            unreachable!("Q{q} is a SELECT")
+        };
+        let parts = partition_select(&sel, &lookup);
+        parts.storage.into_iter().find(|f| f.table == "lineitem").expect("a lineitem fragment").stmt
+    };
+    let (q1, q6) = (fragment(1), fragment(6));
+    let opts = ExecOptions::serial();
+    let mut g = c.benchmark_group("fragment");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(rows));
+    let mut out = EncodedRows::new();
+    for (name, frag) in [("fragment_q1_encoded", &q1), ("fragment_q6_encoded", &q6)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                out.clear();
+                db.select_encoded(frag, &opts, &mut out).unwrap();
+                out.len()
+            })
+        });
+    }
+
+    out.clear();
+    let (schema, _) = db.select_encoded(&q1, &opts, &mut out).unwrap();
+    let n = out.len().min(ROWS_PER_RECORD as usize);
+    let mut plain = (schema.len() as u32).to_be_bytes().to_vec();
+    plain.extend_from_slice(&(n as u64).to_be_bytes());
+    plain.extend_from_slice(out.slice(0..n).bytes());
+    let mut ends = Vec::new();
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function("frame_validate", |b| {
+        b.iter(|| validate_frame(std::hint::black_box(&plain), schema.len(), &mut ends).unwrap())
+    });
+    g.finish();
+}
+
 fn bench_parse_and_partition(c: &mut Criterion) {
     let q3 = "SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, \
               o_orderdate, o_shippriority FROM customer, orders, lineitem \
@@ -142,5 +191,5 @@ fn bench_parse_and_partition(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_operators, bench_dml, bench_parse_and_partition);
+criterion_group!(benches, bench_operators, bench_dml, bench_fragments, bench_parse_and_partition);
 criterion_main!(benches);

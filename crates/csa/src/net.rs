@@ -24,7 +24,7 @@ use ironsafe_crypto::hmac::HmacSha256;
 use ironsafe_crypto::modes::ctr_xor;
 use ironsafe_faults::{retry_with, FaultPlan, FaultSite, RetryPolicy};
 use ironsafe_obs::{Counter, Registry};
-use ironsafe_sql::value::{decode_value_raw, encode_value, RawValue};
+use ironsafe_sql::value::{decode_value_raw, encode_value, walk_cell, RawValue};
 use ironsafe_sql::{Database, EncodedRows, EncodedSlice, Row, Schema};
 
 /// Bytes a sealed record adds to its payload on the wire: an 8-byte
@@ -259,8 +259,9 @@ impl SecureChannel {
 
 /// Cursor over an opened (authenticated, decrypted) frame. The header is
 /// still only a claim: `open` bounds it by the payload before anything
-/// is reserved, every cell goes through [`decode_value_raw`] (tag,
-/// bounds, UTF-8), and `finish` refuses bytes after the last row.
+/// is reserved, every cell goes through the strict cell walk
+/// ([`walk_cell`]: tag, bounds, UTF-8) — `skip` checks it, `cell` also
+/// reads its value — and `finish` refuses bytes after the last row.
 struct FrameReader<'a> {
     plain: &'a [u8],
     pos: usize,
@@ -281,6 +282,12 @@ impl<'a> FrameReader<'a> {
             return Err(CsaError::Channel("row batch header claims more than its payload holds"));
         }
         Ok(FrameReader { plain, pos: FRAME_HEADER, ncols: ncols as usize, nrows: nrows as usize })
+    }
+
+    fn skip(&mut self) -> Result<()> {
+        let (end, _) = walk_cell(self.plain, self.pos, false).ok_or(CsaError::Channel("corrupt row encoding"))?;
+        self.pos = end;
+        Ok(())
     }
 
     fn cell(&mut self) -> Result<RawValue<'a>> {
@@ -310,7 +317,7 @@ pub fn validate_frame(plain: &[u8], ncols: usize, ends: &mut Vec<usize>) -> Resu
     ends.reserve(frame.nrows);
     for _ in 0..frame.nrows {
         for _ in 0..ncols {
-            frame.cell()?;
+            frame.skip()?;
         }
         ends.push(frame.pos);
     }
@@ -711,7 +718,10 @@ mod tests {
 
     /// Every byte of an opened frame × three flips: the validator either
     /// refuses with a typed error, or accepts rows that append to a heap
-    /// page and come back out of the scan kernel — never a panic.
+    /// page and come back out of the scan kernel — never a panic. It
+    /// accepts exactly when the full decode ([`decode_frame`], a value
+    /// built for every cell) does at the schema's width, and the rows it
+    /// accepts are the ones that decode yields.
     #[test]
     fn every_mutant_of_an_opened_frame_is_rejected_or_scannable() {
         let batch: Vec<Row> = (0..9)
@@ -725,11 +735,17 @@ mod tests {
         for pos in 0..plain.len() {
             for flip in [0x01u8, 0x80, 0xff] {
                 plain[pos] ^= flip;
-                match validate_frame(&plain, 2, &mut ends) {
+                let decoded = decode_frame(&plain).ok().filter(|_| plain[0..4] == 2u32.to_be_bytes());
+                let validated = validate_frame(&plain, 2, &mut ends);
+                assert_eq!(validated.is_ok(), decoded.is_some(), "byte {pos} ^ {flip:#x}");
+                match validated {
                     Ok(()) => {
+                        let rows = EncodedSlice::new(&plain, FRAME_HEADER, &ends);
+                        let want = EncodedRows::from_rows(&decoded.expect("agreed above"));
+                        let want = (want.len(), want.as_slice().bytes());
+                        assert_eq!((rows.len(), rows.bytes()), want, "byte {pos} ^ {flip:#x}");
                         let mut host = Database::new(ironsafe_storage::pager::PlainPager::new());
                         host.create_table("t", schema()).unwrap();
-                        let rows = EncodedSlice::new(&plain, FRAME_HEADER, &ends);
                         host.insert_encoded("t", rows).unwrap();
                         let back = host.execute("SELECT a, b FROM t").unwrap();
                         assert_eq!(back.rows().len(), ends.len(), "byte {pos} ^ {flip:#x}");

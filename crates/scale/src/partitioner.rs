@@ -23,7 +23,7 @@
 use crate::{Result, ScaleError};
 use ironsafe_sql::batch::ColumnBatch;
 use ironsafe_sql::db::Database;
-use ironsafe_sql::heap::scan_page_columns;
+use ironsafe_sql::heap::{scan_page_columns, CellTable};
 use ironsafe_sql::schema::{Column, Row, Schema};
 use ironsafe_sql::value::{DataType, Value};
 use ironsafe_storage::pager::PlainPager;
@@ -185,14 +185,15 @@ fn canonical_packing(
     db.insert_rows(table, gid_rows.to_vec())?;
     let heap = &db.catalog().table(table)?.heap;
     let key_only: Vec<bool> = (0..with_gid.len()).map(|c| c == key_index).collect();
-    let mut batch = ColumnBatch::new(with_gid.len());
+    let (mut batch, mut cells) = (ColumnBatch::new(with_gid.len()), CellTable::default());
     let mut payload = vec![0u8; db.pager().lock().payload_size()];
     let mut pages = Vec::with_capacity(heap.pages.len());
     let mut start_row = 0u64;
     for &id in &heap.pages {
         db.pager().lock().read_page(id, &mut payload)?;
         batch.clear();
-        scan_page_columns(&payload, &key_only, &mut batch)?;
+        cells.clear();
+        scan_page_columns(&payload, payload.len(), &key_only, &mut batch, &mut cells)?;
         let last = batch.len().checked_sub(1).expect("heap pages are never empty");
         pages.push(PageFacts {
             start_row,

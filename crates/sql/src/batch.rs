@@ -4,8 +4,10 @@
 //! floats land in flat `Vec`s, text lands in a shared arena with per-cell
 //! offsets — no `String` or `Value` allocation per cell. The scan kernel
 //! (`crate::exec::scan`) decodes a morsel's pages **once** into one,
-//! copying only the columns a statement references (every other column
-//! stays empty and must not be read); every operator above it consumes a
+//! copying only the columns a statement references — the predicate's for
+//! every row, the others for the rows that pass it, a NULL standing in
+//! for each row that did not (every other column stays empty and must
+//! not be read); every operator above it consumes a
 //! batch plus a selection bitmap and lends one in turn (see
 //! `crate::exec::Operator`), evaluating predicates and expressions
 //! column-at-a-time (`crate::expr::filter_vec` / `crate::expr::eval_vec`).

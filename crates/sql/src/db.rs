@@ -4,7 +4,7 @@ use crate::ast::{Expr, SelectStmt, Statement};
 use crate::batch::ColumnBatch;
 use crate::catalog::Catalog;
 use crate::encoded::{EncodedRows, EncodedSlice};
-use crate::exec::scan::{rewrite_records, ScanSource};
+use crate::exec::scan::{column_mask, rewrite_records, ScanSource};
 use crate::exec::{collect, ExecOptions, RowCursor};
 use crate::expr::{bind, eval_vec, BoundExpr, VecScratch};
 use crate::heap::{shared, SharedPager};
@@ -327,12 +327,7 @@ impl Database {
         sets: &[(String, Expr)],
         where_clause: Option<&Expr>,
     ) -> Result<QueryResult> {
-        let schema = &self.catalog.table(table)?.schema;
-        let sets: Vec<(usize, BoundExpr)> = sets
-            .iter()
-            .map(|(c, e)| Ok((schema.resolve(c)?, bind(e, schema)?)))
-            .collect::<Result<_>>()?;
-        self.rewrite_where(table, where_clause, Some(&sets))
+        self.rewrite_where(table, where_clause, Some(sets))
     }
 
     fn delete(&mut self, table: &str, where_clause: Option<&Expr>) -> Result<QueryResult> {
@@ -348,18 +343,26 @@ impl Database {
         &mut self,
         table: &str,
         where_clause: Option<&Expr>,
-        sets: Option<&[(usize, BoundExpr)]>,
+        sets: Option<&[(String, Expr)]>,
     ) -> Result<QueryResult> {
         let info = self.catalog.table(table)?;
+        let schema = &info.schema;
+        let bound = sets
+            .map(|sets| {
+                let bind_set = |(c, e): &(String, Expr)| Ok((schema.resolve(c)?, bind(e, schema)?));
+                sets.iter().map(bind_set).collect::<Result<Vec<(usize, BoundExpr)>>>()
+            })
+            .transpose()?;
+        let reads = where_clause.into_iter().chain(sets.into_iter().flatten().map(|(_, e)| e));
         let source = ScanSource {
-            schema: info.schema.clone(),
+            schema: schema.clone(),
             heap: info.heap.clone(),
             pager: self.pager.clone(),
             pred: where_clause.cloned(),
-            cols: vec![true; info.schema.len()],
+            cols: column_mask(schema, reads),
         };
         let mut kept = EncodedRows::new();
-        let selected = rewrite_records(source, sets, &mut kept)?;
+        let selected = rewrite_records(source, bound.as_deref(), &mut kept)?;
         let info = self.catalog.table_mut(table)?;
         info.heap.rewrite(&self.pager, kept.as_slice().rows())?;
         self.pager.lock().commit()?;

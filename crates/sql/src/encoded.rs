@@ -54,13 +54,23 @@ impl EncodedRows {
         cell.encode(&mut self.bytes);
     }
 
+    /// Append cells of the row being built that are already encoded —
+    /// checked cells copied as they lie on a page.
+    #[inline]
+    pub fn push_cells(&mut self, cells: &[u8]) {
+        self.bytes.extend_from_slice(cells);
+    }
+
     /// Seal the row being built.
     pub fn finish_row(&mut self) {
         self.ends.push(self.bytes.len());
     }
 
     /// Append lane `lane` of `cols` as one row, cells written straight
-    /// from the lanes: the bytes the owned row would encode to.
+    /// from the lanes: the bytes the owned row would encode to. The sink
+    /// for computed outputs, aggregates and joins; a scan that only
+    /// projects columns copies its rows' bytes instead
+    /// (`crate::exec::Operator::drain_encoded`).
     pub fn push_lane(&mut self, cols: &ColumnBatch, lane: usize) {
         cols.columns().iter().for_each(|col| self.push_cell(col.lane(lane).raw()));
         self.finish_row();
@@ -74,7 +84,7 @@ impl EncodedRows {
 
     /// Append one row whose cells are already encoded.
     pub fn push_encoded(&mut self, cells: &[u8]) {
-        self.bytes.extend_from_slice(cells);
+        self.push_cells(cells);
         self.finish_row();
     }
 

@@ -77,6 +77,24 @@ pub trait Operator {
     fn rows_scanned(&self) -> Option<u64> {
         None
     }
+    /// Append every remaining output row to `out` in encoded form: by
+    /// default batch by batch, each live lane through
+    /// [`EncodedRows::push_lane`] ([`encode_lanes`]). A [`Scan`] whose
+    /// outputs are all plain columns copies its survivors' cells from the
+    /// page instead — the same bytes, the encoding being canonical.
+    fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
+        encode_lanes(self, out)
+    }
+}
+
+/// [`Operator::drain_encoded`]'s lane sink: pull every remaining batch of
+/// `op` and encode its live lanes into `out`.
+pub(crate) fn encode_lanes(op: &mut (impl Operator + ?Sized), out: &mut EncodedRows) -> Result<()> {
+    while op.next_batch()? {
+        let batch = op.batch();
+        live_lanes(batch.sel).for_each(|lane| out.push_lane(batch.cols, lane));
+    }
+    Ok(())
 }
 
 /// Render an operator tree as an indented `EXPLAIN` listing.
@@ -461,14 +479,10 @@ impl RowCursor {
         &self.op
     }
 
-    /// Hand `visit` every remaining live lane, batch by batch.
-    fn for_each_lane(&mut self, mut visit: impl FnMut(&ColumnBatch, usize)) -> Result<()> {
-        loop {
-            let from = match self.lane.take() {
-                Some(lane) => lane,
-                None if self.op.next_batch()? => 0,
-                None => return Ok(()),
-            };
+    /// Hand `visit` the live lanes the current batch has left, if a batch
+    /// is current.
+    fn finish_batch(&mut self, mut visit: impl FnMut(&ColumnBatch, usize)) {
+        if let Some(from) = self.lane.take() {
             let batch = self.op.batch();
             (from..batch.sel.len()).filter(|lane| batch.sel[*lane]).for_each(|lane| visit(batch.cols, lane));
         }
@@ -496,14 +510,20 @@ impl RowCursor {
     /// Every remaining row, owned.
     pub fn drain_rows(&mut self) -> Result<Vec<Row>> {
         let mut rows = Vec::new();
-        self.for_each_lane(|cols, lane| rows.push(row_at(cols, lane)))?;
+        self.finish_batch(|cols, lane| rows.push(row_at(cols, lane)));
+        while self.op.next_batch()? {
+            let batch = self.op.batch();
+            rows.extend(live_lanes(batch.sel).map(|lane| row_at(batch.cols, lane)));
+        }
         Ok(rows)
     }
 
-    /// Append every remaining row to `out` in encoded form
-    /// ([`EncodedRows::push_lane`]).
+    /// Append every remaining row to `out` in encoded form: the rest of
+    /// the current batch lane by lane ([`EncodedRows::push_lane`]), then
+    /// whatever the plan's root writes ([`Operator::drain_encoded`]).
     pub fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {
-        self.for_each_lane(|cols, lane| out.push_lane(cols, lane))
+        self.finish_batch(|cols, lane| out.push_lane(cols, lane));
+        self.op.drain_encoded(out)
     }
 }
 

@@ -5,13 +5,21 @@
 //! rows. Bulk loads buffer whole pages in memory before writing — one page
 //! write per filled page — while single-row appends read-modify-write the
 //! tail page, like SQLite's append path.
+//!
+//! Pages are read back by one walk ([`scan_page_columns`]): every cell of
+//! every record passes the strict cell walk (`crate::value::walk_cell`),
+//! the cells of the columns a caller asks for become column lanes, and a
+//! cell-offset table records where every cell lies — so the scan kernel
+//! can decode a surviving row's other cells later, or copy them onward as
+//! the bytes they already are.
 
 use crate::batch::ColumnBatch;
 use crate::schema::Row;
-use crate::value::{decode_value_raw, encode_value, RawValue};
+use crate::value::{encode_value, walk_cell, RawValue};
 use crate::{Result, SqlError};
 use ironsafe_storage::pager::{PageId, Pager};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Shared, lockable pager handle used across operators.
@@ -42,13 +50,13 @@ fn encode_row(row: &Row) -> Vec<u8> {
 }
 
 /// Walk the encoded records of a heap-page payload, handing each
-/// record's encoded bytes to `visit`. This is the **one** page codec:
-/// the scan kernel's columnar decode ([`scan_page_columns`]) — the only
-/// decode the release build has — and the test-only row decode share
-/// these bounds checks. The header is
+/// record's offset in the payload and its encoded bytes to `visit`. This
+/// is the **one** page codec: the scan kernel's page walk
+/// ([`scan_page_columns`]) — the only decode the release build has — and
+/// the test-only row decode share these bounds checks. The header is
 /// attacker-controlled on a tampered medium, so every field is bounded
 /// before any slicing; corruption is an error, never a panic.
-pub fn for_each_record(payload: &[u8], mut visit: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+pub fn for_each_record(payload: &[u8], mut visit: impl FnMut(usize, &[u8]) -> Result<()>) -> Result<()> {
     if payload.len() < HEADER {
         return Err(SqlError::Eval("corrupt heap page: shorter than header".into()));
     }
@@ -68,49 +76,97 @@ pub fn for_each_record(payload: &[u8], mut visit: impl FnMut(&[u8]) -> Result<()
         if end > used {
             return Err(SqlError::Eval("corrupt heap page: record overruns page".into()));
         }
-        visit(&payload[pos..end])?;
+        visit(pos, &payload[pos..end])?;
         pos = end;
     }
     Ok(())
 }
 
-/// Decode one encoded record of `ncols` values, handing each cell to
-/// `cell` with its column index and rejecting trailing bytes (a record
-/// that decodes short or long is corrupt). Every cell is walked through
-/// [`decode_value_raw`] — tag, bounds and UTF-8 checks — whether or not
+/// Walk one encoded record of `keep.len()` cells through the strict cell
+/// walk ([`walk_cell`] — tag, bounds and UTF-8 checks), handing `cell`
+/// each cell's column, its offset in the record and, for a column with
+/// `keep[c]` set, its value; and reject trailing bytes (a record that
+/// walks short or long is corrupt). Every cell is checked whether or not
 /// the caller keeps it.
-fn decode_record<'a>(
+#[inline]
+fn walk_record<'a>(
     record: &'a [u8],
-    ncols: usize,
-    mut cell: impl FnMut(usize, RawValue<'a>),
+    keep: &[bool],
+    mut cell: impl FnMut(usize, usize, Option<RawValue<'a>>),
 ) -> Result<()> {
-    let mut vpos = 0;
-    for col in 0..ncols {
-        cell(col, decode_value_raw(record, &mut vpos)?);
+    let mut pos = 0;
+    for (col, keep) in keep.iter().enumerate() {
+        let (end, value) =
+            walk_cell(record, pos, *keep).ok_or_else(|| SqlError::Eval("corrupt value encoding".into()))?;
+        cell(col, pos, value);
+        pos = end;
     }
-    if vpos != record.len() {
+    if pos != record.len() {
         return Err(SqlError::Eval("corrupt heap page: record length mismatch".into()));
     }
     Ok(())
 }
 
-/// Columnar decode: append every row of an encoded heap-page payload to
+/// Where every cell of the rows [`scan_page_columns`] walked lies in the
+/// buffer it walked: per row, where each of its cells starts and then
+/// where its record ends (one `u32` a cell, one a row), so any run of
+/// adjacent columns is one byte range. Every cell it points at passed
+/// the strict walk, so it may be read or copied without another check.
+/// [`CellTable::clear`] keeps the allocation for the next morsel.
+#[derive(Debug, Clone, Default)]
+pub struct CellTable {
+    offsets: Vec<u32>,
+    stride: usize,
+}
+
+impl CellTable {
+    /// Forget every row, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.offsets.clear();
+    }
+
+    /// The bytes of columns `cols` (adjacent, in table order) of row
+    /// `row`, as a range of the walked buffer.
+    #[inline]
+    pub fn range(&self, row: usize, cols: Range<usize>) -> Range<usize> {
+        let at = row * self.stride;
+        self.offsets[at + cols.start] as usize..self.offsets[at + cols.end] as usize
+    }
+}
+
+/// The page walk: append every row of `pages` — whole heap-page payloads
+/// of `payload` bytes each, back to back (a morsel's read buffer) — to
 /// `batch`, copying only the cells of columns with `cols[c]` set into
 /// their typed column vectors (text goes straight into the column's
-/// arena, no per-cell `String`). A skipped cell is still decoded and
-/// validated — pruning decides what is *copied*, never what is
-/// *checked* — so a pruned and a full decode agree on `Ok`/`Err` for
-/// any payload.
-pub fn scan_page_columns(payload: &[u8], cols: &[bool], batch: &mut ColumnBatch) -> Result<()> {
+/// arena, no per-cell `String`), and to `cells` where each of its cells
+/// lies in `pages`. A skipped cell is still checked by the strict walk —
+/// pruning decides what is *copied*, never what is *checked* — so a
+/// pruned and a full decode agree on `Ok`/`Err` for any payload.
+pub fn scan_page_columns(
+    pages: &[u8],
+    payload: usize,
+    cols: &[bool],
+    batch: &mut ColumnBatch,
+    cells: &mut CellTable,
+) -> Result<()> {
     debug_assert_eq!(batch.width(), cols.len());
-    for_each_record(payload, |record| {
-        decode_record(record, cols.len(), |col, raw| {
-            if cols[col] {
-                batch.push_cell(col, raw);
-            }
+    assert!(pages.len() <= u32::MAX as usize, "cell offsets are u32: a morsel holds at most 4 GiB");
+    debug_assert!(cells.offsets.is_empty() || cells.stride == cols.len() + 1);
+    cells.stride = cols.len() + 1;
+    for (i, page) in pages.chunks_exact(payload).enumerate() {
+        for_each_record(page, |start, record| {
+            let at = i * payload + start;
+            walk_record(record, cols, |col, start, value| {
+                cells.offsets.push((at + start) as u32);
+                if let Some(value) = value {
+                    batch.push_cell(col, value);
+                }
+            })?;
+            cells.offsets.push((at + record.len()) as u32);
+            batch.finish_row()
         })?;
-        batch.finish_row()
-    })
+    }
+    Ok(())
 }
 
 impl HeapFile {
@@ -237,9 +293,9 @@ impl HeapFile {
 #[cfg(test)]
 pub fn decode_page_rows(payload: &[u8], ncols: usize) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
-    for_each_record(payload, |record| {
+    for_each_record(payload, |_, record| {
         let mut row = Vec::with_capacity(ncols);
-        decode_record(record, ncols, |_, raw| row.push(raw.to_value()))?;
+        walk_record(record, &vec![true; ncols], |_, _, value| row.extend(value.map(RawValue::to_value)))?;
         rows.push(row);
         Ok(())
     })?;
@@ -433,10 +489,11 @@ mod tests {
         let decoded = decode_page_rows(&payload, 3).unwrap();
         // The columnar view, fully unmasked and reused across calls,
         // reconstructs exactly the rows the row decode yields.
-        let mut batch = ColumnBatch::new(3);
+        let (mut batch, mut cells) = (ColumnBatch::new(3), CellTable::default());
         for _ in 0..2 {
             batch.clear();
-            scan_page_columns(&payload, &[true; 3], &mut batch).unwrap();
+            cells.clear();
+            scan_page_columns(&payload, payload.len(), &[true; 3], &mut batch, &mut cells).unwrap();
             let mut visited = Vec::new();
             let mut scratch = Vec::new();
             for lane in 0..batch.len() {
@@ -447,13 +504,47 @@ mod tests {
         }
     }
 
+    /// Walk `page` keeping `cols` and check it against `want`, the full
+    /// row decode of the same page: the same `Ok`/`Err`, and on `Ok` the
+    /// kept lanes, every cell read back from the offset table (how the
+    /// kernel decodes a survivor's other columns) and every cell's and
+    /// every whole row's byte range (what the byte-range sink copies)
+    /// against the owned values' encoding.
+    fn assert_walk_agrees(page: &[u8], cols: &[bool], want: &Result<Vec<Row>>, ctx: &str) {
+        let (mut batch, mut cells) = (ColumnBatch::new(cols.len()), CellTable::default());
+        let walked = scan_page_columns(page, page.len(), cols, &mut batch, &mut cells);
+        assert_eq!(walked.is_ok(), want.is_ok(), "{ctx} mask {cols:?}: walk {walked:?}");
+        let Ok(want) = want else { return };
+        assert_eq!(batch.len(), want.len(), "{ctx} mask {cols:?}");
+        let encoded = |v: &Value| {
+            let mut out = Vec::new();
+            encode_value(v, &mut out);
+            out
+        };
+        for (r, row) in want.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                let cell = &page[cells.range(r, c..c + 1)];
+                assert_eq!(cell, encoded(v), "{ctx} row {r} col {c}");
+                let read = crate::value::decode_value_raw(cell, &mut 0).unwrap().to_value();
+                assert_eq!(encoded(&read), encoded(v), "{ctx}");
+                if cols[c] {
+                    assert_eq!(encoded(&batch.value_at(c, r)), encoded(v), "{ctx} lane {r} col {c}");
+                }
+            }
+            let whole: Vec<u8> = row.iter().flat_map(encoded).collect();
+            assert_eq!(page[cells.range(r, 0..row.len())], whole[..], "{ctx} row {r}");
+        }
+    }
+
     #[test]
     fn pruned_and_full_decode_agree_on_every_mutant() {
-        // A skipped column is still validated: flipping any byte of a
-        // page (header, record lengths, tags, text lengths, UTF-8)
-        // yields the same `Ok`/`Err` — and, when `Ok`, the same kept
-        // cells — whether the decode copies every column, some, or
-        // none. Corruption is an error, never a panic.
+        // A skipped column is still checked: flipping any byte of a page
+        // (header, record lengths, tags, text lengths, UTF-8) yields the
+        // `Ok`/`Err` of the full row decode whether the walk keeps every
+        // column, the predicate's, the predicate's and a projected one,
+        // or none — and, when `Ok`, the kept lanes, the offset table's
+        // cells and its byte ranges all match that decode. Corruption is
+        // an error, never a panic.
         let p = pager();
         let mut heap = HeapFile::new();
         let rows = rows(0..12, |i| {
@@ -464,36 +555,22 @@ mod tests {
         p.lock().read_page(heap.pages[0], &mut page).unwrap();
         let used = u32::from_be_bytes(page[0..4].try_into().unwrap()) as usize;
 
-        let masks = [[true; 4], [true, false, false, true], [false, true, false, false], [false; 4]];
-        let decode = |page: &[u8], cols: &[bool; 4]| {
-            let mut batch = ColumnBatch::new(4);
-            scan_page_columns(page, cols, &mut batch).map(|()| batch)
-        };
+        let masks = [
+            [true; 4],
+            [true, false, false, false],
+            [true, false, false, true],
+            [false, true, false, false],
+            [false; 4],
+        ];
         let (mut accepted, mut rejected) = (0, 0);
         for pos in 0..used {
             for flip in [0x01u8, 0x80, 0xff] {
                 page[pos] ^= flip;
-                let full = decode(&page, &masks[0]);
-                assert_eq!(full.is_ok(), decode_page_rows(&page, 4).is_ok(), "byte {pos}");
-                for cols in &masks[1..] {
-                    match (decode(&page, cols), &full) {
-                        (Ok(pruned), Ok(full)) => {
-                            assert_eq!(pruned.len(), full.len(), "byte {pos} mask {cols:?}");
-                            for c in (0..4).filter(|c| cols[*c]) {
-                                for lane in 0..full.len() {
-                                    assert_eq!(pruned.lane(c, lane), full.lane(c, lane));
-                                }
-                            }
-                        }
-                        (Err(_), Err(_)) => {}
-                        (pruned, _) => panic!(
-                            "byte {pos} ^ {flip:#x} mask {cols:?}: pruned {:?} vs full {:?}",
-                            pruned.map(|b| b.len()),
-                            full.as_ref().map(|b| b.len())
-                        ),
-                    }
+                let want = decode_page_rows(&page, 4);
+                for cols in &masks {
+                    assert_walk_agrees(&page, cols, &want, &format!("byte {pos} ^ {flip:#x}"));
                 }
-                match full {
+                match want {
                     Ok(_) => accepted += 1,
                     Err(_) => rejected += 1,
                 }
@@ -501,6 +578,44 @@ mod tests {
             }
         }
         assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+    }
+
+    #[test]
+    fn unreferenced_text_is_still_utf8_checked() {
+        // One record: a kept INT, then a text column no mask keeps but
+        // the first, holding the bytes under test.
+        let page = |text: &[u8]| {
+            let mut record = Vec::new();
+            encode_value(&Value::Int(7), &mut record);
+            record.push(3);
+            record.extend_from_slice(&(text.len() as u32).to_be_bytes());
+            record.extend_from_slice(text);
+            let used = HEADER + 4 + record.len();
+            let mut page = vec![0u8; 128];
+            page[0..4].copy_from_slice(&(used as u32).to_be_bytes());
+            page[4..6].copy_from_slice(&1u16.to_be_bytes());
+            page[6..10].copy_from_slice(&(record.len() as u32).to_be_bytes());
+            page[10..used].copy_from_slice(&record);
+            page
+        };
+        let cases: [(&[u8], bool); 8] = [
+            (b"plain", true),
+            ("\u{e9}".as_bytes(), true),
+            ("\u{20ac}".as_bytes(), true),
+            ("\u{1f600}".as_bytes(), true),
+            (b"a\x80b", false),
+            (b"\xc0\x80", false),
+            (b"\xed\xa0\x80", false),
+            (b"ok\xe2\x82", false),
+        ];
+        for (text, valid) in cases {
+            let page = page(text);
+            let want = decode_page_rows(&page, 2);
+            assert_eq!(want.is_ok(), valid, "{text:x?}");
+            for cols in [[true, true], [true, false], [false, false]] {
+                assert_walk_agrees(&page, &cols, &want, &format!("{text:x?}"));
+            }
+        }
     }
 
     #[test]

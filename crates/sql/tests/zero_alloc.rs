@@ -1,6 +1,7 @@
-//! Proves the scan kernel allocates nothing per morsel, a hash-join
-//! probe nothing per batch, and a one-row `UPDATE` nothing per row, in
-//! steady state.
+//! Proves the scan kernel allocates nothing per morsel — whether it
+//! rejects every row or ships its survivors' bytes — a hash-join probe
+//! nothing per batch, and a one-row `UPDATE` nothing per row, in steady
+//! state.
 //!
 //! Uses a counting global allocator (the pattern of
 //! `crates/storage/tests/zero_alloc.rs`) that counts per thread, and only
@@ -9,10 +10,10 @@
 //! window, and the tests here run side by side.
 
 use ironsafe_sql::ast::Statement;
-use ironsafe_sql::exec::ExecOptions;
+use ironsafe_sql::exec::{ExecOptions, RowCursor};
 use ironsafe_sql::parser::parse_statement;
 use ironsafe_sql::plan::plan_select_with;
-use ironsafe_sql::{Database, QueryResult, Value};
+use ironsafe_sql::{Database, EncodedRows, QueryResult, Value};
 use ironsafe_storage::pager::PlainPager;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,6 +100,86 @@ fn a_scan_that_rejects_every_row_allocates_nothing_per_morsel_after_the_first() 
     // The first morsel sizes the page buffer, the column batch, the
     // selection bitmap and the truth-kernel scratch; every later morsel
     // reuses them — ten times the morsels, not one allocation more.
+    assert_eq!(
+        large_allocs, small_allocs,
+        "{large_morsels} morsels allocated {large_allocs} times, {small_morsels} morsels {small_allocs}"
+    );
+    assert!(small_allocs > 0, "the counting allocator is live");
+}
+
+/// A `rows`-row table shaped like TPC-H `lineitem` — sixteen columns of
+/// keys, prices, one-letter flags, dates and short text — every row the
+/// same width.
+fn lineitem(rows: i64) -> Database {
+    let mut db = Database::new(PlainPager::new());
+    db.execute(
+        "CREATE TABLE lineitem (l_orderkey INT, l_partkey INT, l_suppkey INT, l_linenumber INT, \
+         l_quantity FLOAT, l_extendedprice FLOAT, l_discount FLOAT, l_tax FLOAT, l_returnflag TEXT, \
+         l_linestatus TEXT, l_shipdate TEXT, l_commitdate TEXT, l_receiptdate TEXT, \
+         l_shipinstruct TEXT, l_shipmode TEXT, l_comment TEXT)",
+    )
+    .unwrap();
+    let date = |i: i64| Value::Text(format!("199{}-{:02}-{:02}", i % 7 + 2, i % 12 + 1, i % 28 + 1));
+    let rows = (0..rows)
+        .map(|i| {
+            vec![
+                Value::Int(i / 4),
+                Value::Int(i % 200),
+                Value::Int(i % 10),
+                Value::Int(i % 4 + 1),
+                Value::Float((i % 50 + 1) as f64),
+                Value::Float(i as f64 * 1.5),
+                Value::Float((i % 11) as f64 / 100.0),
+                Value::Float((i % 9) as f64 / 100.0),
+                Value::Text(["A", "N", "R"][i as usize % 3].into()),
+                Value::Text(["F", "O"][i as usize % 2].into()),
+                date(i),
+                date(i + 3),
+                date(i + 5),
+                Value::Text("DELIVER IN PERSON".into()),
+                Value::Text("TRUCK".into()),
+                Value::Text(format!("comment {:05} of lineitem", i % 100_000)),
+            ]
+        })
+        .collect();
+    db.insert_rows("lineitem", rows).unwrap();
+    db
+}
+
+/// Drain the partitioner's `lineitem` fragment of TPC-H Q1 (plain
+/// columns, in its order, under its pushed predicate) encoded into an
+/// `out` already grown by one drain of the same fragment, planned outside
+/// the count; returns (allocations while draining, morsels read, rows).
+fn drain_fragment(db: &Database) -> (u64, u64, usize) {
+    let sql = "SELECT l_discount, l_extendedprice, l_linestatus, l_quantity, l_returnflag, \
+               l_shipdate, l_tax FROM lineitem WHERE l_shipdate <= '1998-09-02'";
+    let Statement::Select(sel) = parse_statement(sql).unwrap() else { unreachable!() };
+    let opts = ExecOptions { morsel_pages: 4, ..ExecOptions::serial() };
+    let plan = || RowCursor::new(plan_select_with(db.catalog(), db.pager(), &sel, &opts).unwrap());
+    let mut out = EncodedRows::new();
+    plan().drain_encoded(&mut out).unwrap();
+    let rows = out.len();
+    out.clear();
+    opts.metrics.morsels.reset();
+    let mut cursor = plan();
+    let (drained, allocations) = measured(|| cursor.drain_encoded(&mut out));
+    drained.unwrap();
+    assert_eq!(out.len(), rows, "the same rows, twice");
+    (allocations, opts.metrics.morsels.get(), rows)
+}
+
+#[test]
+fn an_encoded_fragment_allocates_nothing_per_morsel_after_the_first() {
+    let (small, large) = (lineitem(2_000), lineitem(20_000));
+    let (small_allocs, small_morsels, small_rows) = drain_fragment(&small);
+    let (large_allocs, large_morsels, large_rows) = drain_fragment(&large);
+    assert!(small_morsels >= 2 && large_morsels >= 8 * small_morsels);
+    assert!(small_rows > 0 && large_rows > 8 * small_rows, "{small_rows} / {large_rows} rows kept");
+    // The first morsel sizes the page buffer, the offset table, the
+    // predicate's lanes, the selection and the truth-kernel scratch;
+    // every survivor's cells are copied from the page into `out`, whose
+    // buffers the first drain grew — ten times the morsels, not one
+    // allocation more.
     assert_eq!(
         large_allocs, small_allocs,
         "{large_morsels} morsels allocated {large_allocs} times, {small_morsels} morsels {small_allocs}"
