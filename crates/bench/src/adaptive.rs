@@ -28,12 +28,11 @@
 //! and must return bit-identical rows.
 //!
 //! Everything reported is simulated nanoseconds from the calibrated
-//! cost model, so the whole snapshot is byte-deterministic and `--check`
-//! compares it against the committed `BENCH_10.json` byte for byte (the
-//! optimizer regression gate).
+//! cost model, so the whole snapshot is byte-deterministic.
 
 use crate::digest;
-use crate::figures::{q1_with_selectivity, SEED};
+use crate::figures::{q1_with_selectivity, quantity_cut, system, SEED};
+use crate::table::{row, Col, Snapshot, Table};
 use ironsafe_csa::{
     CostParams, CsaSystem, Estimate, OffloadDecision, PlacementPolicy, QueryReport, ReplanPolicy,
     SystemConfig,
@@ -46,7 +45,7 @@ use ironsafe_tpch::TpchData;
 pub const ADAPTIVE_SF: f64 = 0.002;
 
 /// Selectivity grid (percent of lineitem rows each variant keeps).
-pub const ADAPTIVE_SELECTIVITIES: [u32; 6] = [1, 10, 25, 50, 75, 100];
+const SELECTIVITIES: [u32; 6] = [1, 10, 25, 50, 75, 100];
 
 /// EPC background pressure grid, in resident 4 KiB pages preloaded
 /// (and re-touched between stages) by a simulated co-tenant: none,
@@ -54,12 +53,12 @@ pub const ADAPTIVE_SELECTIVITIES: [u32; 6] = [1, 10, 25, 50, 75, 100];
 /// (the wider temp working sets evict the tenant, whose cyclic
 /// re-touch then faults its whole set — Figure 9a's wall). The default
 /// EPC budget is 96 MiB = 24576 pages.
-pub const ADAPTIVE_PRESSURES: [u64; 3] = [0, 24_000, 24_420];
+const PRESSURES: [u64; 3] = [0, 24_000, 24_420];
 
 /// Storage-side core grid (the paper's Figure 10 axis): the default
 /// 8-way scan parallelism, and a constrained 2-core device where
 /// serialization quadruples and pushdown stops paying much earlier.
-pub const ADAPTIVE_STORAGE_CORES: [u32; 2] = [8, 2];
+const STORAGE_CORES: [u32; 2] = [8, 2];
 
 /// The two query shapes the grid sweeps — the crossovers sit on
 /// opposite ends of the placement space:
@@ -71,12 +70,30 @@ pub const ADAPTIVE_STORAGE_CORES: [u32; 2] = [8, 2];
 ///   reduction. Serialized rows outweigh raw pages early, so the
 ///   static pushdown regresses exactly as the paper's
 ///   weakly-selective CS case.
-pub const ADAPTIVE_SHAPES: [&str; 2] = ["agg", "wide"];
+const SHAPES: [&str; 2] = ["agg", "wide"];
+
+/// One grid point: (shape, storage cores, selectivity %, EPC pressure
+/// pages).
+pub type GridPoint = (&'static str, u32, u32, u64);
+
+/// The full grid, in snapshot order: shape, then cores, then pressure,
+/// then selectivity.
+pub fn adaptive_grid() -> Vec<GridPoint> {
+    let mut grid = Vec::new();
+    for shape in SHAPES {
+        for cores in STORAGE_CORES {
+            for pressure in PRESSURES {
+                grid.extend(SELECTIVITIES.map(|sel| (shape, cores, sel, pressure)));
+            }
+        }
+    }
+    grid
+}
 
 /// The `"wide"` shape: Q1's quantity filter over the full 16-column
 /// lineitem row, with no host-side reduction.
 pub fn q1_wide_with_selectivity(selectivity_pct: u32) -> PaperQuery {
-    let cut = (selectivity_pct as f64 / 100.0 * 50.0).round().max(1.0) as i64;
+    let cut = quantity_cut(selectivity_pct);
     PaperQuery {
         id: 1,
         name: "Q1 wide-export variant",
@@ -99,67 +116,12 @@ fn shape_query(shape: &str, sel: u32) -> PaperQuery {
     }
 }
 
-/// One (shape, selectivity, pressure) grid point: simulated totals for
-/// the three policies plus the placement the optimizer settled on.
-#[derive(Debug, Clone)]
-pub struct AdaptiveCell {
-    /// Query shape (`"agg"` or `"wide"`).
-    pub shape: &'static str,
-    /// Storage-side cores the device scans and serializes with.
-    pub storage_cores: u32,
-    /// Selectivity of the variant, percent.
-    pub selectivity_pct: u32,
-    /// Background EPC pressure, pages.
-    pub pressure_pages: u64,
-    /// Simulated total, every fragment shipped as raw pages.
-    pub allhost_ns: f64,
-    /// Simulated total, every fragment pushed down (static partitioner).
-    pub offload_ns: f64,
-    /// Simulated total for the primed adaptive planner.
-    pub adaptive_ns: f64,
-    /// Placement the adaptive plan reproduced bit-identically:
-    /// `"offload"`, `"ship_pages"`, or `"mixed"`.
-    pub chosen: &'static str,
-    /// SHA-256 (truncated) over the rendered rows — identical across
-    /// all three policies, asserted by the sweep.
-    pub result_digest: String,
-}
-
-/// The mis-estimate recovery demo: one deliberately wrong pin, with and
-/// without mid-flight re-planning.
-#[derive(Debug, Clone)]
-pub struct ReplanDemo {
-    /// Pinned selectivity estimate fed to the planner.
-    pub pinned_selectivity: f64,
-    /// Actual selectivity of the query, percent.
-    pub actual_pct: u32,
-    /// Simulated total with re-planning disabled (the stubborn run).
-    pub stubborn_ns: f64,
-    /// Simulated total with the morsel-driver divergence check armed.
-    pub replanned_ns: f64,
-    /// `plan.replan` commits charged during the re-planned run.
-    pub replans: u64,
-    /// Result digest (identical for both runs, asserted).
-    pub result_digest: String,
-}
-
-fn params(storage_cores: u32) -> CostParams {
-    CostParams { storage_cores, ..CostParams::default() }
-}
-
 fn build(data: &TpchData, storage_cores: u32) -> CsaSystem {
-    CsaSystem::build(SystemConfig::IronSafe, data, params(storage_cores))
-        .expect("system builds")
+    system(SystemConfig::IronSafe, data, CostParams { storage_cores, ..CostParams::default() })
 }
 
 /// Prime-then-measure one static policy at one grid point.
-fn run_static(
-    data: &TpchData,
-    q: &PaperQuery,
-    pin: OffloadDecision,
-    cores: u32,
-    pressure: u64,
-) -> QueryReport {
+fn run_static(data: &TpchData, q: &PaperQuery, pin: OffloadDecision, cores: u32, pressure: u64) -> QueryReport {
     let mut sys = build(data, cores);
     sys.set_placement(PlacementPolicy::Pinned(pin));
     sys.set_epc_pressure(pressure);
@@ -178,76 +140,70 @@ fn run_adaptive(data: &TpchData, q: &PaperQuery, cores: u32, pressure: u64) -> Q
     sys.run_query(q).expect("adaptive run")
 }
 
-/// Run the grid: three policies per (selectivity, pressure) point,
-/// asserting digest parity and adaptive dominance as it goes, then the
-/// mis-estimate re-planning demo.
-pub fn adaptive_sweep(sf: f64) -> (Vec<AdaptiveCell>, ReplanDemo) {
+/// Run the three policies at every `grid` point, asserting digest parity
+/// and adaptive dominance as it goes, then the mis-estimate re-planning
+/// demo.
+pub fn adaptive_sweep(sf: f64, grid: &[GridPoint]) -> Snapshot {
     let data = generate(sf, SEED);
-    let mut cells = Vec::new();
-    for &shape in &ADAPTIVE_SHAPES {
-        for &cores in &ADAPTIVE_STORAGE_CORES {
-            for &pressure in &ADAPTIVE_PRESSURES {
-                for &sel in &ADAPTIVE_SELECTIVITIES {
-                    let q = shape_query(shape, sel);
-                    let allhost =
-                        run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
-                    let offload =
-                        run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
-                    let adaptive = run_adaptive(&data, &q, cores, pressure);
-                    let label = format!("{shape} cores={cores} sel={sel}% pressure={pressure}");
-                    assert_eq!(digest(&allhost.result), digest(&offload.result), "{label}: static digests");
-                    assert_eq!(digest(&allhost.result), digest(&adaptive.result), "{label}: adaptive digest");
-                    let chosen = if adaptive.breakdown == offload.breakdown {
-                        "offload"
-                    } else if adaptive.breakdown == allhost.breakdown {
-                        "ship_pages"
-                    } else {
-                        "mixed"
-                    };
-                    let floor = offload.total_ns().min(allhost.total_ns());
-                    assert!(
-                        adaptive.total_ns() <= floor * (1.0 + 1e-9),
-                        "{label}: adaptive ({:.0}ns) worse than best static ({:.0}ns)",
-                        adaptive.total_ns(),
-                        floor
-                    );
-                    cells.push(AdaptiveCell {
-                        shape,
-                        storage_cores: cores,
-                        selectivity_pct: sel,
-                        pressure_pages: pressure,
-                        allhost_ns: allhost.total_ns(),
-                        offload_ns: offload.total_ns(),
-                        adaptive_ns: adaptive.total_ns(),
-                        chosen,
-                        result_digest: digest(&adaptive.result),
-                    });
-                }
-            }
-        }
+    let mut cells = Table::new(vec![
+        Col::new("shape", "shape", 5),
+        Col::new("cores", "storage_cores", 5),
+        Col::new("sel%", "selectivity_pct", 5),
+        Col::new("pressure", "pressure_pages", 9),
+        Col::new("all-host", "allhost_ns", 13).fixed(0, "ns"),
+        Col::new("all-offload", "offload_ns", 13).fixed(0, "ns"),
+        Col::new("adaptive", "adaptive_ns", 13).fixed(0, "ns"),
+        Col::new("chosen", "chosen", 11),
+        Col::new("result digest", "result_digest", 18),
+    ]);
+    for &(shape, cores, sel, pressure) in grid {
+        let q = shape_query(shape, sel);
+        let allhost = run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
+        let offload = run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
+        let adaptive = run_adaptive(&data, &q, cores, pressure);
+        let label = format!("{shape} cores={cores} sel={sel}% pressure={pressure}");
+        assert_eq!(digest(&allhost.result), digest(&offload.result), "{label}: static digests");
+        assert_eq!(digest(&allhost.result), digest(&adaptive.result), "{label}: adaptive digest");
+        let chosen = if adaptive.breakdown == offload.breakdown {
+            "offload"
+        } else if adaptive.breakdown == allhost.breakdown {
+            "ship_pages"
+        } else {
+            "mixed"
+        };
+        let floor = offload.total_ns().min(allhost.total_ns());
+        assert!(
+            adaptive.total_ns() <= floor * (1.0 + 1e-9),
+            "{label}: adaptive ({:.0}ns) worse than best static ({:.0}ns)",
+            adaptive.total_ns(),
+            floor
+        );
+        cells.push(row![
+            shape,
+            cores,
+            sel,
+            pressure,
+            allhost.total_ns(),
+            offload.total_ns(),
+            adaptive.total_ns(),
+            chosen,
+            digest(&adaptive.result)
+        ]);
     }
 
     // Somewhere on the grid the optimizer must beat *each* static
     // policy by ≥20%, or adaptivity is not paying for itself.
-    let beats_allhost =
-        cells.iter().any(|c| c.adaptive_ns <= 0.8 * c.allhost_ns);
-    let beats_offload =
-        cells.iter().any(|c| c.adaptive_ns <= 0.8 * c.offload_ns);
-    if std::env::var_os("IRONSAFE_ADAPTIVE_DEBUG").is_some() {
-        for c in &cells {
-            eprintln!("{c:?}");
-        }
-    }
-    assert!(beats_allhost, "no grid region beats all-host by >=20%");
-    assert!(beats_offload, "no grid region beats all-offload by >=20%");
+    let beats = |key| (0..cells.len()).any(|r| cells.num(r, "adaptive_ns") <= 0.8 * cells.num(r, key));
+    assert!(beats("allhost_ns"), "no grid region beats all-host by >=20%");
+    assert!(beats("offload_ns"), "no grid region beats all-offload by >=20%");
 
-    (cells, replan_demo(&data))
+    Snapshot::invariants(sf).rows("cells", cells).object("replan", replan_demo(&data))
 }
 
 /// Mis-pin the planner (1% estimate against an actual ~100% predicate)
 /// and compare a stubborn run against one with the morsel-driver
 /// divergence check armed.
-fn replan_demo(data: &TpchData) -> ReplanDemo {
+fn replan_demo(data: &TpchData) -> Table {
     let pinned = Estimate {
         selectivity: 0.01,
         row_wire_bytes: 84.0,
@@ -282,97 +238,33 @@ fn replan_demo(data: &TpchData) -> ReplanDemo {
         replanned.total_ns(),
         stubborn.total_ns()
     );
-    ReplanDemo {
-        pinned_selectivity: pinned.selectivity,
+    let mut t = Table::new(
+        ["pinned_selectivity", "actual_pct", "stubborn_ns", "replanned_ns", "replans", "result_digest"]
+            .map(Col::field)
+            .to_vec(),
+    );
+    t.push(row![
+        pinned.selectivity,
         actual_pct,
-        stubborn_ns: stubborn.total_ns(),
-        replanned_ns: replanned.total_ns(),
+        stubborn.total_ns(),
+        replanned.total_ns(),
         replans,
-        result_digest: digest(&replanned.result),
-    }
-}
-
-/// The byte-deterministic `"invariants"` JSON block (also embedded
-/// verbatim in `BENCH_10.json`) — what the `--check` gate compares.
-pub fn adaptive_invariants_json(sf: f64, cells: &[AdaptiveCell], demo: &ReplanDemo) -> String {
-    let mut s = String::from("  \"invariants\": {\n");
-    s.push_str(&format!("    \"sf\": {sf},\n    \"seed\": {SEED},\n    \"cells\": [\n"));
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"shape\":\"{}\",\"storage_cores\":{},\"selectivity_pct\":{},\
-             \"pressure_pages\":{},\"allhost_ns\":{},\
-             \"offload_ns\":{},\"adaptive_ns\":{},\"chosen\":\"{}\",\"result_digest\":\"{}\"}}{}\n",
-            c.shape,
-            c.storage_cores,
-            c.selectivity_pct,
-            c.pressure_pages,
-            c.allhost_ns,
-            c.offload_ns,
-            c.adaptive_ns,
-            c.chosen,
-            c.result_digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("    ],\n");
-    s.push_str(&format!(
-        "    \"replan\": {{\"pinned_selectivity\":{},\"actual_pct\":{},\"stubborn_ns\":{},\
-         \"replanned_ns\":{},\"replans\":{},\"result_digest\":\"{}\"}}\n",
-        demo.pinned_selectivity,
-        demo.actual_pct,
-        demo.stubborn_ns,
-        demo.replanned_ns,
-        demo.replans,
-        demo.result_digest
-    ));
-    s.push_str("  }");
-    s
+        digest(&replanned.result)
+    ]);
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ironsafe_obs::export::looks_like_valid_json;
+    use crate::table::assert_deterministic_and_gated;
 
     #[test]
     fn sweep_corner_is_deterministic_and_gate_compatible() {
-        // A reduced grid exercising both crossover ends and a pressure
-        // point; the full grid runs under `paperbench adaptive`.
-        let data = generate(ADAPTIVE_SF, SEED);
-        let mut cells = Vec::new();
-        for &(shape, cores, sel, pressure) in
-            &[("agg", 8u32, 1u32, 0u64), ("wide", 2, 100, 0), ("agg", 8, 50, 24_420)]
-        {
-            let q = shape_query(shape, sel);
-            let allhost = run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
-            let offload = run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
-            let adaptive = run_adaptive(&data, &q, cores, pressure);
-            assert_eq!(digest(&allhost.result), digest(&adaptive.result), "{shape} sel={sel}");
-            assert_eq!(digest(&offload.result), digest(&adaptive.result), "{shape} sel={sel}");
-            assert!(
-                adaptive.total_ns()
-                    <= offload.total_ns().min(allhost.total_ns()) * (1.0 + 1e-9),
-                "{shape} cores={cores} sel={sel} pressure={pressure}"
-            );
-            cells.push(AdaptiveCell {
-                shape,
-                storage_cores: cores,
-                selectivity_pct: sel,
-                pressure_pages: pressure,
-                allhost_ns: allhost.total_ns(),
-                offload_ns: offload.total_ns(),
-                adaptive_ns: adaptive.total_ns(),
-                chosen: "offload",
-                result_digest: digest(&adaptive.result),
-            });
-        }
-        let demo = replan_demo(&data);
-        let a = adaptive_invariants_json(ADAPTIVE_SF, &cells, &demo);
-        let demo_b = replan_demo(&data);
-        let b = adaptive_invariants_json(ADAPTIVE_SF, &cells, &demo_b);
-        assert_eq!(a, b, "invariants block must be byte-deterministic");
-        let full = crate::snapshot_json(&a);
-        assert!(looks_like_valid_json(&full), "{full}");
-        assert!(full.contains(&a), "snapshot must embed the invariants block verbatim");
+        // Both crossover ends and a pressure point; the full grid runs
+        // under `paperbench adaptive`.
+        assert_deterministic_and_gated(|| {
+            adaptive_sweep(ADAPTIVE_SF, &[("agg", 8, 1, 0), ("wide", 2, 100, 0), ("agg", 8, 50, 24_420)])
+        });
     }
 }

@@ -17,73 +17,28 @@ use ironsafe_obs::{Counter, Registry};
 use ironsafe_sql::parser::parse_statement;
 use ironsafe_sql::{QueryResult, Row, Value};
 use ironsafe_tpch::generate;
-use ironsafe_tpch::queries::{paper_queries, PaperQuery};
+use ironsafe_tpch::queries::query;
 
-use crate::figures::SEED;
-
-/// One row of the rate sweep.
-#[derive(Debug, Clone)]
-pub struct ChaosRateRow {
-    /// Per-site injection probability this row sweeps.
-    pub rate: f64,
-    /// Query runs at this rate (seeds × queries).
-    pub runs: u32,
-    /// Runs whose rows were bit-identical to the fault-free baseline.
-    pub identical: u32,
-    /// Runs that surfaced a clean typed error.
-    pub typed_errors: u32,
-    /// Faults injected across all runs at this rate.
-    pub injected: u64,
-    /// Retries spent recovering them.
-    pub retried: u64,
-    /// Faults absorbed by a successful retry.
-    pub recovered: u64,
-    /// Faults that exhausted the retry budget.
-    pub exhausted: u64,
-}
-
-/// One per-surface recovery demonstration.
-#[derive(Debug, Clone)]
-pub struct SurfaceRecovery {
-    /// Which surface the fault was injected into.
-    pub surface: &'static str,
-    /// Faults injected on that surface.
-    pub injected: u64,
-    /// Faults recovered (retry or restart).
-    pub recovered: u64,
-    /// Did the run finish with correct results?
-    pub ok: bool,
-}
-
-/// One write-path fault site's tallies in the crash-during-commit
-/// storm stage.
-#[derive(Debug, Clone)]
-pub struct CommitSiteRow {
-    /// Which commit sub-step the storms killed.
-    pub site: &'static str,
-    /// Storms run against this site.
-    pub storms: u32,
-    /// Storms that poisoned the system mid-commit (recovered from the WAL).
-    pub crashed: u32,
-    /// Storms whose transient faults were retried away in-run.
-    pub absorbed: u32,
-    /// Faults the plans fired on this site.
-    pub injected: u64,
-    /// Commit records replayed across this site's recoveries.
-    pub replayed: u64,
-    /// Unbound/torn tail records discarded across this site's recoveries.
-    pub discarded: u64,
-}
+use crate::figures::{system, SEED};
+use crate::table::{row, Cell, Col, Table};
 
 /// Everything `paperbench chaos` prints and exports.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
-    /// The rate sweep, one row per rate.
-    pub rows: Vec<ChaosRateRow>,
-    /// Per-surface recovery demonstrations.
-    pub surfaces: Vec<SurfaceRecovery>,
-    /// Crash-during-commit storms, one row per write-path fault site.
-    pub commits: Vec<CommitSiteRow>,
+    /// The rate sweep, one row per rate: query runs (seeds × queries),
+    /// runs bit-identical to the fault-free baseline, runs that surfaced
+    /// a typed error, and the faults injected / retried / recovered /
+    /// exhausted across them.
+    pub rates: Table,
+    /// One scheduled transient fault per surface: injected, recovered,
+    /// and whether the run finished with correct results (`ok`).
+    pub surfaces: Table,
+    /// Crash-during-commit storms, one row per write-path fault site:
+    /// storms run, storms that poisoned the system mid-commit (recovered
+    /// from the WAL), storms whose transient faults were retried away
+    /// in-run, faults fired, commit records replayed and unbound/torn
+    /// tail records discarded across the recoveries.
+    pub commits: Table,
     /// Seed × rate combinations swept.
     pub combos: u32,
     /// `metrics_to_jsonl` dump including the aggregated `faults.*`
@@ -91,9 +46,7 @@ pub struct ChaosReport {
     pub metrics_jsonl: String,
 }
 
-fn query(id: u8) -> PaperQuery {
-    paper_queries().into_iter().find(|q| q.id == id).expect("paper query exists")
-}
+const FAULT_COUNTERS: [&str; 4] = ["injected", "retried", "recovered", "exhausted"];
 
 /// A plan injecting on every surface a read-only split query crosses.
 fn storm_plan(seed: u64, rate: f64) -> FaultPlan {
@@ -113,34 +66,32 @@ fn storm_plan(seed: u64, rate: f64) -> FaultPlan {
 /// faults must surface as recoveries or typed errors, never panics).
 pub fn run_chaos(sf: f64, seeds: &[u64], rates: &[f64]) -> ChaosReport {
     let data = generate(sf, SEED);
-    let mut sys = CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default())
-        .expect("system builds");
-    let queries = [query(1), query(6)];
+    let mut sys = system(SystemConfig::IronSafe, &data, CostParams::default());
+    let queries = [1, 6].map(|id| query(id).expect("known query"));
     let baselines: Vec<Vec<Row>> = queries
         .iter()
         .map(|q| sys.run_query(q).expect("fault-free baseline").result.rows().to_vec())
         .collect();
 
-    let totals = [Counter::new(), Counter::new(), Counter::new(), Counter::new()];
-    let mut rows = Vec::new();
+    let mut sweep = Table::new(vec![
+        Col::new("rate", "rate", 8).pct(2),
+        Col::new("runs", "runs", 6),
+        Col::new("identical", "identical", 10),
+        Col::new("errors", "typed_errors", 8),
+        Col::new("injected", "injected", 9),
+        Col::new("retried", "retried", 8),
+        Col::new("recovered", "recovered", 10),
+        Col::new("exhausted", "exhausted", 10),
+    ]);
     let mut combos = 0u32;
-    for &rate in rates {
-        let mut row = ChaosRateRow {
-            rate,
-            runs: 0,
-            identical: 0,
-            typed_errors: 0,
-            injected: 0,
-            retried: 0,
-            recovered: 0,
-            exhausted: 0,
-        };
+    for (r, &rate) in rates.iter().enumerate() {
+        sweep.push(row![rate, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64]);
         for &seed in seeds {
             combos += 1;
             let plan = storm_plan(seed, rate);
             sys.set_fault_plan(plan.clone());
             for (q, baseline) in queries.iter().zip(&baselines) {
-                row.runs += 1;
+                sweep.add(r, "runs", 1);
                 match sys.run_query(q) {
                     Ok(report) => {
                         assert_eq!(
@@ -148,57 +99,44 @@ pub fn run_chaos(sf: f64, seeds: &[u64], rates: &[f64]) -> ChaosReport {
                             &baseline[..],
                             "seed {seed} rate {rate}: recovered rows must be bit-identical"
                         );
-                        row.identical += 1;
+                        sweep.add(r, "identical", 1);
                     }
-                    Err(_) => row.typed_errors += 1,
+                    Err(_) => sweep.add(r, "typed_errors", 1),
                 }
             }
             let m = plan.metrics();
-            row.injected += m.injected.get();
-            row.retried += m.retried.get();
-            row.recovered += m.recovered.get();
-            row.exhausted += m.exhausted.get();
+            for (key, counter) in FAULT_COUNTERS.iter().zip([&m.injected, &m.retried, &m.recovered, &m.exhausted]) {
+                sweep.add(r, key, counter.get());
+            }
         }
-        totals[0].add(row.injected);
-        totals[1].add(row.retried);
-        totals[2].add(row.recovered);
-        totals[3].add(row.exhausted);
-        rows.push(row);
     }
     sys.set_fault_plan(FaultPlan::none());
 
-    let surfaces = vec![
-        device_recovery(&mut sys, &baselines[1]),
-        channel_recovery(&mut sys, &baselines[1]),
-        enclave_recovery(),
-        rpmb_recovery(),
-    ];
+    let mut surfaces = Table::new(["surface", "injected", "recovered", "ok"].map(Col::field).to_vec());
+    surfaces.push(device_recovery(&mut sys, &baselines[1]));
+    surfaces.push(channel_recovery(&mut sys, &baselines[1]));
+    surfaces.push(enclave_recovery());
+    surfaces.push(rpmb_recovery());
 
     let commits = commit_storms(sf, seeds);
 
     // Export: sweep totals under the canonical `faults.*` names, plus
     // per-surface recovery counters.
     let registry = Registry::new();
-    registry.register_counter("faults.injected", &totals[0]);
-    registry.register_counter("faults.retried", &totals[1]);
-    registry.register_counter("faults.recovered", &totals[2]);
-    registry.register_counter("faults.exhausted", &totals[3]);
-    for s in &surfaces {
-        let injected = Counter::new();
-        injected.add(s.injected);
-        let recovered = Counter::new();
-        recovered.add(s.recovered);
-        registry.register_counter(&format!("faults.surface.{}.injected", s.surface), &injected);
-        registry.register_counter(&format!("faults.surface.{}.recovered", s.surface), &recovered);
+    for key in FAULT_COUNTERS {
+        let total = Counter::new();
+        total.add((0..sweep.len()).map(|r| sweep.int(r, key)).sum());
+        registry.register_counter(&format!("faults.{key}"), &total);
+    }
+    for s in 0..surfaces.len() {
+        for key in ["injected", "recovered"] {
+            let counter = Counter::new();
+            counter.add(surfaces.int(s, key));
+            registry.register_counter(&format!("faults.surface.{}.{key}", surfaces.text(s, "surface")), &counter);
+        }
     }
 
-    ChaosReport {
-        rows,
-        surfaces,
-        commits,
-        combos,
-        metrics_jsonl: metrics_to_jsonl(&registry.snapshot()),
-    }
+    ChaosReport { rates: sweep, surfaces, commits, combos, metrics_jsonl: metrics_to_jsonl(&registry.snapshot()) }
 }
 
 /// Read the storm table back as an ordered value vector.
@@ -227,11 +165,9 @@ fn storm_contents(shared: &SharedCsaSystem, key: [u8; 32]) -> Vec<i64> {
 /// prefix, or at most the one in-flight statement more.
 ///
 /// Panics on any violated invariant: that is the harness's job.
-pub fn commit_storms(sf: f64, seeds: &[u64]) -> Vec<CommitSiteRow> {
+pub fn commit_storms(sf: f64, seeds: &[u64]) -> Table {
     let data = generate(sf, SEED);
-    let sys = CsaSystem::build(SystemConfig::StorageOnlySecure, &data, CostParams::default())
-        .expect("system builds");
-    let shared = SharedCsaSystem::new(sys);
+    let shared = SharedCsaSystem::new(system(SystemConfig::StorageOnlySecure, &data, CostParams::default()));
     let key = [0x5cu8; 32];
     shared
         .run_statement(&parse_statement("CREATE TABLE storm (a INT)").expect("valid ddl"), key)
@@ -244,31 +180,30 @@ pub fn commit_storms(sf: f64, seeds: &[u64]) -> Vec<CommitSiteRow> {
         ("wal-tear", FaultSite::WalTear),
         ("wal-append", FaultSite::WalAppend),
     ];
-    let mut rows: Vec<CommitSiteRow> = sites
-        .iter()
-        .map(|(site, _)| CommitSiteRow {
-            site,
-            storms: 0,
-            crashed: 0,
-            absorbed: 0,
-            injected: 0,
-            replayed: 0,
-            discarded: 0,
-        })
-        .collect();
+    let mut t = Table::new(vec![
+        Col::new("site", "site", 13).left(),
+        Col::new("storms", "storms", 6),
+        Col::new("crashed", "crashed", 8),
+        Col::new("absorbed", "absorbed", 9),
+        Col::new("injected", "injected", 9),
+        Col::new("replayed", "replayed", 9),
+        Col::new("discarded", "discarded", 10),
+    ]);
+    for (site, _) in &sites {
+        t.push(row![*site, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64]);
+    }
 
     let mut acked: Vec<i64> = Vec::new();
     let mut next = 0i64;
     for &seed in seeds {
         for (si, (_, site)) in sites.iter().enumerate() {
-            rows[si].storms += 1;
+            t.add(si, "storms", 1);
             let plan = FaultPlan::seeded(seed).with_nth(*site, 1 + seed % 3);
             shared.set_fault_plan(plan.clone());
 
             let mut in_flight: Option<i64> = None;
             for _ in 0..3 {
-                let ins = parse_statement(&format!("INSERT INTO storm (a) VALUES ({next})"))
-                    .expect("valid insert");
+                let ins = parse_statement(&format!("INSERT INTO storm (a) VALUES ({next})")).expect("valid insert");
                 match shared.run_statement(&ins, key) {
                     Ok(_) => {
                         acked.push(next);
@@ -283,7 +218,7 @@ pub fn commit_storms(sf: f64, seeds: &[u64]) -> Vec<CommitSiteRow> {
                     }
                 }
             }
-            rows[si].injected += plan.metrics().injected.get();
+            t.add(si, "injected", plan.metrics().injected.get());
 
             // Power off and recover from the log.
             let (parts, medium) = shared.teardown();
@@ -300,13 +235,13 @@ pub fn commit_storms(sf: f64, seeds: &[u64]) -> Vec<CommitSiteRow> {
             )
             .expect("every storm recovers");
             shared = recovered;
-            rows[si].replayed += report.replayed as u64;
-            rows[si].discarded += report.discarded as u64;
+            t.add(si, "replayed", report.replayed as u64);
+            t.add(si, "discarded", report.discarded as u64);
 
             let got = storm_contents(&shared, key);
             match in_flight {
                 Some(burned) => {
-                    rows[si].crashed += 1;
+                    t.add(si, "crashed", 1);
                     let mut with_in_flight = acked.clone();
                     with_in_flight.push(burned);
                     assert!(
@@ -316,56 +251,55 @@ pub fn commit_storms(sf: f64, seeds: &[u64]) -> Vec<CommitSiteRow> {
                     acked = got;
                 }
                 None => {
-                    rows[si].absorbed += 1;
+                    t.add(si, "absorbed", 1);
                     assert_eq!(got, acked, "clean storm must replay every acknowledged row");
                 }
             }
         }
     }
-    rows
+    t
+}
+
+/// A surface row: what `plan` injected and recovered, and whether the
+/// run ended with correct results.
+fn surface(name: &str, plan: &FaultPlan, ok: bool) -> Vec<Cell> {
+    let m = plan.metrics();
+    row![name, m.injected.get(), m.recovered.get(), ok]
+}
+
+/// Run Q6 under `plan` on `sys`; true if its rows equal `baseline`.
+fn q6_under(sys: &mut CsaSystem, plan: &FaultPlan, baseline: &[Row]) -> bool {
+    sys.set_fault_plan(plan.clone());
+    let ok = sys.run_query(&query(6).expect("known query")).is_ok_and(|r| r.result.rows() == baseline);
+    sys.set_fault_plan(FaultPlan::none());
+    ok
 }
 
 /// One transient device-read error, absorbed by the pager's retry.
-fn device_recovery(sys: &mut CsaSystem, baseline: &[Row]) -> SurfaceRecovery {
+fn device_recovery(sys: &mut CsaSystem, baseline: &[Row]) -> Vec<Cell> {
     let plan = FaultPlan::seeded(SEED).with_nth(FaultSite::DeviceRead, 2);
-    sys.set_fault_plan(plan.clone());
-    let ok = match sys.run_query(&query(6)) {
-        Ok(r) => r.result.rows() == baseline,
-        Err(_) => false,
-    };
-    sys.set_fault_plan(FaultPlan::none());
-    let m = plan.metrics();
-    SurfaceRecovery { surface: "device", injected: m.injected.get(), recovered: m.recovered.get(), ok }
+    surface("device", &plan, q6_under(sys, &plan, baseline))
 }
 
 /// One record dropped in transit, recovered by retransmission.
-fn channel_recovery(sys: &mut CsaSystem, baseline: &[Row]) -> SurfaceRecovery {
+fn channel_recovery(sys: &mut CsaSystem, baseline: &[Row]) -> Vec<Cell> {
     let plan = FaultPlan::seeded(SEED).with_nth(FaultSite::ChannelDrop, 1);
-    sys.set_fault_plan(plan.clone());
-    let ok = match sys.run_query(&query(6)) {
-        Ok(r) => r.result.rows() == baseline,
-        Err(_) => false,
-    };
-    sys.set_fault_plan(FaultPlan::none());
-    let m = plan.metrics();
-    SurfaceRecovery { surface: "channel", injected: m.injected.get(), recovered: m.recovered.get(), ok }
+    surface("channel", &plan, q6_under(sys, &plan, baseline))
 }
 
 /// One enclave crash, recovered by supervisor restart + sealed-state
 /// reload.
-fn enclave_recovery() -> SurfaceRecovery {
+fn enclave_recovery() -> Vec<Cell> {
     let plan = FaultPlan::seeded(SEED).with_nth(FaultSite::EnclaveCrash, 2);
-    let ok = deployment_roundtrip(plan.clone()).map(|restarts| restarts >= 1).unwrap_or(false);
-    let m = plan.metrics();
-    SurfaceRecovery { surface: "enclave", injected: m.injected.get(), recovered: m.recovered.get(), ok }
+    let ok = deployment_roundtrip(plan.clone()).is_some_and(|restarts| restarts >= 1);
+    surface("enclave", &plan, ok)
 }
 
 /// One RPMB write refused busy, recovered by re-issuing the write.
-fn rpmb_recovery() -> SurfaceRecovery {
+fn rpmb_recovery() -> Vec<Cell> {
     let plan = FaultPlan::seeded(SEED).with_nth(FaultSite::RpmbWrite, 1);
     let ok = deployment_roundtrip(plan.clone()).is_some();
-    let m = plan.metrics();
-    SurfaceRecovery { surface: "rpmb", injected: m.injected.get(), recovered: m.recovered.get(), ok }
+    surface("rpmb", &plan, ok)
 }
 
 /// Build a faulted deployment, run a tiny write+read workload, return
@@ -392,15 +326,22 @@ mod tests {
     fn chaos_report_covers_every_surface_and_exports_fault_counters() {
         let report = run_chaos(0.001, &[1, 2], &[0.002, 0.05]);
         assert_eq!(report.combos, 4);
-        assert_eq!(report.rows.len(), 2);
-        for row in &report.rows {
-            assert_eq!(row.runs, row.identical + row.typed_errors, "no run may vanish");
+        let rates = &report.rates;
+        assert_eq!(rates.len(), 2);
+        for r in 0..rates.len() {
+            assert_eq!(
+                rates.int(r, "runs"),
+                rates.int(r, "identical") + rates.int(r, "typed_errors"),
+                "no run may vanish"
+            );
         }
-        assert_eq!(report.surfaces.len(), 4);
-        for s in &report.surfaces {
-            assert!(s.ok, "surface {} must recover", s.surface);
-            assert!(s.injected >= 1, "surface {} must inject", s.surface);
-            assert!(s.recovered >= 1, "surface {} must recover the fault", s.surface);
+        let surfaces = &report.surfaces;
+        assert_eq!(surfaces.len(), 4);
+        for s in 0..surfaces.len() {
+            let name = surfaces.text(s, "surface");
+            assert_eq!(surfaces.get(s, "ok"), &Cell::Bool(true), "surface {name} must recover");
+            assert!(surfaces.int(s, "injected") >= 1, "surface {name} must inject");
+            assert!(surfaces.int(s, "recovered") >= 1, "surface {name} must recover the fault");
         }
         assert!(report.metrics_jsonl.contains("faults.injected"));
         assert!(report.metrics_jsonl.contains("faults.recovered"));
@@ -410,15 +351,17 @@ mod tests {
         // sites; the permanent sites must actually crash commits and the
         // transient one must be absorbed, with every recovery asserted
         // prefix-consistent inside `commit_storms`.
-        assert_eq!(report.commits.len(), 3);
-        for c in &report.commits {
-            assert_eq!(c.storms, 2, "one storm per seed per site");
-            assert_eq!(c.crashed + c.absorbed, c.storms, "no storm may vanish");
-            assert!(c.injected >= 1, "site {} must inject", c.site);
+        let commits = &report.commits;
+        assert_eq!(commits.len(), 3);
+        for c in 0..commits.len() {
+            let storms = commits.int(c, "storms");
+            assert_eq!(storms, 2, "one storm per seed per site");
+            assert_eq!(commits.int(c, "crashed") + commits.int(c, "absorbed"), storms, "no storm may vanish");
+            assert!(commits.int(c, "injected") >= 1, "site {} must inject", commits.text(c, "site"));
         }
-        let by_site = |site: &str| report.commits.iter().find(|c| c.site == site).unwrap();
-        assert!(by_site("crash-commit").crashed > 0, "crash-commit storms must crash");
-        assert!(by_site("wal-tear").crashed > 0, "torn appends must crash the commit");
-        assert!(by_site("wal-append").absorbed > 0, "transient appends must be retried away");
+        let site = |name: &str, key: &str| commits.int(commits.find("site", name), key);
+        assert!(site("crash-commit", "crashed") > 0, "crash-commit storms must crash");
+        assert!(site("wal-tear", "crashed") > 0, "torn appends must crash the commit");
+        assert!(site("wal-append", "absorbed") > 0, "transient appends must be retried away");
     }
 }

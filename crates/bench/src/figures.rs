@@ -1,5 +1,7 @@
-//! One function per table/figure of the paper's evaluation.
+//! One function per table/figure of the paper's evaluation, each
+//! returning the [`Table`] `paperbench` prints.
 
+use crate::table::{row, Cell, Col, Snapshot, Table};
 use ironsafe_csa::{CostParams, CsaSystem, QueryReport, SharedCsaSystem, SystemConfig};
 use ironsafe_serve::{Job, QueryServer, ServeConfig};
 use ironsafe_sql::Database;
@@ -14,10 +16,15 @@ pub const DEFAULT_SF: f64 = 0.003;
 /// Deterministic data seed for all figures.
 pub const SEED: u64 = 2022;
 
+/// A `config` system over `data`: the one constructor every harness
+/// builds its systems with.
+pub fn system(config: SystemConfig, data: &TpchData, params: CostParams) -> CsaSystem {
+    CsaSystem::build(config, data, params).expect("system builds")
+}
+
 /// Run `q` once under `config` on `data`.
 pub fn run_once(config: SystemConfig, data: &TpchData, q: &PaperQuery, params: CostParams) -> QueryReport {
-    let mut sys = CsaSystem::build(config, data, params).expect("system builds");
-    sys.run_query(q).expect("query runs")
+    system(config, data, params).run_query(q).expect("query runs")
 }
 
 /// Run every paper query under several configs, reusing one system per
@@ -29,7 +36,7 @@ pub fn run_matrix(
 ) -> HashMap<(SystemConfig, u8), QueryReport> {
     let mut out = HashMap::new();
     for &config in configs {
-        let mut sys = CsaSystem::build(config, data, params.clone()).expect("system builds");
+        let mut sys = system(config, data, params.clone());
         for q in paper_queries() {
             let r = sys.run_query(&q).unwrap_or_else(|e| panic!("{} Q{}: {e}", config.abbrev(), q.id));
             out.insert((config, q.id), r);
@@ -38,127 +45,77 @@ pub fn run_matrix(
     out
 }
 
-// ---------------------------------------------------------------------
-// Figure 6: per-query speedup from CS execution, non-secure (hons/vcs)
-// and secure (hos/scs).
-// ---------------------------------------------------------------------
-
-/// One Figure 6 bar pair.
-#[derive(Debug, Clone)]
-pub struct Fig6Row {
-    /// TPC-H query number.
-    pub query: u8,
-    /// hons / vcs speedup.
-    pub speedup_nonsecure: f64,
-    /// hos / scs speedup.
-    pub speedup_secure: f64,
-}
-
-/// Compute Figure 6.
-pub fn fig6(sf: f64) -> Vec<Fig6Row> {
+/// Figure 6: per-query speedup from CS execution, non-secure (hons/vcs)
+/// and secure (hos/scs).
+pub fn fig6(sf: f64) -> Table {
+    use SystemConfig::{HostOnlyNonSecure, HostOnlySecure, IronSafe, VanillaCs};
     let data = generate(sf, SEED);
-    let m = run_matrix(
-        &[
-            SystemConfig::HostOnlyNonSecure,
-            SystemConfig::VanillaCs,
-            SystemConfig::HostOnlySecure,
-            SystemConfig::IronSafe,
-        ],
-        &data,
-        &CostParams::default(),
-    );
-    paper_queries()
-        .iter()
-        .map(|q| Fig6Row {
-            query: q.id,
-            speedup_nonsecure: m[&(SystemConfig::HostOnlyNonSecure, q.id)].total_ns()
-                / m[&(SystemConfig::VanillaCs, q.id)].total_ns(),
-            speedup_secure: m[&(SystemConfig::HostOnlySecure, q.id)].total_ns()
-                / m[&(SystemConfig::IronSafe, q.id)].total_ns(),
-        })
-        .collect()
+    let m = run_matrix(&[HostOnlyNonSecure, VanillaCs, HostOnlySecure, IronSafe], &data, &CostParams::default());
+    let total = |config, id| m[&(config, id)].total_ns();
+    let mut t = Table::new(vec![
+        Col::query("query"),
+        Col::new("hons/vcs", "speedup_nonsecure", 18).fixed(2, "x"),
+        Col::new("hos/scs", "speedup_secure", 18).fixed(2, "x"),
+    ]);
+    for q in paper_queries() {
+        t.push(row![
+            q.id,
+            total(HostOnlyNonSecure, q.id) / total(VanillaCs, q.id),
+            total(HostOnlySecure, q.id) / total(IronSafe, q.id)
+        ]);
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Figure 7: reduction in data exchanged between host and storage
-// (pages processed host-only vs computational storage).
-// ---------------------------------------------------------------------
-
-/// One Figure 7 bar.
-#[derive(Debug, Clone)]
-pub struct Fig7Row {
-    /// TPC-H query number.
-    pub query: u8,
-    /// hons pages / vcs pages.
-    pub io_reduction: f64,
-}
-
-/// Compute Figure 7.
-pub fn fig7(sf: f64) -> Vec<Fig7Row> {
+/// Figure 7: reduction in data exchanged between host and storage (pages
+/// processed host-only vs computational storage).
+pub fn fig7(sf: f64) -> Table {
     let data = generate(sf, SEED);
-    let m = run_matrix(
-        &[SystemConfig::HostOnlyNonSecure, SystemConfig::VanillaCs],
-        &data,
-        &CostParams::default(),
-    );
-    paper_queries()
-        .iter()
-        .map(|q| Fig7Row {
-            query: q.id,
-            io_reduction: m[&(SystemConfig::HostOnlyNonSecure, q.id)].pages_shipped.max(1) as f64
-                / m[&(SystemConfig::VanillaCs, q.id)].pages_shipped.max(1) as f64,
-        })
-        .collect()
+    let m = run_matrix(&[SystemConfig::HostOnlyNonSecure, SystemConfig::VanillaCs], &data, &CostParams::default());
+    let pages = |config, id| m[&(config, id)].pages_shipped.max(1) as f64;
+    let mut t = Table::new(vec![Col::query("query"), Col::new("reduction", "io_reduction", 14).fixed(2, "x")]);
+    for q in paper_queries() {
+        t.push(row![q.id, pages(SystemConfig::HostOnlyNonSecure, q.id) / pages(SystemConfig::VanillaCs, q.id)]);
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Figure 8: relative cost breakdown of running each query with IronSafe.
-// ---------------------------------------------------------------------
-
-/// One Figure 8 stacked bar (fractions sum to 1).
-#[derive(Debug, Clone)]
-pub struct Fig8Row {
-    /// TPC-H query number.
-    pub query: u8,
-    /// Vanilla-CS-equivalent fraction.
-    pub ndp: f64,
-    /// Freshness-verification fraction.
-    pub freshness: f64,
-    /// Page encryption/decryption fraction.
-    pub crypto: f64,
-    /// Everything else (transitions, EPC, channel, session).
-    pub other: f64,
-}
-
-/// Compute Figure 8.
-pub fn fig8(sf: f64) -> Vec<Fig8Row> {
+/// Figure 8: relative cost breakdown of running each query with IronSafe
+/// (fractions sum to 1).
+pub fn fig8(sf: f64) -> Table {
     let data = generate(sf, SEED);
     let m = run_matrix(&[SystemConfig::IronSafe], &data, &CostParams::default());
-    paper_queries()
-        .iter()
-        .map(|q| {
-            let b = &m[&(SystemConfig::IronSafe, q.id)].breakdown;
-            let total = b.total_ns().max(1.0);
-            Fig8Row {
-                query: q.id,
-                ndp: b.ndp_ns / total,
-                freshness: b.freshness_ns / total,
-                crypto: b.crypto_ns / total,
-                other: (b.transitions_ns + b.epc_ns + b.other_ns) / total,
-            }
-        })
-        .collect()
+    let mut t = Table::new(vec![
+        Col::query("query"),
+        Col::new("ndp", "ndp", 8).pct(1),
+        Col::new("freshness", "freshness", 10).pct(1),
+        Col::new("decrypt", "crypto", 9).pct(1),
+        Col::new("other", "other", 8).pct(1),
+    ]);
+    for q in paper_queries() {
+        let b = &m[&(SystemConfig::IronSafe, q.id)].breakdown;
+        let total = b.total_ns().max(1.0);
+        t.push(row![
+            q.id,
+            b.ndp_ns / total,
+            b.freshness_ns / total,
+            b.crypto_ns / total,
+            (b.transitions_ns + b.epc_ns + b.other_ns) / total
+        ]);
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Figure 9a/9b: Q1 latency vs input size and vs selectivity, for
-// hos / scs / sos.
-// ---------------------------------------------------------------------
+/// The filter cut that keeps `selectivity_pct` percent of lineitem
+/// (quantity is uniform on 1..=50).
+pub(crate) fn quantity_cut(selectivity_pct: u32) -> i64 {
+    (selectivity_pct as f64 / 100.0 * 50.0).round().max(1.0) as i64
+}
 
 /// Q1 with its date filter replaced by a quantity filter of the given
-/// selectivity (quantity is uniform on 1..=50).
+/// selectivity.
 pub fn q1_with_selectivity(selectivity_pct: u32) -> PaperQuery {
-    let cut = (selectivity_pct as f64 / 100.0 * 50.0).round().max(1.0) as i64;
+    let cut = quantity_cut(selectivity_pct);
     PaperQuery {
         id: 1,
         name: "Q1 selectivity variant",
@@ -176,23 +133,32 @@ pub fn q1_with_selectivity(selectivity_pct: u32) -> PaperQuery {
     }
 }
 
-/// One Figure 9a/9b point.
-#[derive(Debug, Clone)]
-pub struct LatencyPoint {
-    /// X value (scale factor ×1000 for 9a, selectivity % for 9b).
-    pub x: f64,
-    /// hos simulated seconds.
-    pub hos: f64,
-    /// scs simulated seconds.
-    pub scs: f64,
-    /// sos simulated seconds.
-    pub sos: f64,
+/// A Figure 9a/9b table: `x` then hos / scs / sos simulated seconds.
+fn latency_table(x_label: &str, x_prec: usize) -> Table {
+    Table::new(vec![
+        Col::new(x_label, "x", 6).fixed(x_prec, ""),
+        Col::new("hos", "hos", 10).fixed(4, ""),
+        Col::new("scs", "scs", 10).fixed(4, ""),
+        Col::new("sos", "sos", 10).fixed(4, ""),
+    ])
 }
 
-/// Figure 9a: vary input size at fixed selectivity. The EPC limit is
-/// scaled so the Merkle-tree working set crosses it between the middle
-/// and largest scale factors — reproducing the paper's paging cliff.
-pub fn fig9a(sfs: &[f64]) -> Vec<LatencyPoint> {
+/// One Figure 9a/9b point: `q` on hos, scs and sos.
+fn latency_row(x: f64, data: &TpchData, q: &PaperQuery, params: CostParams) -> Vec<Cell> {
+    let secs = |config| run_once(config, data, q, params.clone()).total_ns() / 1e9;
+    row![
+        x,
+        secs(SystemConfig::HostOnlySecure),
+        secs(SystemConfig::IronSafe),
+        secs(SystemConfig::StorageOnlySecure)
+    ]
+}
+
+/// Figure 9a: vary input size at fixed selectivity (`x` = SF × 1000). The
+/// EPC limit is scaled so the Merkle-tree working set crosses it between
+/// the middle and largest scale factors — reproducing the paper's paging
+/// cliff.
+pub fn fig9a(sfs: &[f64]) -> Table {
     // Estimate the enclave working set (Merkle tree) per SF to place the
     // EPC limit between the second and third points, as on the testbed.
     let tree_bytes: Vec<u64> = sfs
@@ -212,174 +178,93 @@ pub fn fig9a(sfs: &[f64]) -> Vec<LatencyPoint> {
     };
 
     let q = q1_with_selectivity(20);
-    sfs.iter()
-        .map(|&sf| {
-            let data = generate(sf, SEED);
-            let params = CostParams { epc_limit_bytes: epc_limit, ..CostParams::default() };
-            let hos = run_once(SystemConfig::HostOnlySecure, &data, &q, params.clone());
-            let scs = run_once(SystemConfig::IronSafe, &data, &q, params.clone());
-            let sos = run_once(SystemConfig::StorageOnlySecure, &data, &q, params);
-            LatencyPoint {
-                x: sf * 1000.0,
-                hos: hos.total_ns() / 1e9,
-                scs: scs.total_ns() / 1e9,
-                sos: sos.total_ns() / 1e9,
-            }
-        })
-        .collect()
+    let mut t = latency_table("SF", 1);
+    for &sf in sfs {
+        let params = CostParams { epc_limit_bytes: epc_limit, ..CostParams::default() };
+        t.push(latency_row(sf * 1000.0, &generate(sf, SEED), &q, params));
+    }
+    t
 }
 
-/// Figure 9b: vary selectivity at fixed scale factor.
-pub fn fig9b(sf: f64, selectivities: &[u32]) -> Vec<LatencyPoint> {
+/// Figure 9b: vary selectivity at fixed scale factor (`x` = percent).
+pub fn fig9b(sf: f64, selectivities: &[u32]) -> Table {
     let data = generate(sf, SEED);
-    selectivities
-        .iter()
-        .map(|&sel| {
-            let q = q1_with_selectivity(sel);
-            let params = CostParams::default();
-            let hos = run_once(SystemConfig::HostOnlySecure, &data, &q, params.clone());
-            let scs = run_once(SystemConfig::IronSafe, &data, &q, params.clone());
-            let sos = run_once(SystemConfig::StorageOnlySecure, &data, &q, params);
-            LatencyPoint {
-                x: sel as f64,
-                hos: hos.total_ns() / 1e9,
-                scs: scs.total_ns() / 1e9,
-                sos: sos.total_ns() / 1e9,
-            }
-        })
-        .collect()
+    let mut t = latency_table("sel%", 0);
+    for &sel in selectivities {
+        t.push(latency_row(sel as f64, &data, &q1_with_selectivity(sel), CostParams::default()));
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Figure 9c: secure-storage overhead breakdown in the sos configuration.
-// ---------------------------------------------------------------------
-
-/// One Figure 9c stacked bar (fractions of total time).
-#[derive(Debug, Clone)]
-pub struct Fig9cRow {
-    /// TPC-H query number.
-    pub query: u8,
-    /// Freshness-verification fraction.
-    pub freshness: f64,
-    /// Decryption fraction.
-    pub decrypt: f64,
-    /// Query-processing fraction.
-    pub processing: f64,
-}
-
-/// Compute Figure 9c (the paper shows Q2 and Q9).
-pub fn fig9c(sf: f64, queries: &[u8]) -> Vec<Fig9cRow> {
+/// Figure 9c: secure-storage overhead breakdown in the sos configuration
+/// (fractions of total time; the paper shows Q2 and Q9).
+pub fn fig9c(sf: f64, queries: &[u8]) -> Table {
     let data = generate(sf, SEED);
-    let mut sys = CsaSystem::build(SystemConfig::StorageOnlySecure, &data, CostParams::default())
-        .expect("system builds");
-    queries
-        .iter()
-        .map(|&id| {
-            let q = query(id).expect("known query");
-            let r = sys.run_query(&q).expect("query runs");
-            let total = r.breakdown.total_ns().max(1.0);
-            Fig9cRow {
-                query: id,
-                freshness: r.breakdown.freshness_ns / total,
-                decrypt: r.breakdown.crypto_ns / total,
-                processing: r.breakdown.ndp_ns / total,
-            }
-        })
-        .collect()
+    let mut sys = system(SystemConfig::StorageOnlySecure, &data, CostParams::default());
+    let mut t = Table::new(vec![
+        Col::query("query"),
+        Col::new("freshness", "freshness", 10).pct(1),
+        Col::new("decrypt", "decrypt", 9).pct(1),
+        Col::new("processing", "processing", 11).pct(1),
+    ]);
+    for &id in queries {
+        let b = sys.run_query(&query(id).expect("known query")).expect("query runs").breakdown;
+        let total = b.total_ns().max(1.0);
+        t.push(row![id, b.freshness_ns / total, b.crypto_ns / total, b.ndp_ns / total]);
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Figure 10: speedup (hos vs scs) with 1..16 storage CPUs.
-// ---------------------------------------------------------------------
-
-/// One (query, cores) → speedup cell.
-#[derive(Debug, Clone)]
-pub struct Fig10Row {
-    /// TPC-H query number.
-    pub query: u8,
-    /// `(cores, hos/scs speedup)` series.
-    pub series: Vec<(u32, f64)>,
+/// A query column, then one speedup column per label, keyed by it.
+fn series_table(labels: impl Iterator<Item = String>, width: usize) -> Table {
+    let mut cols = vec![Col::query("query")];
+    cols.extend(labels.map(|label| Col::new(label.clone(), label, width).fixed(2, "x")));
+    Table::new(cols)
 }
 
-/// Compute Figure 10.
-pub fn fig10(sf: f64, cores: &[u32]) -> Vec<Fig10Row> {
+/// Figure 10: hos/scs speedup with each storage CPU count in `cores`
+/// (one column per count, keyed `"<n> cpu"`).
+pub fn fig10(sf: f64, cores: &[u32]) -> Table {
     let data = generate(sf, SEED);
     let hos = run_matrix(&[SystemConfig::HostOnlySecure], &data, &CostParams::default());
-    let mut per_core: HashMap<u32, HashMap<(SystemConfig, u8), QueryReport>> = HashMap::new();
-    for &c in cores {
-        let params = CostParams { storage_cores: c, ..CostParams::default() };
-        per_core.insert(c, run_matrix(&[SystemConfig::IronSafe], &data, &params));
-    }
-    paper_queries()
+    let per_core: Vec<_> = cores
         .iter()
-        .map(|q| Fig10Row {
-            query: q.id,
-            series: cores
-                .iter()
-                .map(|&c| {
-                    let scs = &per_core[&c][&(SystemConfig::IronSafe, q.id)];
-                    (c, hos[&(SystemConfig::HostOnlySecure, q.id)].total_ns() / scs.total_ns())
-                })
-                .collect(),
+        .map(|&c| {
+            let params = CostParams { storage_cores: c, ..CostParams::default() };
+            run_matrix(&[SystemConfig::IronSafe], &data, &params)
         })
-        .collect()
+        .collect();
+    let mut t = series_table(cores.iter().map(|c| format!("{c} cpu")), 8);
+    for q in paper_queries() {
+        let hos_ns = hos[&(SystemConfig::HostOnlySecure, q.id)].total_ns();
+        let mut cells = row![q.id];
+        cells.extend(per_core.iter().map(|scs| (hos_ns / scs[&(SystemConfig::IronSafe, q.id)].total_ns()).into()));
+        t.push(cells);
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Figure 11: offloaded-query speedup vs storage-side memory, normalized
-// to the smallest memory budget.
-// ---------------------------------------------------------------------
-
-/// One query's memory series.
-#[derive(Debug, Clone)]
-pub struct Fig11Row {
-    /// TPC-H query number.
-    pub query: u8,
-    /// `(mem_bytes, speedup vs smallest)` series.
-    pub series: Vec<(u64, f64)>,
-}
-
-/// Compute Figure 11. `mems` are storage-side memory budgets in bytes
-/// (the paper's 128 MiB / 256 MiB / 2 GiB, scaled by 1/1024 here).
-pub fn fig11(sf: f64, mems: &[u64]) -> Vec<Fig11Row> {
+/// Figure 11: offloaded-query speedup vs storage-side memory, normalized
+/// to the smallest budget. `mems` are budgets in bytes (the paper's
+/// 128 MiB / 256 MiB / 2 GiB, scaled by 1/1024 here); one column per
+/// budget, keyed `"<n>KiB"`.
+pub fn fig11(sf: f64, mems: &[u64]) -> Table {
     let data = generate(sf, SEED);
-    let mut per_mem: HashMap<u64, HashMap<(SystemConfig, u8), QueryReport>> = HashMap::new();
-    for &m in mems {
-        let params = CostParams { storage_mem_bytes: m, ..CostParams::default() };
-        per_mem.insert(m, run_matrix(&[SystemConfig::IronSafe], &data, &params));
-    }
-    let base = mems[0];
-    paper_queries()
+    let per_mem: Vec<_> = mems
         .iter()
-        .map(|q| Fig11Row {
-            query: q.id,
-            series: mems
-                .iter()
-                .map(|&m| {
-                    let t0 = per_mem[&base][&(SystemConfig::IronSafe, q.id)].total_ns();
-                    let t = per_mem[&m][&(SystemConfig::IronSafe, q.id)].total_ns();
-                    (m, t0 / t)
-                })
-                .collect(),
+        .map(|&m| {
+            let params = CostParams { storage_mem_bytes: m, ..CostParams::default() };
+            run_matrix(&[SystemConfig::IronSafe], &data, &params)
         })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 12: storage-engine scalability — N concurrent sessions on the
-// query server, all sharing ONE system and ONE dataset. Real wall-clock.
-// ---------------------------------------------------------------------
-
-/// One query's scalability series.
-#[derive(Debug, Clone)]
-pub struct Fig12Row {
-    /// TPC-H query number.
-    pub query: u8,
-    /// `(sessions, normalized per-session time)` series: elapsed(N) /
-    /// ideal(N). Values ≈1.0 mean the serving path scales linearly —
-    /// no cross-session software contention (the paper's finding for
-    /// every query but the memory-hungry Q13).
-    pub series: Vec<(usize, f64)>,
+        .collect();
+    let mut t = series_table(mems.iter().map(|m| format!("{}KiB", m / 1024)), 9);
+    for q in paper_queries() {
+        let total = |m: &HashMap<(SystemConfig, u8), QueryReport>| m[&(SystemConfig::IronSafe, q.id)].total_ns();
+        let mut cells = row![q.id];
+        cells.extend(per_mem.iter().map(|m| (total(&per_mem[0]) / total(m)).into()));
+        t.push(cells);
+    }
+    t
 }
 
 /// A monitor with no attested nodes: enough for the serving layer's
@@ -416,75 +301,57 @@ fn bench_server(shared: &Arc<SharedCsaSystem>, workers: usize) -> QueryServer {
     )
 }
 
-/// Compute Figure 12 for the given queries (wall-clock measurement).
-///
-/// Unlike the paper's original N-private-copies setup, every point runs
-/// through the query server against a single shared system: the dataset
-/// is generated once, loaded once, and sessions contend for the real
-/// shared structures (base pager lock, decrypted-page cache). The
-/// warm-up run fills the shared cache so every measured point times
-/// steady-state execution.
-pub fn fig12(sf: f64, instance_counts: &[usize], query_ids: &[u8]) -> Vec<Fig12Row> {
+/// One shared sos system over the seeded data at `sf`.
+fn shared_sos(sf: f64) -> Arc<SharedCsaSystem> {
     let data = generate(sf, SEED);
-    let shared = Arc::new(SharedCsaSystem::new(
-        CsaSystem::build(SystemConfig::StorageOnlySecure, &data, CostParams::default())
-            .expect("system builds"),
-    ));
-    query_ids
-        .iter()
-        .map(|&id| {
-            let q = query(id).expect("known query");
-            // Warm the shared decrypted-page cache outside the timers.
-            shared.run_query(&q, [0x5e; 32]).expect("warmup runs");
-            let mut series = Vec::new();
-            let mut single = None;
-            for &n in instance_counts {
-                let server = bench_server(&shared, n);
-                let sessions: Vec<_> =
-                    (0..n).map(|i| server.open_session(&format!("inst-{i}"), "bench")).collect();
-                let start = std::time::Instant::now();
-                let tickets: Vec<_> = sessions
-                    .iter()
-                    .map(|s| server.submit(s.id, Job::Query(q.clone())).expect("admitted"))
-                    .collect();
-                for t in tickets {
-                    t.wait().outcome.expect("query runs");
-                }
-                let elapsed = start.elapsed().as_secs_f64();
-                server.shutdown();
-                if single.is_none() {
-                    single = Some(elapsed);
-                }
-                // With C cores, N sessions of independent work finish in
-                // N/C × t1 when nothing contends; normalize that out so
-                // ≈1.0 always means "no software bottleneck".
-                let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-                let ideal = single.expect("set") * (n as f64 / cores.min(n) as f64).max(1.0);
-                series.push((n, elapsed / ideal));
+    Arc::new(SharedCsaSystem::new(system(SystemConfig::StorageOnlySecure, &data, CostParams::default())))
+}
+
+/// Figure 12: storage-engine scalability — N concurrent sessions on the
+/// query server, all sharing ONE system and ONE dataset (wall-clock).
+///
+/// Each cell is elapsed(N) / ideal(N), one column per session count
+/// (keyed `"<n> sess"`). Values ≈1.0 mean the serving path scales
+/// linearly — no cross-session software contention (the paper's finding
+/// for every query but the memory-hungry Q13). Sessions contend for the
+/// real shared structures (base pager lock, decrypted-page cache); a
+/// warm-up run fills the shared cache so every point times steady-state
+/// execution.
+pub fn fig12(sf: f64, instance_counts: &[usize], query_ids: &[u8]) -> Table {
+    let shared = shared_sos(sf);
+    let mut t = series_table(instance_counts.iter().map(|n| format!("{n} sess")), 8);
+    for &id in query_ids {
+        let q = query(id).expect("known query");
+        // Warm the shared decrypted-page cache outside the timers.
+        shared.run_query(&q, [0x5e; 32]).expect("warmup runs");
+        let mut cells = row![id];
+        let mut single = None;
+        for &n in instance_counts {
+            let server = bench_server(&shared, n);
+            let sessions: Vec<_> = (0..n).map(|i| server.open_session(&format!("inst-{i}"), "bench")).collect();
+            let start = std::time::Instant::now();
+            let tickets: Vec<_> =
+                sessions.iter().map(|s| server.submit(s.id, Job::Query(q.clone())).expect("admitted")).collect();
+            for ticket in tickets {
+                ticket.wait().outcome.expect("query runs");
             }
-            Fig12Row { query: id, series }
-        })
-        .collect()
+            let elapsed = start.elapsed().as_secs_f64();
+            server.shutdown();
+            let single = *single.get_or_insert(elapsed);
+            // With C cores, N sessions of independent work finish in
+            // N/C × t1 when nothing contends; normalize that out so
+            // ≈1.0 always means "no software bottleneck".
+            let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+            let ideal = single * (n as f64 / cores.min(n) as f64).max(1.0);
+            cells.push((elapsed / ideal).into());
+        }
+        t.push(cells);
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Saturation sweep: offered load vs p50/p95 queue wait on the server.
-// ---------------------------------------------------------------------
-
-/// One operating point of the saturation sweep.
-#[derive(Debug, Clone)]
-pub struct SaturationRow {
-    /// Offered load as a fraction of the pool's service capacity.
-    pub offered: f64,
-    /// Median queue wait (simulated µs).
-    pub p50_wait_us: f64,
-    /// 95th-percentile queue wait (simulated µs).
-    pub p95_wait_us: f64,
-    /// Fraction of arrivals rejected by admission control.
-    pub rejected: f64,
-}
-
-/// Sweep offered load against queue wait.
+/// Saturation sweep: offered load vs p50/p95 queue wait (simulated µs)
+/// and the share of arrivals admission control rejects.
 ///
 /// Per-query *service times* are measured for real through the query
 /// server (simulated nanoseconds, deterministic thanks to the shared
@@ -493,31 +360,20 @@ pub struct SaturationRow {
 /// schedule over a `workers`-strong pool with a bounded backlog
 /// (`queue_capacity` per the server's admission rule) — wall clocks
 /// never enter the numbers, so the sweep is reproducible bit-for-bit.
-pub fn saturation(
-    sf: f64,
-    workers: usize,
-    loads: &[f64],
-    requests: usize,
-) -> Vec<SaturationRow> {
+pub fn saturation(sf: f64, workers: usize, loads: &[f64], requests: usize) -> Table {
     use rand::{Rng, SeedableRng};
 
     // 1. Measure the query mix's service times through the server.
-    let data = generate(sf, SEED);
-    let shared = Arc::new(SharedCsaSystem::new(
-        CsaSystem::build(SystemConfig::StorageOnlySecure, &data, CostParams::default())
-            .expect("system builds"),
-    ));
-    let mix = [1u8, 6, 12];
+    let shared = shared_sos(sf);
     let server = bench_server(&shared, 1);
     let session = server.open_session("probe", "bench");
-    let service_ns: Vec<f64> = mix
+    let service_ns: Vec<f64> = [1u8, 6, 12]
         .iter()
         .map(|&id| {
             let q = query(id).expect("known query");
             // Warm, then measure steady state.
             server.submit(session.id, Job::Query(q.clone())).unwrap().wait().outcome.unwrap();
-            let report =
-                server.submit(session.id, Job::Query(q)).unwrap().wait().outcome.unwrap();
+            let report = server.submit(session.id, Job::Query(q)).unwrap().wait().outcome.unwrap();
             report.total_ns()
         })
         .collect();
@@ -526,84 +382,61 @@ pub fn saturation(
 
     // 2. Replay a seeded Poisson arrival schedule at each offered load.
     let backlog_limit = 4 * workers.max(1);
-    loads
-        .iter()
-        .map(|&load| {
-            let rate = load * workers as f64 / mean_service; // arrivals per sim-ns
-            let mut rng = rand::rngs::StdRng::seed_from_u64(SEED ^ (load * 1000.0) as u64);
-            let mut arrival = 0.0f64;
-            // Earliest-free worker pool + FIFO backlog occupancy.
-            let mut free_at = vec![0.0f64; workers.max(1)];
-            let mut queue: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
-            let mut waits = Vec::with_capacity(requests);
-            let mut rejected = 0usize;
-            for i in 0..requests {
-                let u: f64 = rng.gen();
-                arrival += -(1.0 - u).ln() / rate;
-                let service = service_ns[i % service_ns.len()];
-                // Drop backlog entries that started before this arrival.
-                while queue.front().is_some_and(|&start| start <= arrival) {
-                    queue.pop_front();
-                }
-                if queue.len() >= backlog_limit {
-                    rejected += 1; // admission control sheds the arrival
-                    continue;
-                }
-                // Assign to the earliest-free worker.
-                let (slot, &earliest) = free_at
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .expect("non-empty pool");
-                let start = arrival.max(earliest);
-                waits.push(start - arrival);
-                free_at[slot] = start + service;
-                queue.push_back(start);
+    let mut t = Table::new(vec![
+        Col::new("load", "offered", 8).pct(0),
+        Col::new("p50 wait", "p50_wait_us", 12).fixed(1, "µs"),
+        Col::new("p95 wait", "p95_wait_us", 12).fixed(1, "µs"),
+        Col::new("rejected", "rejected", 10).pct(1),
+    ]);
+    for &load in loads {
+        let rate = load * workers as f64 / mean_service; // arrivals per sim-ns
+        let mut rng = rand::rngs::StdRng::seed_from_u64(SEED ^ (load * 1000.0) as u64);
+        let mut arrival = 0.0f64;
+        // Earliest-free worker pool + FIFO backlog occupancy.
+        let mut free_at = vec![0.0f64; workers.max(1)];
+        let mut queue: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
+        let mut waits = Vec::with_capacity(requests);
+        let mut rejected = 0usize;
+        for i in 0..requests {
+            let u: f64 = rng.gen();
+            arrival += -(1.0 - u).ln() / rate;
+            let service = service_ns[i % service_ns.len()];
+            // Drop backlog entries that started before this arrival.
+            while queue.front().is_some_and(|&start| start <= arrival) {
+                queue.pop_front();
             }
-            waits.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let pct = |p: f64| -> f64 {
-                if waits.is_empty() {
-                    return 0.0;
-                }
-                let idx = ((waits.len() - 1) as f64 * p).round() as usize;
-                waits[idx] / 1_000.0
-            };
-            SaturationRow {
-                offered: load,
-                p50_wait_us: pct(0.50),
-                p95_wait_us: pct(0.95),
-                rejected: rejected as f64 / requests as f64,
+            if queue.len() >= backlog_limit {
+                rejected += 1; // admission control sheds the arrival
+                continue;
             }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Table 3: GDPR anti-patterns — non-secure vs IronSafe latency.
-// ---------------------------------------------------------------------
-
-/// One Table 3 row.
-#[derive(Debug, Clone)]
-pub struct Table3Row {
-    /// Anti-pattern number and name.
-    pub name: &'static str,
-    /// Non-secure latency (milliseconds, wall-clock).
-    pub nonsecure_ms: f64,
-    /// IronSafe latency (milliseconds, wall-clock).
-    pub ironsafe_ms: f64,
-}
-
-impl Table3Row {
-    /// Overhead factor.
-    pub fn overhead(&self) -> f64 {
-        self.ironsafe_ms / self.nonsecure_ms.max(1e-9)
+            // Assign to the earliest-free worker.
+            let (slot, &earliest) = free_at
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                .expect("non-empty pool");
+            let start = arrival.max(earliest);
+            waits.push(start - arrival);
+            free_at[slot] = start + service;
+            queue.push_back(start);
+        }
+        waits.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let pct = |p: f64| -> f64 {
+            if waits.is_empty() {
+                return 0.0;
+            }
+            let idx = ((waits.len() - 1) as f64 * p).round() as usize;
+            waits[idx] / 1_000.0
+        };
+        t.push(row![load, pct(0.50), pct(0.95), rejected as f64 / requests as f64]);
     }
+    t
 }
 
-/// Compute Table 3: each anti-pattern runs end-to-end through a full
+/// Table 3: GDPR anti-patterns — each runs end-to-end through a full
 /// IronSafe deployment (attestation, policy, rewriting, secure storage)
-/// and through a bare non-secure engine.
-pub fn table3(rows: usize) -> Vec<Table3Row> {
+/// and through a bare non-secure engine (wall-clock ms).
+pub fn table3(rows: usize) -> Table {
     use ironsafe::{Client, Deployment};
     use ironsafe_tpch::gdpr::{gen_people_with_policy, PEOPLE_DDL_POLICY};
 
@@ -647,7 +480,12 @@ pub fn table3(rows: usize) -> Vec<Table3Row> {
         ),
     ];
 
-    let mut out = Vec::new();
+    let mut t = Table::new(vec![
+        Col::new("anti-pattern", "name", 28).left(),
+        Col::new("non-secure", "nonsecure_ms", 12).fixed(2, "ms"),
+        Col::new("IronSafe", "ironsafe_ms", 12).fixed(2, "ms"),
+        Col::new("overhead", "overhead", 10).fixed(1, "x"),
+    ]);
     for (i, (name, policy, sql)) in patterns.iter().enumerate() {
         let db_name = format!("gdpr{i}");
         dep.create_database(&db_name, policy);
@@ -680,38 +518,14 @@ pub fn table3(rows: usize) -> Vec<Table3Row> {
 
         // The rewritten query must not return *more* than the plain one.
         assert!(resp.result.rows().len() <= plain_result.rows().len().max(1));
-        out.push(Table3Row { name, nonsecure_ms, ironsafe_ms });
+        t.push(row![*name, nonsecure_ms, ironsafe_ms, ironsafe_ms / nonsecure_ms.max(1e-9)]);
     }
-    out
+    t
 }
 
-// ---------------------------------------------------------------------
-// Table 4: attestation latency breakdown (wall-clock of the protocol
-// phases, plus the paper's reference numbers).
-// ---------------------------------------------------------------------
-
-/// Table 4 measurements.
-#[derive(Debug, Clone)]
-pub struct Table4 {
-    /// Host attestation (quote generation + CAS-style verification), ms.
-    pub host_cas_ms: f64,
-    /// Storage TEE work (challenge signing in the secure world), ms.
-    pub storage_tee_ms: f64,
-    /// Storage REE work (normal-world measurement), ms.
-    pub storage_ree_ms: f64,
-    /// Interconnect (channel establishment), ms.
-    pub interconnect_ms: f64,
-}
-
-impl Table4 {
-    /// Total attestation latency.
-    pub fn total_ms(&self) -> f64 {
-        self.host_cas_ms + self.storage_tee_ms + self.storage_ree_ms + self.interconnect_ms
-    }
-}
-
-/// Measure Table 4 by running the real attestation protocol phases.
-pub fn table4() -> Table4 {
+/// Table 4: attestation latency breakdown, by running the real protocol
+/// phases (wall-clock ms; the last row is the total).
+pub fn table4() -> Table {
     use ironsafe_crypto::group::Group;
     use ironsafe_crypto::schnorr::KeyPair;
     use ironsafe_monitor::monitor::MonitorConfig;
@@ -787,204 +601,46 @@ pub fn table4() -> Table4 {
     rx.open(&hello).expect("channel opens");
     let interconnect_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-    Table4 { host_cas_ms, storage_tee_ms, storage_ree_ms, interconnect_ms }
+    let mut t = Table::new(vec![
+        Col::new("component", "component", 28).left(),
+        Col::new("measured", "ms", 10).fixed(2, "ms"),
+    ]);
+    t.push(row!["host: CAS response", host_cas_ms]);
+    t.push(row!["storage: TEE", storage_tee_ms]);
+    t.push(row!["storage: REE", storage_ree_ms]);
+    t.push(row!["interconnect", interconnect_ms]);
+    t.push(row!["total", host_cas_ms + storage_tee_ms + storage_ree_ms + interconnect_ms]);
+    t
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const TEST_SF: f64 = 0.0015;
-
-    #[test]
-    fn fig6_shapes_hold() {
-        let rows = fig6(TEST_SF);
-        assert_eq!(rows.len(), 17);
-        // Most queries speed up under CS in the secure case.
-        let faster = rows.iter().filter(|r| r.speedup_secure > 1.0).count();
-        assert!(faster >= rows.len() / 2, "only {faster} of {} sped up", rows.len());
-        // Q6 (highly selective single-table) must benefit.
-        let q6 = rows.iter().find(|r| r.query == 6).expect("q6");
-        assert!(q6.speedup_secure > 1.0, "Q6 secure speedup {}", q6.speedup_secure);
-    }
-
-    #[test]
-    fn fig7_io_reduction_positive() {
-        let rows = fig7(TEST_SF);
-        assert!(rows.iter().all(|r| r.io_reduction > 0.0));
-        let q6 = rows.iter().find(|r| r.query == 6).expect("q6");
-        assert!(q6.io_reduction > 2.0, "Q6 reduces IO by {}", q6.io_reduction);
-    }
-
-    #[test]
-    fn fig8_fractions_sum_to_one() {
-        for row in fig8(TEST_SF) {
-            let sum = row.ndp + row.freshness + row.crypto + row.other;
-            assert!((sum - 1.0).abs() < 1e-9, "Q{} sums to {sum}", row.query);
-            assert!(row.freshness > 0.0, "freshness is never free");
-        }
-    }
-
-    #[test]
-    fn fig9b_scs_wins_at_all_selectivities() {
-        let pts = fig9b(TEST_SF, &[10, 50, 90]);
-        for p in &pts {
-            assert!(p.scs < p.hos, "sel {}%: scs {} vs hos {}", p.x, p.scs, p.hos);
-        }
-        // Higher selectivity ⇒ more shipped ⇒ scs time grows.
-        assert!(pts[2].scs > pts[0].scs);
-    }
-
-    #[test]
-    fn fig9c_freshness_dominates() {
-        let rows = fig9c(TEST_SF, &[2, 9]);
-        for r in &rows {
-            assert!(r.freshness > r.decrypt, "Q{}: freshness should dominate decrypt", r.query);
-            assert!(r.freshness > 0.3, "Q{}: freshness fraction {}", r.query, r.freshness);
-        }
-    }
-
-    #[test]
-    fn fig10_more_cores_never_hurt() {
-        let rows = fig10(TEST_SF, &[1, 4, 16]);
-        for r in &rows {
-            let speeds: Vec<f64> = r.series.iter().map(|(_, s)| *s).collect();
-            assert!(speeds[2] >= speeds[0] * 0.999, "Q{}: {speeds:?}", r.query);
-        }
-    }
-
-    #[test]
-    fn fig11_memory_never_hurts() {
-        let rows = fig11(TEST_SF, &[128 * 1024, 256 * 1024, 2 * 1024 * 1024]);
-        for r in &rows {
-            for (_, s) in &r.series {
-                assert!(*s >= 0.999, "Q{}: {:?}", r.query, r.series);
-            }
-        }
-    }
-
-    #[test]
-    fn freshness_sweep_orders_the_three_modes() {
-        let rows = freshness_sweep(1024);
-        assert_eq!(rows.len(), 16, "4 arities x 4 patterns");
-        for r in &rows {
-            assert!(
-                r.per_page_visits as f64 >= 3.0 * r.batched_visits as f64,
-                "arity {} {}: batch saves <3x ({} vs {})",
-                r.arity,
-                r.pattern,
-                r.per_page_visits,
-                r.batched_visits
-            );
-            assert!(
-                r.cached_visits <= r.batched_visits,
-                "arity {} {}: warm cache must not hash more than a cold batch",
-                r.arity,
-                r.pattern
-            );
-            // A warm replay of an unchanged root is all hits, and each
-            // hit costs exactly the one leaf visit.
-            assert_eq!(r.cache_hit_rate, 1.0, "arity {} {}", r.arity, r.pattern);
-            assert_eq!(r.cached_visits, r.accesses as u64, "arity {} {}", r.arity, r.pattern);
-        }
-    }
-
-    #[test]
-    fn freshness_fast_path_cuts_query_node_visits_3x() {
-        for r in freshness_queries(TEST_SF, &[1, 6]) {
-            assert!(r.fast_path_visits > 0, "Q{} must verify pages", r.query);
-            assert!(
-                r.reduction >= 3.0,
-                "Q{}: fast path saves only {:.2}x ({} vs {})",
-                r.query,
-                r.reduction,
-                r.per_page_visits,
-                r.fast_path_visits
-            );
-            assert!((0.0..=1.0).contains(&r.cache_hit_rate), "Q{}", r.query);
-            assert!(r.freshness_share > 0.0, "Q{}: freshness is never free", r.query);
-        }
-    }
-
-    #[test]
-    fn freshness_json_is_wellformed() {
-        let sweep = freshness_sweep(64);
-        let queries = freshness_queries(TEST_SF, &[6]);
-        let json = freshness_json(TEST_SF, &sweep, &queries);
-        assert!(ironsafe_obs::export::looks_like_valid_json(&json));
-        assert!(json.contains("\"node_visits_fast_path\""));
-        assert!(json.contains("\"cache_hit_rate\""));
-    }
-
-    #[test]
-    fn table4_phases_measured() {
-        let t = table4();
-        assert!(t.total_ms() > 0.0);
-        assert!(t.storage_tee_ms > 0.0);
-        assert!(t.host_cas_ms > 0.0);
-        assert!(t.storage_ree_ms > 0.0);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ablation: static vs adaptive partitioner (the paper's §8 future work).
-// ---------------------------------------------------------------------
-
-/// One ablation row: simulated times under both strategies.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// TPC-H query number.
-    pub query: u8,
-    /// Static (always push down) total, ns.
-    pub static_ns: f64,
-    /// Adaptive (sampled offload decision) total, ns.
-    pub adaptive_ns: f64,
-}
-
-/// Compare the paper's static pushdown against the adaptive partitioner.
-pub fn partitioner_ablation(sf: f64) -> Vec<AblationRow> {
+/// Ablation: the paper's static pushdown against the adaptive
+/// partitioner (the paper's §8 future work), simulated ms on scs.
+pub fn partitioner_ablation(sf: f64) -> Table {
     let data = generate(sf, SEED);
-    let mut static_sys =
-        CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).expect("build");
-    let mut adaptive_sys =
-        CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).expect("build");
+    let mut static_sys = system(SystemConfig::IronSafe, &data, CostParams::default());
+    let mut adaptive_sys = system(SystemConfig::IronSafe, &data, CostParams::default());
     adaptive_sys.set_placement(ironsafe_csa::PlacementPolicy::CostBased);
-    paper_queries()
-        .iter()
-        .map(|q| {
-            let s = static_sys.run_query(q).expect("static run");
-            let a = adaptive_sys.run_query(q).expect("adaptive run");
-            assert_eq!(s.result, a.result, "Q{}: strategies must agree", q.id);
-            AblationRow { query: q.id, static_ns: s.total_ns(), adaptive_ns: a.total_ns() }
-        })
-        .collect()
+    let mut t = Table::new(vec![
+        Col::query("query"),
+        Col::new("static", "static_ms", 12).fixed(2, "ms"),
+        Col::new("adaptive", "adaptive_ms", 12).fixed(2, "ms"),
+        Col::new("gain", "gain", 8).fixed(2, "x"),
+    ]);
+    for q in paper_queries() {
+        let s = static_sys.run_query(&q).expect("static run");
+        let a = adaptive_sys.run_query(&q).expect("adaptive run");
+        assert_eq!(s.result, a.result, "Q{}: strategies must agree", q.id);
+        let (static_ns, adaptive_ns) = (s.total_ns(), a.total_ns());
+        t.push(row![q.id, static_ns / 1e6, adaptive_ns / 1e6, static_ns / adaptive_ns]);
+    }
+    t
 }
 
-// ---------------------------------------------------------------------
-// Morsel-parallel execution: wall-clock speedup vs degree of parallelism.
-// Unlike the simulated figures above, this sweep measures *real* elapsed
-// time — the one observable parallel execution is allowed to change.
-// ---------------------------------------------------------------------
-
-/// One point of the `paperbench parallel` sweep.
-#[derive(Debug, Clone)]
-pub struct ParallelRow {
-    /// TPC-H query number.
-    pub query: u8,
-    /// Degree of parallelism used.
-    pub dop: usize,
-    /// Best-of-N wall-clock on the plaintext-backed storage DB, ms.
-    pub plain_ms: f64,
-    /// `plain_ms(dop 1) / plain_ms(this dop)`.
-    pub plain_speedup: f64,
-    /// Best-of-N wall-clock on the secure (AES + Merkle) storage DB, ms.
-    pub secure_ms: f64,
-    /// `secure_ms(dop 1) / secure_ms(this dop)`.
-    pub secure_speedup: f64,
-}
-
-/// Sweep Q1 and Q6 across `dops`, verifying at every point that the
-/// parallel rows are bit-identical to the serial reference.
+/// Morsel-parallel execution: sweep Q1 and Q6 across `dops`, best-of-3
+/// *real* wall-clock ms and the speedup over the first DOP, on the
+/// plaintext-backed and the secure (AES + Merkle) storage DB, verifying
+/// at every point that the parallel rows are bit-identical to the serial
+/// reference.
 ///
 /// The headline (plaintext) numbers isolate the execution engine: page
 /// reads are memcpys, so decode + expression evaluation dominate and the
@@ -992,7 +648,7 @@ pub struct ParallelRow {
 /// scan→filter→aggregate pay off directly. The secure columns show the
 /// same sweep with AES + Merkle verification under the pager lock, which
 /// serializes the read path and caps the achievable speedup.
-pub fn parallel(sf: f64, dops: &[usize]) -> Vec<ParallelRow> {
+pub fn parallel(sf: f64, dops: &[usize]) -> Table {
     use ironsafe_sql::ast::Statement;
     use ironsafe_sql::exec::ExecOptions;
     use std::time::Instant;
@@ -1000,15 +656,19 @@ pub fn parallel(sf: f64, dops: &[usize]) -> Vec<ParallelRow> {
     let data = generate(sf, SEED);
     let mut plain = Database::new(PlainPager::new());
     ironsafe_tpch::load_into(&mut plain, &data).expect("plain load");
-    let mut secure_sys =
-        CsaSystem::build(SystemConfig::StorageOnlySecure, &data, CostParams::default())
-            .expect("secure system builds");
+    let mut secure_sys = system(SystemConfig::StorageOnlySecure, &data, CostParams::default());
 
-    let mut out = Vec::new();
+    let mut t = Table::new(vec![
+        Col::query("query"),
+        Col::new("dop", "dop", 4),
+        Col::new("plain", "plain_ms", 10).fixed(2, "ms"),
+        Col::new("speedup", "plain_speedup", 8).fixed(2, "x"),
+        Col::new("secure", "secure_ms", 10).fixed(2, "ms"),
+        Col::new("speedup", "secure_speedup", 8).fixed(2, "x"),
+    ]);
     for qid in [1u8, 6] {
         let q = query(qid).expect("known query");
-        let stmt =
-            ironsafe_sql::parser::parse_statement(&q.stages[0].sql).expect("query parses");
+        let stmt = ironsafe_sql::parser::parse_statement(&q.stages[0].sql).expect("query parses");
         let sel = match stmt {
             Statement::Select(s) => s,
             _ => unreachable!("Q1/Q6 are single SELECTs"),
@@ -1024,11 +684,7 @@ pub fn parallel(sf: f64, dops: &[usize]) -> Vec<ParallelRow> {
                     let t = Instant::now();
                     let r = db.select_with(&sel, &opts).expect("query runs");
                     let ms = t.elapsed().as_secs_f64() * 1e3;
-                    assert_eq!(
-                        r.rows(),
-                        &reference[..],
-                        "q{qid} dop {dop}: rows must be bit-identical to serial"
-                    );
+                    assert_eq!(r.rows(), &reference[..], "q{qid} dop {dop}: rows must be bit-identical to serial");
                     best = best.min(ms);
                 }
                 best
@@ -1038,52 +694,21 @@ pub fn parallel(sf: f64, dops: &[usize]) -> Vec<ParallelRow> {
             if dop == dops[0] {
                 base = (plain_ms, secure_ms);
             }
-            out.push(ParallelRow {
-                query: qid,
-                dop,
-                plain_ms,
-                plain_speedup: base.0 / plain_ms,
-                secure_ms,
-                secure_speedup: base.1 / secure_ms,
-            });
+            t.push(row![qid, dop, plain_ms, base.0 / plain_ms, secure_ms, base.1 / secure_ms]);
         }
     }
-    out
+    t
 }
 
-// ---------------------------------------------------------------------
-// Freshness sweep: how much Merkle hashing the shared-path batch
-// verifier and the root-epoch verified-node cache remove, first on bare
-// trees (arity × access pattern) and then on whole queries.
-// ---------------------------------------------------------------------
-
-/// One access pattern verified three ways against the same Merkle tree.
-#[derive(Debug, Clone)]
-pub struct FreshnessSweepRow {
-    /// Tree fan-out.
-    pub arity: usize,
-    /// Access-pattern name.
-    pub pattern: &'static str,
-    /// Number of leaf verifications in the pattern.
-    pub accesses: usize,
-    /// Node visits with one full root climb per access — the
-    /// pre-fast-path cost.
-    pub per_page_visits: u64,
-    /// Node visits for one shared-path `verify_batch` over the whole
-    /// pattern, cache off.
-    pub batched_visits: u64,
-    /// Node visits replaying the pattern against a warm verified-node
-    /// cache.
-    pub cached_visits: u64,
-    /// Hit fraction of the warm replay.
-    pub cache_hit_rate: f64,
-}
-
-/// Sweep arity × access pattern over a `leaves`-leaf tree.
+/// Freshness sweep, first on bare trees: arity × access pattern over a
+/// `leaves`-leaf Merkle tree, node visits verified three ways — one full
+/// root climb per access (the pre-fast-path cost), one shared-path
+/// `verify_batch` with the cache off, and a replay against a warm
+/// verified-node cache (with its hit fraction).
 ///
 /// Visit counts depend only on tree shape and access order, so synthetic
 /// MACs measure exactly what real page MACs would.
-pub fn freshness_sweep(leaves: usize) -> Vec<FreshnessSweepRow> {
+pub fn freshness_sweep(leaves: usize) -> Table {
     use ironsafe_storage::MerkleTree;
     let macs: Vec<[u8; 32]> = (0..leaves)
         .map(|i| {
@@ -1110,13 +735,20 @@ pub fn freshness_sweep(leaves: usize) -> Vec<FreshnessSweepRow> {
         ("hot-eighth", (0..n).map(|i| i % hot).collect()),
     ];
 
-    let mut out = Vec::new();
+    let mut t = Table::new(vec![
+        Col::new("arity", "arity", 5),
+        Col::new("pattern", "pattern", 11),
+        Col::new("accesses", "accesses", 8),
+        Col::new("per-page", "per_page_visits", 10),
+        Col::new("batched", "batched_visits", 9),
+        Col::new("cached", "cached_visits", 8),
+        Col::new("hit rate", "cache_hit_rate", 9).pct(1).json_prec(4),
+    ]);
     for arity in [2usize, 4, 8, 16] {
         let base = MerkleTree::rebuild_from_macs([7; 32], arity, &macs);
         let root = base.root().expect("non-empty tree");
         for (pattern, ids) in &patterns {
-            let entry_macs: Vec<[u8; 32]> =
-                ids.iter().map(|&i| macs[i as usize]).collect();
+            let entry_macs: Vec<[u8; 32]> = ids.iter().map(|&i| macs[i as usize]).collect();
 
             // Pre-fast-path: one full climb per access, cache off.
             let mut per_page = base.clone();
@@ -1139,127 +771,208 @@ pub fn freshness_sweep(leaves: usize) -> Vec<FreshnessSweepRow> {
             let hits = (s1.hits - s0.hits) as f64;
             let classified = hits + (s1.misses - s0.misses) as f64;
 
-            out.push(FreshnessSweepRow {
+            t.push(row![
                 arity,
-                pattern,
-                accesses: ids.len(),
-                per_page_visits: per_page.node_visits(),
-                batched_visits: batched.node_visits(),
-                cached_visits: cached.node_visits(),
-                cache_hit_rate: if classified > 0.0 { hits / classified } else { 0.0 },
-            });
+                *pattern,
+                ids.len(),
+                per_page.node_visits(),
+                batched.node_visits(),
+                cached.node_visits(),
+                if classified > 0.0 { hits / classified } else { 0.0 }
+            ]);
         }
     }
-    out
+    t
 }
 
-/// Whole-query effect of the freshness fast path on the IronSafe config.
-#[derive(Debug, Clone)]
-pub struct FreshnessQueryRow {
-    /// TPC-H query number.
-    pub query: u8,
-    /// Merkle node visits with the verified-node cache disabled. Serial
-    /// scans read one page at a time, so every read pays a full root
-    /// climb — exactly the pre-fast-path cost.
-    pub per_page_visits: u64,
-    /// Merkle node visits with the cache enabled (the shipped default),
-    /// cold start included.
-    pub fast_path_visits: u64,
-    /// `per_page_visits / fast_path_visits`.
-    pub reduction: f64,
-    /// Verified-node-cache hit fraction over the run, from the live
-    /// `storage.merkle.cache.*` counters.
-    pub cache_hit_rate: f64,
-    /// Fig 8 freshness share (fraction of total simulated time) of the
-    /// fast-path run.
-    pub freshness_share: f64,
-}
-
-/// Measure the freshness fast path end to end for each query id.
-pub fn freshness_queries(sf: f64, query_ids: &[u8]) -> Vec<FreshnessQueryRow> {
+/// Whole-query effect of the freshness fast path on the IronSafe config,
+/// per query id: Merkle node visits with the verified-node cache off
+/// (serial scans read one page at a time, so every read pays a full root
+/// climb — the pre-fast-path cost) and on (the shipped default, cold
+/// start included), their ratio, the cache hit fraction from the live
+/// `storage.merkle.cache.*` counters, and the Fig 8 freshness share of
+/// the fast-path run.
+pub fn freshness_queries(sf: f64, query_ids: &[u8]) -> Table {
     use ironsafe_obs::Registry;
     let data = generate(sf, SEED);
-    query_ids
-        .iter()
-        .map(|&id| {
-            let q = query(id).expect("known query");
+    let mut t = Table::new(vec![
+        Col::query("query"),
+        Col::new("per-page", "node_visits_per_page", 12),
+        Col::new("fast path", "node_visits_fast_path", 11),
+        Col::new("reduction", "reduction", 10).fixed(2, "x").json_prec(4),
+        Col::new("hit rate", "cache_hit_rate", 9).pct(1).json_prec(4),
+        Col::new("fig8 freshness", "fig8_freshness_share", 15).pct(1).json_prec(4),
+    ]);
+    for &id in query_ids {
+        let q = query(id).expect("known query");
 
-            // Baseline: cache off reproduces the old per-page full climbs.
-            let mut slow = CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default())
-                .expect("system builds");
-            slow.storage_db().pager().lock().set_merkle_cache_enabled(false);
-            let s0 = slow.storage_db().pager_stats().merkle_nodes;
-            let slow_report = slow.run_query(&q).expect("query runs");
-            let per_page_visits = slow.storage_db().pager_stats().merkle_nodes - s0;
+        // Baseline: cache off reproduces the old per-page full climbs.
+        let mut slow = system(SystemConfig::IronSafe, &data, CostParams::default());
+        slow.storage_db().pager().lock().set_merkle_cache_enabled(false);
+        let s0 = slow.storage_db().pager_stats().merkle_nodes;
+        let slow_report = slow.run_query(&q).expect("query runs");
+        let per_page_visits = slow.storage_db().pager_stats().merkle_nodes - s0;
 
-            // Fast path: the shipped default (cache on), from cold.
-            let mut fast = CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default())
-                .expect("system builds");
-            let registry = Registry::new();
-            fast.storage_db().register_metrics(&registry);
-            let f0 = fast.storage_db().pager_stats().merkle_nodes;
-            let c0 = registry.snapshot();
-            let report = fast.run_query(&q).expect("query runs");
-            let fast_path_visits = fast.storage_db().pager_stats().merkle_nodes - f0;
-            let c1 = registry.snapshot();
-            assert_eq!(report.result, slow_report.result, "Q{id}: rows must not depend on the cache");
+        // Fast path: the shipped default (cache on), from cold.
+        let mut fast = system(SystemConfig::IronSafe, &data, CostParams::default());
+        let registry = Registry::new();
+        fast.storage_db().register_metrics(&registry);
+        let f0 = fast.storage_db().pager_stats().merkle_nodes;
+        let c0 = registry.snapshot();
+        let report = fast.run_query(&q).expect("query runs");
+        let fast_path_visits = fast.storage_db().pager_stats().merkle_nodes - f0;
+        let c1 = registry.snapshot();
+        assert_eq!(report.result, slow_report.result, "Q{id}: rows must not depend on the cache");
 
-            let delta = |name: &str| {
-                c1.counter(name).unwrap_or(0) - c0.counter(name).unwrap_or(0)
-            };
-            let hits = delta("storage.merkle.cache.hit") as f64;
-            let classified = hits + delta("storage.merkle.cache.miss") as f64;
-            FreshnessQueryRow {
-                query: id,
-                per_page_visits,
-                fast_path_visits,
-                reduction: per_page_visits as f64 / fast_path_visits.max(1) as f64,
-                cache_hit_rate: if classified > 0.0 { hits / classified } else { 0.0 },
-                freshness_share: report.breakdown.freshness_ns
-                    / report.breakdown.total_ns().max(1.0),
-            }
-        })
-        .collect()
+        let delta = |name: &str| c1.counter(name).unwrap_or(0) - c0.counter(name).unwrap_or(0);
+        let hits = delta("storage.merkle.cache.hit") as f64;
+        let classified = hits + delta("storage.merkle.cache.miss") as f64;
+        t.push(row![
+            id,
+            per_page_visits,
+            fast_path_visits,
+            per_page_visits as f64 / fast_path_visits.max(1) as f64,
+            if classified > 0.0 { hits / classified } else { 0.0 },
+            report.breakdown.freshness_ns / report.breakdown.total_ns().max(1.0)
+        ]);
+    }
+    t
 }
 
-/// Serialize the freshness sweep as the `BENCH_5.json` perf snapshot.
-pub fn freshness_json(
-    sf: f64,
-    sweep: &[FreshnessSweepRow],
-    queries: &[FreshnessQueryRow],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"sf\": {sf},\n  \"seed\": {SEED},\n"));
-    s.push_str("  \"merkle_sweep\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"arity\": {}, \"pattern\": \"{}\", \"accesses\": {}, \
-             \"per_page_visits\": {}, \"batched_visits\": {}, \"cached_visits\": {}, \
-             \"cache_hit_rate\": {:.4}}}{}\n",
-            r.arity,
-            r.pattern,
-            r.accesses,
-            r.per_page_visits,
-            r.batched_visits,
-            r.cached_visits,
-            r.cache_hit_rate,
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
+/// The `BENCH_5.json` snapshot: the bare-tree sweep over `leaves` leaves
+/// and the whole-query effect on `query_ids`.
+pub fn freshness_snapshot(sf: f64, leaves: usize, query_ids: &[u8]) -> Snapshot {
+    Snapshot::top_level(sf)
+        .rows("merkle_sweep", freshness_sweep(leaves))
+        .rows("queries", freshness_queries(sf, query_ids))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TEST_SF: f64 = 0.0015;
+
+    #[test]
+    fn fig6_shapes_hold() {
+        let t = fig6(TEST_SF);
+        assert_eq!(t.len(), 17);
+        // Most queries speed up under CS in the secure case.
+        let faster = (0..t.len()).filter(|&r| t.num(r, "speedup_secure") > 1.0).count();
+        assert!(faster >= t.len() / 2, "only {faster} of {} sped up", t.len());
+        // Q6 (highly selective single-table) must benefit.
+        let q6 = t.num(t.find("query", 6u8), "speedup_secure");
+        assert!(q6 > 1.0, "Q6 secure speedup {q6}");
     }
-    s.push_str("  ],\n  \"queries\": [\n");
-    for (i, r) in queries.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"query\": {}, \"node_visits_per_page\": {}, \"node_visits_fast_path\": {}, \
-             \"reduction\": {:.4}, \"cache_hit_rate\": {:.4}, \"fig8_freshness_share\": {:.4}}}{}\n",
-            r.query,
-            r.per_page_visits,
-            r.fast_path_visits,
-            r.reduction,
-            r.cache_hit_rate,
-            r.freshness_share,
-            if i + 1 == queries.len() { "" } else { "," }
-        ));
+
+    #[test]
+    fn fig7_io_reduction_positive() {
+        let t = fig7(TEST_SF);
+        assert!((0..t.len()).all(|r| t.num(r, "io_reduction") > 0.0));
+        let q6 = t.num(t.find("query", 6u8), "io_reduction");
+        assert!(q6 > 2.0, "Q6 reduces IO by {q6}");
     }
-    s.push_str("  ]\n}\n");
-    s
+
+    #[test]
+    fn fig8_fractions_sum_to_one() {
+        let t = fig8(TEST_SF);
+        for r in 0..t.len() {
+            let sum: f64 = ["ndp", "freshness", "crypto", "other"].iter().map(|k| t.num(r, k)).sum();
+            assert!((sum - 1.0).abs() < 1e-9, "Q{} sums to {sum}", t.get(r, "query"));
+            assert!(t.num(r, "freshness") > 0.0, "freshness is never free");
+        }
+    }
+
+    #[test]
+    fn fig9b_scs_wins_at_all_selectivities() {
+        let t = fig9b(TEST_SF, &[10, 50, 90]);
+        for r in 0..t.len() {
+            let (scs, hos) = (t.num(r, "scs"), t.num(r, "hos"));
+            assert!(scs < hos, "sel {}%: scs {scs} vs hos {hos}", t.get(r, "x"));
+        }
+        // Higher selectivity ⇒ more shipped ⇒ scs time grows.
+        assert!(t.num(2, "scs") > t.num(0, "scs"));
+    }
+
+    #[test]
+    fn fig9c_freshness_dominates() {
+        let t = fig9c(TEST_SF, &[2, 9]);
+        for r in 0..t.len() {
+            let (freshness, q) = (t.num(r, "freshness"), t.get(r, "query"));
+            assert!(freshness > t.num(r, "decrypt"), "Q{q}: freshness should dominate decrypt");
+            assert!(freshness > 0.3, "Q{q}: freshness fraction {freshness}");
+        }
+    }
+
+    #[test]
+    fn fig10_more_cores_never_hurt() {
+        let t = fig10(TEST_SF, &[1, 4, 16]);
+        for r in 0..t.len() {
+            let (one, sixteen) = (t.num(r, "1 cpu"), t.num(r, "16 cpu"));
+            assert!(sixteen >= one * 0.999, "Q{}: {one} -> {sixteen}", t.get(r, "query"));
+        }
+    }
+
+    #[test]
+    fn fig11_memory_never_hurts() {
+        let t = fig11(TEST_SF, &[128 * 1024, 256 * 1024, 2 * 1024 * 1024]);
+        for r in 0..t.len() {
+            for key in ["128KiB", "256KiB", "2048KiB"] {
+                assert!(t.num(r, key) >= 0.999, "Q{}: {}", t.get(r, "query"), t.line(r));
+            }
+        }
+    }
+
+    #[test]
+    fn freshness_sweep_orders_the_three_modes() {
+        let t = freshness_sweep(1024);
+        assert_eq!(t.len(), 16, "4 arities x 4 patterns");
+        for r in 0..t.len() {
+            let at = format!("arity {} {}", t.get(r, "arity"), t.get(r, "pattern"));
+            let (per_page, batched) = (t.int(r, "per_page_visits"), t.int(r, "batched_visits"));
+            assert!(
+                per_page as f64 >= 3.0 * batched as f64,
+                "{at}: batch saves <3x ({per_page} vs {batched})"
+            );
+            assert!(
+                t.int(r, "cached_visits") <= batched,
+                "{at}: warm cache must not hash more than a cold batch"
+            );
+            // A warm replay of an unchanged root is all hits, and each
+            // hit costs exactly the one leaf visit.
+            assert_eq!(t.num(r, "cache_hit_rate"), 1.0, "{at}");
+            assert_eq!(t.int(r, "cached_visits"), t.int(r, "accesses"), "{at}");
+        }
+    }
+
+    #[test]
+    fn freshness_fast_path_cuts_query_node_visits_3x() {
+        let t = freshness_queries(TEST_SF, &[1, 6]);
+        for r in 0..t.len() {
+            let q = t.get(r, "query");
+            let (per_page, fast) = (t.int(r, "node_visits_per_page"), t.int(r, "node_visits_fast_path"));
+            assert!(fast > 0, "Q{q} must verify pages");
+            let reduction = t.num(r, "reduction");
+            assert!(reduction >= 3.0, "Q{q}: fast path saves only {reduction:.2}x ({per_page} vs {fast})");
+            assert!((0.0..=1.0).contains(&t.num(r, "cache_hit_rate")), "Q{q}");
+            assert!(t.num(r, "fig8_freshness_share") > 0.0, "Q{q}: freshness is never free");
+        }
+    }
+
+    #[test]
+    fn freshness_json_is_wellformed() {
+        let json = crate::table::assert_deterministic_and_gated(|| freshness_snapshot(TEST_SF, 64, &[6]));
+        assert!(json.contains("\"node_visits_fast_path\""));
+        assert!(json.contains("\"cache_hit_rate\""));
+    }
+
+    #[test]
+    fn table4_phases_measured() {
+        let t = table4();
+        let ms = |component: &str| t.num(t.find("component", component), "ms");
+        assert!(ms("total") > 0.0);
+        assert!(ms("storage: TEE") > 0.0);
+        assert!(ms("host: CAS response") > 0.0);
+        assert!(ms("storage: REE") > 0.0);
+    }
 }

@@ -1,8 +1,9 @@
 //! # ironsafe-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the
-//! paper's evaluation (§6). The [`figures`] module computes each result
-//! series; the `paperbench` binary prints them in paper-shaped tables and
+//! paper's evaluation (§6). Every harness returns its results as a
+//! [`Table`]; the `paperbench` binary prints them in paper-shaped tables,
+//! writes and gates the `BENCH_*.json` [`Snapshot`]s, and
 //! `benches/paper_figures.rs` wires them into Criterion.
 //!
 //! Scale note: the paper's testbed runs TPC-H at scale factors 3–5 on
@@ -21,20 +22,18 @@ pub mod chaos;
 pub mod figures;
 pub mod profiles;
 pub mod shards;
+pub mod table;
 pub mod telemetry;
 pub mod vectors;
 pub mod writes;
 
-pub use adaptive::{
-    adaptive_invariants_json, adaptive_sweep, q1_wide_with_selectivity,
-    AdaptiveCell, ReplanDemo, ADAPTIVE_PRESSURES, ADAPTIVE_SELECTIVITIES, ADAPTIVE_SF,
-    ADAPTIVE_SHAPES, ADAPTIVE_STORAGE_CORES,
-};
+pub use adaptive::{adaptive_grid, adaptive_sweep, q1_wide_with_selectivity, ADAPTIVE_SF};
 pub use figures::*;
-pub use profiles::{diff_snapshots, profile_matrix, profiles_json, snapshot_json, PROFILE_SF};
-pub use shards::{shards_invariants_json, shards_sweep, SHARDS_SF, SHARD_COUNTS};
-pub use vectors::{vectors_invariants_json, vectors_sweep, VECTORS_SF};
-pub use writes::{mixed_sweep, writes_invariants_json, WRITES_SF, WRITE_BURSTS};
+pub use profiles::{profile_matrix, profiles_snapshot, PROFILE_SF};
+pub use shards::{shards_sweep, SHARDS_SF, SHARD_COUNTS};
+pub use table::{Cell, Col, Snapshot, Table};
+pub use vectors::{vectors_sweep, VECTORS_SF};
+pub use writes::{mixed_sweep, WRITES_SF, WRITE_BURSTS};
 
 /// The result digest the `BENCH_*.json` snapshots pin: SHA-256 over the
 /// rendered result, first 8 bytes in hex.

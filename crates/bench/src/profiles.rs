@@ -10,8 +10,9 @@
 //! lost MAC verification, a perturbed cost term) fails the gate before
 //! it reaches `main`.
 
-use crate::figures::SEED;
-use ironsafe_csa::{CostParams, CsaSystem, QueryProfile, SystemConfig};
+use crate::figures::{system, SEED};
+use crate::table::Snapshot;
+use ironsafe_csa::{CostParams, QueryProfile, SystemConfig};
 use ironsafe_tpch::generate;
 
 /// Default scale factor for the profile gate: small enough that the
@@ -25,8 +26,7 @@ pub fn profile_matrix(sf: f64, configs: &[SystemConfig], query_ids: &[u8]) -> Ve
     let data = generate(sf, SEED);
     let mut out = Vec::new();
     for &config in configs {
-        let mut sys =
-            CsaSystem::build(config, &data, CostParams::default()).expect("system builds");
+        let mut sys = system(config, &data, CostParams::default());
         for &id in query_ids {
             let q = ironsafe_tpch::queries::query(id).expect("known query");
             let (_, profile) = sys
@@ -38,29 +38,14 @@ pub fn profile_matrix(sf: f64, configs: &[SystemConfig], query_ids: &[u8]) -> Ve
     out
 }
 
-/// Serialize a profile sweep as the `BENCH_6.json` snapshot: a
-/// deterministic envelope around each profile's own stable JSON.
-pub fn profiles_json(sf: f64, profiles: &[QueryProfile]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"sf\": {sf},\n  \"seed\": {SEED},\n  \"profiles\": [\n"));
-    for (i, p) in profiles.iter().enumerate() {
-        s.push_str("    ");
-        s.push_str(&p.to_json());
-        s.push_str(if i + 1 == profiles.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The `BENCH_6.json` snapshot: each profile's own stable JSON.
+pub fn profiles_snapshot(sf: f64, profiles: &[QueryProfile]) -> Snapshot {
+    Snapshot::top_level(sf).raw("profiles", profiles.iter().map(QueryProfile::to_json).collect())
 }
 
-/// A `BENCH_7…10.json` snapshot: nothing but the gated, byte-deterministic
-/// `"invariants"` block (wall-clock numbers live in `perf/`).
-pub fn snapshot_json(invariants_block: &str) -> String {
-    format!("{{\n{invariants_block}\n}}\n")
-}
-
-/// Regression gate: compare a freshly generated snapshot against the
-/// committed baseline, byte for byte. Returns a human-readable report
-/// of the first few diverging lines (empty = pass).
+/// Compare a freshly generated snapshot against the committed baseline,
+/// byte for byte. Returns a human-readable report of the first few
+/// diverging lines (empty = pass).
 pub fn diff_snapshots(baseline: &str, current: &str) -> Vec<String> {
     if baseline == current {
         return Vec::new();
@@ -94,17 +79,14 @@ pub fn diff_snapshots(baseline: &str, current: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ironsafe_obs::export::looks_like_valid_json;
+    use crate::table::assert_deterministic_and_gated;
 
     #[test]
     fn profile_snapshot_is_deterministic_valid_json() {
-        let configs = [SystemConfig::IronSafe];
-        let a = profiles_json(PROFILE_SF, &profile_matrix(PROFILE_SF, &configs, &[6]));
-        let b = profiles_json(PROFILE_SF, &profile_matrix(PROFILE_SF, &configs, &[6]));
-        assert_eq!(a, b, "snapshot must be byte-deterministic");
-        assert!(looks_like_valid_json(&a), "{a}");
-        assert!(a.contains("\"config\":\"scs\""));
-        assert!(diff_snapshots(&a, &b).is_empty());
+        let json = assert_deterministic_and_gated(|| {
+            profiles_snapshot(PROFILE_SF, &profile_matrix(PROFILE_SF, &[SystemConfig::IronSafe], &[6]))
+        });
+        assert!(json.contains("\"config\":\"scs\""));
     }
 
     #[test]

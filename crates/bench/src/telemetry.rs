@@ -6,8 +6,8 @@
 //! Perfetto or `chrome://tracing`). Live subsystem counters (secure
 //! pager, enclave, network channel) ride along as a JSON-lines sidecar.
 
-use crate::figures::SEED;
-use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
+use crate::figures::{system, SEED};
+use ironsafe_csa::{CostParams, SystemConfig};
 use ironsafe_obs::export::{metrics_to_jsonl, spans_to_chrome_trace};
 use ironsafe_obs::Registry;
 use ironsafe_tpch::generate;
@@ -30,8 +30,7 @@ pub struct TraceBundle {
 /// Run all paper queries under IronSafe at `sf` and bundle their traces.
 pub fn collect_traces(sf: f64) -> TraceBundle {
     let data = generate(sf, SEED);
-    let mut sys = CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default())
-        .expect("system builds");
+    let mut sys = system(SystemConfig::IronSafe, &data, CostParams::default());
     let registry = Registry::new();
     sys.storage_db().register_metrics(&registry);
     sys.register_exec_metrics(&registry);

@@ -1,21 +1,18 @@
 //! The `paperbench vectors` harness: the batch scan kernel × page
 //! compression sweep, exported as the `BENCH_8.json` snapshot.
 //!
-//! The snapshot's `"invariants"` block holds only quantities the
-//! engine pins deterministically: one cell per (query, storage
-//! format) with the simulated total, physical pager counters and a
-//! result digest — the digest is identical across storage formats
-//! (compression never changes the answer), and every cell is run at DOP
-//! 1 and DOP 4 and must agree on all of them (parallelism never changes
-//! what is read or charged). A `"reductions"` array derives the
-//! compress-before-encrypt dividend per query: encrypted bytes and MAC
-//! verifications saved on the scan path. It is byte-deterministic, so
-//! `--check` regenerates it and compares it byte for byte against the
-//! committed file (the scan-kernel regression gate). Wall-clock scan
-//! rates are `perf/`'s job (`scan_cold`).
+//! One cell per (query, storage format) holds the simulated total,
+//! physical pager counters and a result digest — the digest is identical
+//! across storage formats (compression never changes the answer), and
+//! every cell is run at DOP 1 and DOP 4 and must agree on all of them
+//! (parallelism never changes what is read or charged). The
+//! `"reductions"` array derives the compress-before-encrypt dividend per
+//! query: encrypted bytes and MAC verifications saved on the scan path.
+//! Wall-clock scan rates are `perf/`'s job (`scan_cold`).
 
 use crate::digest;
 use crate::figures::SEED;
+use crate::table::{row, Cell, Col, Snapshot, Table};
 use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
 use ironsafe_tpch::generate;
 use ironsafe_tpch::queries::query;
@@ -23,55 +20,16 @@ use ironsafe_tpch::queries::query;
 /// Default scale factor for the deterministic invariants sweep.
 pub const VECTORS_SF: f64 = 0.002;
 
-/// One (query, storage format) cell of the sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VectorCell {
-    /// TPC-H query id.
-    pub query_id: u8,
-    /// Compress-before-encrypt pages, or the raw page store.
-    pub compressed: bool,
-    /// Simulated total (identical at any DOP).
-    pub total_ns: f64,
-    /// Physical page reads during the query.
-    pub pages_read: u64,
-    /// Physical decrypt+MAC-verify operations during the query.
-    pub decrypts: u64,
-    /// Merkle nodes visited during the query.
-    pub merkle_nodes: u64,
-    /// Result rows.
-    pub rows: u64,
-    /// SHA-256 (truncated) over the rendered result rows.
-    pub result_digest: String,
-}
-
-/// The compress-before-encrypt dividend for one query's scan path.
-#[derive(Debug, Clone)]
-pub struct CompressionDividend {
-    /// TPC-H query id.
-    pub query_id: u8,
-    /// Encrypted bytes read (decrypts × physical payload), raw pages.
-    pub encrypted_bytes_raw: u64,
-    /// Encrypted bytes read, compressed pages.
-    pub encrypted_bytes_compressed: u64,
-    /// Percentage of MAC verifications (and encrypted bytes — same
-    /// physical block size) saved by compression.
-    pub mac_reduction_pct: f64,
-}
-
 /// Run the deterministic sweep on IronSafe (scs): every query id over
 /// {raw, compressed} pages at DOP 1 and DOP 4, asserting the parity
 /// contract as it goes, and derive the per-query compression dividend.
-pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDividend>) {
+pub fn vectors_sweep(sf: f64, ids: &[u8]) -> Snapshot {
     let data = generate(sf, SEED);
     let payload = ironsafe_storage::PAGE_PAYLOAD as u64;
-    let run = |compressed: bool, dop: usize| -> Vec<VectorCell> {
-        let mut sys = CsaSystem::build_with_compression(
-            SystemConfig::IronSafe,
-            &data,
-            CostParams::default(),
-            compressed,
-        )
-        .expect("system builds");
+    let run = |compressed: bool, dop: usize| -> Vec<Vec<Cell>> {
+        let mut sys =
+            CsaSystem::build_with_compression(SystemConfig::IronSafe, &data, CostParams::default(), compressed)
+                .expect("system builds");
         sys.set_dop(dop);
         ids.iter()
             .map(|&id| {
@@ -80,102 +38,60 @@ pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDi
                     .run_query(&query(id).expect("known query"))
                     .unwrap_or_else(|e| panic!("Q{id} dop={dop} compressed={compressed}: {e}"));
                 let after = sys.storage_db().pager_stats();
-                VectorCell {
-                    query_id: id,
+                row![
+                    id,
                     compressed,
-                    total_ns: report.breakdown.total_ns(),
-                    pages_read: after.page_reads - before.page_reads,
-                    decrypts: after.decrypts - before.decrypts,
-                    merkle_nodes: after.merkle_nodes - before.merkle_nodes,
-                    rows: report.result.rows().len() as u64,
-                    result_digest: digest(&report.result),
-                }
+                    report.breakdown.total_ns(),
+                    after.page_reads - before.page_reads,
+                    after.decrypts - before.decrypts,
+                    after.merkle_nodes - before.merkle_nodes,
+                    report.result.rows().len(),
+                    digest(&report.result)
+                ]
             })
             .collect()
     };
     // The contract, enforced inside the harness: DOP twins agree on
     // every field; one digest per query across storage formats.
-    let mut cells = Vec::new();
+    let mut cells = Table::new(vec![
+        Col::query("query_id"),
+        Col::new("pages", "compressed", 6).flag("comp", "raw"),
+        Col::new("total (sim)", "total_ns", 14).fixed(0, "ns"),
+        Col::new("reads", "pages_read", 8),
+        Col::new("decrypts", "decrypts", 9),
+        Col::new("merkle", "merkle_nodes", 8),
+        Col::new("rows", "rows", 6),
+        Col::new("result digest", "result_digest", 18),
+    ]);
     for compressed in [false, true] {
         let serial = run(compressed, 1);
         assert_eq!(run(compressed, 4), serial, "compressed={compressed}: DOP 4 drifted from DOP 1");
-        cells.extend(serial);
+        serial.into_iter().for_each(|r| cells.push(r));
     }
-    let mut dividends = Vec::new();
-    for &id in ids {
-        let of = |compressed: bool| {
-            cells.iter().find(|c| c.query_id == id && c.compressed == compressed).expect("cell")
-        };
-        let (raw, comp) = (of(false), of(true));
-        assert_eq!(comp.result_digest, raw.result_digest, "Q{id}: result drifted across formats");
-        let reduction = 100.0 * (1.0 - comp.decrypts as f64 / raw.decrypts.max(1) as f64);
-        assert!(
-            reduction >= 30.0,
-            "Q{id}: compression saved only {reduction:.1}% of MACs (need >= 30%)"
-        );
-        dividends.push(CompressionDividend {
-            query_id: id,
-            encrypted_bytes_raw: raw.decrypts * payload,
-            encrypted_bytes_compressed: comp.decrypts * payload,
-            mac_reduction_pct: reduction,
-        });
+    let mut reductions = Table::new(vec![
+        Col::query("query_id"),
+        Col::new("enc bytes raw", "encrypted_bytes_raw", 16),
+        Col::new("enc bytes comp", "encrypted_bytes_compressed", 16),
+        Col::new("MACs saved", "mac_reduction_pct", 12).fixed(1, "%").json_prec(2),
+    ]);
+    for (raw, &id) in ids.iter().enumerate() {
+        let comp = ids.len() + raw;
+        assert_eq!(cells.get(comp, "result_digest"), cells.get(raw, "result_digest"), "Q{id}: result drifted across formats");
+        let (raw, comp) = (cells.int(raw, "decrypts"), cells.int(comp, "decrypts"));
+        let reduction = 100.0 * (1.0 - comp as f64 / raw.max(1) as f64);
+        assert!(reduction >= 30.0, "Q{id}: compression saved only {reduction:.1}% of MACs (need >= 30%)");
+        reductions.push(row![id, raw * payload, comp * payload, reduction]);
     }
-    (cells, dividends)
-}
-
-/// The byte-deterministic `"invariants"` JSON block — what the `--check`
-/// gate compares and `BENCH_8.json` wraps.
-pub fn vectors_invariants_json(
-    sf: f64,
-    cells: &[VectorCell],
-    dividends: &[CompressionDividend],
-) -> String {
-    let mut s = String::from("  \"invariants\": {\n");
-    s.push_str(&format!("    \"sf\": {sf},\n    \"seed\": {SEED},\n    \"cells\": [\n"));
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"query_id\":{},\"compressed\":{},\"total_ns\":{},\
-             \"pages_read\":{},\"decrypts\":{},\"merkle_nodes\":{},\"rows\":{},\"result_digest\":\"{}\"}}{}\n",
-            c.query_id,
-            c.compressed,
-            c.total_ns,
-            c.pages_read,
-            c.decrypts,
-            c.merkle_nodes,
-            c.rows,
-            c.result_digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("    ],\n    \"reductions\": [\n");
-    for (i, d) in dividends.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"query_id\":{},\"encrypted_bytes_raw\":{},\"encrypted_bytes_compressed\":{},\
-             \"mac_reduction_pct\":{:.2}}}{}\n",
-            d.query_id,
-            d.encrypted_bytes_raw,
-            d.encrypted_bytes_compressed,
-            d.mac_reduction_pct,
-            if i + 1 == dividends.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("    ]\n  }");
-    s
+    Snapshot::invariants(sf).rows("cells", cells).rows("reductions", reductions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ironsafe_obs::export::looks_like_valid_json;
+    use crate::table::assert_deterministic_and_gated;
 
     #[test]
     fn invariants_block_is_deterministic_and_gate_compatible() {
-        let (cells_a, div_a) = vectors_sweep(VECTORS_SF, &[6]);
-        let (cells_b, div_b) = vectors_sweep(VECTORS_SF, &[6]);
-        let a = vectors_invariants_json(VECTORS_SF, &cells_a, &div_a);
-        let b = vectors_invariants_json(VECTORS_SF, &cells_b, &div_b);
-        assert_eq!(a, b, "invariants block must be byte-deterministic");
-        let full = crate::snapshot_json(&a);
-        assert!(looks_like_valid_json(&full), "{full}");
+        assert_deterministic_and_gated(|| vectors_sweep(VECTORS_SF, &[6]));
     }
 }

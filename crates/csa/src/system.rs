@@ -496,12 +496,6 @@ impl CsaSystem {
         self.set.placement = policy;
     }
 
-    /// Handle on the shared selectivity-estimate store (survives across
-    /// runs and views; feed it by running queries or pin entries).
-    pub fn adaptive_state(&self) -> Arc<Mutex<AdaptiveState>> {
-        self.set.adaptive.clone()
-    }
-
     /// Pin a table-level estimate, overriding priors for every fragment
     /// on `table` that has no predicate-specific observation yet (used
     /// to model stale or deliberately wrong catalog statistics).

@@ -255,11 +255,6 @@ impl FaultPlan {
         self
     }
 
-    /// True if this plan can ever fire (i.e. not [`FaultPlan::none`]).
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// The seed this plan was built from (0 for an inactive plan).
     pub fn seed(&self) -> u64 {
         self.inner.seed

@@ -369,12 +369,6 @@ impl TraceSnapshot {
         self.spans.iter().map(|s| s.sim_ns).sum()
     }
 
-    /// Simulated nanoseconds attributed directly to spans whose name
-    /// matches `pred`.
-    pub fn sim_ns_where(&self, pred: impl Fn(&SpanRecord) -> bool) -> f64 {
-        self.spans.iter().filter(|s| pred(s)).map(|s| s.sim_ns).sum()
-    }
-
     /// Sum of simulated nanoseconds per category, over all spans,
     /// sorted by category name.
     pub fn category_totals(&self) -> Vec<(&'static str, f64)> {

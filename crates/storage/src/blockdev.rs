@@ -88,13 +88,6 @@ impl BlockDevice {
         }
     }
 
-    /// Attacker: overwrite a whole block.
-    pub fn raw_overwrite(&mut self, idx: u64, data: &[u8; BLOCK_SIZE]) {
-        if let Some(b) = self.blocks.get_mut(idx as usize) {
-            b.copy_from_slice(data);
-        }
-    }
-
     /// Attacker: copy block `src` over block `dst` (displacement attack).
     pub fn raw_displace(&mut self, src: u64, dst: u64) {
         if src == dst {

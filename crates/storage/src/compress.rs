@@ -101,27 +101,12 @@ impl<P: Pager> CompressedPager<P> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped pager.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// Physical blocks currently backing logical page `id`.
     pub fn blocks_of(&self, id: PageId) -> Result<&[PageId]> {
         self.map
             .get(id as usize)
             .map(|v| v.as_slice())
             .ok_or(StorageError::PageOutOfRange(id))
-    }
-
-    /// Total physical blocks currently mapped (orphaned blocks excluded).
-    pub fn mapped_blocks(&self) -> u64 {
-        self.map.iter().map(|b| b.len() as u64).sum()
-    }
-
-    /// The live compression telemetry cells.
-    pub fn compress_metrics(&self) -> &CompressMetrics {
-        &self.metrics
     }
 
     /// Compress `data` and stripe it over page `id`'s blocks, growing or

@@ -252,13 +252,6 @@ impl MerkleTree {
         self.cache.stats
     }
 
-    /// Restore the cache tallies to an earlier snapshot (stats-atomic
-    /// rollback of a failed attempt, alongside
-    /// [`MerkleTree::restore_node_visits`]).
-    pub fn restore_cache_stats(&mut self, snapshot: NodeCacheStats) {
-        self.cache.stats = snapshot;
-    }
-
     /// Begin a cache transaction: every insertion from here on is
     /// journaled until [`MerkleTree::cache_commit`] or
     /// [`MerkleTree::cache_rollback`].

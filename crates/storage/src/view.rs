@@ -280,11 +280,6 @@ impl ViewPager {
         }
     }
 
-    /// Number of overlay (view-private) pages.
-    pub fn overlay_pages(&self) -> usize {
-        self.overlay.len()
-    }
-
     /// The pinned epoch of a snapshot view (`None` for other modes).
     pub fn pinned_epoch(&self) -> Option<u64> {
         match &self.mode {

@@ -99,11 +99,6 @@ impl AttestationService {
         self.platforms.insert(platform.platform_id, platform.quote_keys().public.clone());
     }
 
-    /// Number of registered platforms.
-    pub fn platform_count(&self) -> usize {
-        self.platforms.len()
-    }
-
     /// Verify a quote: the platform must be registered and the signature
     /// must check out. Returns the verified claims.
     pub fn verify_quote(&self, quote: &Quote) -> Result<QuoteVerification> {

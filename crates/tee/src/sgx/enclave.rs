@@ -205,11 +205,6 @@ impl Enclave {
         self.epc.lock().register_metrics(registry);
     }
 
-    /// Touch one abstract page of enclave memory; true on EPC fault.
-    pub fn touch_page(&self, page: u64) -> bool {
-        self.epc.lock().access(page)
-    }
-
     /// Touch a run of pages; returns faults.
     pub fn touch_pages(&self, first: u64, count: u64) -> u64 {
         self.epc.lock().access_range(first, count)

@@ -3,14 +3,15 @@
 # pass --offline.
 
 # Build, test, and lint everything (the pre-merge gate): each workspace
-# test runs once, then the five byte-compared BENCH_*.json invariant
-# gates, the serving example end to end, and the wall-clock benchmark's
-# own tests (all four workloads in --smoke size, against the crates as
-# they are now).
+# test runs once, then the six BENCH_*.json gates (each regenerates its
+# whole file and byte-compares it), the serving example end to end, and
+# the wall-clock benchmark's own tests (all four workloads in --smoke
+# size, against the crates as they are now).
 check:
     cargo build --release --offline
     cargo test -q --offline
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    cargo run --release --offline -p ironsafe-bench --bin paperbench freshness --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench profile --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench shards --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench vectors --check
@@ -26,11 +27,6 @@ check:
 # last line is the workspace total.
 loc:
     @for c in crates/*/; do f=$(find ${c}src -name '*.rs' | sort); printf '%-8s %s\n' "$(basename $c)" "$(awk -f scripts/loc.awk pass=1 $f pass=2 $f)"; done | awk '{ print; total += $2 } END { printf "%-8s %s\n", "total", total }'
-
-# Freshness fast-path sweep at a reduced SF, end to end (per-page climbs
-# vs shared-path batches vs the warm verified-node cache).
-freshness:
-    cargo run --release --offline -p ironsafe-bench --bin paperbench freshness --sf 0.0015
 
 # MVCC GC stress: the concurrent-readers golden test, 200 times over
 # (a pre-image freed mid-flush used to corrupt ~1 run in 100).
