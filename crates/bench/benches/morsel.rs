@@ -54,12 +54,11 @@ fn bench_heap_decode(c: &mut Criterion) {
         })
         .collect();
     heap.append_rows(&pager, rows).unwrap();
-    let payload_size = pager.lock().payload_size();
-    let mut page = vec![0u8; payload_size];
+    let mut page = vec![0u8; PAGE_PAYLOAD];
     pager.lock().read_page(heap.pages[0], &mut page).unwrap();
 
     let mut g = c.benchmark_group("morsel_heap_decode");
-    g.throughput(Throughput::Bytes(payload_size as u64));
+    g.throughput(Throughput::Bytes(PAGE_PAYLOAD as u64));
     let (mut batch, mut cells) = (ColumnBatch::new(4), CellTable::default());
     for (name, cols) in [
         ("scan_page_columns_full", [true; 4]),
@@ -69,7 +68,7 @@ fn bench_heap_decode(c: &mut Criterion) {
             b.iter(|| {
                 batch.clear();
                 cells.clear();
-                scan_page_columns(&page, payload_size, &cols, &mut batch, &mut cells).unwrap();
+                scan_page_columns(&page, PAGE_PAYLOAD, &cols, &mut batch, &mut cells).unwrap();
                 black_box(batch.len())
             })
         });

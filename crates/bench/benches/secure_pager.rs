@@ -1,5 +1,5 @@
-//! Secure-pager read/write path, including the freshness on/off ablation
-//! (isolates the dominant Figure 8 cost component).
+//! Secure-pager read/write path: plain vs secure single-page reads, a
+//! batched morsel read, and write + commit.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ironsafe_crypto::group::Group;
@@ -64,16 +64,6 @@ fn bench_read_paths(c: &mut Criterion) {
             ids.clear();
             ids.extend(i..i + 16);
             secure.read_pages(&ids, &mut morsel).unwrap();
-        })
-    });
-    g.throughput(Throughput::Bytes(PAGE_PAYLOAD as u64));
-
-    // Ablation: skip per-read Merkle verification.
-    secure.verify_freshness_on_read = false;
-    g.bench_function("secure_no_freshness", |b| {
-        b.iter(|| {
-            i = (i + 97) % PAGES;
-            secure.read_page(i, &mut buf).unwrap();
         })
     });
     g.finish();

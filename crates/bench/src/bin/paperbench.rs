@@ -84,7 +84,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ("freshness", None, false, run_freshness, Some("BENCH_5.json")),
     // Sharded federation across N = 1/2/4/8 storage nodes.
     ("shards", Some(SHARDS_SF), false, run_shards, Some("BENCH_7.json")),
-    // Batch scan kernel x page compression at DOP 1 and 4.
+    // Batch scan kernel invariants at DOP 1 and 4.
     ("vectors", Some(VECTORS_SF), false, run_vectors, Some("BENCH_8.json")),
     // Adaptive offload optimizer grid and re-planning demo.
     ("adaptive", Some(ADAPTIVE_SF), false, run_adaptive, Some("BENCH_10.json")),
@@ -232,12 +232,11 @@ fn run_shards(ctx: &mut Ctx) -> Option<Snapshot> {
 fn run_vectors(ctx: &mut Ctx) -> Option<Snapshot> {
     let snapshot = vectors_sweep(ctx.sf, &[1, 6]);
     print_table(
-        &format!("== Batch scan kernel x page compression: Q1/Q6 on scs (SF {}) ==\n", ctx.sf),
+        &format!("== Batch scan kernel: Q1/Q6 on scs (SF {}) ==\n", ctx.sf),
         snapshot.table("cells"),
         "",
-        "(digests identical across formats; every cell identical at DOP 1 and DOP 4)\n",
+        "(every cell identical at DOP 1 and DOP 4)\n",
     );
-    print_table("", snapshot.table("reductions"), "   (compress-before-encrypt dividend)", "");
     Some(snapshot)
 }
 

@@ -20,7 +20,7 @@ pub enum Cell {
     Num(f64),
     /// A name or a digest; quoted in JSON.
     Text(String),
-    /// A yes/no fact; printed through the column's [`Col::flag`] words.
+    /// A yes/no fact.
     Bool(bool),
 }
 
@@ -87,7 +87,6 @@ pub struct Col {
     scale: f64,
     prefix: &'static str,
     suffix: &'static str,
-    flag: Option<[&'static str; 2]>,
     json_prec: Option<usize>,
 }
 
@@ -104,7 +103,6 @@ impl Col {
             scale: 1.0,
             prefix: "",
             suffix: "",
-            flag: None,
             json_prec: None,
         }
     }
@@ -136,11 +134,6 @@ impl Col {
         Col { scale: 100.0, ..self.fixed(prec, "%") }
     }
 
-    /// Print `true` as `yes` and `false` as `no`.
-    pub fn flag(self, yes: &'static str, no: &'static str) -> Col {
-        Col { flag: Some([yes, no]), ..self }
-    }
-
     /// Snapshot numbers with `prec` decimals instead of `Display`.
     pub fn json_prec(self, prec: usize) -> Col {
         Col { json_prec: Some(prec), ..self }
@@ -156,11 +149,10 @@ impl Col {
     }
 
     fn show(&self, cell: &Cell) -> String {
-        let body = match (cell, self.prec, self.flag) {
-            (Cell::Num(x), Some(p), _) => format!("{:.p$}", x * self.scale),
-            (Cell::Num(x), None, _) => (x * self.scale).to_string(),
-            (Cell::Bool(b), _, Some([yes, no])) => (if *b { yes } else { no }).to_string(),
-            (other, _, _) => other.to_string(),
+        let body = match (cell, self.prec) {
+            (Cell::Num(x), Some(p)) => format!("{:.p$}", x * self.scale),
+            (Cell::Num(x), None) => (x * self.scale).to_string(),
+            (other, _) => other.to_string(),
         };
         self.pad(&format!("{}{body}{}", self.prefix, self.suffix))
     }
@@ -405,11 +397,11 @@ mod tests {
         let mut t = Table::new(vec![
             Col::query("query_id"),
             Col::new("total", "total_ns", 12).fixed(0, "ns"),
-            Col::new("pages", "compressed", 6).flag("comp", "raw"),
+            Col::new("ok", "ok", 6),
             Col::new("saved", "pct", 7).fixed(1, "%").json_prec(2),
             Col::new("digest", "digest", 8),
         ]);
-        t.push(row![6u8, 4549530.28, false, 50.526, "1fb61ff4"]);
+        t.push(row![6u8, 4549530.28, true, 50.526, "1fb61ff4"]);
         let mut amort = Table::new(vec![Col::field("txns")]);
         amort.push(row![15u64]);
         Snapshot::invariants(0.002).rows("cells", t).object("amortization", amort)
@@ -420,12 +412,12 @@ mod tests {
         let s = sample();
         assert_eq!(
             s.table("cells").render(),
-            "query        total  pages   saved   digest\n   #6    4549530ns    raw   50.5% 1fb61ff4\n"
+            "query        total     ok   saved   digest\n   #6    4549530ns   true   50.5% 1fb61ff4\n"
         );
         assert_eq!(
             s.json(),
             "{\n  \"invariants\": {\n    \"sf\": 0.002,\n    \"seed\": 2022,\n    \"cells\": [\n      \
-             {\"query_id\":6,\"total_ns\":4549530.28,\"compressed\":false,\"pct\":50.53,\"digest\":\"1fb61ff4\"}\n    \
+             {\"query_id\":6,\"total_ns\":4549530.28,\"ok\":true,\"pct\":50.53,\"digest\":\"1fb61ff4\"}\n    \
              ],\n    \"amortization\": {\"txns\":15}\n  }\n}\n"
         );
     }

@@ -180,11 +180,8 @@ impl DeploymentBuilder {
 
         // --- Query processing system (scs: split + secure). -------------
         let medium = (mfr.make_device("storage-0-medium", 8, &mut rng), self.seed);
-        let storage_db = Database::with_shared(storage_pager(
-            Some(medium),
-            false,
-            self.params.epc_limit_bytes,
-        )?);
+        let storage_db =
+            Database::with_shared(storage_pager(Some(medium), self.params.epc_limit_bytes)?);
         let mut system = CsaSystem::from_database(SystemConfig::IronSafe, storage_db, self.params);
         system.set_fault_plan(self.fault_plan.clone());
 
@@ -351,6 +348,7 @@ mod tests {
     #[test]
     fn the_storage_pager_is_sized_by_the_enclave_budget() {
         use ironsafe_faults::{FaultPlan, FaultSite};
+        use ironsafe_storage::PAGE_PAYLOAD;
         let build = |epc_limit_bytes| {
             let params = CostParams { epc_limit_bytes, ..CostParams::default() };
             Deployment::builder().cost_params(params).build().unwrap()
@@ -360,7 +358,7 @@ mod tests {
         let events_kept = |dep: &Deployment| {
             let mut pager = dep.system().storage_db().pager().lock();
             pager.set_fault_plan(FaultPlan::seeded(1).with_rate(FaultSite::DeviceRead, 1.0));
-            let mut page = vec![0u8; pager.payload_size()];
+            let mut page = vec![0u8; PAGE_PAYLOAD];
             let attempts = (0..300).filter(|_| pager.read_page(0, &mut page).is_err()).count();
             assert_eq!(attempts, 300);
             pager.take_flight_dump().len()
@@ -375,7 +373,7 @@ mod tests {
             let registry = ironsafe_obs::Registry::new();
             let mut pager = dep.system().storage_db().pager().lock();
             pager.register_metrics(&registry);
-            let page = vec![7u8; pager.payload_size()];
+            let page = vec![7u8; PAGE_PAYLOAD];
             let ids: Vec<u64> = (0..1_500).map(|_| pager.allocate_page().unwrap()).collect();
             ids.iter().for_each(|id| pager.write_page(*id, &page).unwrap());
             let mut out = vec![0u8; page.len()];

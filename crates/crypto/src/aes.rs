@@ -2,10 +2,10 @@
 //!
 //! Two back-ends compute the same function:
 //!
-//! * [`soft`] — safe, word-oriented T-table code (four 1 KiB tables per
+//! * `soft` — safe, word-oriented T-table code (four 1 KiB tables per
 //!   direction, built in `const`; decryption runs the equivalent inverse
 //!   cipher over a pre-transformed key schedule). Runs everywhere.
-//! * [`ni`] — x86-64 AES-NI, eight independent blocks in flight.
+//! * `ni` — x86-64 AES-NI, eight independent blocks in flight.
 //!
 //! [`Aes128::new`] picks the back-end once, from what the CPU reports;
 //! nothing else in the workspace can choose. The bytewise implementation

@@ -3,9 +3,9 @@
 //!
 //! Little-endian `u64` limbs, always normalized (no trailing zero limbs;
 //! zero is the empty limb vector). All arithmetic happens in fixed-width
-//! limbs ([`crate::mont`]); a `BigUint` only carries values across the
+//! limbs (the private `mont` module); a `BigUint` only carries values across the
 //! public API and to and from bytes. The parent's allocating arithmetic
-//! survives under `#[cfg(test)]` as the oracle ([`oracle`]).
+//! survives under `#[cfg(test)]` as the oracle (`bignum::oracle`).
 
 use std::cmp::Ordering;
 

@@ -1,5 +1,5 @@
 //! Constant-time byte comparison, and the word masks the fixed-width
-//! Montgomery code ([`crate::mont`]) selects with instead of branching.
+//! Montgomery code (the private `mont` module) selects with instead of branching.
 
 /// All ones if `bit` is 1, all zeros if it is 0. The value passes through
 /// `black_box` so the optimiser cannot turn a masked select back into a

@@ -7,7 +7,7 @@
 //! module). Short 160-bit exponents keep signing fast even in debug builds.
 //! Each group is built once per process and holds its Montgomery constants
 //! and `g`'s comb table; all arithmetic is the fixed-width code in
-//! [`crate::mont`].
+//! the private `mont` module.
 //! [`Group::tiny_test`] is a deliberately small group for exhaustive
 //! property tests — never use it for anything security-relevant.
 

@@ -8,7 +8,7 @@
 //!
 //! All chaining lives here, in safe code, on top of [`Aes128`]'s multi-block
 //! calls. CBC decryption and the CTR keystream have no dependency between
-//! blocks, so they hand the cipher [`PIPELINE`] blocks at a time; CBC
+//! blocks, so they hand the cipher `PIPELINE` (eight) blocks at a time; CBC
 //! encryption feeds each ciphertext block into the next and stays serial.
 
 use crate::aes::{Aes128, BLOCK};

@@ -5,7 +5,7 @@
 //! `s = k + e·x mod q`; verification checks `g^s == R · y^e (mod p)`.
 //!
 //! The secret exponents — the key `x` and the nonce `k` — only meet the
-//! comb and fixed-width scalar arithmetic of [`crate::mont`], which run
+//! comb and fixed-width scalar arithmetic of the private `mont` module, which run
 //! one operation sequence whatever their value. Verification handles
 //! public values only and takes the faster variable-time path.
 //!

@@ -5,7 +5,7 @@
 //! [`sha256`] helper covers the common case.
 //!
 //! Two back-ends compute the compression function: the portable one in
-//! this file, and [`ni`] on x86-64 CPUs with the SHA extensions.
+//! this file, and the `ni` module on x86-64 CPUs with the SHA extensions.
 //! [`Sha256::new`] picks once per hasher, from what the CPU reports;
 //! nothing else in the workspace can choose. Every HMAC-SHA256 user —
 //! channel records, Merkle nodes, the WAL and audit chains, HKDF —

@@ -1,7 +1,7 @@
 //! Query profiles: the `EXPLAIN ANALYZE` upgrade.
 //!
-//! A [`QueryProfile`] is assembled by [`CsaSystem::profile_query`]
-//! (see [`crate::system::CsaSystem::profile_query`]) from the same
+//! A [`QueryProfile`] is assembled by
+//! [`CsaSystem::profile_query`](crate::CsaSystem::profile_query) from the same
 //! telemetry a normal run already produces — the span tree, the pager
 //! counter deltas and the per-operator row counts captured from every
 //! drained plan. Nothing in here is estimated: the breakdown is

@@ -50,6 +50,7 @@ use ironsafe_sql::Database;
 use ironsafe_storage::wal::{Checkpoint, CommitRecord, Wal, WalMedium};
 use ironsafe_storage::{
     BlockDevice, PendingTxns, SecurePager, SharedPending, Snapshots, StorageError, TailVerdict,
+    PAGE_PAYLOAD,
 };
 use ironsafe_tee::trustzone::TrustZoneDevice;
 use ironsafe_tpch::queries::PaperQuery;
@@ -370,7 +371,7 @@ impl SharedCsaSystem {
                     if let Some((img, delta)) = cache.entry(*id) {
                         self.snapshots.retain(*id, img.into(), delta, next_epoch);
                     } else {
-                        let mut buf = vec![0u8; b.payload_size()];
+                        let mut buf = vec![0u8; PAGE_PAYLOAD];
                         let before = b.stats();
                         b.read_page(*id, &mut buf)?;
                         let delta = b.stats() - before;

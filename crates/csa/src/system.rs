@@ -28,9 +28,7 @@ use ironsafe_sql::exec::{ExecOptions, ScanWatch};
 use ironsafe_sql::heap::{shared, SharedPager};
 use ironsafe_sql::{Database, EncodedRows, QueryResult};
 use ironsafe_storage::pager::PlainPager;
-use ironsafe_storage::{
-    CompressedPager, PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager,
-};
+use ironsafe_storage::{PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager};
 use ironsafe_tee::sgx::epc::{verified_node_cache_capacity, EpcSimulator};
 use ironsafe_tee::trustzone::{Manufacturer, TrustZoneDevice};
 use ironsafe_tpch::queries::PaperQuery;
@@ -178,26 +176,20 @@ impl Default for Settings {
 /// A storage node's pager stack under an enclave budget of
 /// `epc_limit_bytes`: a [`SecurePager`] on `medium` — a TrustZone device
 /// and the seed its database key is drawn from — or, without one, a
-/// plain pager; `compressed` layers per-page compression *under* the
-/// page crypto (compress, then encrypt + MAC). The verified-node cache
-/// and the flight-recorder ring are TEE-resident and compete with the
-/// query working set for EPC, so both are bounded by the budget the cost
-/// model assumes. Everything that builds a storage node — [`CsaSystem`],
-/// a shard, a `Deployment` — gets its pager here.
+/// plain pager. The verified-node cache and the flight-recorder ring are
+/// TEE-resident and compete with the query working set for EPC, so both
+/// are bounded by the budget the cost model assumes. Everything that
+/// builds a storage node — [`CsaSystem`], a shard, a `Deployment` — gets
+/// its pager here.
 pub fn storage_pager(
     medium: Option<(TrustZoneDevice, u64)>,
-    compressed: bool,
     epc_limit_bytes: usize,
 ) -> Result<SharedPager> {
-    let secure = medium
-        .map(|(device, seed)| SecurePager::create(device, seed))
-        .transpose()
-        .map_err(crate::CsaError::Storage)?;
-    let pager = match (secure, compressed) {
-        (Some(secure), true) => shared(CompressedPager::new(secure)),
-        (Some(secure), false) => shared(secure),
-        (None, true) => shared(CompressedPager::new(PlainPager::new())),
-        (None, false) => shared(PlainPager::new()),
+    let pager = match medium {
+        Some((device, seed)) => {
+            shared(SecurePager::create(device, seed).map_err(crate::CsaError::Storage)?)
+        }
+        None => shared(PlainPager::new()),
     };
     {
         let (mut tee_resident, budget) = (pager.lock(), epc_limit_bytes as u64);
@@ -237,30 +229,13 @@ struct Ran {
 impl CsaSystem {
     /// Build a system in `config`, loading `data` into its storage node.
     pub fn build(config: SystemConfig, data: &TpchData, params: CostParams) -> Result<CsaSystem> {
-        Self::build_with_compression(config, data, params, false)
-    }
-
-    /// [`CsaSystem::build`] with per-page compression optionally layered
-    /// under the page crypto: pages are compressed *before* encrypt+MAC
-    /// (and decompressed after decrypt+verify), so compressible data
-    /// spends fewer physical blocks — and therefore fewer encryptions,
-    /// MACs and Merkle leaves. The reduction is honest: `PagerStats`
-    /// report physical-block work, and the cost model charges exactly
-    /// those counters.
-    pub fn build_with_compression(
-        config: SystemConfig,
-        data: &TpchData,
-        params: CostParams,
-        compressed: bool,
-    ) -> Result<CsaSystem> {
         let medium = config.secure().then(|| {
             let group = Group::modp_1024();
             let mfr = Manufacturer::from_seed(&group, b"ironsafe-storage-vendor");
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xC5A);
             (mfr.make_device("storage-0", 8, &mut rng), 0xC5A)
         });
-        let mut storage_db =
-            Database::with_shared(storage_pager(medium, compressed, params.epc_limit_bytes)?);
+        let mut storage_db = Database::with_shared(storage_pager(medium, params.epc_limit_bytes)?);
         ironsafe_tpch::load_into(&mut storage_db, data)?;
         storage_db.reset_pager_stats();
         Ok(Self::from_database(config, storage_db, params))
@@ -1226,7 +1201,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let medium = (mfr.make_device("storage-0", 8, &mut rng), 3);
         let params = CostParams::default();
-        let pager = storage_pager(Some(medium), false, params.epc_limit_bytes).unwrap();
+        let pager = storage_pager(Some(medium), params.epc_limit_bytes).unwrap();
         let mut db = Database::with_shared(pager);
         db.execute("CREATE TABLE u (a INT, s TEXT)").unwrap();
         let rows = (0..40).map(|a| vec![Value::Int(a), Value::Text("r".repeat(480))]).collect();

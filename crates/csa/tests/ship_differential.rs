@@ -16,6 +16,7 @@ use ironsafe_sql::exec::ExecOptions;
 use ironsafe_sql::parser::parse_statement;
 use ironsafe_sql::{Database, EncodedRows, Row, Value};
 use ironsafe_storage::pager::PlainPager;
+use ironsafe_storage::PAGE_PAYLOAD;
 use proptest::prelude::*;
 
 const CREATE: &str = "CREATE TABLE t (a INT, b FLOAT, s TEXT, n INT, m TEXT)";
@@ -68,7 +69,7 @@ fn select(sql: &str) -> SelectStmt {
 fn table_pages(db: &Database, table: &str) -> Vec<(u64, Vec<u8>)> {
     let heap = &db.catalog().table(table).unwrap().heap;
     let mut pager = db.pager().lock();
-    let mut page = vec![0u8; pager.payload_size()];
+    let mut page = vec![0u8; PAGE_PAYLOAD];
     heap.pages
         .iter()
         .map(|&id| {

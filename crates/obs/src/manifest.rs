@@ -72,10 +72,6 @@ pub const METRIC_MANIFEST: &[MetricDef] = &[
     m("serve.slo.queue_wait_ns", "histogram", "Wall-clock ns a request waited in its queue"),
     m("serve.slo.service_ns", "histogram", "Wall-clock ns a worker spent executing a request"),
     m("serve.violations.audited", "counter", "Integrity/freshness violations appended to the audit log"),
-    m("storage.compress.pages_dict", "counter", "Logical pages stored dictionary-coded"),
-    m("storage.compress.pages_raw", "counter", "Logical pages stored uncompressed (incompressible fallback)"),
-    m("storage.compress.pages_rle", "counter", "Logical pages stored run-length encoded"),
-    m("storage.compress.ratio_pct", "gauge", "Stored physical bytes as a percentage of logical bytes"),
     m("storage.merkle.cache.evict", "counter", "Verified-node cache wholesale evictions"),
     m("storage.merkle.cache.hit", "counter", "Freshness checks resolved from the verified-node cache"),
     m("storage.merkle.cache.miss", "counter", "Freshness checks that climbed past the cache"),

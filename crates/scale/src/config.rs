@@ -22,10 +22,6 @@ pub struct FederationConfig {
     pub params: CostParams,
     /// Partition-key column per table.
     pub partition_keys: HashMap<String, String>,
-    /// Store every node's pages compressed before encrypt+MAC. Result
-    /// rows are unchanged; physical page/crypto counters drop with the
-    /// achieved compression ratio (honest accounting).
-    pub compressed: bool,
 }
 
 impl FederationConfig {
@@ -38,14 +34,7 @@ impl FederationConfig {
             system,
             params: CostParams::default(),
             partition_keys: tpch_partition_keys(),
-            compressed: false,
         }
-    }
-
-    /// Store every node's pages compressed before encrypt+MAC.
-    pub fn with_compressed(mut self, on: bool) -> Self {
-        self.compressed = on;
-        self
     }
 
     /// Set the replica count (extra copies per shard).

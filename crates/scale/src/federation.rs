@@ -19,7 +19,7 @@
 //! load). The rows stay encoded from the shard's scan to the host's temp
 //! table; the merge reads each row's trailing gid cell and strips it.
 //!
-//! [`CostBreakdown`](ironsafe_csa::CostBreakdown)s are bit-identical
+//! [`CostBreakdown`]s are bit-identical
 //! across shard counts because the coordinator charges the cost model
 //! **only from conserved quantities**: total scanned rows, the merged
 //! (placement-invariant) shipped stream sealed once through one
@@ -213,14 +213,7 @@ impl FederatedCsaSystem {
                 .collect();
             let mut chain = Vec::with_capacity(config.replicas + 1);
             for replica in 0..=config.replicas {
-                chain.push(ShardNode::build(
-                    shard,
-                    replica,
-                    secure,
-                    config.compressed,
-                    &config.params,
-                    &tables,
-                )?);
+                chain.push(ShardNode::build(shard, replica, secure, &config.params, &tables)?);
             }
             nodes.push(chain);
         }

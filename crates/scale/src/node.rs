@@ -52,15 +52,11 @@ pub struct ShardNode {
 impl ShardNode {
     /// Build and load a node. `tables` holds the shard's gid-augmented
     /// partition of every table, in load order, already encoded — every
-    /// replica of a shard appends the same records. With `compressed`
-    /// set, pages are compressed before encrypt+MAC (see
-    /// [`ironsafe_storage::CompressedPager`]) — result rows are
-    /// unchanged, physical page/crypto counters shrink honestly.
+    /// replica of a shard appends the same records.
     pub fn build(
         shard: usize,
         replica: usize,
         secure: bool,
-        compressed: bool,
         params: &CostParams,
         tables: &[(String, Schema, EncodedRows)],
     ) -> Result<ShardNode> {
@@ -76,8 +72,7 @@ impl ShardNode {
             attestation.verified = device.device_cert.verify(&group, &mfr.root_public()).is_ok();
             (device, seed)
         });
-        let mut db =
-            Database::with_shared(storage_pager(medium, compressed, params.epc_limit_bytes)?);
+        let mut db = Database::with_shared(storage_pager(medium, params.epc_limit_bytes)?);
         let mut row_counts = Vec::with_capacity(tables.len());
         for (name, schema, rows) in tables {
             db.create_table(name, schema.clone())?;

@@ -27,6 +27,7 @@ use ironsafe_sql::heap::{scan_page_columns, CellTable};
 use ironsafe_sql::schema::{Column, Row, Schema};
 use ironsafe_sql::value::{DataType, Value};
 use ironsafe_storage::pager::PlainPager;
+use ironsafe_storage::PAGE_PAYLOAD;
 use std::cmp::Ordering;
 
 /// Name of the hidden global-row-index column on every shard table.
@@ -186,7 +187,7 @@ fn canonical_packing(
     let heap = &db.catalog().table(table)?.heap;
     let key_only: Vec<bool> = (0..with_gid.len()).map(|c| c == key_index).collect();
     let (mut batch, mut cells) = (ColumnBatch::new(with_gid.len()), CellTable::default());
-    let mut payload = vec![0u8; db.pager().lock().payload_size()];
+    let mut payload = vec![0u8; PAGE_PAYLOAD];
     let mut pages = Vec::with_capacity(heap.pages.len());
     let mut start_row = 0u64;
     for &id in &heap.pages {

@@ -1,14 +1,8 @@
-//! Golden parity for the batch scan kernel across DOP × compression,
-//! and for the compress-before-encrypt page store.
+//! Golden parity for the batch scan kernel across DOP.
 //!
 //! Parallelism is a pure execution change, so a DOP-4 run must preserve
 //! *everything* its DOP-1 twin produces: rows, cost breakdowns, shipped
 //! rows/bytes and summed per-shard pager deltas, at any shard count.
-//! Compression is a physical-layout change, so it must
-//! preserve the *answer* (rows bit-identical at any DOP and shard
-//! count) while honestly shrinking the physical counters: strictly
-//! fewer page reads everywhere, strictly fewer decrypts/MAC checks on
-//! secure configurations, and counters that do not depend on DOP.
 
 use ironsafe_csa::system::SystemConfig;
 use ironsafe_scale::{FederatedCsaSystem, FederatedReport, FederationConfig};
@@ -62,10 +56,9 @@ fn check_config(config: SystemConfig) {
         run_suite(&fed, [1, 4])
     };
 
-    // Axis 1 — DOP, raw pages: the same suite with the DOPs swapped puts
-    // a DOP-4 run where the baseline ran DOP 1 (same node state, other
-    // DOP) and vice versa; every observable is bit-identical, at 1 and 2
-    // shards.
+    // The same suite with the DOPs swapped puts a DOP-4 run where the
+    // baseline ran DOP 1 (same node state, other DOP) and vice versa;
+    // every observable is bit-identical, at 1 and 2 shards.
     for shards in [1usize, 2] {
         let cfg = FederationConfig::new(shards, config);
         let fed = FederatedCsaSystem::build(cfg, &data).unwrap();
@@ -78,74 +71,17 @@ fn check_config(config: SystemConfig) {
             assert_eq!(summed(run), summed(b), "{label}: pager deltas diverged");
         }
     }
-
-    // Axis 2 — compressed pages: the answer is untouched, the physical
-    // counters shrink honestly and are DOP-independent.
-    let mut comp_at_1 = Vec::new();
-    for shards in [1usize, 2] {
-        let cfg = FederationConfig::new(shards, config).with_compressed(true);
-        let fed = FederatedCsaSystem::build(cfg, &data).unwrap();
-        let runs = run_suite(&fed, [1, 4]);
-        for (run, b) in runs.iter().zip(&base) {
-            let label = format!("{config:?} q{} comp shards={shards}", run.query_id);
-            assert_eq!(run.result, b.result, "{label}: rows diverged");
-            assert_eq!(run.rows_shipped, b.rows_shipped, "{label}: rows_shipped diverged");
-            let (reads, _, decrypts, _) = summed(run);
-            let (b_reads, _, b_decrypts, _) = summed(b);
-            assert!(
-                reads < b_reads,
-                "{label}: compressed scan should read fewer physical blocks ({reads} vs {b_reads})"
-            );
-            if b_decrypts > 0 {
-                assert!(
-                    decrypts < b_decrypts,
-                    "{label}: compression must cut decrypt/MAC work ({decrypts} vs {b_decrypts})"
-                );
-            }
-        }
-        // DOP 1 vs DOP 4 of the same query hit identical physical pages:
-        // the suite interleaves them, so compare pairwise per query.
-        for pair in runs.chunks(2) {
-            assert_eq!(
-                summed(&pair[0]),
-                summed(&pair[1]),
-                "{config:?} q{} shards={shards}: compressed counters depend on DOP",
-                pair[0].query_id
-            );
-        }
-        if shards == 1 {
-            comp_at_1 = runs;
-        } else {
-            // Sharding a compressed store re-compresses each partition
-            // independently; the totals stay in a tight envelope of the
-            // single-node compressed totals even though exact block
-            // boundaries shift.
-            for (run, one) in runs.iter().zip(&comp_at_1) {
-                let (reads, writes, ..) = summed(run);
-                let (o_reads, o_writes, ..) = summed(one);
-                let label = format!("{config:?} q{} comp", run.query_id);
-                assert!(
-                    (reads as f64 - o_reads as f64).abs() <= o_reads as f64 * 0.15 + 4.0,
-                    "{label}: 2-shard reads {reads} far from 1-shard {o_reads}"
-                );
-                assert!(
-                    (writes as f64 - o_writes as f64).abs() <= o_writes as f64 * 0.15 + 4.0,
-                    "{label}: 2-shard writes {writes} far from 1-shard {o_writes}"
-                );
-            }
-        }
-    }
 }
 
 /// Deep check on the paper's own configuration.
 #[test]
-fn ironsafe_vector_and_compression_parity() {
+fn ironsafe_vector_parity() {
     check_config(SystemConfig::IronSafe);
 }
 
 /// Every other Table 2 configuration holds the same invariants.
 #[test]
-fn all_configs_hold_vector_and_compression_parity() {
+fn all_configs_hold_vector_parity() {
     for config in ALL_CONFIGS {
         if config == SystemConfig::IronSafe {
             continue; // covered by the deep test

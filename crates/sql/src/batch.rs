@@ -12,7 +12,7 @@
 //! `crate::exec::Operator`), evaluating predicates and expressions
 //! column-at-a-time (`crate::expr::filter_vec` / `crate::expr::eval_vec`).
 //! An operator that must keep lanes — join build side, sort, the compacted
-//! output of a join or a projection — [`gather`](ColumnData::gather)s them
+//! output of a join or a projection — gathers (`ColumnData::gather`) them
 //! into a batch of its own; [`ColumnBatch::clear`] keeps the allocations
 //! for the next fill.
 //!

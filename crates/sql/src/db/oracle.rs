@@ -24,6 +24,7 @@ use crate::exec::bind_all;
 use crate::expr::eval_bound;
 use crate::heap::HeapFile;
 use ironsafe_storage::pager::PageId;
+use ironsafe_storage::PAGE_PAYLOAD;
 
 const HEADER: usize = 6; // u32 used + u16 nrows
 
@@ -158,7 +159,7 @@ fn pack<R: AsRef<[u8]>>(
     mut spare: impl Iterator<Item = PageId>,
 ) -> Result<()> {
     let mut pager = pager.lock();
-    let mut page = vec![0u8; pager.payload_size()];
+    let mut page = vec![0u8; PAGE_PAYLOAD];
     let (mut used, mut nrows) = (HEADER, 0u16);
     let mut cur = heap.pages.last().copied();
     if let Some(tail) = cur {
@@ -211,7 +212,7 @@ mod tests {
     use crate::heap::shared;
     use ironsafe_crypto::group::Group;
     use ironsafe_storage::pager::{PagerStats, PlainPager};
-    use ironsafe_storage::{CompressedPager, PageCache, SecurePager, SharedPending, ViewPager};
+    use ironsafe_storage::{PageCache, SecurePager, SharedPending, ViewPager};
     use ironsafe_tee::trustzone::Manufacturer;
     use parking_lot::Mutex;
     use proptest::prelude::*;
@@ -220,10 +221,9 @@ mod tests {
     use std::sync::Arc;
 
     /// The pager stacks every differential and error-rule test runs on.
-    const SETUPS: [&str; 5] =
-        ["plain", "secure", "secure, verified-node cache off", "compressed", "writer view"];
+    const SETUPS: [&str; 4] = ["plain", "secure", "secure, verified-node cache off", "writer view"];
 
-    /// The fifth set-up: a `ViewPager::over_writer` view per statement
+    /// The fourth set-up: a `ViewPager::over_writer` view per statement
     /// over a secure base and the group's pending transactions, as `csa`
     /// opens them.
     struct Writer {
@@ -266,7 +266,6 @@ mod tests {
             let base: SharedPager = match SETUPS[setup] {
                 "plain" => shared(PlainPager::new()),
                 "secure" | "writer view" => shared(secure()),
-                "compressed" => shared(CompressedPager::new(secure())),
                 _ => {
                     let mut pager = secure();
                     pager.set_merkle_cache_enabled(false);
@@ -317,7 +316,7 @@ mod tests {
         /// The table's `HeapFile` and the bytes of every page in `seen`.
         fn state(&self) -> (HeapFile, Vec<Vec<u8>>) {
             let mut pager = self.db.pager().lock();
-            let mut page = vec![0u8; pager.payload_size()];
+            let mut page = vec![0u8; PAGE_PAYLOAD];
             let pages = self.seen.iter().map(|id| {
                 pager.read_page(*id, &mut page).unwrap();
                 page.clone()
@@ -467,11 +466,10 @@ mod tests {
     /// and `{LAST}` the last row's `a` (39).
     fn assert_fails_and_changes_nothing(setup: usize, sql: &str, message: &str) {
         let schema = "a INT, s TEXT";
-        let payload = Side::new(setup, schema, &[]).db.pager().lock().payload_size();
-        let n = 5 * ((payload - HEADER) / 498) as i64;
+        let n = 5 * ((PAGE_PAYLOAD - HEADER) / 498) as i64;
         let rows: Vec<Row> =
             (0..n).map(|a| vec![Value::Int(a), Value::Text("r".repeat(480))]).collect();
-        let sql = sql.replace("{BIG}", &"x".repeat(payload + 952)).replace("{LAST}", &(n - 1).to_string());
+        let sql = sql.replace("{BIG}", &"x".repeat(PAGE_PAYLOAD + 952)).replace("{LAST}", &(n - 1).to_string());
         let at = format!("{} after `{:.60}`", SETUPS[setup], sql);
 
         let (mut product, mut parent) = sides(setup, schema, &rows);
@@ -495,10 +493,9 @@ mod tests {
 
     #[test]
     fn an_update_whose_row_outgrows_a_page_leaves_the_table_as_it_was() {
-        for (setup, name) in SETUPS.iter().enumerate() {
-            let bytes = if *name == "compressed" { "" } else { "row of 5014 bytes " };
-            let message = format!("{bytes}exceeds page payload");
-            assert_fails_and_changes_nothing(setup, "UPDATE t SET s = '{BIG}' WHERE a = 10", &message);
+        for setup in 0..SETUPS.len() {
+            let sql = "UPDATE t SET s = '{BIG}' WHERE a = 10";
+            assert_fails_and_changes_nothing(setup, sql, "row of 5014 bytes exceeds page payload");
         }
     }
 

@@ -58,11 +58,11 @@ impl KeyLanes {
 /// The left input is the build side: on first pull its live lanes with
 /// non-NULL keys are gathered into one column arena (its columns, then
 /// one more per key that is not simply one of them, so a probe compares
-/// lanes with lanes) under a [`ChainIndex`]. The right input is then
+/// lanes with lanes) under a `ChainIndex`. The right input is then
 /// probed a batch at a time: every match is a (build row, probe lane)
-/// pair, and the pairs of up to [`BATCH_ROWS`] matches are gathered,
+/// pair, and the pairs of up to `BATCH_ROWS` matches are gathered,
 /// column by column, into the `left ‖ right` output batch. NULL keys never match (SQL semantics);
-/// key equality is that of `Value::key_bytes` (see [`KeyLane`]).
+/// key equality is that of `Value::key_bytes` (see `KeyLane`).
 ///
 /// Output order is probe order and, per probe lane, build rows
 /// newest-first. The next probe batch is pulled only once every match of

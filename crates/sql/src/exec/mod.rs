@@ -79,7 +79,7 @@ pub trait Operator {
     }
     /// Append every remaining output row to `out` in encoded form: by
     /// default batch by batch, each live lane through
-    /// [`EncodedRows::push_lane`] ([`encode_lanes`]). A [`Scan`] whose
+    /// [`EncodedRows::push_lane`] (`encode_lanes`). A [`Scan`] whose
     /// outputs are all plain columns copies its survivors' cells from the
     /// page instead — the same bytes, the encoding being canonical.
     fn drain_encoded(&mut self, out: &mut EncodedRows) -> Result<()> {

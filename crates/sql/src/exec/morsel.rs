@@ -5,7 +5,7 @@
 //! scan kernel pulls them one at a time, in page order, on the calling
 //! thread. At DOP > 1 a pool of worker threads (bounded by [`Dop`] and
 //! the machine's hardware parallelism) claims morsels off a shared
-//! atomic cursor and [`run_ordered`] hands each morsel's result to the
+//! atomic cursor and `run_ordered` hands each morsel's result to the
 //! consumer in morsel order — which *is* page order, which *is* the
 //! serial row order.
 //!

@@ -1,7 +1,7 @@
 //! The scan kernel: the one way rows leave a heap, and the one way they
 //! are rewritten.
 //!
-//! Every plan reads its base tables through [`Kernel::run`], one morsel
+//! Every plan reads its base tables through `Kernel::run`, one morsel
 //! at a time: a batched `read_pages` into a reused byte buffer (one
 //! pager lock per morsel; on a secure pager the morsel shares one Merkle
 //! climb), one walk of its pages ([`scan_page_columns`]) that checks
@@ -18,7 +18,7 @@
 //! plain columns, drained encoded ([`Operator::drain_encoded`]: every
 //! CSA fragment), copies each survivor's output cells from the page, and
 //! `UPDATE` / `DELETE`
-//! ([`rewrite_records`]) copy every record they do not change whole.
+//! (`rewrite_records`) copy every record they do not change whole.
 //! Text is copied once, page → column arena, for the columns that become
 //! lanes; a [`Scan`] *lends* its decoded columns to its parent (they are
 //! swapped into its output batch and back, never copied), and a second
@@ -30,7 +30,7 @@
 //! one morsel of lanes and stops reading when its parent stops pulling
 //! (with one-page morsels, which is how `LIMIT` plans are built, it
 //! reads exactly the pages a page-at-a-time scan would). At DOP > 1 the
-//! same kernel runs on the worker pool ([`run_ordered`]), each morsel's
+//! same kernel runs on the worker pool (`run_ordered`), each morsel's
 //! survivors are compacted into a batch of their own, and the batches
 //! are consumed in morsel order.
 
@@ -48,6 +48,7 @@ use crate::schema::Schema;
 use crate::value::{decode_value_raw, RawValue};
 use crate::{Result, SqlError};
 use ironsafe_obs::{Span, TraceCtx};
+use ironsafe_storage::PAGE_PAYLOAD;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -197,20 +198,15 @@ impl Kernel {
         };
         let Morsel { start, end } = self.morsels[i];
         let ids = &self.source.heap.pages[start..end];
-        let payload = {
-            let mut pager = self.source.pager.lock();
-            let payload = pager.payload_size();
-            buf.bytes.resize(ids.len() * payload, 0);
-            pager.read_pages(ids, &mut buf.bytes).map_err(SqlError::from)?;
-            payload
-        };
+        buf.bytes.resize(ids.len() * PAGE_PAYLOAD, 0);
+        self.source.pager.lock().read_pages(ids, &mut buf.bytes).map_err(SqlError::from)?;
         self.opts.metrics.morsels.inc();
         if buf.batch.width() != walk.len() {
             buf.batch = ColumnBatch::new(walk.len());
         }
         buf.batch.clear();
         buf.cells.clear();
-        scan_page_columns(&buf.bytes, payload, walk, &mut buf.batch, &mut buf.cells)?;
+        scan_page_columns(&buf.bytes, PAGE_PAYLOAD, walk, &mut buf.batch, &mut buf.cells)?;
         let rows = buf.batch.len();
         self.opts.metrics.rows.add(rows as u64);
         self.scanned.fetch_add(rows as u64, Ordering::Relaxed);
@@ -554,12 +550,12 @@ impl Operator for Scan {
 /// Hash aggregation fused onto a table scan.
 ///
 /// Each morsel's group keys and aggregate inputs are evaluated as
-/// vectors and folded into the serial [`GroupAcc`] in row order — at
+/// vectors and folded into the serial `GroupAcc` in row order — at
 /// DOP 1 straight from the decoded batch, at DOP > 1 from the compacted
 /// tuple batch a worker pre-evaluated, consumed in morsel order. Group
 /// first-seen order, DISTINCT dedup, NULL gating and float accumulation
-/// order are therefore identical to [`HashAggregate`]
-/// (`crate::exec::HashAggregate`), which runs the same fold, at any DOP.
+/// order are therefore identical to
+/// [`HashAggregate`](crate::exec::HashAggregate), which runs the same fold, at any DOP.
 pub struct ScanAggregate {
     kernel: Kernel,
     group_exprs: Vec<Expr>,

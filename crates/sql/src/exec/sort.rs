@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 /// Materializing sort over expression keys: the input's live lanes are
 /// gathered into one column arena, the keys evaluated over it as
 /// vectors, a permutation of the lanes sorted **stably** by them, and the
-/// arena gathered back out through the permutation, [`BATCH_ROWS`] lanes
+/// arena gathered back out through the permutation, `BATCH_ROWS` lanes
 /// at a time.
 pub struct Sort {
     input: Option<BoxOp>,

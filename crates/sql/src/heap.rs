@@ -18,6 +18,7 @@ use crate::schema::Row;
 use crate::value::{encode_value, walk_cell, RawValue};
 use crate::{Result, SqlError};
 use ironsafe_storage::pager::{PageId, Pager};
+use ironsafe_storage::PAGE_PAYLOAD;
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
@@ -235,7 +236,7 @@ impl HeapFile {
         mut spare: impl Iterator<Item = PageId>,
     ) -> Result<()> {
         let mut pager = pager.lock();
-        let mut page = vec![0u8; pager.payload_size()];
+        let mut page = vec![0u8; PAGE_PAYLOAD];
         let fits = page.len() - HEADER - 4;
         if let Some(len) = lens.into_iter().find(|len| *len > fits) {
             return Err(SqlError::Eval(format!("row of {len} bytes exceeds page payload")));
@@ -317,7 +318,7 @@ impl HeapFile {
             .get(page_index)
             .ok_or_else(|| SqlError::Eval(format!("heap page index {page_index} out of range")))?;
         let mut pager = pager.lock();
-        let mut payload = vec![0u8; pager.payload_size()];
+        let mut payload = vec![0u8; PAGE_PAYLOAD];
         pager.read_page(id, &mut payload)?;
         decode_page_rows(&payload, ncols)
     }
@@ -436,8 +437,7 @@ mod tests {
         }
         assert_eq!(a, b, "same page list, same row count");
         assert!(a.page_count() > 10);
-        let payload = by_rows.lock().payload_size();
-        let (mut pa, mut pb) = (vec![0u8; payload], vec![0u8; payload]);
+        let (mut pa, mut pb) = (vec![0u8; PAGE_PAYLOAD], vec![0u8; PAGE_PAYLOAD]);
         for &id in &a.pages {
             by_rows.lock().read_page(id, &mut pa).unwrap();
             by_bytes.lock().read_page(id, &mut pb).unwrap();
@@ -484,7 +484,7 @@ mod tests {
         let p = pager();
         let mut heap = HeapFile::new();
         heap.append_rows(&p, rows(0..40, row)).unwrap();
-        let mut payload = vec![0u8; p.lock().payload_size()];
+        let mut payload = vec![0u8; PAGE_PAYLOAD];
         p.lock().read_page(heap.pages[0], &mut payload).unwrap();
         let decoded = decode_page_rows(&payload, 3).unwrap();
         // The columnar view, fully unmasked and reused across calls,
@@ -551,7 +551,7 @@ mod tests {
             vec![Value::Int(i), Value::Text(format!("r\u{e9}sum\u{e9}-{i}")), Value::Null, Value::Float(0.5)]
         });
         heap.append_rows(&p, rows).unwrap();
-        let mut page = vec![0u8; p.lock().payload_size()];
+        let mut page = vec![0u8; PAGE_PAYLOAD];
         p.lock().read_page(heap.pages[0], &mut page).unwrap();
         let used = u32::from_be_bytes(page[0..4].try_into().unwrap()) as usize;
 

@@ -3,7 +3,7 @@
 //! The catalog (table definitions + heap page lists) serializes into a
 //! chain of reserved pages rooted at page 0, so a database survives a
 //! power cycle: reopen the (secure) pager from the medium, then
-//! [`read_catalog`] rebuilds the in-memory catalog. Under the secure
+//! [`Database::open`](crate::Database::open) rebuilds the in-memory catalog. Under the secure
 //! pager the catalog pages get the same encryption + Merkle + freshness
 //! protection as data pages — a rolled-back catalog is detected exactly
 //! like rolled-back data.
@@ -14,6 +14,7 @@ use crate::schema::{Column, Schema};
 use crate::value::DataType;
 use crate::{Result, SqlError};
 use ironsafe_storage::pager::PageId;
+use ironsafe_storage::PAGE_PAYLOAD;
 
 /// The catalog root always lives at page 0.
 pub const CATALOG_ROOT: PageId = 0;
@@ -118,8 +119,7 @@ pub fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
 /// the full chain so the caller can remember it for the next write.
 pub fn write_chain(pager: &SharedPager, existing: &[PageId], bytes: &[u8]) -> Result<Vec<PageId>> {
     let mut pager = pager.lock();
-    let payload = pager.payload_size();
-    let chunk = payload - CHAIN_HEADER;
+    let chunk = PAGE_PAYLOAD - CHAIN_HEADER;
     let n_pages = bytes.len().div_ceil(chunk).max(1);
     let mut chain: Vec<PageId> = existing.to_vec();
     if chain.is_empty() {
@@ -130,7 +130,7 @@ pub fn write_chain(pager: &SharedPager, existing: &[PageId], bytes: &[u8]) -> Re
     while chain.len() < n_pages {
         chain.push(pager.allocate_page()?);
     }
-    let mut page = vec![0u8; payload];
+    let mut page = vec![0u8; PAGE_PAYLOAD];
     for i in 0..n_pages {
         let start = i * chunk;
         let end = (start + chunk).min(bytes.len());
@@ -154,17 +154,16 @@ pub fn write_chain(pager: &SharedPager, existing: &[PageId], bytes: &[u8]) -> Re
 /// the chain page ids.
 pub fn read_chain(pager: &SharedPager) -> Result<(Vec<u8>, Vec<PageId>)> {
     let mut pager = pager.lock();
-    let payload = pager.payload_size();
     let mut bytes = Vec::new();
     let mut chain = Vec::new();
-    let mut page = vec![0u8; payload];
+    let mut page = vec![0u8; PAGE_PAYLOAD];
     let mut current = CATALOG_ROOT;
     loop {
         pager.read_page(current, &mut page)?;
         chain.push(current);
         let next = u64::from_be_bytes(page[..8].try_into().expect("8"));
         let len = u32::from_be_bytes(page[8..12].try_into().expect("4")) as usize;
-        if CHAIN_HEADER + len > payload {
+        if CHAIN_HEADER + len > PAGE_PAYLOAD {
             return Err(SqlError::Eval("corrupt catalog chain: bad chunk length".into()));
         }
         bytes.extend_from_slice(&page[CHAIN_HEADER..CHAIN_HEADER + len]);

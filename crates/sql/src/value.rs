@@ -244,7 +244,7 @@ impl<'a> RawValue<'a> {
 /// (`crate::heap::scan_page_columns`), channel frame validation and
 /// [`decode_value_raw`]. Only a kept cell becomes a
 /// value: a kept text body is checked by the `from_utf8` that borrows it,
-/// a skipped one passes on an ASCII test ([`is_ascii_at`]) or, failing
+/// a skipped one passes on an ASCII test (`is_ascii_at`) or, failing
 /// that, on `from_utf8` — so the same cells pass either way.
 #[inline(always)]
 pub fn walk_cell(buf: &[u8], pos: usize, keep: bool) -> Option<(usize, Option<RawValue<'_>>)> {

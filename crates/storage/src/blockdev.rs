@@ -45,13 +45,13 @@ impl BlockDevice {
     }
 
     /// Grow the device by one zeroed block, returning its index.
-    pub fn append_block(&mut self) -> u64 {
+    pub(crate) fn append_block(&mut self) -> u64 {
         self.blocks.push(Box::new([0; BLOCK_SIZE]));
         self.blocks.len() as u64 - 1
     }
 
     /// Read block `idx` into `buf`.
-    pub fn read_block(&mut self, idx: u64, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
+    pub(crate) fn read_block(&mut self, idx: u64, buf: &mut [u8; BLOCK_SIZE]) -> Result<()> {
         let block = self.blocks.get(idx as usize).ok_or(StorageError::PageOutOfRange(idx))?;
         buf.copy_from_slice(&block[..]);
         self.stats.reads += 1;
@@ -59,7 +59,7 @@ impl BlockDevice {
     }
 
     /// Write `buf` to block `idx`.
-    pub fn write_block(&mut self, idx: u64, buf: &[u8; BLOCK_SIZE]) -> Result<()> {
+    pub(crate) fn write_block(&mut self, idx: u64, buf: &[u8; BLOCK_SIZE]) -> Result<()> {
         let block = self.blocks.get_mut(idx as usize).ok_or(StorageError::PageOutOfRange(idx))?;
         block.copy_from_slice(buf);
         self.stats.writes += 1;
@@ -88,15 +88,6 @@ impl BlockDevice {
         }
     }
 
-    /// Attacker: copy block `src` over block `dst` (displacement attack).
-    pub fn raw_displace(&mut self, src: u64, dst: u64) {
-        if src == dst {
-            return;
-        }
-        let data = *self.blocks[src as usize].clone();
-        self.blocks[dst as usize].copy_from_slice(&data);
-    }
-
     /// Attacker: snapshot the full medium (for later rollback / forking).
     pub fn raw_snapshot(&self) -> Vec<Box<[u8; BLOCK_SIZE]>> {
         self.blocks.clone()
@@ -122,6 +113,17 @@ impl Default for BlockDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BlockDevice {
+        /// Attacker: copy block `src` over block `dst` (displacement attack).
+        pub(crate) fn raw_displace(&mut self, src: u64, dst: u64) {
+            if src == dst {
+                return;
+            }
+            let data = *self.blocks[src as usize].clone();
+            self.blocks[dst as usize].copy_from_slice(&data);
+        }
+    }
 
     #[test]
     fn append_read_write_roundtrip() {

@@ -38,7 +38,7 @@ impl FreshnessManager {
     }
 
     /// Commit `root` as the current authentic state (RPMB write).
-    pub fn commit_root(
+    pub(crate) fn commit_root(
         &mut self,
         ta: &SecureStorageTa,
         device: &mut TrustZoneDevice,
@@ -54,7 +54,7 @@ impl FreshnessManager {
     /// authenticated RPMB write — the group-commit bind. N transactions
     /// flushed together pay this single RPMB round trip, versus one per
     /// statement on the unbatched path.
-    pub fn commit_root_with_wal(
+    pub(crate) fn commit_root_with_wal(
         &mut self,
         ta: &SecureStorageTa,
         device: &mut TrustZoneDevice,
@@ -70,7 +70,7 @@ impl FreshnessManager {
     /// Read the committed WAL chain-head MAC (recovery: the last record
     /// whose chain MAC equals this value is the freshness-verified
     /// replay boundary). All-zero means no WAL bind was ever committed.
-    pub fn committed_wal_head(
+    pub(crate) fn committed_wal_head(
         &mut self,
         ta: &SecureStorageTa,
         device: &TrustZoneDevice,
@@ -82,7 +82,7 @@ impl FreshnessManager {
     }
 
     /// Check that `root` matches the RPMB-committed state.
-    pub fn verify_root(
+    pub(crate) fn verify_root(
         &mut self,
         ta: &SecureStorageTa,
         device: &TrustZoneDevice,

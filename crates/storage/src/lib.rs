@@ -16,7 +16,7 @@
 //!   page MACs, detecting displacement and suppression of pages.
 //! * [`freshness`] — binds the Merkle root to the device RPMB with a
 //!   HUK-derived key, defeating rollback and forking attacks.
-//! * [`pager`] — the [`Pager`](pager::Pager) abstraction the SQL engine
+//! * [`pager`] — the [`Pager`] abstraction the SQL engine
 //!   reads and writes through, with a plaintext implementation
 //!   ([`pager::PlainPager`]) and the full secure implementation
 //!   ([`secure_pager::SecurePager`]).
@@ -26,7 +26,6 @@
 
 pub mod blockdev;
 pub mod codec;
-pub mod compress;
 pub mod freshness;
 pub mod merkle;
 pub mod mvcc;
@@ -37,7 +36,6 @@ pub mod wal;
 
 pub use blockdev::{BlockDevice, BLOCK_SIZE};
 pub use codec::{PageCodec, PAGE_PAYLOAD};
-pub use compress::{CompressMetrics, CompressedPager, COMPRESSED_PAGE_FACTOR};
 pub use merkle::{MerkleTree, NodeCacheStats};
 pub use mvcc::{MvccMetrics, SnapshotPin, Snapshots};
 pub use pager::{PageId, Pager, PagerStats, PlainPager};

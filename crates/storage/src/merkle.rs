@@ -13,7 +13,7 @@
 //!   pairs in one shared-path climb: each touched sibling group is hashed
 //!   **once per level** instead of once per leaf, collapsing `node_visits`
 //!   from O(batch × depth × arity) to O(touched nodes).
-//! * A [`VerifiedNodeCache`] remembers which nodes have already been
+//! * A verified-node cache (`VerifiedNodeCache`) remembers which nodes have already been
 //!   authenticated against the current trusted root. The cache is keyed by
 //!   a **root epoch** — bumped on every `append`/`update`, i.e. on every
 //!   root change — and tagged with the exact root it was validated
@@ -35,7 +35,8 @@ pub type NodeHash = [u8; 32];
 
 /// Default verified-node cache capacity (nodes). Large enough that test
 /// and benchmark workloads never evict; deployments size it against the
-/// enclave memory budget via [`MerkleTree::set_cache_capacity`].
+/// enclave memory budget via
+/// [`Pager::set_merkle_cache_capacity`](crate::Pager::set_merkle_cache_capacity).
 pub const DEFAULT_NODE_CACHE_CAPACITY: usize = 1 << 20;
 
 /// Cumulative tallies of verified-node-cache activity.
@@ -52,7 +53,7 @@ pub struct NodeCacheStats {
 }
 
 /// Snapshot for rolling a failed (fault-injected, retried) operation's
-/// cache insertions back out — see [`MerkleTree::cache_checkpoint`].
+/// cache insertions back out (`MerkleTree::cache_checkpoint`).
 #[derive(Debug, Clone, Copy)]
 pub struct CacheCheckpoint {
     journal_len: usize,
@@ -183,7 +184,7 @@ impl MerkleTree {
     }
 
     /// Leaf count.
-    pub fn num_leaves(&self) -> usize {
+    pub(crate) fn num_leaves(&self) -> usize {
         self.levels[0].len()
     }
 
@@ -205,7 +206,7 @@ impl MerkleTree {
     /// Restore the visit counter to an earlier snapshot — used by the
     /// secure pager to keep batch reads stats-atomic: a failed batch
     /// rolls its partial Merkle work back out of the counters.
-    pub fn restore_node_visits(&mut self, snapshot: u64) {
+    pub(crate) fn restore_node_visits(&mut self, snapshot: u64) {
         self.node_visits = snapshot;
     }
 
@@ -226,13 +227,13 @@ impl MerkleTree {
     }
 
     /// True when the verified-node cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
+    pub(crate) fn cache_enabled(&self) -> bool {
         self.cache.enabled
     }
 
     /// Bound the verified-node cache to `capacity` nodes (≥ 1). Shrinking
     /// below the current population evicts everything (counted).
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache.capacity = capacity.max(1);
         if self.cache.nodes.len() > self.cache.capacity {
             self.cache.stats.evicts += self.cache.nodes.len() as u64;
@@ -240,11 +241,6 @@ impl MerkleTree {
             self.cache.clear();
             self.cache.root = root;
         }
-    }
-
-    /// Number of currently cached (authenticated) nodes.
-    pub fn cached_nodes(&self) -> usize {
-        self.cache.nodes.len()
     }
 
     /// Cumulative cache hit/miss/evict tallies.
@@ -255,7 +251,7 @@ impl MerkleTree {
     /// Begin a cache transaction: every insertion from here on is
     /// journaled until [`MerkleTree::cache_commit`] or
     /// [`MerkleTree::cache_rollback`].
-    pub fn cache_checkpoint(&mut self) -> CacheCheckpoint {
+    pub(crate) fn cache_checkpoint(&mut self) -> CacheCheckpoint {
         CacheCheckpoint {
             journal_len: self.cache.journal.len(),
             generation: self.cache.generation,
@@ -265,7 +261,7 @@ impl MerkleTree {
 
     /// Keep every insertion made since the checkpoint and drop the
     /// journal (it is only needed to support rollback).
-    pub fn cache_commit(&mut self) {
+    pub(crate) fn cache_commit(&mut self) {
         self.cache.journal.clear();
     }
 
@@ -275,7 +271,7 @@ impl MerkleTree {
     /// delta, so the whole cache is conservatively dropped — always
     /// safe: a smaller cache only costs extra node visits, never
     /// correctness.
-    pub fn cache_rollback(&mut self, checkpoint: CacheCheckpoint) {
+    pub(crate) fn cache_rollback(&mut self, checkpoint: CacheCheckpoint) {
         if self.cache.generation != checkpoint.generation {
             self.cache.clear();
         } else {
@@ -612,6 +608,13 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MerkleTree {
+        /// Number of currently cached (authenticated) nodes.
+        fn cached_nodes(&self) -> usize {
+            self.cache.nodes.len()
+        }
+    }
 
     fn mac(i: u8) -> [u8; 32] {
         [i; 32]

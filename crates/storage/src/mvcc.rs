@@ -116,7 +116,7 @@ impl SnapshotPin {
 
     /// Page count of the pinned state: ids at or above this are
     /// invisible to the pinned view regardless of later allocations.
-    pub fn base_pages(&self) -> u64 {
+    pub(crate) fn base_pages(&self) -> u64 {
         self.base_pages
     }
 
@@ -181,22 +181,6 @@ impl Snapshots {
         SnapshotPin { snapshots: self.clone(), epoch, base_pages: pages }
     }
 
-    /// True when some active pin is below `epoch` — i.e. overwriting a
-    /// page at `epoch` requires retaining its pre-image first.
-    pub fn has_pins_below(&self, epoch: u64) -> bool {
-        self.state.lock().min_pinned().is_some_and(|m| m < epoch)
-    }
-
-    /// Number of active pins (diagnostics/tests).
-    pub fn active_pins(&self) -> usize {
-        self.state.lock().pins.values().sum()
-    }
-
-    /// Number of retained versions (diagnostics/tests).
-    pub fn retained_versions(&self) -> usize {
-        self.state.lock().versions.values().map(Vec::len).sum()
-    }
-
     /// Retain `payload` as page `id`'s image for every epoch `< ceiling`
     /// (the epoch the overwriting commit publishes). `delta` is the
     /// counter cost a first read of this version charged; pinned readers
@@ -232,6 +216,24 @@ impl Snapshots {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Snapshots {
+        /// True when some active pin is below `epoch` — i.e. overwriting a
+        /// page at `epoch` requires retaining its pre-image first.
+        fn has_pins_below(&self, epoch: u64) -> bool {
+            self.state.lock().min_pinned().is_some_and(|m| m < epoch)
+        }
+
+        /// Number of active pins (diagnostics/tests).
+        fn active_pins(&self) -> usize {
+            self.state.lock().pins.values().sum()
+        }
+
+        /// Number of retained versions (diagnostics/tests).
+        fn retained_versions(&self) -> usize {
+            self.state.lock().versions.values().map(Vec::len).sum()
+        }
+    }
 
     fn payload(tag: u8) -> Arc<[u8]> {
         Arc::from(vec![tag; 8].into_boxed_slice())

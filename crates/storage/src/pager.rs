@@ -67,11 +67,6 @@ impl std::ops::Sub for PagerStats {
 
 /// A page-granular storage interface.
 pub trait Pager {
-    /// Size of every page payload in bytes.
-    fn payload_size(&self) -> usize {
-        PAGE_PAYLOAD
-    }
-
     /// Number of allocated pages.
     fn num_pages(&self) -> u64;
 
@@ -112,12 +107,12 @@ pub trait Pager {
     /// Allocate a fresh zeroed page; returns its id.
     fn allocate_page(&mut self) -> Result<PageId>;
 
-    /// Read page `id` into `buf` (must be exactly `payload_size()` bytes).
+    /// Read page `id` into `buf` (must be exactly [`PAGE_PAYLOAD`] bytes).
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()>;
 
     /// Read a batch of pages into `out`, which must hold exactly
-    /// `ids.len() * payload_size()` bytes; page `ids[i]` lands at
-    /// `out[i * payload_size()..]`.
+    /// `ids.len() * PAGE_PAYLOAD` bytes; page `ids[i]` lands at
+    /// `out[i * PAGE_PAYLOAD..]`.
     ///
     /// The default implementation loops [`Pager::read_page`]; secure
     /// implementations override it to pipeline device I/O, decryption
@@ -129,20 +124,19 @@ pub trait Pager {
     /// batched and looped reads of the same pages always produce the
     /// same [`PagerStats`] delta.
     fn read_pages(&mut self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
-        let payload = self.payload_size();
-        if out.len() != ids.len() * payload {
+        if out.len() != ids.len() * PAGE_PAYLOAD {
             return Err(StorageError::BadBufferSize {
-                expected: ids.len() * payload,
+                expected: ids.len() * PAGE_PAYLOAD,
                 got: out.len(),
             });
         }
-        for (id, chunk) in ids.iter().zip(out.chunks_exact_mut(payload)) {
+        for (id, chunk) in ids.iter().zip(out.chunks_exact_mut(PAGE_PAYLOAD)) {
             self.read_page(*id, chunk)?;
         }
         Ok(())
     }
 
-    /// Write `data` (exactly `payload_size()` bytes) to page `id`.
+    /// Write `data` (exactly [`PAGE_PAYLOAD`] bytes) to page `id`.
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()>;
 
     /// Commit outstanding state (e.g. freshness root to RPMB).
@@ -178,9 +172,8 @@ pub trait Pager {
     /// Build a [`Wal`](crate::wal::Wal) keyed from this pager's database
     /// key (the WAL's encryption/MAC keys derive from it, so the log is
     /// exactly as confidential as the pages it journals). `None` for
-    /// pagers that cannot journal physical post-images — plaintext
-    /// pagers, and compressed pagers whose logical/physical id spaces
-    /// differ.
+    /// pagers that cannot journal physical post-images (plaintext
+    /// pagers).
     fn make_wal(&self, rng_seed: u64) -> Option<crate::wal::Wal> {
         let _ = rng_seed;
         None

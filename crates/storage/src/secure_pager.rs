@@ -115,9 +115,6 @@ pub struct SecurePager {
     /// every failed read attempt — injected fault or real violation —
     /// is recorded; the serving layer drains it into the audit trail.
     flight: FlightRecorder,
-    /// When false, skip the per-read Merkle verification (ablation knob;
-    /// the paper's system always verifies).
-    pub verify_freshness_on_read: bool,
 }
 
 impl SecurePager {
@@ -156,7 +153,6 @@ impl SecurePager {
             scratch_macs: Vec::new(),
             batch_seq: 0,
             flight: FlightRecorder::with_budget(0),
-            verify_freshness_on_read: true,
         })
     }
 
@@ -209,7 +205,6 @@ impl SecurePager {
             scratch_macs: Vec::new(),
             batch_seq: 0,
             flight: FlightRecorder::with_budget(0),
-            verify_freshness_on_read: true,
         })
     }
 
@@ -339,15 +334,11 @@ impl SecurePager {
             block[BLOCK_SIZE - 1] ^= 0x01;
         }
         let mac = self.codec.decrypt_page(id, &block, buf)?;
-        if self.verify_freshness_on_read {
-            if self.fault_plan.should_fire(FaultSite::FreshnessStale) {
-                return Err(StorageError::FreshnessViolation(
-                    "stale page observed (injected rollback)",
-                ));
-            }
-            if !self.merkle.verify(id, &mac, &self.trusted_root) {
-                return Err(StorageError::FreshnessViolation("Merkle path mismatch on read"));
-            }
+        if self.fault_plan.should_fire(FaultSite::FreshnessStale) {
+            return Err(StorageError::FreshnessViolation("stale page observed (injected rollback)"));
+        }
+        if !self.merkle.verify(id, &mac, &self.trusted_root) {
+            return Err(StorageError::FreshnessViolation("Merkle path mismatch on read"));
         }
         Ok(())
     }
@@ -410,23 +401,21 @@ impl SecurePager {
         // visit count depend on how the batch was composed, so each page
         // climbs alone: cache on or off, a batch charges exactly what
         // the same pages read one by one would.
-        if self.verify_freshness_on_read {
-            for _ in ids {
-                if self.fault_plan.should_fire(FaultSite::FreshnessStale) {
-                    return Err(StorageError::FreshnessViolation(
-                        "stale page observed (injected rollback)",
-                    ));
-                }
+        for _ in ids {
+            if self.fault_plan.should_fire(FaultSite::FreshnessStale) {
+                return Err(StorageError::FreshnessViolation(
+                    "stale page observed (injected rollback)",
+                ));
             }
-            let root = self.trusted_root;
-            let fresh = if self.merkle.cache_enabled() {
-                self.merkle.verify_batch(ids, macs, &root)
-            } else {
-                ids.iter().zip(macs.iter()).all(|(id, mac)| self.merkle.verify(*id, mac, &root))
-            };
-            if !fresh {
-                return Err(StorageError::FreshnessViolation("Merkle path mismatch on read"));
-            }
+        }
+        let root = self.trusted_root;
+        let fresh = if self.merkle.cache_enabled() {
+            self.merkle.verify_batch(ids, macs, &root)
+        } else {
+            ids.iter().zip(macs.iter()).all(|(id, mac)| self.merkle.verify(*id, mac, &root))
+        };
+        if !fresh {
+            return Err(StorageError::FreshnessViolation("Merkle path mismatch on read"));
         }
         Ok(())
     }
@@ -519,9 +508,7 @@ impl Pager for SecurePager {
         self.page_reads += 1;
         self.metrics.page_reads.inc();
         self.metrics.decrypts.inc();
-        if self.verify_freshness_on_read {
-            self.metrics.hmac_verifies.inc();
-        }
+        self.metrics.hmac_verifies.inc();
         self.commit_cache_metrics(cache_before);
         Ok(())
     }
@@ -563,9 +550,7 @@ impl Pager for SecurePager {
         self.page_reads += n;
         self.metrics.page_reads.add(n);
         self.metrics.decrypts.add(n);
-        if self.verify_freshness_on_read {
-            self.metrics.hmac_verifies.add(n);
-        }
+        self.metrics.hmac_verifies.add(n);
         self.commit_cache_metrics(cache_before);
         Ok(())
     }
@@ -853,18 +838,6 @@ mod tests {
         assert_eq!(s.encrypts, 1);
         assert_eq!(s.decrypts, 1);
         assert!(s.merkle_nodes > 0, "freshness verification visited nodes");
-    }
-
-    #[test]
-    fn freshness_ablation_skips_merkle_reads() {
-        let mut pager = SecurePager::create(fresh_device("s0"), 1).unwrap();
-        let id = pager.allocate_page().unwrap();
-        pager.write_page(id, &payload(1)).unwrap();
-        pager.reset_stats();
-        pager.verify_freshness_on_read = false;
-        let mut buf = vec![0u8; PAGE_PAYLOAD];
-        pager.read_page(id, &mut buf).unwrap();
-        assert_eq!(pager.stats().merkle_nodes, 0);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! session's scan already authenticated or on how a batch happened to be
 //! composed. Single-session systems keep the freshness fast path.
 
+use crate::codec::PAGE_PAYLOAD;
 use crate::mvcc::SnapshotPin;
 use crate::pager::{PageId, Pager, PagerStats};
 use crate::{Result, StorageError};
@@ -206,7 +207,6 @@ pub struct ViewPager {
     cache: Arc<PageCache>,
     /// Pages `< base_pages` belong to the shared base store.
     base_pages: u64,
-    payload: usize,
     overlay: HashMap<PageId, Vec<u8>>,
     next_id: u64,
     stats: PagerStats,
@@ -219,17 +219,15 @@ impl ViewPager {
     /// Must be called while base writes are excluded (the CSA layer
     /// holds a read lock on the owning system for the view's lifetime).
     pub fn over(base: SharedDynPager, cache: Arc<PageCache>) -> Self {
-        let (base_pages, payload, mark) = {
+        let (base_pages, mark) = {
             let b = base.lock();
-            let s = b.stats();
-            (b.num_pages(), b.payload_size(), (b.num_pages(), s.page_writes))
+            (b.num_pages(), (b.num_pages(), b.stats().page_writes))
         };
         cache.sync(mark);
         ViewPager {
             base,
             cache,
             base_pages,
-            payload,
             overlay: HashMap::new(),
             next_id: base_pages,
             stats: PagerStats::default(),
@@ -243,13 +241,11 @@ impl ViewPager {
     /// shared cache is used *without* the mark sync (the writer keeps it
     /// coherent by invalidating exactly the pages each flush touches).
     pub fn over_pinned(base: SharedDynPager, cache: Arc<PageCache>, pin: SnapshotPin) -> Self {
-        let payload = base.lock().payload_size();
         let base_pages = pin.base_pages();
         ViewPager {
             base,
             cache,
             base_pages,
-            payload,
             overlay: HashMap::new(),
             next_id: base_pages,
             stats: PagerStats::default(),
@@ -263,28 +259,16 @@ impl ViewPager {
     /// private overlay as usual; the caller extracts them with
     /// [`ViewPager::take_txn`] when the statement commits.
     pub fn over_writer(base: SharedDynPager, cache: Arc<PageCache>, pending: SharedPending) -> Self {
-        let (base_pages, payload) = {
-            let b = base.lock();
-            (b.num_pages(), b.payload_size())
-        };
+        let base_pages = base.lock().num_pages();
         let next_id = base_pages.max(pending.lock().next_id());
         ViewPager {
             base,
             cache,
             base_pages,
-            payload,
             overlay: HashMap::new(),
             next_id,
             stats: PagerStats::default(),
             mode: ViewMode::Writer(pending),
-        }
-    }
-
-    /// The pinned epoch of a snapshot view (`None` for other modes).
-    pub fn pinned_epoch(&self) -> Option<u64> {
-        match &self.mode {
-            ViewMode::Pinned(pin) => Some(pin.epoch()),
-            _ => None,
         }
     }
 
@@ -331,10 +315,6 @@ impl ViewPager {
 }
 
 impl Pager for ViewPager {
-    fn payload_size(&self) -> usize {
-        self.payload
-    }
-
     fn num_pages(&self) -> u64 {
         self.next_id
     }
@@ -342,13 +322,13 @@ impl Pager for ViewPager {
     fn allocate_page(&mut self) -> Result<PageId> {
         let id = self.next_id;
         self.next_id += 1;
-        self.overlay.insert(id, vec![0u8; self.payload]);
+        self.overlay.insert(id, vec![0u8; PAGE_PAYLOAD]);
         Ok(id)
     }
 
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        if buf.len() != self.payload {
-            return Err(StorageError::BadBufferSize { expected: self.payload, got: buf.len() });
+        if buf.len() != PAGE_PAYLOAD {
+            return Err(StorageError::BadBufferSize { expected: PAGE_PAYLOAD, got: buf.len() });
         }
         if let Some(data) = self.overlay.get(&id) {
             buf.copy_from_slice(data);
@@ -408,9 +388,9 @@ impl Pager for ViewPager {
     /// partially-populated cache behind (a retried batch would
     /// otherwise double-charge the already-served prefix).
     fn read_pages(&mut self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
-        if out.len() != ids.len() * self.payload {
+        if out.len() != ids.len() * PAGE_PAYLOAD {
             return Err(StorageError::BadBufferSize {
-                expected: ids.len() * self.payload,
+                expected: ids.len() * PAGE_PAYLOAD,
                 got: out.len(),
             });
         }
@@ -421,7 +401,7 @@ impl Pager for ViewPager {
         // their cache entries are valid and kept.
         if !matches!(self.mode, ViewMode::Exclusive) {
             let before = self.stats;
-            for (&id, chunk) in ids.iter().zip(out.chunks_exact_mut(self.payload)) {
+            for (&id, chunk) in ids.iter().zip(out.chunks_exact_mut(PAGE_PAYLOAD)) {
                 if let Err(e) = self.read_page(id, chunk) {
                     self.stats = before;
                     return Err(e);
@@ -432,7 +412,7 @@ impl Pager for ViewPager {
         let mut staged = PagerStats::default();
         let mut misses: Vec<(usize, PageId)> = Vec::new();
         for (i, (&id, chunk)) in
-            ids.iter().zip(out.chunks_exact_mut(self.payload)).enumerate()
+            ids.iter().zip(out.chunks_exact_mut(PAGE_PAYLOAD)).enumerate()
         {
             if let Some(data) = self.overlay.get(&id) {
                 chunk.copy_from_slice(data);
@@ -449,7 +429,7 @@ impl Pager for ViewPager {
         if !misses.is_empty() {
             let mut b = self.base.lock();
             for (i, id) in misses {
-                let chunk = &mut out[i * self.payload..(i + 1) * self.payload];
+                let chunk = &mut out[i * PAGE_PAYLOAD..(i + 1) * PAGE_PAYLOAD];
                 let before = b.stats();
                 b.read_page(id, chunk)?;
                 let delta = b.stats() - before;
@@ -466,8 +446,8 @@ impl Pager for ViewPager {
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
-        if data.len() != self.payload {
-            return Err(StorageError::BadBufferSize { expected: self.payload, got: data.len() });
+        if data.len() != PAGE_PAYLOAD {
+            return Err(StorageError::BadBufferSize { expected: PAGE_PAYLOAD, got: data.len() });
         }
         if id >= self.next_id {
             return Err(StorageError::PageOutOfRange(id));
@@ -515,11 +495,21 @@ mod tests {
     use super::*;
     use crate::pager::PlainPager;
 
+    impl ViewPager {
+        /// The pinned epoch of a snapshot view (`None` for other modes).
+        fn pinned_epoch(&self) -> Option<u64> {
+            match &self.mode {
+                ViewMode::Pinned(pin) => Some(pin.epoch()),
+                _ => None,
+            }
+        }
+    }
+
     fn base_with_pages(n: u64) -> SharedDynPager {
         let mut p = PlainPager::new();
         for i in 0..n {
             let id = p.allocate_page().unwrap();
-            let data = vec![i as u8; p.payload_size()];
+            let data = vec![i as u8; PAGE_PAYLOAD];
             p.write_page(id, &data).unwrap();
         }
         Arc::new(Mutex::new(p))
@@ -530,7 +520,7 @@ mod tests {
         let base = base_with_pages(3);
         let cache = Arc::new(PageCache::new());
         let mut v = ViewPager::over(base.clone(), cache);
-        let mut buf = vec![0u8; v.payload_size()];
+        let mut buf = vec![0u8; PAGE_PAYLOAD];
         v.read_page(1, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 1));
         assert_eq!(v.stats().page_reads, 1);
@@ -541,7 +531,7 @@ mod tests {
         let base = base_with_pages(2);
         let cache = Arc::new(PageCache::new());
         let mut v = ViewPager::over(base.clone(), cache.clone());
-        let payload = v.payload_size();
+        let payload = PAGE_PAYLOAD;
         // Copy-on-write of a base page.
         v.write_page(0, &vec![9u8; payload]).unwrap();
         // Fresh allocation.
@@ -565,7 +555,7 @@ mod tests {
         let base = base_with_pages(4);
         let cache = Arc::new(PageCache::new());
         let mut cold = ViewPager::over(base.clone(), cache.clone());
-        let mut buf = vec![0u8; cold.payload_size()];
+        let mut buf = vec![0u8; PAGE_PAYLOAD];
         cold.read_page(2, &mut buf).unwrap();
         let cold_stats = cold.stats();
         // A second view hits the cache but must report identical costs.
@@ -580,7 +570,7 @@ mod tests {
         let base = base_with_pages(2);
         let cache = Arc::new(PageCache::new());
         let mut v = ViewPager::over(base.clone(), cache.clone());
-        let payload = v.payload_size();
+        let payload = PAGE_PAYLOAD;
         let mut buf = vec![0u8; payload];
         v.read_page(0, &mut buf).unwrap();
         assert_eq!(cache.len(), 1);
@@ -596,7 +586,7 @@ mod tests {
         let base = base_with_pages(4);
         let cache = Arc::new(PageCache::new());
         let mut v = ViewPager::over(base.clone(), cache.clone());
-        let payload = v.payload_size();
+        let payload = PAGE_PAYLOAD;
         // Warm page 1 into the cache, add an overlay page.
         let mut buf = vec![0u8; payload];
         v.read_page(1, &mut buf).unwrap();
@@ -639,7 +629,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let tz = mfr.make_device("view-fault", 8, &mut rng);
         let mut pager = SecurePager::create(tz, 5).unwrap();
-        let payload = pager.payload_size();
+        let payload = PAGE_PAYLOAD;
         for i in 0..4u8 {
             let id = pager.allocate_page().unwrap();
             pager.write_page(id, &vec![i; payload]).unwrap();
@@ -675,7 +665,7 @@ mod tests {
         let cache = Arc::new(PageCache::new());
         let snaps = Snapshots::new();
         snaps.publish(1, 3);
-        let payload = base.lock().payload_size();
+        let payload = PAGE_PAYLOAD;
         // Cold read records the first-read delta (and warms the cache).
         let mut probe = ViewPager::over_pinned(base.clone(), cache.clone(), snaps.pin());
         let mut buf = vec![0u8; payload];
@@ -715,7 +705,7 @@ mod tests {
         snaps.publish(1, 2);
         let pin = snaps.pin();
         // A later commit appends page 2 and publishes epoch 2.
-        let payload = base.lock().payload_size();
+        let payload = PAGE_PAYLOAD;
         {
             let mut b = base.lock();
             let id = b.allocate_page().unwrap();
@@ -742,7 +732,7 @@ mod tests {
         let base = base_with_pages(2);
         let cache = Arc::new(PageCache::new());
         let pending: SharedPending = Arc::new(Mutex::new(PendingTxns::default()));
-        let payload = base.lock().payload_size();
+        let payload = PAGE_PAYLOAD;
 
         // Txn A: overwrite page 0, append page 2, park in the buffer.
         let mut a = ViewPager::over_writer(base.clone(), cache.clone(), pending.clone());
@@ -779,7 +769,7 @@ mod tests {
         let base = base_with_pages(1);
         let cache = Arc::new(PageCache::new());
         let mut v = ViewPager::over(base, cache);
-        let mut buf = vec![0u8; v.payload_size()];
+        let mut buf = vec![0u8; PAGE_PAYLOAD];
         assert!(matches!(v.read_page(9, &mut buf), Err(StorageError::PageOutOfRange(9))));
         assert!(matches!(v.write_page(9, &buf), Err(StorageError::PageOutOfRange(9))));
     }

@@ -290,23 +290,10 @@ impl Wal {
         &self.medium
     }
 
-    /// Mutable medium access (attacker/crash interface).
-    pub fn medium_mut(&mut self) -> &mut WalMedium {
-        &mut self.medium
-    }
-
     /// Tear the log down to its surviving medium (power-off); recover
     /// with [`Wal::recover_medium`].
     pub fn into_medium(self) -> WalMedium {
         self.medium
-    }
-
-    /// Take the medium out of a shared handle (crash harness), leaving
-    /// an empty husk behind.
-    pub fn take_medium(&mut self) -> WalMedium {
-        self.next_seq = 0;
-        self.head = EMPTY_HEAD;
-        std::mem::take(&mut self.medium)
     }
 
     /// Append the checkpoint record (must be the first record).
@@ -592,6 +579,21 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Wal {
+        /// Mutable medium access (attacker/crash interface).
+        fn medium_mut(&mut self) -> &mut WalMedium {
+            &mut self.medium
+        }
+
+        /// Take the medium out of a shared handle (crash harness), leaving
+        /// an empty husk behind.
+        fn take_medium(&mut self) -> WalMedium {
+            self.next_seq = 0;
+            self.head = EMPTY_HEAD;
+            std::mem::take(&mut self.medium)
+        }
+    }
 
     const DB_KEY: [u8; 16] = [7u8; 16];
 

@@ -3,7 +3,7 @@
 //! The paper relies on SCONE's Configuration and Attestation Service (CAS),
 //! itself rooted in Intel IAS. We model the same trust structure:
 //!
-//! 1. Each genuine [`SgxPlatform`](crate::sgx::SgxPlatform) holds a
+//! 1. Each genuine [`SgxPlatform`] holds a
 //!    quote-signing key derived from its fused secret.
 //! 2. The [`AttestationService`] (IAS/CAS stand-in) knows which platform
 //!    keys are genuine — registration models Intel's provisioning — and

@@ -149,7 +149,7 @@ impl SecureStorageTa {
 
     /// Persist the Merkle-root MAC *and* the WAL chain-head MAC in one
     /// authenticated RPMB write (group commit's batched bind): both marks
-    /// share [`SLOT_MERKLE_ROOT`]'s block, so committing N transactions
+    /// share the Merkle-root slot's block, so committing N transactions
     /// costs a single RPMB round trip instead of one per mark. The root
     /// keeps its `[..32]` layout — [`SecureStorageTa::load_merkle_root`]
     /// reads a batched block unchanged.

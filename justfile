@@ -3,14 +3,16 @@
 # pass --offline.
 
 # Build, test, and lint everything (the pre-merge gate): each workspace
-# test runs once, then the six BENCH_*.json gates (each regenerates its
-# whole file and byte-compares it), the serving example end to end, and
-# the wall-clock benchmark's own tests (all four workloads in --smoke
-# size, against the crates as they are now).
+# test runs once, clippy and rustdoc run with warnings denied, then the
+# six BENCH_*.json gates (each regenerates its whole file and
+# byte-compares it), the serving example end to end, and the wall-clock
+# benchmark's own tests (all four workloads in --smoke size, against the
+# crates as they are now).
 check:
     cargo build --release --offline
     cargo test -q --offline
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS='-D warnings' cargo doc --offline --workspace --no-deps
     cargo run --release --offline -p ironsafe-bench --bin paperbench freshness --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench profile --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench shards --check

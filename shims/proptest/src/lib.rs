@@ -143,7 +143,7 @@ pub mod strategy {
     impl_tuple_strategy!(A/0, B/1, C/2, D/3, E/4);
 }
 
-/// `any::<T>()` and the [`Arbitrary`] trait.
+/// `any::<T>()` and the `Arbitrary` trait.
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;

@@ -24,12 +24,10 @@ use std::sync::Arc;
 /// fully assembled deployment would.
 fn register_workspace(registry: &Registry) {
     // Storage + morsel execution: a real secure system registers the
-    // pager's `storage.*` cells and the executor's `exec.morsel.*`; the
-    // compressed page store adds the `storage.compress.*` family.
+    // pager's `storage.*` cells and the executor's `exec.morsel.*`.
     let data = ironsafe_tpch::generate(0.002, 42);
-    let sys =
-        CsaSystem::build_with_compression(SystemConfig::IronSafe, &data, CostParams::default(), true)
-            .expect("system builds");
+    let sys = CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default())
+        .expect("system builds");
     sys.storage_db().register_metrics(registry);
     sys.register_exec_metrics(registry);
     // Adaptive planner counters (`plan.*`).

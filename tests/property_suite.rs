@@ -7,7 +7,7 @@ use ironsafe::csa::net::channel_pair;
 use ironsafe::sql::value::Value;
 use ironsafe::sql::{Database, Row};
 use ironsafe::storage::pager::{Pager, PlainPager};
-use ironsafe::storage::SecurePager;
+use ironsafe::storage::{SecurePager, PAGE_PAYLOAD};
 use ironsafe::tee::trustzone::Manufacturer;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -178,7 +178,6 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let device = mfr.make_device("prop", 8, &mut rng);
         let mut pager = SecurePager::create(device, seed).unwrap();
-        let payload_size = pager.payload_size();
         for _ in 0..PAGES {
             pager.allocate_page().unwrap();
         }
@@ -193,7 +192,7 @@ proptest! {
             match op {
                 PagerOp::Write { page, fill } => {
                     let page = page % PAGES;
-                    let data = vec![fill; payload_size];
+                    let data = vec![fill; PAGE_PAYLOAD];
                     pager.write_page(page as u64, &data).unwrap();
                     pending[page as usize] = fill;
                     dirty = true;
@@ -218,7 +217,7 @@ proptest! {
             }
         }
         // Whatever survived must match the shadow of the *current* state.
-        let mut buf = vec![0u8; payload_size];
+        let mut buf = vec![0u8; PAGE_PAYLOAD];
         for p in 0..PAGES {
             pager.read_page(p as u64, &mut buf).unwrap();
             prop_assert!(buf.iter().all(|&b| b == pending[p as usize]), "page {} content", p);

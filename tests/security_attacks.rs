@@ -9,7 +9,7 @@ use ironsafe::monitor::TrustedMonitor;
 use ironsafe::policy::parse_policy;
 use ironsafe::sql::Database;
 use ironsafe::storage::pager::Pager;
-use ironsafe::storage::{SecurePager, StorageError};
+use ironsafe::storage::{SecurePager, StorageError, PAGE_PAYLOAD};
 use ironsafe::tee::image::SoftwareImage;
 use ironsafe::tee::sgx::{AttestationService, EnclaveConfig, Quote, SgxPlatform};
 use ironsafe::tee::trustzone::{
@@ -47,7 +47,7 @@ fn medium_inspection_reveals_no_plaintext() {
     let device = mfr.make_device("inspect", 8, &mut rng());
     let mut pager = SecurePager::create(device, 7).unwrap();
     let id = pager.allocate_page().unwrap();
-    let mut payload = vec![0u8; pager.payload_size()];
+    let mut payload = vec![0u8; PAGE_PAYLOAD];
     payload[..20].copy_from_slice(b"ssn-123456 TOPSECRET");
     pager.write_page(id, &payload).unwrap();
     let raw = pager.device().raw_read(id).unwrap();
@@ -69,7 +69,7 @@ fn offline_page_tampering_detected_at_query_time() {
     let device = mfr.make_device("victim2", 8, &mut rng());
     let mut pager = SecurePager::create(device, 2).unwrap();
     let id = pager.allocate_page().unwrap();
-    let payload = vec![7u8; pager.payload_size()];
+    let payload = vec![7u8; PAGE_PAYLOAD];
     pager.write_page(id, &payload).unwrap();
     pager.device_mut().raw_tamper(id, 64, 0xff);
     let mut buf = vec![0u8; payload.len()];
@@ -87,8 +87,8 @@ fn rollback_attack_across_reboot_detected() {
     let device = mfr.make_device("victim3", 8, &mut rng());
     let mut pager = SecurePager::create(device, 3).unwrap();
     let id = pager.allocate_page().unwrap();
-    let v1 = vec![1u8; pager.payload_size()];
-    let v2 = vec![2u8; pager.payload_size()];
+    let v1 = vec![1u8; PAGE_PAYLOAD];
+    let v2 = vec![2u8; PAGE_PAYLOAD];
     pager.write_page(id, &v1).unwrap();
     pager.commit().unwrap();
     let stale = pager.device().raw_snapshot();
@@ -98,6 +98,58 @@ fn rollback_attack_across_reboot_detected() {
     let (tz, mut medium) = pager.into_parts();
     medium.raw_restore(stale);
     assert!(matches!(SecurePager::open(tz, medium, 4), Err(StorageError::FreshnessViolation(_))));
+}
+
+#[test]
+fn medium_layout_does_not_depend_on_row_contents() {
+    // The compression-oracle attack (DBREACH): the attacker inserts a row
+    // of guess ‖ compressible tail next to a secret and its writer's
+    // incompressible filler, and watches the medium for a page whose size
+    // moves when the guess matches. On the stack every storage node runs
+    // (`csa::storage_pager`), a correct and a wrong guess leave as many
+    // pages, each in a block of the same length, written with as many
+    // block writes, at every tail length. With this much filler, a store
+    // that compresses 8-block pages before encryption spends one block
+    // more on the wrong guess than on the right one, at every tail.
+    use ironsafe::csa::{storage_pager, CostParams};
+    use rand::Rng;
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+    let mut r = rng();
+    let mut word = |len: usize| -> String {
+        (0..len).map(|_| ALPHABET[r.gen_range(0..ALPHABET.len())] as char).collect()
+    };
+    let (secret, wrong) = (word(24), word(24));
+    let filler: Vec<String> = [400; 8].into_iter().chain([16]).map(&mut word).collect();
+    let victim = || {
+        let group = Group::modp_1024();
+        let mfr = Manufacturer::from_seed(&group, b"size-channel-vendor");
+        let device = mfr.make_device("victim-size", 8, &mut rng());
+        let epc = CostParams::default().epc_limit_bytes;
+        let mut db = Database::with_shared(storage_pager(Some((device, 5)), epc).unwrap());
+        db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
+        db.execute(&format!("INSERT INTO t VALUES (1, 'token={secret}')")).unwrap();
+        for f in &filler {
+            db.execute(&format!("INSERT INTO t VALUES (0, '{f}')")).unwrap();
+        }
+        db
+    };
+    let layout = |db: &Database| {
+        let pager = db.pager().lock();
+        let blocks: Vec<Option<usize>> =
+            (0..pager.num_pages()).map(|id| pager.export_block(id).map(|b| b.len())).collect();
+        (pager.num_pages(), blocks, pager.stats().page_writes)
+    };
+    let mut sides = [(victim(), &secret), (victim(), &wrong)];
+    for tail in 0..=512 {
+        for (db, guess) in &mut sides {
+            let row = format!("token={guess}{}", "a".repeat(tail));
+            db.execute(&format!("INSERT INTO t VALUES (2, '{row}')")).unwrap();
+        }
+        assert_eq!(layout(&sides[0].0), layout(&sides[1].0), "tail of {tail} bytes");
+        for (db, _) in &mut sides {
+            db.execute("DELETE FROM t WHERE id = 2").unwrap();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
