@@ -137,8 +137,7 @@ fn bench_channel(c: &mut Criterion) {
         b.iter(|| {
             let encoded = EncodedRows::from_rows(std::hint::black_box(rows));
             let mut host = Database::new(PlainPager::new());
-            link.ship_table(&mut host, "lineitem", schema.clone(), &encoded, encoded.len())
-                .expect("ship");
+            link.ship_table(&mut host, "lineitem", schema.clone(), &encoded).expect("ship");
             host
         })
     });

@@ -69,10 +69,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ("table3", None, true, |_| {
         figure("== Table 3: GDPR anti-patterns, non-secure vs IronSafe (wall-clock ms) ==", &table3(20_000), "")
     }, None),
-    // Static vs adaptive partitioner on scs.
-    ("ablation", None, true, |c| {
-        figure("== Ablation: static vs adaptive partitioner (scs, simulated ms) ==", &partitioner_ablation(c.sf), "")
-    }, None),
     // Table 4: attestation latency breakdown (wall-clock).
     ("table4", None, true, run_table4, None),
     // Morsel-driven Q1/Q6 across DOP 1/2/4/8 (wall-clock speedup).
@@ -86,8 +82,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ("shards", Some(SHARDS_SF), false, run_shards, Some("BENCH_7.json")),
     // Batch scan kernel invariants at DOP 1 and 4.
     ("vectors", Some(VECTORS_SF), false, run_vectors, Some("BENCH_8.json")),
-    // Adaptive offload optimizer grid and re-planning demo.
-    ("adaptive", Some(ADAPTIVE_SF), false, run_adaptive, Some("BENCH_10.json")),
     // EXPLAIN ANALYZE profiles of Q1/Q6 under every configuration.
     ("profile", Some(PROFILE_SF), false, run_profile, Some("BENCH_6.json")),
 ];
@@ -236,31 +230,6 @@ fn run_vectors(ctx: &mut Ctx) -> Option<Snapshot> {
         snapshot.table("cells"),
         "",
         "(every cell identical at DOP 1 and DOP 4)\n",
-    );
-    Some(snapshot)
-}
-
-fn run_adaptive(ctx: &mut Ctx) -> Option<Snapshot> {
-    let snapshot = adaptive_sweep(ctx.sf, &adaptive_grid());
-    print_table(
-        &format!(
-            "== Adaptive offload optimizer: shape x cores x selectivity x EPC pressure grid on scs (SF {}) ==\n",
-            ctx.sf
-        ),
-        snapshot.table("cells"),
-        "",
-        "(digests bit-identical across policies; adaptive <= best static at every point — asserted)\n",
-    );
-    let demo = snapshot.table("replan");
-    let replans = demo.int(0, "replans");
-    println!(
-        "re-planning demo: pinned sel {:.0}% vs actual {}% — stubborn {:.0}ns, \
-         re-planned {:.0}ns ({replans} re-plan{}, rows identical)\n",
-        demo.num(0, "pinned_selectivity") * 100.0,
-        demo.get(0, "actual_pct"),
-        demo.num(0, "stubborn_ns"),
-        demo.num(0, "replanned_ns"),
-        if replans == 1 { "" } else { "s" }
     );
     Some(snapshot)
 }

@@ -613,29 +613,6 @@ pub fn table4() -> Table {
     t
 }
 
-/// Ablation: the paper's static pushdown against the adaptive
-/// partitioner (the paper's §8 future work), simulated ms on scs.
-pub fn partitioner_ablation(sf: f64) -> Table {
-    let data = generate(sf, SEED);
-    let mut static_sys = system(SystemConfig::IronSafe, &data, CostParams::default());
-    let mut adaptive_sys = system(SystemConfig::IronSafe, &data, CostParams::default());
-    adaptive_sys.set_placement(ironsafe_csa::PlacementPolicy::CostBased);
-    let mut t = Table::new(vec![
-        Col::query("query"),
-        Col::new("static", "static_ms", 12).fixed(2, "ms"),
-        Col::new("adaptive", "adaptive_ms", 12).fixed(2, "ms"),
-        Col::new("gain", "gain", 8).fixed(2, "x"),
-    ]);
-    for q in paper_queries() {
-        let s = static_sys.run_query(&q).expect("static run");
-        let a = adaptive_sys.run_query(&q).expect("adaptive run");
-        assert_eq!(s.result, a.result, "Q{}: strategies must agree", q.id);
-        let (static_ns, adaptive_ns) = (s.total_ns(), a.total_ns());
-        t.push(row![q.id, static_ns / 1e6, adaptive_ns / 1e6, static_ns / adaptive_ns]);
-    }
-    t
-}
-
 /// Morsel-parallel execution: sweep Q1 and Q6 across `dops`, best-of-3
 /// *real* wall-clock ms and the speedup over the first DOP, on the
 /// plaintext-backed and the secure (AES + Merkle) storage DB, verifying

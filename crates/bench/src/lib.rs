@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod chaos;
 pub mod figures;
 pub mod profiles;
@@ -27,7 +26,6 @@ pub mod telemetry;
 pub mod vectors;
 pub mod writes;
 
-pub use adaptive::{adaptive_grid, adaptive_sweep, q1_wide_with_selectivity, ADAPTIVE_SF};
 pub use figures::*;
 pub use profiles::{profile_matrix, profiles_snapshot, PROFILE_SF};
 pub use shards::{shards_sweep, SHARDS_SF, SHARD_COUNTS};

@@ -8,7 +8,7 @@
 //!
 //! This module is also the only place that decides *which* terms a run
 //! pays, from which counters, and in which span order: callers hand
-//! [`charge_run`] (or [`price`]) the [`Work`] they counted and the
+//! `charge_run` (or `price`) the [`Work`] they counted and the
 //! [`Run`] it was counted under.
 
 use ironsafe_obs::Span;
@@ -29,9 +29,10 @@ pub enum Interconnect {
     TcpTls,
 }
 
+#[cfg(test)]
 impl Interconnect {
     /// `(latency_ns per message, ns per byte)` for this technology.
-    pub fn parameters(&self) -> (u64, f64) {
+    pub(crate) fn parameters(&self) -> (u64, f64) {
         match self {
             // ~10 µs submission/completion, ~7 GB/s (PCIe 4.0 x4).
             Interconnect::NvmePcie => (10_000, 0.14),
@@ -114,7 +115,8 @@ impl Default for CostParams {
 
 impl CostParams {
     /// Configure the network parameters for an interconnect technology.
-    pub fn with_interconnect(mut self, kind: Interconnect) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_interconnect(mut self, kind: Interconnect) -> Self {
         let (latency, per_byte) = kind.parameters();
         self.net_latency_ns = latency;
         self.net_ns_per_byte = per_byte;
@@ -122,29 +124,29 @@ impl CostParams {
     }
 
     /// Effective storage scan parallelism.
-    pub fn storage_parallel(&self) -> f64 {
+    pub(crate) fn storage_parallel(&self) -> f64 {
         self.storage_cores.min(self.storage_max_parallel).max(1) as f64
     }
 
     /// Storage CPU time for `rows` through `ops` operators, across cores.
-    pub fn storage_compute_ns(&self, rows: u64, ops: u64) -> f64 {
+    pub(crate) fn storage_compute_ns(&self, rows: u64, ops: u64) -> f64 {
         rows as f64 * ops as f64 * self.host_row_ns * self.storage_cpu_factor / self.storage_parallel()
     }
 
     /// Host CPU time for `rows` through `ops` operators (single stream —
     /// the paper's host engine processes one query at a time).
-    pub fn host_compute_ns(&self, rows: u64, ops: u64) -> f64 {
+    pub(crate) fn host_compute_ns(&self, rows: u64, ops: u64) -> f64 {
         rows as f64 * ops as f64 * self.host_row_ns
     }
 
     /// Network time for one transfer of `bytes`.
-    pub fn net_ns(&self, bytes: u64, messages: u64) -> f64 {
+    pub(crate) fn net_ns(&self, bytes: u64, messages: u64) -> f64 {
         bytes as f64 * self.net_ns_per_byte + (messages * self.net_latency_ns) as f64
     }
 
     /// Thrash penalty multiplier when the storage-side working set
     /// exceeds the available memory (Figure 11): linear in the overflow.
-    pub fn storage_mem_penalty(&self, working_set_bytes: u64) -> f64 {
+    pub(crate) fn storage_mem_penalty(&self, working_set_bytes: u64) -> f64 {
         if working_set_bytes <= self.storage_mem_bytes {
             1.0
         } else {
@@ -157,7 +159,7 @@ impl CostParams {
 /// whose model differs from the raw pager delta (probe amplification,
 /// the federation's canonical tree) adjust the *counters* first; the
 /// arithmetic is always this one.
-pub fn price_pages(s: &PagerStats, p: &CostParams) -> (f64, f64, f64) {
+pub(crate) fn price_pages(s: &PagerStats, p: &CostParams) -> (f64, f64, f64) {
     (
         (s.page_reads + s.page_writes) as f64 * p.device_read_ns_per_page,
         (s.decrypts * p.decrypt_ns_per_page + s.encrypts * p.encrypt_ns_per_page) as f64,
@@ -242,7 +244,7 @@ pub struct Term {
 const PAGES_PER_FETCH: u64 = 64;
 
 /// The price list: the ordered terms `run` pays for `w`.
-pub fn price(run: Run, w: &Work, p: &CostParams) -> Vec<Term> {
+pub(crate) fn price(run: Run, w: &Work, p: &CostParams) -> Vec<Term> {
     let term = |span, category, ns| Term { span, category, ns };
     let leaves = w.db_pages.max(2);
     // Merkle nodes on one root-to-leaf verification path.
@@ -350,26 +352,20 @@ pub fn price(run: Run, w: &Work, p: &CostParams) -> Vec<Term> {
 ///
 /// Each term gets its own span so [`CostBreakdown::from_trace`] sums
 /// category totals in span-creation order.
-pub fn charge(span: &str, category: &'static str, ns: f64) {
+pub(crate) fn charge(span: &str, category: &'static str, ns: f64) {
     Span::enter(span).add_sim_ns(category, ns);
 }
 
 /// Charge every term of [`price`] to the active trace, in order.
-pub fn charge_run(run: Run, w: &Work, p: &CostParams) {
+pub(crate) fn charge_run(run: Run, w: &Work, p: &CostParams) {
     for t in price(run, w, p) {
         charge(t.span, t.category, t.ns);
     }
 }
 
-/// A fragment that abandons its pushdown mid-flight pays one more
-/// fragment instantiation.
-pub fn charge_replan(p: &CostParams) {
-    charge("plan/replan", "ndp", p.fragment_setup_ns as f64);
-}
-
 /// Operators a statement's rows pass through: scan + joins + aggregate +
 /// sort.
-pub fn complexity(stmt: &SelectStmt) -> u64 {
+pub(crate) fn complexity(stmt: &SelectStmt) -> u64 {
     let joins = stmt.from.len().saturating_sub(1) as u64;
     let has_agg = !stmt.group_by.is_empty()
         || stmt.projections.iter().any(|p| match p {
@@ -435,14 +431,15 @@ impl CostBreakdown {
 
     /// Fold priced terms in directly — for work priced after its
     /// statement's trace closed (the group-commit flush).
-    pub fn add_terms(&mut self, terms: &[Term]) {
+    pub(crate) fn add_terms(&mut self, terms: &[Term]) {
         for t in terms {
             *self.field_mut(t.category) += t.ns;
         }
     }
 
     /// Accumulate another breakdown.
-    pub fn add(&mut self, other: &CostBreakdown) {
+    #[cfg(test)]
+    pub(crate) fn add(&mut self, other: &CostBreakdown) {
         self.ndp_ns += other.ndp_ns;
         self.freshness_ns += other.freshness_ns;
         self.crypto_ns += other.crypto_ns;

@@ -30,26 +30,15 @@ use ironsafe_sql::{Database, EncodedRows, Schema};
 use ironsafe_storage::pager::PagerStats;
 use ironsafe_tpch::queries::PaperQuery;
 
-/// A storage table as the planner sizes it.
-#[derive(Debug, Clone, Copy)]
-pub struct TableShape {
-    /// Rows.
-    pub rows: u64,
-    /// Heap pages.
-    pub pages: u64,
-    /// Columns.
-    pub cols: usize,
-}
-
 /// Where a split query's storage fragments run. The stage loop owns
-/// everything else — parsing, placement, shipping, the host stage,
+/// everything else — parsing, partitioning, shipping, the host stage,
 /// `INTO` tables, temp drops, EPC touches and the priced work.
 pub trait FragmentSource {
     /// `table`'s schema, or `None` when the source does not hold it.
     fn schema(&self, table: &str) -> Option<Schema>;
 
-    /// `table`'s size.
-    fn shape(&self, table: &str) -> Result<TableShape>;
+    /// `table`'s row count.
+    fn rows(&self, table: &str) -> Result<u64>;
 
     /// Run one fragment, appending its rows to `out` in the order one
     /// node scanning the whole table emits them. Returns their schema
@@ -70,10 +59,8 @@ impl FragmentSource for Database {
         self.catalog().table(table).ok().map(|t| t.schema.clone())
     }
 
-    fn shape(&self, table: &str) -> Result<TableShape> {
-        let info = self.catalog().table(table)?;
-        let pages = info.heap.pages.len() as u64;
-        Ok(TableShape { rows: info.heap.row_count, pages, cols: info.schema.len() })
+    fn rows(&self, table: &str) -> Result<u64> {
+        Ok(self.catalog().table(table)?.heap.row_count)
     }
 
     fn run_fragment(

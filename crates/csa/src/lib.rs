@@ -31,13 +31,12 @@ pub mod profile;
 pub mod shared;
 pub mod system;
 
-pub use adaptive::{AdaptiveState, EpcView, Estimate, FragmentStats, PlanMetrics, ReplanPolicy};
 pub use cost::{CostBreakdown, CostParams, Interconnect};
-pub use federation::{FragmentSource, QueryBackend, TableShape};
+pub use federation::{FragmentSource, QueryBackend};
 pub use net::SecureChannel;
-pub use profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile, ReplanEvent};
+pub use profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile};
 pub use shared::{RecoveryReport, SharedCsaSystem};
-pub use partition::{partition_select, OffloadDecision, Partition, PlacementPolicy, StorageQuery};
+pub use partition::{partition_select, Partition, StorageQuery};
 pub use system::{storage_pager, CsaSystem, QueryReport, SystemConfig};
 
 /// Errors raised by the CSA layer.

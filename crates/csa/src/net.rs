@@ -95,7 +95,7 @@ impl SecureChannel {
 
     /// Install a fault plan on the receive path (see
     /// [`SecureChannel::recv_frame`]).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = plan;
     }
 
@@ -227,7 +227,7 @@ impl SecureChannel {
     }
 
     /// Receive a row frame across the (simulated) wire: transit faults
-    /// (see [`SecureChannel::set_fault_plan`]), then authenticate, then
+    /// (see `SecureChannel::set_fault_plan`), then authenticate, then
     /// decrypt `record.payload` where it lies, then validate the frame
     /// against a schema of `ncols` columns, leaving each row's end
     /// offset in `ends` (see [`validate_frame`]).
@@ -366,34 +366,34 @@ impl RowLink {
 
     /// Let `plan`'s transit faults hit the receive side, and retransmit
     /// a rejected record under `retry`'s budget.
-    pub fn with_faults(mut self, plan: FaultPlan, retry: RetryPolicy) -> Self {
+    pub(crate) fn with_faults(mut self, plan: FaultPlan, retry: RetryPolicy) -> Self {
         self.rx.set_fault_plan(plan);
         self.retry = retry;
         self
     }
 
-    /// Ship the first `sealed` rows of `rows` (`ncols` cells each) in
-    /// records of at most [`ROWS_PER_RECORD`], handing the rows of each
-    /// received, validated frame to `deliver`. Each record is sealed
-    /// once; a delivery rejected in transit (drop/corrupt/reorder) does
-    /// not advance the receive window, and the retransmit of the
-    /// pristine record is accepted under the retry budget — so
-    /// `bytes_sent` counts each record once. The wire record and the
-    /// row-end scratch are reused from record to record (a long result
-    /// allocates no more than a one-record one) and released on return,
-    /// before the host plan builds its own working set.
+    /// Ship `rows` (`ncols` cells each) in records of at most
+    /// [`ROWS_PER_RECORD`], handing the rows of each received, validated
+    /// frame to `deliver`. Each record is sealed once; a delivery
+    /// rejected in transit (drop/corrupt/reorder) does not advance the
+    /// receive window, and the retransmit of the pristine record is
+    /// accepted under the retry budget — so `bytes_sent` counts each
+    /// record once. The wire record and the row-end scratch are reused
+    /// from record to record (a long result allocates no more than a
+    /// one-record one) and released on return, before the host plan
+    /// builds its own working set.
     pub fn ship(
         &mut self,
         ncols: usize,
         rows: &EncodedRows,
-        sealed: usize,
         mut deliver: impl FnMut(EncodedSlice<'_>) -> Result<()>,
     ) -> Result<()> {
         let RowLink { tx, rx, retry } = self;
         let plan = rx.fault_plan.clone();
         let (wire, ends) = (&mut Record::default(), &mut Vec::new());
-        for start in (0..sealed).step_by(ROWS_PER_RECORD as usize) {
-            let chunk = rows.slice(start..sealed.min(start + ROWS_PER_RECORD as usize));
+        let n = rows.len();
+        for start in (0..n).step_by(ROWS_PER_RECORD as usize) {
+            let chunk = rows.slice(start..n.min(start + ROWS_PER_RECORD as usize));
             tx.seal_frame(ncols, chunk, wire);
             retry_with(&plan, retry, || rx.recv_frame(wire, ncols, ends))?;
             if ends.len() != chunk.len() {
@@ -404,30 +404,23 @@ impl RowLink {
         Ok(())
     }
 
-    /// Replace the host's temp `table` with a fragment's result: the
-    /// first `sealed` rows cross the channel and are appended from the
-    /// received frames — the host plan runs on what was authenticated,
-    /// not on the sender's memory — and the rest (a fragment whose raw
-    /// pages cross instead: `ShipPages`, or the morsels after a
-    /// mid-flight re-plan) is appended as scanned.
+    /// Replace the host's temp `table` with a fragment's result: every
+    /// row crosses the channel and is appended from the received frames
+    /// — the host plan runs on what was authenticated, not on the
+    /// sender's memory.
     pub fn ship_table(
         &mut self,
         host_db: &mut Database,
         table: &str,
         schema: Schema,
         rows: &EncodedRows,
-        sealed: usize,
     ) -> Result<()> {
         if host_db.catalog().has_table(table) {
             host_db.execute(&format!("DROP TABLE {table}"))?;
         }
         let ncols = schema.len();
         host_db.create_table(table, schema)?;
-        self.ship(ncols, rows, sealed, |frame| Ok(host_db.insert_encoded(table, frame)?))?;
-        if sealed < rows.len() {
-            host_db.insert_encoded(table, rows.slice(sealed..rows.len()))?;
-        }
-        Ok(())
+        self.ship(ncols, rows, |frame| Ok(host_db.insert_encoded(table, frame)?))
     }
 }
 
@@ -762,12 +755,10 @@ mod tests {
 
     #[test]
     fn row_link_ships_in_bounded_records_and_lands_the_received_bytes() {
-        // 2.5 records' worth of rows; the first 2 records' worth cross
-        // the channel, the rest is appended as scanned.
+        // 2.5 records' worth of rows: three records cross the channel.
         let n = 2 * ROWS_PER_RECORD as usize + ROWS_PER_RECORD as usize / 2;
         let all: Vec<Row> = (0..n as i64).map(|i| vec![Value::Int(i), Value::Text(format!("row {i}"))]).collect();
         let encoded = EncodedRows::from_rows(&all);
-        let sealed = 2 * ROWS_PER_RECORD as usize;
         let mut link = RowLink::new(&[2; 32]).with_faults(
             FaultPlan::seeded(5).with_nth(FaultSite::ChannelCorrupt, 2),
             RetryPolicy::default(),
@@ -775,11 +766,11 @@ mod tests {
         let mut host = Database::new(ironsafe_storage::pager::PlainPager::new());
         host.create_table("t", schema()).unwrap();
         host.insert_rows("t", rows()).unwrap();
-        link.ship_table(&mut host, "t", schema(), &encoded, sealed).unwrap();
-        assert_eq!(link.tx.messages, 2, "one retransmission, still two records sealed");
-        assert_eq!(link.rx.expect_seq(), 2);
-        let wire = encoded.slice(0..sealed).bytes().len() as u64;
-        assert_eq!(link.tx.bytes_sent, wire + 2 * (FRAME_HEADER as u64 + RECORD_OVERHEAD_BYTES));
+        link.ship_table(&mut host, "t", schema(), &encoded).unwrap();
+        assert_eq!(link.tx.messages, 3, "one retransmission, still three records sealed");
+        assert_eq!(link.rx.expect_seq(), 3);
+        let wire = encoded.as_slice().bytes().len() as u64;
+        assert_eq!(link.tx.bytes_sent, wire + 3 * (FRAME_HEADER as u64 + RECORD_OVERHEAD_BYTES));
         // The old table is gone; the new one is what insert_rows builds.
         let mut expect = Database::new(ironsafe_storage::pager::PlainPager::new());
         expect.create_table("t", schema()).unwrap();

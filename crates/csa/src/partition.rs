@@ -25,8 +25,6 @@ pub struct StorageQuery {
     pub table: String,
     /// Fragment: `SELECT needed_cols FROM table WHERE pushed_conjuncts`.
     pub stmt: SelectStmt,
-    /// How this table's data reaches the host.
-    pub mode: OffloadDecision,
 }
 
 /// A partitioned query.
@@ -67,50 +65,6 @@ pub fn partition_select(
     stmt: &SelectStmt,
     lookup: &dyn Fn(&str) -> Option<Schema>,
 ) -> Partition {
-    partition_select_strategic(stmt, lookup, &|_, _| OffloadDecision::Offload)
-}
-
-/// Per-table offload decision for [`partition_select_strategic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OffloadDecision {
-    /// Push the table's filters + projection to the storage engine.
-    Offload,
-    /// Ship the table's raw pages; the host applies the filters.
-    ShipPages,
-}
-
-/// How split configurations place each table's filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementPolicy {
-    /// The same decision for every fragment: `Pinned(Offload)` is the
-    /// paper's static heuristic (the default), `Pinned(ShipPages)` the
-    /// all-host baseline.
-    Pinned(OffloadDecision),
-    /// Per-fragment cost-based choice ([`crate::adaptive::choose`]) under
-    /// [`CostParams`](crate::CostParams), with selectivity estimates
-    /// from the [`AdaptiveState`](crate::AdaptiveState) EWMA store and the
-    /// live EPC occupancy — the paper's §8 future work.
-    CostBased,
-}
-
-impl Default for PlacementPolicy {
-    fn default() -> Self {
-        PlacementPolicy::Pinned(OffloadDecision::Offload)
-    }
-}
-
-/// Partition `stmt`, consulting `decide` per table: tables the callback
-/// declines keep their predicates on the host and their fragment carries
-/// no pushdown (the runner ships raw pages instead).
-///
-/// This is the hook behind the *adaptive* partitioner — the paper's §8
-/// future work: "a compiler that automatically partitions queries between
-/// the host and storage systems".
-pub fn partition_select_strategic(
-    stmt: &SelectStmt,
-    lookup: &dyn Fn(&str) -> Option<Schema>,
-    decide: &dyn Fn(&str, &SelectStmt) -> OffloadDecision,
-) -> Partition {
     let mut conjuncts = Vec::new();
     if let Some(w) = &stmt.where_clause {
         split_conjuncts(w, &mut conjuncts);
@@ -131,7 +85,6 @@ pub fn partition_select_strategic(
         })
         .collect();
     let mut storage = Vec::new();
-    let mut declined: Vec<Expr> = Vec::new();
 
     for (t, (tref, schema)) in known.iter().zip(&schemas).enumerate() {
         // Columns of this table the query touches.
@@ -156,7 +109,7 @@ pub fn partition_select_strategic(
             .filter(|(_, owner)| **owner == Some(t))
             .map(|(c, _)| c.clone())
             .collect();
-        let mut fragment = SelectStmt {
+        let fragment = SelectStmt {
             projections: needed
                 .into_iter()
                 .map(|c| SelectItem::Expr { expr: Expr::Column(c), alias: None })
@@ -168,29 +121,73 @@ pub fn partition_select_strategic(
             order_by: Vec::new(),
             limit: None,
         };
-        let mode = decide(&tref.name, &fragment);
-        if mode == OffloadDecision::ShipPages {
-            // Take the pushed conjuncts back to the host.
-            if let Some(w) = fragment.where_clause.take() {
-                split_conjuncts(&w, &mut declined);
-            }
-        }
-        let table = tref.name.clone();
-        storage.push(StorageQuery { table, stmt: fragment, mode });
+        storage.push(StorageQuery { table: tref.name.clone(), stmt: fragment });
     }
 
-    // Host statement: original minus pushed-down conjuncts, plus the
-    // ones declined tables handed back.
+    // Host statement: original minus pushed-down conjuncts.
     let residual: Vec<Expr> = conjuncts
         .into_iter()
         .zip(&owners)
         .filter(|(_, owner)| owner.is_none())
         .map(|(c, _)| c)
-        .chain(declined)
         .collect();
     let mut host = stmt.clone();
     host.where_clause = join_conjuncts(residual);
     Partition { storage, host }
+}
+
+/// Render a `SelectStmt` back to SQL text (what actually crosses the wire
+/// to the storage engine).
+pub fn render_select(stmt: &SelectStmt) -> String {
+    use ironsafe_sql::ast::expr_to_sql;
+    let mut sql = String::from("SELECT ");
+    let projs: Vec<String> = stmt
+        .projections
+        .iter()
+        .map(|p| match p {
+            SelectItem::Star => "*".to_string(),
+            SelectItem::Expr { expr, alias } => match alias {
+                Some(a) => format!("{} AS {a}", expr_to_sql(expr)),
+                None => expr_to_sql(expr),
+            },
+        })
+        .collect();
+    sql.push_str(&projs.join(", "));
+    if !stmt.from.is_empty() {
+        sql.push_str(" FROM ");
+        let tables: Vec<String> = stmt
+            .from
+            .iter()
+            .map(|t| if t.alias != t.name { format!("{} {}", t.name, t.alias) } else { t.name.clone() })
+            .collect();
+        sql.push_str(&tables.join(", "));
+    }
+    if let Some(w) = &stmt.where_clause {
+        sql.push_str(" WHERE ");
+        sql.push_str(&expr_to_sql(w));
+    }
+    if !stmt.group_by.is_empty() {
+        sql.push_str(" GROUP BY ");
+        let keys: Vec<String> = stmt.group_by.iter().map(expr_to_sql).collect();
+        sql.push_str(&keys.join(", "));
+    }
+    if let Some(h) = &stmt.having {
+        sql.push_str(" HAVING ");
+        sql.push_str(&expr_to_sql(h));
+    }
+    if !stmt.order_by.is_empty() {
+        sql.push_str(" ORDER BY ");
+        let keys: Vec<String> = stmt
+            .order_by
+            .iter()
+            .map(|(e, desc)| format!("{}{}", expr_to_sql(e), if *desc { " DESC" } else { "" }))
+            .collect();
+        sql.push_str(&keys.join(", "));
+    }
+    if let Some(n) = stmt.limit {
+        sql.push_str(&format!(" LIMIT {n}"));
+    }
+    sql
 }
 
 #[cfg(test)]
@@ -339,120 +336,5 @@ mod tests {
         }
         let host_sql = crate::partition::render_select(&p.host);
         parse_statement(&host_sql).unwrap();
-    }
-}
-
-/// Render a `SelectStmt` back to SQL text (what actually crosses the wire
-/// to the storage engine).
-pub fn render_select(stmt: &SelectStmt) -> String {
-    use ironsafe_sql::ast::expr_to_sql;
-    let mut sql = String::from("SELECT ");
-    let projs: Vec<String> = stmt
-        .projections
-        .iter()
-        .map(|p| match p {
-            SelectItem::Star => "*".to_string(),
-            SelectItem::Expr { expr, alias } => match alias {
-                Some(a) => format!("{} AS {a}", expr_to_sql(expr)),
-                None => expr_to_sql(expr),
-            },
-        })
-        .collect();
-    sql.push_str(&projs.join(", "));
-    if !stmt.from.is_empty() {
-        sql.push_str(" FROM ");
-        let tables: Vec<String> = stmt
-            .from
-            .iter()
-            .map(|t| if t.alias != t.name { format!("{} {}", t.name, t.alias) } else { t.name.clone() })
-            .collect();
-        sql.push_str(&tables.join(", "));
-    }
-    if let Some(w) = &stmt.where_clause {
-        sql.push_str(" WHERE ");
-        sql.push_str(&expr_to_sql(w));
-    }
-    if !stmt.group_by.is_empty() {
-        sql.push_str(" GROUP BY ");
-        let keys: Vec<String> = stmt.group_by.iter().map(expr_to_sql).collect();
-        sql.push_str(&keys.join(", "));
-    }
-    if let Some(h) = &stmt.having {
-        sql.push_str(" HAVING ");
-        sql.push_str(&expr_to_sql(h));
-    }
-    if !stmt.order_by.is_empty() {
-        sql.push_str(" ORDER BY ");
-        let keys: Vec<String> = stmt
-            .order_by
-            .iter()
-            .map(|(e, desc)| format!("{}{}", expr_to_sql(e), if *desc { " DESC" } else { "" }))
-            .collect();
-        sql.push_str(&keys.join(", "));
-    }
-    if let Some(n) = stmt.limit {
-        sql.push_str(&format!(" LIMIT {n}"));
-    }
-    sql
-}
-
-#[cfg(test)]
-mod strategic_tests {
-    use super::*;
-    use ironsafe_sql::ast::{expr_to_sql, Statement};
-    use ironsafe_sql::parser::parse_statement;
-    use ironsafe_sql::schema::Column;
-    use ironsafe_sql::value::DataType;
-
-    fn lookup(name: &str) -> Option<Schema> {
-        match name {
-            "lineitem" => Some(Schema::new(vec![
-                Column::new("l_orderkey", DataType::Int),
-                Column::new("l_quantity", DataType::Float),
-            ])),
-            "orders" => Some(Schema::new(vec![
-                Column::new("o_orderkey", DataType::Int),
-                Column::new("o_comment", DataType::Text),
-            ])),
-            _ => None,
-        }
-    }
-
-    fn select(sql: &str) -> SelectStmt {
-        match parse_statement(sql).unwrap() {
-            Statement::Select(s) => s,
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn declined_tables_keep_predicates_on_host() {
-        let stmt = select(
-            "SELECT COUNT(*) FROM lineitem, orders \
-             WHERE l_orderkey = o_orderkey AND l_quantity < 10 AND o_comment LIKE '%x%'",
-        );
-        let p = partition_select_strategic(&stmt, &lookup, &|table, _| {
-            if table == "orders" {
-                OffloadDecision::ShipPages // weak filter: don't push
-            } else {
-                OffloadDecision::Offload
-            }
-        });
-        let li = p.storage.iter().find(|s| s.table == "lineitem").unwrap();
-        assert!(li.stmt.where_clause.is_some(), "lineitem filter pushed");
-        let ord = p.storage.iter().find(|s| s.table == "orders").unwrap();
-        assert!(ord.stmt.where_clause.is_none(), "orders filter withdrawn");
-        let host_w = expr_to_sql(p.host.where_clause.as_ref().unwrap());
-        assert!(host_w.contains("o_comment"), "declined predicate back on host: {host_w}");
-        assert!(!host_w.contains("l_quantity"), "offloaded predicate stays pushed: {host_w}");
-    }
-
-    #[test]
-    fn all_offload_matches_static_partitioner() {
-        let stmt = select("SELECT l_quantity FROM lineitem WHERE l_quantity < 10");
-        let a = partition_select(&stmt, &lookup);
-        let b = partition_select_strategic(&stmt, &lookup, &|_, _| OffloadDecision::Offload);
-        assert_eq!(a.storage[0].stmt, b.storage[0].stmt);
-        assert_eq!(a.host.where_clause, b.host.where_clause);
     }
 }

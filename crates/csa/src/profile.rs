@@ -42,39 +42,17 @@ pub enum Placement {
     /// Storage fragment with the filter pushed down; surviving rows are
     /// serialized and sealed through the channel.
     StorageOffload,
-    /// Storage fragment with the pushdown withdrawn; raw pages ship and
-    /// the host filters.
-    StorageShipPages,
 }
 
 impl Placement {
     /// Stable lowercase name used in `render()` and `to_json()`.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             Placement::Host => "host",
             Placement::Storage => "storage",
             Placement::StorageOffload => "storage-offload",
-            Placement::StorageShipPages => "storage-ship-pages",
         }
     }
-}
-
-/// One committed mid-flight re-plan: a fragment whose remaining morsels
-/// were re-placed after observed selectivity diverged from the estimate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplanEvent {
-    /// The fragment that re-planned, e.g. `stage0/fragment/lineitem`.
-    pub label: String,
-    /// Placement the fragment started under.
-    pub from: Placement,
-    /// Placement the remaining morsels switched to.
-    pub to: Placement,
-    /// First morsel executed under the new placement.
-    pub at_morsel: usize,
-    /// Selectivity the planner estimated.
-    pub estimated: f64,
-    /// Cumulative selectivity observed at the switch point.
-    pub observed: f64,
 }
 
 /// Per-operator row counts for one executed plan (a stage, a storage
@@ -88,9 +66,6 @@ pub struct PlanProfile {
     /// The pushed-down predicate, rendered as SQL (offloaded fragments
     /// with a WHERE clause only).
     pub pushdown_filter: Option<String>,
-    /// Selectivity the planner estimated for the pushed predicate
-    /// (adaptive runs only).
-    pub estimated_selectivity: Option<f64>,
     /// Selectivity actually observed for the pushed predicate.
     pub observed_selectivity: Option<f64>,
     /// Preorder operator profiles captured after the plan drained.
@@ -99,12 +74,11 @@ pub struct PlanProfile {
 
 impl PlanProfile {
     /// A plain profile with no pushdown annotations.
-    pub fn new(label: String, placement: Placement, operators: Vec<OperatorProfile>) -> Self {
+    pub(crate) fn new(label: String, placement: Placement, operators: Vec<OperatorProfile>) -> Self {
         PlanProfile {
             label,
             placement,
             pushdown_filter: None,
-            estimated_selectivity: None,
             observed_selectivity: None,
             operators,
         }
@@ -112,8 +86,7 @@ impl PlanProfile {
 }
 
 /// Enclave-side observations a run records beyond the pager counters:
-/// transition counts, EPC faults, per-stage EPC occupancy samples and
-/// committed re-plan events.
+/// transition counts, EPC faults and per-stage EPC occupancy samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileExtras {
     /// Enclave transitions (ECALL/OCALL pairs) the run charged for.
@@ -124,8 +97,6 @@ pub struct ProfileExtras {
     /// EPC resident-page samples, one per executed stage (split secure
     /// configurations only).
     pub epc_occupancy_pages: Vec<u64>,
-    /// Mid-flight re-plans the run committed (adaptive runs only).
-    pub replans: Vec<ReplanEvent>,
 }
 
 /// Full per-query execution profile: the span tree's cost terms, the
@@ -170,8 +141,6 @@ pub struct QueryProfile {
     pub cost_terms: Vec<CostTerm>,
     /// Per-operator row counts for every plan the run drained.
     pub plans: Vec<PlanProfile>,
-    /// Mid-flight re-plan events the run committed.
-    pub replan_events: Vec<ReplanEvent>,
     /// Total spans in the run's trace.
     pub span_count: usize,
     /// Spans tagged with an error (faulted attempts that rolled back).
@@ -202,11 +171,6 @@ impl QueryProfile {
             if let Some(f) = &plan.pushdown_filter {
                 let _ = write!(out, ", pushdown {f}");
             }
-            if let (Some(est), Some(obs)) =
-                (plan.estimated_selectivity, plan.observed_selectivity)
-            {
-                let _ = write!(out, ", sel est={est:.4} obs={obs:.4}");
-            }
             out.push_str("]:\n");
             for op in &plan.operators {
                 for _ in 0..op.depth {
@@ -224,18 +188,6 @@ impl QueryProfile {
                 }
                 out.push('\n');
             }
-        }
-        for ev in &self.replan_events {
-            let _ = writeln!(
-                out,
-                "replan {}: {} -> {} at morsel {} (sel est={:.4} obs={:.4})",
-                ev.label,
-                ev.from.as_str(),
-                ev.to.as_str(),
-                ev.at_morsel,
-                ev.estimated,
-                ev.observed
-            );
         }
         out.push_str("cost terms:\n");
         for t in &self.cost_terms {
@@ -336,12 +288,6 @@ impl QueryProfile {
                 }
                 None => out.push_str(",\"pushdown_filter\":null"),
             }
-            match plan.estimated_selectivity {
-                Some(v) => {
-                    let _ = write!(out, ",\"estimated_selectivity\":{v:.6}");
-                }
-                None => out.push_str(",\"estimated_selectivity\":null"),
-            }
             match plan.observed_selectivity {
                 Some(v) => {
                     let _ = write!(out, ",\"observed_selectivity\":{v:.6}");
@@ -364,22 +310,6 @@ impl QueryProfile {
                 );
             }
             out.push_str("]}");
-        }
-        out.push_str("],\"replan_events\":[");
-        for (i, ev) in self.replan_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":\"{}\",\"from\":\"{}\",\"to\":\"{}\",\"at_morsel\":{},\"estimated\":{:.6},\"observed\":{:.6}}}",
-                escape_json(&ev.label),
-                ev.from.as_str(),
-                ev.to.as_str(),
-                ev.at_morsel,
-                ev.estimated,
-                ev.observed
-            );
         }
         let _ = write!(
             out,
@@ -423,7 +353,6 @@ mod tests {
                 label: "stage0/fragment/lineitem".into(),
                 placement: Placement::StorageOffload,
                 pushdown_filter: Some("x > 1".into()),
-                estimated_selectivity: Some(0.1),
                 observed_selectivity: Some(0.12),
                 operators: vec![
                     OperatorProfile {
@@ -442,14 +371,6 @@ mod tests {
                     },
                 ],
             }],
-            replan_events: vec![ReplanEvent {
-                label: "stage0/fragment/lineitem".into(),
-                from: Placement::StorageOffload,
-                to: Placement::StorageShipPages,
-                at_morsel: 8,
-                estimated: 0.1,
-                observed: 0.97,
-            }],
             span_count: 7,
             error_span_count: 0,
         }
@@ -463,16 +384,7 @@ mod tests {
         assert!(text.contains("Values (16 columns) (rows out=100)"));
         assert!(text.contains("macs_verified=9"));
         assert!(text.contains("storage/device_io"));
-        assert!(
-            text.contains("placement=storage-offload, pushdown x > 1, sel est=0.1000 obs=0.1200"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "replan stage0/fragment/lineitem: storage-offload -> storage-ship-pages at morsel 8"
-            ),
-            "{text}"
-        );
+        assert!(text.contains("placement=storage-offload, pushdown x > 1]"), "{text}");
     }
 
     #[test]
@@ -486,8 +398,6 @@ mod tests {
         assert!(a.contains("\"describe\":\"Values (16 columns)\""));
         assert!(a.contains("\"placement\":\"storage-offload\""), "{a}");
         assert!(a.contains("\"pushdown_filter\":\"x > 1\""));
-        assert!(a.contains("\"estimated_selectivity\":0.100000"));
-        assert!(a.contains("\"replan_events\":[{\"label\":"), "{a}");
-        assert!(a.contains("\"to\":\"storage-ship-pages\""));
+        assert!(a.contains("\"observed_selectivity\":0.120000"));
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * **Reads** (`SELECT`, paper queries) pin the committed epoch and
 //!   execute on a throwaway snapshot view
-//!   ([`CsaSystem::read_view_at`]). Pages a later flush overwrites are
+//!   (`CsaSystem::read_view_at`). Pages a later flush overwrites are
 //!   served from the MVCC retained-version store, so the view keeps
 //!   reading the state it opened at while writers commit the next one —
 //!   with bit-identical results and
@@ -42,7 +42,7 @@
 use crate::cost::{self, CostParams, Run, Work};
 use crate::system::{CsaSystem, QueryReport, SystemConfig};
 use crate::{CsaError, Result};
-use ironsafe_faults::{retry_with, FaultPlan, FaultSite};
+use ironsafe_faults::{retry_with, FaultPlan, FaultSite, RetryPolicy};
 use ironsafe_obs::{Registry, TraceSnapshot};
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::catalog::Catalog;
@@ -173,11 +173,6 @@ impl SharedCsaSystem {
         self.published.lock().epoch
     }
 
-    /// The MVCC snapshot registry (diagnostics, metric registration).
-    pub fn snapshots(&self) -> &Snapshots {
-        &self.snapshots
-    }
-
     /// Flush every `n` accepted transactions (clamped to ≥ 1). The
     /// default of 1 flushes per statement — the pre-WAL behavior every
     /// existing visibility test assumes.
@@ -199,7 +194,7 @@ impl SharedCsaSystem {
     /// [`SharedCsaSystem::run_query`] at an explicit degree of
     /// parallelism. DOP > 1 runs the view's read-only fragments on the
     /// morsel worker pool; reports stay bit-identical to DOP 1.
-    pub fn run_query_with_dop(
+    pub(crate) fn run_query_with_dop(
         &self,
         q: &PaperQuery,
         session_key: [u8; 32],
@@ -249,7 +244,7 @@ impl SharedCsaSystem {
 
     /// [`SharedCsaSystem::run_statement`] at an explicit degree of
     /// parallelism (`SELECT`s only; writes always run serially).
-    pub fn run_statement_with_dop(
+    pub(crate) fn run_statement_with_dop(
         &self,
         stmt: &Statement,
         session_key: [u8; 32],
@@ -343,7 +338,7 @@ impl SharedCsaSystem {
         w.buffered = 0;
         let next_epoch = self.published.lock().epoch + 1;
         let plan = sys.fault_plan().clone();
-        let retry = sys.retry_policy();
+        let retry = RetryPolicy::default();
         let cache = sys.read_cache();
         let pager = sys.storage_db().pager();
         let journal = w.wal.is_some();
@@ -485,7 +480,7 @@ impl SharedCsaSystem {
             catalog: ironsafe_sql::meta::encode_catalog(&w.catalog),
         };
         let plan = sys.fault_plan().clone();
-        let retry = sys.retry_policy();
+        let retry = RetryPolicy::default();
         let head =
             retry_with(&plan, &retry, || wal.append_checkpoint(&cp)).map_err(CsaError::Storage)?;
         pager.lock().commit_bound(&head).map_err(CsaError::Storage)?;
@@ -617,7 +612,8 @@ impl SharedCsaSystem {
     }
 
     /// Unwrap back into the owned system (flushing the group buffer).
-    pub fn into_inner(self) -> CsaSystem {
+    #[cfg(test)]
+    pub(crate) fn into_inner(self) -> CsaSystem {
         {
             let mut w = self.write.lock();
             if w.buffered > 0 && !self.is_poisoned() {

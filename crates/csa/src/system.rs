@@ -7,24 +7,18 @@
 //! simulated-time breakdown and data-movement counters every figure is
 //! built from.
 
-use crate::adaptive::{
-    choose, divergence_trip, prior_selectivity, AdaptiveState, EpcView, FragmentStats,
-    PlanMetrics, ReplanPolicy,
-};
 use crate::cost::{self, complexity, CostBreakdown, CostParams, Run, Work};
-use crate::federation::{FragmentSource, TableShape};
-use crate::net::{RowLink, RECORD_OVERHEAD_BYTES, ROWS_PER_RECORD};
-use crate::partition::{
-    partition_select_strategic, OffloadDecision, Partition, PlacementPolicy, StorageQuery,
-};
-use crate::profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile, ReplanEvent};
+use crate::federation::FragmentSource;
+use crate::net::RowLink;
+use crate::partition::{partition_select, Partition, StorageQuery};
+use crate::profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile};
 use crate::Result;
 use ironsafe_crypto::group::Group;
 use ironsafe_faults::{FaultPlan, RetryPolicy};
 use ironsafe_obs::{Span, Trace, TraceCtx, TraceSnapshot};
-use ironsafe_sql::ast::{expr_to_sql, SelectItem, SelectStmt, Statement};
+use ironsafe_sql::ast::{expr_to_sql, Statement};
 use ironsafe_sql::catalog::Catalog;
-use ironsafe_sql::exec::{ExecOptions, ScanWatch};
+use ironsafe_sql::exec::ExecOptions;
 use ironsafe_sql::heap::{shared, SharedPager};
 use ironsafe_sql::{Database, EncodedRows, QueryResult};
 use ironsafe_storage::pager::PlainPager;
@@ -33,7 +27,6 @@ use ironsafe_tee::sgx::epc::{verified_node_cache_capacity, EpcSimulator};
 use ironsafe_tee::trustzone::{Manufacturer, TrustZoneDevice};
 use ironsafe_tpch::queries::PaperQuery;
 use ironsafe_tpch::TpchData;
-use parking_lot::Mutex;
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -126,8 +119,6 @@ impl QueryReport {
 /// What a view inherits from the system it is opened on.
 #[derive(Clone)]
 struct Settings {
-    /// How split configurations place each table's filter.
-    placement: PlacementPolicy,
     session_key: [u8; 32],
     /// Shared decrypted-page cache: sibling views decrypt each base page
     /// once while still charging identical per-view costs.
@@ -139,36 +130,15 @@ struct Settings {
     /// Deterministic fault-injection plan, pushed into the storage pager
     /// and the secure channel. [`FaultPlan::none`] by default.
     fault_plan: FaultPlan,
-    /// Retry budget used when recovering from injected transient faults
-    /// on the channel path.
-    retry: RetryPolicy,
-    /// Shared EWMA estimate store feeding the cost-based planner:
-    /// observations made inside a view refine the base system's
-    /// estimates.
-    adaptive: Arc<Mutex<AdaptiveState>>,
-    /// Live `plan.*` counters (decisions, refinements, re-plans).
-    plan_metrics: PlanMetrics,
-    /// Mid-flight re-planning policy (`None` = disabled).
-    replan: Option<ReplanPolicy>,
-    /// Simulated background enclave working set (pages) held resident by
-    /// concurrent tenants; 0 = calm EPC. Applied identically under every
-    /// placement — pressure is environment, not policy.
-    epc_pressure_pages: u64,
 }
 
 impl Default for Settings {
     fn default() -> Self {
         Settings {
-            placement: PlacementPolicy::default(),
             session_key: [0x5e; 32],
             read_cache: Arc::new(PageCache::new()),
             exec: ExecOptions::serial(),
             fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            adaptive: Arc::new(Mutex::new(AdaptiveState::new())),
-            plan_metrics: PlanMetrics::new(),
-            replan: None,
-            epc_pressure_pages: 0,
         }
     }
 }
@@ -292,7 +262,7 @@ impl CsaSystem {
     /// from the MVCC retained-version store
     /// ([`ironsafe_storage::Snapshots`]), so the view keeps reading the
     /// epoch it opened at while writers commit the next one.
-    pub fn read_view_at(&self, pin: SnapshotPin, catalog: Catalog) -> CsaSystem {
+    pub(crate) fn read_view_at(&self, pin: SnapshotPin, catalog: Catalog) -> CsaSystem {
         let base = self.storage_db.pager().clone();
         self.view(ViewPager::over_pinned(base, self.set.read_cache.clone(), pin), catalog)
     }
@@ -303,7 +273,7 @@ impl CsaSystem {
     /// the write path's running catalog (ahead of the published one by
     /// the buffered transactions). The accumulated overlay is harvested
     /// with `take_txn_pages` after a successful statement.
-    pub fn write_view(&self, pending: SharedPending, catalog: Catalog) -> CsaSystem {
+    pub(crate) fn write_view(&self, pending: SharedPending, catalog: Catalog) -> CsaSystem {
         let base = self.storage_db.pager().clone();
         self.view(ViewPager::over_writer(base, self.set.read_cache.clone(), pending), catalog)
     }
@@ -312,12 +282,6 @@ impl CsaSystem {
     /// `with_system_mut` reseeds the store underneath it).
     pub(crate) fn read_cache(&self) -> &Arc<PageCache> {
         &self.set.read_cache
-    }
-
-    /// The active retry budget (the group-commit flush reuses it for the
-    /// WAL append).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.set.retry
     }
 
     /// Install a deterministic fault-injection plan on this system.
@@ -333,14 +297,8 @@ impl CsaSystem {
     }
 
     /// The active fault-injection plan ([`FaultPlan::none`] by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
         &self.set.fault_plan
-    }
-
-    /// Set the retry budget used to recover from injected transient faults.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.set.retry = policy;
-        self.storage_db.pager().lock().set_retry_policy(policy);
     }
 
     /// Telemetry trace of the most recent `run_query`/`run_statement`
@@ -354,27 +312,6 @@ impl CsaSystem {
     /// layer to hand a per-query trace back without cloning).
     pub fn take_last_trace(&mut self) -> Option<TraceSnapshot> {
         self.last_trace.take()
-    }
-
-    /// Per-plan operator profiles captured by the most recent
-    /// `run_query`/`run_statement` call, in execution order.
-    pub fn last_plans(&self) -> &[PlanProfile] {
-        &self.last_plans
-    }
-
-    /// Enclave-side observations (transitions, EPC faults, occupancy
-    /// samples) of the most recent run.
-    pub fn last_extras(&self) -> &ProfileExtras {
-        &self.last_extras
-    }
-
-    /// Drain the storage pager's TEE-resident flight recorder:
-    /// deterministic forensic event lines describing faulted or
-    /// violating page accesses (empty for plaintext pagers and clean
-    /// runs). The serving layer appends these to the monitor audit
-    /// trail when a query fails.
-    pub fn take_flight_dump(&mut self) -> Vec<String> {
-        self.storage_db.pager().lock().take_flight_dump()
     }
 
     /// Run `q` and assemble its [`QueryProfile`] alongside the normal
@@ -421,7 +358,6 @@ impl CsaSystem {
                 .map(|s| CostTerm { name: s.name.clone(), sim_ns: s.sim_ns })
                 .collect(),
             plans: self.last_plans.clone(),
-            replan_events: self.last_extras.replans.clone(),
             span_count: trace.spans.len(),
             error_span_count: trace.error_spans().len(),
         };
@@ -462,38 +398,6 @@ impl CsaSystem {
     /// pager counters.
     pub fn register_exec_metrics(&self, registry: &ironsafe_obs::Registry) {
         self.set.exec.metrics.register(registry);
-    }
-
-    /// Select how split configurations place each table's filter. A
-    /// pinned policy must reproduce the same plan whatever the estimate
-    /// store holds — the golden-parity guard asserts exactly this.
-    pub fn set_placement(&mut self, policy: PlacementPolicy) {
-        self.set.placement = policy;
-    }
-
-    /// Pin a table-level estimate, overriding priors for every fragment
-    /// on `table` that has no predicate-specific observation yet (used
-    /// to model stale or deliberately wrong catalog statistics).
-    pub fn pin_table_estimate(&mut self, table: &str, est: crate::adaptive::Estimate) {
-        self.set.adaptive.lock().pin_table(table, est);
-    }
-
-    /// Enable (`Some`) or disable (`None`, the default) mid-flight
-    /// re-planning for cost-based offloaded fragments.
-    pub fn set_replan(&mut self, policy: Option<ReplanPolicy>) {
-        self.set.replan = policy;
-    }
-
-    /// Simulate background EPC pressure: `pages` enclave pages held
-    /// resident by concurrent tenants for the whole run. Applied under
-    /// every placement (pressure is environment, not policy); 0 disables.
-    pub fn set_epc_pressure(&mut self, pages: u64) {
-        self.set.epc_pressure_pages = pages;
-    }
-
-    /// Attach the planner counters (`plan.*`) to `registry`.
-    pub fn register_plan_metrics(&self, registry: &ironsafe_obs::Registry) {
-        self.set.plan_metrics.register(registry);
     }
 
     /// Run a single (possibly monitor-rewritten) statement.
@@ -718,20 +622,12 @@ impl CsaSystem {
         let before = source.pager_work();
         let mut host_db = Database::new(PlainPager::new());
         let mut epc = EpcSimulator::new(p.epc_limit_bytes);
-        if secure && set.epc_pressure_pages > 0 {
-            // Concurrent tenants hold a resident working set before
-            // the query's first temp page lands. Applied under every
-            // placement: pressure is environment, not policy.
-            epc.preload_background(set.epc_pressure_pages);
-        }
-        let mut link = RowLink::new(&set.session_key).with_faults(set.fault_plan.clone(), set.retry);
+        let mut link = RowLink::new(&set.session_key).with_faults(set.fault_plan.clone(), RetryPolicy::default());
         let mut plans = Vec::new();
         let mut extras = ProfileExtras::default();
 
         let mut scanned_rows = 0u64;
         let mut rows_shipped = 0u64;
-        let mut rows_serialized = 0u64;
-        let mut page_transfer_bytes = 0u64;
         let mut host_input_rows = 0u64;
         let mut host_ops = 0u64;
         let mut fragments = 0u64;
@@ -749,36 +645,7 @@ impl CsaSystem {
                 }
             };
             let catalog_lookup = |name: &str| source.schema(name);
-            let host_ops_est = complexity(&sel);
-            let adaptive_live = set.placement == PlacementPolicy::CostBased;
-            let Partition { storage, host } = match set.placement {
-                PlacementPolicy::Pinned(pin) => {
-                    partition_select_strategic(&sel, &catalog_lookup, &|_, _| pin)
-                }
-                PlacementPolicy::CostBased => {
-                    let state = set.adaptive.lock();
-                    // Occupancy at planning time: background pressure
-                    // plus earlier stages' temp pages — so later stages
-                    // adapt to a filling EPC.
-                    let view = EpcView {
-                        occupied_pages: epc.resident_pages() as u64,
-                        capacity_pages: epc.capacity_pages() as u64,
-                    };
-                    let metrics = &set.plan_metrics;
-                    partition_select_strategic(&sel, &catalog_lookup, &|table, frag| {
-                        let Ok(shape) = source.shape(table) else {
-                            return OffloadDecision::Offload;
-                        };
-                        let f = fragment_stats(&state, table, frag, shape, host_ops_est, secure);
-                        let (decision, _, _) = choose(&f, &view, p);
-                        match decision {
-                            OffloadDecision::Offload => metrics.decide_offload.inc(),
-                            OffloadDecision::ShipPages => metrics.decide_ship_pages.inc(),
-                        }
-                        decision
-                    })
-                }
-            };
+            let Partition { storage, host } = partition_select(&sel, &catalog_lookup);
 
             // Run fragments near the data, ship results.
             let mut shipped_tables = Vec::new();
@@ -786,163 +653,27 @@ impl CsaSystem {
             // fragment to fragment, released before the host plan
             // builds its own working set.
             let mut rows = EncodedRows::new();
-            for StorageQuery { table, stmt, mode } in &storage {
+            for StorageQuery { table, stmt } in &storage {
                 let _frag_span = Span::enter(&format!("fragment/{table}"));
-                let shape = source.shape(table)?;
-                let TableShape { rows: table_rows, pages: table_pages, .. } = shape;
+                let table_rows = source.rows(table)?;
                 scanned_rows += table_rows;
-                let est_sel = (adaptive_live && stmt.where_clause.is_some()).then(|| {
-                    let state = set.adaptive.lock();
-                    fragment_stats(&state, table, stmt, shape, host_ops_est, secure)
-                        .selectivity
-                });
-                // Watch per-morsel row counts when this fragment may
-                // re-plan mid-flight (telemetry only).
-                let watch = (adaptive_live
-                    && set.replan.is_some()
-                    && *mode == OffloadDecision::Offload
-                    && est_sel.is_some())
-                .then(|| Arc::new(ScanWatch::new()));
-                let frag_exec = match &watch {
-                    Some(w) => exec.clone().with_watch(w.clone()),
-                    None => exec.clone(),
-                };
                 rows.clear();
-                let (schema, frag_ops) = source.run_fragment(stmt, &frag_exec, &mut rows)?;
-                let pushdown_sql = stmt.where_clause.as_ref().map(expr_to_sql);
+                let (schema, frag_ops) = source.run_fragment(stmt, &exec, &mut rows)?;
                 let frag_rows = rows.len();
                 rows_shipped += frag_rows as u64;
                 fragments += 1;
-                let observed_sel = (table_rows > 0 && stmt.where_clause.is_some())
-                    .then(|| frag_rows as f64 / table_rows as f64);
                 plans.push(PlanProfile {
                     label: format!("stage{stage_no}/fragment/{table}"),
-                    placement: match mode {
-                        OffloadDecision::Offload => Placement::StorageOffload,
-                        OffloadDecision::ShipPages => Placement::StorageShipPages,
-                    },
-                    pushdown_filter: pushdown_sql.clone(),
-                    estimated_selectivity: est_sel,
-                    observed_selectivity: observed_sel,
+                    placement: Placement::StorageOffload,
+                    pushdown_filter: stmt.where_clause.as_ref().map(expr_to_sql),
+                    observed_selectivity: (table_rows > 0 && stmt.where_clause.is_some())
+                        .then(|| frag_rows as f64 / table_rows as f64),
                     operators: frag_ops,
                 });
-
-                let bytes_before = link.tx.bytes_sent;
-                let mut sealed_rows = frag_rows;
-                match mode {
-                    OffloadDecision::ShipPages => {
-                        // Raw page transfer: no storage-side serialization,
-                        // whole pages cross the wire.
-                        page_transfer_bytes += table_pages * 4096;
-                        sealed_rows = 0;
-                    }
-                    OffloadDecision::Offload => {
-                        // Mid-flight re-planning: if the cumulative
-                        // per-morsel selectivity diverged from the
-                        // estimate past the hysteresis band *and* the
-                        // cost rule flips at the observed value, the
-                        // remaining morsels abandon the pushdown —
-                        // their raw pages cross the wire and the host
-                        // filters them itself. Answers are unchanged;
-                        // only the cost accounting moves.
-                        if let (Some(w), Some(policy)) = (&watch, set.replan) {
-                            let slots = w.take();
-                            let est = est_sel.unwrap_or(1.0);
-                            if let Some((m, obs)) = divergence_trip(&slots, est, &policy) {
-                                let mut f = {
-                                    let state = set.adaptive.lock();
-                                    fragment_stats(
-                                        &state, table, stmt, shape, host_ops_est, secure,
-                                    )
-                                };
-                                f.selectivity = obs;
-                                let view = EpcView {
-                                    occupied_pages: epc.resident_pages() as u64,
-                                    capacity_pages: epc.capacity_pages() as u64,
-                                };
-                                let (rechoice, _, _) = choose(&f, &view, p);
-                                if rechoice == OffloadDecision::ShipPages {
-                                    let pre_filtered: u64 =
-                                        slots[..m].iter().map(|(_, out)| *out).sum();
-                                    let post_raw: u64 =
-                                        slots[m..].iter().map(|(inp, _)| *inp).sum();
-                                    let post_filtered: u64 =
-                                        slots[m..].iter().map(|(_, out)| *out).sum();
-                                    sealed_rows = pre_filtered as usize;
-                                    let covered = (m * exec.morsel_pages) as u64;
-                                    page_transfer_bytes +=
-                                        table_pages.saturating_sub(covered) * 4096;
-                                    // The host filters the raw remainder
-                                    // itself…
-                                    host_input_rows += post_raw - post_filtered;
-                                    if secure {
-                                        // …and its enclave touches the
-                                        // extra temp pages those raw rows
-                                        // occupy before filtering.
-                                        let density = f.temp_rows_per_page.max(1.0);
-                                        let extra_pages = ((post_raw - post_filtered)
-                                            as f64
-                                            / density)
-                                            .ceil()
-                                            as u64;
-                                        epc.access_range(
-                                            2_000_000_000 + fragments * 1_000_000,
-                                            extra_pages,
-                                        );
-                                    }
-                                    cost::charge_replan(p);
-                                    set.plan_metrics.replans.inc();
-                                    extras.replans.push(ReplanEvent {
-                                        label: format!("stage{stage_no}/fragment/{table}"),
-                                        from: Placement::StorageOffload,
-                                        to: Placement::StorageShipPages,
-                                        at_morsel: m,
-                                        estimated: est,
-                                        observed: obs,
-                                    });
-                                }
-                            }
-                        }
-                        rows_serialized += sealed_rows as u64;
-                    }
-                }
-                // The sealed prefix crosses the channel and lands in
-                // the host's temp table from the received frames; the
-                // rest stands for pages that crossed raw.
-                link.ship_table(&mut host_db, table, schema, &rows, sealed_rows)?;
+                // Every row crosses the channel and lands in the host's
+                // temp table from the received frames.
+                link.ship_table(&mut host_db, table, schema, &rows)?;
                 shipped_tables.push(table.clone());
-
-                // Feedback: fold the fragment's observed statistics
-                // into the shared EWMA store (under every strategy —
-                // static runs prime the adaptive planner too).
-                if *mode == OffloadDecision::Offload
-                    && stmt.where_clause.is_some()
-                    && sealed_rows > 0
-                {
-                    let obs = frag_rows as f64 / table_rows.max(1) as f64;
-                    let records = (sealed_rows as u64).div_ceil(ROWS_PER_RECORD);
-                    let wire = link.tx.bytes_sent - bytes_before;
-                    let per_row = wire.saturating_sub(records * RECORD_OVERHEAD_BYTES)
-                        as f64
-                        / sealed_rows as f64;
-                    let temp_pages = host_db
-                        .catalog()
-                        .table(table)
-                        .map(|i| i.heap.pages.len())
-                        .unwrap_or(1)
-                        .max(1);
-                    let density = frag_rows as f64 / temp_pages as f64;
-                    let refined = set.adaptive.lock().observe(
-                        table,
-                        pushdown_sql.as_deref(),
-                        obs,
-                        per_row,
-                        density,
-                    );
-                    if refined {
-                        set.plan_metrics.estimate_refined.inc();
-                    }
-                }
             }
 
             drop(rows);
@@ -965,12 +696,6 @@ impl CsaSystem {
                 // Sample EPC occupancy once per stage, after the
                 // stage's working set landed.
                 extras.epc_occupancy_pages.push(epc.resident_pages() as u64);
-                // The background tenants re-touch their working set
-                // while the host stage computes; against a full EPC
-                // this faults (and cascades) deterministically.
-                if set.epc_pressure_pages > 0 {
-                    epc.touch_background(set.epc_pressure_pages);
-                }
             }
             let host_span = Span::enter("host/join_aggregate");
             let (staged, host_ops_profile) = match &stage.into {
@@ -1002,7 +727,7 @@ impl CsaSystem {
 
         let delta = source.pager_work() - before;
         let tx = &link.tx;
-        let bytes = tx.bytes_sent + page_transfer_bytes;
+        let bytes = tx.bytes_sent;
         extras.epc_faults = epc.faults();
         // Two transitions per shipped record batch.
         let transitions = if secure { tx.messages * 2 } else { 0 };
@@ -1012,7 +737,7 @@ impl CsaSystem {
             storage_rows: scanned_rows,
             host_rows: host_input_rows,
             host_ops,
-            rows_serialized,
+            rows_serialized: rows_shipped,
             fragments,
             bytes,
             messages: tx.messages,
@@ -1029,46 +754,6 @@ impl CsaSystem {
             plans,
             extras,
         })
-    }
-}
-
-/// Assemble the planner's view of one storage fragment: EWMA-refined
-/// estimates from the shared store when the fragment has been observed
-/// before, predicate-shape priors and catalog statistics otherwise.
-/// Pure — no page reads, no pager-stat perturbation.
-fn fragment_stats(
-    state: &AdaptiveState,
-    table: &str,
-    frag: &SelectStmt,
-    shape: TableShape,
-    host_ops: u64,
-    secure: bool,
-) -> FragmentStats {
-    let TableShape { rows: table_rows, pages: table_pages, cols: table_cols } = shape;
-    let where_sql = frag.where_clause.as_ref().map(expr_to_sql);
-    let est = state.lookup(table, where_sql.as_deref());
-    let selectivity = est.map(|e| e.selectivity).unwrap_or_else(|| {
-        frag.where_clause.as_ref().map(prior_selectivity).unwrap_or(1.0)
-    });
-    let needed_cols = if frag.projections.iter().any(|i| matches!(i, SelectItem::Star)) {
-        table_cols
-    } else {
-        frag.projections.len()
-    }
-    .max(1);
-    let density_prior = if table_pages == 0 {
-        64.0
-    } else {
-        (table_rows as f64 / table_pages as f64).max(1.0)
-    };
-    FragmentStats {
-        table_rows,
-        table_pages,
-        selectivity,
-        row_wire_bytes: est.map(|e| e.row_wire_bytes).unwrap_or(12.0 * needed_cols as f64),
-        temp_rows_per_page: est.map(|e| e.temp_rows_per_page).unwrap_or(density_prior),
-        host_ops,
-        secure,
     }
 }
 
@@ -1177,7 +862,7 @@ mod tests {
             assert_eq!(run(&mut sys, &filtered).unwrap(), Value::Int(1), "{}", config.abbrev());
             let pushed = |sys: &CsaSystem, table: &str| {
                 let label = format!("stage0/fragment/{table}");
-                let plan = sys.last_plans().iter().find(|p| p.label == label).unwrap();
+                let plan = sys.last_plans.iter().find(|p| p.label == label).unwrap();
                 plan.pushdown_filter.clone()
             };
             assert_eq!(pushed(&sys, "a"), None, "nothing names a alone");
@@ -1328,59 +1013,5 @@ mod tests {
         let r = run(SystemConfig::IronSafe, 18, &d);
         let reference = run(SystemConfig::HostOnlyNonSecure, 18, &d);
         assert_eq!(r.result, reference.result);
-    }
-}
-
-#[cfg(test)]
-mod adaptive_tests {
-    use super::*;
-    use ironsafe_tpch::queries::query;
-
-    fn data() -> TpchData {
-        ironsafe_tpch::generate(0.002, 42)
-    }
-
-    const STATIC: PlacementPolicy = PlacementPolicy::Pinned(OffloadDecision::Offload);
-    const ADAPTIVE: PlacementPolicy = PlacementPolicy::CostBased;
-
-    fn run_with(placement: PlacementPolicy, qid: u8, data: &TpchData) -> QueryReport {
-        let mut sys = CsaSystem::build(SystemConfig::IronSafe, data, CostParams::default()).unwrap();
-        sys.set_placement(placement);
-        sys.run_query(&query(qid).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn adaptive_matches_static_results() {
-        let d = data();
-        for qid in [1u8, 3, 6, 13, 18] {
-            let a = run_with(STATIC, qid, &d);
-            let b = run_with(ADAPTIVE, qid, &d);
-            assert_eq!(a.result, b.result, "Q{qid}: strategy must never change answers");
-        }
-    }
-
-    #[test]
-    fn adaptive_keeps_selective_pushdowns() {
-        // Q6's filter is brutal: the adaptive partitioner must keep it.
-        let d = data();
-        let a = run_with(ADAPTIVE, 6, &d);
-        let s = run_with(STATIC, 6, &d);
-        assert_eq!(a.bytes_shipped, s.bytes_shipped, "Q6 still offloads fully");
-    }
-
-    #[test]
-    fn adaptive_withdraws_weak_pushdowns() {
-        // Q13's NOT LIKE keeps nearly every order: the adaptive strategy
-        // withdraws the pushdown; the host applies the filter instead.
-        let d = data();
-        let a = run_with(ADAPTIVE, 13, &d);
-        let s = run_with(STATIC, 13, &d);
-        assert!(
-            a.rows_shipped >= s.rows_shipped,
-            "withdrawn pushdown ships at least as many rows ({} vs {})",
-            a.rows_shipped,
-            s.rows_shipped
-        );
-        assert_eq!(a.result, s.result);
     }
 }

@@ -7,7 +7,7 @@
 //! ones a plain `run_query` produces on an identically-prepared system.
 //! Profiling is observation, not perturbation.
 
-use ironsafe_csa::{CostParams, CsaSystem, OffloadDecision, PlacementPolicy, SystemConfig};
+use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
 use ironsafe_obs::export::looks_like_valid_json;
 use ironsafe_tpch::queries::query;
 use ironsafe_tpch::TpchData;
@@ -125,44 +125,37 @@ fn profile_json_and_render_are_deterministic() {
     assert!(text_a.contains("(rows in="), "scans report rows decoded and emitted: {text_a}");
 }
 
-/// `(config, pin, query, total_ns, rows_shipped, bytes_shipped,
-/// pages_shipped, page_reads, merkle_nodes)` of the two static
-/// partitioners, captured on the commit before they became pins of the
-/// one planner (q1 then q6 on one system, SF 0.002, seed 42).
-type PinnedGolden = (SystemConfig, OffloadDecision, u8, f64, u64, u64, u64, u64, u64);
+/// `(config, query, total_ns, rows_shipped, bytes_shipped,
+/// pages_shipped, page_reads, merkle_nodes)` of the static partitioner,
+/// captured on the commit before it became a pin of a placement
+/// planner (q1 then q6 on one system, SF 0.002, seed 42).
+type PinnedGolden = (SystemConfig, u8, f64, u64, u64, u64, u64, u64);
 
 #[rustfmt::skip]
-const PINNED_GOLDEN: [PinnedGolden; 8] = [
-    (SystemConfig::VanillaCs, OffloadDecision::Offload, 1, 12300295.12, 11956, 753384, 184, 573, 0),
-    (SystemConfig::VanillaCs, OffloadDecision::Offload, 6, 2152483.92, 226, 9544, 3, 573, 0),
-    (SystemConfig::VanillaCs, OffloadDecision::ShipPages, 1, 11231331.44, 11956, 2347008, 573, 573, 0),
-    (SystemConfig::VanillaCs, OffloadDecision::ShipPages, 6, 9079251.44, 11956, 2347008, 573, 573, 0),
-    (SystemConfig::IronSafe, OffloadDecision::Offload, 1, 18653214.319999997, 11956, 753384, 184, 573, 2305),
-    (SystemConfig::IronSafe, OffloadDecision::Offload, 6, 4552411.12, 226, 9544, 3, 573, 573),
-    (SystemConfig::IronSafe, OffloadDecision::ShipPages, 1, 17615931.839999996, 11956, 2347008, 573, 573, 2305),
-    (SystemConfig::IronSafe, OffloadDecision::ShipPages, 6, 13470051.84, 11956, 2347008, 573, 573, 573),
+const PINNED_GOLDEN: [PinnedGolden; 4] = [
+    (SystemConfig::VanillaCs, 1, 12300295.12, 11956, 753384, 184, 573, 0),
+    (SystemConfig::VanillaCs, 6, 2152483.92, 226, 9544, 3, 573, 0),
+    (SystemConfig::IronSafe, 1, 18653214.319999997, 11956, 753384, 184, 573, 2305),
+    (SystemConfig::IronSafe, 6, 4552411.12, 226, 9544, 3, 573, 573),
 ];
 
-/// Golden-parity guard for the placement policy: a pinned decision must
-/// reproduce the static plan it replaced *bit-identically* — cost,
-/// shipped counters, pager delta — at any DOP and whatever the estimate
-/// store holds. Placement is a planning change, never an execution
-/// change.
+/// Golden-parity guard for the split runner: every fragment offloads,
+/// and the run reproduces the static plan *bit-identically* — cost,
+/// shipped counters, pager delta — at any DOP.
 #[test]
 fn pinned_adaptive_reproduces_static_plans_bit_identically() {
     let d = data();
     for dop in [1usize, 4] {
-        // One system per (config, pin): its q1 row, then its q6 row.
+        // One system per config: its q1 row, then its q6 row.
         for runs in PINNED_GOLDEN.chunks(2) {
-            let (config, pin, ..) = runs[0];
+            let config = runs[0].0;
             let mut sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
-            sys.set_placement(PlacementPolicy::Pinned(pin));
             sys.set_dop(dop);
-            for &(_, _, qid, total_ns, rows, bytes, pages, reads, merkle) in runs {
+            for &(_, qid, total_ns, rows, bytes, pages, reads, merkle) in runs {
                 let before = sys.storage_db().pager_stats();
                 let got = sys.run_query(&query(qid).unwrap()).unwrap();
                 let delta = sys.storage_db().pager_stats() - before;
-                let tag = format!("{} q{qid} dop{dop} pin={pin:?}", config.abbrev());
+                let tag = format!("{} q{qid} dop{dop}", config.abbrev());
                 assert_eq!(got.total_ns(), total_ns, "{tag}: simulated cost");
                 assert_eq!(
                     (got.rows_shipped, got.bytes_shipped, got.pages_shipped),
@@ -176,49 +169,6 @@ fn pinned_adaptive_reproduces_static_plans_bit_identically() {
                 );
             }
         }
-    }
-}
-
-/// With estimates pinned to the truth (a primed run), the cost-based
-/// adaptive pass picks one of the two static placements and its report
-/// is bit-identical to that static run — never a third behavior.
-#[test]
-fn primed_adaptive_equals_one_static_policy_bit_identically() {
-    let d = data();
-    for qid in [1u8, 6] {
-        let q = query(qid).unwrap();
-        let run_static = |pin: OffloadDecision| {
-            let mut sys =
-                CsaSystem::build(SystemConfig::IronSafe, &d, CostParams::default()).unwrap();
-            sys.set_placement(PlacementPolicy::Pinned(pin));
-            sys.run_query(&q).unwrap(); // warm-up run (Merkle caches)
-            sys.run_query(&q).unwrap()
-        };
-        let offload = run_static(OffloadDecision::Offload);
-        let allhost = run_static(OffloadDecision::ShipPages);
-        let adaptive = {
-            let mut sys =
-                CsaSystem::build(SystemConfig::IronSafe, &d, CostParams::default()).unwrap();
-            // Prime: a static offload run feeds exact observed statistics
-            // into the shared EWMA store (same warm-up schedule as above).
-            sys.run_query(&q).unwrap();
-            sys.set_placement(PlacementPolicy::CostBased);
-            sys.run_query(&q).unwrap()
-        };
-        let matches_offload = adaptive.breakdown == offload.breakdown
-            && adaptive.bytes_shipped == offload.bytes_shipped;
-        let matches_allhost = adaptive.breakdown == allhost.breakdown
-            && adaptive.bytes_shipped == allhost.bytes_shipped;
-        assert!(
-            matches_offload || matches_allhost,
-            "q{qid}: adaptive must equal one static policy exactly \
-             (adaptive {:.0} vs offload {:.0} / allhost {:.0})",
-            adaptive.total_ns(),
-            offload.total_ns(),
-            allhost.total_ns()
-        );
-        assert_eq!(adaptive.result, offload.result, "q{qid}: answers never change");
-        assert_eq!(adaptive.result, allhost.result, "q{qid}: answers never change");
     }
 }
 

@@ -5,10 +5,9 @@
 //! The row path it replaced — `select` into owned rows, `seal_rows` per
 //! ≤ 4096-row chunk, `insert_rows` of the sender's rows — is still
 //! expressible through the public wrappers, so it serves as the oracle:
-//! for random tables, at DOP 1 and 3, and for each of the three ways a
-//! fragment can cross (all rows sealed — `Offload`; none — `ShipPages`;
-//! a prefix — a mid-flight re-plan), the records on the wire and the
-//! pages of the host's temp table must be byte-identical.
+//! for random tables, at DOP 1 and 3, with every row sealed, the records
+//! on the wire and the pages of the host's temp table must be
+//! byte-identical.
 
 use ironsafe_csa::net::{channel_pair, Record, RowLink, SecureChannel, ROWS_PER_RECORD};
 use ironsafe_sql::ast::{SelectStmt, Statement};
@@ -92,44 +91,42 @@ fn check(db: &mut Database, sql: &str, dop: usize) {
     assert_eq!(encoded_schema, schema);
     assert_eq!(encoded, EncodedRows::from_rows(&rows), "scan sink, dop {dop}: {sql}");
 
-    for sealed in [rows.len(), 0, rows.len() / 3] {
-        // Row path: the parent's sequence.
-        let (mut tx, mut rx) = channel_pair(&[0x33; 32]);
-        let mut records: Vec<Record> = Vec::new();
-        for chunk in rows[..sealed].chunks(ROWS_PER_RECORD as usize) {
-            let record = tx.seal_rows(&schema, chunk);
-            assert_eq!(rx.recv_rows(&record).unwrap().len(), chunk.len());
-            records.push(record);
-        }
-        let mut host_rows = Database::new(PlainPager::new());
-        host_rows.create_table("t", schema.clone()).unwrap();
-        host_rows.insert_rows("t", rows.clone()).unwrap();
+    // Row path: the parent's sequence.
+    let (mut tx, mut rx) = channel_pair(&[0x33; 32]);
+    let mut records: Vec<Record> = Vec::new();
+    for chunk in rows.chunks(ROWS_PER_RECORD as usize) {
+        let record = tx.seal_rows(&schema, chunk);
+        assert_eq!(rx.recv_rows(&record).unwrap().len(), chunk.len());
+        records.push(record);
+    }
+    let mut host_rows = Database::new(PlainPager::new());
+    host_rows.create_table("t", schema.clone()).unwrap();
+    host_rows.insert_rows("t", rows.clone()).unwrap();
 
-        // Byte path: the shipper, and the frames it seals.
-        let mut link = RowLink::new(&[0x33; 32]);
-        let mut host_bytes = Database::new(PlainPager::new());
-        link.ship_table(&mut host_bytes, "t", schema.clone(), &encoded, sealed).unwrap();
-        let (mut frames, mut frame) = (SecureChannel::new(&[0x33; 32]), Record::default());
-        for (start, record) in (0..sealed).step_by(ROWS_PER_RECORD as usize).zip(&records) {
-            let end = sealed.min(start + ROWS_PER_RECORD as usize);
-            frames.seal_frame(schema.len(), encoded.slice(start..end), &mut frame);
-            assert_eq!(
-                (frame.seq, &frame.payload, frame.mac),
-                (record.seq, &record.payload, record.mac),
-                "record at row {start}"
-            );
-        }
-        assert_eq!((link.tx.messages, link.tx.bytes_sent), (tx.messages, tx.bytes_sent));
-        assert_eq!(link.tx.messages, (sealed as u64).div_ceil(ROWS_PER_RECORD));
-        assert_eq!(link.rx.expect_seq(), rx.expect_seq());
-
-        let (got, want) = (table_pages(&host_bytes, "t"), table_pages(&host_rows, "t"));
-        assert_eq!(got, want, "host temp pages, sealed {sealed} of {}, dop {dop}: {sql}", rows.len());
+    // Byte path: the shipper, and the frames it seals.
+    let mut link = RowLink::new(&[0x33; 32]);
+    let mut host_bytes = Database::new(PlainPager::new());
+    link.ship_table(&mut host_bytes, "t", schema.clone(), &encoded).unwrap();
+    let (mut frames, mut frame) = (SecureChannel::new(&[0x33; 32]), Record::default());
+    for (start, record) in (0..rows.len()).step_by(ROWS_PER_RECORD as usize).zip(&records) {
+        let end = rows.len().min(start + ROWS_PER_RECORD as usize);
+        frames.seal_frame(schema.len(), encoded.slice(start..end), &mut frame);
         assert_eq!(
-            host_bytes.catalog().table("t").unwrap().heap,
-            host_rows.catalog().table("t").unwrap().heap
+            (frame.seq, &frame.payload, frame.mac),
+            (record.seq, &record.payload, record.mac),
+            "record at row {start}"
         );
     }
+    assert_eq!((link.tx.messages, link.tx.bytes_sent), (tx.messages, tx.bytes_sent));
+    assert_eq!(link.tx.messages, (rows.len() as u64).div_ceil(ROWS_PER_RECORD));
+    assert_eq!(link.rx.expect_seq(), rx.expect_seq());
+
+    let (got, want) = (table_pages(&host_bytes, "t"), table_pages(&host_rows, "t"));
+    assert_eq!(got, want, "host temp pages, {} rows, dop {dop}: {sql}", rows.len());
+    assert_eq!(
+        host_bytes.catalog().table("t").unwrap().heap,
+        host_rows.catalog().table("t").unwrap().heap
+    );
 }
 
 proptest! {

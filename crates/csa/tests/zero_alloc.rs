@@ -74,7 +74,7 @@ fn ship(rows: &EncodedRows) -> (u64, usize) {
     let mut link = RowLink::new(&[0x5a; 32]);
     let mut delivered = 0;
     let allocs = allocations_during(|| {
-        link.ship(4, rows, rows.len(), |frame| {
+        link.ship(4, rows, |frame| {
             delivered += frame.len();
             Ok(())
         })

@@ -293,6 +293,12 @@ impl TrustedMonitor {
         }
     }
 
+    /// Record a refused request in the audit trail and count it.
+    fn refuse(&self, req: &QueryRequest, message: &str) {
+        self.audit.append(req.access_time, "monitor", &req.client_key, message);
+        self.denies.inc();
+    }
+
     /// Figure 5: authorize (and rewrite) a client query.
     pub fn authorize(&mut self, req: &QueryRequest) -> Result<Authorization> {
         let _span = Span::enter("monitor/authorize");
@@ -300,13 +306,7 @@ impl TrustedMonitor {
             Ok(s) => s,
             Err(e) => {
                 // Crafted/malformed queries are recorded before rejection.
-                self.audit.append(
-                    req.access_time,
-                    "monitor",
-                    &req.client_key,
-                    &format!("REJECTED malformed query: {}", req.sql),
-                );
-                self.denies.inc();
+                self.refuse(req, &format!("REJECTED malformed query: {}", req.sql));
                 return Err(MonitorError::Sql(e));
             }
         };
@@ -338,13 +338,7 @@ impl TrustedMonitor {
             }
         }
         let (hi, si) = placement.ok_or_else(|| {
-            self.audit.append(
-                req.access_time,
-                "monitor",
-                &req.client_key,
-                "DENY: no attested node satisfies the execution policy",
-            );
-            self.denies.inc();
+            self.refuse(req, "DENY: no attested node satisfies the execution policy");
             MonitorError::PolicyViolation("no compliant execution environment".into())
         })?;
         let host = self.hosts[hi].clone();
@@ -363,21 +357,25 @@ impl TrustedMonitor {
         let ctx = self.eval_context(&req.client_key, &host, storage.as_ref());
         let decision = evaluate(&access_policy, perm, &ctx);
         if !decision.allowed {
-            self.audit.append(
-                req.access_time,
-                "monitor",
-                &req.client_key,
-                &format!("DENY {perm}: {}", req.sql),
-            );
-            self.denies.inc();
+            self.refuse(req, &format!("DENY {perm}: {}", req.sql));
             return Err(MonitorError::PolicyViolation(format!(
                 "client `{}` lacks {perm} permission on `{}`",
                 req.client_key, req.database
             )));
         }
 
-        // 3. Rewrite the query to discharge data obligations.
-        let service_bit = self.service_bits.get(&req.client_key).copied().unwrap_or(0);
+        // 3. Rewrite the query to discharge data obligations. A reuse
+        //    filter admits the rows that opted in to the client's own
+        //    service bit: a client without one fails closed.
+        let service_bit = self.service_bits.get(&req.client_key).copied();
+        if service_bit.is_none() && decision.obligations.contains(&Obligation::ReuseFilter) {
+            self.refuse(req, &format!("DENY {perm}: no service bit registered: {}", req.sql));
+            return Err(MonitorError::PolicyViolation(format!(
+                "client `{}` has no service bit for the reuse filter on `{}`",
+                req.client_key, req.database
+            )));
+        }
+        let service_bit = service_bit.unwrap_or(0);
         let rw_ctx = RewriteContext { access_time: req.access_time, service_bit };
         rewrite_statement(&mut statement, &decision.obligations, &rw_ctx, 365, 0)?;
 

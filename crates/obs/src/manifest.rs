@@ -54,10 +54,6 @@ pub const METRIC_MANIFEST: &[MetricDef] = &[
     m("mvcc.pin", "counter", "Snapshot epochs pinned by read views"),
     m("mvcc.read.retained", "counter", "Pinned reads served from retained pre-images"),
     m("mvcc.retain", "counter", "Pre-images retained for pinned readers at flush"),
-    m("plan.decide.offload", "counter", "Fragments the adaptive cost rule pushed down to storage"),
-    m("plan.decide.ship_pages", "counter", "Fragments the adaptive cost rule kept on the host"),
-    m("plan.estimate.refined", "counter", "EWMA selectivity estimates refined by observed row counts"),
-    m("plan.replan", "counter", "Mid-flight placement re-plans committed by the morsel driver"),
     m("scale.failover.promoted", "counter", "Replica promotions completed after a quarantine"),
     m("scale.failover.reverified_pages", "counter", "Pages re-read verifying a promoted replica's partition"),
     m("scale.merge.rows", "counter", "Rows fed through the deterministic gid merge"),

@@ -54,7 +54,7 @@ use crate::partitioner::{gid_schema, TablePartition, GID_COLUMN};
 use crate::{Result, ScaleError};
 use ironsafe_csa::cost::{CostBreakdown, Run};
 use ironsafe_csa::partition::render_select;
-use ironsafe_csa::{CsaError, CsaSystem, FragmentSource, QueryReport, SystemConfig, TableShape};
+use ironsafe_csa::{CsaError, CsaSystem, FragmentSource, QueryReport, SystemConfig};
 use ironsafe_faults::{FaultPlan, FaultSite};
 use ironsafe_monitor::{AuditLog, TrustedMonitor};
 use ironsafe_obs::TraceSnapshot;
@@ -560,10 +560,8 @@ impl FragmentSource for Shards<'_> {
         self.fed.partition(table).ok().map(|p| p.schema.clone())
     }
 
-    /// Rows and the canonical (single-node, gid-augmented) page count.
-    fn shape(&self, table: &str) -> ironsafe_csa::Result<TableShape> {
-        let p = self.fed.partition(table)?;
-        Ok(TableShape { rows: p.total_rows, pages: p.canonical_pages, cols: p.schema.len() })
+    fn rows(&self, table: &str) -> ironsafe_csa::Result<u64> {
+        Ok(self.fed.partition(table)?.total_rows)
     }
 
     fn run_fragment(

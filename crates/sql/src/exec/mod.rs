@@ -27,7 +27,7 @@ pub mod sort;
 
 pub use aggregate::{AggSpec, HashAggregate};
 pub use join::{HashJoin, NestedLoopJoin};
-pub use morsel::{partition_pages, Dop, ExecMetrics, ExecOptions, Morsel, ScanWatch};
+pub use morsel::{partition_pages, Dop, ExecMetrics, ExecOptions, Morsel};
 pub use scan::{Scan, ScanAggregate, ScanSource};
 pub use sort::Sort;
 

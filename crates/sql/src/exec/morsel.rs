@@ -21,9 +21,8 @@
 
 use crate::Result;
 use ironsafe_obs::{Counter, Registry, Span, Trace, TraceCtx};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Pages per morsel when [`ExecOptions::morsel_pages`] is not overridden.
 pub const DEFAULT_MORSEL_PAGES: usize = 16;
@@ -71,44 +70,6 @@ impl ExecMetrics {
     }
 }
 
-/// Per-morsel scan telemetry: `(rows_in, rows_out)` around the
-/// pushed-down predicate, indexed by morsel number.
-///
-/// The adaptive planner attaches one of these to a fragment scan's
-/// [`ExecOptions`]; after the scan it reads the slots to compare each
-/// morsel's *observed* selectivity against its estimate and decide
-/// whether the remaining placement still pays (mid-flight re-planning).
-/// Slots are keyed by morsel index, not completion order, so the
-/// recorded sequence is identical at any DOP — a re-plan decision
-/// derived from it is deterministic.
-#[derive(Debug, Default)]
-pub struct ScanWatch {
-    slots: Mutex<Vec<(u64, u64)>>,
-}
-
-impl ScanWatch {
-    /// Fresh watch with no recorded morsels.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one morsel's pre-/post-predicate row counts. Safe to call
-    /// from any worker; last write per index wins (each morsel is
-    /// executed exactly once, so there is no contention in practice).
-    pub fn record(&self, morsel: usize, rows_in: u64, rows_out: u64) {
-        let mut slots = self.slots.lock();
-        if slots.len() <= morsel {
-            slots.resize(morsel + 1, (0, 0));
-        }
-        slots[morsel] = (rows_in, rows_out);
-    }
-
-    /// Drain the recorded `(rows_in, rows_out)` slots, in morsel order.
-    pub fn take(&self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut *self.slots.lock())
-    }
-}
-
 /// Knobs for morsel execution, threaded from the session/system down to
 /// the planner.
 #[derive(Debug, Clone)]
@@ -126,9 +87,6 @@ pub struct ExecOptions {
     pub oversubscribe: bool,
     /// Live counters shared by every scan run under these options.
     pub metrics: ExecMetrics,
-    /// When set, scans record per-morsel `(rows_in, rows_out)` into the
-    /// watch (telemetry only, never rows or stats).
-    pub watch: Option<Arc<ScanWatch>>,
 }
 
 impl Default for ExecOptions {
@@ -138,7 +96,6 @@ impl Default for ExecOptions {
             morsel_pages: DEFAULT_MORSEL_PAGES,
             oversubscribe: false,
             metrics: ExecMetrics::default(),
-            watch: None,
         }
     }
 }
@@ -152,12 +109,6 @@ impl ExecOptions {
     /// Parallel execution with `dop` workers.
     pub fn with_dop(dop: usize) -> Self {
         ExecOptions { dop: Dop::new(dop), ..Self::default() }
-    }
-
-    /// Same options with a [`ScanWatch`] attached.
-    pub fn with_watch(mut self, watch: Arc<ScanWatch>) -> Self {
-        self.watch = Some(watch);
-        self
     }
 
     /// Threads a scan over `morsels` morsels runs on. DOP 1 answers
@@ -399,25 +350,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(collect(Box::new(agg)).unwrap().1, serial, "dop {dop} drifted from serial");
-        }
-    }
-
-    #[test]
-    fn scan_watch_slots_are_dop_invariant() {
-        let mut source = fixture(2000);
-        source.pred = Some(parse_expression("a % 4 = 0").unwrap());
-        let mut baseline: Option<Vec<(u64, u64)>> = None;
-        for dop in [1usize, 2, 4] {
-            let watch = Arc::new(ScanWatch::new());
-            let scan = Scan::columns(source.clone(), opts(dop, 3).with_watch(watch.clone()));
-            collect(Box::new(scan.unwrap())).unwrap();
-            let slots = watch.take();
-            assert_eq!(slots.iter().map(|(i, _)| i).sum::<u64>(), 2000);
-            assert_eq!(slots.iter().map(|(_, o)| o).sum::<u64>(), 500);
-            match &baseline {
-                None => baseline = Some(slots),
-                Some(b) => assert_eq!(&slots, b, "dop {dop}: slots drifted"),
-            }
         }
     }
 

@@ -215,9 +215,6 @@ impl Kernel {
             filter_vec(pred, &buf.batch, &mut buf.sel, &mut buf.scratch)?;
         }
         let kept = count_live(&buf.sel);
-        if let Some(watch) = &self.opts.watch {
-            watch.record(i, rows as u64, kept as u64);
-        }
         if kept > 0 {
             buf.decode_survivors(late);
         }

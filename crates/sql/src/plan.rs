@@ -287,11 +287,10 @@ pub fn plan_select_with(
 
     // A LIMIT with no pipeline breaker below it stops pulling mid-scan.
     // One-page morsels on one worker make the scans under it read exactly
-    // the pages a page-at-a-time scan would (per-morsel telemetry keeps
-    // its `morsel_pages` granularity by sitting such a scan out).
+    // the pages a page-at-a-time scan would.
     let streaming_limit = stmt.limit.is_some() && !aggregates(stmt) && stmt.order_by.is_empty();
     let scan_opts = if streaming_limit {
-        ExecOptions { dop: Default::default(), morsel_pages: 1, watch: None, ..opts.clone() }
+        ExecOptions { dop: Default::default(), morsel_pages: 1, ..opts.clone() }
     } else {
         opts.clone()
     };

@@ -15,12 +15,6 @@ pub const PAGE_SIZE: usize = 4096;
 
 const NIL: usize = usize::MAX;
 
-/// Base page id of the simulated *background* working set (see
-/// [`EpcSimulator::preload_background`]). High enough that no query
-/// working set — heap pages, host temp pages, synthetic replan pages —
-/// ever collides with it.
-pub const BACKGROUND_PAGE_BASE: u64 = 1 << 40;
-
 /// An exact-LRU simulator over abstract page identifiers.
 ///
 /// Implemented as a hash map into an intrusive doubly-linked list stored in
@@ -105,11 +99,8 @@ impl EpcSimulator {
         self.map.len()
     }
 
-    /// Fraction of the EPC currently occupied, in `[0.0, 1.0]`.
-    ///
-    /// This is the *occupancy read API* the adaptive planner samples:
-    /// a cheap, side-effect-free snapshot (no LRU mutation, no counter
-    /// bumps) of how full the enclave page cache is right now.
+    /// Fraction of the EPC currently occupied, in `[0.0, 1.0]`: a
+    /// side-effect-free snapshot (no LRU mutation, no counter bumps).
     pub fn occupancy_ratio(&self) -> f64 {
         self.map.len() as f64 / self.capacity_pages as f64
     }
@@ -117,26 +108,6 @@ impl EpcSimulator {
     /// Pages that can still be faulted in before the LRU must evict.
     pub fn headroom_pages(&self) -> usize {
         self.capacity_pages - self.map.len()
-    }
-
-    /// Make a `pages`-sized *background* working set resident, modelling
-    /// enclave memory held by concurrent tenants. Pages live at
-    /// [`BACKGROUND_PAGE_BASE`] so they never alias a query's pages, and
-    /// the preload's own cold faults are erased afterwards
-    /// ([`Self::reset_counters`]) — the set is framed as already-resident
-    /// pressure, not work this query performed.
-    pub fn preload_background(&mut self, pages: u64) {
-        self.access_range(BACKGROUND_PAGE_BASE, pages);
-        self.reset_counters();
-    }
-
-    /// Re-touch the background working set (the concurrent tenant runs
-    /// again). Returns the faults incurred: exactly 0 while query pages
-    /// plus background still fit, and ≈`pages` once the query's working
-    /// set has pushed the background out — LRU's sequential-cyclic cliff,
-    /// the paper's Figure 9a "EPC paging" wall.
-    pub fn touch_background(&mut self, pages: u64) -> u64 {
-        self.access_range(BACKGROUND_PAGE_BASE, pages)
     }
 
     /// Touch `page`; returns `true` on a fault (page was not resident).
@@ -365,23 +336,6 @@ mod tests {
         let _ = epc.occupancy_ratio();
         let _ = epc.headroom_pages();
         assert_eq!((epc.hits(), epc.faults()), (h, f), "reads are pure");
-    }
-
-    #[test]
-    fn background_preload_is_free_until_the_cliff() {
-        let mut epc = EpcSimulator::new(8 * PAGE_SIZE);
-        epc.preload_background(6);
-        assert_eq!(epc.faults(), 0, "preload cold faults are erased");
-        assert_eq!(epc.resident_pages(), 6);
-        // Query touches 2 pages: total 8 fits, re-touch is free.
-        epc.access_range(0, 2);
-        epc.reset_counters();
-        assert_eq!(epc.touch_background(6), 0);
-        // Query touches 3 more: total 11 > 8 → the cyclic re-touch
-        // thrashes the whole background set.
-        epc.access_range(2, 3);
-        epc.reset_counters();
-        assert_eq!(epc.touch_background(6), 6, "LRU cliff: full set re-faults");
     }
 
     #[test]

@@ -9,6 +9,6 @@ pub mod supervisor;
 
 pub use attestation::{AttestationService, Quote, QuoteVerification};
 pub use enclave::{Enclave, EnclaveConfig, EnclaveCounters, SgxPlatform};
-pub use epc::{EpcSimulator, BACKGROUND_PAGE_BASE};
+pub use epc::EpcSimulator;
 pub use seal::SealedBlob;
 pub use supervisor::EnclaveSupervisor;

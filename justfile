@@ -4,7 +4,7 @@
 
 # Build, test, and lint everything (the pre-merge gate): each workspace
 # test runs once, clippy and rustdoc run with warnings denied, then the
-# six BENCH_*.json gates (each regenerates its whole file and
+# five BENCH_*.json gates (each regenerates its whole file and
 # byte-compares it), the serving example end to end, and the wall-clock
 # benchmark's own tests (all four workloads in --smoke size, against the
 # crates as they are now).
@@ -18,7 +18,6 @@ check:
     cargo run --release --offline -p ironsafe-bench --bin paperbench shards --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench vectors --check
     cargo run --release --offline -p ironsafe-bench --bin paperbench saturation --check
-    cargo run --release --offline -p ironsafe-bench --bin paperbench adaptive --check
     cargo run --release --offline --example multi_client
     cargo test -q --offline --manifest-path perf/Cargo.toml
 

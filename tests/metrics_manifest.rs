@@ -30,8 +30,6 @@ fn register_workspace(registry: &Registry) {
         .expect("system builds");
     sys.storage_db().register_metrics(registry);
     sys.register_exec_metrics(registry);
-    // Adaptive planner counters (`plan.*`).
-    sys.register_plan_metrics(registry);
 
     // MVCC snapshot registry + encrypted group-commit WAL (a shared
     // serving deployment registers these via

@@ -1,9 +1,10 @@
 //! GDPR anti-pattern use-cases (§4.3) end-to-end: policies really change
 //! which rows a consumer can see, and every obligation is discharged.
 
+use ironsafe::monitor::MonitorError;
 use ironsafe::sql::Value;
 use ironsafe::tpch::gdpr::{gen_people_with_policy, PEOPLE_DDL_POLICY};
-use ironsafe::{Client, Deployment};
+use ironsafe::{Client, Deployment, IronSafeError};
 
 fn deployment_with_people(policy: &str) -> (Deployment, Client, Client) {
     let mut dep = Deployment::builder().seed(11).build().unwrap();
@@ -57,6 +58,37 @@ fn anti_pattern_2_prevent_indiscriminate_use() {
 
     let visible = dep.submit(&consumer, "gdpr", "SELECT COUNT(*) FROM people", "").unwrap();
     assert_eq!(visible.result.rows()[0][0].as_i64().unwrap(), expected);
+}
+
+#[test]
+fn reuse_filter_refuses_a_client_without_a_service_bit() {
+    // Bit 0 belongs to some other service: a consumer that never
+    // registered a bit has opted-in rows of its own to see, none.
+    let (mut dep, _owner, consumer) = deployment_with_people("read :- reuseMap(m)");
+    let bit0 = {
+        let db = dep.system_mut().storage_db_mut();
+        let r = db.execute("SELECT COUNT(*) FROM people WHERE __reuse % 2 = 1").unwrap();
+        r.rows()[0][0].as_i64().unwrap()
+    };
+    assert!(bit0 > 0, "some rows opted in to bit 0");
+
+    let sql = "SELECT COUNT(*) FROM people";
+    let refused = dep.submit(&consumer, "gdpr", sql, "").err();
+    assert!(
+        matches!(refused, Some(IronSafeError::Monitor(MonitorError::PolicyViolation(_)))),
+        "{refused:?}"
+    );
+    let audit = dep.monitor().audit();
+    assert!(audit.verify());
+    assert!(audit
+        .entries()
+        .iter()
+        .any(|e| e.client_key == "Kb" && e.message.starts_with("DENY") && e.message.contains(sql)));
+
+    // Registering bit 0 on purpose grants exactly those rows.
+    dep.register_service_bit(&consumer, 0);
+    let visible = dep.submit(&consumer, "gdpr", sql, "").unwrap();
+    assert_eq!(visible.result.rows()[0][0].as_i64().unwrap(), bit0);
 }
 
 #[test]
