@@ -785,7 +785,7 @@ pub fn freshness_queries(sf: f64, query_ids: &[u8]) -> Table {
 
         // Baseline: cache off reproduces the old per-page full climbs.
         let mut slow = system(SystemConfig::IronSafe, &data, CostParams::default());
-        slow.storage_db().pager().lock().set_merkle_cache_enabled(false);
+        slow.secure_pager().expect("scs is secure").lock().set_merkle_cache_enabled(false);
         let s0 = slow.storage_db().pager_stats().merkle_nodes;
         let slow_report = slow.run_query(&q).expect("query runs");
         let per_page_visits = slow.storage_db().pager_stats().merkle_nodes - s0;

@@ -180,9 +180,10 @@ impl DeploymentBuilder {
 
         // --- Query processing system (scs: split + secure). -------------
         let medium = (mfr.make_device("storage-0-medium", 8, &mut rng), self.seed);
-        let storage_db =
-            Database::with_shared(storage_pager(Some(medium), self.params.epc_limit_bytes)?);
-        let mut system = CsaSystem::from_database(SystemConfig::IronSafe, storage_db, self.params);
+        let (pager, secure) = storage_pager(Some(medium), self.params.epc_limit_bytes)?;
+        let storage_db = Database::with_shared(pager);
+        let mut system =
+            CsaSystem::on_node(SystemConfig::IronSafe, storage_db, secure, self.params);
         system.set_fault_plan(self.fault_plan.clone());
 
         // Seal the deployment identity into the supervisor: after an
@@ -348,7 +349,7 @@ mod tests {
     #[test]
     fn the_storage_pager_is_sized_by_the_enclave_budget() {
         use ironsafe_faults::{FaultPlan, FaultSite};
-        use ironsafe_storage::PAGE_PAYLOAD;
+        use ironsafe_storage::{Pager, PAGE_PAYLOAD};
         let build = |epc_limit_bytes| {
             let params = CostParams { epc_limit_bytes, ..CostParams::default() };
             Deployment::builder().cost_params(params).build().unwrap()
@@ -356,7 +357,7 @@ mod tests {
         // 64 bytes an event: 8 KiB keep the last 128 failed attempts, the
         // default 96 MiB keep all of a few hundred.
         let events_kept = |dep: &Deployment| {
-            let mut pager = dep.system().storage_db().pager().lock();
+            let mut pager = dep.system().secure_pager().expect("scs is secure").lock();
             pager.set_fault_plan(FaultPlan::seeded(1).with_rate(FaultSite::DeviceRead, 1.0));
             let mut page = vec![0u8; PAGE_PAYLOAD];
             let attempts = (0..300).filter(|_| pager.read_page(0, &mut page).is_err()).count();

@@ -157,14 +157,6 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn any_interconnect() -> impl Strategy<Value = crate::cost::Interconnect> {
-            prop_oneof![
-                Just(crate::cost::Interconnect::NvmePcie),
-                Just(crate::cost::Interconnect::NvmeOf),
-                Just(crate::cost::Interconnect::TcpTls),
-            ]
-        }
-
         proptest! {
             #[test]
             fn adaptive_choice_never_worse_than_both_static_policies(
@@ -172,11 +164,14 @@ mod tests {
                 occupied in 0u64..30_000,
                 rows in 1u64..200_000,
                 secure in any::<bool>(),
-                interconnect in any_interconnect(),
+                net_latency_ns in 10_000u64..=40_000,
+                net_ns_per_byte in 0.14f64..=1.18,
             ) {
-                // For ANY (selectivity, EPC occupancy, interconnect)
-                // point the chosen placement's cost is ≤ both.
-                let p = CostParams::default().with_interconnect(interconnect);
+                // For ANY (selectivity, EPC occupancy, network) point the
+                // chosen placement's cost is ≤ both. The network range
+                // spans direct-attached NVMe/PCIe (10 µs, 0.14 ns/B) to
+                // the paper's TLS over TCP (40 µs, 1.18 ns/B).
+                let p = CostParams { net_latency_ns, net_ns_per_byte, ..CostParams::default() };
                 let epc = EpcView { occupied_pages: occupied, capacity_pages: 24_576 };
                 let f = FragmentStats {
                     table_rows: rows,

@@ -15,35 +15,6 @@ use ironsafe_obs::Span;
 use ironsafe_sql::ast::{SelectItem, SelectStmt};
 use ironsafe_storage::{PagerStats, BLOCK_SIZE};
 
-/// Host↔storage interconnect technologies (paper §5: "the layer can be
-/// configured as: NVMe/PCIe, NVMe over fabrics (NVMe-oF), or TCP").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Interconnect {
-    /// Direct-attached NVMe over PCIe (computational storage device).
-    NvmePcie,
-    /// NVMe over fabrics (storage server, RDMA-class latency).
-    NvmeOf,
-    /// TLS over TCP at 850 MB/s single-stream — the paper's evaluated
-    /// setup and the default here.
-    #[default]
-    TcpTls,
-}
-
-#[cfg(test)]
-impl Interconnect {
-    /// `(latency_ns per message, ns per byte)` for this technology.
-    pub(crate) fn parameters(&self) -> (u64, f64) {
-        match self {
-            // ~10 µs submission/completion, ~7 GB/s (PCIe 4.0 x4).
-            Interconnect::NvmePcie => (10_000, 0.14),
-            // ~25 µs fabric round trip, ~3 GB/s effective.
-            Interconnect::NvmeOf => (25_000, 0.33),
-            // The paper's measured single-stream TLS/TCP numbers.
-            Interconnect::TcpTls => (40_000, 1.18),
-        }
-    }
-}
-
 /// Cost-model parameters.
 #[derive(Debug, Clone)]
 pub struct CostParams {
@@ -114,15 +85,6 @@ impl Default for CostParams {
 }
 
 impl CostParams {
-    /// Configure the network parameters for an interconnect technology.
-    #[cfg(test)]
-    pub(crate) fn with_interconnect(mut self, kind: Interconnect) -> Self {
-        let (latency, per_byte) = kind.parameters();
-        self.net_latency_ns = latency;
-        self.net_ns_per_byte = per_byte;
-        self
-    }
-
     /// Effective storage scan parallelism.
     pub(crate) fn storage_parallel(&self) -> f64 {
         self.storage_cores.min(self.storage_max_parallel).max(1) as f64
@@ -583,16 +545,6 @@ mod tests {
         assert_eq!(priced(Run::Write, &w), [device, crypto, freshness]);
         let flush = Work { wal_bytes: 2 * BLOCK_SIZE as u64, ..w };
         assert_eq!(priced(Run::Write, &flush)[0], device + 2.0 * p.device_read_ns_per_page);
-    }
-
-    #[test]
-    fn interconnects_order_by_speed() {
-        let bytes = 10_000_000;
-        let pcie = CostParams::default().with_interconnect(Interconnect::NvmePcie);
-        let fabric = CostParams::default().with_interconnect(Interconnect::NvmeOf);
-        let tcp = CostParams::default().with_interconnect(Interconnect::TcpTls);
-        assert!(pcie.net_ns(bytes, 10) < fabric.net_ns(bytes, 10));
-        assert!(fabric.net_ns(bytes, 10) < tcp.net_ns(bytes, 10));
     }
 
     #[test]

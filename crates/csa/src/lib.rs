@@ -31,7 +31,7 @@ pub mod profile;
 pub mod shared;
 pub mod system;
 
-pub use cost::{CostBreakdown, CostParams, Interconnect};
+pub use cost::{CostBreakdown, CostParams};
 pub use federation::{FragmentSource, QueryBackend};
 pub use net::SecureChannel;
 pub use profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile};

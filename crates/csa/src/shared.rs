@@ -40,7 +40,7 @@
 //! snapshot registry → base pager.
 
 use crate::cost::{self, CostParams, Run, Work};
-use crate::system::{CsaSystem, QueryReport, SystemConfig};
+use crate::system::{secure_node, CsaSystem, QueryReport, SystemConfig};
 use crate::{CsaError, Result};
 use ironsafe_faults::{retry_with, FaultPlan, FaultSite, RetryPolicy};
 use ironsafe_obs::{Registry, TraceSnapshot};
@@ -49,14 +49,22 @@ use ironsafe_sql::catalog::Catalog;
 use ironsafe_sql::Database;
 use ironsafe_storage::wal::{Checkpoint, CommitRecord, Wal, WalMedium};
 use ironsafe_storage::{
-    BlockDevice, PendingTxns, SecurePager, SharedPending, Snapshots, StorageError, TailVerdict,
-    PAGE_PAYLOAD,
+    BlockDevice, Pager, PendingTxns, SecurePager, SharedPending, Snapshots, StorageError,
+    TailVerdict, PAGE_PAYLOAD,
 };
 use ironsafe_tee::trustzone::TrustZoneDevice;
 use ironsafe_tpch::queries::PaperQuery;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// The base pager a WAL journals: the secure pager, whose database key
+/// the log's keys derive from.
+fn journaling_pager(sys: &CsaSystem) -> Result<&Arc<Mutex<SecurePager>>> {
+    sys.secure_pager().ok_or(CsaError::Storage(StorageError::DeviceIo(
+        "base pager has no database key to derive WAL keys from",
+    )))
+}
 
 /// The reader-visible committed state: epoch and catalog move together,
 /// atomically with the snapshot registry's publish.
@@ -133,7 +141,9 @@ impl SharedCsaSystem {
     /// serving layer trades the freshness fast path for deterministic
     /// per-session accounting (single-session systems keep it on).
     pub fn new(system: CsaSystem) -> Self {
-        system.storage_db().pager().lock().set_merkle_cache_enabled(false);
+        if let Some(pager) = system.secure_pager() {
+            pager.lock().set_merkle_cache_enabled(false);
+        }
         let catalog = system.storage_db().catalog().clone();
         let pages = system.storage_db().pager().lock().num_pages();
         let snapshots = Snapshots::new();
@@ -263,18 +273,13 @@ impl SharedCsaSystem {
         // other writers wait here.
         let mut w = self.write.lock();
         let guard = self.inner.read();
-        let mut view = guard.write_view(w.pending.clone(), w.catalog.clone());
+        let (mut view, pager) = guard.write_view(w.pending.clone(), w.catalog.clone());
         view.set_session_key(session_key);
         // A failed statement dies with its overlay — the group buffer
         // never sees a partial transaction.
         let mut report = view.run_statement(stmt)?;
         let trace = view.take_last_trace();
-        let (pages, next_id) = view
-            .storage_db()
-            .pager()
-            .lock()
-            .take_txn_pages()
-            .expect("writer views always carry an overlay");
+        let (pages, next_id) = pager.lock().take_txn();
         w.catalog = view.storage_db().catalog().clone();
         w.pending.lock().merge(pages, next_id);
         w.buffered += 1;
@@ -387,9 +392,10 @@ impl SharedCsaSystem {
         }
 
         if let Some(wal) = w.wal.as_mut() {
+            let secure = journaling_pager(sys)?;
             let rec = CommitRecord {
                 epoch: next_epoch,
-                root: pager.lock().current_root(),
+                root: secure.lock().current_root(),
                 writes: post,
                 catalog: ironsafe_sql::meta::encode_catalog(&w.catalog),
             };
@@ -402,7 +408,7 @@ impl SharedCsaSystem {
             }
             // The commit point: root MAC + WAL chain head in ONE RPMB
             // write for the whole group.
-            pager.lock().commit_bound(&head).map_err(CsaError::Storage)?;
+            secure.lock().commit_bound(&head).map_err(CsaError::Storage)?;
             wal.metrics().group_commits.inc();
             wal.metrics().txns.add(txns);
         } else {
@@ -461,10 +467,8 @@ impl SharedCsaSystem {
         sys: &CsaSystem,
         rng_seed: u64,
     ) -> Result<()> {
-        let pager = sys.storage_db().pager();
-        let mut wal = pager.lock().make_wal(rng_seed).ok_or(CsaError::Storage(
-            StorageError::DeviceIo("base pager has no database key to derive WAL keys from"),
-        ))?;
+        let pager = journaling_pager(sys)?;
+        let mut wal = pager.lock().make_wal(rng_seed).expect("a secure pager journals");
         wal.set_fault_plan(sys.fault_plan().clone());
         let (blocks, root) = {
             let b = pager.lock();
@@ -507,7 +511,7 @@ impl SharedCsaSystem {
         let mut w = write.into_inner();
         let medium = w.wal.take().map(Wal::into_medium);
         let sys = inner.into_inner();
-        let parts = sys.storage_db().pager().lock().take_parts();
+        let parts = sys.secure_pager().map(|pager| pager.lock().take_parts());
         (parts, medium)
     }
 
@@ -528,8 +532,9 @@ impl SharedCsaSystem {
     ) -> Result<(Self, RecoveryReport)> {
         let (pager, info) = SecurePager::recover(tz, medium, rng_seed).map_err(CsaError::Storage)?;
         let catalog = ironsafe_sql::meta::decode_catalog(&info.catalog)?;
-        let db = Database::from_parts(ironsafe_sql::heap::shared(pager), catalog);
-        let sys = CsaSystem::from_database(config, db, params);
+        let (pager, secure) = secure_node(pager, params.epc_limit_bytes);
+        let db = Database::from_parts(pager, catalog);
+        let sys = CsaSystem::on_node(config, db, Some(secure), params);
         let shared = SharedCsaSystem::new(sys);
         // Resume the recovered epoch sequence (new() published epoch 1).
         {
@@ -557,12 +562,13 @@ impl SharedCsaSystem {
 
     /// Drain the base pager's TEE-resident flight recorder: the
     /// deterministic forensic event lines recorded by faulted or
-    /// violating page accesses, including ones taken through read
-    /// views (views delegate their recorder to the shared base). The
-    /// serving layer appends these to the monitor audit trail when an
-    /// execution fails.
+    /// violating page accesses, including ones taken through read views
+    /// (a view reads through the shared base, whose recorder it fills).
+    /// The serving layer appends these to the monitor audit trail when
+    /// an execution fails.
     pub fn take_flight_dump(&self) -> Vec<String> {
-        self.inner.read().storage_db().pager().lock().take_flight_dump()
+        let sys = self.inner.read();
+        sys.secure_pager().map_or_else(Vec::new, |pager| pager.lock().take_flight_dump())
     }
 
     /// Inspect the underlying system (catalog walks, config checks).
@@ -863,5 +869,31 @@ mod tests {
         assert_eq!(report.verdict, TailVerdict::Clean);
         let (after, _) = recovered.run_statement(&sel, key).unwrap();
         assert_eq!(after.result, committed.result, "recovered rows drifted");
+    }
+
+    /// A node recovered from a crash is sized by its enclave budget like
+    /// a fresh one: at 8 KiB its flight recorder keeps the last 128
+    /// failed attempts (64 bytes an event), as `Deployment`'s fresh node
+    /// does, not the 64-event floor of a pager that was never sized.
+    #[test]
+    fn recovered_base_is_sized_by_the_enclave_budget() {
+        let config = SystemConfig::StorageOnlySecure;
+        let params = CostParams { epc_limit_bytes: 8 * 1024, ..CostParams::default() };
+        let data = ironsafe_tpch::generate(0.001, 42);
+        let shared = SharedCsaSystem::new(CsaSystem::build(config, &data, params.clone()).unwrap());
+        shared.attach_wal(77).unwrap();
+        let (parts, medium) = shared.teardown();
+        let (tz, _lost_medium) = parts.expect("secure base tears down");
+        let medium = medium.expect("WAL attached");
+        let (recovered, _) =
+            SharedCsaSystem::recover(config, params, tz, &medium, 91, 92, 1).unwrap();
+        recovered.set_fault_plan(FaultPlan::seeded(1).with_rate(FaultSite::DeviceRead, 1.0));
+        let failed = recovered.with_system(|sys| {
+            let mut pager = sys.storage_db().pager().lock();
+            let mut page = vec![0u8; PAGE_PAYLOAD];
+            (0..300).filter(|_| pager.read_page(0, &mut page).is_err()).count()
+        });
+        assert_eq!(failed, 300);
+        assert_eq!(recovered.take_flight_dump().len(), 128);
     }
 }

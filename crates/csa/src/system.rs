@@ -23,10 +23,11 @@ use ironsafe_sql::heap::{shared, SharedPager};
 use ironsafe_sql::{Database, EncodedRows, QueryResult};
 use ironsafe_storage::pager::PlainPager;
 use ironsafe_storage::{PageCache, SecurePager, SharedPending, SnapshotPin, ViewPager};
-use ironsafe_tee::sgx::epc::{verified_node_cache_capacity, EpcSimulator};
+use ironsafe_tee::sgx::epc::EpcSimulator;
 use ironsafe_tee::trustzone::{Manufacturer, TrustZoneDevice};
 use ironsafe_tpch::queries::PaperQuery;
 use ironsafe_tpch::TpchData;
+use parking_lot::Mutex;
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -146,27 +147,36 @@ impl Default for Settings {
 /// A storage node's pager stack under an enclave budget of
 /// `epc_limit_bytes`: a [`SecurePager`] on `medium` — a TrustZone device
 /// and the seed its database key is drawn from — or, without one, a
-/// plain pager. The verified-node cache and the flight-recorder ring are
-/// TEE-resident and compete with the query working set for EPC, so both
-/// are bounded by the budget the cost model assumes. Everything that
+/// plain pager. The secure pager comes back twice, as the [`SharedPager`]
+/// the SQL engine runs on and as the typed handle its secure-only
+/// operations go through; both are the same allocation. Everything that
 /// builds a storage node — [`CsaSystem`], a shard, a `Deployment` — gets
 /// its pager here.
 pub fn storage_pager(
     medium: Option<(TrustZoneDevice, u64)>,
     epc_limit_bytes: usize,
-) -> Result<SharedPager> {
-    let pager = match medium {
+) -> Result<(SharedPager, Option<Arc<Mutex<SecurePager>>>)> {
+    Ok(match medium {
         Some((device, seed)) => {
-            shared(SecurePager::create(device, seed).map_err(crate::CsaError::Storage)?)
+            let pager = SecurePager::create(device, seed).map_err(crate::CsaError::Storage)?;
+            let (shared, secure) = secure_node(pager, epc_limit_bytes);
+            (shared, Some(secure))
         }
-        None => shared(PlainPager::new()),
-    };
-    {
-        let (mut tee_resident, budget) = (pager.lock(), epc_limit_bytes as u64);
-        tee_resident.set_merkle_cache_capacity(verified_node_cache_capacity(budget));
-        tee_resident.set_flight_budget(budget);
-    }
-    Ok(pager)
+        None => (shared(PlainPager::new()), None),
+    })
+}
+
+/// `pager` as a storage node: its verified-node cache and flight-recorder
+/// ring are TEE-resident and compete with the query working set for EPC,
+/// so both are sized by the budget the cost model assumes
+/// ([`SecurePager::sized_for_epc`]) — for a node created, opened or
+/// recovered alike.
+pub(crate) fn secure_node(
+    pager: SecurePager,
+    epc_limit_bytes: usize,
+) -> (SharedPager, Arc<Mutex<SecurePager>>) {
+    let secure = Arc::new(Mutex::new(pager.sized_for_epc(epc_limit_bytes as u64)));
+    (secure.clone(), secure)
 }
 
 /// A host+storage deployment in one configuration.
@@ -176,6 +186,9 @@ pub struct CsaSystem {
     /// Cost-model parameters.
     pub params: CostParams,
     storage_db: Database,
+    /// The storage database's pager under its concrete type, when it is
+    /// a [`SecurePager`] (`None` for a plain pager and for views).
+    secure: Option<Arc<Mutex<SecurePager>>>,
     set: Settings,
     last_trace: Option<TraceSnapshot>,
     /// Per-plan operator profiles captured from every plan the most
@@ -205,27 +218,43 @@ impl CsaSystem {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xC5A);
             (mfr.make_device("storage-0", 8, &mut rng), 0xC5A)
         });
-        let mut storage_db = Database::with_shared(storage_pager(medium, params.epc_limit_bytes)?);
+        let (pager, secure) = storage_pager(medium, params.epc_limit_bytes)?;
+        let mut storage_db = Database::with_shared(pager);
         ironsafe_tpch::load_into(&mut storage_db, data)?;
         storage_db.reset_pager_stats();
-        Ok(Self::from_database(config, storage_db, params))
+        Ok(Self::on_node(config, storage_db, secure, params))
     }
 
-    /// Build over an already-populated database (e.g. the GDPR workload).
+    /// Build over an already-populated database whose pager has no typed
+    /// secure handle (a plain pager, a catalog-only coordinator, a probe
+    /// over a shared base): fault plans reach only the secure channel.
     pub fn from_database(config: SystemConfig, storage_db: Database, params: CostParams) -> Self {
-        Self::assemble(config, params, storage_db, Settings::default())
+        Self::on_node(config, storage_db, None, params)
+    }
+
+    /// Build over a storage node's populated database; `secure` is the
+    /// typed handle [`storage_pager`] returned next to its pager.
+    pub fn on_node(
+        config: SystemConfig,
+        storage_db: Database,
+        secure: Option<Arc<Mutex<SecurePager>>>,
+        params: CostParams,
+    ) -> CsaSystem {
+        Self::assemble(config, params, storage_db, secure, Settings::default())
     }
 
     fn assemble(
         config: SystemConfig,
         params: CostParams,
         storage_db: Database,
+        secure: Option<Arc<Mutex<SecurePager>>>,
         set: Settings,
     ) -> CsaSystem {
         CsaSystem {
             config,
             params,
             storage_db,
+            secure,
             set,
             last_trace: None,
             last_plans: Vec::new(),
@@ -239,9 +268,9 @@ impl CsaSystem {
     /// the view; pager stats start at zero and count only the view's own
     /// work, so concurrent views produce bit-identical
     /// [`CostBreakdown`]s to serial execution.
-    fn view(&self, pager: ViewPager, catalog: Catalog) -> CsaSystem {
-        let db = Database::from_parts(ironsafe_sql::heap::shared(pager), catalog);
-        Self::assemble(self.config, self.params.clone(), db, self.set.clone())
+    fn view(&self, pager: SharedPager, catalog: Catalog) -> CsaSystem {
+        let db = Database::from_parts(pager, catalog);
+        Self::assemble(self.config, self.params.clone(), db, None, self.set.clone())
     }
 
     /// Open an isolated read view of this system for one query run:
@@ -251,7 +280,7 @@ impl CsaSystem {
     /// The caller must exclude base writes for the view's lifetime.
     pub fn read_view(&self) -> CsaSystem {
         let pager = ViewPager::over(self.storage_db.pager().clone(), self.set.read_cache.clone());
-        self.view(pager, self.storage_db.catalog().clone())
+        self.view(shared(pager), self.storage_db.catalog().clone())
     }
 
     /// Open a *snapshot* read view pinned to the epoch captured in `pin`,
@@ -264,18 +293,25 @@ impl CsaSystem {
     /// epoch it opened at while writers commit the next one.
     pub(crate) fn read_view_at(&self, pin: SnapshotPin, catalog: Catalog) -> CsaSystem {
         let base = self.storage_db.pager().clone();
-        self.view(ViewPager::over_pinned(base, self.set.read_cache.clone(), pin), catalog)
+        self.view(shared(ViewPager::over_pinned(base, self.set.read_cache.clone(), pin)), catalog)
     }
 
     /// Open a *writer* view: a copy-on-write view whose reads additionally
     /// see `pending` — the group-commit buffer of transactions already
     /// accepted but not yet flushed to the base — and whose `catalog` is
     /// the write path's running catalog (ahead of the published one by
-    /// the buffered transactions). The accumulated overlay is harvested
-    /// with `take_txn_pages` after a successful statement.
-    pub(crate) fn write_view(&self, pending: SharedPending, catalog: Catalog) -> CsaSystem {
+    /// the buffered transactions). The view's pager comes back typed too:
+    /// the accumulated overlay is harvested with [`ViewPager::take_txn`]
+    /// after a successful statement.
+    pub(crate) fn write_view(
+        &self,
+        pending: SharedPending,
+        catalog: Catalog,
+    ) -> (CsaSystem, Arc<Mutex<ViewPager>>) {
         let base = self.storage_db.pager().clone();
-        self.view(ViewPager::over_writer(base, self.set.read_cache.clone(), pending), catalog)
+        let pager = ViewPager::over_writer(base, self.set.read_cache.clone(), pending);
+        let pager = Arc::new(Mutex::new(pager));
+        (self.view(pager.clone(), catalog), pager)
     }
 
     /// The shared decrypted-page cache (the serving layer clears it when
@@ -292,7 +328,9 @@ impl CsaSystem {
     /// whole query path. Views opened via [`CsaSystem::read_view`] after
     /// this call inherit the plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.storage_db.pager().lock().set_fault_plan(plan.clone());
+        if let Some(pager) = &self.secure {
+            pager.lock().set_fault_plan(plan.clone());
+        }
         self.set.fault_plan = plan;
     }
 
@@ -367,6 +405,13 @@ impl CsaSystem {
     /// The storage-resident database (e.g. to inspect the catalog).
     pub fn storage_db(&self) -> &Database {
         &self.storage_db
+    }
+
+    /// The storage database's pager as a [`SecurePager`], for its
+    /// secure-only operations (WAL, teardown, flight recorder, the
+    /// verified-node cache switch); `None` for a plain pager or a view.
+    pub fn secure_pager(&self) -> Option<&Arc<Mutex<SecurePager>>> {
+        self.secure.as_ref()
     }
 
     /// Mutable access (loaders, policy experiments).
@@ -886,12 +931,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let medium = (mfr.make_device("storage-0", 8, &mut rng), 3);
         let params = CostParams::default();
-        let pager = storage_pager(Some(medium), params.epc_limit_bytes).unwrap();
+        let (pager, secure) = storage_pager(Some(medium), params.epc_limit_bytes).unwrap();
         let mut db = Database::with_shared(pager);
         db.execute("CREATE TABLE u (a INT, s TEXT)").unwrap();
         let rows = (0..40).map(|a| vec![Value::Int(a), Value::Text("r".repeat(480))]).collect();
         db.insert_rows("u", rows).unwrap();
-        let mut sys = CsaSystem::from_database(SystemConfig::IronSafe, db, params);
+        let mut sys = CsaSystem::on_node(SystemConfig::IronSafe, db, secure, params);
         let run = |sys: &mut CsaSystem, sql: &str| {
             sys.run_statement(&parse_statement(sql).unwrap()).map(|report| report.result)
         };
@@ -958,7 +1003,7 @@ mod tests {
                 // A run that died one read short of the end has verified
                 // fewer Merkle nodes than one that finished: compare with
                 // the verified-node cache off.
-                sys.storage_db().pager().lock().set_merkle_cache_enabled(false);
+                sys.secure_pager().unwrap().lock().set_merkle_cache_enabled(false);
                 sys
             };
             // Count the device reads of a clean run, then fail the last

@@ -57,7 +57,7 @@ fn entry_hash(
 /// concurrent sessions can log through a shared monitor without racing
 /// the chain. Sequencing and `prev_hash` linkage are decided under that
 /// lock, so whatever order threads arrive in, the resulting chain is
-/// valid ([`first_bad_link`](AuditLog::first_bad_link) returns `None`).
+/// valid ([`AuditLog::verify`] holds).
 #[derive(Default)]
 pub struct AuditLog {
     entries: Mutex<Vec<AuditEntry>>,
@@ -137,7 +137,7 @@ impl AuditLog {
     /// the returned index is still trustworthy (it hashes correctly up to
     /// that point), while the returned entry and everything after it must
     /// be treated as forged.
-    pub fn first_bad_link(&self) -> Option<usize> {
+    fn first_bad_link(&self) -> Option<usize> {
         let entries = self.entries.lock();
         let mut prev = [0u8; 32];
         for (i, e) in entries.iter().enumerate() {

@@ -268,7 +268,8 @@ impl TrustedMonitor {
     }
 
     /// Attested nodes (hosts, storages).
-    pub fn attested_nodes(&self) -> (&[NodeInfo], &[NodeInfo]) {
+    #[cfg(test)]
+    pub(crate) fn attested_nodes(&self) -> (&[NodeInfo], &[NodeInfo]) {
         (&self.hosts, &self.storages)
     }
 
@@ -520,7 +521,8 @@ impl TrustedMonitor {
     }
 
     /// Is the session present and active (not revoked/expired)?
-    pub fn session_active(&self, session_id: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn session_active(&self, session_id: u64) -> bool {
         matches!(self.sessions.get(&session_id), Some(s) if s.state == SessionState::Active)
     }
 

@@ -20,9 +20,11 @@ use ironsafe_sql::schema::Schema;
 use ironsafe_sql::value::Value;
 use ironsafe_sql::EncodedRows;
 use ironsafe_storage::pager::PagerStats;
+use ironsafe_storage::SecurePager;
 use ironsafe_tee::trustzone::Manufacturer;
 use parking_lot::Mutex;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Outcome of verifying a node's device certificate against the
 /// federation's pinned manufacturer root.
@@ -43,6 +45,8 @@ pub struct ShardNode {
     /// Position in the shard's failover chain (0 = primary).
     pub replica: usize,
     db: Mutex<Database>,
+    /// The node's pager as a [`SecurePager`] (`None` on a plain node).
+    secure: Option<Arc<Mutex<SecurePager>>>,
     attestation: Mutex<AttestationRecord>,
     /// Expected row count per table, pinned at load time — what a
     /// promoted replica is re-verified against.
@@ -72,7 +76,8 @@ impl ShardNode {
             attestation.verified = device.device_cert.verify(&group, &mfr.root_public()).is_ok();
             (device, seed)
         });
-        let mut db = Database::with_shared(storage_pager(medium, params.epc_limit_bytes)?);
+        let (pager, secure) = storage_pager(medium, params.epc_limit_bytes)?;
+        let mut db = Database::with_shared(pager);
         let mut row_counts = Vec::with_capacity(tables.len());
         for (name, schema, rows) in tables {
             db.create_table(name, schema.clone())?;
@@ -85,6 +90,7 @@ impl ShardNode {
             shard,
             replica,
             db: Mutex::new(db),
+            secure,
             attestation: Mutex::new(attestation),
             row_counts,
         })
@@ -120,12 +126,14 @@ impl ShardNode {
     /// Install a fault plan on the node's pager (device, page-integrity
     /// and freshness fault sites).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.db.lock().pager().lock().set_fault_plan(plan);
+        if let Some(pager) = &self.secure {
+            pager.lock().set_fault_plan(plan);
+        }
     }
 
     /// Drain the node's TEE-resident flight recorder.
     pub fn take_flight_dump(&self) -> Vec<String> {
-        self.db.lock().pager().lock().take_flight_dump()
+        self.secure.as_ref().map_or_else(Vec::new, |pager| pager.lock().take_flight_dump())
     }
 
     /// Re-verify the node's partition by scanning every table through

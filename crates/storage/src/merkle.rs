@@ -36,7 +36,7 @@ pub type NodeHash = [u8; 32];
 /// Default verified-node cache capacity (nodes). Large enough that test
 /// and benchmark workloads never evict; deployments size it against the
 /// enclave memory budget via
-/// [`Pager::set_merkle_cache_capacity`](crate::Pager::set_merkle_cache_capacity).
+/// [`SecurePager::sized_for_epc`](crate::SecurePager::sized_for_epc).
 pub const DEFAULT_NODE_CACHE_CAPACITY: usize = 1 << 20;
 
 /// Cumulative tallies of verified-node-cache activity.

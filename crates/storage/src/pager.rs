@@ -65,44 +65,16 @@ impl std::ops::Sub for PagerStats {
     }
 }
 
-/// A page-granular storage interface.
+/// A page-granular storage interface: the I/O core every pager shares.
+///
+/// Operations only the secure stack has (fault plans, the verified-node
+/// cache switch, the flight recorder, the WAL bind, crash teardown) are
+/// inherent [`SecurePager`](crate::SecurePager) methods, and the write
+/// view's transaction is [`ViewPager::take_txn`](crate::ViewPager::take_txn):
+/// callers reach them through the concrete type, never through `dyn Pager`.
 pub trait Pager {
     /// Number of allocated pages.
     fn num_pages(&self) -> u64;
-
-    /// Install a fault-injection plan. Pagers without fault hooks (the
-    /// plaintext pager, views over an already-hooked base) ignore it.
-    fn set_fault_plan(&mut self, _plan: ironsafe_faults::FaultPlan) {}
-
-    /// Set the retry budget used to recover from injected transient
-    /// faults. Pagers without fault hooks ignore it.
-    fn set_retry_policy(&mut self, _policy: ironsafe_faults::RetryPolicy) {}
-
-    /// Enable/disable the TEE-resident verified-node cache that lets the
-    /// freshness check skip re-hashing already-authenticated Merkle
-    /// subpaths. Pagers without a Merkle tree ignore it. The serving
-    /// layer disables it on the shared base pager: the page cache there
-    /// replays per-page stats deltas captured on first read, and a warm
-    /// node cache would make those deltas depend on session interleaving.
-    fn set_merkle_cache_enabled(&mut self, _enabled: bool) {}
-
-    /// Bound the verified-node cache to `capacity` nodes (sized against
-    /// the enclave memory budget). Pagers without a Merkle tree ignore it.
-    fn set_merkle_cache_capacity(&mut self, _capacity: usize) {}
-
-    /// Size the TEE-resident flight recorder against `budget_bytes` of
-    /// enclave memory (see `ironsafe_tee::flight_recorder_capacity`).
-    /// Pagers without a flight recorder ignore it.
-    fn set_flight_budget(&mut self, _budget_bytes: u64) {}
-
-    /// Drain the flight recorder into its deterministic dump lines
-    /// (oldest first). Called by the serving layer on fault exhaustion
-    /// or an integrity/freshness violation, so the forensic window lands
-    /// in the monitor audit trail. Pagers without a recorder return
-    /// nothing.
-    fn take_flight_dump(&mut self) -> Vec<String> {
-        Vec::new()
-    }
 
     /// Allocate a fresh zeroed page; returns its id.
     fn allocate_page(&mut self) -> Result<PageId>;
@@ -142,67 +114,22 @@ pub trait Pager {
     /// Commit outstanding state (e.g. freshness root to RPMB).
     fn commit(&mut self) -> Result<()>;
 
-    /// Commit outstanding state *and* bind `wal_head_mac` (the WAL
-    /// chain-head MAC) in the same authenticated RPMB write — the group
-    /// commit's batched bind. Pagers without an RPMB ignore the mark.
-    fn commit_bound(&mut self, wal_head_mac: &[u8; 32]) -> Result<()> {
-        let _ = wal_head_mac;
-        self.commit()
-    }
-
-    /// Export the raw on-medium block backing page `id` (ciphertext on
-    /// secure pagers) without touching stats or fault hooks. The WAL's
-    /// commit records store these physical images so crash recovery can
-    /// replay them bit-identically. `None` for pagers without a raw
-    /// block representation.
-    fn export_block(&self, id: PageId) -> Option<Vec<u8>> {
-        let _ = id;
-        None
-    }
-
-    /// Simulate a power-off: tear the pager down to its surviving
-    /// hardware `(trustzone device, medium)`, leaving a poisoned husk
-    /// behind. Crash harnesses call this through the shared handle
-    /// (where by-value teardown is impossible), then run recovery over
-    /// the parts. `None` for pagers without TEE-backed hardware.
-    fn take_parts(&mut self) -> Option<(ironsafe_tee::trustzone::TrustZoneDevice, BlockDevice)> {
-        None
-    }
-
-    /// Build a [`Wal`](crate::wal::Wal) keyed from this pager's database
-    /// key (the WAL's encryption/MAC keys derive from it, so the log is
-    /// exactly as confidential as the pages it journals). `None` for
-    /// pagers that cannot journal physical post-images (plaintext
-    /// pagers).
-    fn make_wal(&self, rng_seed: u64) -> Option<crate::wal::Wal> {
-        let _ = rng_seed;
-        None
-    }
-
-    /// The current trusted Merkle root (all-zero for pagers without a
-    /// freshness tree). WAL records carry this so recovery can
-    /// cross-check the rebuilt medium against the RPMB-attested state.
-    fn current_root(&self) -> [u8; 32] {
-        [0u8; 32]
-    }
-
-    /// Extract the accumulated copy-on-write transaction from a write
-    /// view: `(overlay pages, id watermark)`. `None` for pagers that are
-    /// not views (the write path calls this through the `dyn Pager`
-    /// handle the SQL engine hands back).
-    fn take_txn_pages(&mut self) -> Option<(std::collections::HashMap<PageId, Vec<u8>>, u64)> {
-        None
-    }
-
     /// Counter snapshot.
     fn stats(&self) -> PagerStats;
 
     /// Zero the counters.
     fn reset_stats(&mut self);
 
+    /// The raw on-medium block backing page `id` (ciphertext on secure
+    /// pagers), read without touching stats or fault hooks. The WAL's
+    /// commit records store these physical images so crash recovery can
+    /// replay them bit-identically. `None` for a page with no block
+    /// behind it.
+    fn export_block(&self, id: PageId) -> Option<Vec<u8>>;
+
     /// Attach this pager's live telemetry counters to `registry` (under
-    /// `storage.*` names). Default: the pager exposes none.
-    fn register_metrics(&self, _registry: &ironsafe_obs::Registry) {}
+    /// `storage.*` names).
+    fn register_metrics(&self, registry: &ironsafe_obs::Registry);
 }
 
 /// A plaintext pager over a [`BlockDevice`] (the non-secure baseline).
@@ -276,6 +203,13 @@ impl Pager for PlainPager {
     fn reset_stats(&mut self) {
         self.stats = PagerStats::default();
     }
+
+    fn export_block(&self, id: PageId) -> Option<Vec<u8>> {
+        self.device.raw_read(id).map(|b| b.to_vec())
+    }
+
+    /// The plaintext baseline keeps no telemetry cells.
+    fn register_metrics(&self, _registry: &ironsafe_obs::Registry) {}
 }
 
 #[cfg(test)]
@@ -356,6 +290,20 @@ mod tests {
             p.read_pages(&ids, &mut short),
             Err(StorageError::BadBufferSize { .. })
         ));
+    }
+
+    #[test]
+    fn export_block_is_the_stored_block_and_chargeless() {
+        let mut p = PlainPager::new();
+        let id = p.allocate_page().unwrap();
+        let data = vec![0x3c; PAGE_PAYLOAD];
+        p.write_page(id, &data).unwrap();
+        let before = p.stats();
+        let block = p.export_block(id).unwrap();
+        assert_eq!(block[..], p.device().raw_read(id).unwrap()[..]);
+        assert_eq!(block[..PAGE_PAYLOAD], data[..]);
+        assert_eq!(p.stats(), before, "exporting reads no page");
+        assert!(p.export_block(id + 1).is_none());
     }
 
     #[test]

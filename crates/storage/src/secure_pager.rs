@@ -17,6 +17,7 @@ use crate::{Result, StorageError};
 use ironsafe_faults::{retry_with, FaultPlan, FaultSite, RetryPolicy, Transient};
 use ironsafe_obs::span::{Span, TraceCtx};
 use ironsafe_obs::{Counter, Registry};
+use ironsafe_tee::sgx::epc::verified_node_cache_capacity;
 use ironsafe_tee::trustzone::{Manufacturer, SecureStorageTa, TrustZoneDevice};
 use ironsafe_tee::FlightRecorder;
 use rand::SeedableRng;
@@ -91,7 +92,7 @@ pub struct SecurePager {
     device: BlockDevice,
     codec: PageCodec,
     /// The database key, kept TEE-resident for deriving the WAL's
-    /// encryption/MAC keys (see [`Pager::make_wal`]).
+    /// encryption/MAC keys (see [`SecurePager::make_wal`]).
     db_key: [u8; 16],
     merkle: MerkleTree,
     freshness: FreshnessManager,
@@ -101,7 +102,6 @@ pub struct SecurePager {
     page_writes: u64,
     metrics: PagerMetrics,
     fault_plan: FaultPlan,
-    retry: RetryPolicy,
     /// Reusable batch-read scratch: block staging area and MAC collection,
     /// hoisted onto the pager so fault-retried batches do not re-allocate
     /// per attempt.
@@ -148,7 +148,6 @@ impl SecurePager {
             page_writes: 0,
             metrics: PagerMetrics::default(),
             fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
             scratch_blocks: Vec::new(),
             scratch_macs: Vec::new(),
             batch_seq: 0,
@@ -200,7 +199,6 @@ impl SecurePager {
             page_writes: 0,
             metrics: PagerMetrics::default(),
             fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
             scratch_blocks: Vec::new(),
             scratch_macs: Vec::new(),
             batch_seq: 0,
@@ -261,14 +259,94 @@ impl SecurePager {
         &self.device
     }
 
-    /// Current trusted Merkle root.
-    pub fn trusted_root(&self) -> NodeHash {
-        self.trusted_root
-    }
-
     /// Handles onto the live telemetry counters.
     pub fn metrics(&self) -> &PagerMetrics {
         &self.metrics
+    }
+
+    /// Size the TEE-resident state of a storage node against its enclave
+    /// budget of `epc_limit_bytes`: the verified-node cache
+    /// ([`verified_node_cache_capacity`]) and the flight-recorder ring
+    /// ([`FlightRecorder::with_budget`]) compete with the query working
+    /// set for EPC. Called once, when the node's pager is built (created,
+    /// opened or recovered); a pager never sized keeps the defaults.
+    pub fn sized_for_epc(mut self, epc_limit_bytes: u64) -> Self {
+        self.merkle.set_cache_capacity(verified_node_cache_capacity(epc_limit_bytes));
+        self.flight = FlightRecorder::with_budget(epc_limit_bytes);
+        self
+    }
+
+    /// Install a fault-injection plan on the page I/O and the RPMB.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.tz.rpmb.set_fault_plan(plan.clone());
+        self.fault_plan = plan;
+    }
+
+    /// Enable/disable the TEE-resident verified-node cache that lets the
+    /// freshness check skip re-hashing already-authenticated Merkle
+    /// subpaths. The serving layer disables it on the shared base pager:
+    /// the page cache there replays per-page stats deltas captured on
+    /// first read, and a warm node cache would make those deltas depend
+    /// on session interleaving.
+    pub fn set_merkle_cache_enabled(&mut self, enabled: bool) {
+        self.merkle.set_cache_enabled(enabled);
+    }
+
+    /// Drain the flight recorder into its deterministic dump lines
+    /// (oldest first). Called by the serving layer on fault exhaustion
+    /// or an integrity/freshness violation, so the forensic window lands
+    /// in the monitor audit trail.
+    pub fn take_flight_dump(&mut self) -> Vec<String> {
+        self.flight.dump()
+    }
+
+    /// Commit outstanding state *and* bind `wal_head_mac` (the WAL
+    /// chain-head MAC) in the same authenticated RPMB write — the group
+    /// commit's batched bind.
+    pub fn commit_bound(&mut self, wal_head_mac: &[u8; 32]) -> Result<()> {
+        let root = self.trusted_root;
+        let plan = self.fault_plan.clone();
+        let policy = RetryPolicy::default();
+        // The group-commit bind: root MAC and WAL chain head land in one
+        // authenticated RPMB write, so N batched transactions pay a
+        // single RPMB round trip between them.
+        retry_with(&plan, &policy, || {
+            self.freshness.commit_root_with_wal(&self.ta, &mut self.tz, &root, wal_head_mac)
+        })?;
+        self.metrics.rpmb_writes.inc();
+        Ok(())
+    }
+
+    /// Simulate a power-off through a shared handle (where by-value
+    /// [`SecurePager::into_parts`] is impossible): hand back the
+    /// surviving hardware `(trustzone device, medium)` and leave a
+    /// poisoned husk behind. Crash harnesses then run recovery over the
+    /// parts.
+    pub fn take_parts(&mut self) -> (TrustZoneDevice, BlockDevice) {
+        // Leave a husk behind whose TrustZone device shares no keys with
+        // the real one: the TA's RPMB frames no longer authenticate, so
+        // anything still holding this pager fail-stops with typed TEE
+        // errors instead of silently serving a dead store.
+        let group = ironsafe_crypto::group::Group::modp_1024();
+        let husk = Manufacturer::from_seed(&group, b"torn-down-husk")
+            .make_device("torn-down-husk", 1, &mut self.rng);
+        let tz = std::mem::replace(&mut self.tz, husk);
+        let device = std::mem::take(&mut self.device);
+        (tz, device)
+    }
+
+    /// Build a [`Wal`](crate::wal::Wal) keyed from this pager's database
+    /// key (the WAL's encryption/MAC keys derive from it, so the log is
+    /// exactly as confidential as the pages it journals). Always `Some`.
+    pub fn make_wal(&self, rng_seed: u64) -> Option<crate::wal::Wal> {
+        Some(crate::wal::Wal::new(&self.db_key, rng_seed))
+    }
+
+    /// The current trusted Merkle root. WAL records carry this so
+    /// recovery can cross-check the rebuilt medium against the
+    /// RPMB-attested state.
+    pub fn current_root(&self) -> [u8; 32] {
+        self.trusted_root
     }
 
     /// Run `f`, rolling the crypto/Merkle work counters back to their
@@ -484,7 +562,7 @@ impl Pager for SecurePager {
         // crypto counter rolls back on a faulted attempt — a failed
         // allocation leaves no appended block, no orphan leaf, no stats.
         let plan = self.fault_plan.clone();
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         let id = retry_with(&plan, &policy, || {
             self.with_stats_rollback(|p| p.try_allocate_page())
         })?;
@@ -498,7 +576,7 @@ impl Pager for SecurePager {
         self.batch_seq += 1;
         let _ctx = TraceCtx::current().map(|c| c.with_page_batch(self.batch_seq).install());
         let plan = self.fault_plan.clone();
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         let cache_before = self.merkle.cache_stats();
         retry_with(&plan, &policy, || {
             self.with_stats_rollback(|p| p.try_read_page(id, buf))
@@ -542,7 +620,7 @@ impl Pager for SecurePager {
         self.batch_seq += 1;
         let _ctx = TraceCtx::current().map(|c| c.with_page_batch(self.batch_seq).install());
         let plan = self.fault_plan.clone();
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         let cache_before = self.merkle.cache_stats();
         retry_with(&plan, &policy, || {
             self.with_stats_rollback(|p| p.try_read_pages(ids, out))
@@ -565,7 +643,7 @@ impl Pager for SecurePager {
         // the crypto counters back and leaves the tree and trusted root
         // untouched, so a bounded retry starts from a clean slate.
         let plan = self.fault_plan.clone();
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         retry_with(&plan, &policy, || {
             self.with_stats_rollback(|p| p.try_write_page(id, data))
         })?;
@@ -579,7 +657,7 @@ impl Pager for SecurePager {
     fn commit(&mut self) -> Result<()> {
         let root = self.trusted_root;
         let plan = self.fault_plan.clone();
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         // An injected `tee.rpmb.write_fail` surfaces as a transient
         // `RpmbBusy`; the client recomputes the write counter on each
         // attempt, so the retried commit authenticates cleanly.
@@ -591,70 +669,8 @@ impl Pager for SecurePager {
         Ok(())
     }
 
-    fn commit_bound(&mut self, wal_head_mac: &[u8; 32]) -> Result<()> {
-        let root = self.trusted_root;
-        let plan = self.fault_plan.clone();
-        let policy = self.retry;
-        // The group-commit bind: root MAC and WAL chain head land in one
-        // authenticated RPMB write, so N batched transactions pay a
-        // single RPMB round trip between them.
-        retry_with(&plan, &policy, || {
-            self.freshness.commit_root_with_wal(&self.ta, &mut self.tz, &root, wal_head_mac)
-        })?;
-        self.metrics.rpmb_writes.inc();
-        Ok(())
-    }
-
     fn export_block(&self, id: PageId) -> Option<Vec<u8>> {
         self.device.raw_read(id).map(|b| b.to_vec())
-    }
-
-    fn take_parts(&mut self) -> Option<(TrustZoneDevice, BlockDevice)> {
-        // Leave a husk behind whose TrustZone device shares no keys with
-        // the real one: the TA's RPMB frames no longer authenticate, so
-        // anything still holding this pager fail-stops with typed TEE
-        // errors instead of silently serving a dead store.
-        let group = ironsafe_crypto::group::Group::modp_1024();
-        let husk = Manufacturer::from_seed(&group, b"torn-down-husk")
-            .make_device("torn-down-husk", 1, &mut self.rng);
-        let tz = std::mem::replace(&mut self.tz, husk);
-        let device = std::mem::take(&mut self.device);
-        Some((tz, device))
-    }
-
-    fn make_wal(&self, rng_seed: u64) -> Option<crate::wal::Wal> {
-        // The WAL's keys derive from the same database key as the pages,
-        // so the journal is exactly as confidential as what it journals.
-        Some(crate::wal::Wal::new(&self.db_key, rng_seed))
-    }
-
-    fn current_root(&self) -> [u8; 32] {
-        self.trusted_root
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.tz.rpmb.set_fault_plan(plan.clone());
-        self.fault_plan = plan;
-    }
-
-    fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    fn set_merkle_cache_enabled(&mut self, enabled: bool) {
-        self.merkle.set_cache_enabled(enabled);
-    }
-
-    fn set_merkle_cache_capacity(&mut self, capacity: usize) {
-        self.merkle.set_cache_capacity(capacity);
-    }
-
-    fn set_flight_budget(&mut self, budget_bytes: u64) {
-        self.flight = FlightRecorder::with_budget(budget_bytes);
-    }
-
-    fn take_flight_dump(&mut self) -> Vec<String> {
-        self.flight.dump()
     }
 
     fn stats(&self) -> PagerStats {
@@ -1251,12 +1267,11 @@ mod tests {
     #[test]
     fn flight_dump_is_byte_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut pager = SecurePager::create(fresh_device("s0"), 1).unwrap();
+            let mut pager = SecurePager::create(fresh_device("s0"), 1).unwrap().sized_for_epc(4096);
             for i in 0..6u8 {
                 let id = pager.allocate_page().unwrap();
                 pager.write_page(id, &payload(i)).unwrap();
             }
-            pager.set_flight_budget(4096);
             let plan = FaultPlan::seeded(seed)
                 .with_rate(FaultSite::DeviceRead, 0.3)
                 .with_rate(FaultSite::FreshnessStale, 0.1);
@@ -1278,8 +1293,7 @@ mod tests {
         );
     }
 
-    /// Clean reads record nothing; the budget knob resizes the ring the
-    /// same way the verified-node cache is sized from the EPC budget.
+    /// Clean reads record nothing.
     #[test]
     fn flight_recorder_stays_quiet_on_clean_reads() {
         let mut pager = SecurePager::create(fresh_device("s0"), 1).unwrap();
@@ -1301,12 +1315,12 @@ mod tests {
         pager.write_page(id, &payload(1)).unwrap();
         pager.commit().unwrap();
         pager.reset_stats();
-        let root_before = pager.trusted_root();
+        let root_before = pager.current_root();
         let raw_before = pager.device().raw_read(id).unwrap().to_vec();
         let obs_writes_before = pager.metrics().page_writes.get();
         pager.set_fault_plan(FaultPlan::seeded(61).with_rate(FaultSite::DeviceWrite, 1.0));
         assert!(matches!(pager.write_page(id, &payload(2)), Err(StorageError::DeviceIo(_))));
-        assert_eq!(pager.trusted_root(), root_before, "tree never ran ahead of the medium");
+        assert_eq!(pager.current_root(), root_before, "tree never ran ahead of the medium");
         assert_eq!(pager.device().raw_read(id).unwrap().to_vec(), raw_before);
         assert_eq!(pager.stats(), PagerStats::default(), "failed write charges nothing");
         assert_eq!(pager.metrics().page_writes.get(), obs_writes_before, "obs counter unchanged");
@@ -1328,11 +1342,11 @@ mod tests {
         let a = pager.allocate_page().unwrap();
         pager.write_page(a, &payload(1)).unwrap();
         pager.reset_stats();
-        let root_before = pager.trusted_root();
+        let root_before = pager.current_root();
         pager.set_fault_plan(FaultPlan::seeded(62).with_rate(FaultSite::DeviceWrite, 1.0));
         assert!(matches!(pager.allocate_page(), Err(StorageError::DeviceIo(_))));
         assert_eq!(pager.num_pages(), 1, "no block appended by the faulted attempt");
-        assert_eq!(pager.trusted_root(), root_before, "no orphan leaf in the tree");
+        assert_eq!(pager.current_root(), root_before, "no orphan leaf in the tree");
         assert_eq!(pager.stats(), PagerStats::default(), "failed allocation charges nothing");
         pager.set_fault_plan(FaultPlan::none());
         let b = pager.allocate_page().unwrap();
@@ -1359,7 +1373,7 @@ mod tests {
             faulted.device().raw_read(fa).unwrap().to_vec(),
             "retry rewrites the identical ciphertext"
         );
-        assert_eq!(clean.trusted_root(), faulted.trusted_root());
+        assert_eq!(clean.current_root(), faulted.current_root());
     }
 
     /// `commit_bound` lands root + WAL head in one RPMB write and the
@@ -1404,7 +1418,7 @@ mod tests {
         let id = pager.allocate_page().unwrap();
         pager.write_page(id, &payload(8)).unwrap();
         pager.commit().unwrap();
-        let (tz, medium) = pager.take_parts().unwrap();
+        let (tz, medium) = pager.take_parts();
         // The husk: no pages, and commits no longer authenticate.
         assert_eq!(pager.num_pages(), 0);
         let mut buf = vec![0u8; PAGE_PAYLOAD];

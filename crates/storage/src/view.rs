@@ -26,7 +26,8 @@
 //! decrypt-once sharing.
 //!
 //! For the same reason, the serving layer disables the base pager's
-//! verified-node cache (see [`Pager::set_merkle_cache_enabled`]) and
+//! verified-node cache (see
+//! [`SecurePager::set_merkle_cache_enabled`](crate::SecurePager::set_merkle_cache_enabled)) and
 //! view batch reads fall through to per-page base reads on misses: the
 //! replayed first-read delta must not depend on which pages some *other*
 //! session's scan already authenticated or on how a batch happened to be
@@ -471,23 +472,25 @@ impl Pager for ViewPager {
         self.stats = PagerStats::default();
     }
 
-    /// The write path extracts the accumulated transaction through the
-    /// `dyn Pager` handle (see [`ViewPager::take_txn`]).
-    fn take_txn_pages(&mut self) -> Option<(HashMap<PageId, Vec<u8>>, u64)> {
-        Some(self.take_txn())
+    /// The base pager's current block behind page `id`; `None` for a
+    /// page this view holds in memory (its overlay, or a writer's pending
+    /// buffer) and for ids past its base range, which have no block on
+    /// the medium. A pinned view answers with the base's *current*
+    /// block, which a commit after the pin may have replaced.
+    fn export_block(&self, id: PageId) -> Option<Vec<u8>> {
+        let pending = match &self.mode {
+            ViewMode::Writer(p) => p.lock().get(id).is_some(),
+            _ => false,
+        };
+        if pending || id >= self.base_pages || self.overlay.contains_key(&id) {
+            return None;
+        }
+        self.base.lock().export_block(id)
     }
 
-    /// The flight recorder lives in the shared base pager (it is a TEE
-    /// resource, not per-view state); views pass the budget through.
-    fn set_flight_budget(&mut self, budget_bytes: u64) {
-        self.base.lock().set_flight_budget(budget_bytes);
-    }
-
-    /// Drain the *base* pager's recorder: a view that hits a violation
-    /// surfaces the shared enclave's forensic window.
-    fn take_flight_dump(&mut self) -> Vec<String> {
-        self.base.lock().take_flight_dump()
-    }
+    /// A view keeps no telemetry cells: its work is counted in its own
+    /// [`PagerStats`], and the base pager's cells see the misses.
+    fn register_metrics(&self, _registry: &ironsafe_obs::Registry) {}
 }
 
 #[cfg(test)]
@@ -548,6 +551,19 @@ mod tests {
         assert_eq!(b.num_pages(), 2);
         b.read_page(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0), "base page survives COW");
+    }
+
+    #[test]
+    fn export_block_is_the_base_block_unless_overlaid() {
+        let base = base_with_pages(3);
+        let mut v = ViewPager::over(base.clone(), Arc::new(PageCache::new()));
+        v.write_page(0, &vec![9u8; PAGE_PAYLOAD]).unwrap();
+        let fresh = v.allocate_page().unwrap();
+        assert_eq!(v.export_block(1), base.lock().export_block(1), "untouched: the base block");
+        assert!(v.export_block(1).is_some());
+        assert_eq!(v.export_block(0), None, "copy-on-write page lives in the overlay");
+        assert_eq!(v.export_block(fresh), None, "fresh page lives in the overlay");
+        assert_eq!(v.stats(), PagerStats { page_writes: 1, ..PagerStats::default() });
     }
 
     #[test]

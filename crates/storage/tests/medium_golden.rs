@@ -111,7 +111,7 @@ fn medium_bytes_are_pinned() {
     let blocks: Vec<String> = (0..pager.num_pages())
         .map(|id| hex(&sha256(&pager.export_block(id).expect("allocated page"))))
         .collect();
-    let root = hex(&pager.trusted_root());
+    let root = hex(&pager.current_root());
     let wal_bytes = wal.medium().bytes();
     let wal_digest = hex(&sha256(wal_bytes));
     assert_eq!(blocks, BLOCK_DIGESTS, "device block digests moved");

@@ -22,7 +22,7 @@ pub const FLIGHT_EVENT_BYTES: usize = 64;
 /// Size a flight recorder against `budget_bytes` of enclave memory,
 /// one [`FLIGHT_EVENT_BYTES`] per event, floored at 64 entries so a
 /// pathological budget still keeps a usable post-mortem window.
-pub fn flight_recorder_capacity(budget_bytes: u64) -> usize {
+fn flight_recorder_capacity(budget_bytes: u64) -> usize {
     ((budget_bytes as usize) / FLIGHT_EVENT_BYTES).max(64)
 }
 

@@ -26,7 +26,7 @@ pub mod image;
 pub mod sgx;
 pub mod trustzone;
 
-pub use flight::{flight_recorder_capacity, FlightEvent, FlightRecorder};
+pub use flight::{FlightEvent, FlightRecorder};
 pub use image::{Measurement, SoftwareImage};
 
 /// Errors raised by the TEE models.

@@ -82,7 +82,7 @@ impl SgxPlatform {
     }
 
     /// The platform's quote-signing keypair (the EPID/DCAP stand-in).
-    pub fn quote_keys(&self) -> &KeyPair {
+    pub(crate) fn quote_keys(&self) -> &KeyPair {
         &self.quote_keys
     }
 
@@ -93,7 +93,7 @@ impl SgxPlatform {
 
     /// [`SgxPlatform::create_enclave`] with a fault plan wired into the
     /// enclave's entry path (`tee.enclave.crash`, `tee.epc.abort`).
-    pub fn create_enclave_with_faults(
+    pub(crate) fn create_enclave_with_faults(
         &self,
         image: &SoftwareImage,
         config: EnclaveConfig,
@@ -145,13 +145,8 @@ impl Enclave {
         self.measurement
     }
 
-    /// Name of the loaded image.
-    pub fn image_name(&self) -> &str {
-        &self.image_name
-    }
-
     /// Version of the loaded image.
-    pub fn image_version(&self) -> u32 {
+    pub(crate) fn image_version(&self) -> u32 {
         self.image_version
     }
 
@@ -206,7 +201,8 @@ impl Enclave {
     }
 
     /// Touch a run of pages; returns faults.
-    pub fn touch_pages(&self, first: u64, count: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn touch_pages(&self, first: u64, count: u64) -> u64 {
         self.epc.lock().access_range(first, count)
     }
 
@@ -235,12 +231,12 @@ impl Enclave {
     }
 
     /// Unseal a blob sealed by [`Enclave::seal`].
-    pub fn unseal(&self, blob: &SealedBlob) -> Result<Vec<u8>> {
+    pub(crate) fn unseal(&self, blob: &SealedBlob) -> Result<Vec<u8>> {
         self.seal_key.unseal(blob)
     }
 
     /// Tear down the enclave: wipes EPC residency and refuses further entry.
-    pub fn destroy(&self) {
+    fn destroy(&self) {
         self.destroyed.store(1, Ordering::Relaxed);
         self.epc.lock().clear();
     }

@@ -101,12 +101,14 @@ impl EpcSimulator {
 
     /// Fraction of the EPC currently occupied, in `[0.0, 1.0]`: a
     /// side-effect-free snapshot (no LRU mutation, no counter bumps).
-    pub fn occupancy_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn occupancy_ratio(&self) -> f64 {
         self.map.len() as f64 / self.capacity_pages as f64
     }
 
     /// Pages that can still be faulted in before the LRU must evict.
-    pub fn headroom_pages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn headroom_pages(&self) -> usize {
         self.capacity_pages - self.map.len()
     }
 
@@ -130,7 +132,8 @@ impl EpcSimulator {
     }
 
     /// Touch a contiguous run of pages; returns the number of faults.
-    pub fn access_range(&mut self, first_page: u64, count: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn access_range(&mut self, first_page: u64, count: u64) -> u64 {
         let mut f = 0;
         for p in first_page..first_page + count {
             if self.access(p) {

@@ -24,7 +24,7 @@ pub struct SealedBlob {
 }
 
 /// Derive the seal key for `(platform root secret, measurement)`.
-pub fn derive_seal_key(root_secret: &[u8; 32], measurement: &[u8; 32]) -> [u8; 32] {
+pub(crate) fn derive_seal_key(root_secret: &[u8; 32], measurement: &[u8; 32]) -> [u8; 32] {
     let mut info = b"sgx-seal-key".to_vec();
     info.extend_from_slice(measurement);
     hkdf::derive_key_256(root_secret, &info)
@@ -40,7 +40,7 @@ pub struct SealKey {
 }
 
 impl SealKey {
-    /// Expand a 32-byte seal key (see [`derive_seal_key`]).
+    /// Expand a 32-byte seal key (see `derive_seal_key`).
     pub fn new(seal_key: &[u8; 32]) -> Self {
         let enc_key: [u8; 16] = seal_key[..16].try_into().expect("seal key is 32 bytes");
         SealKey { aes: Aes128::new(&enc_key), mac: HmacSha256::new(&seal_key[16..]) }
@@ -65,7 +65,7 @@ impl SealKey {
     }
 
     /// Unseal and authenticate a [`SealedBlob`].
-    pub fn unseal(&self, blob: &SealedBlob) -> Result<Vec<u8>> {
+    pub(crate) fn unseal(&self, blob: &SealedBlob) -> Result<Vec<u8>> {
         let expect = self.blob_mac(&blob.iv, &blob.ciphertext);
         if !ironsafe_crypto::ct_eq(&expect, &blob.mac) {
             return Err(TeeError::UnsealFailed);

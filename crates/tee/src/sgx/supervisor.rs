@@ -30,7 +30,6 @@ pub struct EnclaveSupervisor {
     image: SoftwareImage,
     config: EnclaveConfig,
     fault_plan: FaultPlan,
-    policy: RetryPolicy,
     enclave: Enclave,
     sealed_state: Option<SealedBlob>,
     state: Option<Vec<u8>>,
@@ -58,7 +57,6 @@ impl EnclaveSupervisor {
             image,
             config,
             fault_plan,
-            policy: RetryPolicy::default(),
             enclave,
             sealed_state: None,
             state: None,
@@ -69,11 +67,6 @@ impl EnclaveSupervisor {
     /// The currently running enclave instance.
     pub fn enclave(&self) -> &Enclave {
         &self.enclave
-    }
-
-    /// Override the retry budget used for entry recovery.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
     }
 
     /// Seal `state` to the enclave and keep the blob for restarts. The
@@ -123,7 +116,8 @@ impl EnclaveSupervisor {
     /// retry with simulated backoff) and from crashes (restart + sealed
     /// state reload). Returns the first non-recoverable error.
     pub fn enter(&mut self) -> Result<()> {
-        let budget = self.policy.max_attempts.max(1);
+        let policy = RetryPolicy::default();
+        let budget = policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             match self.enclave.enter() {
@@ -136,13 +130,13 @@ impl EnclaveSupervisor {
                 // A destroyed enclave is restartable: rebuild and reload.
                 Err(TeeError::InvalidState(_)) if attempt + 1 < budget => {
                     self.fault_plan.note_retried();
-                    ironsafe_obs::span::add_sim_ns("other", self.policy.backoff_ns(attempt));
+                    ironsafe_obs::span::add_sim_ns("other", policy.backoff_ns(attempt));
                     self.restart()?;
                     attempt += 1;
                 }
                 Err(e) if e.is_transient() && attempt + 1 < budget => {
                     self.fault_plan.note_retried();
-                    ironsafe_obs::span::add_sim_ns("other", self.policy.backoff_ns(attempt));
+                    ironsafe_obs::span::add_sim_ns("other", policy.backoff_ns(attempt));
                     attempt += 1;
                 }
                 Err(e) => {

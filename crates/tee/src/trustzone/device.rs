@@ -92,12 +92,12 @@ impl TrustZoneDevice {
     ///
     /// Only secure-world code may call this on real hardware; in the model
     /// the [`crate::trustzone::ta`] module is the intended caller.
-    pub fn derive_huk_key(&self, info: &[u8]) -> [u8; 32] {
+    pub(crate) fn derive_huk_key(&self, info: &[u8]) -> [u8; 32] {
         hkdf::derive_key_256(&self.huk, info)
     }
 
     /// The device's attestation keypair (HUK-derived, ROTPK-certified).
-    pub fn attestation_keys(&self) -> &KeyPair {
+    pub(crate) fn attestation_keys(&self) -> &KeyPair {
         &self.attestation_keys
     }
 }

@@ -66,12 +66,12 @@ impl Rpmb {
     }
 
     /// Whether the authentication key has been programmed.
-    pub fn is_programmed(&self) -> bool {
+    pub(crate) fn is_programmed(&self) -> bool {
         self.key.is_some()
     }
 
     /// Current write counter (public, monotonic).
-    pub fn write_counter(&self) -> u64 {
+    fn write_counter(&self) -> u64 {
         self.write_counter
     }
 
@@ -86,7 +86,7 @@ impl Rpmb {
 
     /// Authenticated write: `mac = HMAC(key, addr ‖ counter ‖ data)` where
     /// `counter` must equal the current write counter.
-    pub fn authenticated_write(
+    fn authenticated_write(
         &mut self,
         addr: usize,
         counter: u64,
@@ -115,7 +115,7 @@ impl Rpmb {
 
     /// Authenticated read: returns `(data, counter, mac)` where
     /// `mac = HMAC(key, addr ‖ counter ‖ nonce ‖ data)`.
-    pub fn authenticated_read(
+    fn authenticated_read(
         &self,
         addr: usize,
         nonce: &[u8; 16],
@@ -132,7 +132,7 @@ impl Rpmb {
 }
 
 /// MAC for a write request.
-pub fn write_mac(key: &[u8; 32], addr: usize, counter: u64, data: &[u8; RPMB_BLOCK]) -> [u8; 32] {
+fn write_mac(key: &[u8; 32], addr: usize, counter: u64, data: &[u8; RPMB_BLOCK]) -> [u8; 32] {
     hmac_sha256_concat(
         key,
         &[b"rpmb-write", &(addr as u64).to_be_bytes(), &counter.to_be_bytes(), data],
@@ -140,7 +140,7 @@ pub fn write_mac(key: &[u8; 32], addr: usize, counter: u64, data: &[u8; RPMB_BLO
 }
 
 /// MAC for a read response.
-pub fn read_mac(
+fn read_mac(
     key: &[u8; 32],
     addr: usize,
     counter: u64,

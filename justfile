@@ -25,9 +25,9 @@ check:
 # every line of `crates/*/src/**/*.rs` outside `#[cfg(test)]` items — the
 # attribute skips the item it decorates, wherever in the file it sits, and
 # a file whose `mod` line carries it counts as zero (scripts/loc.awk). The
-# last line is the workspace total.
+# last line is the workspace total. Without `just`, run scripts/loc.sh.
 loc:
-    @for c in crates/*/; do f=$(find ${c}src -name '*.rs' | sort); printf '%-8s %s\n' "$(basename $c)" "$(awk -f scripts/loc.awk pass=1 $f pass=2 $f)"; done | awk '{ print; total += $2 } END { printf "%-8s %s\n", "total", total }'
+    @scripts/loc.sh
 
 # MVCC GC stress: the concurrent-readers golden test, 200 times over
 # (a pre-image freed mid-flush used to corrupt ~1 run in 100).

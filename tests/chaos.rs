@@ -171,9 +171,15 @@ fn warm_cache_storms_still_detect_and_recover() {
     };
     sweep(&mut sys, "warm cache");
 
-    // Undersized cache: wholesale eviction fires constantly mid-scan.
-    sys.storage_db().pager().lock().set_merkle_cache_capacity(8);
-    sweep(&mut sys, "evicting cache");
+    // Undersized cache: an enclave budget that leaves the verified-node
+    // cache at its 1 024-node floor, so wholesale eviction fires mid-scan.
+    let tiny = CostParams { epc_limit_bytes: 16 * 1024, ..CostParams::default() };
+    let mut small = CsaSystem::build(SystemConfig::IronSafe, &data, tiny).expect("system builds");
+    let registry = ironsafe_obs::Registry::new();
+    small.storage_db().register_metrics(&registry);
+    sweep(&mut small, "evicting cache");
+    let evicted = registry.snapshot().counter("storage.merkle.cache.evict").unwrap();
+    assert!(evicted > 0, "the undersized cache must churn");
 }
 
 #[test]

@@ -125,7 +125,8 @@ fn medium_layout_does_not_depend_on_row_contents() {
         let mfr = Manufacturer::from_seed(&group, b"size-channel-vendor");
         let device = mfr.make_device("victim-size", 8, &mut rng());
         let epc = CostParams::default().epc_limit_bytes;
-        let mut db = Database::with_shared(storage_pager(Some((device, 5)), epc).unwrap());
+        let (pager, _) = storage_pager(Some((device, 5)), epc).unwrap();
+        let mut db = Database::with_shared(pager);
         db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
         db.execute(&format!("INSERT INTO t VALUES (1, 'token={secret}')")).unwrap();
         for f in &filler {
